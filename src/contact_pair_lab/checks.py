@@ -46,6 +46,8 @@ _CONNECTION_IDS = ("connection.covariant_phi_pairing",
                    "connection.reeb_derivative_h",
                    "connection.h_vanishes",
                    "connection.reeb_killing")
+# check_connection_identities certifies these only on a normal bundle
+_NORMAL_ONLY_IDS = _CONNECTION_IDS[-2:]
 _CURVATURE_IDS = ("curvature.reeb_identity",
                   "curvature.normality_equivalence")
 _HERMITIAN_IDS = ("hermitian.form_pullback",
@@ -247,6 +249,8 @@ def run_checks(scenario: Scenario, selection: Optional[Sequence[str]] = None,
             for check_id, finding in zip(_CONNECTION_IDS, findings):
                 runner.add("connection", check_id, finding.ok,
                            finding.witness, ms)
+            if not normality(mcp).normal_mcp:
+                runner.skip("connection", _NORMAL_ONLY_IDS)
         if "curvature" in needed:
             t0 = time.perf_counter()
             findings = check_curvature_identity(mcp)

@@ -310,6 +310,9 @@ class MetricContactPair:
     findings: List[Finding]
     _connection: Optional[LeviCivita] = None
     _normality: Optional["NormalityReport"] = None
+    _projections: Optional["Projections"] = None
+    _nabla_phi: Optional[List[List[VectorField]]] = None
+    _nabla_j: Optional[List[List[VectorField]]] = None
 
     @property
     def pair(self) -> ContactPair:
@@ -328,6 +331,28 @@ class MetricContactPair:
         if self._connection is None:
             self._connection = levi_civita(self.metric)
         return self._connection
+
+    @property
+    def projections(self) -> "Projections":
+        if self._projections is None:
+            self._projections = Projections(self)
+        return self._projections
+
+    @property
+    def nabla_phi(self) -> List[List[VectorField]]:
+        """(nabla_{e_a} phi) e_b, indexed [a][b]."""
+        if self._nabla_phi is None:
+            self._nabla_phi = [self.connection.nabla_endo(a, self.structure.phi)
+                               for a in range(self.presentation.dim)]
+        return self._nabla_phi
+
+    @property
+    def nabla_j(self) -> List[List[VectorField]]:
+        """(nabla_{e_a} J) e_b, indexed [a][b]."""
+        if self._nabla_j is None:
+            self._nabla_j = [self.connection.nabla_endo(a, self.structure.j)
+                             for a in range(self.presentation.dim)]
+        return self._nabla_j
 
     @property
     def verdicts(self) -> Dict[str, bool]:
@@ -433,13 +458,11 @@ def normality(mcp: MetricContactPair) -> NormalityReport:
     findings: List[Finding] = []
 
     raw = nijenhuis(phi)
-    two = ScalarExpr.constant(2, presentation.coordinates)
     n1_zero = True
     for (a, b), value in raw.items():
-        ea = presentation.frame_field(a)
-        eb = presentation.frame_field(b)
-        correction = (pair.z1.scale(two * eval_form(pair.d_alpha1, ea, eb))
-                      + pair.z2.scale(two * eval_form(pair.d_alpha2, ea, eb)))
+        # 2 d(alpha_i)(e_a, e_b) is the coefficient on (a, b)
+        correction = (pair.z1.scale(pair.d_alpha1.get((a, b)))
+                      + pair.z2.scale(pair.d_alpha2.get((a, b))))
         total = value + correction
         if not total.is_zero():
             n1_zero = False
@@ -474,16 +497,20 @@ def normality(mcp: MetricContactPair) -> NormalityReport:
 class Projections:
     """Orthogonal projections of the splitting, with the index convention
     used throughout: pi_i maps onto the horizontal block H_j with j != i,
-    and the foliation projection of index i lands in TF_j with j != i."""
+    and the foliation projection of index i lands in TF_j with j != i.
+
+    Holds the pair and the metric, not the MetricContactPair that caches
+    it, so the cache makes no reference cycle."""
 
     def __init__(self, mcp: MetricContactPair):
-        self.mcp = mcp
-        pair = mcp.pair
+        self.pair = mcp.pair
+        self.metric = mcp.metric
+        self.presentation = mcp.presentation
         self._span_data = {}
         for name in ("H1", "H2"):
-            span = pair.splitting[name]
+            span = self.pair.splitting[name]
             if span:
-                gram = [[mcp.metric.pair(x, y) for y in span] for x in span]
+                gram = [[self.metric.pair(x, y) for y in span] for x in span]
                 inverse = linalg.invert(gram)
             else:
                 inverse = []
@@ -491,15 +518,15 @@ class Projections:
 
     def _project(self, name: str, v: VectorField) -> VectorField:
         span, inverse = self._span_data[name]
+        zero = self.presentation.zero
         if not span:
-            return VectorField(self.mcp.presentation,
-                               (self.mcp.presentation.zero,)
-                               * self.mcp.presentation.dim)
-        pairings = [self.mcp.metric.pair(v, s) for s in span]
+            return VectorField(self.presentation,
+                               (zero,) * self.presentation.dim)
+        pairings = [self.metric.pair(v, s) for s in span]
         out = None
         for b, fb in enumerate(span):
             coeff = sum((pairings[a] * inverse[a][b] for a in range(len(span))),
-                        self.mcp.presentation.zero)
+                        zero)
             term = fb.scale(coeff)
             out = term if out is None else out + term
         return out
@@ -510,12 +537,11 @@ class Projections:
 
     def foliation(self, i: int, v: VectorField) -> VectorField:
         """Projection onto TF_j (j != i): pi_i(v) + alpha_i(v) Z_i."""
-        pair = self.mcp.pair
-        alpha = pair.alpha1 if i == 1 else pair.alpha2
-        z = pair.z1 if i == 1 else pair.z2
+        alpha = self.pair.alpha1 if i == 1 else self.pair.alpha2
+        z = self.pair.z1 if i == 1 else self.pair.z2
         value = sum((alpha.get((a,)) * v.components[a]
-                     for a in range(self.mcp.presentation.dim)),
-                    self.mcp.presentation.zero)
+                     for a in range(self.presentation.dim)),
+                    self.presentation.zero)
         return self.pi(i, v) + z.scale(value)
 
 
@@ -530,27 +556,29 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
     findings: List[Finding] = []
     frame_fields = [presentation.frame_field(a) for a in range(n)]
     phi_fields = [phi.apply(e) for e in frame_fields]
-    projections = Projections(mcp)
+    projections = mcp.projections
     a_rows = ([pair.alpha1.get((a,)) for a in range(n)],
               [pair.alpha2.get((a,)) for a in range(n)])
     d_forms = (pair.d_alpha1, pair.d_alpha2)
     zs = (pair.z1, pair.z2)
 
-    nabla_phi = [conn.nabla_endo(a, phi) for a in range(n)]
+    nabla_phi = mcp.nabla_phi
+    # d alpha_i(phi e_b, e_a), indexed [i][b][a]
+    d_phi = [[[eval_form(d_forms[i], phi_fields[b], frame_fields[a])
+               for a in range(n)] for b in range(n)] for i in (0, 1)]
 
     witness = ""
     ok = True
     for a in range(n):
-        # precompute d alpha_i(phi e_b, e_a) and alpha_i(e_b)
         for b in range(n):
             for c in range(n):
                 lhs = g.pair(nabla_phi[a][b], frame_fields[c])
                 rhs = presentation.zero
                 for i in (0, 1):
-                    rhs = rhs + eval_form(d_forms[i], phi_fields[b],
-                                          frame_fields[a]) * a_rows[i][c]
-                    rhs = rhs - eval_form(d_forms[i], phi_fields[c],
-                                          frame_fields[a]) * a_rows[i][b]
+                    if not a_rows[i][c].is_zero():
+                        rhs = rhs + d_phi[i][b][a] * a_rows[i][c]
+                    if not a_rows[i][b].is_zero():
+                        rhs = rhs - d_phi[i][c][a] * a_rows[i][b]
                 if lhs != rhs:
                     ok = False
                     witness = (f"pairing residual at ({a},{b},{c}) = "
@@ -573,15 +601,17 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
 
     proj = [[projections.foliation(i, frame_fields[a]) for a in range(n)]
             for i in (1, 2)]
+    # alpha_i of each projected frame field, indexed [i][b]
+    alpha_of = [[sum((a_rows[i][c] * proj[i][b].components[c]
+                      for c in range(n)), presentation.zero)
+                 for b in range(n)] for i in (0, 1)]
     ok, witness = True, ""
     for a in range(n):
         for b in range(n):
             rhs = None
             for i in (0, 1):
                 xa, yb = proj[i][a], proj[i][b]
-                value = sum((pair.alphas()[i].get((c,)) * yb.components[c]
-                             for c in range(n)), presentation.zero)
-                term = zs[i].scale(g.pair(xa, yb)) - xa.scale(value)
+                term = zs[i].scale(g.pair(xa, yb)) - xa.scale(alpha_of[i][b])
                 rhs = term if rhs is None else rhs + term
             residual = nabla_phi[a][b] - rhs
             if not residual.is_zero():
@@ -629,7 +659,7 @@ def check_curvature_identity(mcp: MetricContactPair) -> List[Finding]:
     presentation = mcp.presentation
     n = presentation.dim
     conn = mcp.connection
-    projections = Projections(mcp)
+    projections = mcp.projections
     frame_fields = [presentation.frame_field(a) for a in range(n)]
     z = pair.reeb_sum
     zs = (pair.z1, pair.z2)
@@ -672,10 +702,9 @@ def hermitian_data(mcp: MetricContactPair) -> List[Finding]:
     presentation = mcp.presentation
     n = presentation.dim
     g = mcp.metric
-    conn = mcp.connection
     j = mcp.structure.j
     findings: List[Finding] = []
-    projections = Projections(mcp)
+    projections = mcp.projections
     frame_fields = [presentation.frame_field(a) for a in range(n)]
     j_fields = [j.apply(e) for e in frame_fields]
 
@@ -708,17 +737,24 @@ def hermitian_data(mcp: MetricContactPair) -> List[Finding]:
     findings.append(Finding("projections commute with J", ok, witness))
 
     four = ScalarExpr.constant(4, presentation.coordinates)
-    six = ScalarExpr.constant(6, presentation.coordinates)
-    nabla_j = [conn.nabla_endo(a, j) for a in range(n)]
+    nabla_j = mcp.nabla_j
+    # 6 dF(X, Y, W) = sum_pqr X^p Y^q W^r dF_pqr, so the right-hand side
+    # 6 dF(e_a, J e_b, J e_c) - 6 dF(e_a, e_b, e_c) is read off the
+    # coefficients of dF, contracted with the nonzero entries of J.
+    j_support = [[(q, v) for q, v in enumerate(jf.components)
+                  if not v.is_zero()] for jf in j_fields]
     ok, witness = True, ""
     for a in range(n):
         for b in range(n):
+            # sum_q J^q_b dF_aqr, indexed by r
+            df_jb = [sum((v * d_fundamental.get((a, q, r))
+                          for q, v in j_support[b]), presentation.zero)
+                     for r in range(n)]
             for c in range(n):
                 lhs = four * g.pair(nabla_j[a][b], frame_fields[c])
-                rhs = six * eval_form(d_fundamental, frame_fields[a],
-                                      j_fields[b], j_fields[c]) \
-                    - six * eval_form(d_fundamental, frame_fields[a],
-                                      frame_fields[b], frame_fields[c])
+                rhs = sum((w * df_jb[r] for r, w in j_support[c]),
+                          presentation.zero) \
+                    - d_fundamental.get((a, b, c))
                 if lhs != rhs:
                     ok, witness = False, f"residual at ({a},{b},{c}) = {lhs - rhs}"
                     break
@@ -728,9 +764,11 @@ def hermitian_data(mcp: MetricContactPair) -> List[Finding]:
             break
     findings.append(Finding("Hermitian covariant identity", ok, witness))
 
+    pi_x = {i: [projections.pi(i, x) for x in frame_fields] for i in (1, 2)}
+    pi_jx = {i: [projections.pi(i, jx) for jx in j_fields] for i in (1, 2)}
+
     def closed_form(a: int, b: int) -> VectorField:
         x, y = frame_fields[a], frame_fields[b]
-        jx = j_fields[a]
         jy = j_fields[b]
         d1, d2 = pair.d_alpha1, pair.d_alpha2
         alpha1_y = pair.alpha1.get((b,))
@@ -738,10 +776,10 @@ def hermitian_data(mcp: MetricContactPair) -> List[Finding]:
         coeff_z1 = -eval_form(d2, x, y) - eval_form(d1, x, jy)
         coeff_z2 = eval_form(d1, x, y) - eval_form(d2, x, jy)
         return (pair.z1.scale(coeff_z1) + pair.z2.scale(coeff_z2)
-                + projections.pi(1, jx).scale(alpha2_y)
-                - projections.pi(2, jx).scale(alpha1_y)
-                - projections.pi(1, x).scale(alpha1_y)
-                - projections.pi(2, x).scale(alpha2_y))
+                + pi_jx[1][a].scale(alpha2_y)
+                - pi_jx[2][a].scale(alpha1_y)
+                - pi_x[1][a].scale(alpha1_y)
+                - pi_x[2][a].scale(alpha2_y))
 
     ok, witness = True, ""
     for a in range(n):

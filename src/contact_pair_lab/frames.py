@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
-from .scalars import Rational, ScalarExpr, parse_expr
+from .scalars import Rational, ScalarError, ScalarExpr, parse_expr
 
 Point = Mapping[str, Fraction]
 
@@ -34,6 +34,27 @@ class FrameError(Exception):
 
 class ChartDomainWarning(UserWarning):
     """A symbolically nonzero quantity vanished at a probe point."""
+
+
+# A zero operand returns the other one itself, so sums over sparse tensors
+# build no new scalars for their zero components.
+
+def _plus(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
+    return a if b.is_zero() else b if a.is_zero() else a + b
+
+
+def _minus(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
+    return a if b.is_zero() else a - b
+
+
+def _dot(xs: Sequence[ScalarExpr], ys: Sequence[ScalarExpr],
+         zero: ScalarExpr) -> ScalarExpr:
+    """sum_i xs[i] * ys[i], skipping the terms with a zero factor."""
+    acc = None
+    for x, y in zip(xs, ys):
+        if not x.is_zero() and not y.is_zero():
+            acc = x * y if acc is None else acc + x * y
+    return zero if acc is None else acc
 
 
 def _perm_sign(indices: Sequence[int]) -> int:
@@ -51,14 +72,18 @@ class FramePresentation:
 
     ``frame[i][a]`` is the coefficient of d/dx_i in the frame field e_a.
     The dual coframe and the bracket coefficients C^c_ab with
-    [e_a, e_b] = sum_c C^c_ab e_c are computed at construction time, and
-    the Jacobi identity is certified symbolically on coordinate brackets.
+    [e_a, e_b] = sum_c C^c_ab e_c are computed once, at construction time,
+    from coordinate brackets of the frame fields.  Every later bracket is
+    taken in frame components from C, and the Jacobi identity is certified
+    symbolically on C itself.
     """
 
     def __init__(self, coordinates: Sequence[str], frame: Sequence[Sequence],
                  base_point: Mapping[str, object], check_jacobi: bool = True):
         self.coordinates = tuple(coordinates)
         self.vars = self.coordinates
+        self._zero = ScalarExpr.constant(0, self.coordinates)
+        self._one = ScalarExpr.constant(1, self.coordinates)
         n = len(self.coordinates)
         if len(frame) != n or any(len(row) != n for row in frame):
             raise FrameError("frame matrix must be square of the chart dimension")
@@ -98,11 +123,11 @@ class FramePresentation:
 
     @property
     def zero(self) -> ScalarExpr:
-        return ScalarExpr.constant(0, self.coordinates)
+        return self._zero
 
     @property
     def one(self) -> ScalarExpr:
-        return ScalarExpr.constant(1, self.coordinates)
+        return self._one
 
     # -- brackets ----------------------------------------------------------
 
@@ -121,35 +146,45 @@ class FramePresentation:
         return out
 
     def _compute_structure(self) -> Dict[Tuple[int, int], Tuple[ScalarExpr, ...]]:
+        """C^c_ab for every ordered pair (a, b), from coordinate brackets."""
         n = self.dim
         structure: Dict[Tuple[int, int], Tuple[ScalarExpr, ...]] = {}
         columns = [[self.frame[i][a] for i in range(n)] for a in range(n)]
         for a in range(n):
+            structure[(a, a)] = (self.zero,) * n
             for b in range(a + 1, n):
                 coords = self._coordinate_bracket(columns[a], columns[b])
-                comps = tuple(
-                    sum((self.coframe[c][i] * coords[i] for i in range(n)),
-                        self.zero)
-                    for c in range(n))
+                comps = tuple(_dot(self.coframe[c], coords, self.zero)
+                              for c in range(n))
                 structure[(a, b)] = comps
+                structure[(b, a)] = tuple(-c for c in comps)
         return structure
 
     def bracket_coeffs(self, a: int, b: int) -> Tuple[ScalarExpr, ...]:
-        if a == b:
-            return (self.zero,) * self.dim
-        if a < b:
-            return self._structure[(a, b)]
-        return tuple(-c for c in self._structure[(b, a)])
+        return self._structure[(a, b)]
 
     def _certify_jacobi(self) -> None:
+        """Certify sum_cyc [e_x, [e_y, e_z]] = 0 on the structure table.
+
+        In frame components the d-th component of [e_x, [e_y, e_z]] is
+        e_x(C^d_yz) + sum_e C^e_yz C^d_xe, so this holds exactly when the
+        table C agrees with the derivations e_a that every later stage
+        uses together with it.
+        """
         n = self.dim
-        columns = [[self.frame[i][a] for i in range(n)] for a in range(n)]
         for a, b, c in combinations(range(n), 3):
             total = [self.zero] * n
             for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                inner = self._coordinate_bracket(columns[y], columns[z])
-                outer = self._coordinate_bracket(columns[x], inner)
-                total = [t + o for t, o in zip(total, outer)]
+                inner = self.bracket_coeffs(y, z)
+                for d in range(n):
+                    total[d] = _plus(total[d], self.direction(x, inner[d]))
+                for e, coeff in enumerate(inner):
+                    if coeff.is_zero():
+                        continue
+                    outer = self.bracket_coeffs(x, e)
+                    for d in range(n):
+                        if not outer[d].is_zero():
+                            total[d] = total[d] + coeff * outer[d]
             if any(not t.is_zero() for t in total):
                 raise FrameError(
                     f"Jacobi identity fails on frame triple ({a},{b},{c})")
@@ -157,25 +192,15 @@ class FramePresentation:
     # -- directional derivative --------------------------------------------
 
     def direction(self, a: int, f: ScalarExpr) -> ScalarExpr:
+        if f.is_constant():
+            return self.zero
         acc = self.zero
         for i, coord in enumerate(self.coordinates):
             if not self.frame[i][a].is_zero():
                 acc = acc + self.frame[i][a] * f.differentiate(coord)
         return acc
 
-    # -- conversions ---------------------------------------------------------
-
-    def coordinate_components(self, field: "VectorField") -> List[ScalarExpr]:
-        n = self.dim
-        return [sum((self.frame[i][a] * field.components[a] for a in range(n)),
-                    self.zero) for i in range(n)]
-
-    def vector_from_coordinates(self, coords: Sequence[ScalarExpr]) -> "VectorField":
-        n = self.dim
-        comps = tuple(
-            sum((self.coframe[a][i] * coords[i] for i in range(n)), self.zero)
-            for a in range(n))
-        return VectorField(self, comps)
+    # -- fields ------------------------------------------------------------
 
     def frame_field(self, a: int) -> "VectorField":
         comps = tuple(self.one if b == a else self.zero for b in range(self.dim))
@@ -188,7 +213,7 @@ class FramePresentation:
         try:
             values = [[entry.evaluate(point) for entry in row]
                       for row in self.frame]
-        except Exception:
+        except ScalarError:
             return False
         return linalg.rational_rank(values) == self.dim
 
@@ -204,19 +229,20 @@ class VectorField:
 
     def __add__(self, other: "VectorField") -> "VectorField":
         self._check(other)
-        return VectorField(self.frame, tuple(a + b for a, b in
-                                             zip(self.components, other.components)))
+        return VectorField(self.frame, tuple(map(_plus, self.components,
+                                                 other.components)))
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         self._check(other)
-        return VectorField(self.frame, tuple(a - b for a, b in
-                                             zip(self.components, other.components)))
+        return VectorField(self.frame, tuple(map(_minus, self.components,
+                                                 other.components)))
 
     def __neg__(self) -> "VectorField":
         return VectorField(self.frame, tuple(-a for a in self.components))
 
     def scale(self, factor: ScalarExpr) -> "VectorField":
-        return VectorField(self.frame, tuple(factor * a for a in self.components))
+        return VectorField(self.frame, tuple(
+            a if a.is_zero() else factor * a for a in self.components))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
@@ -228,9 +254,13 @@ class VectorField:
     def apply(self, f: ScalarExpr) -> ScalarExpr:
         """Directional derivative of a scalar along this field."""
         acc = self.frame.zero
+        if f.is_constant():
+            return acc
         for a, comp in enumerate(self.components):
             if not comp.is_zero():
-                acc = acc + comp * self.frame.direction(a, f)
+                derivative = self.frame.direction(a, f)
+                if not derivative.is_zero():
+                    acc = acc + comp * derivative
         return acc
 
     def __eq__(self, other) -> bool:
@@ -245,12 +275,30 @@ class VectorField:
 
 
 def bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Exact Lie bracket, via coordinate components and back."""
+    """Exact Lie bracket in frame components.
+
+    [X, Y]^c = X(Y^c) - Y(X^c) + sum_ab X^a Y^b C^c_ab, with C the bracket
+    coefficients of the context, so this works on any frame context.
+    """
     x._check(y)
-    frame = x.frame
-    coords = frame._coordinate_bracket(frame.coordinate_components(x),
-                                       frame.coordinate_components(y))
-    return frame.vector_from_coordinates(coords)
+    context = x.frame
+    comps = [_minus(x.apply(yc), y.apply(xc))
+             for xc, yc in zip(x.components, y.components)]
+    ys = [(b, yb) for b, yb in enumerate(y.components) if not yb.is_zero()]
+    for a, xa in enumerate(x.components):
+        if xa.is_zero():
+            continue
+        for b, yb in ys:
+            if a == b:
+                continue
+            coeff = None
+            for c, cab in enumerate(context.bracket_coeffs(a, b)):
+                if cab.is_zero():
+                    continue
+                if coeff is None:
+                    coeff = xa * yb
+                comps[c] = comps[c] + coeff * cab
+    return VectorField(context, tuple(comps))
 
 
 class PForm:
@@ -357,16 +405,19 @@ def form_power(a: PForm, n: int) -> PForm:
 
 
 def _det(matrix: List[List[ScalarExpr]], zero: ScalarExpr) -> ScalarExpr:
+    """Cofactor expansion along the first row, skipping zero entries."""
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
-    if n == 2:
-        return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
     acc = zero
     for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = matrix[0][j] * _det(minor, zero)
-        acc = acc + term if j % 2 == 0 else acc - term
+        if matrix[0][j].is_zero():
+            continue
+        minor = _det([row[:j] + row[j + 1:] for row in matrix[1:]], zero)
+        if minor.is_zero():
+            continue
+        term = matrix[0][j] * minor
+        acc = _plus(acc, term) if j % 2 == 0 else acc - term
     return acc
 
 
@@ -374,7 +425,7 @@ def eval_form(form: PForm, *fields) -> ScalarExpr:
     """Contract a p-form with p vector fields (1/p! convention)."""
     if len(fields) != form.degree:
         raise FrameError("wrong number of arguments for the form degree")
-    zero = ScalarExpr.constant(0, _ctx_vars(form.context))
+    zero = form.context.zero
     if form.degree == 0:
         return form.coeffs.get((), zero)
     comps = [f.components if isinstance(f, VectorField) else tuple(f)
@@ -383,7 +434,11 @@ def eval_form(form: PForm, *fields) -> ScalarExpr:
     for key, coeff in form.coeffs.items():
         matrix = [[comps[j][key[i]] for j in range(form.degree)]
                   for i in range(form.degree)]
-        acc = acc + coeff * _det(matrix, zero)
+        det = _det(matrix, zero)
+        if not det.is_zero():
+            acc = _plus(acc, coeff * det)
+    if acc.is_zero():
+        return acc
     p_factorial = 1
     for i in range(2, form.degree + 1):
         p_factorial *= i
@@ -462,7 +517,7 @@ def nonvanishing_certificate(label: str, values: Sequence[ScalarExpr],
                     f"{label} vanishes at probe {dict(point)}; "
                     "verdict holds only off this locus", ChartDomainWarning)
                 ok = False
-        except Exception:
+        except ScalarError:
             continue
     return ok
 
@@ -536,12 +591,9 @@ class EndoField:
                             for a in range(frame.dim)] for c in range(frame.dim)])
 
     def apply(self, x: VectorField) -> VectorField:
-        n = self.frame.dim
-        comps = tuple(
-            sum((self.matrix[c][a] * x.components[a] for a in range(n)),
-                self.frame.zero)
-            for c in range(n))
-        return VectorField(self.frame, comps)
+        """Matrix times components, skipping zero entries of both."""
+        return VectorField(self.frame, tuple(
+            _dot(row, x.components, self.frame.zero) for row in self.matrix))
 
     def compose(self, other: "EndoField") -> "EndoField":
         return EndoField(self.frame, linalg.matmul(self.matrix, other.matrix))
@@ -642,28 +694,28 @@ class LeviCivita:
         half = ScalarExpr.constant(Fraction(1, 2), self.frame.coordinates)
 
         def g_bracket(a: int, b: int, c: int) -> ScalarExpr:
-            cs = self.frame.bracket_coeffs(a, b)
-            acc = self.frame.zero
-            for d in range(n):
-                if not cs[d].is_zero():
-                    acc = acc + cs[d] * gram[d][c]
-            return acc
+            return _dot(self.frame.bracket_coeffs(a, b), gram[c],
+                        self.frame.zero)
 
         # koszul[a][b][c] = g(nabla_{e_a} e_b, e_c)
         koszul = [[[None] * n for _ in range(n)] for _ in range(n)]
         for a in range(n):
             for b in range(n):
                 for c in range(n):
-                    term = (self.frame.direction(a, gram[b][c])
-                            + self.frame.direction(b, gram[a][c])
-                            - self.frame.direction(c, gram[a][b])
-                            + g_bracket(a, b, c)
-                            - g_bracket(a, c, b)
-                            - g_bracket(b, c, a))
-                    koszul[a][b][c] = half * term
+                    term = self.frame.zero
+                    for value in (self.frame.direction(a, gram[b][c]),
+                                  self.frame.direction(b, gram[a][c]),
+                                  g_bracket(a, b, c)):
+                        term = _plus(term, value)
+                    for value in (self.frame.direction(c, gram[a][b]),
+                                  g_bracket(a, c, b),
+                                  g_bracket(b, c, a)):
+                        term = _minus(term, value)
+                    koszul[a][b][c] = term if term.is_zero() else half * term
         inv = metric.inverse
+        inv_columns = [[inv[c][d] for c in range(n)] for d in range(n)]
         self.gamma = [[tuple(
-            sum((koszul[a][b][c] * inv[c][d] for c in range(n)), self.frame.zero)
+            _dot(koszul[a][b], inv_columns[d], self.frame.zero)
             for d in range(n)) for b in range(n)] for a in range(n)]
 
     def nabla_frame(self, a: int, b: int) -> VectorField:
@@ -678,14 +730,17 @@ class LeviCivita:
             if xa.is_zero():
                 continue
             for c in range(n):
-                comps[c] = comps[c] + xa * self.frame.direction(a, y.components[c])
+                derivative = self.frame.direction(a, y.components[c])
+                if not derivative.is_zero():
+                    comps[c] = comps[c] + xa * derivative
             for b in range(n):
                 yb = y.components[b]
                 if yb.is_zero():
                     continue
                 coeff = xa * yb
                 for c in range(n):
-                    comps[c] = comps[c] + coeff * self.gamma[a][b][c]
+                    if not self.gamma[a][b][c].is_zero():
+                        comps[c] = comps[c] + coeff * self.gamma[a][b][c]
         return VectorField(self.frame, tuple(comps))
 
     def curvature(self, x: VectorField, y: VectorField,
@@ -743,11 +798,13 @@ def nijenhuis(endo: EndoField) -> Dict[Tuple[int, int], VectorField]:
     [A, A](X, Y) = A^2 [X, Y] - A [AX, Y] - A [X, AY] + [AX, AY].
     """
     frame = endo.frame
+    fields = [frame.frame_field(a) for a in range(frame.dim)]
+    images = [endo.apply(e) for e in fields]
     out = {}
     for a in range(frame.dim):
         for b in range(a + 1, frame.dim):
-            ea, eb = frame.frame_field(a), frame.frame_field(b)
-            a_ea, a_eb = endo.apply(ea), endo.apply(eb)
+            ea, eb = fields[a], fields[b]
+            a_ea, a_eb = images[a], images[b]
             value = (endo.apply(endo.apply(bracket(ea, eb)))
                      - endo.apply(bracket(a_ea, eb))
                      - endo.apply(bracket(ea, a_eb))

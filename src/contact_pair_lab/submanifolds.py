@@ -13,12 +13,12 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .contact import Finding, MetricContactPair, Projections, normality
+from .contact import Finding, MetricContactPair, normality
 from .frames import (EndoField, MetricField, PForm, VectorField, bracket,
                      cartan_class, eval_form, exterior_derivative,
                      form_power, levi_civita, nonvanishing_certificate,
                      wedge)
-from .scalars import ScalarExpr
+from .scalars import ScalarError, ScalarExpr
 
 
 class SubframeError(Exception):
@@ -56,6 +56,7 @@ class Subframe:
                               for a in range(ambient.dim)]
         self._structure: Dict[Tuple[int, int], Tuple[ScalarExpr, ...]] = {}
         for a in range(r):
+            self._structure[(a, a)] = (self.zero,) * r
             for b in range(a + 1, r):
                 lie = bracket(self.fields[a], self.fields[b])
                 coeffs = linalg.solve_in_span(self._span_columns,
@@ -65,6 +66,7 @@ class Subframe:
                         f"{name}: bracket of span fields {a} and {b} "
                         f"leaves the span ({lie})")
                 self._structure[(a, b)] = tuple(coeffs)
+                self._structure[(b, a)] = tuple(-c for c in coeffs)
 
         self.gram = [[metric.pair(x, y) for y in self.fields]
                      for x in self.fields]
@@ -94,11 +96,7 @@ class Subframe:
         return self.fields[a].apply(f)
 
     def bracket_coeffs(self, a: int, b: int) -> Tuple[ScalarExpr, ...]:
-        if a == b:
-            return (self.zero,) * self.dim
-        if a < b:
-            return self._structure[(a, b)]
-        return tuple(-c for c in self._structure[(b, a)])
+        return self._structure[(a, b)]
 
     def frame_field(self, a: int) -> VectorField:
         comps = [self.zero] * self.dim
@@ -114,7 +112,7 @@ class Subframe:
         try:
             matrix = [[f.components[a].evaluate(point) for f in self.fields]
                       for a in range(self.ambient.dim)]
-        except Exception:
+        except ScalarError:
             return False
         return linalg.rational_rank(matrix) == self.dim
 
@@ -433,7 +431,7 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
         profile = classify(sub, mcp)
     findings: List[Finding] = list(profile.findings)
     shape = shape_data(sub, conn)
-    projections = Projections(mcp)
+    projections = mcp.projections
 
     def b_of(x: VectorField, y: VectorField) -> VectorField:
         return sub.normal(conn.nabla(x, y))

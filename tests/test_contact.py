@@ -1,11 +1,11 @@
 import pytest
 
-from contact_pair_lab import (EndoField, ValidationError,
+from contact_pair_lab import (CHECK_IDS, EndoField, ValidationError,
                               check_connection_identities,
-                              check_curvature_identity, eval_form,
-                              hermitian_data, normality,
-                              validate_contact_pair, validate_metric,
-                              validate_structure)
+                              check_curvature_identity, corpus_build,
+                              eval_form, hermitian_data, normality,
+                              run_checks, validate_contact_pair,
+                              validate_metric, validate_structure)
 from conftest import (build_mcp, perturbed_phi_structure, scaled_metric,
                       twisted_phi_structure)
 
@@ -149,6 +149,19 @@ def test_connection_identities_on_normal_bundle(heis6_mcp):
                  "h-tensor vanishes on the normal bundle",
                  "Reeb sum is Killing"):
         assert by_name[name].ok, name
+
+
+def test_non_normal_bundle_reports_every_connection_row():
+    scenario = corpus_build("heis6")
+    scenario._cache["phi"] = twisted_phi_structure(scenario)
+    report = run_checks(scenario, selection=["connection"])
+    rows = {r.id: r.verdict for r in report.rows
+            if r.id.startswith("connection.")}
+    assert list(rows) == [i for i in CHECK_IDS
+                          if i.startswith("connection.")]
+    assert len(rows) == 7
+    assert rows["connection.h_vanishes"] == "skipped"
+    assert rows["connection.reeb_killing"] == "skipped"
 
 
 def test_curvature_identity_on_normal_bundle(heis6_mcp):

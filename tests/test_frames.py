@@ -2,6 +2,7 @@ import warnings
 
 import pytest
 
+from contact_pair_lab import linalg
 from contact_pair_lab.frames import (ChartDomainWarning, FrameError,
                                      FramePresentation, MetricField,
                                      cartan_class, eval_form,
@@ -10,6 +11,7 @@ from contact_pair_lab.frames import (ChartDomainWarning, FrameError,
                                      nonvanishing_certificate, one_form,
                                      seeded_probe_points, wedge)
 from contact_pair_lab.frames import bracket
+from conftest import twisted_phi_structure
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +20,106 @@ def heis6(heis6_scenario):
     alpha1, alpha2 = heis6_scenario.forms()
     metric = heis6_scenario.metric_field()
     return presentation, alpha1, alpha2, metric
+
+
+def gauged_heis6(scenario) -> FramePresentation:
+    """heis6 with e_1 rescaled by 1 + x^2, so that C^c_ab is not constant."""
+    frame = [list(row) for row in scenario.frame]
+    for row in frame:
+        if row[1] != "0":
+            row[1] = f"({row[1]})*(1 + x^2)"
+    return FramePresentation(scenario.coordinates, frame,
+                             {c: 0 for c in scenario.coordinates})
+
+
+def coordinate_bracket(presentation, x, y):
+    """[X, Y] by the coordinate formula, converted back with the coframe."""
+    n, names = presentation.dim, presentation.coordinates
+    zero = presentation.zero
+    coframe = linalg.invert(presentation.frame)
+
+    def coordinates(v):
+        return [sum((presentation.frame[i][a] * v.components[a]
+                     for a in range(n)), zero) for i in range(n)]
+
+    xc, yc = coordinates(x), coordinates(y)
+    coords = [sum((xc[j] * yc[i].differentiate(names[j])
+                   - yc[j] * xc[i].differentiate(names[j])
+                   for j in range(n)), zero) for i in range(n)]
+    return presentation.vector([sum((coframe[a][i] * coords[i]
+                                     for i in range(n)), zero)
+                                for a in range(n)])
+
+
+def sample_fields(presentation):
+    """Two fields with non-constant components and some zero ones."""
+    x = presentation.vector(["1 + x^2", "0", "0", "y", "0", "1"])
+    y = presentation.vector(["0", "z", "(1 + x^2)*w", "0", "u*v", "0"])
+    return x, y
+
+
+# -- frame-component bracket ---------------------------------------------
+
+def test_bracket_matches_the_coordinate_formula(heis6_scenario):
+    for presentation in (heis6_scenario.presentation(),
+                         gauged_heis6(heis6_scenario)):
+        fields = list(sample_fields(presentation)) + [
+            presentation.frame_field(a) for a in range(presentation.dim)]
+        for x in fields:
+            for y in fields:
+                assert bracket(x, y) == coordinate_bracket(presentation,
+                                                           x, y)
+
+
+def test_bracket_leibniz_rule(heis6_scenario):
+    presentation = gauged_heis6(heis6_scenario)
+    x, y = sample_fields(presentation)
+    f = presentation.scalar("x*y + z^2")
+    assert bracket(x, y.scale(f)) == (y.scale(x.apply(f))
+                                      + bracket(x, y).scale(f))
+
+
+def test_bracket_on_a_subframe_context(heis6_scenario):
+    sub = heis6_scenario.subframe("heis6-n4")
+    x = sub.frame_field(0).scale(sub.scalar("1 + x^2")) + sub.frame_field(2)
+    y = sub.frame_field(2) + sub.frame_field(3).scale(sub.scalar("y"))
+    assert not bracket(x, y).is_zero()
+    assert sub.ambient_field(bracket(x, y)) == \
+        bracket(sub.ambient_field(x), sub.ambient_field(y))
+
+
+def test_jacobi_certificate_rejects_a_corrupted_table():
+    # e_3 = x d/dw: the cyclic sum on (0, 1, 2) cancels only between the
+    # derivative term e_1(C^3_20) = -1/x and the product C^3_12 C^3_03 = 1/x,
+    # so building this frame already needs both kinds of term
+    coords = ["x", "y", "z", "w"]
+    presentation = FramePresentation(
+        coords, [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                 ["0", "0", "1", "0"], ["0", "0", "x*y", "x"]],
+        {"x": 1, "y": 0, "z": 0, "w": 0})
+    comps = list(presentation.bracket_coeffs(1, 2))
+    assert comps[3] == presentation.one
+    comps[3] = presentation.scalar("2")
+    presentation._structure[(1, 2)] = tuple(comps)
+    presentation._structure[(2, 1)] = tuple(-c for c in comps)
+    with pytest.raises(FrameError, match="Jacobi"):
+        presentation._certify_jacobi()
+
+
+def test_sparse_endomorphism_apply_matches_the_dense_product(
+        heis6_scenario):
+    presentation = heis6_scenario.presentation()
+    n = presentation.dim
+    twisted = twisted_phi_structure(heis6_scenario)
+    fields = list(sample_fields(presentation)) + [
+        presentation.vector(["0"] * n),
+        presentation.vector(["x", "1", "z^2", "-2", "v", "y*w"])]
+    for endo in (twisted, heis6_scenario.phi_endo()):
+        for x in fields:
+            dense = tuple(sum((endo.matrix[c][a] * x.components[a]
+                               for a in range(n)), presentation.zero)
+                          for c in range(n))
+            assert endo.apply(x).components == dense
 
 
 # -- exterior calculus -------------------------------------------------
@@ -183,3 +285,21 @@ def test_nonvanishing_certificate(heis6):
     killed = presentation.scalar("x") - presentation.scalar(x0)
     with pytest.warns(ChartDomainWarning):
         assert not nonvanishing_certificate("killed", [killed], points)
+
+
+def test_poles_are_irregular_and_other_errors_propagate():
+    presentation = FramePresentation(["x", "y"], [["1/(x - 1)", "0"],
+                                                  ["0", "1"]],
+                                     {"x": 0, "y": 0})
+    assert presentation.is_regular_at({"x": 2, "y": 0})
+    assert not presentation.is_regular_at({"x": 1, "y": 0})
+    with pytest.raises(ValueError):
+        presentation.is_regular_at({"x": "not a number", "y": 0})
+    values = [presentation.scalar("x - 1"), presentation.scalar("1/(x - 1)")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a pole skips the probe: neither a vanishing nor an error
+        nonvanishing_certificate("pole", values, [{"x": 1, "y": 0}])
+    with pytest.raises(ValueError):
+        nonvanishing_certificate("malformed", values,
+                                 [{"x": "not a number", "y": 0}])

@@ -197,3 +197,16 @@ def test_involutivity_is_required():
     fields = [presentation.frame_field(0), presentation.frame_field(1)]
     with pytest.raises(SubframeError):
         build_subframe(presentation, fields, metric, "open-span")
+
+
+def test_subframe_pole_is_irregular_and_other_errors_propagate():
+    scenario = corpus_build("heis6")
+    presentation = scenario.presentation()
+    field = presentation.vector(["1/(x - 1)", "0", "0", "0", "0", "0"])
+    sub = build_subframe(presentation, [field], scenario.metric_field(),
+                         "pole")
+    point = {c: 2 for c in presentation.coordinates}
+    assert sub.is_regular_at(point)
+    assert not sub.is_regular_at({**point, "x": 1})
+    with pytest.raises(ValueError):
+        sub.is_regular_at({**point, "x": "not a number"})
