@@ -507,19 +507,23 @@ def nonvanishing_certificate(label: str, values: Sequence[ScalarExpr],
                              points: Sequence[Point]) -> bool:
     """Probe a symbolically nonzero family; warn when a probe kills it.
 
-    Returns True when the family is nonzero at every probe point.
+    Returns True when the family is nonzero at every probe point where it
+    is defined and at least one probe point was evaluated.
     """
     ok = True
+    checked = False
     for point in points:
         try:
-            if all(v.evaluate(point) == 0 for v in values):
-                warnings.warn(
-                    f"{label} vanishes at probe {dict(point)}; "
-                    "verdict holds only off this locus", ChartDomainWarning)
-                ok = False
+            vanishes = all(v.evaluate(point) == 0 for v in values)
         except ScalarError:
             continue
-    return ok
+        checked = True
+        if vanishes:
+            warnings.warn(
+                f"{label} vanishes at probe {dict(point)}; "
+                "verdict holds only off this locus", ChartDomainWarning)
+            ok = False
+    return ok and checked
 
 
 def cartan_class(alpha: PForm, probe_points: Optional[Sequence[Point]] = None,

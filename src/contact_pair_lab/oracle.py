@@ -7,6 +7,14 @@ differences, and the Reeb fields are solved pointwise by least squares.
 None of the exact symbolic machinery is reused, so agreement between the
 two pipelines is meaningful evidence.
 
+Evaluation: each grid of parsed entries (frame, Gram matrix, phi, the
+forms, a span, the exact Reeb components) is compiled once into a
+`_FloatGrid` and evaluated at a stack of points of shape (k, n) in one
+call.  A first derivative (`_gradient`) evaluates one point's 2n
+neighbours x +- h e_c as one stack and loops over the points, and the
+Riemann tensor is built one probe point at a time: no call stacks more
+than one point's stencil, which keeps peak memory that of one stencil.
+
 Step sizes: first derivatives use 1e-6; derivatives of Christoffel
 symbols (which are themselves finite differences) use an outer step of
 1e-3 so that rounding noise from the inner differences stays near 1e-7,
@@ -17,11 +25,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .scalars import ScalarExpr, parse_expr
+from .scalars import PoleError, ScalarExpr, Terms, parse_expr
 
 _H1 = 1e-6
 _H2 = 1e-3
@@ -31,7 +39,47 @@ ORACLE_IDS = ("d_squared", "pair.reeb", "metric.associated",
               "normality.N1", "connection.reeb_derivative",
               "curvature.reeb_identity")
 
-Point = Dict[str, float]
+Points = np.ndarray  # shape (k, n): one point per row, in coordinate order
+
+
+class _FloatGrid:
+    """A vector or matrix of rational functions compiled for floats.
+
+    Numerators and denominators are each a float exponent matrix
+    (terms x n) and a coefficient matrix (terms x entries), so a stack of
+    points is evaluated in one pass; the result has shape (k, *shape)."""
+
+    def __init__(self, exprs: Sequence[ScalarExpr], shape: Tuple[int, ...],
+                 coords: Tuple[str, ...]):
+        if any(expr.vars != coords for expr in exprs):
+            raise ValueError("grid entries must use the scenario coordinates")
+        self.shape = shape
+        self.num = self._compile([expr.num for expr in exprs], len(coords))
+        self.den = self._compile([expr.den for expr in exprs], len(coords))
+
+    @staticmethod
+    def _compile(polys: Sequence[Terms], n: int
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        monomials = sorted({exp for terms in polys for exp in terms})
+        row = {exp: index for index, exp in enumerate(monomials)}
+        coeffs = np.zeros((len(monomials), len(polys)))
+        for col, terms in enumerate(polys):
+            for exp, coeff in terms.items():
+                coeffs[row[exp], col] = float(coeff)
+        return np.array(monomials, dtype=float).reshape(-1, n), coeffs
+
+    def __call__(self, xs: Points) -> np.ndarray:
+        num = _polynomials(xs, *self.num)
+        den = _polynomials(xs, *self.den)
+        if not den.all():
+            point = xs[np.nonzero(den == 0.0)[0][0]]
+            raise PoleError(f"pole at {point.tolist()}")
+        return (num / den).reshape((len(xs),) + self.shape)
+
+
+def _polynomials(xs: Points, exps: np.ndarray, coeffs: np.ndarray
+                 ) -> np.ndarray:
+    return np.prod(xs[:, None] ** exps, -1) @ coeffs
 
 
 class _Numeric:
@@ -41,158 +89,143 @@ class _Numeric:
         self.scenario = scenario
         self.coords: List[str] = list(scenario.coordinates)
         self.n = len(self.coords)
+        self.alpha = (self.grid(scenario.alpha1), self.grid(scenario.alpha2))
+        self.frame_at = self.grid(scenario.frame)
+        self.gram_at = self.grid(scenario.metric)
+        self.phi_grid = self.grid(scenario.phi)
+        self.base = np.array([float(Fraction(scenario.base_point[coord]))
+                              for coord in self.coords])
+
+    def grid(self, texts) -> _FloatGrid:
+        """Compile a vector or matrix of expression texts."""
         var = tuple(self.coords)
+        cells = np.asarray(texts, dtype=object)
+        return _FloatGrid([parse_expr(str(text), var) for text in cells.flat],
+                          cells.shape, var)
 
-        def grid(rows):
-            return [[parse_expr(str(t), var) for t in row] for row in rows]
+    # -- pointwise evaluation on stacks of points -----------------------
 
-        self.alpha = (
-            [parse_expr(str(t), var) for t in scenario.alpha1],
-            [parse_expr(str(t), var) for t in scenario.alpha2])
-        self.frame_exprs = grid(scenario.frame)
-        self.gram_exprs = grid(scenario.metric)
-        self.phi_exprs = grid(scenario.phi)
-        self.base = {key: float(Fraction(value))
-                     for key, value in scenario.base_point.items()}
+    def alpha_at(self, i: int, xs: Points) -> np.ndarray:
+        return self.alpha[i](xs)
 
-    # -- pointwise evaluation ------------------------------------------
+    def metric_at(self, xs: Points) -> np.ndarray:
+        a_inv = np.linalg.inv(self.frame_at(xs))
+        return a_inv.transpose(0, 2, 1) @ self.gram_at(xs) @ a_inv
 
-    def _mat(self, exprs, point: Point) -> np.ndarray:
-        return np.array([[entry.evaluate_float(point) for entry in row]
-                         for row in exprs])
+    def phi_at(self, xs: Points) -> np.ndarray:
+        frame = self.frame_at(xs)
+        return frame @ self.phi_grid(xs) @ np.linalg.inv(frame)
 
-    def alpha_at(self, i: int, point: Point) -> np.ndarray:
-        return np.array([comp.evaluate_float(point)
-                         for comp in self.alpha[i]])
-
-    def frame_at(self, point: Point) -> np.ndarray:
-        return self._mat(self.frame_exprs, point)
-
-    def metric_at(self, point: Point) -> np.ndarray:
-        a_inv = np.linalg.inv(self.frame_at(point))
-        gram = self._mat(self.gram_exprs, point)
-        return a_inv.T @ gram @ a_inv
-
-    def phi_at(self, point: Point) -> np.ndarray:
-        frame = self.frame_at(point)
-        return frame @ self._mat(self.phi_exprs, point) \
-            @ np.linalg.inv(frame)
-
-    def d_alpha_at(self, i: int, point: Point) -> np.ndarray:
+    def d_alpha_at(self, i: int, xs: Points) -> np.ndarray:
         """Exterior derivative with the 1/2 normalization, so that
         d(alpha)(X, Y) = (X alpha(Y) - Y alpha(X)) / 2 on coordinate
         fields."""
-        partials = np.array([
-            _partial(lambda p: self.alpha_at(i, p), point, coord)
-            for coord in self.coords])
-        return 0.5 * (partials - partials.T)
+        partials = _gradient(self.alpha[i], xs)
+        return 0.5 * (partials - partials.transpose(0, 2, 1))
 
-    def reeb_at(self, i: int, point: Point) -> np.ndarray:
+    def reeb_at(self, i: int, xs: Points) -> np.ndarray:
         j = 1 - i
-        rows = [self.alpha_at(i, point)[None, :],
-                self.alpha_at(j, point)[None, :],
-                self.d_alpha_at(i, point).T,
-                self.d_alpha_at(j, point).T]
-        matrix = np.vstack(rows)
-        target = np.zeros(matrix.shape[0])
+        alphas = (self.alpha_at(i, xs), self.alpha_at(j, xs))
+        d_alphas = (self.d_alpha_at(i, xs), self.d_alpha_at(j, xs))
+        target = np.zeros(2 + 2 * self.n)
         target[0] = 1.0
-        solution = np.linalg.lstsq(matrix, target, rcond=None)[0]
-        return solution
+        return np.array([
+            np.linalg.lstsq(np.vstack([alphas[0][p][None, :],
+                                       alphas[1][p][None, :],
+                                       d_alphas[0][p].T, d_alphas[1][p].T]),
+                            target, rcond=None)[0]
+            for p in range(len(xs))])
 
-    def christoffel(self, point: Point) -> np.ndarray:
-        """Gamma[k, i, j] of the Levi-Civita connection in coordinates."""
-        g = self.metric_at(point)
-        g_inv = np.linalg.inv(g)
-        dg = np.array([_partial(self.metric_at, point, coord)
-                       for coord in self.coords])  # dg[i, j, l]
+    def christoffel(self, xs: Points) -> np.ndarray:
+        """Gamma[p, k, i, j] of the Levi-Civita connection in coordinates."""
+        g_inv = np.linalg.inv(self.metric_at(xs))
+        dg = _gradient(self.metric_at, xs)  # dg[p, i, j, l]
         # 1/2 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij})
-        bracket = (dg.transpose(0, 1, 2) + dg.transpose(1, 0, 2)
-                   - dg.transpose(1, 2, 0))
-        return 0.5 * np.einsum("kl,ijl->kij", g_inv, bracket)
+        bracket = (dg + dg.transpose(0, 2, 1, 3)
+                   - dg.transpose(0, 2, 3, 1))
+        return 0.5 * np.einsum("pkl,pijl->pkij", g_inv, bracket)
 
-    def curvature_at(self, point: Point) -> np.ndarray:
-        """R[l, k, a, b] with R(e_a, e_b) e_k = R^l_{k a b} e_l."""
-        gamma = self.christoffel(point)
-        dgamma = np.array([_partial(self.christoffel, point, coord, _H2)
-                           for coord in self.coords])  # dgamma[a, l, b, k]
-        riemann = np.empty((self.n,) * 4)
-        prod = np.einsum("lam,mbk->lkab", gamma, gamma)
-        for a in range(self.n):
-            for b in range(self.n):
-                riemann[:, :, a, b] = (dgamma[a, :, b, :]
-                                       - dgamma[b, :, a, :]
-                                       + prod[:, :, a, b]
-                                       - prod[:, :, b, a])
-        return riemann
+    def curvature_at(self, xs: Points) -> np.ndarray:
+        """R[p, l, k, a, b] with R(e_a, e_b) e_k = R^l_{k a b} e_l."""
+        gamma = self.christoffel(xs)
+        dgamma = _gradient(self.christoffel, xs, _H2)  # [p, a, l, b, k]
+        derivative = dgamma.transpose(0, 2, 4, 1, 3)  # [p, l, k, a, b]
+        prod = np.einsum("plam,pmbk->plkab", gamma, gamma)
+        return (derivative - derivative.swapaxes(3, 4)
+                + prod - prod.swapaxes(3, 4))
 
-    def foliation_split(self, point: Point) -> Tuple[np.ndarray, np.ndarray]:
-        """Pointwise bases of the two integrable factors: factor i is the
-        joint kernel of the other contact form and its differential."""
-        bases = []
-        for i in (0, 1):
-            j = 1 - i
-            rows = np.vstack([self.alpha_at(j, point)[None, :],
-                              self.d_alpha_at(j, point).T])
-            bases.append(_nullspace(rows))
-        return bases[0], bases[1]
+    def foliation_split(self, xs: Points
+                        ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Bases of the two integrable factors at each point: factor i is
+        the joint kernel of the other contact form and its differential."""
+        kernels = []
+        for j in (1, 0):
+            rows = np.concatenate([self.alpha_at(j, xs)[:, None, :],
+                                   self.d_alpha_at(j, xs).transpose(0, 2, 1)],
+                                  axis=1)
+            kernels.append([_nullspace(matrix) for matrix in rows])
+        return list(zip(*kernels))
 
     # -- probe sampling -------------------------------------------------
 
-    def probe_points(self, count: int, seed: int) -> List[Point]:
+    def probe_points(self, count: int, seed: int) -> Points:
         rng = random.Random(seed)
         points = []
         while len(points) < count:
             for _ in range(_MAX_RESAMPLE):
-                point = {coord: self.base[coord] + rng.uniform(-0.5, 0.5)
-                         for coord in self.coords}
-                if self._regular(point):
-                    points.append(point)
+                x = self.base + np.array([rng.uniform(-0.5, 0.5)
+                                          for _ in self.coords])
+                if self._regular(x):
+                    points.append(x)
                     break
             else:
                 raise ValueError("could not sample a regular probe point")
-        return points
+        return np.array(points).reshape(count, self.n)
 
-    def _regular(self, point: Point) -> bool:
+    def _regular(self, x: np.ndarray) -> bool:
+        xs = x[None, :]
         try:
-            frame = self.frame_at(point)
-            if abs(np.linalg.det(frame)) < 1e-8:
+            if abs(np.linalg.det(self.frame_at(xs)[0])) < 1e-8:
                 return False
-            self.metric_at(point)
-            self.phi_at(point)
-            for i in (0, 1):
-                self.alpha_at(i, point)
-        except (ZeroDivisionError, np.linalg.LinAlgError, OverflowError):
+            values = (self.metric_at(xs), self.phi_at(xs),
+                      self.alpha_at(0, xs), self.alpha_at(1, xs))
+        except (PoleError, np.linalg.LinAlgError):
             return False
-        return True
+        return all(np.isfinite(value).all() for value in values)
 
 
-def _partial(func: Callable[[Point], np.ndarray], point: Point,
-             coord: str, step: float = _H1) -> np.ndarray:
-    plus = dict(point)
-    minus = dict(point)
-    plus[coord] += step
-    minus[coord] -= step
-    return (np.asarray(func(plus)) - np.asarray(func(minus))) / (2 * step)
+def _gradient(func: Callable[[Points], np.ndarray], xs: Points,
+              step: float = _H1) -> np.ndarray:
+    """Central differences grad[p, c] = d_c func at the point xs[p].
+
+    Each point's 2n neighbours x +- step e_c are evaluated as one stack."""
+    n = xs.shape[1]
+    diagonal = np.arange(n)
+    out = []
+    for x in xs:
+        stencil = np.tile(x, (2 * n, 1))
+        stencil[diagonal, diagonal] += step
+        stencil[n + diagonal, diagonal] -= step
+        values = func(stencil)
+        out.append((values[:n] - values[n:]) / (2 * step))
+    return np.array(out)
 
 
-def _second_partial(func, point: Point, ci: str, cj: str,
-                    step: float = 1e-4) -> np.ndarray:
-    """Symmetric second-difference stencil; by construction the result is
-    identical for (ci, cj) and (cj, ci)."""
-    if ci == cj:
-        plus, minus = dict(point), dict(point)
-        plus[ci] += step
-        minus[ci] -= step
-        return (np.asarray(func(plus)) - 2 * np.asarray(func(point))
-                + np.asarray(func(minus))) / step ** 2
-    lo, hi = sorted((ci, cj))
-    values = []
-    for si, sj in ((step, step), (step, -step), (-step, step),
-                   (-step, -step)):
-        shifted = dict(point)
-        shifted[lo] += si
-        shifted[hi] += sj
-        values.append(np.asarray(func(shifted)))
+def _second_partial(func: Callable[[Points], np.ndarray], x: np.ndarray,
+                    a: int, b: int, step: float = 1e-4) -> np.ndarray:
+    """Symmetric second-difference stencil at one point; by construction
+    the result is identical for (a, b) and (b, a)."""
+    if a == b:
+        stencil = np.tile(x, (3, 1))
+        stencil[0, a] += step
+        stencil[2, a] -= step
+        plus, mid, minus = func(stencil)
+        return (plus - 2 * mid + minus) / step ** 2
+    lo, hi = sorted((a, b))
+    stencil = np.tile(x, (4, 1))
+    stencil[:, lo] += (step, step, -step, -step)
+    stencil[:, hi] += (step, -step, step, -step)
+    values = func(stencil)
     return (values[0] - values[1] - values[2] + values[3]) / (4 * step ** 2)
 
 
@@ -205,7 +238,7 @@ def _nullspace(matrix: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 # -- identity residuals ------------------------------------------------
 
 
-def _residual_d_squared(num: _Numeric, points: Sequence[Point]) -> float:
+def _residual_d_squared(num: _Numeric, xs: Points) -> float:
     """d(d alpha) = 0 from second partial derivatives.
 
     The mixed partials are evaluated once per unordered coordinate pair
@@ -213,14 +246,10 @@ def _residual_d_squared(num: _Numeric, points: Sequence[Point]) -> float:
     the stencil values genuinely cancel."""
     worst = 0.0
     n = num.n
-    for point in points:
-        for i in (0, 1):
-            func = lambda p, i=i: num.alpha_at(i, p)
-            table = {}
-            for a in range(n):
-                for b in range(a, n):
-                    table[(a, b)] = _second_partial(
-                        func, point, num.coords[a], num.coords[b])
+    for x in xs:
+        for alpha in num.alpha:
+            table = {(a, b): _second_partial(alpha, x, a, b)
+                     for a in range(n) for b in range(a, n)}
 
             def second(a, b):
                 return table[(min(a, b), max(a, b))]
@@ -235,7 +264,7 @@ def _residual_d_squared(num: _Numeric, points: Sequence[Point]) -> float:
     return worst
 
 
-def _residual_reeb(num: _Numeric, points: Sequence[Point]) -> float:
+def _residual_reeb(num: _Numeric, xs: Points) -> float:
     """Compare the exact Reeb fields against pointwise least squares."""
     from .contact import validate_contact_pair
 
@@ -243,94 +272,80 @@ def _residual_reeb(num: _Numeric, points: Sequence[Point]) -> float:
     pres = scenario.presentation()
     alpha1, alpha2 = scenario.forms()
     pair = validate_contact_pair(pres, alpha1, alpha2, *scenario.pair_type)
+    exact = _FloatGrid([comp for z in (pair.z1, pair.z2)
+                        for comp in z.components], (2, num.n),
+                       tuple(num.coords))(xs)
+    frames = num.frame_at(xs)
     worst = 0.0
-    for point in points:
-        frame = num.frame_at(point)
-        for i, z_sym in enumerate((pair.z1, pair.z2)):
-            sym = frame @ np.array([comp.evaluate_float(point)
-                                    for comp in z_sym.components])
-            worst = max(worst, float(np.max(np.abs(
-                sym - num.reeb_at(i, point)))))
+    for i in (0, 1):
+        sym = np.einsum("pkj,pj->pk", frames, exact[:, i])
+        worst = max(worst, float(np.max(np.abs(sym - num.reeb_at(i, xs)))))
     return worst
 
 
-def _residual_associated(num: _Numeric, points: Sequence[Point]) -> float:
-    worst = 0.0
-    for point in points:
-        g = num.metric_at(point)
-        phi = num.phi_at(point)
-        d_sum = num.d_alpha_at(0, point) + num.d_alpha_at(1, point)
-        worst = max(worst, float(np.max(np.abs(g @ phi - d_sum))))
-        for i in (0, 1):
-            duality = g @ num.reeb_at(i, point) - num.alpha_at(i, point)
-            worst = max(worst, float(np.max(np.abs(duality))))
+def _residual_associated(num: _Numeric, xs: Points) -> float:
+    g = num.metric_at(xs)
+    phi = num.phi_at(xs)
+    d_sum = num.d_alpha_at(0, xs) + num.d_alpha_at(1, xs)
+    worst = float(np.max(np.abs(g @ phi - d_sum)))
+    for i in (0, 1):
+        duality = (np.einsum("pkj,pj->pk", g, num.reeb_at(i, xs))
+                   - num.alpha_at(i, xs))
+        worst = max(worst, float(np.max(np.abs(duality))))
     return worst
 
 
-def _residual_n1(num: _Numeric, points: Sequence[Point]) -> float:
+def _residual_n1(num: _Numeric, xs: Points) -> float:
+    """N1(e_a, e_b) on coordinate fields, for every pair a, b at once.
+
+    The value is antisymmetric in (a, b) term by term, so its maximum over
+    all pairs is its maximum over a < b."""
+    phi = num.phi_at(xs)
+    dphi = _gradient(num.phi_at, xs)  # dphi[p, c, k, a]
+    # [phi e_a, phi e_b]: t[p, a, b] - t[p, b, a]
+    t = np.einsum("pca,pckb->pabk", phi, dphi)
+    # - phi [phi e_a, e_b] - phi [e_a, phi e_b]: u[p, a, b] - u[p, b, a]
+    u = np.einsum("pkm,pbma->pabk", phi, dphi)
+    value = t - t.swapaxes(1, 2) + u - u.swapaxes(1, 2)
+    for i in (0, 1):
+        value += (2 * num.d_alpha_at(i, xs)[..., None]
+                  * num.reeb_at(i, xs)[:, None, None, :])
+    return float(np.max(np.abs(value)))
+
+
+def _residual_reeb_derivative(num: _Numeric, xs: Points) -> float:
+    def reeb_sum(ys):
+        return num.reeb_at(0, ys) + num.reeb_at(1, ys)
+
+    gamma = num.christoffel(xs)
+    dz = _gradient(reeb_sum, xs)  # dz[p, a, k]
+    value = (dz + np.einsum("pkaj,pj->pak", gamma, reeb_sum(xs))
+             + num.phi_at(xs).transpose(0, 2, 1))
+    return float(np.max(np.abs(value)))
+
+
+def _residual_curvature(num: _Numeric, xs: Points) -> float:
+    """R(X, Y)Z against the split formula, for every pair of coordinate
+    fields at once; both sides are antisymmetric in (X, Y)."""
     n = num.n
+    z = num.reeb_at(0, xs) + num.reeb_at(1, xs)
+    alphas = (num.alpha_at(0, xs), num.alpha_at(1, xs))
     worst = 0.0
-    for point in points:
-        phi = num.phi_at(point)
-        dphi = np.array([_partial(num.phi_at, point, coord)
-                         for coord in num.coords])  # dphi[c, k, a]
-        d1 = num.d_alpha_at(0, point)
-        d2 = num.d_alpha_at(1, point)
-        z1 = num.reeb_at(0, point)
-        z2 = num.reeb_at(1, point)
-        for a in range(n):
-            for b in range(a + 1, n):
-                # [phi e_a, phi e_b] for the column vector fields
-                bracket = (phi[:, a] @ dphi[:, :, b]
-                           - phi[:, b] @ dphi[:, :, a])
-                # - phi [phi e_a, e_b] - phi [e_a, phi e_b]
-                bracket += phi @ dphi[b, :, a] - phi @ dphi[a, :, b]
-                value = bracket + 2 * d1[a, b] * z1 + 2 * d2[a, b] * z2
-                worst = max(worst, float(np.max(np.abs(value))))
-    return worst
-
-
-def _residual_reeb_derivative(num: _Numeric, points: Sequence[Point]
-                              ) -> float:
-    def reeb_sum(point):
-        return num.reeb_at(0, point) + num.reeb_at(1, point)
-
-    worst = 0.0
-    for point in points:
-        gamma = num.christoffel(point)
-        z = reeb_sum(point)
-        dz = np.array([_partial(reeb_sum, point, coord)
-                       for coord in num.coords])  # dz[a, k]
-        phi = num.phi_at(point)
-        for a in range(num.n):
-            value = dz[a] + gamma[:, a, :] @ z + phi[:, a]
-            worst = max(worst, float(np.max(np.abs(value))))
-    return worst
-
-
-def _residual_curvature(num: _Numeric, points: Sequence[Point]) -> float:
-    n = num.n
-    worst = 0.0
-    for point in points:
-        riemann = num.curvature_at(point)
-        z = num.reeb_at(0, point) + num.reeb_at(1, point)
-        b1, b2 = num.foliation_split(point)
+    for p, (b1, b2) in enumerate(num.foliation_split(xs)):
         basis = np.hstack([b1, b2])
         if basis.shape[1] != n:
             return float("inf")
         coefficients = np.linalg.solve(basis, np.eye(n))
         split = (b1 @ coefficients[:b1.shape[1]],
                  b2 @ coefficients[b1.shape[1]:])
-        alphas = (num.alpha_at(0, point), num.alpha_at(1, point))
-        for a in range(n):
-            for b in range(a + 1, n):
-                lhs = riemann[:, :, a, b] @ z
-                rhs = np.zeros(n)
-                for i in (0, 1):
-                    xa = split[i][:, a]
-                    xb = split[i][:, b]
-                    rhs += alphas[i] @ xb * xa - alphas[i] @ xa * xb
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        riemann = num.curvature_at(xs[p:p + 1])[0]
+        lhs = np.einsum("lkab,k->abl", riemann, z[p])
+        rhs = np.zeros((n, n, n))
+        for i in (0, 1):
+            values = alphas[i][p] @ split[i]  # alpha_i of each split column
+            rhs += (values[None, :, None] * split[i].T[:, None, :]
+                    - values[:, None, None] * split[i].T[None, :, :])
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 
@@ -347,9 +362,11 @@ _RESIDUALS = {
 def numeric_oracle(scenario, identity_id: str, probe_count: int = 8,
                    seed: int = 1) -> float:
     """Maximum residual of the named identity over seeded float probes."""
+    if probe_count < 1:
+        raise ValueError("the oracle needs at least one probe point")
     if identity_id.startswith("submanifold.") \
             and identity_id.endswith(".minimal"):
-        return _submanifold_minimal(scenario, identity_id, probe_count)
+        return _submanifold_minimal(scenario, identity_id, probe_count, seed)
     if identity_id not in _RESIDUALS:
         raise ValueError(f"unknown oracle identity {identity_id!r}; "
                          f"choose from {', '.join(ORACLE_IDS)} or "
@@ -360,7 +377,7 @@ def numeric_oracle(scenario, identity_id: str, probe_count: int = 8,
 
 
 def _submanifold_minimal(scenario, identity_id: str, probe_count: int,
-                         seed: int = 1) -> float:
+                         seed: int) -> float:
     """Sup-norm of the numerically computed mean curvature vector.
 
     The span fields, Christoffel symbols and tangential projections are
@@ -368,36 +385,26 @@ def _submanifold_minimal(scenario, identity_id: str, probe_count: int,
     certifies minimality and a large value certifies its failure."""
     name = identity_id[len("submanifold."):-len(".minimal")]
     numeric = _Numeric(scenario)
-    var = tuple(numeric.coords)
-    span_exprs = [[parse_expr(str(t), var) for t in vec]
-                  for vec in scenario.submanifolds[name]]
-    points = numeric.probe_points(probe_count, seed)
-    rank = len(span_exprs)
+    span = numeric.grid(scenario.submanifolds[name])  # row b: field b
+    rank = span.shape[0]
 
-    def span_field(index):
-        def field(point):
-            frame = numeric.frame_at(point)
-            comps = np.array([entry.evaluate_float(point)
-                              for entry in span_exprs[index]])
-            return frame @ comps
-        return field
+    def tangent_at(ys):  # column b: field b in coordinates
+        return numeric.frame_at(ys) @ span(ys).transpose(0, 2, 1)
 
-    fields = [span_field(index) for index in range(rank)]
+    xs = numeric.probe_points(probe_count, seed)
     worst = 0.0
-    for point in points:
-        gamma = numeric.christoffel(point)
-        g = numeric.metric_at(point)
-        tangent = np.column_stack([field(point) for field in fields])
+    for gamma, g, tangent, dv in zip(numeric.christoffel(xs),
+                                     numeric.metric_at(xs), tangent_at(xs),
+                                     _gradient(tangent_at, xs)):
+        # dv[i, k, b] = d_i of component k of span field b
         gram = tangent.T @ g @ tangent
         gram_inv = np.linalg.inv(gram)
         mean = np.zeros(numeric.n)
         for a in range(rank):
             u = tangent[:, a]
             for b in range(rank):
-                dv = np.array([_partial(fields[b], point, coord)
-                               for coord in numeric.coords])  # dv[i, k]
-                nabla = u @ dv + np.einsum("kij,i,j->k", gamma, u,
-                                           tangent[:, b])
+                nabla = u @ dv[:, :, b] + np.einsum("kij,i,j->k", gamma, u,
+                                                   tangent[:, b])
                 coeff = np.linalg.solve(gram, tangent.T @ g @ nabla)
                 normal = nabla - tangent @ coeff
                 mean += gram_inv[a, b] * normal

@@ -298,8 +298,12 @@ def test_poles_are_irregular_and_other_errors_propagate():
     values = [presentation.scalar("x - 1"), presentation.scalar("1/(x - 1)")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # a pole skips the probe: neither a vanishing nor an error
-        nonvanishing_certificate("pole", values, [{"x": 1, "y": 0}])
+        # a pole skips the probe: neither a vanishing nor an error, and a
+        # family checked at no probe point is not certified nonzero
+        assert not nonvanishing_certificate("pole", values,
+                                            [{"x": 1, "y": 0}])
+        assert nonvanishing_certificate("pole", values,
+                                        [{"x": 1, "y": 0}, {"x": 2, "y": 0}])
     with pytest.raises(ValueError):
         nonvanishing_certificate("malformed", values,
                                  [{"x": "not a number", "y": 0}])

@@ -1,6 +1,14 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contact_pair_lab import ORACLE_IDS, corpus_build, numeric_oracle
+from contact_pair_lab import oracle
+from contact_pair_lab.scalars import PoleError, parse_expr
+from test_scalars import VARS, exprs, points
 
 DERIVATIVE_TOL = 1e-6
 ALGEBRAIC_TOL = 1e-9
@@ -66,3 +74,135 @@ def test_oracle_is_deterministic_for_a_seed():
 def test_unknown_identity_rejected():
     with pytest.raises(ValueError):
         numeric_oracle(corpus_build("heis6"), "no-such-identity")
+
+
+@pytest.mark.parametrize("identity_id", ["d_squared",
+                                         "submanifold.heis6-n4.minimal"])
+def test_an_oracle_without_probe_points_is_rejected(identity_id):
+    # no probe point means nothing was checked, not a zero residual
+    with pytest.raises(ValueError):
+        numeric_oracle(corpus_build("heis6"), identity_id, probe_count=0)
+
+
+def test_submanifold_oracle_probes_at_the_given_seed(monkeypatch):
+    seeds = []
+    sample = oracle._Numeric.probe_points
+
+    def spy(self, count, seed):
+        seeds.append(seed)
+        return sample(self, count, seed)
+
+    monkeypatch.setattr(oracle._Numeric, "probe_points", spy)
+    numeric_oracle(corpus_build("heis6"), "submanifold.heis6-n4.minimal",
+                   probe_count=2, seed=5)
+    assert seeds == [5]
+
+
+def test_a_pole_at_a_probe_point_is_irregular():
+    scenario = corpus_build("heis6")
+    scenario.frame[0][0] = "1/x"
+    numeric = oracle._Numeric(scenario)
+    point = np.array([0.0, 0.25, 0.0, 0.5, 0.0, 0.0])
+    assert not numeric._regular(point)
+    point[0] = 0.5
+    assert numeric._regular(point)
+
+
+# -- batched evaluation ------------------------------------------------
+
+def _terms_at(terms, values, magnitude=False):
+    """Sum of the terms at a point, or of their absolute values."""
+    size = abs if magnitude else float
+    return sum(size(float(coeff) * math.prod(v ** e
+                                             for v, e in zip(values, exp)))
+               for exp, coeff in terms.items())
+
+
+# quotients whose denominator b^2 + 1 has no real zero
+_entries = st.one_of(exprs, st.tuples(exprs, exprs).map(
+    lambda ab: ab[0] / (ab[1] * ab[1] + parse_expr("1", VARS))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_entries, min_size=1, max_size=4),
+       st.lists(points, min_size=1, max_size=3))
+def test_float_grid_matches_evaluate_float(entries, point_list):
+    grid = oracle._FloatGrid(entries, (len(entries),), VARS)
+    xs = np.array([[float(p[v]) for v in VARS] for p in point_list])
+    values = grid(xs)
+    assert values.shape == (len(xs), len(entries))
+    for x, row in zip(xs, values):
+        for expr, got in zip(entries, row):
+            want = expr.evaluate_float(dict(zip(VARS, x)))
+            # 1e-12 relative to the size of the terms that were summed
+            scale = (_terms_at(expr.num, x, True)
+                     + abs(want) * _terms_at(expr.den, x, True)) \
+                / abs(_terms_at(expr.den, x))
+            assert math.isclose(got, want, rel_tol=1e-12,
+                                abs_tol=1e-12 * scale), (expr, x)
+
+
+def test_float_grid_raises_at_a_pole():
+    grid = oracle._FloatGrid([parse_expr(t, VARS) for t in ("x", "1/(x - y)")],
+                             (2,), VARS)
+    np.testing.assert_array_equal(grid(np.array([[1.0, 2.0]])), [[1.0, -1.0]])
+    with pytest.raises(PoleError):
+        grid(np.array([[1.0, 2.0], [3.0, 3.0]]))
+
+
+def test_gradient_matches_pointwise_central_differences():
+    numeric = oracle._Numeric(corpus_build("heis6"))
+    xs = numeric.probe_points(3, seed=2)
+    step = 1e-6
+    got = oracle._gradient(numeric.metric_at, xs, step)
+    for x, grad in zip(xs, got):
+        for c in range(numeric.n):
+            plus, minus = x.copy(), x.copy()
+            plus[c] += step
+            minus[c] -= step
+            want = (numeric.metric_at(plus[None])[0]
+                    - numeric.metric_at(minus[None])[0]) / (2 * step)
+            np.testing.assert_array_equal(grad[c], want)
+
+
+def test_no_call_stacks_more_than_one_stencil(monkeypatch):
+    scenario = corpus_build("heis6")
+    sizes = []
+    evaluate = oracle._FloatGrid.__call__
+
+    def spy(self, xs):
+        sizes.append(len(xs))
+        return evaluate(self, xs)
+
+    monkeypatch.setattr(oracle._FloatGrid, "__call__", spy)
+    numeric_oracle(scenario, "curvature.reeb_identity", probe_count=8)
+    numeric_oracle(scenario, "submanifold.heis6-n4.minimal", probe_count=8)
+    assert max(sizes) == 2 * len(scenario.coordinates)
+
+
+# Residuals at seed 1 of the pointwise evaluation this oracle replaced
+# (one float evaluation per entry and per point).
+_REFERENCE = {
+    ("heis6", "d_squared"): 0.0,
+    ("heis6", "pair.reeb"): 4.440892098500626e-16,
+    ("heis6", "metric.associated"): 1.3377743357523286e-11,
+    ("heis6", "normality.N1"): 4.440892098501216e-16,
+    ("heis6", "connection.reeb_derivative"): 4.995997513260186e-10,
+    ("heis6", "curvature.reeb_identity"): 5.351152854160546e-11,
+    ("heis6", "submanifold.factor.minimal"): 0.0,
+    ("heis6", "submanifold.heis6-leaf3.minimal"): 8.064234465384365e-12,
+    ("heis6", "submanifold.heis6-n4.minimal"): 6.048175849038273e-12,
+    ("darboux", "d_squared"): 0.0,
+    ("darboux", "pair.reeb"): 8.881784197001252e-16,
+    ("darboux", "metric.associated"): 6.688871678761643e-12,
+    ("darboux", "normality.N1"): 4.440892098501216e-16,
+    ("darboux", "connection.reeb_derivative"): 9.992001098052539e-10,
+    ("darboux", "curvature.reeb_identity"): 4.684090268436414e-11,
+}
+
+
+@pytest.mark.parametrize("name,identity_id", sorted(_REFERENCE))
+def test_residuals_match_the_pointwise_reference(name, identity_id):
+    residual = numeric_oracle(corpus_build(name), identity_id,
+                              probe_count=8, seed=1)
+    assert abs(residual - _REFERENCE[(name, identity_id)]) <= 1e-12
