@@ -1,8 +1,25 @@
 """Check registry and the scenario check runner.
 
-Checks run in dependency order: pair -> structure -> metric ->
-{normality, connection, curvature, hermitian} -> submanifolds.  A failed
-prerequisite short-circuits its dependents with verdict "skipped".
+Every report row is registered in ``CHECKS``: an entry gives the row id,
+the stage that computes it and how to read the row's one ``Finding``
+from that stage's result.  Each stage runs once, in dependency order:
+pair -> structure -> metric -> {normality, connection, curvature,
+hermitian, submanifolds}; a selection also runs the stages it depends on.
+The runner emits exactly the registered ids of the stages it reports, in
+table order.  A row is "skipped" when its stage did not run because a
+prerequisite failed, or when the stage did not produce its finding (the
+two normal-bundle connection identities on a bundle that is not normal).
+A stage that rejects its input (pair, structure) fails its first row
+with the error and skips the others.  A chart-domain warning raised while
+a stage, or one submanifold's analysis, runs turns its first row's pass
+into "warn".
+
+Submanifold ids are registered with ``{}`` for the submanifold name.
+After those rows each submanifold gets one row per finding of its induced
+structure and of the minimality theorems, named after the finding's
+condition.  A span that cannot be analysed gets a failing
+``submanifold.<name>.analysis`` row instead, skipped when the ambient
+structure failed.  Two rows with one id raise ``ValueError``.
 
 Scenario expectations invert the polarity of a row: an expected "fail"
 passes exactly when the raw check fails, so scenarios built around
@@ -14,63 +31,126 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
-from .contact import (Finding, ValidationError, check_connection_identities,
-                      check_curvature_identity, hermitian_data, normality,
-                      validate_contact_pair, validate_metric,
-                      validate_structure)
+from .contact import (Finding, ValidationError, Verdict,
+                      check_connection_identities, check_curvature_identity,
+                      hermitian_data, normality, validate_contact_pair,
+                      validate_metric, validate_structure)
 from .corpus import Scenario
 from .frames import ChartDomainWarning, seeded_probe_points
-from .submanifolds import (SubframeError, classify, restrict_structure,
-                           shape_data, verify_theorems)
+from .submanifolds import (InvarianceProfile, ShapeData, SubframeError,
+                           classify, restrict_structure, shape_data,
+                           verify_theorems)
 
-STAGES = ("pair", "structure", "metric", "normality", "connection",
-          "curvature", "hermitian", "submanifolds")
-
-_STAGE_DEPS = {
-    "pair": (),
-    "structure": ("pair",),
-    "metric": ("structure",),
-    "normality": ("metric",),
-    "connection": ("metric",),
-    "curvature": ("metric",),
-    "hermitian": ("metric",),
-    "submanifolds": ("metric",),
+# stage -> (the stage it needs, compute(scenario, probes, needed result));
+# the submanifold stage runs once per submanifold, in _run_submanifolds
+_STAGES: Dict[str, Tuple[Optional[str], Optional[Callable]]] = {
+    "pair": (None, lambda sc, probes, _: validate_contact_pair(
+        sc.presentation(), *sc.forms(), *sc.pair_type, probes=probes)),
+    "structure": ("pair", lambda sc, probes, pair: validate_structure(
+        pair, sc.phi_endo(), probes=probes, metric=sc.metric_field())),
+    "metric": ("structure", lambda sc, probes, structure: validate_metric(
+        structure, sc.metric_field(), probes=probes)),
+    "normality": ("metric", lambda sc, probes, mcp: normality(mcp).findings),
+    "connection": ("metric",
+                   lambda sc, probes, mcp: check_connection_identities(mcp)),
+    "curvature": ("metric",
+                  lambda sc, probes, mcp: check_curvature_identity(mcp)),
+    "hermitian": ("metric", lambda sc, probes, mcp: hermitian_data(mcp)),
+    "submanifolds": ("metric", None),
 }
+STAGES = tuple(_STAGES)
 
-_CONNECTION_IDS = ("connection.covariant_phi_pairing",
-                   "connection.reeb_derivative",
-                   "connection.covariant_phi_projection",
-                   "connection.curvature_h_tensor",
-                   "connection.reeb_derivative_h",
-                   "connection.h_vanishes",
-                   "connection.reeb_killing")
-# check_connection_identities certifies these only on a normal bundle
-_NORMAL_ONLY_IDS = _CONNECTION_IDS[-2:]
-_CURVATURE_IDS = ("curvature.reeb_identity",
-                  "curvature.normality_equivalence")
-_HERMITIAN_IDS = ("hermitian.form_pullback",
-                  "hermitian.projections_commute",
-                  "hermitian.covariant_identity",
-                  "hermitian.closed_form",
-                  "hermitian.fundamental_form_not_closed")
 
-CHECK_IDS = (("pair.valid", "structure.axioms", "structure.decomposable",
-              "metric.compatible", "metric.associated",
-              "metric.orthogonal_splitting",
-              "normality.N1", "normality.NJ", "normality.NT",
-              "normality.normal_mcp")
-             + _CONNECTION_IDS + _CURVATURE_IDS + _HERMITIAN_IDS)
+@dataclass(frozen=True)
+class Check:
+    id: str
+    stage: str
+    read: Callable[[Any], Optional[Finding]]
 
-_SKIP_IDS = {
-    "structure": ("structure.axioms",),
-    "metric": ("metric.compatible",),
-    "normality": ("normality.N1",),
-    "connection": ("connection.covariant_phi_pairing",),
-    "curvature": ("curvature.reeb_identity",),
-    "hermitian": ("hermitian.form_pullback",),
-}
+
+class _Analysis(NamedTuple):
+    profile: InvarianceProfile
+    shape: ShapeData
+
+
+def _holds(_result) -> Finding:
+    return Finding("", True)
+
+
+def _first(verdict: Verdict) -> Finding:
+    return Finding("", verdict.ok,
+                   verdict.witnesses[0] if verdict.witnesses else "")
+
+
+def _condition(text: str) -> Callable[[List[Finding]], Optional[Finding]]:
+    return lambda findings: next(
+        (f for f in findings if f.condition == text), None)
+
+
+CHECKS = (
+    Check("pair.valid", "pair", _holds),
+    Check("structure.axioms", "structure", _holds),
+    Check("structure.decomposable", "structure",
+          lambda s: Finding("", s.decomposable.ok,
+                            "; ".join(s.decomposable.witnesses))),
+    Check("metric.compatible", "metric", lambda m: _first(m.compatible)),
+    Check("metric.associated", "metric", lambda m: _first(m.associated)),
+    Check("metric.orthogonal_splitting", "metric",
+          lambda m: _first(m.orthogonal_splitting)),
+    Check("normality.N1", "normality",
+          _condition("normality tensor vanishes")),
+    Check("normality.NJ", "normality", _condition("J integrable")),
+    Check("normality.NT", "normality", _condition("T integrable")),
+    Check("normality.normal_mcp", "normality",
+          _condition("normal metric contact pair")),
+    Check("connection.covariant_phi_pairing", "connection",
+          _condition("covariant phi pairing identity")),
+    Check("connection.reeb_derivative", "connection",
+          _condition("Reeb sum derivative identity")),
+    Check("connection.covariant_phi_projection", "connection",
+          _condition("covariant phi projection identity")),
+    Check("connection.curvature_h_tensor", "connection",
+          _condition("curvature h-tensor identity")),
+    Check("connection.reeb_derivative_h", "connection",
+          _condition("Reeb derivative with h-tensor")),
+    Check("connection.h_vanishes", "connection",
+          _condition("h-tensor vanishes on the normal bundle")),
+    Check("connection.reeb_killing", "connection",
+          _condition("Reeb sum is Killing")),
+    Check("curvature.reeb_identity", "curvature",
+          _condition("Reeb curvature identity")),
+    Check("curvature.normality_equivalence", "curvature",
+          _condition("curvature identity is equivalent to normality")),
+    Check("hermitian.form_pullback", "hermitian",
+          _condition("second form pulls back to the first under J")),
+    Check("hermitian.projections_commute", "hermitian",
+          _condition("projections commute with J")),
+    Check("hermitian.covariant_identity", "hermitian",
+          _condition("Hermitian covariant identity")),
+    Check("hermitian.closed_form", "hermitian",
+          _condition("closed form of the covariant derivative of J")),
+    Check("hermitian.fundamental_form_not_closed", "hermitian",
+          _condition("fundamental 2-form is not closed")),
+    Check("submanifold.{}.invariant-phi", "submanifolds",
+          lambda a: Finding("", a.profile.phi_invariant)),
+    Check("submanifold.{}.invariant-J", "submanifolds",
+          lambda a: Finding("", a.profile.j_invariant)),
+    Check("submanifold.{}.invariant-T", "submanifolds",
+          lambda a: Finding("", a.profile.t_invariant)),
+    Check("submanifold.{}.invariant-rho", "submanifolds",
+          lambda a: Finding("", a.profile.rho_invariant)),
+    Check("submanifold.{}.reeb-position", "submanifolds",
+          lambda a: Finding("", a.profile.reeb_position != "mixed/unknown",
+                            a.profile.reeb_position)),
+    Check("submanifold.{}.minimal", "submanifolds",
+          lambda a: Finding("", a.shape.minimal, "" if a.shape.minimal
+                            else f"H = {a.shape.mean_curvature}")),
+)
+
+CHECK_IDS = tuple(c.id for c in CHECKS if c.stage != "submanifolds")
 
 
 @dataclass
@@ -114,38 +194,37 @@ def slugify(text: str) -> str:
 
 def _resolve_selection(selection: Optional[Sequence[str]]) -> List[str]:
     if not selection or "all" in selection:
-        wanted = set(STAGES)
-    else:
-        unknown = set(selection) - set(STAGES)
-        if unknown:
-            raise ValueError(f"unknown check selection: {sorted(unknown)}")
-        wanted = set(selection)
-        changed = True
-        while changed:
-            changed = False
-            for stage in list(wanted):
-                for dep in _STAGE_DEPS[stage]:
-                    if dep not in wanted:
-                        wanted.add(dep)
-                        changed = True
+        return list(STAGES)
+    unknown = set(selection) - set(STAGES)
+    if unknown:
+        raise ValueError(f"unknown check selection: {sorted(unknown)}")
+    wanted = set()
+    for stage in selection:
+        while stage is not None:
+            wanted.add(stage)
+            stage = _STAGES[stage][0]
     return [s for s in STAGES if s in wanted]
 
 
 class _Runner:
-    def __init__(self, scenario: Scenario, seed: int,
-                 reported: Sequence[str]):
+    def __init__(self, scenario: Scenario, seed: int):
         self.scenario = scenario
-        self.seed = seed
-        self.reported = set(reported)
         self.report = CheckReport(scenario.name, seed=seed)
-        self.failed_stages: set = set()
+        self.ids: set = set()
 
-    def add(self, stage: str, check_id: str, ok: bool, witness: str,
-            ms: float, warned: bool = False) -> None:
-        if stage not in self.reported:
+    def add(self, check_id: str, finding: Optional[Finding], ms: float,
+            warned: bool = False) -> None:
+        """Reconcile one row with the scenario's expectation; a missing
+        finding is a skipped row."""
+        if check_id in self.ids:
+            raise ValueError(f"check id {check_id} is reported twice")
+        self.ids.add(check_id)
+        if finding is None:
+            self.report.rows.append(CheckRow(check_id, "skipped", "", 0.0))
             return
+        witness = finding.witness
         expected = self.scenario.expectations.get(check_id, "pass")
-        raw = "fail" if not ok else ("warn" if warned else "pass")
+        raw = "fail" if not finding.ok else ("warn" if warned else "pass")
         if expected == "fail":
             if raw == "fail":
                 verdict = "pass"
@@ -161,168 +240,81 @@ class _Runner:
         self.report.rows.append(CheckRow(check_id, verdict, witness,
                                          round(ms, 3)))
 
-    def skip(self, stage: str, ids: Sequence[str]) -> None:
-        if stage not in self.reported:
-            return
-        for check_id in ids:
-            self.report.rows.append(CheckRow(check_id, "skipped", "", 0.0))
+    def emit(self, checks: Sequence[Check], result, ms: float = 0.0,
+             warned: bool = False, name: str = "") -> None:
+        """One row per check, read from ``result``.  All are skipped when
+        ``result`` is None; when it is the error the stage raised, the
+        first row fails with it and the others are skipped."""
+        for i, check in enumerate(checks):
+            if result is None:
+                finding = None
+            elif isinstance(result, Exception):
+                finding = Finding("", False, str(result)) if i == 0 else None
+            else:
+                finding = check.read(result)
+            self.add(check.id.format(name), finding, ms, warned and i == 0)
 
 
 def run_checks(scenario: Scenario, selection: Optional[Sequence[str]] = None,
                seed: int = 1) -> CheckReport:
-    reported = _resolve_selection(selection)
-    needed = set(reported)
-    runner = _Runner(scenario, seed, reported)
-
-    presentation = scenario.presentation()
-    probes = seeded_probe_points(presentation, seed=seed)
-    alpha1, alpha2 = scenario.forms()
-    h, k = scenario.pair_type
-
-    # pair
-    t0 = time.perf_counter()
-    pair = None
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ChartDomainWarning)
-            pair = validate_contact_pair(presentation, alpha1, alpha2,
-                                         h, k, probes=probes)
-        warned = any(issubclass(w.category, ChartDomainWarning)
-                     for w in caught)
-        runner.add("pair", "pair.valid", True, "", _ms(t0), warned)
-    except ValidationError as exc:
-        runner.add("pair", "pair.valid", False, str(exc), _ms(t0))
-
-    structure = None
-    if pair is not None and needed & {"structure", "metric", "normality",
-                                      "connection", "curvature",
-                                      "hermitian", "submanifolds"}:
-        t0 = time.perf_counter()
-        try:
-            structure = validate_structure(pair, scenario.phi_endo(),
-                                           probes=probes,
-                                           metric=scenario.metric_field())
-            runner.add("structure", "structure.axioms", True, "", _ms(t0))
-            runner.add("structure", "structure.decomposable",
-                       structure.decomposable.ok,
-                       "; ".join(structure.decomposable.witnesses), _ms(t0))
-        except ValidationError as exc:
-            runner.add("structure", "structure.axioms", False, str(exc),
-                       _ms(t0))
-            runner.skip("structure", ("structure.decomposable",))
-    elif pair is None:
-        runner.skip("structure", ("structure.axioms",
-                                  "structure.decomposable"))
-
-    mcp = None
-    if structure is not None:
-        t0 = time.perf_counter()
-        mcp = validate_metric(structure, scenario.metric_field(),
-                              probes=probes)
-        ms = _ms(t0)
-        runner.add("metric", "metric.compatible", mcp.compatible.ok,
-                   _first(mcp.compatible.witnesses), ms)
-        runner.add("metric", "metric.associated", mcp.associated.ok,
-                   _first(mcp.associated.witnesses), ms)
-        runner.add("metric", "metric.orthogonal_splitting",
-                   mcp.orthogonal_splitting.ok,
-                   _first(mcp.orthogonal_splitting.witnesses), ms)
-    else:
-        runner.skip("metric", ("metric.compatible", "metric.associated",
-                               "metric.orthogonal_splitting"))
-
-    if mcp is not None:
-        if needed & {"normality", "curvature", "connection"}:
-            t0 = time.perf_counter()
-            rep = normality(mcp)
-            ms = _ms(t0)
-            runner.add("normality", "normality.N1", rep.n1_zero,
-                       _first(rep.witnesses), ms)
-            runner.add("normality", "normality.NJ", rep.nj_zero, "", ms)
-            runner.add("normality", "normality.NT", rep.nt_zero, "", ms)
-            runner.add("normality", "normality.normal_mcp", rep.normal_mcp,
-                       _first(rep.witnesses), ms)
-        if "connection" in needed:
-            t0 = time.perf_counter()
-            findings = check_connection_identities(mcp)
-            ms = _ms(t0)
-            for check_id, finding in zip(_CONNECTION_IDS, findings):
-                runner.add("connection", check_id, finding.ok,
-                           finding.witness, ms)
-            if not normality(mcp).normal_mcp:
-                runner.skip("connection", _NORMAL_ONLY_IDS)
-        if "curvature" in needed:
-            t0 = time.perf_counter()
-            findings = check_curvature_identity(mcp)
-            ms = _ms(t0)
-            for check_id, finding in zip(_CURVATURE_IDS, findings):
-                runner.add("curvature", check_id, finding.ok,
-                           finding.witness, ms)
-        if "hermitian" in needed:
-            t0 = time.perf_counter()
-            findings = hermitian_data(mcp)
-            ms = _ms(t0)
-            for check_id, finding in zip(_HERMITIAN_IDS, findings):
-                runner.add("hermitian", check_id, finding.ok,
-                           finding.witness, ms)
-        if "submanifolds" in needed:
-            _run_submanifolds(runner, scenario, mcp)
-    else:
-        for stage, ids in _SKIP_IDS.items():
-            if stage != "structure":
-                runner.skip(stage, ids)
-        for name in sorted(scenario.submanifolds):
-            runner.skip("submanifolds", (f"submanifold.{name}.analysis",))
-
+    runner = _Runner(scenario, seed)
+    probes = seeded_probe_points(scenario.presentation(), seed=seed)
+    results: Dict[str, Any] = {}
+    for stage in _resolve_selection(selection):
+        needed, compute = _STAGES[stage]
+        prior = results.get(needed)
+        if stage == "submanifolds":
+            _run_submanifolds(runner, scenario, prior)
+            continue
+        checks = [c for c in CHECKS if c.stage == stage]
+        if needed and prior is None:
+            runner.emit(checks, None)
+            continue
+        result, ms, warned = _timed(
+            lambda: compute(scenario, probes, prior), ValidationError)
+        if not isinstance(result, ValidationError):
+            results[stage] = result
+        runner.emit(checks, result, ms, warned)
     return runner.report
 
 
 def _run_submanifolds(runner: _Runner, scenario: Scenario, mcp) -> None:
+    checks = [c for c in CHECKS if c.stage == "submanifolds"]
     for name in sorted(scenario.submanifolds):
-        prefix = f"submanifold.{name}"
-        t0 = time.perf_counter()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", ChartDomainWarning)
-                sub = scenario.subframe(name)
-                profile = classify(sub, mcp)
-                shape = shape_data(sub, mcp.connection)
-                restricted = restrict_structure(sub, mcp, profile)
-                theorems = verify_theorems(sub, mcp, profile)
-            warned = any(issubclass(w.category, ChartDomainWarning)
-                         for w in caught)
-        except SubframeError as exc:
-            runner.add("submanifolds", f"{prefix}.analysis", False,
-                       str(exc), _ms(t0))
+        if mcp is None:
+            runner.add(f"submanifold.{name}.analysis", None, 0.0)
             continue
-        ms = _ms(t0)
-        runner.add("submanifolds", f"{prefix}.invariant-phi",
-                   profile.phi_invariant, "", ms, warned)
-        runner.add("submanifolds", f"{prefix}.invariant-J",
-                   profile.j_invariant, "", ms)
-        runner.add("submanifolds", f"{prefix}.invariant-T",
-                   profile.t_invariant, "", ms)
-        runner.add("submanifolds", f"{prefix}.invariant-rho",
-                   profile.rho_invariant, "", ms)
-        runner.add("submanifolds", f"{prefix}.reeb-position",
-                   profile.reeb_position != "mixed/unknown",
-                   profile.reeb_position, ms)
-        runner.add("submanifolds", f"{prefix}.minimal", shape.minimal,
-                   "" if shape.minimal
-                   else f"H = {shape.mean_curvature}", ms)
-        seen = set()
-        for finding in restricted + theorems:
-            check_id = f"{prefix}.{slugify(finding.condition)}"
-            if check_id in seen:
-                continue
-            seen.add(check_id)
-            runner.add("submanifolds", check_id, finding.ok,
-                       finding.witness, ms)
+        result, ms, warned = _timed(
+            lambda: _analyse(scenario.subframe(name), mcp), SubframeError)
+        if isinstance(result, SubframeError):
+            runner.add(f"submanifold.{name}.analysis",
+                       Finding("", False, str(result)), ms)
+            continue
+        analysis, findings = result
+        runner.emit(checks, analysis, ms, warned, name)
+        for finding in findings:
+            runner.add(f"submanifold.{name}.{slugify(finding.condition)}",
+                       finding, ms)
 
 
-def _ms(t0: float) -> float:
-    return (time.perf_counter() - t0) * 1000.0
+def _analyse(sub, mcp) -> Tuple[_Analysis, List[Finding]]:
+    profile = classify(sub, mcp)
+    shape = shape_data(sub, mcp.connection)
+    findings = (restrict_structure(sub, mcp, profile)
+                + verify_theorems(sub, mcp, profile))
+    return _Analysis(profile, shape), findings
 
 
-def _first(items: Sequence[str]) -> str:
-    return items[0] if items else ""
+def _timed(compute: Callable[[], Any], rejected: type
+           ) -> Tuple[Any, float, bool]:
+    """``compute()``'s result or the ``rejected`` error it raised, its time
+    in ms, and whether it raised a chart-domain warning."""
+    t0 = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ChartDomainWarning)
+        try:
+            result = compute()
+        except rejected as exc:
+            result = exc
+    warned = any(issubclass(w.category, ChartDomainWarning) for w in caught)
+    return result, (time.perf_counter() - t0) * 1000.0, warned

@@ -8,6 +8,7 @@ CONTACT_PAIR_LAB_SEED overrides the default probe seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -58,7 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     subm.add_argument("--input", required=True, metavar="FILE")
     subm.add_argument("--name", required=True, metavar="SUB")
     subm.add_argument("--theorems", action="store_true",
-                      help="include the theorem-level identity checks")
+                      help="accepted for older invocations; has no effect,"
+                           " theorem rows are always shown")
     subm.add_argument("--format", choices=("text", "json"), default="text")
     subm.add_argument("--seed", type=int, default=None)
     return parser
@@ -83,12 +85,19 @@ def _parse_checks(text: str) -> List[str]:
     return items or ["all"]
 
 
-def _emit(report: CheckReport, fmt: str, out) -> int:
+def _emit(report: CheckReport, fmt: str, out,
+          submanifold: Optional[str] = None) -> int:
     if fmt == "json":
-        json.dump(report.to_dict(), out, indent=2, sort_keys=True)
+        data = report.to_dict()
+        if submanifold is not None:
+            data["submanifold"] = submanifold
+        json.dump(data, out, indent=2, sort_keys=True)
         out.write("\n")
     else:
-        out.write(f"scenario: {report.scenario} (seed {report.seed})\n")
+        title = report.scenario
+        if submanifold is not None:
+            title += f", submanifold: {submanifold}"
+        out.write(f"scenario: {title} (seed {report.seed})\n")
         for row in report.rows:
             line = f"  [{row.verdict:>7s}] {row.id}"
             if row.witness:
@@ -114,81 +123,18 @@ def _run_scenarios(scenarios: Sequence[Scenario], selection: List[str],
 
 
 def _cmd_submanifold(args, seed: int, out) -> int:
-    from .checks import slugify
-    from .contact import (validate_contact_pair, validate_metric,
-                          validate_structure)
-    from .frames import seeded_probe_points
-    from .submanifolds import classify, restrict_structure, shape_data, \
-        verify_theorems
-
     scenario = load_scenario(args.input)
     if args.name not in scenario.submanifolds:
         raise ScenarioError(
             f"submanifolds.{args.name}: not present in {args.input}; "
             f"available: {', '.join(sorted(scenario.submanifolds)) or 'none'}")
-    presentation = scenario.presentation()
-    probes = seeded_probe_points(presentation, seed=seed)
-    alpha1, alpha2 = scenario.forms()
-    pair = validate_contact_pair(presentation, alpha1, alpha2,
-                                 *scenario.pair_type, probes=probes)
-    structure = validate_structure(pair, scenario.phi_endo(), probes=probes,
-                                   metric=scenario.metric_field())
-    mcp = validate_metric(structure, scenario.metric_field(), probes=probes)
-    sub = scenario.subframe(args.name)
-    profile = classify(sub, mcp)
-    shape = shape_data(sub, mcp.connection)
-
-    def reconcile(rid, ok, witness):
-        expected = scenario.expectations.get(
-            f"submanifold.{args.name}.{rid}", "pass")
-        if expected == "fail":
-            if ok:
-                return rid, "fail", "expected a failure but the check passed"
-            return rid, "pass", ("expected failure confirmed"
-                                 + (f": {witness}" if witness else ""))
-        return rid, _flag(ok), witness
-
-    rows = [
-        ("dimension", "pass", str(profile.dimension)),
-        reconcile("invariant-phi", profile.phi_invariant, ""),
-        reconcile("invariant-J", profile.j_invariant, ""),
-        reconcile("invariant-T", profile.t_invariant, ""),
-        reconcile("invariant-rho", profile.rho_invariant, ""),
-        ("reeb-position", "pass", profile.reeb_position),
-        reconcile("minimal", shape.minimal,
-                  "" if shape.minimal else f"H = {shape.mean_curvature}"),
-    ]
-    findings = restrict_structure(sub, mcp, profile)
-    if args.theorems:
-        findings = findings + verify_theorems(sub, mcp, profile)
-    for finding in findings:
-        rows.append(reconcile(slugify(finding.condition), finding.ok,
-                              finding.witness))
-
-    report = {
-        "scenario": scenario.name, "submanifold": args.name, "seed": seed,
-        "checks": [{"id": rid, "verdict": verdict, "witness": witness,
-                    "ms": 0.0} for rid, verdict, witness in rows],
-    }
-    failed = any(verdict == "fail" for _, verdict, _ in rows)
-    report["overall"] = "fail" if failed else "pass"
-    if args.format == "json":
-        json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        out.write(f"scenario: {scenario.name}, "
-                  f"submanifold: {args.name} (seed {seed})\n")
-        for rid, verdict, witness in rows:
-            line = f"  [{verdict:>7s}] {rid}"
-            if witness:
-                line += f"  -- {witness}"
-            out.write(line + "\n")
-        out.write(f"overall: {report['overall']}\n")
-    return 0 if report["overall"] == "pass" else 1
-
-
-def _flag(ok: bool) -> str:
-    return "pass" if ok else "fail"
+    narrowed = dataclasses.replace(
+        scenario, submanifolds={args.name: scenario.submanifolds[args.name]})
+    report = run_checks(narrowed, ["submanifolds"], seed)
+    prefix = f"submanifold.{args.name}."
+    report.rows = [dataclasses.replace(row, id=row.id.removeprefix(prefix))
+                   for row in report.rows]
+    return _emit(report, args.format, out, submanifold=args.name)
 
 
 def main(argv: Optional[Sequence[str]] = None,

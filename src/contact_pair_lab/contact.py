@@ -470,18 +470,15 @@ def normality(mcp: MetricContactPair) -> NormalityReport:
     findings.append(Finding("normality tensor vanishes", n1_zero,
                             witnesses[0] if witnesses else ""))
 
-    nj_zero, nt_zero = True, True
     for label, endo in (("J", mcp.structure.j), ("T", mcp.structure.t)):
+        witness = ""
         for (a, b), value in nijenhuis(endo).items():
             if not value.is_zero():
-                if label == "J":
-                    nj_zero = False
-                else:
-                    nt_zero = False
-                witnesses.append(f"N_{label}(e_{a}, e_{b}) = {value}")
+                witness = f"N_{label}(e_{a}, e_{b}) = {value}"
+                witnesses.append(witness)
                 break
-    findings.append(Finding("J integrable", nj_zero))
-    findings.append(Finding("T integrable", nt_zero))
+        findings.append(Finding(f"{label} integrable", not witness, witness))
+    nj_zero, nt_zero = findings[1].ok, findings[2].ok
 
     normal_mcp = n1_zero and mcp.associated.ok
     if not mcp.associated.ok:

@@ -74,6 +74,8 @@ class Subframe:
             self.gram_inverse = linalg.invert(self.gram)
         except linalg.LinearAlgebraError as exc:
             raise SubframeError(f"{name}: singular induced metric ({exc})")
+        # (connection, ShapeData) of the last shape_data call
+        self._shape: Optional[Tuple[object, "ShapeData"]] = None
 
     # -- frame-context protocol -------------------------------------------
 
@@ -267,6 +269,13 @@ def second_fundamental_form(sub: Subframe, connection, x: VectorField,
 
 
 def shape_data(sub: Subframe, connection) -> ShapeData:
+    """Second fundamental form on the span fields and the mean curvature.
+
+    The result is cached on ``sub`` for the last connection it was
+    computed with.
+    """
+    if sub._shape is not None and sub._shape[0] is connection:
+        return sub._shape[1]
     table: Dict[Tuple[int, int], VectorField] = {}
     for a in range(sub.dim):
         for b in range(a, sub.dim):
@@ -279,7 +288,9 @@ def shape_data(sub: Subframe, connection) -> ShapeData:
             term = entry.scale(sub.gram_inverse[a][b])
             h = term if h is None else h + term
     h = h.scale(ScalarExpr.constant(Fraction(1, sub.dim), sub.vars))
-    return ShapeData(table, h, h.is_zero())
+    data = ShapeData(table, h, h.is_zero())
+    sub._shape = (connection, data)
+    return data
 
 
 def mean_curvature(sub: Subframe, connection) -> VectorField:

@@ -4,11 +4,13 @@ import json
 
 import pytest
 
-from contact_pair_lab import (CHECK_IDS, CORPUS_NAMES, ScenarioError,
-                              corpus_build, load_scenario, run_checks,
-                              save_scenario, scenario_from_dict,
-                              scenario_to_dict)
+from contact_pair_lab import (CHECK_IDS, CORPUS_NAMES, Finding,
+                              ScenarioError, checks, corpus_build,
+                              load_scenario, run_checks, save_scenario,
+                              scenario_from_dict, scenario_to_dict)
+from contact_pair_lab.checks import CHECKS, STAGES
 from contact_pair_lab.cli import main as cli_main
+from conftest import scaled_metric, twisted_phi_structure
 
 
 # -- scenario construction ----------------------------------------------
@@ -263,3 +265,125 @@ def test_cli_determinism(tmp_path):
         assert code == 0
         runs.append(_strip_ms(json.loads(out)))
     assert runs[0] == runs[1]
+
+
+# -- check registry ---------------------------------------------------------
+
+def _registry_controls():
+    for name in CORPUS_NAMES:
+        yield name, corpus_build(name)
+    twisted = corpus_build("heis6")
+    twisted._cache["phi"] = twisted_phi_structure(twisted)
+    yield "heis6 twisted phi", twisted
+    scaled = corpus_build("heis6-n4")
+    scaled._cache["metric"] = scaled_metric(scaled)
+    yield "heis6-n4 scaled metric", scaled
+    broken = corpus_build("heis6")
+    broken.alpha2 = list(broken.alpha1)
+    yield "heis6 broken pair", broken
+
+
+# the stages each selection runs first; every later stage needs the metric
+_NEEDS = {"pair": (), "structure": ("pair",),
+          "metric": ("pair", "structure")}
+_NEEDS_METRIC = ("pair", "structure", "metric")
+
+
+def test_report_ids_are_the_registry_ids():
+    fixed = [check.id for check in CHECKS if check.stage == "submanifolds"]
+    for label, scenario in _registry_controls():
+        for selection in STAGES + ("all",):
+            stages = (set(STAGES) if selection == "all" else
+                      {selection, *_NEEDS.get(selection, _NEEDS_METRIC)})
+            rows = run_checks(scenario, [selection]).rows
+            ids = [row.id for row in rows]
+            assert len(ids) == len(set(ids)), (label, selection)
+            assert [i for i in ids if not i.startswith("submanifold.")] \
+                == [i for i in CHECK_IDS
+                    if i.split(".")[0] in stages], (label, selection)
+            if "submanifolds" not in stages:
+                assert not any(i.startswith("submanifold.") for i in ids)
+                continue
+            for name in scenario.submanifolds:
+                mine = [i for i in ids if i.startswith(f"submanifold.{name}.")]
+                if rows[0].verdict != "fail":
+                    assert mine[:len(fixed)] == \
+                        [i.format(name) for i in fixed], (label, name)
+                else:
+                    assert mine == [f"submanifold.{name}.analysis"]
+
+
+def test_rows_keep_their_own_witnesses():
+    scaled = corpus_build("heis6-n4")
+    scaled._cache["metric"] = scaled_metric(scaled)
+    rows = {row.id: row for row in run_checks(scaled, ["normality"]).rows}
+    associated = rows["metric.associated"]
+    assert associated.verdict == "fail" and associated.witness
+    for check_id in ("normality.N1", "normality.NJ", "normality.NT"):
+        assert (rows[check_id].verdict, rows[check_id].witness) == \
+            ("pass", ""), check_id
+    assert rows["normality.normal_mcp"].verdict == "fail"
+    assert rows["normality.normal_mcp"].witness == associated.witness
+
+    twisted = corpus_build("heis6")
+    twisted._cache["phi"] = twisted_phi_structure(twisted)
+    rows = {row.id: row for row in run_checks(twisted, ["normality"]).rows}
+    for check_id, head in (("normality.N1", "N1("), ("normality.NJ", "N_J("),
+                           ("normality.NT", "N_T(")):
+        assert rows[check_id].verdict == "fail"
+        assert rows[check_id].witness.startswith(head), check_id
+
+
+def test_duplicate_row_ids_raise(monkeypatch):
+    monkeypatch.setattr(
+        checks, "verify_theorems",
+        lambda sub, mcp, profile: [Finding("same condition", True),
+                                   Finding("same condition", False)])
+    with pytest.raises(ValueError,
+                       match="submanifold.factor.same-condition"):
+        run_checks(corpus_build("heis6"), ["submanifolds"])
+
+
+def test_cli_submanifold_rows_are_run_checks_rows(tmp_path):
+    scenario = corpus_build("heis6")
+    path = tmp_path / "heis6.json"
+    save_scenario(scenario, str(path))
+    prefix = "submanifold.factor."
+    expected = [(row.id.removeprefix(prefix), row.verdict, row.witness)
+                for row in run_checks(scenario, ["submanifolds"]).rows
+                if not row.id.startswith("submanifold.")
+                or row.id.startswith(prefix)]
+    for flags in ([], ["--theorems"]):
+        code, out, _ = _run_cli(["submanifold", "--input", str(path),
+                                 "--name", "factor", "--format", "json"]
+                                + flags)
+        assert code == 0
+        rows = [(row["id"], row["verdict"], row["witness"])
+                for row in json.loads(out)["checks"]]
+        assert rows == expected
+
+
+def test_cli_submanifold_exit_codes(tmp_path):
+    scenario = corpus_build("heis6")
+    scenario.alpha2 = list(scenario.alpha1)
+    path = tmp_path / "broken.json"
+    save_scenario(scenario, str(path))
+    code, out, err = _run_cli(["verify", "--input", str(path)])
+    assert code == 1 and not err
+    code, out, err = _run_cli(["submanifold", "--input", str(path),
+                               "--name", "factor", "--format", "json"])
+    assert code == 1 and not err
+    verdicts = {row["id"]: row["verdict"]
+                for row in json.loads(out)["checks"]}
+    assert verdicts["pair.valid"] == "fail"
+    assert verdicts["analysis"] == "skipped"
+
+    code, _, err = _run_cli(["submanifold", "--input",
+                             str(tmp_path / "absent.json"),
+                             "--name", "factor"])
+    assert code == 2 and err
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text('{"coordinates": ["x"]}')
+    code, _, err = _run_cli(["submanifold", "--input", str(invalid),
+                             "--name", "factor"])
+    assert code == 2 and err

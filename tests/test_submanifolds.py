@@ -210,3 +210,29 @@ def test_subframe_pole_is_irregular_and_other_errors_propagate():
     assert not sub.is_regular_at({**point, "x": 1})
     with pytest.raises(ValueError):
         sub.is_regular_at({**point, "x": "not a number"})
+
+
+def test_shape_data_is_computed_once_per_subframe(monkeypatch):
+    import contact_pair_lab.submanifolds as submanifolds
+    from contact_pair_lab import levi_civita, run_checks
+    from conftest import scaled_metric
+
+    built = []
+    original = submanifolds.ShapeData
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(submanifolds, "ShapeData", counting)
+    scenario = corpus_build("heis6")
+    run_checks(scenario, ["submanifolds"])
+    assert len(built) == len(scenario.submanifolds) == 3
+
+    # the cache answers only for the connection it was computed with
+    sub = scenario.subframe("factor")
+    connection = build_mcp(scenario).connection
+    first = shape_data(sub, connection)
+    assert shape_data(sub, connection) is first and len(built) == 4
+    other = shape_data(sub, levi_civita(scaled_metric(scenario)))
+    assert other is not first and len(built) == 5
