@@ -422,12 +422,6 @@ def validate_metric(structure: ContactPairStructure, metric: MetricField,
                     f"{blocks[i][0]} and {blocks[j][0]} are not orthogonal")
     orthogonal = Verdict(not ortho_witnesses, ortho_witnesses)
 
-    ortho_f = _span_orthogonal(metric, split["TF1"], split["TF2"])
-    findings.append(Finding(
-        "decomposability matches orthogonality of the characteristic foliations",
-        structure.decomposable.ok == ortho_f,
-        f"decomposable={structure.decomposable.ok}, orthogonal={ortho_f}"))
-
     return MetricContactPair(structure, metric, compatible, associated,
                              orthogonal, [dict(p) for p in probes], findings)
 

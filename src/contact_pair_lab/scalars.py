@@ -9,6 +9,26 @@ identity used by the symbolic certifiers; "equals zero" literally means
 Canonical form: numerator and denominator are gcd-reduced, the denominator
 is monic with respect to the graded-lexicographic order on the declared
 coordinate tuple, and zero is (0)/(1).
+
+Arithmetic relies on that invariant: every operand a/b, c/d already has
+gcd(a, b) = gcd(c, d) = 1 and a monic denominator, so most results are
+built reduced without asking for the gcd of the whole numerator and
+denominator (Henrici's cancellation, Knuth TAOCP vol. 2, 4.5.1):
+
+- a/b + c/1 = (a + c*b)/b, and symmetrically, because
+  gcd(a + c*b, b) = gcd(a, b) = 1.  A sum of two distinct nontrivial
+  denominators, or of equal ones, goes through the general reduction.
+- (a/b) * (c/d) = (a/g1)(c/g2) / ((b/g2)(d/g1)) with g1 = gcd(a, d) and
+  g2 = gcd(c, b): a/g1 is coprime to b (it divides a) and to d/g1, and
+  likewise for c/g2, so the product is reduced.  A gcd whose arguments
+  include a constant is 1 and is not computed.  Division multiplies by
+  d/c and rescales the denominator to be monic.
+
+``_terms_gcd`` settles most of the gcds that remain without sympy: once
+the monomial content is removed, two cofactors in disjoint variables are
+coprime, and when trial division of one by the other leaves no remainder
+the divisor is the gcd.  Only the rest reach ``sympy.Poly.gcd``, imported
+lazily.
 """
 
 from __future__ import annotations
@@ -110,7 +130,7 @@ def _terms_shift(a: Terms, shift: Exponents) -> Terms:
 
 
 def _exact_div(a: Terms, b: Terms) -> Terms:
-    """Exact multivariate division; caller guarantees b | a."""
+    """The quotient a / b; raises ScalarError unless b divides a."""
     lead_b, lc_b = _leading(b)
     quotient: Terms = {}
     rem = dict(a)
@@ -132,6 +152,15 @@ def _sympy_gens(nvars: int):
     return sympy.symbols(f"_v0:{nvars}")
 
 
+def _support(a: Terms) -> set:
+    """The indices of the variables that occur in a."""
+    return {i for exp in a for i, e in enumerate(exp) if e}
+
+
+def _degree(a: Terms) -> int:
+    return max(sum(exp) for exp in a)
+
+
 def _terms_gcd(a: Terms, b: Terms, nvars: int) -> Terms:
     """Monic gcd of two nonzero polynomials in ``nvars`` variables."""
     shift_a = _monomial_content(a)
@@ -142,9 +171,14 @@ def _terms_gcd(a: Terms, b: Terms, nvars: int) -> Terms:
     mono = {shift: Fraction(1)}
     if _is_constant(a) or _is_constant(b):
         return mono
-    if a == b:
-        g = a
-    else:
+    if not _support(a) & _support(b):
+        # a divisor of a involves only a's variables
+        return mono
+    big, small = (a, b) if _degree(a) >= _degree(b) else (b, a)
+    try:
+        _exact_div(big, small)
+        g = small
+    except ScalarError:
         import sympy
 
         gens = _sympy_gens(nvars)
@@ -232,29 +266,61 @@ class ScalarExpr:
         if self.vars != other.vars:
             raise ScalarError("mixed coordinate systems")
 
+    def _sum(self, c: Terms, d: Terms) -> "ScalarExpr":
+        """self + c/d, where c/d is canonical."""
+        a, b = self.num, self.den
+        if _is_constant(d):
+            num, den = _terms_add(a, _terms_mul(c, b)), b
+        elif _is_constant(b):
+            num, den = _terms_add(_terms_mul(a, d), c), d
+        elif b == d:
+            return ScalarExpr(self.vars, _terms_add(a, c), b)
+        else:
+            return ScalarExpr(self.vars,
+                              _terms_add(_terms_mul(a, d), _terms_mul(c, b)),
+                              _terms_mul(b, d))
+        if not num:
+            return ScalarExpr.constant(0, self.vars)
+        return ScalarExpr(self.vars, num, den, _canonical=True)
+
+    def _product(self, c: Terms, d: Terms) -> "ScalarExpr":
+        """self * c/d, where c and d are coprime and d is nonzero."""
+        a, b = self.num, self.den
+        if not a or not c:
+            return ScalarExpr.constant(0, self.vars)
+        nvars = len(self.vars)
+        if not (_is_constant(a) or _is_constant(d)):
+            g1 = _terms_gcd(a, d, nvars)
+            if not _is_constant(g1):
+                a, d = _exact_div(a, g1), _exact_div(d, g1)
+        if not (_is_constant(c) or _is_constant(b)):
+            g2 = _terms_gcd(c, b, nvars)
+            if not _is_constant(g2):
+                c, b = _exact_div(c, g2), _exact_div(b, g2)
+        num, den = _terms_mul(a, c), _terms_mul(b, d)
+        _, lc = _leading(den)
+        if lc != 1:
+            num = _terms_scale(num, 1 / lc)
+            den = _terms_scale(den, 1 / lc)
+        return ScalarExpr(self.vars, num, den, _canonical=True)
+
     def __add__(self, other: "ScalarExpr") -> "ScalarExpr":
         self._check(other)
-        num = _terms_add(_terms_mul(self.num, other.den),
-                         _terms_mul(other.num, self.den))
-        return ScalarExpr(self.vars, num, _terms_mul(self.den, other.den))
+        return self._sum(other.num, other.den)
 
     def __sub__(self, other: "ScalarExpr") -> "ScalarExpr":
         self._check(other)
-        num = _terms_add(_terms_mul(self.num, other.den),
-                         _terms_neg(_terms_mul(other.num, self.den)))
-        return ScalarExpr(self.vars, num, _terms_mul(self.den, other.den))
+        return self._sum(_terms_neg(other.num), other.den)
 
     def __mul__(self, other: "ScalarExpr") -> "ScalarExpr":
         self._check(other)
-        return ScalarExpr(self.vars, _terms_mul(self.num, other.num),
-                          _terms_mul(self.den, other.den))
+        return self._product(other.num, other.den)
 
     def __truediv__(self, other: "ScalarExpr") -> "ScalarExpr":
         self._check(other)
         if other.is_zero():
             raise DivisionByZero("division by the zero expression")
-        return ScalarExpr(self.vars, _terms_mul(self.num, other.den),
-                          _terms_mul(self.den, other.num))
+        return self._product(other.den, other.num)
 
     def __neg__(self) -> "ScalarExpr":
         return ScalarExpr(self.vars, _terms_neg(self.num), dict(self.den),

@@ -1,11 +1,17 @@
+import operator
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from contact_pair_lab import scalars
 from contact_pair_lab.scalars import (DivisionByZero, ParseError, PoleError,
-                                      ScalarExpr, parse_expr)
+                                      ScalarError, ScalarExpr, parse_expr)
 
 VARS = ("x", "y")
 
@@ -32,6 +38,14 @@ def _combine(children):
 
 exprs = st.recursive(_atoms, _combine, max_leaves=8)
 points = st.fixed_dictionaries({name: _fractions for name in VARS})
+
+# Factors drawn into the numerator and the denominator of both operands,
+# so that the operands of a product or a sum share nontrivial factors.
+_SHARED = ("1", "x + 1", "1 + y^2", "(x + 1)*(1 + y^2)")
+_factors = st.sampled_from(_SHARED).map(lambda text: parse_expr(text, VARS))
+rationals = st.builds(lambda n, d, f, g: (n * f) / (d * g),
+                      exprs, exprs.filter(lambda d: not d.is_zero()),
+                      _factors, _factors)
 
 
 # -- canonical form ----------------------------------------------------
@@ -79,6 +93,34 @@ def test_multiplicative_inverse(a):
     assume(not a.is_zero())
     one = ScalarExpr.constant(1, VARS)
     assert (a * (one / a)) == one
+
+
+def _raw(a, b, op):
+    """The cross-multiplied numerator and denominator of ``a op b``."""
+    mul, add, neg = scalars._terms_mul, scalars._terms_add, scalars._terms_neg
+    if op == "+":
+        return add(mul(a.num, b.den), mul(b.num, a.den)), mul(a.den, b.den)
+    if op == "-":
+        return (add(mul(a.num, b.den), neg(mul(b.num, a.den))),
+                mul(a.den, b.den))
+    if op == "*":
+        return mul(a.num, b.num), mul(a.den, b.den)
+    return mul(a.num, b.den), mul(a.den, b.num)
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv}
+
+
+@settings(max_examples=60, deadline=None)
+@given(rationals, rationals, st.sampled_from(sorted(_OPERATORS)))
+def test_arithmetic_matches_general_reduction(a, b, op):
+    assume(op != "/" or not b.is_zero())
+    result = _OPERATORS[op](a, b)
+    reference = ScalarExpr(VARS, *_raw(a, b, op))
+    assert result == reference
+    assert hash(result) == hash(reference)
+    assert str(result) == str(reference)
 
 
 def test_division_by_zero_raises():
@@ -165,3 +207,68 @@ def test_power_matches_repeated_product():
     expr = sx("x + y")
     assert expr ** 3 == expr * expr * expr
     assert expr ** 0 == ScalarExpr.constant(1, VARS)
+
+
+# -- gcd certificates --------------------------------------------------
+
+def _sympy_gcd(a, b):
+    gens = sympy.symbols("g0:2")
+    pa = sympy.Poly.from_dict({e: sympy.Rational(c) for e, c in a.items()},
+                              *gens, domain=sympy.QQ)
+    pb = sympy.Poly.from_dict({e: sympy.Rational(c) for e, c in b.items()},
+                              *gens, domain=sympy.QQ)
+    g = pa.gcd(pb).monic()
+    return {e: Fraction(c.numerator, c.denominator)
+            for e, c in g.as_dict().items()}
+
+
+_CERTIFIED = (("1 + x^2", "1 + y^2"),
+              ("1 + x^2", "(1 + x^2)*(1 + y^2)"),
+              ("x^2*(1 + x^2)", "x*(1 + x^2)"))
+
+
+@pytest.mark.parametrize("pair", _CERTIFIED)
+def test_gcd_certificates_skip_sympy(pair, monkeypatch):
+    a, b = (sx(text).num for text in pair)
+    expected = _sympy_gcd(a, b)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy gcd called")
+
+    monkeypatch.setattr(sympy.Poly, "gcd", refuse)
+    assert scalars._terms_gcd(a, b, len(VARS)) == expected
+    assert scalars._terms_gcd(b, a, len(VARS)) == expected
+
+
+def test_gcd_falls_through_to_sympy_on_a_non_divisor(monkeypatch):
+    a, b = sx("x^2 + 1").num, sx("x + 1").num
+    with pytest.raises(ScalarError):
+        scalars._exact_div(a, b)
+    expected = _sympy_gcd(a, b)
+    calls = []
+    original = sympy.Poly.gcd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sympy.Poly, "gcd", counted)
+    assert scalars._terms_gcd(a, b, len(VARS)) == expected == {(0, 0): 1}
+    assert len(calls) == 1
+
+
+def test_corpus_runs_without_sympy():
+    code = ("import sys\n"
+            "from contact_pair_lab import CORPUS_NAMES, corpus_build, "
+            "run_checks\n"
+            "for name in CORPUS_NAMES:\n"
+            "    run_checks(corpus_build(name))\n"
+            "assert 'sympy' not in sys.modules, 'sympy imported'\n")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
