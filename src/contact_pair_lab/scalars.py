@@ -22,7 +22,7 @@ denominator (Henrici's cancellation, Knuth TAOCP vol. 2, 4.5.1):
   g2 = gcd(c, b): a/g1 is coprime to b (it divides a) and to d/g1, and
   likewise for c/g2, so the product is reduced.  A gcd whose arguments
   include a constant is 1 and is not computed.  Division multiplies by
-  d/c and rescales the denominator to be monic.
+  d/c; either way the denominator is then rescaled to be monic.
 
 ``_terms_gcd`` settles most of the gcds that remain without sympy: once
 the monomial content is removed, two cofactors in disjoint variables are
@@ -195,6 +195,25 @@ def _terms_gcd(a: Terms, b: Terms, nvars: int) -> Terms:
     return _terms_scale(g, 1 / lc)
 
 
+def _cancel(a: Terms, b: Terms, nvars: int) -> Tuple[Terms, Terms]:
+    """a and b divided by their gcd."""
+    if _is_constant(a) or _is_constant(b):
+        # _terms_gcd would return 1 too, after shifting both operands
+        return a, b
+    g = _terms_gcd(a, b, nvars)
+    if _is_constant(g):
+        return a, b
+    return _exact_div(a, g), _exact_div(b, g)
+
+
+def _monic(num: Terms, den: Terms) -> Tuple[Terms, Terms]:
+    """num/den rescaled so that den is monic."""
+    _, lc = _leading(den)
+    if lc == 1:
+        return num, den
+    return _terms_scale(num, 1 / lc), _terms_scale(den, 1 / lc)
+
+
 class ScalarExpr:
     """Canonical rational function in a fixed tuple of coordinate names."""
 
@@ -216,15 +235,7 @@ class ScalarExpr:
             raise DivisionByZero("denominator is identically zero")
         if not num:
             return {}, {(0,) * nvars: Fraction(1)}
-        g = _terms_gcd(num, den, nvars)
-        if not _is_constant(g):
-            num = _exact_div(num, g)
-            den = _exact_div(den, g)
-        _, lc = _leading(den)
-        if lc != 1:
-            num = _terms_scale(num, 1 / lc)
-            den = _terms_scale(den, 1 / lc)
-        return num, den
+        return _monic(*_cancel(num, den, nvars))
 
     # -- constructors ----------------------------------------------------
 
@@ -289,19 +300,9 @@ class ScalarExpr:
         if not a or not c:
             return ScalarExpr.constant(0, self.vars)
         nvars = len(self.vars)
-        if not (_is_constant(a) or _is_constant(d)):
-            g1 = _terms_gcd(a, d, nvars)
-            if not _is_constant(g1):
-                a, d = _exact_div(a, g1), _exact_div(d, g1)
-        if not (_is_constant(c) or _is_constant(b)):
-            g2 = _terms_gcd(c, b, nvars)
-            if not _is_constant(g2):
-                c, b = _exact_div(c, g2), _exact_div(b, g2)
-        num, den = _terms_mul(a, c), _terms_mul(b, d)
-        _, lc = _leading(den)
-        if lc != 1:
-            num = _terms_scale(num, 1 / lc)
-            den = _terms_scale(den, 1 / lc)
+        a, d = _cancel(a, d, nvars)
+        c, b = _cancel(c, b, nvars)
+        num, den = _monic(_terms_mul(a, c), _terms_mul(b, d))
         return ScalarExpr(self.vars, num, den, _canonical=True)
 
     def __add__(self, other: "ScalarExpr") -> "ScalarExpr":
