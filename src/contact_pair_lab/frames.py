@@ -356,9 +356,6 @@ class PForm:
             return key, self.coeffs[key]
         return None
 
-    def vanishes_at(self, point: Point) -> bool:
-        return all(v.evaluate(point) == 0 for v in self.coeffs.values())
-
     def __repr__(self):
         inner = ", ".join(f"{k}: {v}" for k, v in sorted(self.coeffs.items()))
         return f"PForm(deg={self.degree}, {{{inner}}})"
@@ -472,11 +469,6 @@ def exterior_derivative(form: PForm) -> PForm:
                 acc = acc - inner if (i + j) % 2 == 1 else acc + inner
         coeffs[key] = acc
     return PForm(context, form.degree + 1, coeffs)
-
-
-def d_scalar(context, f: ScalarExpr) -> PForm:
-    return PForm(context, 1,
-                 {(a,): context.direction(a, f) for a in range(context.dim)})
 
 
 def seeded_probe_points(presentation, seed: int = 1, count: int = 8,

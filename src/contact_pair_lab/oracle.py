@@ -7,6 +7,10 @@ differences, and the Reeb fields are solved pointwise by least squares.
 None of the exact symbolic machinery is reused, so agreement between the
 two pipelines is meaningful evidence.
 
+The one exception is `pair.reeb`, whose exact side is the pair of fields
+`contact.solve_reeb` returns for the scenario's forms and their exterior
+derivatives; it is compared against the float solve, not reused by it.
+
 Evaluation: each grid of parsed entries (frame, Gram matrix, phi, the
 forms, a span, the exact Reeb components) is compiled once into a
 `_FloatGrid` and evaluated at a stack of points of shape (k, n) in one
@@ -14,6 +18,14 @@ call.  A first derivative (`_gradient`) evaluates one point's 2n
 neighbours x +- h e_c as one stack and loops over the points, and the
 Riemann tensor is built one probe point at a time: no call stacks more
 than one point's stencil, which keeps peak memory that of one stencil.
+Each scenario has one float view (`_View`) per probe count and seed, kept
+in its `_cache` next to the exact objects: the compiled grids, the probe
+stack and, computed on first use, the values at the probe points (alpha_i,
+d alpha_i, both Reeb fields, g, the Christoffel symbols and phi).  Every
+identity reads these values, so a sweep over all identities compiles the
+grids, samples the probes and solves the Reeb system at them once.  Z_1
+and Z_2 are solved from one evaluation of the forms and their
+differentials.
 
 Step sizes: first derivatives use 1e-6; derivatives of Christoffel
 symbols (which are themselves finite differences) use an outer step of
@@ -25,6 +37,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -83,10 +96,11 @@ def _polynomials(xs: Points, exps: np.ndarray, coeffs: np.ndarray
 
 
 class _Numeric:
-    """Coordinate-level numeric view of a scenario."""
+    """Coordinate-level numeric view of a scenario: its compiled grids.
+
+    It keeps no reference to the scenario."""
 
     def __init__(self, scenario):
-        self.scenario = scenario
         self.coords: List[str] = list(scenario.coordinates)
         self.n = len(self.coords)
         self.alpha = (self.grid(scenario.alpha1), self.grid(scenario.alpha2))
@@ -123,18 +137,9 @@ class _Numeric:
         partials = _gradient(self.alpha[i], xs)
         return 0.5 * (partials - partials.transpose(0, 2, 1))
 
-    def reeb_at(self, i: int, xs: Points) -> np.ndarray:
-        j = 1 - i
-        alphas = (self.alpha_at(i, xs), self.alpha_at(j, xs))
-        d_alphas = (self.d_alpha_at(i, xs), self.d_alpha_at(j, xs))
-        target = np.zeros(2 + 2 * self.n)
-        target[0] = 1.0
-        return np.array([
-            np.linalg.lstsq(np.vstack([alphas[0][p][None, :],
-                                       alphas[1][p][None, :],
-                                       d_alphas[0][p].T, d_alphas[1][p].T]),
-                            target, rcond=None)[0]
-            for p in range(len(xs))])
+    def reeb_at(self, xs: Points) -> Tuple[np.ndarray, np.ndarray]:
+        return _reeb_fields((self.alpha_at(0, xs), self.alpha_at(1, xs)),
+                            (self.d_alpha_at(0, xs), self.d_alpha_at(1, xs)))
 
     def christoffel(self, xs: Points) -> np.ndarray:
         """Gamma[p, k, i, j] of the Levi-Civita connection in coordinates."""
@@ -153,18 +158,6 @@ class _Numeric:
         prod = np.einsum("plam,pmbk->plkab", gamma, gamma)
         return (derivative - derivative.swapaxes(3, 4)
                 + prod - prod.swapaxes(3, 4))
-
-    def foliation_split(self, xs: Points
-                        ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Bases of the two integrable factors at each point: factor i is
-        the joint kernel of the other contact form and its differential."""
-        kernels = []
-        for j in (1, 0):
-            rows = np.concatenate([self.alpha_at(j, xs)[:, None, :],
-                                   self.d_alpha_at(j, xs).transpose(0, 2, 1)],
-                                  axis=1)
-            kernels.append([_nullspace(matrix) for matrix in rows])
-        return list(zip(*kernels))
 
     # -- probe sampling -------------------------------------------------
 
@@ -192,6 +185,86 @@ class _Numeric:
         except (PoleError, np.linalg.LinAlgError):
             return False
         return all(np.isfinite(value).all() for value in values)
+
+
+class _View:
+    """One scenario's float view at one probe stack.
+
+    It holds the compiled grids (`num`), the probe points (`xs`) and the
+    values there, each computed on first use and read by every identity.
+    Like `_Numeric` it keeps no reference to the scenario, so no reference
+    cycle runs through the scenario's cache."""
+
+    def __init__(self, num: _Numeric, xs: Points):
+        self.num = num
+        self.xs = xs
+
+    @cached_property
+    def alpha(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self.num.alpha_at(0, self.xs), self.num.alpha_at(1, self.xs)
+
+    @cached_property
+    def d_alpha(self) -> Tuple[np.ndarray, np.ndarray]:
+        return (self.num.d_alpha_at(0, self.xs),
+                self.num.d_alpha_at(1, self.xs))
+
+    @cached_property
+    def reeb(self) -> Tuple[np.ndarray, np.ndarray]:
+        return _reeb_fields(self.alpha, self.d_alpha)
+
+    @cached_property
+    def metric(self) -> np.ndarray:
+        return self.num.metric_at(self.xs)
+
+    @cached_property
+    def christoffel(self) -> np.ndarray:
+        return self.num.christoffel(self.xs)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return self.num.phi_at(self.xs)
+
+    def foliation_split(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Bases of the two integrable factors at each point: factor i is
+        the joint kernel of the other contact form and its differential."""
+        kernels = []
+        for j in (1, 0):
+            rows = np.concatenate([self.alpha[j][:, None, :],
+                                   self.d_alpha[j].transpose(0, 2, 1)],
+                                  axis=1)
+            kernels.append([_nullspace(matrix) for matrix in rows])
+        return list(zip(*kernels))
+
+
+def _view(scenario, probe_count: int, seed: int) -> _View:
+    """The scenario's float view at this probe count and seed, built on
+    first use and kept in the scenario's cache."""
+    key = ("oracle", probe_count, seed)
+    if key not in scenario._cache:
+        num = _Numeric(scenario)
+        scenario._cache[key] = _View(num, num.probe_points(probe_count, seed))
+    return scenario._cache[key]
+
+
+def _reeb_fields(alphas: Tuple[np.ndarray, np.ndarray],
+                 d_alphas: Tuple[np.ndarray, np.ndarray]
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Z_1 and Z_2 at each point by least squares from the values of the
+    forms and their differentials: alpha_i(Z_j) = delta_ij and
+    i_{Z_j} d alpha_i = 0, with the rows of Z_j's own form first."""
+    count, n = alphas[0].shape
+    target = np.zeros(2 + 2 * n)
+    target[0] = 1.0
+    fields = []
+    for i in (0, 1):
+        j = 1 - i
+        fields.append(np.array([
+            np.linalg.lstsq(np.vstack([alphas[i][p][None, :],
+                                       alphas[j][p][None, :],
+                                       d_alphas[i][p].T, d_alphas[j][p].T]),
+                            target, rcond=None)[0]
+            for p in range(count)]))
+    return fields[0], fields[1]
 
 
 def _gradient(func: Callable[[Points], np.ndarray], xs: Points,
@@ -238,16 +311,16 @@ def _nullspace(matrix: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 # -- identity residuals ------------------------------------------------
 
 
-def _residual_d_squared(num: _Numeric, xs: Points) -> float:
+def _residual_d_squared(view: _View) -> float:
     """d(d alpha) = 0 from second partial derivatives.
 
     The mixed partials are evaluated once per unordered coordinate pair
     with a shared stencil, so the antisymmetrized combination tests that
     the stencil values genuinely cancel."""
     worst = 0.0
-    n = num.n
-    for x in xs:
-        for alpha in num.alpha:
+    n = view.num.n
+    for x in view.xs:
+        for alpha in view.num.alpha:
             table = {(a, b): _second_partial(alpha, x, a, b)
                      for a in range(n) for b in range(a, n)}
 
@@ -264,85 +337,85 @@ def _residual_d_squared(num: _Numeric, xs: Points) -> float:
     return worst
 
 
-def _residual_reeb(num: _Numeric, xs: Points) -> float:
+def _residual_reeb(view: _View, scenario) -> float:
     """Compare the exact Reeb fields against pointwise least squares."""
-    from .contact import validate_contact_pair
+    from .contact import solve_reeb
+    from .frames import exterior_derivative
 
-    scenario = num.scenario
-    pres = scenario.presentation()
     alpha1, alpha2 = scenario.forms()
-    pair = validate_contact_pair(pres, alpha1, alpha2, *scenario.pair_type)
-    exact = _FloatGrid([comp for z in (pair.z1, pair.z2)
-                        for comp in z.components], (2, num.n),
-                       tuple(num.coords))(xs)
-    frames = num.frame_at(xs)
+    fields = solve_reeb(scenario.presentation(), alpha1, alpha2,
+                        exterior_derivative(alpha1),
+                        exterior_derivative(alpha2))
+    num = view.num
+    exact = _FloatGrid([comp for z in fields for comp in z.components],
+                       (2, num.n), tuple(num.coords))(view.xs)
+    frames = num.frame_at(view.xs)
     worst = 0.0
     for i in (0, 1):
         sym = np.einsum("pkj,pj->pk", frames, exact[:, i])
-        worst = max(worst, float(np.max(np.abs(sym - num.reeb_at(i, xs)))))
+        worst = max(worst, float(np.max(np.abs(sym - view.reeb[i]))))
     return worst
 
 
-def _residual_associated(num: _Numeric, xs: Points) -> float:
-    g = num.metric_at(xs)
-    phi = num.phi_at(xs)
-    d_sum = num.d_alpha_at(0, xs) + num.d_alpha_at(1, xs)
-    worst = float(np.max(np.abs(g @ phi - d_sum)))
+def _residual_associated(view: _View) -> float:
+    g = view.metric
+    d_sum = view.d_alpha[0] + view.d_alpha[1]
+    worst = float(np.max(np.abs(g @ view.phi - d_sum)))
     for i in (0, 1):
-        duality = (np.einsum("pkj,pj->pk", g, num.reeb_at(i, xs))
-                   - num.alpha_at(i, xs))
+        duality = (np.einsum("pkj,pj->pk", g, view.reeb[i])
+                   - view.alpha[i])
         worst = max(worst, float(np.max(np.abs(duality))))
     return worst
 
 
-def _residual_n1(num: _Numeric, xs: Points) -> float:
+def _residual_n1(view: _View) -> float:
     """N1(e_a, e_b) on coordinate fields, for every pair a, b at once.
 
     The value is antisymmetric in (a, b) term by term, so its maximum over
     all pairs is its maximum over a < b."""
-    phi = num.phi_at(xs)
-    dphi = _gradient(num.phi_at, xs)  # dphi[p, c, k, a]
+    phi = view.phi
+    dphi = _gradient(view.num.phi_at, view.xs)  # dphi[p, c, k, a]
     # [phi e_a, phi e_b]: t[p, a, b] - t[p, b, a]
     t = np.einsum("pca,pckb->pabk", phi, dphi)
     # - phi [phi e_a, e_b] - phi [e_a, phi e_b]: u[p, a, b] - u[p, b, a]
     u = np.einsum("pkm,pbma->pabk", phi, dphi)
     value = t - t.swapaxes(1, 2) + u - u.swapaxes(1, 2)
     for i in (0, 1):
-        value += (2 * num.d_alpha_at(i, xs)[..., None]
-                  * num.reeb_at(i, xs)[:, None, None, :])
+        value += (2 * view.d_alpha[i][..., None]
+                  * view.reeb[i][:, None, None, :])
     return float(np.max(np.abs(value)))
 
 
-def _residual_reeb_derivative(num: _Numeric, xs: Points) -> float:
+def _residual_reeb_derivative(view: _View) -> float:
     def reeb_sum(ys):
-        return num.reeb_at(0, ys) + num.reeb_at(1, ys)
+        z1, z2 = view.num.reeb_at(ys)
+        return z1 + z2
 
-    gamma = num.christoffel(xs)
-    dz = _gradient(reeb_sum, xs)  # dz[p, a, k]
-    value = (dz + np.einsum("pkaj,pj->pak", gamma, reeb_sum(xs))
-             + num.phi_at(xs).transpose(0, 2, 1))
+    dz = _gradient(reeb_sum, view.xs)  # dz[p, a, k]
+    value = (dz + np.einsum("pkaj,pj->pak", view.christoffel,
+                            view.reeb[0] + view.reeb[1])
+             + view.phi.transpose(0, 2, 1))
     return float(np.max(np.abs(value)))
 
 
-def _residual_curvature(num: _Numeric, xs: Points) -> float:
+def _residual_curvature(view: _View) -> float:
     """R(X, Y)Z against the split formula, for every pair of coordinate
     fields at once; both sides are antisymmetric in (X, Y)."""
-    n = num.n
-    z = num.reeb_at(0, xs) + num.reeb_at(1, xs)
-    alphas = (num.alpha_at(0, xs), num.alpha_at(1, xs))
+    n = view.num.n
+    z = view.reeb[0] + view.reeb[1]
     worst = 0.0
-    for p, (b1, b2) in enumerate(num.foliation_split(xs)):
+    for p, (b1, b2) in enumerate(view.foliation_split()):
         basis = np.hstack([b1, b2])
         if basis.shape[1] != n:
             return float("inf")
         coefficients = np.linalg.solve(basis, np.eye(n))
         split = (b1 @ coefficients[:b1.shape[1]],
                  b2 @ coefficients[b1.shape[1]:])
-        riemann = num.curvature_at(xs[p:p + 1])[0]
+        riemann = view.num.curvature_at(view.xs[p:p + 1])[0]
         lhs = np.einsum("lkab,k->abl", riemann, z[p])
         rhs = np.zeros((n, n, n))
         for i in (0, 1):
-            values = alphas[i][p] @ split[i]  # alpha_i of each split column
+            values = view.alpha[i][p] @ split[i]  # alpha_i of split columns
             rhs += (values[None, :, None] * split[i].T[:, None, :]
                     - values[:, None, None] * split[i].T[None, :, :])
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
@@ -351,7 +424,6 @@ def _residual_curvature(num: _Numeric, xs: Points) -> float:
 
 _RESIDUALS = {
     "d_squared": _residual_d_squared,
-    "pair.reeb": _residual_reeb,
     "metric.associated": _residual_associated,
     "normality.N1": _residual_n1,
     "connection.reeb_derivative": _residual_reeb_derivative,
@@ -361,45 +433,48 @@ _RESIDUALS = {
 
 def numeric_oracle(scenario, identity_id: str, probe_count: int = 8,
                    seed: int = 1) -> float:
-    """Maximum residual of the named identity over seeded float probes."""
+    """Maximum residual of the named identity over seeded float probes.
+
+    Calls on one scenario with the same probe count and seed share one
+    float view, kept in the scenario's cache: clear `scenario._cache`
+    after mutating the scenario, as for its exact objects."""
     if probe_count < 1:
         raise ValueError("the oracle needs at least one probe point")
     if identity_id.startswith("submanifold.") \
             and identity_id.endswith(".minimal"):
-        return _submanifold_minimal(scenario, identity_id, probe_count, seed)
+        span = scenario.submanifolds[
+            identity_id[len("submanifold."):-len(".minimal")]]
+        return _submanifold_minimal(_view(scenario, probe_count, seed), span)
+    if identity_id == "pair.reeb":
+        return _residual_reeb(_view(scenario, probe_count, seed), scenario)
     if identity_id not in _RESIDUALS:
         raise ValueError(f"unknown oracle identity {identity_id!r}; "
                          f"choose from {', '.join(ORACLE_IDS)} or "
                          "submanifold.<name>.minimal")
-    numeric = _Numeric(scenario)
-    points = numeric.probe_points(probe_count, seed)
-    return _RESIDUALS[identity_id](numeric, points)
+    return _RESIDUALS[identity_id](_view(scenario, probe_count, seed))
 
 
-def _submanifold_minimal(scenario, identity_id: str, probe_count: int,
-                         seed: int) -> float:
+def _submanifold_minimal(view: _View, span_texts) -> float:
     """Sup-norm of the numerically computed mean curvature vector.
 
     The span fields, Christoffel symbols and tangential projections are
     all recomputed in floating point, so a small value independently
     certifies minimality and a large value certifies its failure."""
-    name = identity_id[len("submanifold."):-len(".minimal")]
-    numeric = _Numeric(scenario)
-    span = numeric.grid(scenario.submanifolds[name])  # row b: field b
+    num = view.num
+    span = num.grid(span_texts)  # row b: field b
     rank = span.shape[0]
 
     def tangent_at(ys):  # column b: field b in coordinates
-        return numeric.frame_at(ys) @ span(ys).transpose(0, 2, 1)
+        return num.frame_at(ys) @ span(ys).transpose(0, 2, 1)
 
-    xs = numeric.probe_points(probe_count, seed)
     worst = 0.0
-    for gamma, g, tangent, dv in zip(numeric.christoffel(xs),
-                                     numeric.metric_at(xs), tangent_at(xs),
-                                     _gradient(tangent_at, xs)):
+    for gamma, g, tangent, dv in zip(view.christoffel, view.metric,
+                                     tangent_at(view.xs),
+                                     _gradient(tangent_at, view.xs)):
         # dv[i, k, b] = d_i of component k of span field b
         gram = tangent.T @ g @ tangent
         gram_inv = np.linalg.inv(gram)
-        mean = np.zeros(numeric.n)
+        mean = np.zeros(num.n)
         for a in range(rank):
             u = tangent[:, a]
             for b in range(rank):

@@ -581,11 +581,13 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
             "minimality is equivalent to Reeb tangency",
             shape.minimal == profile.tangent_both,
             f"minimal={shape.minimal}, tangent-both={profile.tangent_both}"))
-        residual = mean_curvature_probe_residual(sub, mcp,
-                                                 count=numeric_probes)
+        residual, examined = _mean_curvature_probe(sub, mcp, numeric_probes)
         findings.append(Finding(
             "normalized mean curvature probe residual below tolerance",
-            residual < 1e-9, f"max residual {residual:.3e}"))
+            examined > 0 and residual < 1e-9,
+            f"max residual {residual:.3e}" if examined else
+            f"no probe point examined (Z1 tangential part vanishes at all "
+            f"{numeric_probes})"))
 
     if profile.phi_invariant:
         for i, z in ((1, pair.z1), (2, pair.z2)):
@@ -627,7 +629,18 @@ def mean_curvature_probe_residual(sub: Subframe, mcp: MetricContactPair,
     The right-hand side needs an orthonormal basis adapted to the complex
     structure, which involves radicals, so this is the one identity checked
     numerically (Gram-Schmidt at seeded probe points) instead of exactly.
+    Points where the tangential part of Z1 vanishes are skipped; if that
+    leaves none, nothing was checked and `SubframeError` is raised.
     """
+    residual, examined = _mean_curvature_probe(sub, mcp, count)
+    if not examined:
+        raise SubframeError("no probe point examined")
+    return residual
+
+
+def _mean_curvature_probe(sub: Subframe, mcp: MetricContactPair,
+                          count: int) -> Tuple[float, int]:
+    """The largest probe residual and the number of points examined."""
     import numpy as np
 
     pair = mcp.pair
@@ -643,6 +656,7 @@ def mean_curvature_probe_residual(sub: Subframe, mcp: MetricContactPair,
 
     h_spans = {1: mcp.pair.splitting["H2"], 2: mcp.pair.splitting["H1"]}
     max_residual = 0.0
+    examined = 0
     for point in points:
         fp = _float_point(point)
         gm = np.array([[entry.evaluate_float(fp) for entry in row]
@@ -702,4 +716,5 @@ def mean_curvature_probe_residual(sub: Subframe, mcp: MetricContactPair,
                         for c in shape.mean_curvature.components])
         residual = float(np.max(np.abs(lhs - rhs)))
         max_residual = max(max_residual, residual)
-    return max_residual
+        examined += 1
+    return max_residual, examined

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contact_pair_lab import ORACLE_IDS, corpus_build, numeric_oracle
+from contact_pair_lab import (CORPUS_NAMES, ORACLE_IDS, ValidationError,
+                              corpus_build, numeric_oracle)
 from contact_pair_lab import oracle
 from contact_pair_lab.scalars import PoleError, parse_expr
+from conftest import twisted_phi_structure
 from test_scalars import VARS, exprs, points
 
 DERIVATIVE_TOL = 1e-6
@@ -206,3 +208,83 @@ def test_residuals_match_the_pointwise_reference(name, identity_id):
     residual = numeric_oracle(corpus_build(name), identity_id,
                               probe_count=8, seed=1)
     assert abs(residual - _REFERENCE[(name, identity_id)]) <= 1e-12
+
+
+# -- one float view per scenario -----------------------------------------
+
+def _twisted_heis6():
+    scenario = corpus_build("heis6")
+    phi = twisted_phi_structure(scenario)
+    scenario.phi = [[str(entry) for entry in row] for row in phi.matrix]
+    scenario._cache.clear()
+    return scenario
+
+
+def _scenario(name):
+    return _twisted_heis6() if name == "heis6-twisted" else corpus_build(name)
+
+
+def _all_ids(scenario):
+    return list(ORACLE_IDS) + [f"submanifold.{name}.minimal"
+                               for name in scenario.submanifolds]
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ("heis6-twisted",))
+def test_a_shared_view_gives_the_residuals_of_fresh_scenarios(name):
+    shared = _scenario(name)
+    for identity_id in _all_ids(shared):
+        assert numeric_oracle(shared, identity_id, probe_count=4, seed=3) \
+            == numeric_oracle(_scenario(name), identity_id, probe_count=4,
+                              seed=3), identity_id
+
+
+def test_the_view_is_built_once_per_probe_count_and_seed(monkeypatch):
+    built, sampled = [], []
+    init, sample = oracle._Numeric.__init__, oracle._Numeric.probe_points
+
+    def spy_init(self, scenario):
+        built.append(scenario.name)
+        init(self, scenario)
+
+    def spy_sample(self, count, seed):
+        sampled.append((count, seed))
+        return sample(self, count, seed)
+
+    monkeypatch.setattr(oracle._Numeric, "__init__", spy_init)
+    monkeypatch.setattr(oracle._Numeric, "probe_points", spy_sample)
+    scenario = corpus_build("heis6")
+    for identity_id in _all_ids(scenario):
+        numeric_oracle(scenario, identity_id, probe_count=2)
+    assert (len(built), sampled) == (1, [(2, 1)])
+    for identity_id in _all_ids(scenario):
+        numeric_oracle(scenario, identity_id, probe_count=2, seed=2)
+        numeric_oracle(scenario, identity_id, probe_count=3)
+    assert (len(built), sampled) == (3, [(2, 1), (2, 2), (3, 1)])
+
+
+def test_clearing_the_cache_after_a_mutation_gives_a_fresh_view():
+    scenario = corpus_build("heis6")
+    residual = numeric_oracle(scenario, "metric.associated", probe_count=4)
+    view = oracle._view(scenario, 4, 1)
+    assert residual < ALGEBRAIC_TOL
+    scenario.metric[0][0] = "1"
+    scenario.metric[1][1] = "1"
+    scenario._cache.clear()
+    assert oracle._view(scenario, 4, 1) is not view
+    assert numeric_oracle(scenario, "metric.associated",
+                          probe_count=4) > NONZERO_FLOOR
+
+
+def test_the_view_holds_no_reference_to_its_scenario():
+    scenario = corpus_build("heis6")
+    numeric_oracle(scenario, "normality.N1", probe_count=2)
+    view = oracle._view(scenario, 2, 1)
+    assert not any(value is scenario for holder in (view, view.num)
+                   for value in vars(holder).values())
+
+
+def test_reeb_oracle_rejects_a_reeb_system_without_unique_solution():
+    scenario = corpus_build("heis6")
+    scenario.alpha2 = list(scenario.alpha1)
+    with pytest.raises(ValidationError):
+        numeric_oracle(scenario, "pair.reeb", probe_count=2)

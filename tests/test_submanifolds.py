@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import pytest
@@ -6,7 +7,8 @@ from contact_pair_lab import (SubframeError, angle_constancy, build_subframe,
                               classify, corpus_build, mean_curvature,
                               second_fundamental_form, shape_data,
                               verify_theorems)
-from contact_pair_lab.frames import ChartDomainWarning
+from contact_pair_lab.frames import ChartDomainWarning, VectorField
+from contact_pair_lab.submanifolds import mean_curvature_probe_residual
 from conftest import build_mcp
 
 
@@ -236,3 +238,29 @@ def test_shape_data_is_computed_once_per_subframe(monkeypatch):
     assert shape_data(sub, connection) is first and len(built) == 4
     other = shape_data(sub, levi_civita(scaled_metric(scenario)))
     assert other is not first and len(built) == 5
+
+
+def test_a_probe_that_examined_no_point_fails(heis6_mcp, heis6_subframes):
+    # with Z1 = 0 its tangential part vanishes at every probe point, so the
+    # mean curvature probe skips them all and has checked nothing
+    sub = heis6_subframes["heis6-n4"]
+    profile = classify(sub, heis6_mcp)
+    pres = heis6_mcp.presentation
+    zero = VectorField(pres, tuple(pres.zero for _ in range(pres.dim)))
+    pair = dataclasses.replace(heis6_mcp.pair, z1=zero)
+    mcp = dataclasses.replace(
+        heis6_mcp,
+        structure=dataclasses.replace(heis6_mcp.structure, pair=pair))
+    probe = next(f for f in verify_theorems(sub, mcp, profile)
+                 if f.condition == "normalized mean curvature probe "
+                                   "residual below tolerance")
+    assert not probe.ok
+    assert probe.witness == ("no probe point examined "
+                             "(Z1 tangential part vanishes at all 8)")
+    with pytest.raises(SubframeError):
+        mean_curvature_probe_residual(sub, mcp)
+    # with the real Z1 the same subframe is probed at every point
+    probe = next(f for f in verify_theorems(sub, heis6_mcp, profile)
+                 if f.condition == "normalized mean curvature probe "
+                                   "residual below tolerance")
+    assert probe.ok and probe.witness.startswith("max residual ")
