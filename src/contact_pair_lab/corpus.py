@@ -39,7 +39,10 @@ class Scenario:
     metric: List[List[str]]
     submanifolds: Dict[str, List[List[str]]] = field(default_factory=dict)
     expectations: Dict[str, str] = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # not an init field, so `dataclasses.replace` gives the copy a cache of
+    # its own instead of the original's objects for the original fields
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def presentation(self) -> FramePresentation:
         if "presentation" not in self._cache:

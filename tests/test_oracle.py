@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -288,3 +289,14 @@ def test_reeb_oracle_rejects_a_reeb_system_without_unique_solution():
     scenario.alpha2 = list(scenario.alpha1)
     with pytest.raises(ValidationError):
         numeric_oracle(scenario, "pair.reeb", probe_count=2)
+
+
+def test_a_replaced_scenario_gets_a_view_of_its_own():
+    scenario = corpus_build("heis6")
+    assert numeric_oracle(scenario, "metric.associated",
+                          probe_count=4) < ALGEBRAIC_TOL
+    metric = [row[:] for row in scenario.metric]
+    metric[0][0] = metric[1][1] = "1"
+    broken = dataclasses.replace(scenario, metric=metric)
+    assert numeric_oracle(broken, "metric.associated",
+                          probe_count=4) > NONZERO_FLOOR
