@@ -1,0 +1,83 @@
+"""Golden report rows: (id, verdict, witness) of ``run_checks`` at probe
+seeds 1 and 7, on every corpus scenario and on heis6 with the three
+negative controls of ``conftest``.  The controls give failing witnesses
+for most derived identities, so a rewrite of a check that changes a
+witness shows here.
+
+The file ``data/report_rows.json`` is written by ``golden_rows()``.  The
+normalized mean curvature probe rows print a float residual; for those
+only the verdict and the ``max residual `` prefix are compared.
+"""
+
+import json
+import os
+
+import pytest
+
+from contact_pair_lab import CORPUS_NAMES, corpus_build, run_checks
+
+from conftest import perturbed_phi_structure, scaled_metric, twisted_phi_structure
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                    "report_rows.json")
+SEEDS = (1, 7)
+FLOAT_ROW = "normalized-mean-curvature-probe"
+CONTROLS = {
+    "heis6-twisted-phi": ("phi", twisted_phi_structure),
+    "heis6-perturbed-phi": ("phi", perturbed_phi_structure),
+    "heis6-scaled-metric": ("metric", scaled_metric),
+}
+LABELS = CORPUS_NAMES + tuple(CONTROLS)
+
+
+def build(label):
+    if label in CONTROLS:
+        key, make = CONTROLS[label]
+        scenario = corpus_build("heis6")
+        scenario._cache[key] = make(scenario)
+        return scenario
+    return corpus_build(label)
+
+
+def rows(label, seed):
+    return [[r.id, r.verdict, r.witness]
+            for r in run_checks(build(label), seed=seed).rows]
+
+
+def golden_rows():
+    """Every label's rows at every seed, as stored in the data file."""
+    return {label: {str(seed): rows(label, seed) for seed in SEEDS}
+            for label in LABELS}
+
+
+def _comparable(row):
+    row_id, verdict, witness = row
+    if FLOAT_ROW in row_id and witness.startswith("max residual "):
+        witness = "max residual "
+    return [row_id, verdict, witness]
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(DATA, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("label", LABELS)
+def test_report_rows_match_the_golden_file(golden, label, seed):
+    expected = [_comparable(r) for r in golden[label][str(seed)]]
+    actual = [_comparable(r) for r in rows(label, seed)]
+    assert actual == expected
+
+
+def test_the_golden_file_covers_failing_witnesses_of_rewritten_checks(golden):
+    failing = {row[0] for label in CONTROLS for seed in golden[label].values()
+               for row in seed if row[1] == "fail"}
+    for row_id in ("connection.curvature_h_tensor",
+                   "curvature.reeb_identity",
+                   "connection.covariant_phi_projection",
+                   "hermitian.closed_form"):
+        assert row_id in failing
+    assert any("shape-operator-pairing-identity" in r for r in failing)
+    assert any("complex-shape-identity" in r for r in failing)
