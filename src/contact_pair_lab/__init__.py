@@ -7,8 +7,8 @@ from .frames import (ChartDomainWarning, EndoField, FramePresentation,
                      levi_civita, lie_derivative_endo, nijenhuis, one_form,
                      seeded_probe_points, wedge)
 from .contact import (ContactPair, ContactPairStructure, Finding,
-                      MetricContactPair, NormalityReport, Projections,
-                      ValidationError, Verdict, check_connection_identities,
+                      MetricContactPair, NormalityReport, ValidationError,
+                      Verdict, check_connection_identities,
                       check_curvature_identity, hermitian_data,
                       natural_complex_structures, normality, solve_reeb,
                       validate_contact_pair, validate_metric,
@@ -31,7 +31,7 @@ __all__ = [
     "exterior_derivative", "levi_civita", "lie_derivative_endo",
     "nijenhuis", "one_form", "seeded_probe_points", "wedge",
     "ContactPair", "ContactPairStructure", "Finding", "MetricContactPair",
-    "NormalityReport", "Projections", "ValidationError", "Verdict",
+    "NormalityReport", "ValidationError", "Verdict",
     "check_connection_identities", "check_curvature_identity",
     "hermitian_data", "natural_complex_structures", "normality",
     "solve_reeb", "validate_contact_pair", "validate_metric",

@@ -3,12 +3,19 @@
 All verdicts are produced by canonical-form identity checks on frame
 components; every False verdict carries a witness naming the offending
 component and its nonzero canonical value.
+
+The tensors the checks read are built once per ``MetricContactPair`` and
+cached there: the projections P_i and F_i (``pi``, ``foliation``), nabla Z
+and R(., .)Z for the Reeb sum Z (``nabla_reeb``, ``reeb_curvature``), and
+nabla phi, nabla J.  A check reads columns of these endomorphisms, and an
+identity between endomorphisms is witnessed by its first nonzero column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -16,9 +23,9 @@ from .frames import (EndoField, FramePresentation, LeviCivita, MetricField,
                      PForm, VectorField, bracket, cartan_class,
                      eval_form, exterior_derivative, form_power, is_killing,
                      levi_civita, lie_derivative_endo, nijenhuis,
-                     nonvanishing_certificate, one_form, seeded_probe_points,
-                     wedge)
-from .scalars import ScalarExpr
+                     nonvanishing_certificate, orthogonal_projector,
+                     seeded_probe_points, wedge)
+from .scalars import ScalarError, ScalarExpr
 
 
 @dataclass
@@ -261,7 +268,12 @@ def validate_structure(pair: ContactPair, phi: EndoField,
                                 "" if not bad else f"alpha(phi e_{bad[0][0]}) = {bad[0][1]}"))
 
     for point in [presentation.base_point, *probes]:
-        rank = phi.rank_at(point)
+        try:
+            rank = phi.rank_at(point)
+        except ScalarError:
+            findings.append(Finding("rank of phi", False,
+                                    f"pole at {dict(point)}"))
+            break
         if rank != n - 2:
             findings.append(Finding("rank of phi", False,
                                     f"rank {rank} at {dict(point)}, expected {n - 2}"))
@@ -301,6 +313,11 @@ def _span_orthogonal(metric: MetricField, span_a: Sequence[VectorField],
 
 @dataclass
 class MetricContactPair:
+    """A contact pair structure with a metric, and the tensors every check
+    reads, each built once on first use: the connection, nabla phi,
+    nabla J, the projections ``pi`` and ``foliation`` and the Reeb-sum
+    tensors ``nabla_reeb`` and ``reeb_curvature``."""
+
     structure: ContactPairStructure
     metric: MetricField
     compatible: Verdict
@@ -308,11 +325,7 @@ class MetricContactPair:
     orthogonal_splitting: Verdict
     probes: List[Dict[str, Fraction]]
     findings: List[Finding]
-    _connection: Optional[LeviCivita] = None
     _normality: Optional["NormalityReport"] = None
-    _projections: Optional["Projections"] = None
-    _nabla_phi: Optional[List[List[VectorField]]] = None
-    _nabla_j: Optional[List[List[VectorField]]] = None
 
     @property
     def pair(self) -> ContactPair:
@@ -326,33 +339,68 @@ class MetricContactPair:
     def decomposable(self) -> Verdict:
         return self.structure.decomposable
 
-    @property
+    @cached_property
     def connection(self) -> LeviCivita:
-        if self._connection is None:
-            self._connection = levi_civita(self.metric)
-        return self._connection
+        return levi_civita(self.metric)
 
-    @property
-    def projections(self) -> "Projections":
-        if self._projections is None:
-            self._projections = Projections(self)
-        return self._projections
-
-    @property
+    @cached_property
     def nabla_phi(self) -> List[List[VectorField]]:
         """(nabla_{e_a} phi) e_b, indexed [a][b]."""
-        if self._nabla_phi is None:
-            self._nabla_phi = [self.connection.nabla_endo(a, self.structure.phi)
-                               for a in range(self.presentation.dim)]
-        return self._nabla_phi
+        return [self.connection.nabla_endo(a, self.structure.phi)
+                for a in range(self.presentation.dim)]
 
-    @property
+    @cached_property
     def nabla_j(self) -> List[List[VectorField]]:
         """(nabla_{e_a} J) e_b, indexed [a][b]."""
-        if self._nabla_j is None:
-            self._nabla_j = [self.connection.nabla_endo(a, self.structure.j)
-                             for a in range(self.presentation.dim)]
-        return self._nabla_j
+        return [self.connection.nabla_endo(a, self.structure.j)
+                for a in range(self.presentation.dim)]
+
+    @cached_property
+    def pi(self) -> Tuple[EndoField, EndoField]:
+        """(P_1, P_2), the orthogonal projections with the index convention
+        used throughout: P_1 maps onto H2 and P_2 onto H1."""
+        def projector(span: List[VectorField]) -> EndoField:
+            gram = [[self.metric.pair(x, y) for y in span] for x in span]
+            return orthogonal_projector(self.metric, span,
+                                        linalg.invert(gram) if span else [])
+        split = self.pair.splitting
+        return projector(split["H2"]), projector(split["H1"])
+
+    @cached_property
+    def foliation(self) -> Tuple[EndoField, EndoField]:
+        """(F_1, F_2) with F_i = P_i + alpha_i (x) Z_i: F_1 maps onto TF2
+        and F_2 onto TF1."""
+        pair = self.pair
+        return (self.pi[0] + EndoField.outer(pair.alpha1, pair.z1),
+                self.pi[1] + EndoField.outer(pair.alpha2, pair.z2))
+
+    @cached_property
+    def nabla_reeb(self) -> List[VectorField]:
+        """nabla_{e_a} Z for the Reeb sum Z = Z1 + Z2, indexed [a]."""
+        frame = self.presentation
+        z = self.pair.reeb_sum
+        return [self.connection.nabla(frame.frame_field(a), z)
+                for a in range(frame.dim)]
+
+    @cached_property
+    def reeb_curvature(self) -> List[List[VectorField]]:
+        """R(e_a, e_b) Z for the Reeb sum Z, indexed [a][b]:
+        nabla_a(nabla_b Z) - nabla_b(nabla_a Z) - sum_c C^c_ab nabla_c Z,
+        computed for a < b and filled in by antisymmetry."""
+        frame = self.presentation
+        n = frame.dim
+        conn, dz = self.connection, self.nabla_reeb
+        zero = VectorField(frame, (frame.zero,) * n)
+        table = [[zero] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                value = (conn.nabla(frame.frame_field(a), dz[b])
+                         - conn.nabla(frame.frame_field(b), dz[a]))
+                for c, cab in enumerate(frame.bracket_coeffs(a, b)):
+                    if not cab.is_zero():
+                        value = value - dz[c].scale(cab)
+                table[a][b], table[b][a] = value, -value
+        return table
 
     @property
     def verdicts(self) -> Dict[str, bool]:
@@ -485,57 +533,6 @@ def normality(mcp: MetricContactPair) -> NormalityReport:
     return report
 
 
-class Projections:
-    """Orthogonal projections of the splitting, with the index convention
-    used throughout: pi_i maps onto the horizontal block H_j with j != i,
-    and the foliation projection of index i lands in TF_j with j != i.
-
-    Holds the pair and the metric, not the MetricContactPair that caches
-    it, so the cache makes no reference cycle."""
-
-    def __init__(self, mcp: MetricContactPair):
-        self.pair = mcp.pair
-        self.metric = mcp.metric
-        self.presentation = mcp.presentation
-        self._span_data = {}
-        for name in ("H1", "H2"):
-            span = self.pair.splitting[name]
-            if span:
-                gram = [[self.metric.pair(x, y) for y in span] for x in span]
-                inverse = linalg.invert(gram)
-            else:
-                inverse = []
-            self._span_data[name] = (span, inverse)
-
-    def _project(self, name: str, v: VectorField) -> VectorField:
-        span, inverse = self._span_data[name]
-        zero = self.presentation.zero
-        if not span:
-            return VectorField(self.presentation,
-                               (zero,) * self.presentation.dim)
-        pairings = [self.metric.pair(v, s) for s in span]
-        out = None
-        for b, fb in enumerate(span):
-            coeff = sum((pairings[a] * inverse[a][b] for a in range(len(span))),
-                        zero)
-            term = fb.scale(coeff)
-            out = term if out is None else out + term
-        return out
-
-    def pi(self, i: int, v: VectorField) -> VectorField:
-        """pi_i: projection onto H_j, j != i."""
-        return self._project("H2" if i == 1 else "H1", v)
-
-    def foliation(self, i: int, v: VectorField) -> VectorField:
-        """Projection onto TF_j (j != i): pi_i(v) + alpha_i(v) Z_i."""
-        alpha = self.pair.alpha1 if i == 1 else self.pair.alpha2
-        z = self.pair.z1 if i == 1 else self.pair.z2
-        value = sum((alpha.get((a,)) * v.components[a]
-                     for a in range(self.presentation.dim)),
-                    self.presentation.zero)
-        return self.pi(i, v) + z.scale(value)
-
-
 def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
     """Certify the covariant-derivative characterizations on frame tuples."""
     pair = mcp.pair
@@ -547,7 +544,6 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
     findings: List[Finding] = []
     frame_fields = [presentation.frame_field(a) for a in range(n)]
     phi_fields = [phi.apply(e) for e in frame_fields]
-    projections = mcp.projections
     a_rows = ([pair.alpha1.get((a,)) for a in range(n)],
               [pair.alpha2.get((a,)) for a in range(n)])
     d_forms = (pair.d_alpha1, pair.d_alpha2)
@@ -582,27 +578,20 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
     findings.append(Finding("covariant phi pairing identity", ok, witness))
 
     z = pair.reeb_sum
-    ok, witness = True, ""
-    for a in range(n):
-        residual = conn.nabla(frame_fields[a], z) + phi_fields[a]
-        if not residual.is_zero():
-            ok, witness = False, f"residual along e_{a} = {residual}"
-            break
-    findings.append(Finding("Reeb sum derivative identity", ok, witness))
+    nabla_z = EndoField.from_columns(
+        presentation, [v.components for v in mcp.nabla_reeb])
+    findings.append(_endo_finding("Reeb sum derivative identity",
+                                  nabla_z + phi))
 
-    proj = [[projections.foliation(i, frame_fields[a]) for a in range(n)]
-            for i in (1, 2)]
-    # alpha_i of each projected frame field, indexed [i][b]
-    alpha_of = [[sum((a_rows[i][c] * proj[i][b].components[c]
-                      for c in range(n)), presentation.zero)
-                 for b in range(n)] for i in (0, 1)]
+    # F_i e_a, indexed [i][a]; alpha_i(F_i e_b) = alpha_i(e_b)
+    proj = [[f.column(a) for a in range(n)] for f in mcp.foliation]
     ok, witness = True, ""
     for a in range(n):
         for b in range(n):
             rhs = None
             for i in (0, 1):
                 xa, yb = proj[i][a], proj[i][b]
-                term = zs[i].scale(g.pair(xa, yb)) - xa.scale(alpha_of[i][b])
+                term = zs[i].scale(g.pair(xa, yb)) - xa.scale(a_rows[i][b])
                 rhs = term if rhs is None else rhs + term
             residual = nabla_phi[a][b] - rhs
             if not residual.is_zero():
@@ -612,29 +601,20 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
             break
     findings.append(Finding("covariant phi projection identity", ok, witness))
 
-    h_endo = lie_derivative_endo(z, phi).scale(
-        ScalarExpr.constant(Fraction(1, 2), presentation.coordinates))
     half = ScalarExpr.constant(Fraction(1, 2), presentation.coordinates)
-    ok, witness = True, ""
-    for a in range(n):
-        x = frame_fields[a]
-        lhs = (conn.curvature(z, x, z)
-               - phi.apply(conn.curvature(z, phi_fields[a], z))).scale(half)
-        rhs = phi.apply(phi.apply(x)) + h_endo.apply(h_endo.apply(x))
-        residual = lhs - rhs
-        if not residual.is_zero():
-            ok, witness = False, f"residual along e_{a} = {residual}"
-            break
-    findings.append(Finding("curvature h-tensor identity", ok, witness))
-
-    ok, witness = True, ""
-    for a in range(n):
-        residual = (conn.nabla(frame_fields[a], z) + phi_fields[a]
-                    + phi.apply(h_endo.apply(frame_fields[a])))
-        if not residual.is_zero():
-            ok, witness = False, f"residual along e_{a} = {residual}"
-            break
-    findings.append(Finding("Reeb derivative with h-tensor", ok, witness))
+    h_endo = lie_derivative_endo(z, phi).scale(half)
+    # Q e_a = R(Z, e_a) Z = sum_c Z^c R(e_c, e_a) Z
+    curvature = mcp.reeb_curvature
+    zero = VectorField(presentation, (presentation.zero,) * n)
+    q = EndoField.from_columns(presentation, [
+        sum((curvature[c][a].scale(zc) for c, zc in enumerate(z.components)
+             if not zc.is_zero()), zero).components for a in range(n)])
+    findings.append(_endo_finding(
+        "curvature h-tensor identity",
+        (q - phi.compose(q).compose(phi)).scale(half)
+        - phi.compose(phi) - h_endo.compose(h_endo)))
+    findings.append(_endo_finding("Reeb derivative with h-tensor",
+                                  nabla_z + phi + phi.compose(h_endo)))
 
     report = normality(mcp)
     if report.normal_mcp:
@@ -644,34 +624,33 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
     return findings
 
 
+def _endo_finding(condition: str, residual: EndoField,
+                  label: str = "residual along") -> Finding:
+    """The identity ``residual = 0``, witnessed by its first nonzero
+    column."""
+    for a in range(residual.frame.dim):
+        column = residual.column(a)
+        if not column.is_zero():
+            return Finding(condition, False, f"{label} e_{a} = {column}")
+    return Finding(condition, True)
+
+
 def check_curvature_identity(mcp: MetricContactPair) -> List[Finding]:
     """Certify the curvature characterization of normality on frame pairs."""
     pair = mcp.pair
-    presentation = mcp.presentation
-    n = presentation.dim
-    conn = mcp.connection
-    projections = mcp.projections
-    frame_fields = [presentation.frame_field(a) for a in range(n)]
-    z = pair.reeb_sum
-    zs = (pair.z1, pair.z2)
-    proj = [[projections.foliation(i, frame_fields[a]) for a in range(n)]
-            for i in (1, 2)]
-    alpha_of = []
-    for i in (0, 1):
-        alpha = pair.alphas()[i]
-        alpha_of.append([
-            sum((alpha.get((c,)) * proj[i][a].components[c] for c in range(n)),
-                presentation.zero) for a in range(n)])
+    n = mcp.presentation.dim
+    alphas = pair.alphas()
+    # F_i e_a, indexed [i][a]; alpha_i(F_i e_b) = alpha_i(e_b)
+    proj = [[f.column(a) for a in range(n)] for f in mcp.foliation]
     ok, witness = True, ""
     for a in range(n):
         for b in range(a + 1, n):
-            lhs = conn.curvature(frame_fields[a], frame_fields[b], z)
             rhs = None
             for i in (0, 1):
-                term = (proj[i][a].scale(alpha_of[i][b])
-                        - proj[i][b].scale(alpha_of[i][a]))
+                term = (proj[i][a].scale(alphas[i].get((b,)))
+                        - proj[i][b].scale(alphas[i].get((a,))))
                 rhs = term if rhs is None else rhs + term
-            residual = lhs - rhs
+            residual = mcp.reeb_curvature[a][b] - rhs
             if not residual.is_zero():
                 ok, witness = False, f"residual at ({a},{b}) = {residual}"
                 break
@@ -695,7 +674,6 @@ def hermitian_data(mcp: MetricContactPair) -> List[Finding]:
     g = mcp.metric
     j = mcp.structure.j
     findings: List[Finding] = []
-    projections = mcp.projections
     frame_fields = [presentation.frame_field(a) for a in range(n)]
     j_fields = [j.apply(e) for e in frame_fields]
 
@@ -715,17 +693,12 @@ def hermitian_data(mcp: MetricContactPair) -> List[Finding]:
     findings.append(Finding("second form pulls back to the first under J",
                             ok, witness))
 
-    ok, witness = True, ""
-    for i in (1, 2):
-        for a in range(n):
-            residual = (projections.pi(i, j_fields[a])
-                        - j.apply(projections.pi(i, frame_fields[a])))
-            if not residual.is_zero():
-                ok, witness = False, f"pi_{i} J residual on e_{a} = {residual}"
-                break
-        if not ok:
-            break
-    findings.append(Finding("projections commute with J", ok, witness))
+    # P_i J, whose columns are the projections of J e_a
+    pi_j = [p.compose(j) for p in mcp.pi]
+    commute = [_endo_finding("projections commute with J", pj - j.compose(p),
+                             f"pi_{i} J residual on")
+               for i, (p, pj) in enumerate(zip(mcp.pi, pi_j), start=1)]
+    findings.append(next((f for f in commute if not f.ok), commute[0]))
 
     four = ScalarExpr.constant(4, presentation.coordinates)
     nabla_j = mcp.nabla_j
@@ -755,9 +728,6 @@ def hermitian_data(mcp: MetricContactPair) -> List[Finding]:
             break
     findings.append(Finding("Hermitian covariant identity", ok, witness))
 
-    pi_x = {i: [projections.pi(i, x) for x in frame_fields] for i in (1, 2)}
-    pi_jx = {i: [projections.pi(i, jx) for jx in j_fields] for i in (1, 2)}
-
     def closed_form(a: int, b: int) -> VectorField:
         x, y = frame_fields[a], frame_fields[b]
         jy = j_fields[b]
@@ -767,10 +737,10 @@ def hermitian_data(mcp: MetricContactPair) -> List[Finding]:
         coeff_z1 = -eval_form(d2, x, y) - eval_form(d1, x, jy)
         coeff_z2 = eval_form(d1, x, y) - eval_form(d2, x, jy)
         return (pair.z1.scale(coeff_z1) + pair.z2.scale(coeff_z2)
-                + pi_jx[1][a].scale(alpha2_y)
-                - pi_jx[2][a].scale(alpha1_y)
-                - pi_x[1][a].scale(alpha1_y)
-                - pi_x[2][a].scale(alpha2_y))
+                + pi_j[0].column(a).scale(alpha2_y)
+                - pi_j[1].column(a).scale(alpha1_y)
+                - mcp.pi[0].column(a).scale(alpha1_y)
+                - mcp.pi[1].column(a).scale(alpha2_y))
 
     ok, witness = True, ""
     for a in range(n):

@@ -580,6 +580,12 @@ class EndoField:
         return cls(frame, [[frame.zero] * frame.dim for _ in range(frame.dim)])
 
     @classmethod
+    def from_columns(cls, frame, columns: Sequence[Sequence[ScalarExpr]]
+                     ) -> "EndoField":
+        """The endomorphism with image ``columns[a]`` of e_a."""
+        return cls(frame, [list(row) for row in zip(*columns)])
+
+    @classmethod
     def outer(cls, alpha: PForm, z: VectorField) -> "EndoField":
         """Tensor product alpha (x) Z as an endomorphism field."""
         frame = z.frame
@@ -591,15 +597,22 @@ class EndoField:
         return VectorField(self.frame, tuple(
             _dot(row, x.components, self.frame.zero) for row in self.matrix))
 
+    def column(self, a: int) -> VectorField:
+        """The image of the frame field e_a."""
+        return VectorField(self.frame, tuple(row[a] for row in self.matrix))
+
     def compose(self, other: "EndoField") -> "EndoField":
-        return EndoField(self.frame, linalg.matmul(self.matrix, other.matrix))
+        columns = list(zip(*other.matrix))
+        return EndoField(self.frame, [[_dot(row, column, self.frame.zero)
+                                       for column in columns]
+                                      for row in self.matrix])
 
     def __add__(self, other: "EndoField") -> "EndoField":
-        return EndoField(self.frame, [[a + b for a, b in zip(ra, rb)]
+        return EndoField(self.frame, [list(map(_plus, ra, rb))
                                       for ra, rb in zip(self.matrix, other.matrix)])
 
     def __sub__(self, other: "EndoField") -> "EndoField":
-        return EndoField(self.frame, [[a - b for a, b in zip(ra, rb)]
+        return EndoField(self.frame, [list(map(_minus, ra, rb))
                                       for ra, rb in zip(self.matrix, other.matrix)])
 
     def __neg__(self) -> "EndoField":
@@ -658,6 +671,29 @@ class MetricField:
 
     def norm_squared(self, x: VectorField) -> ScalarExpr:
         return self.pair(x, x)
+
+
+def orthogonal_projector(metric: MetricField, span: Sequence[VectorField],
+                         gram_inverse: Sequence[Sequence[ScalarExpr]]
+                         ) -> EndoField:
+    """g-orthogonal projection onto a span, P = S G^-1 S^T g.
+
+    S has the span fields as columns and ``gram_inverse`` is the inverse of
+    their Gram matrix G = S^T g S.  Column a of P is the projection of e_a;
+    P is zero for an empty span.
+    """
+    frame = metric.frame
+    n, zero = frame.dim, frame.zero
+    # g is symmetric, so row a of g is its column a:
+    # pairings[a][i] = g(e_a, s_i)
+    pairings = [[_dot(s.components, metric.gram[a], zero) for s in span]
+                for a in range(n)]
+    # G^-1 is symmetric too: coeffs[a][b] is the coefficient of s_b in P e_a
+    coeffs = [[_dot(row, pairings[a], zero) for row in gram_inverse]
+              for a in range(n)]
+    span_rows = [[s.components[c] for s in span] for c in range(n)]
+    return EndoField(frame, [[_dot(span_rows[c], coeffs[a], zero)
+                              for a in range(n)] for c in range(n)])
 
 
 def _fraction_det(matrix: List[List[Fraction]]) -> Fraction:
@@ -770,8 +806,7 @@ def lie_derivative_endo(z: VectorField, endo: EndoField) -> EndoField:
         ea = frame.frame_field(a)
         value = bracket(z, endo.apply(ea)) - endo.apply(bracket(z, ea))
         columns.append(value.components)
-    return EndoField(frame, [[columns[a][c] for a in range(frame.dim)]
-                             for c in range(frame.dim)])
+    return EndoField.from_columns(frame, columns)
 
 
 def is_killing(z: VectorField, connection: LeviCivita) -> bool:

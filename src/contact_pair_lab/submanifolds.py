@@ -4,6 +4,9 @@ mean curvature, induced structures, and the minimality certifications.
 A submanifold is modeled as an involutive subframe of the ambient frame:
 a spanning set of vector fields whose pairwise brackets stay in the span.
 All identities are certified as ambient identities along the distribution.
+Each subframe builds its tangent projector once; the theorem checks read
+the ambient projections ``mcp.pi`` and ``mcp.foliation`` cached on the
+metric contact pair.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .contact import Finding, MetricContactPair, normality
 from .frames import (EndoField, MetricField, PForm, VectorField, bracket,
                      cartan_class, eval_form, exterior_derivative,
                      form_power, levi_civita, nonvanishing_certificate,
-                     wedge)
+                     orthogonal_projector, wedge)
 from .scalars import ScalarError, ScalarExpr
 
 
@@ -74,6 +77,8 @@ class Subframe:
             self.gram_inverse = linalg.invert(self.gram)
         except linalg.LinearAlgebraError as exc:
             raise SubframeError(f"{name}: singular induced metric ({exc})")
+        self.projector = orthogonal_projector(metric, self.fields,
+                                              self.gram_inverse)
         # (connection, ShapeData) of the last shape_data call
         self._shape: Optional[Tuple[object, "ShapeData"]] = None
 
@@ -129,14 +134,7 @@ class Subframe:
 
     def tangent(self, v: VectorField) -> VectorField:
         """Orthogonal projection onto the span, as an ambient field."""
-        pairings = [self.metric.pair(v, f) for f in self.fields]
-        out = None
-        for b, fb in enumerate(self.fields):
-            coeff = sum((pairings[a] * self.gram_inverse[a][b]
-                         for a in range(self.dim)), self.zero)
-            term = fb.scale(coeff)
-            out = term if out is None else out + term
-        return out
+        return self.projector.apply(v)
 
     def normal(self, v: VectorField) -> VectorField:
         return v - self.tangent(v)
@@ -362,12 +360,8 @@ def restrict_structure(sub: Subframe, mcp: MetricContactPair,
         alpha, z_amb = alpha2, pair.z2
     z_coeffs = sub.membership(z_amb)
     reeb = VectorField(sub, tuple(z_coeffs))
-    phi_columns = []
-    for f in sub.fields:
-        coeffs = sub.membership(mcp.structure.phi.apply(f))
-        phi_columns.append(coeffs)
-    phi_tilde = EndoField(sub, [[phi_columns[a][c] for a in range(sub.dim)]
-                                for c in range(sub.dim)])
+    phi_tilde = EndoField.from_columns(
+        sub, [sub.membership(mcp.structure.phi.apply(f)) for f in sub.fields])
     g_tilde = MetricField(sub, sub.gram)
     d_alpha = exterior_derivative(alpha)
 
@@ -442,7 +436,6 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
         profile = classify(sub, mcp)
     findings: List[Finding] = list(profile.findings)
     shape = shape_data(sub, conn)
-    projections = mcp.projections
 
     def b_of(x: VectorField, y: VectorField) -> VectorField:
         return sub.normal(conn.nabla(x, y))
@@ -452,17 +445,16 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
     if semi:
         if profile.reeb_position == "tangent-Z1-orthogonal-Z2":
             z_tan, z_orth = pair.z1, pair.z2
-            foliation_index = 2
+            foliation = mcp.foliation[1]
         else:
             z_tan, z_orth = pair.z2, pair.z1
-            foliation_index = 1
+            foliation = mcp.foliation[0]
         horizontals = _orthogonal_complement_in_span(sub, z_tan, g)
+        folded = [foliation.apply(x) for x in horizontals]
         ok, witness = True, ""
-        for x in horizontals:
-            for y in horizontals:
+        for x, xi in zip(horizontals, folded):
+            for y, yi in zip(horizontals, folded):
                 lhs = b_of(x, phi.apply(y)) - phi.apply(b_of(x, y))
-                xi = projections.foliation(foliation_index, x)
-                yi = projections.foliation(foliation_index, y)
                 rhs = (z_orth - z_tan).scale(g.pair(xi, yi))
                 residual = lhs - rhs
                 if not residual.is_zero():
@@ -495,15 +487,15 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
         horizontals = _orthogonal_complement_in_span(sub, z1t, g)
         z1_perp = sub.normal(pair.z1)
         z2_perp = sub.normal(pair.z2)
+        # (F_1 x, F_2 x) for each horizontal x
+        folded = [[f.apply(x) for f in mcp.foliation] for x in horizontals]
         ok, witness = True, ""
-        for x in horizontals:
-            for y in horizontals:
+        for x, fx in zip(horizontals, folded):
+            for y, fy in zip(horizontals, folded):
                 lhs = b_of(x, phi.apply(y)) - phi.apply(b_of(x, y))
                 rhs = None
-                for i, z_perp in ((1, z1_perp), (2, z2_perp)):
-                    xi = projections.foliation(i, x)
-                    yi = projections.foliation(i, y)
-                    term = z_perp.scale(g.pair(xi, yi))
+                for i, z_perp in enumerate((z1_perp, z2_perp)):
+                    term = z_perp.scale(g.pair(fx[i], fy[i]))
                     rhs = term if rhs is None else rhs + term
                 residual = lhs - rhs
                 if not residual.is_zero():
@@ -562,10 +554,8 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
                        for c in range(sub.ambient.dim)), sub.zero)
             a2x = sum((pair.alpha2.get((c,)) * x.components[c]
                        for c in range(sub.ambient.dim)), sub.zero)
-            pi1x = projections.pi(1, x)
-            pi2x = projections.pi(2, x)
-            pi1jx = projections.pi(1, jx)
-            pi2jx = projections.pi(2, jx)
+            pi1x, pi2x = (p.apply(x) for p in mcp.pi)
+            pi1jx, pi2jx = (p.apply(jx) for p in mcp.pi)
             bracket_term = (pi1jx.scale(-a1x) + pi2jx.scale(-a2x)
                             + pi1x.scale(-a2x) + pi2x.scale(a1x))
             rhs = (z1_perp.scale(-two * g.norm_squared(pi2x))
