@@ -375,12 +375,14 @@ class MetricContactPair:
                 self.pi[1] + EndoField.outer(pair.alpha2, pair.z2))
 
     @cached_property
-    def nabla_reeb(self) -> List[VectorField]:
-        """nabla_{e_a} Z for the Reeb sum Z = Z1 + Z2, indexed [a]."""
+    def nabla_reeb(self) -> EndoField:
+        """nabla Z for the Reeb sum Z = Z1 + Z2; column a is
+        nabla_{e_a} Z."""
         frame = self.presentation
         z = self.pair.reeb_sum
-        return [self.connection.nabla(frame.frame_field(a), z)
-                for a in range(frame.dim)]
+        return EndoField.from_columns(frame, [
+            self.connection.nabla(frame.frame_field(a), z).components
+            for a in range(frame.dim)])
 
     @cached_property
     def reeb_curvature(self) -> List[List[VectorField]]:
@@ -389,7 +391,8 @@ class MetricContactPair:
         computed for a < b and filled in by antisymmetry."""
         frame = self.presentation
         n = frame.dim
-        conn, dz = self.connection, self.nabla_reeb
+        conn = self.connection
+        dz = [self.nabla_reeb.column(a) for a in range(n)]
         zero = VectorField(frame, (frame.zero,) * n)
         table = [[zero] * n for _ in range(n)]
         for a in range(n):
@@ -578,10 +581,8 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
     findings.append(Finding("covariant phi pairing identity", ok, witness))
 
     z = pair.reeb_sum
-    nabla_z = EndoField.from_columns(
-        presentation, [v.components for v in mcp.nabla_reeb])
     findings.append(_endo_finding("Reeb sum derivative identity",
-                                  nabla_z + phi))
+                                  mcp.nabla_reeb + phi))
 
     # F_i e_a, indexed [i][a]; alpha_i(F_i e_b) = alpha_i(e_b)
     proj = [[f.column(a) for a in range(n)] for f in mcp.foliation]
@@ -614,7 +615,7 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
         (q - phi.compose(q).compose(phi)).scale(half)
         - phi.compose(phi) - h_endo.compose(h_endo)))
     findings.append(_endo_finding("Reeb derivative with h-tensor",
-                                  nabla_z + phi + phi.compose(h_endo)))
+                                  mcp.nabla_reeb + phi + phi.compose(h_endo)))
 
     report = normality(mcp)
     if report.normal_mcp:

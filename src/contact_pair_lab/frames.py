@@ -23,6 +23,7 @@ from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
+from .linalg import dot
 from .scalars import Rational, ScalarError, ScalarExpr, parse_expr
 
 Point = Mapping[str, Fraction]
@@ -45,16 +46,6 @@ def _plus(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
 
 def _minus(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
     return a if b.is_zero() else a - b
-
-
-def _dot(xs: Sequence[ScalarExpr], ys: Sequence[ScalarExpr],
-         zero: ScalarExpr) -> ScalarExpr:
-    """sum_i xs[i] * ys[i], skipping the terms with a zero factor."""
-    acc = None
-    for x, y in zip(xs, ys):
-        if not x.is_zero() and not y.is_zero():
-            acc = x * y if acc is None else acc + x * y
-    return zero if acc is None else acc
 
 
 def _perm_sign(indices: Sequence[int]) -> int:
@@ -154,7 +145,7 @@ class FramePresentation:
             structure[(a, a)] = (self.zero,) * n
             for b in range(a + 1, n):
                 coords = self._coordinate_bracket(columns[a], columns[b])
-                comps = tuple(_dot(self.coframe[c], coords, self.zero)
+                comps = tuple(dot(self.coframe[c], coords, self.zero)
                               for c in range(n))
                 structure[(a, b)] = comps
                 structure[(b, a)] = tuple(-c for c in comps)
@@ -595,17 +586,14 @@ class EndoField:
     def apply(self, x: VectorField) -> VectorField:
         """Matrix times components, skipping zero entries of both."""
         return VectorField(self.frame, tuple(
-            _dot(row, x.components, self.frame.zero) for row in self.matrix))
+            dot(row, x.components, self.frame.zero) for row in self.matrix))
 
     def column(self, a: int) -> VectorField:
         """The image of the frame field e_a."""
         return VectorField(self.frame, tuple(row[a] for row in self.matrix))
 
     def compose(self, other: "EndoField") -> "EndoField":
-        columns = list(zip(*other.matrix))
-        return EndoField(self.frame, [[_dot(row, column, self.frame.zero)
-                                       for column in columns]
-                                      for row in self.matrix])
+        return EndoField(self.frame, linalg.matmul(self.matrix, other.matrix))
 
     def __add__(self, other: "EndoField") -> "EndoField":
         return EndoField(self.frame, [list(map(_plus, ra, rb))
@@ -686,13 +674,13 @@ def orthogonal_projector(metric: MetricField, span: Sequence[VectorField],
     n, zero = frame.dim, frame.zero
     # g is symmetric, so row a of g is its column a:
     # pairings[a][i] = g(e_a, s_i)
-    pairings = [[_dot(s.components, metric.gram[a], zero) for s in span]
+    pairings = [[dot(s.components, metric.gram[a], zero) for s in span]
                 for a in range(n)]
     # G^-1 is symmetric too: coeffs[a][b] is the coefficient of s_b in P e_a
-    coeffs = [[_dot(row, pairings[a], zero) for row in gram_inverse]
+    coeffs = [[dot(row, pairings[a], zero) for row in gram_inverse]
               for a in range(n)]
     span_rows = [[s.components[c] for s in span] for c in range(n)]
-    return EndoField(frame, [[_dot(span_rows[c], coeffs[a], zero)
+    return EndoField(frame, [[dot(span_rows[c], coeffs[a], zero)
                               for a in range(n)] for c in range(n)])
 
 
@@ -726,7 +714,7 @@ class LeviCivita:
         half = ScalarExpr.constant(Fraction(1, 2), self.frame.coordinates)
 
         def g_bracket(a: int, b: int, c: int) -> ScalarExpr:
-            return _dot(self.frame.bracket_coeffs(a, b), gram[c],
+            return dot(self.frame.bracket_coeffs(a, b), gram[c],
                         self.frame.zero)
 
         # koszul[a][b][c] = g(nabla_{e_a} e_b, e_c)
@@ -747,7 +735,7 @@ class LeviCivita:
         inv = metric.inverse
         inv_columns = [[inv[c][d] for c in range(n)] for d in range(n)]
         self.gamma = [[tuple(
-            _dot(koszul[a][b], inv_columns[d], self.frame.zero)
+            dot(koszul[a][b], inv_columns[d], self.frame.zero)
             for d in range(n)) for b in range(n)] for a in range(n)]
 
     def nabla_frame(self, a: int, b: int) -> VectorField:

@@ -136,10 +136,20 @@ def determinant(matrix: Matrix) -> ScalarExpr:
     return det
 
 
+def dot(xs: Sequence[ScalarExpr], ys: Sequence[ScalarExpr],
+        zero: ScalarExpr) -> ScalarExpr:
+    """sum_i xs[i] * ys[i], skipping the terms with a zero factor."""
+    acc = None
+    for x, y in zip(xs, ys):
+        if not x.is_zero() and not y.is_zero():
+            acc = x * y if acc is None else acc + x * y
+    return zero if acc is None else acc
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     zero = _zero_like(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), zero)
-             for j in range(len(b[0]))] for i in range(len(a))]
+    columns = list(zip(*b))
+    return [[dot(row, column, zero) for column in columns] for row in a]
 
 
 def rational_rank(matrix: Sequence[Sequence[Fraction]]) -> int:

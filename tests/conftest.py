@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -75,3 +76,33 @@ def scaled_metric(scenario):
     for a, value in enumerate(values):
         gram[a][a] = value
     return MetricField(presentation, gram)
+
+
+def gauged_heis6(scenario):
+    """heis6 in the frame with e_1 rescaled by s = 1 + x^2, where
+    phi'^a_b = phi^a_b s_b / s_a and g'_ab = s_a s_b g_ab.  Its bracket
+    coefficients are not constant and [e_0, e_1] leaves the Reeb
+    directions."""
+    s = "(1 + x^2)"
+    frame = [list(row) for row in scenario.frame]
+    for row in frame:
+        if row[1] != "0":
+            row[1] = f"({row[1]})*{s}"
+    phi = [list(row) for row in scenario.phi]
+    for a in range(len(phi)):
+        if a != 1 and phi[a][1] != "0":
+            phi[a][1] = f"({phi[a][1]})*{s}"
+        if a != 1 and phi[1][a] != "0":
+            phi[1][a] = f"({phi[1][a]})/{s}"
+    metric = [list(row) for row in scenario.metric]
+    metric[1][1] = f"({metric[1][1]})*{s}^2"
+    return dataclasses.replace(scenario, name="heis6-gauged", frame=frame,
+                               phi=phi, metric=metric, submanifolds={},
+                               expectations={})
+
+
+def sample_fields(presentation):
+    """Two fields with non-constant components and some zero ones."""
+    x = presentation.vector(["1 + x^2", "0", "0", "y", "0", "1"])
+    y = presentation.vector(["0", "z", "(1 + x^2)*w", "0", "u*v", "0"])
+    return x, y

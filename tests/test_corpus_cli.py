@@ -368,8 +368,14 @@ def test_cli_submanifold_exit_codes(tmp_path):
     scenario.alpha2 = list(scenario.alpha1)
     path = tmp_path / "broken.json"
     save_scenario(scenario, str(path))
-    code, out, err = _run_cli(["verify", "--input", str(path)])
-    assert code == 1 and not err
+    # phi with a pole at x = -5/9, the first probe point at seed 1
+    pole = corpus_build("heis6")
+    pole.phi[0][0] = "1/(x + 5/9)"
+    save_scenario(pole, str(tmp_path / "pole.json"))
+    for broken in (path, tmp_path / "pole.json"):
+        code, out, err = _run_cli(["verify", "--input", str(broken),
+                                   "--seed", "1"])
+        assert code == 1 and not err
     code, out, err = _run_cli(["submanifold", "--input", str(path),
                                "--name", "factor", "--format", "json"])
     assert code == 1 and not err

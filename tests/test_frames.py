@@ -11,7 +11,7 @@ from contact_pair_lab.frames import (ChartDomainWarning, FrameError,
                                      nonvanishing_certificate, one_form,
                                      seeded_probe_points, wedge)
 from contact_pair_lab.frames import bracket
-from conftest import twisted_phi_structure
+from conftest import gauged_heis6, sample_fields, twisted_phi_structure
 
 
 @pytest.fixture(scope="module")
@@ -20,16 +20,6 @@ def heis6(heis6_scenario):
     alpha1, alpha2 = heis6_scenario.forms()
     metric = heis6_scenario.metric_field()
     return presentation, alpha1, alpha2, metric
-
-
-def gauged_heis6(scenario) -> FramePresentation:
-    """heis6 with e_1 rescaled by 1 + x^2, so that C^c_ab is not constant."""
-    frame = [list(row) for row in scenario.frame]
-    for row in frame:
-        if row[1] != "0":
-            row[1] = f"({row[1]})*(1 + x^2)"
-    return FramePresentation(scenario.coordinates, frame,
-                             {c: 0 for c in scenario.coordinates})
 
 
 def coordinate_bracket(presentation, x, y):
@@ -51,18 +41,11 @@ def coordinate_bracket(presentation, x, y):
                                 for a in range(n)])
 
 
-def sample_fields(presentation):
-    """Two fields with non-constant components and some zero ones."""
-    x = presentation.vector(["1 + x^2", "0", "0", "y", "0", "1"])
-    y = presentation.vector(["0", "z", "(1 + x^2)*w", "0", "u*v", "0"])
-    return x, y
-
-
 # -- frame-component bracket ---------------------------------------------
 
 def test_bracket_matches_the_coordinate_formula(heis6_scenario):
     for presentation in (heis6_scenario.presentation(),
-                         gauged_heis6(heis6_scenario)):
+                         gauged_heis6(heis6_scenario).presentation()):
         fields = list(sample_fields(presentation)) + [
             presentation.frame_field(a) for a in range(presentation.dim)]
         for x in fields:
@@ -72,7 +55,7 @@ def test_bracket_matches_the_coordinate_formula(heis6_scenario):
 
 
 def test_bracket_leibniz_rule(heis6_scenario):
-    presentation = gauged_heis6(heis6_scenario)
+    presentation = gauged_heis6(heis6_scenario).presentation()
     x, y = sample_fields(presentation)
     f = presentation.scalar("x*y + z^2")
     assert bracket(x, y.scale(f)) == (y.scale(x.apply(f))

@@ -3,15 +3,14 @@ the orthogonal projector, the projections P_i and F_i, and the Reeb-sum
 curvature R(e_a, e_b) Z.  Each is compared with a direct reference
 written here."""
 
-import dataclasses
-
 import pytest
 
 from contact_pair_lab import (CORPUS_NAMES, build_subframe, corpus_build,
                               linalg, validate_metric, validate_structure)
 from contact_pair_lab.frames import VectorField, orthogonal_projector
 
-from conftest import build_mcp, scaled_metric, twisted_phi_structure
+from conftest import (build_mcp, gauged_heis6, sample_fields, scaled_metric,
+                      twisted_phi_structure)
 
 
 def gram_loop_projection(metric, span, v):
@@ -31,29 +30,6 @@ def gram_loop_projection(metric, span, v):
     return out
 
 
-def gauged_heis6(scenario):
-    """heis6 in the frame with e_1 rescaled by s = 1 + x^2, where
-    phi'^a_b = phi^a_b s_b / s_a and g'_ab = s_a s_b g_ab.  Its bracket
-    coefficients are not constant and [e_0, e_1] leaves the Reeb
-    directions."""
-    s = "(1 + x^2)"
-    frame = [list(row) for row in scenario.frame]
-    for row in frame:
-        if row[1] != "0":
-            row[1] = f"({row[1]})*{s}"
-    phi = [list(row) for row in scenario.phi]
-    for a in range(len(phi)):
-        if a != 1 and phi[a][1] != "0":
-            phi[a][1] = f"({phi[a][1]})*{s}"
-        if a != 1 and phi[1][a] != "0":
-            phi[1][a] = f"({phi[1][a]})/{s}"
-    metric = [list(row) for row in scenario.metric]
-    metric[1][1] = f"({metric[1][1]})*{s}^2"
-    return dataclasses.replace(scenario, name="heis6-gauged", frame=frame,
-                               phi=phi, metric=metric, submanifolds={},
-                               expectations={})
-
-
 def _cases(scenario):
     """(metric, spans) on heis6 and on its gauged frame."""
     out = []
@@ -63,8 +39,7 @@ def _cases(scenario):
         spans = [
             [],
             [pres.frame_field(2)],
-            [pres.vector(["1 + x^2", "0", "0", "y", "0", "1"]),
-             pres.vector(["0", "z", "(1 + x^2)*w", "0", "u*v", "0"])],
+            list(sample_fields(pres)),
             [pres.frame_field(0), pres.vector(["0", "1", "x", "0", "0", "0"]),
              pres.vector(["0", "0", "0", "1", "y", "z"])],
         ]
@@ -162,7 +137,8 @@ def test_reeb_curvature_matches_the_connection(heis6_scenario):
         frame, conn = mcp.presentation, mcp.connection
         z = mcp.pair.reeb_sum
         for a in range(frame.dim):
-            assert mcp.nabla_reeb[a] == conn.nabla(frame.frame_field(a), z)
+            assert mcp.nabla_reeb.column(a) == conn.nabla(
+                frame.frame_field(a), z)
             assert mcp.reeb_curvature[a][a].is_zero()
             for b in range(a + 1, frame.dim):
                 expected = conn.curvature(frame.frame_field(a),
