@@ -372,7 +372,14 @@ def test_cli_submanifold_exit_codes(tmp_path):
     pole = corpus_build("heis6")
     pole.phi[0][0] = "1/(x + 5/9)"
     save_scenario(pole, str(tmp_path / "pole.json"))
-    for broken in (path, tmp_path / "pole.json"):
+    # a span with a pole at the base point x = 0 (a new list, as builds
+    # share the span lists)
+    span_pole = corpus_build("heis6")
+    span_pole.submanifolds["factor"] = [["1/x", "0", "0", "0", "0", "0"],
+                                        *span_pole.submanifolds["factor"][1:]]
+    save_scenario(span_pole, str(tmp_path / "span-pole.json"))
+    for broken in (path, tmp_path / "pole.json",
+                   tmp_path / "span-pole.json"):
         code, out, err = _run_cli(["verify", "--input", str(broken),
                                    "--seed", "1"])
         assert code == 1 and not err

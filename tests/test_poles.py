@@ -1,5 +1,6 @@
-"""A pole of the structure's endomorphism at a probe point is a failing
-finding of the structure stage, not an error that loses the report."""
+"""A pole of the structure's endomorphism at a probe point, or of a
+submanifold's span at the base point, is a failing row, not an error that
+loses the report."""
 
 from contact_pair_lab import corpus_build, run_checks
 
@@ -17,4 +18,19 @@ def test_a_pole_of_phi_fails_the_structure_rows():
     later = report.rows[[r.id for r in report.rows].index("structure.axioms")
                         + 1:]
     assert later and all(r.verdict == "skipped" for r in later)
+    assert report.overall == "fail"
+
+
+def test_a_pole_of_a_span_at_the_base_point_fails_its_analysis_row():
+    scenario = corpus_build("heis6")
+    # x = 0 at the base point; a new list, as builds share the span lists
+    scenario.submanifolds["factor"] = [["1/x", "0", "0", "0", "0", "0"],
+                                       *scenario.submanifolds["factor"][1:]]
+    report = run_checks(scenario, seed=1)
+    failing = [row for row in report.rows if row.verdict == "fail"]
+    assert [row.id for row in failing] == ["submanifold.factor.analysis"]
+    assert failing[0].witness.startswith(
+        "factor: span has a pole at the base point (pole at {'x': ")
+    assert any(row.id.startswith("submanifold.heis6-n4.")
+               and row.verdict == "pass" for row in report.rows)
     assert report.overall == "fail"

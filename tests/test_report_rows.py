@@ -4,9 +4,8 @@ negative controls of ``conftest``.  The controls give failing witnesses
 for most derived identities, so a rewrite of a check that changes a
 witness shows here.
 
-The file ``data/report_rows.json`` is written by ``golden_rows()``.  The
-normalized mean curvature probe rows print a float residual; for those
-only the verdict and the ``max residual `` prefix are compared.
+The file ``data/report_rows.json`` is written by ``golden_rows()``; every
+row is compared byte for byte.
 """
 
 import json
@@ -14,14 +13,14 @@ import os
 
 import pytest
 
-from contact_pair_lab import CORPUS_NAMES, corpus_build, run_checks
+from contact_pair_lab import (CORPUS_NAMES, ScalarExpr, corpus_build,
+                              run_checks)
 
 from conftest import perturbed_phi_structure, scaled_metric, twisted_phi_structure
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                     "report_rows.json")
 SEEDS = (1, 7)
-FLOAT_ROW = "normalized-mean-curvature-probe"
 CONTROLS = {
     "heis6-twisted-phi": ("phi", twisted_phi_structure),
     "heis6-perturbed-phi": ("phi", perturbed_phi_structure),
@@ -50,13 +49,6 @@ def golden_rows():
             for label in LABELS}
 
 
-def _comparable(row):
-    row_id, verdict, witness = row
-    if FLOAT_ROW in row_id and witness.startswith("max residual "):
-        witness = "max residual "
-    return [row_id, verdict, witness]
-
-
 @pytest.fixture(scope="module")
 def golden():
     with open(DATA, encoding="utf-8") as fh:
@@ -66,9 +58,16 @@ def golden():
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("label", LABELS)
 def test_report_rows_match_the_golden_file(golden, label, seed):
-    expected = [_comparable(r) for r in golden[label][str(seed)]]
-    actual = [_comparable(r) for r in rows(label, seed)]
-    assert actual == expected
+    assert rows(label, seed) == golden[label][str(seed)]
+
+
+def test_the_certified_pipeline_evaluates_no_float(golden, monkeypatch):
+    def refuse(self, point):
+        raise AssertionError("evaluate_float called by run_checks")
+
+    monkeypatch.setattr(ScalarExpr, "evaluate_float", refuse)
+    for label in CORPUS_NAMES:
+        assert rows(label, 1) == golden[label]["1"], label
 
 
 def test_the_golden_file_covers_failing_witnesses_of_rewritten_checks(golden):

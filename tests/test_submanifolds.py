@@ -7,8 +7,7 @@ from contact_pair_lab import (SubframeError, angle_constancy, build_subframe,
                               classify, corpus_build, mean_curvature,
                               second_fundamental_form, shape_data,
                               verify_theorems)
-from contact_pair_lab.frames import ChartDomainWarning, VectorField
-from contact_pair_lab.submanifolds import mean_curvature_probe_residual
+from contact_pair_lab.frames import ChartDomainWarning
 from conftest import build_mcp
 
 
@@ -201,19 +200,6 @@ def test_involutivity_is_required():
         build_subframe(presentation, fields, metric, "open-span")
 
 
-def test_subframe_pole_is_irregular_and_other_errors_propagate():
-    scenario = corpus_build("heis6")
-    presentation = scenario.presentation()
-    field = presentation.vector(["1/(x - 1)", "0", "0", "0", "0", "0"])
-    sub = build_subframe(presentation, [field], scenario.metric_field(),
-                         "pole")
-    point = {c: 2 for c in presentation.coordinates}
-    assert sub.is_regular_at(point)
-    assert not sub.is_regular_at({**point, "x": 1})
-    with pytest.raises(ValueError):
-        sub.is_regular_at({**point, "x": "not a number"})
-
-
 def test_shape_data_is_computed_once_per_subframe(monkeypatch):
     import contact_pair_lab.submanifolds as submanifolds
     from contact_pair_lab import levi_civita, run_checks
@@ -240,27 +226,16 @@ def test_shape_data_is_computed_once_per_subframe(monkeypatch):
     assert other is not first and len(built) == 5
 
 
-def test_a_probe_that_examined_no_point_fails(heis6_mcp, heis6_subframes):
-    # with Z1 = 0 its tangential part vanishes at every probe point, so the
-    # mean curvature probe skips them all and has checked nothing
-    sub = heis6_subframes["heis6-n4"]
-    profile = classify(sub, heis6_mcp)
-    pres = heis6_mcp.presentation
-    zero = VectorField(pres, tuple(pres.zero for _ in range(pres.dim)))
-    pair = dataclasses.replace(heis6_mcp.pair, z1=zero)
-    mcp = dataclasses.replace(
-        heis6_mcp,
-        structure=dataclasses.replace(heis6_mcp.structure, pair=pair))
-    probe = next(f for f in verify_theorems(sub, mcp, profile)
-                 if f.condition == "normalized mean curvature probe "
-                                   "residual below tolerance")
-    assert not probe.ok
-    assert probe.witness == ("no probe point examined "
-                             "(Z1 tangential part vanishes at all 8)")
-    with pytest.raises(SubframeError):
-        mean_curvature_probe_residual(sub, mcp)
-    # with the real Z1 the same subframe is probed at every point
-    probe = next(f for f in verify_theorems(sub, heis6_mcp, profile)
-                 if f.condition == "normalized mean curvature probe "
-                                   "residual below tolerance")
-    assert probe.ok and probe.witness.startswith("max residual ")
+def test_the_mean_curvature_identity_fails_with_the_reeb_fields_swapped(
+        noninvariant):
+    _, mcp, sub, profile = noninvariant
+    pair = dataclasses.replace(mcp.pair, z1=mcp.pair.z2, z2=mcp.pair.z1)
+    swapped = dataclasses.replace(
+        mcp, structure=dataclasses.replace(mcp.structure, pair=pair))
+    condition = "normalized mean curvature probe residual below tolerance"
+    row = next(f for f in verify_theorems(sub, mcp, profile)
+               if f.condition == condition)
+    assert row.ok and row.witness == ""
+    row = next(f for f in verify_theorems(sub, swapped)
+               if f.condition == condition)
+    assert not row.ok and row.witness.startswith("residual = ")
