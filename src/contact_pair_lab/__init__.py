@@ -8,10 +8,9 @@ from .frames import (ChartDomainWarning, EndoField, FramePresentation,
                      seeded_probe_points, wedge)
 from .contact import (ContactPair, ContactPairStructure, Finding,
                       MetricContactPair, NormalityReport, ValidationError,
-                      Verdict, check_connection_identities,
-                      check_curvature_identity, hermitian_data,
-                      natural_complex_structures, normality, solve_reeb,
-                      validate_contact_pair, validate_metric,
+                      check_connection_identities, check_curvature_identity,
+                      hermitian_data, natural_complex_structures, normality,
+                      solve_reeb, validate_contact_pair, validate_metric,
                       validate_structure)
 from .submanifolds import (InvarianceProfile, ShapeData, Subframe,
                            SubframeError, angle_constancy, build_subframe,
@@ -31,7 +30,7 @@ __all__ = [
     "exterior_derivative", "levi_civita", "lie_derivative_endo",
     "nijenhuis", "one_form", "seeded_probe_points", "wedge",
     "ContactPair", "ContactPairStructure", "Finding", "MetricContactPair",
-    "NormalityReport", "ValidationError", "Verdict",
+    "NormalityReport", "ValidationError",
     "check_connection_identities", "check_curvature_identity",
     "hermitian_data", "natural_complex_structures", "normality",
     "solve_reeb", "validate_contact_pair", "validate_metric",

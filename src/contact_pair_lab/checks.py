@@ -34,10 +34,10 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from .contact import (Finding, ValidationError, Verdict,
-                      check_connection_identities, check_curvature_identity,
-                      hermitian_data, normality, validate_contact_pair,
-                      validate_metric, validate_structure)
+from .contact import (Finding, ValidationError, check_connection_identities,
+                      check_curvature_identity, hermitian_data, normality,
+                      validate_contact_pair, validate_metric,
+                      validate_structure)
 from .corpus import Scenario
 from .frames import ChartDomainWarning, seeded_probe_points
 from .submanifolds import (InvarianceProfile, ShapeData, SubframeError,
@@ -80,11 +80,6 @@ def _holds(_result) -> Finding:
     return Finding("", True)
 
 
-def _first(verdict: Verdict) -> Finding:
-    return Finding("", verdict.ok,
-                   verdict.witnesses[0] if verdict.witnesses else "")
-
-
 def _condition(text: str) -> Callable[[List[Finding]], Optional[Finding]]:
     return lambda findings: next(
         (f for f in findings if f.condition == text), None)
@@ -93,13 +88,11 @@ def _condition(text: str) -> Callable[[List[Finding]], Optional[Finding]]:
 CHECKS = (
     Check("pair.valid", "pair", _holds),
     Check("structure.axioms", "structure", _holds),
-    Check("structure.decomposable", "structure",
-          lambda s: Finding("", s.decomposable.ok,
-                            "; ".join(s.decomposable.witnesses))),
-    Check("metric.compatible", "metric", lambda m: _first(m.compatible)),
-    Check("metric.associated", "metric", lambda m: _first(m.associated)),
+    Check("structure.decomposable", "structure", lambda s: s.decomposable),
+    Check("metric.compatible", "metric", lambda m: m.compatible),
+    Check("metric.associated", "metric", lambda m: m.associated),
     Check("metric.orthogonal_splitting", "metric",
-          lambda m: _first(m.orthogonal_splitting)),
+          lambda m: m.orthogonal_splitting),
     Check("normality.N1", "normality",
           _condition("normality tensor vanishes")),
     Check("normality.NJ", "normality", _condition("J integrable")),

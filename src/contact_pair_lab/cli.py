@@ -1,8 +1,7 @@
 """Command-line scenario runner.
 
 Exit codes: 0 all checks passed, 1 at least one check failed,
-2 input/usage/schema error.  The optional environment variable
-CONTACT_PAIR_LAB_SEED overrides the default probe seed.
+2 input/usage/schema error.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -20,17 +18,6 @@ from .corpus import (CORPUS_NAMES, Scenario, ScenarioError, corpus_build,
 from .contact import ValidationError
 from .scalars import ParseError, ScalarError
 from .submanifolds import SubframeError
-
-
-def _default_seed() -> int:
-    value = os.environ.get("CONTACT_PAIR_LAB_SEED")
-    if value is None:
-        return 1
-    try:
-        return int(value)
-    except ValueError:
-        raise SystemExit(
-            f"CONTACT_PAIR_LAB_SEED must be an integer, got {value!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,14 +49,14 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="accepted for older invocations; has no effect,"
                            " theorem rows are always shown")
     subm.add_argument("--format", choices=("text", "json"), default="text")
-    subm.add_argument("--seed", type=int, default=None)
+    subm.add_argument("--seed", type=int, default=1)
     return parser
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"),
                         default="text")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--checks", default="all", metavar="LIST",
                         help="comma-separated subset of: "
                              + ", ".join(STAGES) + ", all")
@@ -146,9 +133,7 @@ def main(argv: Optional[Sequence[str]] = None,
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = _default_seed()
+    seed = getattr(args, "seed", 1)
 
     try:
         if args.command == "corpus":

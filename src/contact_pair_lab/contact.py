@@ -1,22 +1,25 @@
 """Contact pairs, contact pair structures, metrics and their certification.
 
 All verdicts are produced by canonical-form identity checks on frame
-components; every False verdict carries a witness naming the offending
-component and its nonzero canonical value.
+components.  Every exact identity goes through ``certify``, the one
+witness rule: it compares lhs and rhs entry by entry, stops at the first
+entry where they differ and names it, ``"<label> = <lhs - rhs>"``.
 
 The tensors the checks read are built once per ``MetricContactPair`` and
 cached there: the projections P_i and F_i (``pi``, ``foliation``), nabla Z
-and R(., .)Z for the Reeb sum Z (``nabla_reeb``, ``reeb_curvature``), and
-nabla phi, nabla J.  A check reads columns of these endomorphisms, and an
-identity between endomorphisms is witnessed by its first nonzero column.
+and R(., .)Z for the Reeb sum Z (``nabla_reeb``, ``reeb_curvature``),
+nabla phi, nabla J and the normality report.  A check reads columns of
+these endomorphisms, and an identity between endomorphisms is witnessed by
+its first differing column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .frames import (EndoField, FramePresentation, LeviCivita, MetricField,
@@ -35,10 +38,16 @@ class Finding:
     witness: str = ""
 
 
-@dataclass
-class Verdict:
-    ok: bool
-    witnesses: List[str] = field(default_factory=list)
+def certify(condition: str, entries: Iterable[Tuple[str, Any, Any]]
+            ) -> Finding:
+    """The identity lhs = rhs on every ``(label, lhs, rhs)`` entry.  The
+    search stops at the first entry where the two sides differ, which
+    witnesses the failure as ``"<label> = <lhs - rhs>"``; ``entries`` may be
+    a lazy stream, and a passing entry costs one comparison."""
+    for label, lhs, rhs in entries:
+        if lhs != rhs:
+            return Finding(condition, False, f"{label} = {lhs - rhs}")
+    return Finding(condition, True)
 
 
 class ValidationError(Exception):
@@ -204,21 +213,8 @@ class ContactPairStructure:
     j: EndoField
     t: EndoField
     rho: EndoField
-    decomposable: Verdict
+    decomposable: Finding
     findings: List[Finding]
-
-
-def _membership_verdict(presentation: FramePresentation,
-                        span: Sequence[VectorField],
-                        images: Sequence[VectorField],
-                        label: str) -> Verdict:
-    columns = [[f.components[a] for f in span] for a in range(presentation.dim)]
-    witnesses = []
-    for idx, image in enumerate(images):
-        if linalg.solve_in_span(columns, list(image.components)) is None:
-            witnesses.append(f"{label}: image of spanning field {idx} "
-                             "leaves the distribution")
-    return Verdict(not witnesses, witnesses)
 
 
 def natural_complex_structures(pair: ContactPair, phi: EndoField
@@ -238,34 +234,29 @@ def validate_structure(pair: ContactPair, phi: EndoField,
     n = presentation.dim
     if probes is None:
         probes = seeded_probe_points(presentation)
+    zero = presentation.zero
     findings: List[Finding] = []
 
     expected = (EndoField.identity(presentation).scale(
         ScalarExpr.constant(-1, presentation.coordinates))
         + EndoField.outer(pair.alpha1, pair.z1)
-        + EndoField.outer(pair.alpha2, pair.z2))
-    square = phi.compose(phi)
-    delta = square - expected
-    ok = delta.is_zero()
-    witness = ""
-    if not ok:
-        c, a = next((c, a) for c in range(n) for a in range(n)
-                    if not delta.matrix[c][a].is_zero())
-        witness = f"component ({c},{a}) = {delta.matrix[c][a]}"
-    findings.append(Finding("phi squared identity", ok, witness))
+        + EndoField.outer(pair.alpha2, pair.z2)).matrix
+    square = phi.compose(phi).matrix
+    findings.append(certify("phi squared identity", (
+        (f"component ({c},{a})", square[c][a], expected[c][a])
+        for c in range(n) for a in range(n))))
 
     for name, z in (("Z1", pair.z1), ("Z2", pair.z2)):
-        image = phi.apply(z)
-        findings.append(Finding(f"phi kills {name}", image.is_zero(),
-                                "" if image.is_zero() else f"phi({name}) = {image}"))
+        findings.append(certify(f"phi kills {name}", [
+            (f"phi({name})", phi.apply(z), VectorField.zero(presentation))]))
 
     for name, alpha in (("first", pair.alpha1), ("second", pair.alpha2)):
-        row = [sum((alpha.get((c,)) * phi.matrix[c][a] for c in range(n)),
-                   presentation.zero) for a in range(n)]
-        bad = [(a, v) for a, v in enumerate(row) if not v.is_zero()]
-        findings.append(Finding(f"{name} form annihilates the image of phi",
-                                not bad,
-                                "" if not bad else f"alpha(phi e_{bad[0][0]}) = {bad[0][1]}"))
+        findings.append(certify(
+            f"{name} form annihilates the image of phi", (
+                (f"alpha(phi e_{a})",
+                 sum((alpha.get((c,)) * phi.matrix[c][a] for c in range(n)),
+                     zero), zero)
+                for a in range(n))))
 
     for point in [presentation.base_point, *probes]:
         try:
@@ -286,14 +277,19 @@ def validate_structure(pair: ContactPair, phi: EndoField,
 
     j, t, rho = natural_complex_structures(pair, phi)
 
-    verdicts = []
+    # every spanning field of TF1 and TF2 whose phi image leaves the span
+    witnesses = []
     for name in ("TF1", "TF2"):
         span = pair.splitting[name]
-        verdicts.append(_membership_verdict(
-            presentation, span, [phi.apply(f) for f in span],
-            f"phi invariance of {name}"))
-    decomposable = Verdict(all(v.ok for v in verdicts),
-                           [w for v in verdicts for w in v.witnesses])
+        columns = [[f.components[a] for f in span] for a in range(n)]
+        for idx, f in enumerate(span):
+            image = phi.apply(f)
+            if linalg.solve_in_span(columns, list(image.components)) is None:
+                witnesses.append(f"phi invariance of {name}: image of "
+                                 f"spanning field {idx} leaves the "
+                                 "distribution")
+    decomposable = Finding("phi preserves TF1 and TF2", not witnesses,
+                           "; ".join(witnesses))
 
     if metric is not None:
         ortho = _span_orthogonal(metric, pair.splitting["TF1"],
@@ -315,17 +311,17 @@ def _span_orthogonal(metric: MetricField, span_a: Sequence[VectorField],
 class MetricContactPair:
     """A contact pair structure with a metric, and the tensors every check
     reads, each built once on first use: the connection, nabla phi,
-    nabla J, the projections ``pi`` and ``foliation`` and the Reeb-sum
-    tensors ``nabla_reeb`` and ``reeb_curvature``."""
+    nabla J, the projections ``pi`` and ``foliation``, the Reeb-sum
+    tensors ``nabla_reeb`` and ``reeb_curvature`` and the ``normality``
+    report."""
 
     structure: ContactPairStructure
     metric: MetricField
-    compatible: Verdict
-    associated: Verdict
-    orthogonal_splitting: Verdict
+    compatible: Finding
+    associated: Finding
+    orthogonal_splitting: Finding
     probes: List[Dict[str, Fraction]]
     findings: List[Finding]
-    _normality: Optional["NormalityReport"] = None
 
     @property
     def pair(self) -> ContactPair:
@@ -336,7 +332,7 @@ class MetricContactPair:
         return self.pair.presentation
 
     @property
-    def decomposable(self) -> Verdict:
+    def decomposable(self) -> Finding:
         return self.structure.decomposable
 
     @cached_property
@@ -393,7 +389,7 @@ class MetricContactPair:
         n = frame.dim
         conn = self.connection
         dz = [self.nabla_reeb.column(a) for a in range(n)]
-        zero = VectorField(frame, (frame.zero,) * n)
+        zero = VectorField.zero(frame)
         table = [[zero] * n for _ in range(n)]
         for a in range(n):
             for b in range(a + 1, n):
@@ -405,14 +401,36 @@ class MetricContactPair:
                 table[a][b], table[b][a] = value, -value
         return table
 
-    @property
-    def verdicts(self) -> Dict[str, bool]:
-        out = {"compatible": self.compatible.ok,
-               "associated": self.associated.ok,
-               "decomposable": self.decomposable.ok}
-        if self._normality is not None:
-            out["normal"] = self._normality.normal_mcp
-        return out
+    @cached_property
+    def normality(self) -> "NormalityReport":
+        """The normality tensor and the two almost complex structures.
+
+        ``normal_mcp`` asks for the full bundle to be a normal metric
+        contact pair: the metric must be associated and the normality
+        tensor must vanish.  The raw tensor verdicts are reported
+        separately.
+        """
+        pair = self.pair
+        frame = self.presentation
+        zero = VectorField.zero(frame)
+        # 2 d(alpha_i)(e_a, e_b) is the coefficient on (a, b)
+        n1 = certify("normality tensor vanishes", (
+            (f"N1(e_{a}, e_{b})",
+             value + (pair.z1.scale(pair.d_alpha1.get((a, b)))
+                      + pair.z2.scale(pair.d_alpha2.get((a, b)))), zero)
+            for (a, b), value in nijenhuis(self.structure.phi).items()))
+        nj, nt = [certify(f"{label} integrable", (
+            (f"N_{label}(e_{a}, e_{b})", value, zero)
+            for (a, b), value in nijenhuis(endo).items()))
+            for label, endo in (("J", self.structure.j),
+                                ("T", self.structure.t))]
+        witnesses = [f.witness for f in (n1, nj, nt, self.associated)
+                     if not f.ok]
+        normal_mcp = n1.ok and self.associated.ok
+        return NormalityReport(
+            n1.ok, nj.ok, nt.ok, normal_mcp, witnesses,
+            [n1, nj, nt, Finding("normal metric contact pair", normal_mcp,
+                                 witnesses[0] if witnesses else "")])
 
 
 def validate_metric(structure: ContactPairStructure, metric: MetricField,
@@ -430,48 +448,37 @@ def validate_metric(structure: ContactPairStructure, metric: MetricField,
     a1 = [pair.alpha1.get((a,)) for a in range(n)]
     a2 = [pair.alpha2.get((a,)) for a in range(n)]
 
-    compatible_witnesses = []
-    for a in range(n):
-        for b in range(a, n):
-            lhs = metric.pair(phi_fields[a], phi_fields[b])
-            rhs = metric.gram[a][b] - a1[a] * a1[b] - a2[a] * a2[b]
-            if lhs != rhs:
-                compatible_witnesses.append(
-                    f"g(phi e_{a}, phi e_{b}) - reduction = {lhs - rhs}")
-    compatible = Verdict(not compatible_witnesses, compatible_witnesses)
+    compatible = certify("metric is compatible", (
+        (f"g(phi e_{a}, phi e_{b}) - reduction",
+         metric.pair(phi_fields[a], phi_fields[b]),
+         metric.gram[a][b] - a1[a] * a1[b] - a2[a] * a2[b])
+        for a in range(n) for b in range(a, n)))
 
     d_sum = pair.d_alpha1 + pair.d_alpha2
-    associated_witnesses = []
-    for a in range(n):
-        for b in range(n):
-            lhs = metric.pair(frame_fields[a], phi_fields[b])
-            rhs = eval_form(d_sum, frame_fields[a], frame_fields[b])
-            if lhs != rhs:
-                associated_witnesses.append(
-                    f"g(e_{a}, phi e_{b}) - d-sum(e_{a}, e_{b}) = {lhs - rhs}")
-    for i, (z, alpha) in enumerate(((pair.z1, a1), (pair.z2, a2)), start=1):
-        for a in range(n):
-            lhs = metric.pair(frame_fields[a], z)
-            if lhs != alpha[a]:
-                associated_witnesses.append(
-                    f"g(e_{a}, Z{i}) - alpha{i}(e_{a}) = {lhs - alpha[a]}")
-    associated = Verdict(not associated_witnesses, associated_witnesses)
-    if associated.ok and not compatible.ok:
-        findings.append(Finding("associated implies compatible", False,
-                                compatible.witnesses[0]))
-    else:
-        findings.append(Finding("associated implies compatible", True))
+    associated = certify("metric is associated", chain((
+        (f"g(e_{a}, phi e_{b}) - d-sum(e_{a}, e_{b})",
+         metric.pair(frame_fields[a], phi_fields[b]),
+         eval_form(d_sum, frame_fields[a], frame_fields[b]))
+        for a in range(n) for b in range(n)), (
+        (f"g(e_{a}, Z{i}) - alpha{i}(e_{a})",
+         metric.pair(frame_fields[a], z), alpha[a])
+        for i, (z, alpha) in enumerate(((pair.z1, a1), (pair.z2, a2)),
+                                       start=1)
+        for a in range(n))))
+    implied = compatible.ok or not associated.ok
+    findings.append(Finding("associated implies compatible", implied,
+                            "" if implied else compatible.witness))
 
     split = pair.splitting
     blocks = [("H1", split["H1"]), ("H2", split["H2"]),
               ("RZ1", [pair.z1]), ("RZ2", [pair.z2])]
-    ortho_witnesses = []
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if not _span_orthogonal(metric, blocks[i][1], blocks[j][1]):
-                ortho_witnesses.append(
-                    f"{blocks[i][0]} and {blocks[j][0]} are not orthogonal")
-    orthogonal = Verdict(not ortho_witnesses, ortho_witnesses)
+    orthogonal = next((
+        Finding("splitting is orthogonal", False,
+                f"{name_a} and {name_b} are not orthogonal")
+        for i, (name_a, span_a) in enumerate(blocks)
+        for name_b, span_b in blocks[i + 1:]
+        if not _span_orthogonal(metric, span_a, span_b)),
+        Finding("splitting is orthogonal", True))
 
     return MetricContactPair(structure, metric, compatible, associated,
                              orthogonal, [dict(p) for p in probes], findings)
@@ -479,6 +486,9 @@ def validate_metric(structure: ContactPairStructure, metric: MetricField,
 
 @dataclass
 class NormalityReport:
+    """The raw tensor verdicts, the first witness of each failing finding
+    (and of a failing association), and the four report findings."""
+
     n1_zero: bool
     nj_zero: bool
     nt_zero: bool
@@ -488,52 +498,8 @@ class NormalityReport:
 
 
 def normality(mcp: MetricContactPair) -> NormalityReport:
-    """Certify the normality tensor and the two almost complex structures.
-
-    ``normal_mcp`` asks for the full bundle to be a normal metric contact
-    pair: the metric must be associated and the normality tensor must
-    vanish.  The raw tensor verdicts are reported separately.
-    """
-    if mcp._normality is not None:
-        return mcp._normality
-    pair = mcp.pair
-    presentation = mcp.presentation
-    phi = mcp.structure.phi
-    witnesses: List[str] = []
-    findings: List[Finding] = []
-
-    raw = nijenhuis(phi)
-    n1_zero = True
-    for (a, b), value in raw.items():
-        # 2 d(alpha_i)(e_a, e_b) is the coefficient on (a, b)
-        correction = (pair.z1.scale(pair.d_alpha1.get((a, b)))
-                      + pair.z2.scale(pair.d_alpha2.get((a, b))))
-        total = value + correction
-        if not total.is_zero():
-            n1_zero = False
-            witnesses.append(f"N1(e_{a}, e_{b}) = {total}")
-    findings.append(Finding("normality tensor vanishes", n1_zero,
-                            witnesses[0] if witnesses else ""))
-
-    for label, endo in (("J", mcp.structure.j), ("T", mcp.structure.t)):
-        witness = ""
-        for (a, b), value in nijenhuis(endo).items():
-            if not value.is_zero():
-                witness = f"N_{label}(e_{a}, e_{b}) = {value}"
-                witnesses.append(witness)
-                break
-        findings.append(Finding(f"{label} integrable", not witness, witness))
-    nj_zero, nt_zero = findings[1].ok, findings[2].ok
-
-    normal_mcp = n1_zero and mcp.associated.ok
-    if not mcp.associated.ok:
-        witnesses.extend(mcp.associated.witnesses[:1])
-    findings.append(Finding("normal metric contact pair", normal_mcp,
-                            witnesses[0] if witnesses else ""))
-    report = NormalityReport(n1_zero, nj_zero, nt_zero, normal_mcp,
-                             witnesses, findings)
-    mcp._normality = report
-    return report
+    """The normality report cached on ``mcp``."""
+    return mcp.normality
 
 
 def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
@@ -551,34 +517,26 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
               [pair.alpha2.get((a,)) for a in range(n)])
     d_forms = (pair.d_alpha1, pair.d_alpha2)
     zs = (pair.z1, pair.z2)
+    zero = VectorField.zero(presentation)
 
     nabla_phi = mcp.nabla_phi
     # d alpha_i(phi e_b, e_a), indexed [i][b][a]
     d_phi = [[[eval_form(d_forms[i], phi_fields[b], frame_fields[a])
                for a in range(n)] for b in range(n)] for i in (0, 1)]
 
-    witness = ""
-    ok = True
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                lhs = g.pair(nabla_phi[a][b], frame_fields[c])
-                rhs = presentation.zero
-                for i in (0, 1):
-                    if not a_rows[i][c].is_zero():
-                        rhs = rhs + d_phi[i][b][a] * a_rows[i][c]
-                    if not a_rows[i][b].is_zero():
-                        rhs = rhs - d_phi[i][c][a] * a_rows[i][b]
-                if lhs != rhs:
-                    ok = False
-                    witness = (f"pairing residual at ({a},{b},{c}) = "
-                               f"{lhs - rhs}")
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    findings.append(Finding("covariant phi pairing identity", ok, witness))
+    def pairing_rhs(a: int, b: int, c: int) -> ScalarExpr:
+        rhs = presentation.zero
+        for i in (0, 1):
+            if not a_rows[i][c].is_zero():
+                rhs = rhs + d_phi[i][b][a] * a_rows[i][c]
+            if not a_rows[i][b].is_zero():
+                rhs = rhs - d_phi[i][c][a] * a_rows[i][b]
+        return rhs
+
+    findings.append(certify("covariant phi pairing identity", (
+        (f"pairing residual at ({a},{b},{c})",
+         g.pair(nabla_phi[a][b], frame_fields[c]), pairing_rhs(a, b, c))
+        for a in range(n) for b in range(n) for c in range(n))))
 
     z = pair.reeb_sum
     findings.append(_endo_finding("Reeb sum derivative identity",
@@ -586,27 +544,16 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
 
     # F_i e_a, indexed [i][a]; alpha_i(F_i e_b) = alpha_i(e_b)
     proj = [[f.column(a) for a in range(n)] for f in mcp.foliation]
-    ok, witness = True, ""
-    for a in range(n):
-        for b in range(n):
-            rhs = None
-            for i in (0, 1):
-                xa, yb = proj[i][a], proj[i][b]
-                term = zs[i].scale(g.pair(xa, yb)) - xa.scale(a_rows[i][b])
-                rhs = term if rhs is None else rhs + term
-            residual = nabla_phi[a][b] - rhs
-            if not residual.is_zero():
-                ok, witness = False, f"residual at ({a},{b}) = {residual}"
-                break
-        if not ok:
-            break
-    findings.append(Finding("covariant phi projection identity", ok, witness))
+    findings.append(certify("covariant phi projection identity", (
+        (f"residual at ({a},{b})", nabla_phi[a][b],
+         sum((zs[i].scale(g.pair(proj[i][a], proj[i][b]))
+              - proj[i][a].scale(a_rows[i][b]) for i in (0, 1)), zero))
+        for a in range(n) for b in range(n))))
 
     half = ScalarExpr.constant(Fraction(1, 2), presentation.coordinates)
     h_endo = lie_derivative_endo(z, phi).scale(half)
     # Q e_a = R(Z, e_a) Z = sum_c Z^c R(e_c, e_a) Z
     curvature = mcp.reeb_curvature
-    zero = VectorField(presentation, (presentation.zero,) * n)
     q = EndoField.from_columns(presentation, [
         sum((curvature[c][a].scale(zc) for c, zc in enumerate(z.components)
              if not zc.is_zero()), zero).components for a in range(n)])
@@ -617,53 +564,43 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
     findings.append(_endo_finding("Reeb derivative with h-tensor",
                                   mcp.nabla_reeb + phi + phi.compose(h_endo)))
 
-    report = normality(mcp)
-    if report.normal_mcp:
+    if mcp.normality.normal_mcp:
         findings.append(Finding("h-tensor vanishes on the normal bundle",
                                 h_endo.is_zero()))
         findings.append(Finding("Reeb sum is Killing", is_killing(z, conn)))
     return findings
 
 
-def _endo_finding(condition: str, residual: EndoField,
-                  label: str = "residual along") -> Finding:
+def _endo_finding(condition: str, residual: EndoField) -> Finding:
     """The identity ``residual = 0``, witnessed by its first nonzero
     column."""
-    for a in range(residual.frame.dim):
-        column = residual.column(a)
-        if not column.is_zero():
-            return Finding(condition, False, f"{label} e_{a} = {column}")
-    return Finding(condition, True)
+    frame = residual.frame
+    zero = VectorField.zero(frame)
+    return certify(condition, ((f"residual along e_{a}", residual.column(a),
+                                zero) for a in range(frame.dim)))
 
 
 def check_curvature_identity(mcp: MetricContactPair) -> List[Finding]:
     """Certify the curvature characterization of normality on frame pairs."""
     pair = mcp.pair
-    n = mcp.presentation.dim
+    frame = mcp.presentation
+    n = frame.dim
     alphas = pair.alphas()
+    zero = VectorField.zero(frame)
     # F_i e_a, indexed [i][a]; alpha_i(F_i e_b) = alpha_i(e_b)
     proj = [[f.column(a) for a in range(n)] for f in mcp.foliation]
-    ok, witness = True, ""
-    for a in range(n):
-        for b in range(a + 1, n):
-            rhs = None
-            for i in (0, 1):
-                term = (proj[i][a].scale(alphas[i].get((b,)))
-                        - proj[i][b].scale(alphas[i].get((a,))))
-                rhs = term if rhs is None else rhs + term
-            residual = mcp.reeb_curvature[a][b] - rhs
-            if not residual.is_zero():
-                ok, witness = False, f"residual at ({a},{b}) = {residual}"
-                break
-        if not ok:
-            break
-    holds = Finding("Reeb curvature identity", ok, witness)
-    report = normality(mcp)
-    detail = f"identity={ok}, normal={report.normal_mcp}"
-    if ok != report.normal_mcp and report.witnesses:
+    holds = certify("Reeb curvature identity", (
+        (f"residual at ({a},{b})", mcp.reeb_curvature[a][b],
+         sum((proj[i][a].scale(alphas[i].get((b,)))
+              - proj[i][b].scale(alphas[i].get((a,))) for i in (0, 1)),
+             zero))
+        for a in range(n) for b in range(a + 1, n)))
+    report = mcp.normality
+    detail = f"identity={holds.ok}, normal={report.normal_mcp}"
+    if holds.ok != report.normal_mcp and report.witnesses:
         detail += f"; {report.witnesses[0]}"
     agreement = Finding("curvature identity is equivalent to normality",
-                        ok == report.normal_mcp, detail)
+                        holds.ok == report.normal_mcp, detail)
     return [holds, agreement]
 
 
@@ -683,23 +620,18 @@ def hermitian_data(mcp: MetricContactPair) -> List[Finding]:
                        ScalarExpr.constant(2, presentation.coordinates)))
     d_fundamental = exterior_derivative(fundamental)
 
-    ok, witness = True, ""
-    for a in range(n):
-        lhs = sum((pair.alpha2.get((c,)) * j_fields[a].components[c]
-                   for c in range(n)), presentation.zero)
-        rhs = pair.alpha1.get((a,))
-        if lhs != rhs:
-            ok, witness = False, f"residual on e_{a} = {lhs - rhs}"
-            break
-    findings.append(Finding("second form pulls back to the first under J",
-                            ok, witness))
+    findings.append(certify("second form pulls back to the first under J", (
+        (f"residual on e_{a}",
+         sum((pair.alpha2.get((c,)) * j_fields[a].components[c]
+              for c in range(n)), presentation.zero), pair.alpha1.get((a,)))
+        for a in range(n))))
 
-    # P_i J, whose columns are the projections of J e_a
+    # P_i J, whose columns are the projections of J e_a, and J P_i
     pi_j = [p.compose(j) for p in mcp.pi]
-    commute = [_endo_finding("projections commute with J", pj - j.compose(p),
-                             f"pi_{i} J residual on")
-               for i, (p, pj) in enumerate(zip(mcp.pi, pi_j), start=1)]
-    findings.append(next((f for f in commute if not f.ok), commute[0]))
+    j_pi = [j.compose(p) for p in mcp.pi]
+    findings.append(certify("projections commute with J", (
+        (f"pi_{i + 1} J residual on e_{a}", pi_j[i].column(a),
+         j_pi[i].column(a)) for i in (0, 1) for a in range(n))))
 
     four = ScalarExpr.constant(4, presentation.coordinates)
     nabla_j = mcp.nabla_j
@@ -708,26 +640,23 @@ def hermitian_data(mcp: MetricContactPair) -> List[Finding]:
     # coefficients of dF, contracted with the nonzero entries of J.
     j_support = [[(q, v) for q, v in enumerate(jf.components)
                   if not v.is_zero()] for jf in j_fields]
-    ok, witness = True, ""
-    for a in range(n):
-        for b in range(n):
-            # sum_q J^q_b dF_aqr, indexed by r
-            df_jb = [sum((v * d_fundamental.get((a, q, r))
-                          for q, v in j_support[b]), presentation.zero)
-                     for r in range(n)]
-            for c in range(n):
-                lhs = four * g.pair(nabla_j[a][b], frame_fields[c])
-                rhs = sum((w * df_jb[r] for r, w in j_support[c]),
-                          presentation.zero) \
-                    - d_fundamental.get((a, b, c))
-                if lhs != rhs:
-                    ok, witness = False, f"residual at ({a},{b},{c}) = {lhs - rhs}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    findings.append(Finding("Hermitian covariant identity", ok, witness))
+
+    def covariant_entries():
+        for a in range(n):
+            for b in range(n):
+                # sum_q J^q_b dF_aqr, indexed by r
+                df_jb = [sum((v * d_fundamental.get((a, q, r))
+                              for q, v in j_support[b]), presentation.zero)
+                         for r in range(n)]
+                for c in range(n):
+                    yield (f"residual at ({a},{b},{c})",
+                           four * g.pair(nabla_j[a][b], frame_fields[c]),
+                           sum((w * df_jb[r] for r, w in j_support[c]),
+                               presentation.zero)
+                           - d_fundamental.get((a, b, c)))
+
+    findings.append(certify("Hermitian covariant identity",
+                            covariant_entries()))
 
     def closed_form(a: int, b: int) -> VectorField:
         x, y = frame_fields[a], frame_fields[b]
@@ -743,17 +672,9 @@ def hermitian_data(mcp: MetricContactPair) -> List[Finding]:
                 - mcp.pi[0].column(a).scale(alpha1_y)
                 - mcp.pi[1].column(a).scale(alpha2_y))
 
-    ok, witness = True, ""
-    for a in range(n):
-        for b in range(n):
-            residual = nabla_j[a][b] - closed_form(a, b)
-            if not residual.is_zero():
-                ok, witness = False, f"residual at ({a},{b}) = {residual}"
-                break
-        if not ok:
-            break
-    findings.append(Finding("closed form of the covariant derivative of J",
-                            ok, witness))
+    findings.append(certify("closed form of the covariant derivative of J", (
+        (f"residual at ({a},{b})", nabla_j[a][b], closed_form(a, b))
+        for a in range(n) for b in range(n))))
 
     witness_entry = d_fundamental.nonzero_witness()
     findings.append(Finding(

@@ -250,16 +250,14 @@ def corpus_build(name: str, params: Optional[Tuple[int, int]] = None
         return Scenario(name="darboux", **data)
     if params is not None:
         raise ScenarioError(f"scenario {name} takes no parameters")
-    if name == "heis6":
-        data = _heis6_data()
-        subs = dict(_HEIS6_SUBFRAMES)
-        return Scenario(name="heis6", submanifolds=subs,
-                        expectations=_heis6_expectations(subs), **data)
-    if name in ("heis6-leaf3", "heis6-n4"):
-        data = _heis6_data()
-        subs = {name: _HEIS6_SUBFRAMES[name]}
+    if name in ("heis6", "heis6-leaf3", "heis6-n4"):
+        # fresh span lists, so that editing one build leaves the others
+        subs = {sub: [list(vector) for vector in vectors]
+                for sub, vectors in _HEIS6_SUBFRAMES.items()
+                if name in ("heis6", sub)}
         return Scenario(name=name, submanifolds=subs,
-                        expectations=_heis6_expectations(subs), **data)
+                        expectations=_heis6_expectations(subs),
+                        **_heis6_data())
     if name == "darboux-J-noninvariant":
         data = _darboux_data(1, 0)
         data["base_point"]["x1"] = "1"

@@ -70,7 +70,7 @@ class FramePresentation:
     """
 
     def __init__(self, coordinates: Sequence[str], frame: Sequence[Sequence],
-                 base_point: Mapping[str, object], check_jacobi: bool = True):
+                 base_point: Mapping[str, object]):
         self.coordinates = tuple(coordinates)
         self.vars = self.coordinates
         self._zero = ScalarExpr.constant(0, self.coordinates)
@@ -91,8 +91,7 @@ class FramePresentation:
             raise FrameError("frame matrix is singular at the base point")
         self.coframe = linalg.invert(self.frame)
         self._structure = self._compute_structure()
-        if check_jacobi:
-            self._certify_jacobi()
+        self._certify_jacobi()
 
     # -- scalar helpers ---------------------------------------------------
 
@@ -217,6 +216,10 @@ class VectorField:
             raise FrameError("component count must equal the frame dimension")
         self.frame = frame
         self.components = tuple(components)
+
+    @classmethod
+    def zero(cls, frame) -> "VectorField":
+        return cls(frame, (frame.zero,) * frame.dim)
 
     def __add__(self, other: "VectorField") -> "VectorField":
         self._check(other)
@@ -462,9 +465,14 @@ def exterior_derivative(form: PForm) -> PForm:
     return PForm(context, form.degree + 1, coeffs)
 
 
-def seeded_probe_points(presentation, seed: int = 1, count: int = 8,
-                        max_attempts: int = 100) -> List[Dict[str, Fraction]]:
-    """Deterministic rational probe points where the frame stays invertible.
+PROBE_COUNT = 8
+PROBE_ATTEMPTS = 100
+
+
+def seeded_probe_points(presentation, seed: int = 1
+                        ) -> List[Dict[str, Fraction]]:
+    """``PROBE_COUNT`` deterministic rational probe points where the frame
+    stays invertible, drawn in at most ``PROBE_ATTEMPTS`` tries.
 
     Coordinates get nonzero numerators and denominators at most 16, keeping
     exact cross-checks cheap.
@@ -472,9 +480,9 @@ def seeded_probe_points(presentation, seed: int = 1, count: int = 8,
     rng = random.Random(seed)
     points = []
     attempts = 0
-    while len(points) < count:
+    while len(points) < PROBE_COUNT:
         attempts += 1
-        if attempts > max_attempts:
+        if attempts > PROBE_ATTEMPTS:
             raise FrameError("could not sample regular probe points")
         point = {}
         for name in presentation.coordinates:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .contact import Finding, MetricContactPair, normality
+from .contact import Finding, MetricContactPair, certify
 from .frames import (EndoField, MetricField, PForm, VectorField, bracket,
                      cartan_class, eval_form, exterior_derivative,
                      form_power, levi_civita, nonvanishing_certificate,
@@ -372,39 +372,42 @@ def restrict_structure(sub: Subframe, mcp: MetricContactPair,
     findings.append(Finding("induced endomorphism squares correctly",
                             delta.is_zero()))
 
-    ok, witness = True, ""
-    sub_frame_fields = [sub.frame_field(a) for a in range(sub.dim)]
+    r = range(sub.dim)
+    sub_frame_fields = [sub.frame_field(a) for a in r]
     phi_fields = [phi_tilde.apply(e) for e in sub_frame_fields]
-    for a in range(sub.dim):
-        for b in range(sub.dim):
-            lhs = g_tilde.pair(sub_frame_fields[a], phi_fields[b])
-            rhs = eval_form(d_alpha, sub_frame_fields[a], sub_frame_fields[b])
-            if lhs != rhs:
-                ok, witness = False, f"residual at ({a},{b}) = {lhs - rhs}"
-                break
-        if not ok:
-            break
-    findings.append(Finding("induced metric is associated to the induced "
-                            "contact form", ok, witness))
+    findings.append(certify(
+        "induced metric is associated to the induced contact form", (
+            (f"residual at ({a},{b})",
+             g_tilde.pair(sub_frame_fields[a], phi_fields[b]),
+             eval_form(d_alpha, sub_frame_fields[a], sub_frame_fields[b]))
+            for a in r for b in r)))
 
-    if normality(mcp).normal_mcp:
+    if mcp.normality.normal_mcp:
         conn = levi_civita(g_tilde)
-        ok, witness = True, ""
-        for a in range(sub.dim):
-            nabla_phi = conn.nabla_endo(a, phi_tilde)
-            for b in range(sub.dim):
-                value_b = alpha.get((b,))
-                rhs = reeb.scale(sub.gram[a][b]) \
-                    - sub_frame_fields[a].scale(value_b)
-                residual = nabla_phi[b] - rhs
-                if not residual.is_zero():
-                    ok, witness = False, f"residual at ({a},{b}) = {residual}"
-                    break
-            if not ok:
-                break
-        findings.append(Finding("induced structure satisfies the Sasakian "
-                                "covariant identity", ok, witness))
+
+        def sasakian_entries():
+            for a in r:
+                nabla_phi = conn.nabla_endo(a, phi_tilde)
+                for b in r:
+                    yield (f"residual at ({a},{b})", nabla_phi[b],
+                           reeb.scale(sub.gram[a][b])
+                           - sub_frame_fields[a].scale(alpha.get((b,))))
+
+        findings.append(certify("induced structure satisfies the Sasakian "
+                                "covariant identity", sasakian_entries()))
     return findings
+
+
+def _pairing_identity(condition: str, b_of, phi: EndoField,
+                      horizontals: Sequence[VectorField], folded: Sequence,
+                      rhs) -> Finding:
+    """b(X, phi Y) - phi b(X, Y) = rhs(FX, FY) on the horizontal fields,
+    where ``folded`` holds FX for each X."""
+    return certify(condition, (
+        ("residual", b_of(x, phi.apply(y)) - phi.apply(b_of(x, y)),
+         rhs(fx, fy))
+        for x, fx in zip(horizontals, folded)
+        for y, fy in zip(horizontals, folded)))
 
 
 def _orthogonal_complement_in_span(sub: Subframe, direction: VectorField,
@@ -452,19 +455,11 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
             foliation = mcp.foliation[0]
         horizontals = _orthogonal_complement_in_span(sub, z_tan, g)
         folded = [foliation.apply(x) for x in horizontals]
-        ok, witness = True, ""
-        for x, xi in zip(horizontals, folded):
-            for y, yi in zip(horizontals, folded):
-                lhs = b_of(x, phi.apply(y)) - phi.apply(b_of(x, y))
-                rhs = (z_orth - z_tan).scale(g.pair(xi, yi))
-                residual = lhs - rhs
-                if not residual.is_zero():
-                    ok, witness = False, f"residual = {residual}"
-                    break
-            if not ok:
-                break
-        findings.append(Finding("shape operator pairing identity on "
-                                "horizontal span fields", ok, witness))
+        difference = z_orth - z_tan
+        findings.append(_pairing_identity(
+            "shape operator pairing identity on horizontal span fields",
+            b_of, phi, horizontals, folded,
+            lambda xi, yi: difference.scale(g.pair(xi, yi))))
         findings.append(Finding(
             "shape operator annihilates the tangent Reeb field",
             b_of(z_tan, z_tan).is_zero()))
@@ -490,23 +485,11 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
         z2_perp = sub.normal(pair.z2)
         # (F_1 x, F_2 x) for each horizontal x
         folded = [[f.apply(x) for f in mcp.foliation] for x in horizontals]
-        ok, witness = True, ""
-        for x, fx in zip(horizontals, folded):
-            for y, fy in zip(horizontals, folded):
-                lhs = b_of(x, phi.apply(y)) - phi.apply(b_of(x, y))
-                rhs = None
-                for i, z_perp in enumerate((z1_perp, z2_perp)):
-                    term = z_perp.scale(g.pair(fx[i], fy[i]))
-                    rhs = term if rhs is None else rhs + term
-                residual = lhs - rhs
-                if not residual.is_zero():
-                    ok, witness = False, f"residual = {residual}"
-                    break
-            if not ok:
-                break
-        findings.append(Finding("shape operator pairing identity on fields "
-                                "orthogonal to the vertical direction",
-                                ok, witness))
+        findings.append(_pairing_identity(
+            "shape operator pairing identity on fields orthogonal to the "
+            "vertical direction", b_of, phi, horizontals, folded,
+            lambda fx, fy: (z1_perp.scale(g.pair(fx[0], fy[0]))
+                            + z2_perp.scale(g.pair(fx[1], fy[1])))))
 
         trace = shape.mean_curvature.scale(
             ScalarExpr.constant(sub.dim, sub.vars))
@@ -523,18 +506,12 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
             tangential.is_zero(), "" if tangential.is_zero()
             else str(tangential)))
         target = sub.normal(j.apply(z1t))
-        normal_part = derivative - tangential
-        proportional = True
+        normal = (derivative - tangential).components
+        along = target.components
         n_amb = sub.ambient.dim
-        for a in range(n_amb):
-            for b in range(a + 1, n_amb):
-                cross = normal_part.components[a] * target.components[b] \
-                    - normal_part.components[b] * target.components[a]
-                if not cross.is_zero():
-                    proportional = False
-                    break
-            if not proportional:
-                break
+        proportional = all(
+            (normal[a] * along[b] - normal[b] * along[a]).is_zero()
+            for a in range(n_amb) for b in range(a + 1, n_amb))
         findings.append(Finding(
             "vertical direction derivative is normal along the rotated "
             "vertical direction", proportional))
@@ -547,27 +524,25 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
         z1_perp = sub.normal(pair.z1)
         z2_perp = sub.normal(pair.z2)
         two = ScalarExpr.constant(2, sub.vars)
-        ok, witness = True, ""
-        for x in probes_fields:
-            jx = j.apply(x)
-            lhs = b_of(x, x) + b_of(jx, jx)
-            a1x = sum((pair.alpha1.get((c,)) * x.components[c]
-                       for c in range(sub.ambient.dim)), sub.zero)
-            a2x = sum((pair.alpha2.get((c,)) * x.components[c]
-                       for c in range(sub.ambient.dim)), sub.zero)
-            pi1x, pi2x = (p.apply(x) for p in mcp.pi)
-            pi1jx, pi2jx = (p.apply(jx) for p in mcp.pi)
-            bracket_term = (pi1jx.scale(-a1x) + pi2jx.scale(-a2x)
-                            + pi1x.scale(-a2x) + pi2x.scale(a1x))
-            rhs = (z1_perp.scale(-two * g.norm_squared(pi2x))
-                   + z2_perp.scale(two * g.norm_squared(pi1x))
-                   + sub.normal(bracket_term).scale(two))
-            residual = lhs - rhs
-            if not residual.is_zero():
-                ok, witness = False, f"residual = {residual}"
-                break
-        findings.append(Finding("complex shape identity on span fields",
-                                ok, witness))
+
+        def complex_shape_entries():
+            for x in probes_fields:
+                jx = j.apply(x)
+                a1x = sum((pair.alpha1.get((c,)) * x.components[c]
+                           for c in range(sub.ambient.dim)), sub.zero)
+                a2x = sum((pair.alpha2.get((c,)) * x.components[c]
+                           for c in range(sub.ambient.dim)), sub.zero)
+                pi1x, pi2x = (p.apply(x) for p in mcp.pi)
+                pi1jx, pi2jx = (p.apply(jx) for p in mcp.pi)
+                bracket_term = (pi1jx.scale(-a1x) + pi2jx.scale(-a2x)
+                                + pi1x.scale(-a2x) + pi2x.scale(a1x))
+                yield ("residual", b_of(x, x) + b_of(jx, jx),
+                       z1_perp.scale(-two * g.norm_squared(pi2x))
+                       + z2_perp.scale(two * g.norm_squared(pi1x))
+                       + sub.normal(bracket_term).scale(two))
+
+        findings.append(certify("complex shape identity on span fields",
+                                complex_shape_entries()))
         findings.append(Finding(
             "minimality is equivalent to Reeb tangency",
             shape.minimal == profile.tangent_both,
@@ -584,12 +559,10 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
                  - p1.apply(profile.z2_tangential))
         rhs = (z1_perp.scale(-tau2) + z2_perp.scale(tau1)
                + sub.normal(mixed).scale(two))
-        residual = shape.mean_curvature - rhs.scale(
-            ScalarExpr.constant(Fraction(1, sub.dim), sub.vars))
-        findings.append(Finding(
-            "normalized mean curvature probe residual below tolerance",
-            residual.is_zero(), "" if residual.is_zero()
-            else f"residual = {residual}"))
+        findings.append(certify(
+            "normalized mean curvature probe residual below tolerance", [
+                ("residual", shape.mean_curvature, rhs.scale(
+                    ScalarExpr.constant(Fraction(1, sub.dim), sub.vars)))]))
 
     if profile.phi_invariant:
         for i, z in ((1, pair.z1), (2, pair.z2)):

@@ -78,6 +78,31 @@ def scaled_metric(scenario):
     return MetricField(presentation, gram)
 
 
+def mixed_phi_structure(scenario):
+    """heis6 with an endomorphism that pairs e_0 with e_4 and e_1 with
+    e_3, across the two factors; phi squared is still -1 on the
+    horizontal fields, but TF1 and TF2 are no longer phi-invariant."""
+    presentation = scenario.presentation()
+    one = presentation.one
+    rows = [[presentation.zero] * 6 for _ in range(6)]
+    rows[4][0] = one
+    rows[0][4] = -one
+    rows[3][1] = one
+    rows[1][3] = -one
+    return EndoField(presentation, rows)
+
+
+def skew_metric(scenario):
+    """heis6 Gram matrix with g(e_0, e_3) = 1/4; still Riemannian, but
+    H1 and H2 are no longer orthogonal."""
+    gram = [[Fraction(0)] * 6 for _ in range(6)]
+    for a, value in enumerate((Fraction(1, 2), Fraction(1, 2), Fraction(1),
+                               Fraction(1, 2), Fraction(1, 2), Fraction(1))):
+        gram[a][a] = value
+    gram[0][3] = gram[3][0] = Fraction(1, 4)
+    return MetricField(scenario.presentation(), gram)
+
+
 def gauged_heis6(scenario):
     """heis6 in the frame with e_1 rescaled by s = 1 + x^2, where
     phi'^a_b = phi^a_b s_b / s_a and g'_ab = s_a s_b g_ab.  Its bracket

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from contact_pair_lab import (CHECK_IDS, EndoField, ValidationError,
@@ -100,6 +102,23 @@ def test_identity_endomorphism_rejected(heis6_scenario, heis6_mcp):
                            EndoField.identity(heis6_scenario.presentation()))
 
 
+def test_structure_axioms_name_their_first_nonzero_residuals(
+        heis6_scenario, heis6_mcp):
+    presentation = heis6_scenario.presentation()
+    rows = [[presentation.scalar(text) for text in row]
+            for row in heis6_scenario.phi]
+    rows[2][0] = presentation.one  # phi e_0 gains a Z1 component
+    rows[0][2] = presentation.one  # phi Z1 = e_0
+    with pytest.raises(ValidationError) as caught:
+        validate_structure(heis6_mcp.pair, EndoField(presentation, rows))
+    assert str(caught.value) == (
+        "not a contact pair structure ["
+        "phi squared identity: component (0,0) = (1); "
+        "phi kills Z1: phi(Z1) = "
+        "VectorField(['(1)', '(0)', '(0)', '(0)', '(0)', '(0)']); "
+        "first form annihilates the image of phi: alpha(phi e_0) = (1)]")
+
+
 # -- normality: both directions -----------------------------------------
 
 def test_normality_on_the_flat_bundles(heis6_mcp, darboux_mcp):
@@ -176,7 +195,7 @@ def test_sign_flip_breaks_association_and_projection(heis6_scenario,
                                    metric=heis6_scenario.metric_field())
     mcp = validate_metric(structure, heis6_scenario.metric_field())
     assert mcp.compatible.ok
-    assert not mcp.associated.ok and mcp.associated.witnesses
+    assert not mcp.associated.ok and mcp.associated.witness
     report = normality(mcp)
     assert report.n1_zero and not report.normal_mcp
 
@@ -209,3 +228,12 @@ def test_hermitian_identities(heis6_mcp, darboux_mcp):
         findings = hermitian_data(mcp)
         assert all(f.ok for f in findings), \
             [f.condition for f in findings if not f.ok]
+
+
+def test_form_pullback_names_the_first_failing_frame_field(heis6_mcp):
+    structure = heis6_mcp.structure
+    doubled = dataclasses.replace(heis6_mcp, structure=dataclasses.replace(
+        structure, j=structure.j.scale(heis6_mcp.presentation.scalar(2))))
+    by_name = {f.condition: f for f in hermitian_data(doubled)}
+    pullback = by_name["second form pulls back to the first under J"]
+    assert not pullback.ok and pullback.witness == "residual on e_2 = (1)"

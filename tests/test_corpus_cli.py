@@ -22,6 +22,20 @@ def test_corpus_names_build(tmp_path):
         assert len(scenario.coordinates) == 2 * sum(scenario.pair_type) + 2
 
 
+def test_built_scenarios_do_not_share_span_lists():
+    for name in ("heis6", "heis6-n4"):
+        edited = corpus_build(name)
+        span = edited.submanifolds[sorted(edited.submanifolds)[0]][0]
+        original = span[0]
+        span[0] = "1/x"
+        try:
+            for other in ("heis6", "heis6-leaf3", "heis6-n4"):
+                for vectors in corpus_build(other).submanifolds.values():
+                    assert all("1/x" not in v for v in vectors), (name, other)
+        finally:
+            span[0] = original
+
+
 def test_darboux_params_range():
     corpus_build("darboux", (2, 1))
     with pytest.raises(ScenarioError):

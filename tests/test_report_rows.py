@@ -1,5 +1,5 @@
 """Golden report rows: (id, verdict, witness) of ``run_checks`` at probe
-seeds 1 and 7, on every corpus scenario and on heis6 with the three
+seeds 1 and 7, on every corpus scenario and on heis6 with the five
 negative controls of ``conftest``.  The controls give failing witnesses
 for most derived identities, so a rewrite of a check that changes a
 witness shows here.
@@ -16,7 +16,8 @@ import pytest
 from contact_pair_lab import (CORPUS_NAMES, ScalarExpr, corpus_build,
                               run_checks)
 
-from conftest import perturbed_phi_structure, scaled_metric, twisted_phi_structure
+from conftest import (mixed_phi_structure, perturbed_phi_structure,
+                      scaled_metric, skew_metric, twisted_phi_structure)
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                     "report_rows.json")
@@ -25,6 +26,8 @@ CONTROLS = {
     "heis6-twisted-phi": ("phi", twisted_phi_structure),
     "heis6-perturbed-phi": ("phi", perturbed_phi_structure),
     "heis6-scaled-metric": ("metric", scaled_metric),
+    "heis6-mixed-phi": ("phi", mixed_phi_structure),
+    "heis6-skew-metric": ("metric", skew_metric),
 }
 LABELS = CORPUS_NAMES + tuple(CONTROLS)
 
@@ -73,10 +76,26 @@ def test_the_certified_pipeline_evaluates_no_float(golden, monkeypatch):
 def test_the_golden_file_covers_failing_witnesses_of_rewritten_checks(golden):
     failing = {row[0] for label in CONTROLS for seed in golden[label].values()
                for row in seed if row[1] == "fail"}
-    for row_id in ("connection.curvature_h_tensor",
+    for row_id in ("structure.decomposable",
+                   "metric.compatible",
+                   "metric.associated",
+                   "metric.orthogonal_splitting",
+                   "normality.N1",
+                   "normality.NJ",
+                   "normality.NT",
+                   "normality.normal_mcp",
+                   "connection.covariant_phi_pairing",
+                   "connection.reeb_derivative",
+                   "connection.curvature_h_tensor",
                    "curvature.reeb_identity",
                    "connection.covariant_phi_projection",
+                   "hermitian.projections_commute",
+                   "hermitian.covariant_identity",
                    "hermitian.closed_form"):
         assert row_id in failing
-    assert any("shape-operator-pairing-identity" in r for r in failing)
+    assert any("shape-operator-pairing-identity-on-horizontal" in r
+               for r in failing)
+    assert any("shape-operator-pairing-identity-on-fields-orthogonal" in r
+               for r in failing)
+    assert any("induced-metric-is-associated" in r for r in failing)
     assert any("complex-shape-identity" in r for r in failing)

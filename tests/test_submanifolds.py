@@ -1,10 +1,12 @@
 import dataclasses
 import warnings
+from fractions import Fraction
 
 import pytest
 
-from contact_pair_lab import (SubframeError, angle_constancy, build_subframe,
-                              classify, corpus_build, mean_curvature,
+from contact_pair_lab import (MetricField, SubframeError, angle_constancy,
+                              build_subframe, classify, corpus_build,
+                              mean_curvature, restrict_structure,
                               second_fundamental_form, shape_data,
                               verify_theorems)
 from contact_pair_lab.frames import ChartDomainWarning
@@ -188,6 +190,31 @@ def test_theorem_reports_pass_on_corpus_subframes(heis6_mcp,
         findings = verify_theorems(sub, heis6_mcp, profile)
         bad = [f.condition for f in findings if not f.ok]
         assert not bad, (name, bad)
+
+
+def test_induced_identities_name_their_first_nonzero_residuals(
+        heis6_scenario, heis6_mcp):
+    """The factor span measured with the first factor's block doubled: the
+    ambient pair stays normal, so the Sasakian identity is certified, and
+    it fails together with the induced association."""
+    presentation = heis6_scenario.presentation()
+    gram = [[Fraction(0)] * 6 for _ in range(6)]
+    for a, value in enumerate((1, 1, 1, Fraction(1, 2), Fraction(1, 2), 1)):
+        gram[a][a] = Fraction(value)
+    fields = [presentation.vector(v)
+              for v in heis6_scenario.submanifolds["factor"]]
+    sub = build_subframe(presentation, fields,
+                         MetricField(presentation, gram), "factor")
+    by_name = {f.condition: f for f in restrict_structure(sub, heis6_mcp)}
+    associated = by_name["induced metric is associated to the induced "
+                         "contact form"]
+    assert not associated.ok
+    assert associated.witness == "residual at (0,1) = ((1/2))"
+    sasakian = by_name["induced structure satisfies the Sasakian "
+                       "covariant identity"]
+    assert not sasakian.ok
+    assert sasakian.witness == \
+        "residual at (0,0) = VectorField(['(0)', '(0)', '((-1/2))'])"
 
 
 def test_involutivity_is_required():
