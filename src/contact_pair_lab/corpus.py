@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .frames import (EndoField, FramePresentation, MetricField, PForm,
                      VectorField, one_form)
-from .scalars import ParseError, ScalarExpr, parse_expr
+from .scalars import ParseError, parse_expr
 from .submanifolds import Subframe, build_subframe
 
 CORPUS_NAMES = ("darboux", "heis6", "heis6-leaf3", "heis6-n4",

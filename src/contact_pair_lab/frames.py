@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .linalg import dot
-from .scalars import Rational, ScalarError, ScalarExpr, parse_expr
+from .scalars import ScalarError, ScalarExpr, parse_expr
 
 Point = Mapping[str, Fraction]
 

@@ -2,43 +2,59 @@
 
 ScalarExpr is the coefficient field for the whole library: every tensor
 component is a canonical fraction of multivariate polynomials with
-Fraction coefficients.  Equality of canonical forms is the only notion of
+integer coefficients.  Equality of canonical forms is the only notion of
 identity used by the symbolic certifiers; "equals zero" literally means
 "normalizes to the unique zero representation".
 
-Canonical form: numerator and denominator are gcd-reduced, the denominator
-is monic with respect to the graded-lexicographic order on the declared
-coordinate tuple, and zero is (0)/(1).
+Canonical form: numerator and denominator lie in Z[x] over the declared
+coordinate tuple and are coprime there, so both their polynomial gcd and
+the gcd of their integer contents (the gcd of a polynomial's
+coefficients) are 1; the denominator's leading coefficient in the
+graded-lexicographic order is positive; zero is (0)/(1).  Z[x] has unique
+factorization and its only units are +1 and -1 (Gauss's lemma), so this
+form is unique.  The rational content of the value is implicit, as
+cont(num)/cont(den).  Printing divides both by the denominator's leading
+coefficient, so text shows a monic denominator.
 
 Arithmetic relies on that invariant: every operand a/b, c/d already has
-gcd(a, b) = gcd(c, d) = 1 and a monic denominator, so most results are
-built reduced without asking for the gcd of the whole numerator and
-denominator (Henrici's cancellation, Knuth TAOCP vol. 2, 4.5.1):
+gcd(a, b) = gcd(c, d) = 1 in Z[x] and a positively leading denominator, so
+most results are built reduced without asking for the gcd of the whole
+numerator and denominator (Henrici's cancellation, Knuth TAOCP vol. 2,
+4.5.1, which holds in Z[x] as in any unique factorization domain):
 
 - a/b + c/1 = (a + c*b)/b, and symmetrically, because
-  gcd(a + c*b, b) = gcd(a, b) = 1.  A sum of two distinct nontrivial
-  denominators, or of equal ones, goes through the general reduction.
+  gcd(a + c*b, b) = gcd(a, b) = 1.  With a constant denominator k other
+  than 1, a/b + c/k = (a*k + c*b)/(b*k): a nonconstant common factor of
+  a*k + c*b and b*k would divide b and a*k, hence a, so only an integer
+  can be common, and one math.gcd over the coefficients removes it.  A
+  sum of two nonconstant denominators, equal or not, goes through the
+  general reduction.
 - (a/b) * (c/d) = (a/g1)(c/g2) / ((b/g2)(d/g1)) with g1 = gcd(a, d) and
   g2 = gcd(c, b): a/g1 is coprime to b (it divides a) and to d/g1, and
   likewise for c/g2, so the product is reduced.  A gcd whose arguments
-  include a constant is 1 and is not computed.  Division multiplies by
-  d/c; either way the denominator is then rescaled to be monic.
+  include a constant is the gcd of the integer contents.  Division
+  multiplies by d/c; either way the signs are then fixed so that the
+  denominator leads positively.
 
-``_terms_gcd`` settles most of the gcds that remain without sympy: once
-the monomial content is removed, two cofactors in disjoint variables are
-coprime, and when trial division of one by the other leaves no remainder
-the divisor is the gcd.  Only the rest reach ``sympy.Poly.gcd``, imported
-lazily.
+``_terms_gcd`` settles most of the gcds that remain without sympy: it
+splits off the monomial content and the integer content; two primitive
+cofactors in disjoint variables are coprime, and when trial division of
+one primitive cofactor by the other leaves no remainder the divisor is
+the gcd.  By Gauss's lemma a primitive polynomial that divides another
+over Q does so over Z, so the trial division runs on integers.  Only the
+rest reach ``sympy.Poly.gcd`` over ZZ, imported lazily.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
+from operator import add, sub
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 Exponents = Tuple[int, ...]
-Terms = Dict[Exponents, Fraction]
+Terms = Dict[Exponents, int]
 
 Rational = Fraction  # arbitrary-precision, always reduced, positive denominator
 
@@ -72,7 +88,7 @@ def _grlex_key(exponents: Exponents) -> Tuple[int, Exponents]:
 def _terms_add(a: Terms, b: Terms) -> Terms:
     out = dict(a)
     for exp, coeff in b.items():
-        new = out.get(exp, Fraction(0)) + coeff
+        new = out.get(exp, 0) + coeff
         if new:
             out[exp] = new
         else:
@@ -87,11 +103,17 @@ def _terms_neg(a: Terms) -> Terms:
 def _terms_mul(a: Terms, b: Terms) -> Terms:
     if not a or not b:
         return {}
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        # one term: monomial products are distinct and nothing cancels
+        (eb, cb), = b.items()
+        return {tuple(map(add, ea, eb)): ca * cb for ea, ca in a.items()}
     out: Terms = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            exp = tuple(x + y for x, y in zip(ea, eb))
-            new = out.get(exp, Fraction(0)) + ca * cb
+            exp = tuple(map(add, ea, eb))
+            new = out.get(exp, 0) + ca * cb
             if new:
                 out[exp] = new
             else:
@@ -99,13 +121,16 @@ def _terms_mul(a: Terms, b: Terms) -> Terms:
     return out
 
 
-def _terms_scale(a: Terms, c: Fraction) -> Terms:
-    if not c:
-        return {}
+def _terms_scale(a: Terms, c: int) -> Terms:
     return {exp: coeff * c for exp, coeff in a.items()}
 
 
-def _leading(a: Terms) -> Tuple[Exponents, Fraction]:
+def _terms_divide(a: Terms, c: int) -> Terms:
+    """a with every coefficient divided by c, which divides them all."""
+    return {exp: coeff // c for exp, coeff in a.items()}
+
+
+def _leading(a: Terms) -> Tuple[Exponents, int]:
     exp = max(a, key=_grlex_key)
     return exp, a[exp]
 
@@ -126,22 +151,36 @@ def _monomial_content(a: Terms) -> Exponents:
 
 def _terms_shift(a: Terms, shift: Exponents) -> Terms:
     """Divide every monomial by the given (componentwise smaller) monomial."""
-    return {tuple(x - s for x, s in zip(exp, shift)): c for exp, c in a.items()}
+    return {tuple(map(sub, exp, shift)): c for exp, c in a.items()}
+
+
+def _primitive(a: Terms) -> Terms:
+    """a divided by its (positive) integer content."""
+    content = gcd(*a.values())
+    return a if content == 1 else _terms_divide(a, content)
 
 
 def _exact_div(a: Terms, b: Terms) -> Terms:
-    """The quotient a / b; raises ScalarError unless b divides a."""
+    """The quotient a / b in Z[x]; raises ScalarError unless b divides a
+    with an integer quotient."""
     lead_b, lc_b = _leading(b)
+    tail = [(exp, coeff) for exp, coeff in b.items() if exp != lead_b]
     quotient: Terms = {}
     rem = dict(a)
     while rem:
-        lead_r, lc_r = _leading(rem)
-        exp = tuple(x - y for x, y in zip(lead_r, lead_b))
-        if any(e < 0 for e in exp):
+        lead_r = max(rem, key=_grlex_key)
+        exp = tuple(map(sub, lead_r, lead_b))
+        coeff, inexact = divmod(rem.pop(lead_r), lc_b)
+        if inexact or any(e < 0 for e in exp):
             raise ScalarError("inexact polynomial division")
-        coeff = lc_r / lc_b
         quotient[exp] = coeff
-        rem = _terms_add(rem, _terms_neg(_terms_mul({exp: coeff}, b)))
+        for eb, cb in tail:
+            key = tuple(map(add, exp, eb))
+            new = rem.get(key, 0) - coeff * cb
+            if new:
+                rem[key] = new
+            else:
+                del rem[key]
     return quotient
 
 
@@ -162,18 +201,21 @@ def _degree(a: Terms) -> int:
 
 
 def _terms_gcd(a: Terms, b: Terms, nvars: int) -> Terms:
-    """Monic gcd of two nonzero polynomials in ``nvars`` variables."""
+    """Gcd in Z[x] of two nonzero polynomials in ``nvars`` variables:
+    content gcd times primitive gcd times monomial gcd, with a positive
+    leading coefficient."""
     shift_a = _monomial_content(a)
     shift_b = _monomial_content(b)
     shift = tuple(min(x, y) for x, y in zip(shift_a, shift_b))
+    mono = {shift: gcd(*a.values(), *b.values())}
     a = _terms_shift(a, shift_a)
     b = _terms_shift(b, shift_b)
-    mono = {shift: Fraction(1)}
     if _is_constant(a) or _is_constant(b):
         return mono
     if not _support(a) & _support(b):
         # a divisor of a involves only a's variables
         return mono
+    a, b = _primitive(a), _primitive(b)
     big, small = (a, b) if _degree(a) >= _degree(b) else (b, a)
     try:
         _exact_div(big, small)
@@ -182,40 +224,44 @@ def _terms_gcd(a: Terms, b: Terms, nvars: int) -> Terms:
         import sympy
 
         gens = _sympy_gens(nvars)
-        pa = sympy.Poly.from_dict({e: sympy.Rational(c) for e, c in a.items()},
-                                  *gens, domain=sympy.QQ)
-        pb = sympy.Poly.from_dict({e: sympy.Rational(c) for e, c in b.items()},
-                                  *gens, domain=sympy.QQ)
-        g = {e: Fraction(c.numerator, c.denominator)
-             for e, c in pa.gcd(pb).as_dict().items()}
+        pa = sympy.Poly.from_dict(a, *gens, domain=sympy.ZZ)
+        pb = sympy.Poly.from_dict(b, *gens, domain=sympy.ZZ)
+        g = {e: int(c) for e, c in pa.gcd(pb).as_dict().items()}
         if _is_constant(g):
             return mono
     g = _terms_mul(g, mono)
     _, lc = _leading(g)
-    return _terms_scale(g, 1 / lc)
+    return g if lc > 0 else _terms_neg(g)
 
 
 def _cancel(a: Terms, b: Terms, nvars: int) -> Tuple[Terms, Terms]:
     """a and b divided by their gcd."""
     if _is_constant(a) or _is_constant(b):
-        # _terms_gcd would return 1 too, after shifting both operands
+        # _terms_gcd would return the content gcd too, after shifting both
+        content = gcd(*a.values(), *b.values())
+    else:
+        g = _terms_gcd(a, b, nvars)
+        if not _is_constant(g):
+            return _exact_div(a, g), _exact_div(b, g)
+        (content,) = g.values()
+    if content == 1:
         return a, b
-    g = _terms_gcd(a, b, nvars)
-    if _is_constant(g):
-        return a, b
-    return _exact_div(a, g), _exact_div(b, g)
+    return _terms_divide(a, content), _terms_divide(b, content)
 
 
-def _monic(num: Terms, den: Terms) -> Tuple[Terms, Terms]:
-    """num/den rescaled so that den is monic."""
+def _sign_fix(num: Terms, den: Terms) -> Tuple[Terms, Terms]:
+    """num/den with both negated if den leads negatively."""
     _, lc = _leading(den)
-    if lc == 1:
+    if lc > 0:
         return num, den
-    return _terms_scale(num, 1 / lc), _terms_scale(den, 1 / lc)
+    return _terms_neg(num), _terms_neg(den)
 
 
 class ScalarExpr:
-    """Canonical rational function in a fixed tuple of coordinate names."""
+    """Canonical rational function in a fixed tuple of coordinate names.
+
+    ``num`` and ``den`` are integer-coefficient Terms; the constructor
+    brings any such pair with a nonzero ``den`` to canonical form."""
 
     __slots__ = ("vars", "num", "den", "_hash")
 
@@ -234,17 +280,21 @@ class ScalarExpr:
         if not den:
             raise DivisionByZero("denominator is identically zero")
         if not num:
-            return {}, {(0,) * nvars: Fraction(1)}
-        return _monic(*_cancel(num, den, nvars))
+            return {}, {(0,) * nvars: 1}
+        return _sign_fix(*_cancel(num, den, nvars))
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def constant(cls, value, vars: Tuple[str, ...]) -> "ScalarExpr":
-        c = Fraction(value)
-        unit = {(0,) * len(vars): Fraction(1)}
-        num = {(0,) * len(vars): c} if c else {}
-        return cls(tuple(vars), num, unit, _canonical=True)
+        if type(value) is int:
+            numerator, denominator = value, 1
+        else:
+            q = Fraction(value)
+            numerator, denominator = q.numerator, q.denominator
+        zero = (0,) * len(vars)
+        num = {zero: numerator} if numerator else {}
+        return cls(tuple(vars), num, {zero: denominator}, _canonical=True)
 
     @classmethod
     def variable(cls, name: str, vars: Sequence[str]) -> "ScalarExpr":
@@ -252,8 +302,8 @@ class ScalarExpr:
         if name not in vars:
             raise UnknownVariable(f"unknown variable {name!r}")
         exp = tuple(1 if v == name else 0 for v in vars)
-        unit = {(0,) * len(vars): Fraction(1)}
-        return cls(vars, {exp: Fraction(1)}, unit, _canonical=True)
+        unit = {(0,) * len(vars): 1}
+        return cls(vars, {exp: 1}, unit, _canonical=True)
 
     # -- predicates ------------------------------------------------------
 
@@ -269,7 +319,7 @@ class ScalarExpr:
         if not self.num:
             return Fraction(0)
         zero = (0,) * len(self.vars)
-        return self.num[zero] / self.den[zero]
+        return Fraction(self.num[zero], self.den[zero])
 
     # -- arithmetic ------------------------------------------------------
 
@@ -280,16 +330,24 @@ class ScalarExpr:
     def _sum(self, c: Terms, d: Terms) -> "ScalarExpr":
         """self + c/d, where c/d is canonical."""
         a, b = self.num, self.den
-        if _is_constant(d):
+        if not _is_constant(d):
+            if not _is_constant(b):
+                if b == d:
+                    return ScalarExpr(self.vars, _terms_add(a, c), b)
+                return ScalarExpr(
+                    self.vars, _terms_add(_terms_mul(a, d), _terms_mul(c, b)),
+                    _terms_mul(b, d))
+            a, b, c, d = c, d, a, b
+        (k,) = d.values()  # the constant denominator
+        if k == 1:
             num, den = _terms_add(a, _terms_mul(c, b)), b
-        elif _is_constant(b):
-            num, den = _terms_add(_terms_mul(a, d), c), d
-        elif b == d:
-            return ScalarExpr(self.vars, _terms_add(a, c), b)
         else:
-            return ScalarExpr(self.vars,
-                              _terms_add(_terms_mul(a, d), _terms_mul(c, b)),
-                              _terms_mul(b, d))
+            num = _terms_add(_terms_scale(a, k), _terms_mul(c, b))
+            den = _terms_scale(b, k)
+            content = gcd(*num.values(), *den.values())
+            if content != 1:
+                num = _terms_divide(num, content)
+                den = _terms_divide(den, content)
         if not num:
             return ScalarExpr.constant(0, self.vars)
         return ScalarExpr(self.vars, num, den, _canonical=True)
@@ -302,7 +360,7 @@ class ScalarExpr:
         nvars = len(self.vars)
         a, d = _cancel(a, d, nvars)
         c, b = _cancel(c, b, nvars)
-        num, den = _monic(_terms_mul(a, c), _terms_mul(b, d))
+        num, den = _sign_fix(_terms_mul(a, c), _terms_mul(b, d))
         return ScalarExpr(self.vars, num, den, _canonical=True)
 
     def __add__(self, other: "ScalarExpr") -> "ScalarExpr":
@@ -324,7 +382,7 @@ class ScalarExpr:
         return self._product(other.den, other.num)
 
     def __neg__(self) -> "ScalarExpr":
-        return ScalarExpr(self.vars, _terms_neg(self.num), dict(self.den),
+        return ScalarExpr(self.vars, _terms_neg(self.num), self.den,
                           _canonical=True)
 
     def __pow__(self, n: int) -> "ScalarExpr":
@@ -363,7 +421,7 @@ class ScalarExpr:
                     new = list(exp)
                     new[i] -= 1
                     key = tuple(new)
-                    val = out.get(key, Fraction(0)) + coeff * exp[i]
+                    val = out.get(key, 0) + coeff * exp[i]
                     if val:
                         out[key] = val
                     else:
@@ -441,10 +499,15 @@ class ScalarExpr:
         return " + ".join(parts)
 
     def __str__(self) -> str:
-        num = self._terms_text(self.num)
-        if self.den == {(0,) * len(self.vars): Fraction(1)}:
-            return f"({num})"
-        return f"({num})/({self._terms_text(self.den)})"
+        num, den = self.num, self.den
+        _, lc = _leading(den)
+        if lc != 1:
+            num = {exp: Fraction(c, lc) for exp, c in num.items()}
+            den = {exp: Fraction(c, lc) for exp, c in den.items()}
+        text = self._terms_text(num)
+        if _is_constant(den):
+            return f"({text})"
+        return f"({text})/({self._terms_text(den)})"
 
     def __repr__(self) -> str:
         return f"ScalarExpr({self})"

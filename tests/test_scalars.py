@@ -1,3 +1,4 @@
+import math
 import operator
 import os
 import subprocess
@@ -272,3 +273,58 @@ def test_corpus_runs_without_sympy():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+# -- integer canonical form --------------------------------------------
+
+def _content(terms):
+    return math.gcd(*terms.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(rationals)
+def test_canonical_form_has_integer_coprime_contents(a):
+    assert all(type(c) is int for c in (*a.num.values(), *a.den.values()))
+    lead = max(a.den, key=lambda exp: (sum(exp), exp))
+    assert a.den[lead] > 0
+    if a.is_zero():
+        assert a.num == {} and a.den == {(0,) * len(VARS): 1}
+    else:
+        assert math.gcd(_content(a.num), _content(a.den)) == 1
+
+
+def test_constants_hold_integer_coefficients():
+    for value in (3, -2, Fraction(3, 4), Fraction(-5, 6)):
+        expr = ScalarExpr.constant(value, VARS)
+        assert all(type(c) is int
+                   for c in (*expr.num.values(), *expr.den.values()))
+        assert expr.constant_value() == value
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("(3*x + 1)/(2*x + 4)", "((3/2)*x + (1/2))/(x + 2)"),
+    ("(x + 1/3)/(x/2 + 1/5)", "(2*x + (2/3))/(x + (2/5))"),
+    ("1/(2*x)", "((1/2))/(x)"),
+    ("-3/(6*x*y - 4)", "((-1/2))/(x*y + (-2/3))"),
+    ("(x^2 - y/3)/(-7*y + 14)", "((-1/7)*x^2 + (1/21)*y)/(y + -2)"),
+])
+def test_printing_divides_by_the_leading_denominator_coefficient(text,
+                                                                 printed):
+    assert str(sx(text)) == printed
+
+
+def test_integer_contents_cancel():
+    assert sx("(6*x + 4)/(9*x + 6)") == sx("2/3")
+
+
+def test_content_and_factor_cancel_without_sympy(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy gcd called")
+
+    monkeypatch.setattr(sympy.Poly, "gcd", refuse)
+    assert sx("(2*x + 2)*(y + 1)/(4*x + 4)") == sx("(y + 1)/2")
+
+
+def test_constant_value_is_a_fraction():
+    for text in ("3/4", "2", "0"):
+        assert type(sx(text).constant_value()) is Fraction
