@@ -36,19 +36,25 @@ numerator and denominator (Henrici's cancellation, Knuth TAOCP vol. 2,
   multiplies by d/c; either way the signs are then fixed so that the
   denominator leads positively.
 
-``_terms_gcd`` settles most of the gcds that remain without sympy: it
+``_terms_gcd`` settles most of the gcds that remain by shortcuts: it
 splits off the monomial content and the integer content; two primitive
 cofactors in disjoint variables are coprime, and when trial division of
 one primitive cofactor by the other leaves no remainder the divisor is
 the gcd.  By Gauss's lemma a primitive polynomial that divides another
-over Q does so over Z, so the trial division runs on integers.  Only the
-rest reach ``sympy.Poly.gcd`` over ZZ, imported lazily.
+over Q does so over Z, so the trial division runs on integers.  The rest
+go to ``_prs_gcd``, the generalized Euclidean algorithm over a unique
+factorization domain (Knuth, TAOCP vol. 2, 4.6.1, Algorithm E; Geddes,
+Czapor and Labahn, Algorithms for Computer Algebra, ch. 7): in a variable
+common to both, as polynomials over Z[other variables], the gcd is the
+gcd of the contents times the last nonzero primitive pseudo-remainder,
+and the contents are gcds of fewer variables taken by ``_terms_gcd``
+again.  Every gcd is then certified: ``_cancel`` divides by it with
+``_exact_div``, which raises unless the quotient is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from operator import add, sub
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
@@ -184,13 +190,6 @@ def _exact_div(a: Terms, b: Terms) -> Terms:
     return quotient
 
 
-@lru_cache(maxsize=None)
-def _sympy_gens(nvars: int):
-    import sympy
-
-    return sympy.symbols(f"_v0:{nvars}")
-
-
 def _support(a: Terms) -> set:
     """The indices of the variables that occur in a."""
     return {i for exp in a for i, e in enumerate(exp) if e}
@@ -200,10 +199,15 @@ def _degree(a: Terms) -> int:
     return max(sum(exp) for exp in a)
 
 
-def _terms_gcd(a: Terms, b: Terms, nvars: int) -> Terms:
-    """Gcd in Z[x] of two nonzero polynomials in ``nvars`` variables:
-    content gcd times primitive gcd times monomial gcd, with a positive
-    leading coefficient."""
+def _degree_in(a: Terms, v: int) -> int:
+    """The degree of a in x_v."""
+    return max(exp[v] for exp in a)
+
+
+def _terms_gcd(a: Terms, b: Terms) -> Terms:
+    """Gcd in Z[x] of two nonzero polynomials: content gcd times
+    primitive gcd times monomial gcd, with a positive leading
+    coefficient."""
     shift_a = _monomial_content(a)
     shift_b = _monomial_content(b)
     shift = tuple(min(x, y) for x, y in zip(shift_a, shift_b))
@@ -221,12 +225,7 @@ def _terms_gcd(a: Terms, b: Terms, nvars: int) -> Terms:
         _exact_div(big, small)
         g = small
     except ScalarError:
-        import sympy
-
-        gens = _sympy_gens(nvars)
-        pa = sympy.Poly.from_dict(a, *gens, domain=sympy.ZZ)
-        pb = sympy.Poly.from_dict(b, *gens, domain=sympy.ZZ)
-        g = {e: int(c) for e, c in pa.gcd(pb).as_dict().items()}
+        g = _prs_gcd(a, b)
         if _is_constant(g):
             return mono
     g = _terms_mul(g, mono)
@@ -234,13 +233,62 @@ def _terms_gcd(a: Terms, b: Terms, nvars: int) -> Terms:
     return g if lc > 0 else _terms_neg(g)
 
 
-def _cancel(a: Terms, b: Terms, nvars: int) -> Tuple[Terms, Terms]:
+def _split(a: Terms, v: int) -> Tuple[Terms, Terms]:
+    """a's content and primitive part as a polynomial in x_v, whose
+    coefficients are polynomials in the other variables."""
+    coeffs: Dict[int, Terms] = {}
+    for exp, c in a.items():
+        coeffs.setdefault(exp[v], {})[exp[:v] + (0,) + exp[v + 1:]] = c
+    it = iter(coeffs.values())
+    content = next(it)
+    for coeff in it:
+        content = _terms_gcd(content, coeff)
+    return content, _exact_div(a, content)
+
+
+def _prs_gcd(a: Terms, b: Terms) -> Terms:
+    """Gcd of two primitive polynomials with a variable x_v in common:
+    Euclid's algorithm on primitive pseudo-remainders in x_v over
+    Z[other variables], whose contents come from _terms_gcd."""
+    v = min(_support(a) & _support(b))
+    content_a, a = _split(a, v)
+    content_b, b = _split(b, v)
+    content = _terms_gcd(content_a, content_b)
+    if _degree_in(a, v) < _degree_in(b, v):
+        a, b = b, a
+    while True:
+        r = _pseudo_remainder(a, b, v)
+        if not r:
+            return _terms_mul(content, b)
+        if not any(e[v] for e in r):
+            # a nonzero remainder free of x_v: the primitive parts are coprime
+            return content
+        a, b = b, _split(r, v)[1]
+
+
+def _pseudo_remainder(a: Terms, b: Terms, v: int) -> Terms:
+    """A remainder of a by b in x_v, of lower degree than b there: each
+    step multiplies by b's leading coefficient in x_v and cancels the top
+    degree."""
+    n = _degree_in(b, v)
+    lc_b = {e[:v] + (0,) + e[v + 1:]: c for e, c in b.items() if e[v] == n}
+    while a:
+        m = _degree_in(a, v)
+        if m < n:
+            break
+        top = {e[:v] + (m - n,) + e[v + 1:]: c
+               for e, c in a.items() if e[v] == m}
+        a = _terms_add(_terms_mul(a, lc_b), _terms_neg(_terms_mul(top, b)))
+    return a
+
+
+def _cancel(a: Terms, b: Terms) -> Tuple[Terms, Terms]:
     """a and b divided by their gcd."""
     if _is_constant(a) or _is_constant(b):
         # _terms_gcd would return the content gcd too, after shifting both
         content = gcd(*a.values(), *b.values())
     else:
-        g = _terms_gcd(a, b, nvars)
+        g = _terms_gcd(a, b)
         if not _is_constant(g):
             return _exact_div(a, g), _exact_div(b, g)
         (content,) = g.values()
@@ -281,7 +329,7 @@ class ScalarExpr:
             raise DivisionByZero("denominator is identically zero")
         if not num:
             return {}, {(0,) * nvars: 1}
-        return _sign_fix(*_cancel(num, den, nvars))
+        return _sign_fix(*_cancel(num, den))
 
     # -- constructors ----------------------------------------------------
 
@@ -357,9 +405,8 @@ class ScalarExpr:
         a, b = self.num, self.den
         if not a or not c:
             return ScalarExpr.constant(0, self.vars)
-        nvars = len(self.vars)
-        a, d = _cancel(a, d, nvars)
-        c, b = _cancel(c, b, nvars)
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
         num, den = _sign_fix(_terms_mul(a, c), _terms_mul(b, d))
         return ScalarExpr(self.vars, num, den, _canonical=True)
 

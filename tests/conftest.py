@@ -103,24 +103,31 @@ def skew_metric(scenario):
     return MetricField(scenario.presentation(), gram)
 
 
-def gauged_heis6(scenario):
-    """heis6 in the frame with e_1 rescaled by s = 1 + x^2, where
+# the four horizontal heis6 fields rescaled by 1 + c t^2, each in its own
+# coordinate; unlike e_1 alone, this frame has gcds that no trial division
+# settles
+FOUR_FIELD_GAUGE = {0: "1 + 2*x^2", 1: "1 + 1/4*y^2", 3: "1 + 1/4*u^2",
+                    4: "1 + v^2"}
+
+
+def gauged_heis6(scenario, factors={1: "1 + x^2"}):
+    """heis6 in the frame e'_a = s_a e_a, with the factors s_a given by
+    field index (by default e_1 rescaled by 1 + x^2), where
     phi'^a_b = phi^a_b s_b / s_a and g'_ab = s_a s_b g_ab.  Its bracket
     coefficients are not constant and [e_0, e_1] leaves the Reeb
     directions."""
-    s = "(1 + x^2)"
-    frame = [list(row) for row in scenario.frame]
-    for row in frame:
-        if row[1] != "0":
-            row[1] = f"({row[1]})*{s}"
-    phi = [list(row) for row in scenario.phi]
-    for a in range(len(phi)):
-        if a != 1 and phi[a][1] != "0":
-            phi[a][1] = f"({phi[a][1]})*{s}"
-        if a != 1 and phi[1][a] != "0":
-            phi[1][a] = f"({phi[1][a]})/{s}"
-    metric = [list(row) for row in scenario.metric]
-    metric[1][1] = f"({metric[1][1]})*{s}^2"
+    s = ["1"] * len(scenario.frame)
+    for a, factor in factors.items():
+        s[a] = f"({factor})"
+
+    def scaled(rows, factor):
+        return [[entry if entry == "0" else f"({entry})*{factor(a, b)}"
+                 for b, entry in enumerate(row)]
+                for a, row in enumerate(rows)]
+
+    frame = scaled(scenario.frame, lambda i, a: s[a])
+    phi = scaled(scenario.phi, lambda a, b: f"{s[b]}/{s[a]}")
+    metric = scaled(scenario.metric, lambda a, b: f"{s[a]}*{s[b]}")
     return dataclasses.replace(scenario, name="heis6-gauged", frame=frame,
                                phi=phi, metric=metric, submanifolds={},
                                expectations={})

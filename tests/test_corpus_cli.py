@@ -7,10 +7,11 @@ import pytest
 from contact_pair_lab import (CHECK_IDS, CORPUS_NAMES, Finding,
                               ScenarioError, checks, corpus_build,
                               load_scenario, run_checks, save_scenario,
-                              scenario_from_dict, scenario_to_dict)
+                              scalars, scenario_from_dict, scenario_to_dict)
 from contact_pair_lab.checks import CHECKS, STAGES
 from contact_pair_lab.cli import main as cli_main
-from conftest import scaled_metric, twisted_phi_structure
+from conftest import (FOUR_FIELD_GAUGE, gauged_heis6, scaled_metric,
+                      twisted_phi_structure)
 
 
 # -- scenario construction ----------------------------------------------
@@ -121,6 +122,23 @@ def test_all_corpus_scenarios_pass():
         report = run_checks(corpus_build(name))
         failed = [row.id for row in report.rows if row.verdict == "fail"]
         assert report.overall == "pass", (name, failed)
+
+
+def test_a_four_field_gauge_keeps_the_heis6_verdicts(monkeypatch):
+    general = []
+    prs_gcd = scalars._prs_gcd
+
+    def counted(a, b):
+        general.append((a, b))
+        return prs_gcd(a, b)
+
+    monkeypatch.setattr(scalars, "_prs_gcd", counted)
+    gauged = run_checks(gauged_heis6(corpus_build("heis6"), FOUR_FIELD_GAUGE))
+    assert general, "no gcd reached the general algorithm"
+    heis6 = {row.id: row.verdict
+             for row in run_checks(corpus_build("heis6")).rows
+             if not row.id.startswith("submanifold.")}
+    assert {row.id: row.verdict for row in gauged.rows} == heis6
 
 
 def test_expected_failures_flip_polarity():

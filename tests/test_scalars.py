@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contact_pair_lab import scalars
@@ -213,14 +213,20 @@ def test_power_matches_repeated_product():
 # -- gcd certificates --------------------------------------------------
 
 def _sympy_gcd(a, b):
-    gens = sympy.symbols("g0:2")
-    pa = sympy.Poly.from_dict({e: sympy.Rational(c) for e, c in a.items()},
-                              *gens, domain=sympy.QQ)
-    pb = sympy.Poly.from_dict({e: sympy.Rational(c) for e, c in b.items()},
-                              *gens, domain=sympy.QQ)
-    g = pa.gcd(pb).monic()
-    return {e: Fraction(c.numerator, c.denominator)
-            for e, c in g.as_dict().items()}
+    """The reference: sympy's gcd over ZZ, led by a positive grlex term."""
+    gens = sympy.symbols(f"g0:{len(next(iter(a)))}")
+    pa = sympy.Poly.from_dict(a, *gens, domain=sympy.ZZ)
+    pb = sympy.Poly.from_dict(b, *gens, domain=sympy.ZZ)
+    g = {e: int(c) for e, c in pa.gcd(pb).as_dict().items()}
+    _, lc = scalars._leading(g)
+    return g if lc > 0 else {e: -c for e, c in g.items()}
+
+
+def _refuse_sympy(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy gcd called")
+
+    monkeypatch.setattr(sympy.Poly, "gcd", refuse)
 
 
 _CERTIFIED = (("1 + x^2", "1 + y^2"),
@@ -232,44 +238,79 @@ _CERTIFIED = (("1 + x^2", "1 + y^2"),
 def test_gcd_certificates_skip_sympy(pair, monkeypatch):
     a, b = (sx(text).num for text in pair)
     expected = _sympy_gcd(a, b)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("sympy gcd called")
-
-    monkeypatch.setattr(sympy.Poly, "gcd", refuse)
-    assert scalars._terms_gcd(a, b, len(VARS)) == expected
-    assert scalars._terms_gcd(b, a, len(VARS)) == expected
+    _refuse_sympy(monkeypatch)
+    assert scalars._terms_gcd(a, b) == expected
+    assert scalars._terms_gcd(b, a) == expected
 
 
-def test_gcd_falls_through_to_sympy_on_a_non_divisor(monkeypatch):
-    a, b = sx("x^2 + 1").num, sx("x + 1").num
-    with pytest.raises(ScalarError):
-        scalars._exact_div(a, b)
+def test_gcd_of_a_non_divisor_pair_needs_no_sympy(monkeypatch):
+    pairs = [(sx(a).num, sx(b).num) for a, b in (
+        ("x^2 + 1", "x + 1"),
+        ("(x + 1)*(x - y)", "(x + 1)*(y + 2)"),
+        ("(x*y - 2)*(x^2 + y)", "(x*y - 2)*(x + y^2)*3"),
+        # the shape of every general gcd of heis6 in FOUR_FIELD_GAUGE
+        ("(1 + 2*x^2)*(4 + y^2)", "(4 + y^2)^2"))]
+    expected = [_sympy_gcd(a, b) for a, b in pairs]
+    assert expected[0] == {(0, 0): 1}
+    assert expected[-1] == sx("4 + y^2").num
+    _refuse_sympy(monkeypatch)
+    for (a, b), gcd in zip(pairs, expected):
+        with pytest.raises(ScalarError):
+            scalars._exact_div(a, b)
+        with pytest.raises(ScalarError):
+            scalars._exact_div(b, a)
+        assert scalars._terms_gcd(a, b) == scalars._terms_gcd(b, a) == gcd
+
+
+def _polys(nvars):
+    return st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars),
+                           st.integers(-3, 3).filter(bool),
+                           min_size=1, max_size=3)
+
+
+# f1, f2, g, h in 2 or 3 variables; the gcd of f1*f2*g and f1*f2*h is
+# f1*f2 times gcd(g, h), and a factor f1 free of the main variable lands
+# in the content
+_shared_factor_cases = st.integers(2, 3).flatmap(
+    lambda n: st.tuples(*[_polys(n)] * 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_shared_factor_cases)
+# pairs where neither product divides the other
+@example(({(0, 1): 1, (0, 0): 2}, {(1, 0): 1, (0, 0): 1},
+          {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 0): -1}))
+@example(({(0, 1, 1): 1, (0, 0, 0): -2}, {(1, 1, 0): 2, (0, 0, 1): -1},
+          {(2, 0, 0): 1, (0, 1, 1): 3},
+          {(0, 2, 0): 1, (1, 0, 1): -1, (0, 0, 0): 1}))
+def test_gcd_matches_sympy_on_products_with_a_common_factor(case):
+    f1, f2, g, h = case
+    f = scalars._terms_mul(f1, f2)
+    a, b = scalars._terms_mul(f, g), scalars._terms_mul(f, h)
     expected = _sympy_gcd(a, b)
-    calls = []
-    original = sympy.Poly.gcd
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(sympy.Poly, "gcd", counted)
-    assert scalars._terms_gcd(a, b, len(VARS)) == expected == {(0, 0): 1}
-    assert len(calls) == 1
+    assert scalars._terms_gcd(a, b) == expected
+    assert scalars._terms_gcd(b, a) == expected
 
 
 def test_corpus_runs_without_sympy():
-    code = ("import sys\n"
-            "from contact_pair_lab import CORPUS_NAMES, corpus_build, "
-            "run_checks\n"
-            "for name in CORPUS_NAMES:\n"
-            "    run_checks(corpus_build(name))\n"
-            "assert 'sympy' not in sys.modules, 'sympy imported'\n")
+    # a None entry in sys.modules makes `import sympy` raise ImportError
+    code = ("import io, sys\n"
+            "sys.modules['sympy'] = None\n"
+            "from contact_pair_lab import corpus_build, run_checks\n"
+            "from contact_pair_lab.cli import main\n"
+            "from conftest import (FOUR_FIELD_GAUGE, gauged_heis6, "
+            "twisted_phi_structure)\n"
+            "gauged = gauged_heis6(corpus_build('heis6'), FOUR_FIELD_GAUGE)\n"
+            "assert run_checks(gauged).overall == 'pass'\n"
+            "twisted = corpus_build('heis6')\n"
+            "twisted._cache['phi'] = twisted_phi_structure(twisted)\n"
+            "run_checks(twisted)\n"
+            "sys.exit(main(['corpus', 'run'], out=io.StringIO()))\n")
     env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
+    tests = os.path.dirname(os.path.abspath(__file__))
     env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        [os.path.join(os.path.dirname(tests), "src"), tests]
+        + [p for p in [env.get("PYTHONPATH")] if p])
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -318,10 +359,7 @@ def test_integer_contents_cancel():
 
 
 def test_content_and_factor_cancel_without_sympy(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("sympy gcd called")
-
-    monkeypatch.setattr(sympy.Poly, "gcd", refuse)
+    _refuse_sympy(monkeypatch)
     assert sx("(2*x + 2)*(y + 1)/(4*x + 4)") == sx("(y + 1)/2")
 
 
