@@ -1,9 +1,12 @@
 """Differential geometry over an explicit frame presentation.
 
-A manifold is modeled by a chart plus a pointwise-invertible matrix of
-frame vector fields with rational-function coefficients.  Vector fields,
-forms, endomorphism fields and metrics are stored in frame components, so
-every geometric identity reduces to canonical-form equality of scalars.
+A manifold is modeled by a chart plus a matrix of frame vector fields
+with rational-function coefficients, invertible over the scalar field.
+Vector fields, forms, endomorphism fields and metrics are stored in frame
+components, so every geometric identity reduces to canonical-form
+equality of scalars.  The frame is regular at the points where one
+polynomial, kept from its determinant and the entries' denominators,
+does not vanish; probe points are drawn there.
 
 Convention ledger (fixed once, asserted by tests):
   * wedge products multiply coefficients with the determinant convention
@@ -64,9 +67,9 @@ class FramePresentation:
     ``frame[i][a]`` is the coefficient of d/dx_i in the frame field e_a.
     The dual coframe and the bracket coefficients C^c_ab with
     [e_a, e_b] = sum_c C^c_ab e_c are computed once, at construction time,
-    from coordinate brackets of the frame fields.  Every later bracket is
-    taken in frame components from C, and the Jacobi identity is certified
-    symbolically on C itself.
+    from exact coordinate brackets of the frame fields, so C satisfies the
+    Jacobi identity by construction.  Every later bracket is taken in frame
+    components from C.
     """
 
     def __init__(self, coordinates: Sequence[str], frame: Sequence[Sequence],
@@ -78,7 +81,7 @@ class FramePresentation:
         n = len(self.coordinates)
         if len(frame) != n or any(len(row) != n for row in frame):
             raise FrameError("frame matrix must be square of the chart dimension")
-        self.frame = [[self._scalar(entry) for entry in row] for row in frame]
+        self.frame = [[self.scalar(entry) for entry in row] for row in frame]
         self.base_point = {name: Fraction(value)
                            for name, value in base_point.items()}
         missing = set(self.coordinates) - set(self.base_point)
@@ -87,15 +90,19 @@ class FramePresentation:
         det = linalg.determinant(self.frame)
         if det.is_zero():
             raise FrameError("frame matrix is singular over the scalar field")
-        if det.evaluate(self.base_point) == 0:
+        # det's denominator divides a power of the entries' denominators, so
+        # this product vanishes exactly where an entry has a pole or the
+        # frame matrix is singular
+        self._regularity = _polynomial(det.num, self.coordinates) \
+            * pole_polynomial(self.frame)
+        if not self.is_regular_at(self.base_point):
             raise FrameError("frame matrix is singular at the base point")
         self.coframe = linalg.invert(self.frame)
         self._structure = self._compute_structure()
-        self._certify_jacobi()
 
     # -- scalar helpers ---------------------------------------------------
 
-    def _scalar(self, value) -> ScalarExpr:
+    def scalar(self, value) -> ScalarExpr:
         if isinstance(value, ScalarExpr):
             if value.vars != self.coordinates:
                 raise FrameError("scalar declared over different coordinates")
@@ -103,9 +110,6 @@ class FramePresentation:
         if isinstance(value, str):
             return parse_expr(value, self.coordinates)
         return ScalarExpr.constant(value, self.coordinates)
-
-    def scalar(self, value) -> ScalarExpr:
-        return self._scalar(value)
 
     @property
     def dim(self) -> int:
@@ -153,32 +157,6 @@ class FramePresentation:
     def bracket_coeffs(self, a: int, b: int) -> Tuple[ScalarExpr, ...]:
         return self._structure[(a, b)]
 
-    def _certify_jacobi(self) -> None:
-        """Certify sum_cyc [e_x, [e_y, e_z]] = 0 on the structure table.
-
-        In frame components the d-th component of [e_x, [e_y, e_z]] is
-        e_x(C^d_yz) + sum_e C^e_yz C^d_xe, so this holds exactly when the
-        table C agrees with the derivations e_a that every later stage
-        uses together with it.
-        """
-        n = self.dim
-        for a, b, c in combinations(range(n), 3):
-            total = [self.zero] * n
-            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                inner = self.bracket_coeffs(y, z)
-                for d in range(n):
-                    total[d] = _plus(total[d], self.direction(x, inner[d]))
-                for e, coeff in enumerate(inner):
-                    if coeff.is_zero():
-                        continue
-                    outer = self.bracket_coeffs(x, e)
-                    for d in range(n):
-                        if not outer[d].is_zero():
-                            total[d] = total[d] + coeff * outer[d]
-            if any(not t.is_zero() for t in total):
-                raise FrameError(
-                    f"Jacobi identity fails on frame triple ({a},{b},{c})")
-
     # -- directional derivative --------------------------------------------
 
     def direction(self, a: int, f: ScalarExpr) -> ScalarExpr:
@@ -197,15 +175,33 @@ class FramePresentation:
         return VectorField(self, comps)
 
     def vector(self, components: Sequence) -> "VectorField":
-        return VectorField(self, tuple(self._scalar(c) for c in components))
+        return VectorField(self, tuple(self.scalar(c) for c in components))
 
     def is_regular_at(self, point: Point) -> bool:
-        try:
-            values = [[entry.evaluate(point) for entry in row]
-                      for row in self.frame]
-        except ScalarError:
-            return False
-        return linalg.rational_rank(values) == self.dim
+        """Whether every frame entry is defined at ``point`` and the frame
+        matrix is invertible there."""
+        return self._regularity.evaluate(point) != 0
+
+
+def _polynomial(terms, coordinates: Tuple[str, ...]) -> ScalarExpr:
+    """The polynomial with integer-coefficient ``terms``."""
+    return ScalarExpr(coordinates, terms, {(0,) * len(coordinates): 1})
+
+
+def pole_polynomial(matrix: Sequence[Sequence[ScalarExpr]]) -> ScalarExpr:
+    """The product of the distinct denominators of the entries of
+    ``matrix``, which vanishes exactly where an entry has a pole."""
+    coordinates = matrix[0][0].vars
+    poles: List[ScalarExpr] = []
+    for row in matrix:
+        for entry in row:
+            pole = _polynomial(entry.den, coordinates)
+            if not pole.is_constant() and pole not in poles:
+                poles.append(pole)
+    product = ScalarExpr.constant(1, coordinates)
+    for pole in poles:
+        product = product * pole
+    return product
 
 
 class VectorField:
@@ -339,7 +335,7 @@ class PForm:
                      {k: self.get(k) + other.get(k) for k in keys})
 
     def __sub__(self, other: "PForm") -> "PForm":
-        return self + other.scale(ScalarExpr.constant(-1, _ctx_vars(self.context)))
+        return self + other.scale(ScalarExpr.constant(-1, self.context.vars))
 
     def scale(self, factor: ScalarExpr) -> "PForm":
         return PForm(self.context, self.degree,
@@ -353,10 +349,6 @@ class PForm:
     def __repr__(self):
         inner = ", ".join(f"{k}: {v}" for k, v in sorted(self.coeffs.items()))
         return f"PForm(deg={self.degree}, {{{inner}}})"
-
-
-def _ctx_vars(context) -> Tuple[str, ...]:
-    return context.vars
 
 
 def one_form(context, components: Sequence[ScalarExpr]) -> PForm:
@@ -388,7 +380,7 @@ def wedge(a: PForm, b: PForm) -> PForm:
 
 def form_power(a: PForm, n: int) -> PForm:
     if n == 0:
-        return PForm(a.context, 0, {(): ScalarExpr.constant(1, _ctx_vars(a.context))})
+        return PForm(a.context, 0, {(): ScalarExpr.constant(1, a.context.vars)})
     result = a
     for _ in range(n - 1):
         result = wedge(result, a)
@@ -433,7 +425,7 @@ def eval_form(form: PForm, *fields) -> ScalarExpr:
     p_factorial = 1
     for i in range(2, form.degree + 1):
         p_factorial *= i
-    return acc * ScalarExpr.constant(Fraction(1, p_factorial), _ctx_vars(form.context))
+    return acc * ScalarExpr.constant(Fraction(1, p_factorial), form.context.vars)
 
 
 def exterior_derivative(form: PForm) -> PForm:
@@ -442,7 +434,7 @@ def exterior_derivative(form: PForm) -> PForm:
     n = context.dim
     if form.degree >= n:
         raise FrameError("cannot take d of a top-degree form")
-    zero = ScalarExpr.constant(0, _ctx_vars(context))
+    zero = ScalarExpr.constant(0, context.vars)
     coeffs: Dict[Tuple[int, ...], ScalarExpr] = {}
     for key in combinations(range(n), form.degree + 1):
         acc = zero
@@ -531,7 +523,7 @@ def cartan_class(alpha: PForm, probe_points: Optional[Sequence[Point]] = None,
     context = alpha.context
     n = context.dim
     d_alpha = exterior_derivative(alpha)
-    power = PForm(context, 0, {(): ScalarExpr.constant(1, _ctx_vars(context))})
+    power = PForm(context, 0, {(): ScalarExpr.constant(1, context.vars)})
     r = 0
     while 2 * (r + 1) <= n:
         candidate = wedge(power, d_alpha)
@@ -625,11 +617,6 @@ class EndoField:
         return (isinstance(other, EndoField) and self.frame is other.frame
                 and self.matrix == other.matrix)
 
-    def rank_at(self, point: Point) -> int:
-        values = [[entry.evaluate(point) for entry in row]
-                  for row in self.matrix]
-        return linalg.rational_rank(values)
-
 
 class MetricField:
     """Riemannian metric as a symmetric Gram matrix on the frame."""
@@ -647,11 +634,18 @@ class MetricField:
         det = linalg.determinant(self.gram)
         if det.is_zero():
             raise FrameError("Gram matrix is singular over the scalar field")
-        for k in range(1, n + 1):
-            minor = [[self.gram[i][j].evaluate(frame.base_point)
-                      for j in range(k)] for i in range(k)]
-            if _fraction_det(minor) <= 0:
+        # Sylvester's criterion: the k-th pivot of elimination without row
+        # swaps is D_k / D_{k-1}, so all leading minors D_k are positive
+        # exactly when every pivot is
+        m = [[entry.evaluate(frame.base_point) for entry in row]
+             for row in self.gram]
+        for c in range(n):
+            if m[c][c] <= 0:
                 raise FrameError("metric is not positive definite at the base point")
+            for i in range(c + 1, n):
+                if m[i][c]:
+                    f = m[i][c] / m[c][c]
+                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
         self.inverse = linalg.invert(self.gram)
 
     def pair(self, x: VectorField, y: VectorField) -> ScalarExpr:
@@ -690,25 +684,6 @@ def orthogonal_projector(metric: MetricField, span: Sequence[VectorField],
     span_rows = [[s.components[c] for s in span] for c in range(n)]
     return EndoField(frame, [[dot(span_rows[c], coeffs[a], zero)
                               for a in range(n)] for c in range(n)])
-
-
-def _fraction_det(matrix: List[List[Fraction]]) -> Fraction:
-    n = len(matrix)
-    m = [list(row) for row in matrix]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / m[c][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
 
 
 class LeviCivita:

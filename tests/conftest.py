@@ -1,11 +1,13 @@
 import dataclasses
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from contact_pair_lab import (EndoField, MetricField, corpus_build,
                               validate_contact_pair, validate_metric,
                               validate_structure)
+from contact_pair_lab.frames import FrameError
 
 
 def build_mcp(scenario):
@@ -16,6 +18,33 @@ def build_mcp(scenario):
     structure = validate_structure(pair, scenario.phi_endo(),
                                    metric=scenario.metric_field())
     return validate_metric(structure, scenario.metric_field())
+
+
+def certify_jacobi(presentation):
+    """Certify sum_cyc [e_x, [e_y, e_z]] = 0 on the structure table.
+
+    In frame components the d-th component of [e_x, [e_y, e_z]] is
+    e_x(C^d_yz) + sum_e C^e_yz C^d_xe, so this holds exactly when the
+    table C agrees with the derivations e_a that every stage uses together
+    with it.  C comes from exact coordinate brackets, so only a fault in
+    that arithmetic makes this fail.
+    """
+    n = presentation.dim
+    for a, b, c in combinations(range(n), 3):
+        total = [presentation.zero] * n
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            inner = presentation.bracket_coeffs(y, z)
+            for d in range(n):
+                total[d] = total[d] + presentation.direction(x, inner[d])
+            for e, coeff in enumerate(inner):
+                if coeff.is_zero():
+                    continue
+                outer = presentation.bracket_coeffs(x, e)
+                for d in range(n):
+                    total[d] = total[d] + coeff * outer[d]
+        if any(not t.is_zero() for t in total):
+            raise FrameError(
+                f"Jacobi identity fails on frame triple ({a},{b},{c})")
 
 
 @pytest.fixture(scope="session")

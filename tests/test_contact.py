@@ -2,12 +2,13 @@ import dataclasses
 
 import pytest
 
-from contact_pair_lab import (CHECK_IDS, EndoField, ValidationError,
-                              check_connection_identities,
+from contact_pair_lab import (CHECK_IDS, CORPUS_NAMES, EndoField,
+                              ValidationError, check_connection_identities,
                               check_curvature_identity, corpus_build,
-                              eval_form, hermitian_data, normality,
-                              run_checks, validate_contact_pair,
-                              validate_metric, validate_structure)
+                              eval_form, hermitian_data, linalg, normality,
+                              run_checks, seeded_probe_points,
+                              validate_contact_pair, validate_metric,
+                              validate_structure)
 from conftest import (build_mcp, perturbed_phi_structure, scaled_metric,
                       twisted_phi_structure)
 
@@ -117,6 +118,36 @@ def test_structure_axioms_name_their_first_nonzero_residuals(
         "phi kills Z1: phi(Z1) = "
         "VectorField(['(1)', '(0)', '(0)', '(0)', '(0)', '(0)']); "
         "first form annihilates the image of phi: alpha(phi e_0) = (1)]")
+
+
+# the structure's endomorphism and metric on every corpus scenario and on
+# heis6 with the twisted phi and with the scaled metric
+STRUCTURES = {name: (name, None, None) for name in CORPUS_NAMES}
+STRUCTURES["heis6-twisted-phi"] = ("heis6", twisted_phi_structure, None)
+STRUCTURES["heis6-scaled-metric"] = ("heis6", None, scaled_metric)
+
+
+@pytest.mark.parametrize("label", STRUCTURES)
+def test_phi_has_rank_n_minus_2_wherever_the_axioms_pass(label):
+    # "rank of phi" is read from the certified identities, not evaluated;
+    # this evaluates it at the base point and every probe of two seeds
+    name, make_phi, make_metric = STRUCTURES[label]
+    scenario = corpus_build(name)
+    presentation = scenario.presentation()
+    phi = make_phi(scenario) if make_phi else scenario.phi_endo()
+    metric = make_metric(scenario) if make_metric else \
+        scenario.metric_field()
+    pair = validate_contact_pair(presentation, *scenario.forms(),
+                                 *scenario.pair_type)
+    # raises unless the algebraic axioms pass
+    validate_structure(pair, phi, metric=metric)
+    n = presentation.dim
+    for seed in (1, 7):
+        for point in [presentation.base_point,
+                      *seeded_probe_points(presentation, seed=seed)]:
+            values = [[entry.evaluate(point) for entry in row]
+                      for row in phi.matrix]
+            assert linalg.rational_rank(values) == n - 2, (label, point)
 
 
 # -- normality: both directions -----------------------------------------

@@ -1,8 +1,14 @@
+import json
+import os
 import warnings
+from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from contact_pair_lab import linalg
+from contact_pair_lab import CORPUS_NAMES, corpus_build, linalg
 from contact_pair_lab.frames import (ChartDomainWarning, FrameError,
                                      FramePresentation, MetricField,
                                      cartan_class, eval_form,
@@ -11,7 +17,9 @@ from contact_pair_lab.frames import (ChartDomainWarning, FrameError,
                                      nonvanishing_certificate, one_form,
                                      seeded_probe_points, wedge)
 from contact_pair_lab.frames import bracket
-from conftest import gauged_heis6, sample_fields, twisted_phi_structure
+from contact_pair_lab.scalars import ScalarError, parse_expr
+from conftest import (FOUR_FIELD_GAUGE, certify_jacobi, gauged_heis6,
+                      sample_fields, twisted_phi_structure)
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +94,27 @@ def test_jacobi_certificate_rejects_a_corrupted_table():
     presentation._structure[(1, 2)] = tuple(comps)
     presentation._structure[(2, 1)] = tuple(-c for c in comps)
     with pytest.raises(FrameError, match="Jacobi"):
-        presentation._certify_jacobi()
+        certify_jacobi(presentation)
+
+
+# every corpus scenario, the two larger Darboux products and heis6 in the
+# four-field gauge, whose bracket coefficients are not constant
+PRESENTATIONS = CORPUS_NAMES + ("darboux-2-1", "darboux-2-2",
+                                "heis6-gauged4")
+
+
+@pytest.fixture(scope="module")
+def presentations(heis6_scenario):
+    built = {name: corpus_build(name) for name in CORPUS_NAMES}
+    built["darboux-2-1"] = corpus_build("darboux", (2, 1))
+    built["darboux-2-2"] = corpus_build("darboux", (2, 2))
+    built["heis6-gauged4"] = gauged_heis6(heis6_scenario, FOUR_FIELD_GAUGE)
+    return {name: scenario.presentation() for name, scenario in built.items()}
+
+
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_the_bracket_table_satisfies_jacobi(presentations, name):
+    certify_jacobi(presentations[name])
 
 
 def test_sparse_endomorphism_apply_matches_the_dense_product(
@@ -252,6 +280,122 @@ def test_probe_points_are_deterministic_and_regular(heis6):
     assert first == second
     assert all(presentation.is_regular_at(p) for p in first)
     assert seeded_probe_points(presentation, seed=4) != first
+
+
+# points drawn while regularity was the rank of the evaluated frame; a
+# change to the point test must keep every candidate's verdict
+PINNED_PROBES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "data", "probe_points.json")
+
+
+@pytest.mark.parametrize("seed", (1, 7))
+@pytest.mark.parametrize("name", ("heis6", "darboux-2-2", "heis6-gauged4"))
+def test_probe_points_are_pinned(presentations, name, seed):
+    with open(PINNED_PROBES, encoding="utf-8") as fh:
+        pinned = json.load(fh)[f"{name}/{seed}"]
+    assert seeded_probe_points(presentations[name], seed=seed) == [
+        {coord: Fraction(value) for coord, value in point.items()}
+        for point in pinned]
+
+
+def _evaluated_frame_is_regular(frame, point):
+    """Reference regularity: every entry defined at the point, and the
+    evaluated matrix of full rank."""
+    try:
+        values = [[entry.evaluate(point) for entry in row] for row in frame]
+    except ScalarError:
+        return False
+    return linalg.rational_rank(values) == len(frame)
+
+
+_COORDS = ("x", "y", "z")
+_small = st.integers(-2, 2)
+
+
+def _frame_case(n):
+    # three-dimensional frames depend on x alone: with poles in all three
+    # coordinates, building the coframe and the bracket table can take
+    # minutes, and the property is about the point test only
+    coords = st.sampled_from(_COORDS[:2] if n == 2 else _COORDS[:1])
+    numerator = st.builds(lambda a, b, v: f"{a} + {b}*{v}", _small, _small,
+                          coords)
+    denominator = st.one_of(st.just("1"), st.builds(
+        lambda k, v: f"({v} - {k})", _small, coords))
+    entry = st.builds(lambda num, den: f"({num})/{den}", numerator,
+                      denominator)
+    square = st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    points = st.lists(st.lists(_small, min_size=n, max_size=n),
+                      min_size=2, max_size=6)
+    return st.tuples(square, points)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.integers(2, 3).flatmap(_frame_case))
+@example(case=([["1/(x - 1)", "0"], ["0", "x - 1"]], [[2, 0], [1, 0]]))
+def test_regularity_matches_the_evaluated_rank(case):
+    # [[1/(x - 1), 0], [0, x - 1]] has determinant 1, yet its entries have
+    # a pole at x = 1
+    rows, raw_points = case
+    coords = _COORDS[:len(rows)]
+    frame = [[parse_expr(text, coords) for text in row] for row in rows]
+    assume(not linalg.determinant(frame).is_zero())
+    points = [dict(zip(coords, map(Fraction, p))) for p in raw_points]
+    regular = [_evaluated_frame_is_regular(frame, p) for p in points]
+    if not regular[0]:
+        with pytest.raises(FrameError, match="at the base point"):
+            FramePresentation(coords, rows, points[0])
+        return
+    presentation = FramePresentation(coords, rows, points[0])
+    assert [presentation.is_regular_at(p) for p in points] == regular
+
+
+def _leading_minors_are_positive(gram):
+    """Sylvester's criterion, each leading minor by the Leibniz formula."""
+    def det(m):
+        total = Fraction(0)
+        for perm in permutations(range(len(m))):
+            sign = (-1) ** sum(perm[i] > perm[j] for i in range(len(m))
+                               for j in range(i + 1, len(m)))
+            term = Fraction(sign)
+            for i, j in enumerate(perm):
+                term *= m[i][j]
+            total += term
+        return total
+    return all(det([row[:k] for row in gram[:k]]) > 0
+               for k in range(1, len(gram) + 1))
+
+
+# name: (Gram matrix, whether it is positive definite at the base point)
+GRAMS = {
+    "positive definite": (
+        [["2", "1", "0"], ["1", "2", "1"], ["0", "1", "2"]], True),
+    "x-dependent, positive definite at the base point": (
+        [["2 + x", "x", "0"], ["x", "1 + x^2", "0"], ["0", "0", "1"]], True),
+    "D1 > 0 > D2": (
+        [["1", "2", "0"], ["2", "1", "0"], ["0", "0", "1"]], False),
+    "zero leading pivot": (
+        [["0", "1", "0"], ["1", "1", "0"], ["0", "0", "1"]], False),
+    "negative last pivot": (
+        [["1", "0", "0"], ["0", "1", "2"], ["0", "2", "1"]], False),
+}
+
+
+@pytest.mark.parametrize("name", GRAMS)
+def test_positive_definiteness_matches_the_leading_minors(name):
+    presentation = FramePresentation(
+        _COORDS, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        {"x": 0, "y": 0, "z": 0})
+    gram, definite = GRAMS[name]
+    values = [[parse_expr(text, _COORDS).evaluate(presentation.base_point)
+               for text in row] for row in gram]
+    assert _leading_minors_are_positive(values) == definite
+    if definite:
+        MetricField(presentation, gram)
+    else:
+        with pytest.raises(FrameError, match="metric is not positive "
+                                             "definite at the base point"):
+            MetricField(presentation, gram)
 
 
 def test_nonvanishing_certificate(heis6):
