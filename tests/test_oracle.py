@@ -67,6 +67,22 @@ def test_oracle_detects_a_twisted_structure():
     assert residual > NONZERO_FLOOR
 
 
+@pytest.mark.parametrize("entries", [
+    {(3, 3): "1", (4, 4): "1"},  # the second horizontal block rescaled
+    {(0, 0): "1/2 + x^2/4"},  # a metric with non-constant second derivatives
+])
+@pytest.mark.parametrize("identity_id", ["connection.reeb_derivative",
+                                         "curvature.reeb_identity"])
+def test_oracle_detects_a_broken_metric_in_the_derivative_identities(
+        entries, identity_id):
+    scenario = corpus_build("heis6")
+    for (row, col), text in entries.items():
+        scenario.metric[row][col] = text
+    scenario._cache.clear()
+    residual = numeric_oracle(scenario, identity_id, probe_count=4)
+    assert residual > NONZERO_FLOOR
+
+
 def test_oracle_is_deterministic_for_a_seed():
     scenario = corpus_build("heis6")
     first = numeric_oracle(scenario, "connection.reeb_derivative", seed=5)
