@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -10,10 +11,9 @@ from contact_pair_lab import (CORPUS_NAMES, ORACLE_IDS, ValidationError,
                               corpus_build, numeric_oracle)
 from contact_pair_lab import oracle
 from contact_pair_lab.scalars import PoleError, parse_expr
-from conftest import twisted_phi_structure
+from conftest import FOUR_FIELD_GAUGE, gauged_heis6, twisted_phi_structure
 from test_scalars import VARS, exprs, points
 
-DERIVATIVE_TOL = 1e-6
 ALGEBRAIC_TOL = 1e-9
 NONZERO_FLOOR = 1e-3
 
@@ -25,10 +25,7 @@ NONZERO_FLOOR = 1e-3
 def test_certified_identities_have_tiny_residuals(name, params, identity_id):
     scenario = corpus_build(name, params)
     residual = numeric_oracle(scenario, identity_id, probe_count=8, seed=1)
-    tolerance = ALGEBRAIC_TOL if identity_id in (
-        "d_squared", "pair.reeb", "metric.associated",
-        "normality.N1") else DERIVATIVE_TOL
-    assert residual < tolerance, (name, identity_id, residual)
+    assert residual < ALGEBRAIC_TOL, (name, identity_id, residual)
 
 
 def test_minimal_subframes_have_tiny_mean_curvature():
@@ -36,7 +33,7 @@ def test_minimal_subframes_have_tiny_mean_curvature():
     for sub in ("factor", "heis6-leaf3", "heis6-n4"):
         residual = numeric_oracle(scenario, f"submanifold.{sub}.minimal",
                                   probe_count=8)
-        assert residual < DERIVATIVE_TOL, (sub, residual)
+        assert residual < ALGEBRAIC_TOL, (sub, residual)
 
 
 def test_nonminimal_subframe_has_large_residual():
@@ -81,6 +78,25 @@ def test_oracle_detects_a_broken_metric_in_the_derivative_identities(
     scenario._cache.clear()
     residual = numeric_oracle(scenario, identity_id, probe_count=4)
     assert residual > NONZERO_FLOOR
+
+
+@pytest.mark.parametrize("identity_id", ["pair.reeb", "metric.associated",
+                                         "normality.N1",
+                                         "connection.reeb_derivative",
+                                         "curvature.reeb_identity"])
+def test_a_nan_at_one_probe_point_is_no_pass(monkeypatch, identity_id):
+    # max(worst, nan) keeps worst, so a per-point maximum would hide it
+    solve = oracle._View.reeb.func
+
+    def with_nan(view):
+        z1, z2 = solve(view)
+        z1 = z1.copy()
+        z1[3, 0] = np.nan
+        return z1, z2
+
+    monkeypatch.setattr(oracle._View, "reeb", property(with_nan))
+    assert numeric_oracle(corpus_build("heis6"), identity_id,
+                          probe_count=8) == math.inf
 
 
 def test_oracle_is_deterministic_for_a_seed():
@@ -169,54 +185,129 @@ def test_float_grid_raises_at_a_pole():
         grid(np.array([[1.0, 2.0], [3.0, 3.0]]))
 
 
-def test_gradient_matches_pointwise_central_differences():
-    numeric = oracle._Numeric(corpus_build("heis6"))
-    xs = numeric.probe_points(3, seed=2)
-    step = 1e-6
-    got = oracle._gradient(numeric.metric_at, xs, step)
-    for x, grad in zip(xs, got):
-        for c in range(numeric.n):
-            plus, minus = x.copy(), x.copy()
-            plus[c] += step
-            minus[c] -= step
-            want = (numeric.metric_at(plus[None])[0]
-                    - numeric.metric_at(minus[None])[0]) / (2 * step)
-            np.testing.assert_array_equal(grad[c], want)
+def _central(func, x, step):
+    """Central differences [c, ...] = d_c func at the single point x[0]."""
+    out = []
+    for c in range(x.shape[1]):
+        plus, minus = x.copy(), x.copy()
+        plus[0, c] += step
+        minus[0, c] -= step
+        out.append((func(plus) - func(minus)) / (2 * step))
+    return np.array(out)
 
 
-def test_no_call_stacks_more_than_one_stencil(monkeypatch):
+def _assert_matches_differences(got, func, x, scale, step=2.0 ** -16):
+    """got agrees with central differences of func at x, up to the
+    differences' own error: their change when the step doubles bounds the
+    truncation error, and scale * 1e-7 bounds the rounding."""
+    fine, coarse = _central(func, x, step), _central(func, x, 2 * step)
+    tolerance = 4 * np.abs(fine - coarse) + 1e-7 * scale
+    assert (np.abs(got - fine) <= tolerance).all(), (got, fine, tolerance)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_entries, min_size=1, max_size=3), points)
+def test_jets_match_central_differences_of_the_values(entries, point):
+    grid = oracle._FloatGrid(entries, (len(entries),), VARS)
+    x = np.array([[float(point[v]) for v in VARS]])
+    jet = grid.jet(x, 2)
+    # the size of the summed terms, as in the evaluation property above
+    scale = max((_terms_at(expr.num, x[0], True)
+                 + abs(value) * _terms_at(expr.den, x[0], True))
+                / abs(_terms_at(expr.den, x[0]))
+                for expr, value in zip(entries, jet.value[0])) + 1.0
+    np.testing.assert_array_equal(jet.value, grid(x))
+    _assert_matches_differences(jet.grad[0], lambda y: grid(y)[0], x, scale)
+    # the Hessian against differences of the gradient, so that one
+    # difference, not two nested ones, sets the tolerance
+    _assert_matches_differences(jet.hess[0],
+                                lambda y: grid.jet(y, 1).grad[0], x,
+                                scale * 100)
+
+
+# a chart whose frame and Gram matrix both depend on every coordinate, so
+# that no product in the metric chain has a vanishing cross term
+_DENSE_CHART = types.SimpleNamespace(
+    coordinates=["x", "y", "z"], base_point={"x": "0", "y": "0", "z": "0"},
+    frame=[["1 + x*y/4", "y/3", "0"], ["z/5", "1 + x^2/8", "x*z/6"],
+           ["y^2/7", "0", "1/(1 + z^2)"]],
+    metric=[["2 + x^2", "x*y/3", "z/4"], ["x*y/3", "3 + y*z/5", "0"],
+            ["z/4", "0", "2/(1 + x^2)"]],
+    phi=[["0"] * 3] * 3, alpha1=["0", "0", "1"], alpha2=["1", "0", "0"])
+
+
+@pytest.mark.parametrize("scenario", [
+    gauged_heis6(corpus_build("heis6"), FOUR_FIELD_GAUGE), _DENSE_CHART],
+    ids=["heis6-gauged4", "dense-chart"])
+def test_metric_chain_matches_central_differences(scenario):
+    numeric = oracle._Numeric(scenario)
+    for x in numeric.probe_points(3, seed=2):
+        x = x[None]
+        g = numeric.metric(x, 2)
+        np.testing.assert_array_equal(g.value, numeric.metric(x, 0).value)
+        _assert_matches_differences(g.grad[0],
+                                    lambda y: numeric.metric(y, 0).value[0],
+                                    x, 1.0)
+        _assert_matches_differences(g.hess[0],
+                                    lambda y: numeric.metric(y, 1).grad[0],
+                                    x, 1.0)
+        gamma = oracle._christoffel(g)
+        _assert_matches_differences(
+            gamma.grad[0],
+            lambda y: oracle._christoffel(numeric.metric(y, 1)).value[0],
+            x, 1.0)
+
+
+def test_reeb_gradient_matches_central_differences():
+    # alpha_1 rescaled by a function of the first factor's coordinates: the
+    # Reeb system stays consistent and the fields are no longer constant
     scenario = corpus_build("heis6")
-    sizes = []
-    evaluate = oracle._FloatGrid.__call__
+    scenario.alpha1 = [text if text == "0" else f"({text})*(1 + x^2/4 + y*z/8)"
+                       for text in scenario.alpha1]
+    numeric = oracle._Numeric(scenario)
+    xs = numeric.probe_points(3, seed=2)
+    gradient = oracle._View(numeric, xs).reeb_gradient
+    assert np.abs(gradient).max() > 0.1
+    for x, got in zip(xs, gradient):
+        _assert_matches_differences(
+            got, lambda y: sum(oracle._View(numeric, y).reeb)[0], x[None],
+            1.0)
 
-    def spy(self, xs):
-        sizes.append(len(xs))
-        return evaluate(self, xs)
 
-    monkeypatch.setattr(oracle._FloatGrid, "__call__", spy)
-    numeric_oracle(scenario, "curvature.reeb_identity", probe_count=8)
-    numeric_oracle(scenario, "submanifold.heis6-n4.minimal", probe_count=8)
-    assert max(sizes) == 2 * len(scenario.coordinates)
+def test_no_order_2_evaluation_stacks_more_than_one_probe_point(monkeypatch):
+    scenario = corpus_build("heis6")
+    sizes = {0: [], 1: [], 2: []}
+    jet = oracle._FloatGrid.jet
+
+    def spy(self, xs, order):
+        sizes[order].append(len(xs))
+        return jet(self, xs, order)
+
+    monkeypatch.setattr(oracle._FloatGrid, "jet", spy)
+    for identity_id in _all_ids(scenario):
+        numeric_oracle(scenario, identity_id, probe_count=8)
+    assert set(sizes[2]) == {1}
+    assert set(sizes[1]) == {8}
 
 
-# Residuals at seed 1 of the pointwise evaluation this oracle replaced
-# (one float evaluation per entry and per point).
+# Residuals at seed 1 of the jet oracle.  Each is at most the residual of
+# the finite-difference oracle it replaced, which was up to 1e-9.
 _REFERENCE = {
     ("heis6", "d_squared"): 0.0,
-    ("heis6", "pair.reeb"): 4.440892098500626e-16,
-    ("heis6", "metric.associated"): 1.3377743357523286e-11,
-    ("heis6", "normality.N1"): 4.440892098501216e-16,
-    ("heis6", "connection.reeb_derivative"): 4.995997513260186e-10,
-    ("heis6", "curvature.reeb_identity"): 5.351152854160546e-11,
+    ("heis6", "pair.reeb"): 2.220446049250313e-16,
+    ("heis6", "metric.associated"): 1.1102230246251565e-16,
+    ("heis6", "normality.N1"): 2.220446049250313e-16,
+    ("heis6", "connection.reeb_derivative"): 2.220446049250313e-16,
+    ("heis6", "curvature.reeb_identity"): 3.1311654705084615e-16,
     ("heis6", "submanifold.factor.minimal"): 0.0,
-    ("heis6", "submanifold.heis6-leaf3.minimal"): 8.064234465384365e-12,
-    ("heis6", "submanifold.heis6-n4.minimal"): 6.048175849038273e-12,
+    ("heis6", "submanifold.heis6-leaf3.minimal"): 0.0,
+    ("heis6", "submanifold.heis6-n4.minimal"): 0.0,
     ("darboux", "d_squared"): 0.0,
-    ("darboux", "pair.reeb"): 8.881784197001252e-16,
-    ("darboux", "metric.associated"): 6.688871678761643e-12,
-    ("darboux", "normality.N1"): 4.440892098501216e-16,
-    ("darboux", "connection.reeb_derivative"): 9.992001098052539e-10,
-    ("darboux", "curvature.reeb_identity"): 4.684090268436414e-11,
+    ("darboux", "pair.reeb"): 4.440892098500626e-16,
+    ("darboux", "metric.associated"): 8.326672684688674e-17,
+    ("darboux", "normality.N1"): 2.220446049250313e-16,
+    ("darboux", "connection.reeb_derivative"): 2.220446049250313e-16,
+    ("darboux", "curvature.reeb_identity"): 3.3306690738754696e-16,
 }
 
 
@@ -305,6 +396,16 @@ def test_reeb_oracle_rejects_a_reeb_system_without_unique_solution():
     scenario.alpha2 = list(scenario.alpha1)
     with pytest.raises(ValidationError):
         numeric_oracle(scenario, "pair.reeb", probe_count=2)
+
+
+@pytest.mark.parametrize("identity_id", ["metric.associated", "normality.N1",
+                                         "connection.reeb_derivative"])
+def test_a_reeb_system_without_unique_solution_fails_its_readers(
+        identity_id):
+    scenario = corpus_build("heis6")
+    scenario.alpha2 = list(scenario.alpha1)
+    assert numeric_oracle(scenario, identity_id,
+                          probe_count=2) > NONZERO_FLOOR
 
 
 def test_a_replaced_scenario_gets_a_view_of_its_own():
