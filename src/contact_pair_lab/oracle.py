@@ -497,7 +497,10 @@ def _residual_curvature(view: _View) -> np.ndarray:
         basis = np.hstack([b1, b2])
         if basis.shape[1] != n:
             return np.array([np.inf])
-        coefficients = np.linalg.solve(basis, np.eye(n))
+        try:
+            coefficients = np.linalg.solve(basis, np.eye(n))
+        except np.linalg.LinAlgError:  # the two factors overlap
+            return np.array([np.inf])
         split = (b1 @ coefficients[:b1.shape[1]],
                  b2 @ coefficients[b1.shape[1]:])
         lhs = np.einsum("lkab,k->abl", view.curvature(p), z[p])

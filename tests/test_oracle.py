@@ -399,7 +399,8 @@ def test_reeb_oracle_rejects_a_reeb_system_without_unique_solution():
 
 
 @pytest.mark.parametrize("identity_id", ["metric.associated", "normality.N1",
-                                         "connection.reeb_derivative"])
+                                         "connection.reeb_derivative",
+                                         "curvature.reeb_identity"])
 def test_a_reeb_system_without_unique_solution_fails_its_readers(
         identity_id):
     scenario = corpus_build("heis6")
