@@ -4,7 +4,7 @@ from .scalars import ParseError, Rational, ScalarError, ScalarExpr, parse_expr
 from .frames import (ChartDomainWarning, EndoField, FramePresentation,
                      LeviCivita, MetricField, PForm, VectorField,
                      cartan_class, eval_form, exterior_derivative,
-                     levi_civita, lie_derivative_endo, nijenhuis, one_form,
+                     lie_derivative_endo, nijenhuis, one_form,
                      seeded_probe_points, wedge)
 from .contact import (ContactPair, ContactPairStructure, Finding,
                       MetricContactPair, NormalityReport, ValidationError,
@@ -13,10 +13,9 @@ from .contact import (ContactPair, ContactPairStructure, Finding,
                       solve_reeb, validate_contact_pair, validate_metric,
                       validate_structure)
 from .submanifolds import (InvarianceProfile, ShapeData, Subframe,
-                           SubframeError, angle_constancy, build_subframe,
-                           classify, mean_curvature, restrict_structure,
-                           second_fundamental_form, shape_data,
-                           verify_theorems)
+                           SubframeError, angle_constancy, classify,
+                           restrict_structure, second_fundamental_form,
+                           shape_data, verify_theorems)
 from .corpus import (CORPUS_NAMES, Scenario, ScenarioError, corpus_build,
                      load_scenario, save_scenario, scenario_from_dict,
                      scenario_to_dict)
@@ -27,8 +26,8 @@ __all__ = [
     "ParseError", "Rational", "ScalarError", "ScalarExpr", "parse_expr",
     "ChartDomainWarning", "EndoField", "FramePresentation", "LeviCivita",
     "MetricField", "PForm", "VectorField", "cartan_class", "eval_form",
-    "exterior_derivative", "levi_civita", "lie_derivative_endo",
-    "nijenhuis", "one_form", "seeded_probe_points", "wedge",
+    "exterior_derivative", "lie_derivative_endo", "nijenhuis", "one_form",
+    "seeded_probe_points", "wedge",
     "ContactPair", "ContactPairStructure", "Finding", "MetricContactPair",
     "NormalityReport", "ValidationError",
     "check_connection_identities", "check_curvature_identity",
@@ -36,9 +35,8 @@ __all__ = [
     "solve_reeb", "validate_contact_pair", "validate_metric",
     "validate_structure",
     "InvarianceProfile", "ShapeData", "Subframe", "SubframeError",
-    "angle_constancy", "build_subframe", "classify", "mean_curvature",
-    "restrict_structure", "second_fundamental_form", "shape_data",
-    "verify_theorems",
+    "angle_constancy", "classify", "restrict_structure",
+    "second_fundamental_form", "shape_data", "verify_theorems",
     "CORPUS_NAMES", "Scenario", "ScenarioError", "corpus_build",
     "load_scenario", "save_scenario", "scenario_from_dict",
     "scenario_to_dict",

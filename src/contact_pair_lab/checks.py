@@ -53,7 +53,7 @@ _STAGES: Dict[str, Tuple[Optional[str], Optional[Callable]]] = {
         pair, sc.phi_endo(), probes=probes, metric=sc.metric_field())),
     "metric": ("structure", lambda sc, probes, structure: validate_metric(
         structure, sc.metric_field(), probes=probes)),
-    "normality": ("metric", lambda sc, probes, mcp: normality(mcp).findings),
+    "normality": ("metric", lambda sc, probes, mcp: normality(mcp)),
     "connection": ("metric",
                    lambda sc, probes, mcp: check_connection_identities(mcp)),
     "curvature": ("metric",
@@ -93,12 +93,10 @@ CHECKS = (
     Check("metric.associated", "metric", lambda m: m.associated),
     Check("metric.orthogonal_splitting", "metric",
           lambda m: m.orthogonal_splitting),
-    Check("normality.N1", "normality",
-          _condition("normality tensor vanishes")),
-    Check("normality.NJ", "normality", _condition("J integrable")),
-    Check("normality.NT", "normality", _condition("T integrable")),
-    Check("normality.normal_mcp", "normality",
-          _condition("normal metric contact pair")),
+    Check("normality.N1", "normality", lambda r: r.n1),
+    Check("normality.NJ", "normality", lambda r: r.nj),
+    Check("normality.NT", "normality", lambda r: r.nt),
+    Check("normality.normal_mcp", "normality", lambda r: r.normal),
     Check("connection.covariant_phi_pairing", "connection",
           _condition("covariant phi pairing identity")),
     Check("connection.reeb_derivative", "connection",

@@ -16,6 +16,7 @@ from .checks import STAGES, CheckReport, run_checks
 from .corpus import (CORPUS_NAMES, Scenario, ScenarioError, corpus_build,
                      load_scenario)
 from .contact import ValidationError
+from .frames import FrameError
 from .scalars import ParseError, ScalarError
 from .submanifolds import SubframeError
 
@@ -162,7 +163,7 @@ def main(argv: Optional[Sequence[str]] = None,
                                   args.format, out)
         if args.command == "submanifold":
             return _cmd_submanifold(args, seed, out)
-    except (ScenarioError, ParseError, ScalarError, OSError,
+    except (ScenarioError, ParseError, ScalarError, OSError, FrameError,
             ValidationError, SubframeError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return 2

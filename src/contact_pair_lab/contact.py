@@ -8,9 +8,10 @@ entry where they differ and names it, ``"<label> = <lhs - rhs>"``.
 The tensors the checks read are built once per ``MetricContactPair`` and
 cached there: the projections P_i and F_i (``pi``, ``foliation``), nabla Z
 and R(., .)Z for the Reeb sum Z (``nabla_reeb``, ``reeb_curvature``),
-nabla phi, nabla J and the normality report.  A check reads columns of
-these endomorphisms, and an identity between endomorphisms is witnessed by
-its first differing column.
+nabla phi, nabla J and the normality report, its four findings.  A check
+reads columns of these endomorphisms, and an identity between
+endomorphisms is witnessed by its first differing column.  One test,
+``pair_type_findings``, decides the type (h, k) of every pair of forms.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import linalg
 from .frames import (EndoField, FramePresentation, LeviCivita, MetricField,
                      PForm, VectorField, bracket, cartan_class,
                      eval_form, exterior_derivative, form_power, is_killing,
-                     levi_civita, lie_derivative_endo, nijenhuis,
+                     lie_derivative_endo, nijenhuis,
                      nonvanishing_certificate, orthogonal_projector,
                      pole_polynomial, seeded_probe_points, wedge)
 from .scalars import ScalarExpr
@@ -55,7 +56,6 @@ class ValidationError(Exception):
         details = "; ".join(f.condition + (f": {f.witness}" if f.witness else "")
                             for f in findings if not f.ok)
         super().__init__(message + (f" [{details}]" if details else ""))
-        self.findings = list(findings)
 
 
 @dataclass
@@ -70,7 +70,6 @@ class ContactPair:
     d_alpha1: PForm
     d_alpha2: PForm
     splitting: Dict[str, List[VectorField]]
-    findings: List[Finding]
 
     @property
     def reeb_sum(self) -> VectorField:
@@ -80,16 +79,22 @@ class ContactPair:
         return (self.alpha1, self.alpha2)
 
 
+def _reeb_rows(n: int, alpha1: PForm, alpha2: PForm, d_alpha1: PForm,
+               d_alpha2: PForm) -> Tuple[List[ScalarExpr], ...]:
+    """alpha_1 and alpha_2 as rows, then the n rows of i_X d(alpha_1) and
+    of i_X d(alpha_2), as linear conditions on X."""
+    return ([alpha1.get((a,)) for a in range(n)],
+            [alpha2.get((a,)) for a in range(n)],
+            *([[form.get((a, b)) for a in range(n)] for b in range(n)]
+              for form in (d_alpha1, d_alpha2)))
+
+
 def solve_reeb(presentation: FramePresentation, alpha1: PForm, alpha2: PForm,
                d_alpha1: PForm, d_alpha2: PForm) -> Tuple[VectorField, VectorField]:
     """Unique fields with alpha_i(Z_j) = delta_ij and i_{Z_j} d(alpha_i) = 0."""
-    n = presentation.dim
-    rows: List[List[ScalarExpr]] = []
-    rows.append([alpha1.get((a,)) for a in range(n)])
-    rows.append([alpha2.get((a,)) for a in range(n)])
-    for form in (d_alpha1, d_alpha2):
-        for b in range(n):
-            rows.append([form.get((a, b)) for a in range(n)])
+    a1_row, a2_row, d1_rows, d2_rows = _reeb_rows(
+        presentation.dim, alpha1, alpha2, d_alpha1, d_alpha2)
+    rows = [a1_row, a2_row, *d1_rows, *d2_rows]
     solutions = []
     for j in (0, 1):
         rhs = [presentation.one if i == j else presentation.zero
@@ -111,15 +116,8 @@ def _kernel_fields(presentation: FramePresentation,
 def _splitting(presentation: FramePresentation, alpha1: PForm, alpha2: PForm,
                d_alpha1: PForm, d_alpha2: PForm, z1: VectorField,
                z2: VectorField) -> Dict[str, List[VectorField]]:
-    n = presentation.dim
-    a1_row = [alpha1.get((a,)) for a in range(n)]
-    a2_row = [alpha2.get((a,)) for a in range(n)]
-
-    def contraction_rows(form: PForm) -> List[List[ScalarExpr]]:
-        return [[form.get((a, b)) for a in range(n)] for b in range(n)]
-
-    d1_rows = contraction_rows(d_alpha1)
-    d2_rows = contraction_rows(d_alpha2)
+    a1_row, a2_row, d1_rows, d2_rows = _reeb_rows(
+        presentation.dim, alpha1, alpha2, d_alpha1, d_alpha2)
     return {
         "H1": _kernel_fields(presentation, d1_rows + [a1_row, a2_row]),
         "H2": _kernel_fields(presentation, d2_rows + [a1_row, a2_row]),
@@ -131,12 +129,35 @@ def _splitting(presentation: FramePresentation, alpha1: PForm, alpha2: PForm,
     }
 
 
+def pair_type_findings(alpha1: PForm, alpha2: PForm, d1: PForm, d2: PForm,
+                       h: int, k: int
+                       ) -> Tuple[List[Finding], Optional[ScalarExpr]]:
+    """Type (h, k) of forms with exterior derivatives d1, d2: the volume
+    form alpha1 ^ d1^h ^ alpha2 ^ d2^k is nonzero and d1^(h+1), d2^(k+1)
+    vanish where their degree fits.  Also returns the volume form's first
+    nonzero coefficient, or None."""
+    n = alpha1.context.dim
+    volume = wedge(wedge(wedge(alpha1, form_power(d1, h)), alpha2),
+                   form_power(d2, k))
+    top = volume.nonzero_witness()
+    findings = [Finding("volume form", top is not None,
+                        "top-degree coefficient is identically zero"
+                        if top is None else f"coefficient {top[1]}")]
+    for name, form, p in (("first", d1, h), ("second", d2, k)):
+        if 2 * (p + 1) <= n:
+            entry = form_power(form, p + 1).nonzero_witness()
+            findings.append(Finding(
+                f"degeneracy of the {name} form", entry is None,
+                "" if entry is None
+                else f"power {p + 1} has {entry[0]} -> {entry[1]}"))
+    return findings, None if top is None else top[1]
+
+
 def validate_contact_pair(presentation: FramePresentation, alpha1: PForm,
                           alpha2: PForm, h: int, k: int,
                           probes: Optional[Sequence] = None) -> ContactPair:
     """Certify the contact pair conditions and produce the splitting."""
     n = presentation.dim
-    findings: List[Finding] = []
     if n != 2 * h + 2 * k + 2:
         raise ValidationError(
             f"dimension {n} does not match type ({h},{k})")
@@ -144,30 +165,11 @@ def validate_contact_pair(presentation: FramePresentation, alpha1: PForm,
         probes = seeded_probe_points(presentation)
     d1 = exterior_derivative(alpha1)
     d2 = exterior_derivative(alpha2)
-
-    volume = wedge(wedge(wedge(alpha1, form_power(d1, h)), alpha2),
-                   form_power(d2, k)) if h or k else \
-        wedge(alpha1, alpha2)
-    top = volume.nonzero_witness()
-    if top is None:
-        findings.append(Finding("volume form", False,
-                                "top-degree coefficient is identically zero"))
-    else:
-        findings.append(Finding("volume form", True, f"coefficient {top[1]}"))
-        nonvanishing_certificate("volume form", [top[1]],
-                                 [presentation.base_point, *probes])
-
-    for name, form, p in (("first", d1, h), ("second", d2, k)):
-        if 2 * (p + 1) <= n:
-            power = form_power(form, p + 1)
-            if power.is_zero():
-                findings.append(Finding(f"degeneracy of the {name} form", True))
-            else:
-                key, value = power.nonzero_witness()
-                findings.append(Finding(f"degeneracy of the {name} form", False,
-                                        f"power {p + 1} has {key} -> {value}"))
-
     points = [presentation.base_point, *probes]
+    findings, top = pair_type_findings(alpha1, alpha2, d1, d2, h, k)
+    if top is not None:
+        nonvanishing_certificate("volume form", [top], points)
+
     for name, form, expected in (("first", alpha1, 2 * h + 1),
                                  ("second", alpha2, 2 * k + 1)):
         cls = cartan_class(form, points, label=f"{name} 1-form")
@@ -203,7 +205,7 @@ def validate_contact_pair(presentation: FramePresentation, alpha1: PForm,
     if any(not f.ok for f in findings):
         raise ValidationError("splitting failure", findings)
     return ContactPair(presentation, alpha1, alpha2, h, k, z1, z2, d1, d2,
-                       split, findings)
+                       split)
 
 
 @dataclass
@@ -253,9 +255,7 @@ def validate_structure(pair: ContactPair, phi: EndoField,
     for name, alpha in (("first", pair.alpha1), ("second", pair.alpha2)):
         findings.append(certify(
             f"{name} form annihilates the image of phi", (
-                (f"alpha(phi e_{a})",
-                 sum((alpha.get((c,)) * phi.matrix[c][a] for c in range(n)),
-                     zero), zero)
+                (f"alpha(phi e_{a})", eval_form(alpha, phi.column(a)), zero)
                 for a in range(n))))
 
     # phi^2 = -I + sum alpha_i (x) Z_i gives rank phi >= n - 2 wherever phi is
@@ -307,7 +307,7 @@ class MetricContactPair:
     reads, each built once on first use: the connection, nabla phi,
     nabla J, the projections ``pi`` and ``foliation``, the Reeb-sum
     tensors ``nabla_reeb`` and ``reeb_curvature`` and the ``normality``
-    report."""
+    report, its four findings."""
 
     structure: ContactPairStructure
     metric: MetricField
@@ -325,13 +325,9 @@ class MetricContactPair:
     def presentation(self) -> FramePresentation:
         return self.pair.presentation
 
-    @property
-    def decomposable(self) -> Finding:
-        return self.structure.decomposable
-
     @cached_property
     def connection(self) -> LeviCivita:
-        return levi_civita(self.metric)
+        return LeviCivita(self.metric)
 
     @cached_property
     def nabla_phi(self) -> List[List[VectorField]]:
@@ -397,13 +393,9 @@ class MetricContactPair:
 
     @cached_property
     def normality(self) -> "NormalityReport":
-        """The normality tensor and the two almost complex structures.
-
-        ``normal_mcp`` asks for the full bundle to be a normal metric
-        contact pair: the metric must be associated and the normality
-        tensor must vanish.  The raw tensor verdicts are reported
-        separately.
-        """
+        """The normality tensor, the two almost complex structures and
+        the normal metric contact pair, which also asks for an associated
+        metric."""
         pair = self.pair
         frame = self.presentation
         zero = VectorField.zero(frame)
@@ -418,13 +410,11 @@ class MetricContactPair:
             for (a, b), value in nijenhuis(endo).items()))
             for label, endo in (("J", self.structure.j),
                                 ("T", self.structure.t))]
-        witnesses = [f.witness for f in (n1, nj, nt, self.associated)
-                     if not f.ok]
-        normal_mcp = n1.ok and self.associated.ok
-        return NormalityReport(
-            n1.ok, nj.ok, nt.ok, normal_mcp, witnesses,
-            [n1, nj, nt, Finding("normal metric contact pair", normal_mcp,
-                                 witnesses[0] if witnesses else "")])
+        witness = next((f.witness for f in (n1, nj, nt, self.associated)
+                        if not f.ok), "")
+        return NormalityReport(n1, nj, nt, Finding(
+            "normal metric contact pair", n1.ok and self.associated.ok,
+            witness))
 
 
 def validate_metric(structure: ContactPairStructure, metric: MetricField,
@@ -475,20 +465,20 @@ def validate_metric(structure: ContactPairStructure, metric: MetricField,
         Finding("splitting is orthogonal", True))
 
     return MetricContactPair(structure, metric, compatible, associated,
-                             orthogonal, [dict(p) for p in probes], findings)
+                             orthogonal, list(probes), findings)
 
 
 @dataclass
 class NormalityReport:
-    """The raw tensor verdicts, the first witness of each failing finding
-    (and of a failing association), and the four report findings."""
+    """The four normality findings: N1 vanishes, J and T are integrable,
+    and the bundle is a normal metric contact pair.  ``normal`` carries
+    the first witness among the other three and the association, also
+    when it holds."""
 
-    n1_zero: bool
-    nj_zero: bool
-    nt_zero: bool
-    normal_mcp: bool
-    witnesses: List[str]
-    findings: List[Finding]
+    n1: Finding
+    nj: Finding
+    nt: Finding
+    normal: Finding
 
 
 def normality(mcp: MetricContactPair) -> NormalityReport:
@@ -502,7 +492,6 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
     presentation = mcp.presentation
     n = presentation.dim
     phi = mcp.structure.phi
-    conn = mcp.connection
     g = mcp.metric
     findings: List[Finding] = []
     frame_fields = [presentation.frame_field(a) for a in range(n)]
@@ -558,10 +547,11 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
     findings.append(_endo_finding("Reeb derivative with h-tensor",
                                   mcp.nabla_reeb + phi + phi.compose(h_endo)))
 
-    if mcp.normality.normal_mcp:
+    if mcp.normality.normal.ok:
         findings.append(Finding("h-tensor vanishes on the normal bundle",
                                 h_endo.is_zero()))
-        findings.append(Finding("Reeb sum is Killing", is_killing(z, conn)))
+        findings.append(Finding("Reeb sum is Killing",
+                                is_killing(mcp.nabla_reeb, g)))
     return findings
 
 
@@ -589,12 +579,12 @@ def check_curvature_identity(mcp: MetricContactPair) -> List[Finding]:
               - proj[i][b].scale(alphas[i].get((a,))) for i in (0, 1)),
              zero))
         for a in range(n) for b in range(a + 1, n)))
-    report = mcp.normality
-    detail = f"identity={holds.ok}, normal={report.normal_mcp}"
-    if holds.ok != report.normal_mcp and report.witnesses:
-        detail += f"; {report.witnesses[0]}"
+    normal = mcp.normality.normal
+    detail = f"identity={holds.ok}, normal={normal.ok}"
+    if holds.ok != normal.ok and normal.witness:
+        detail += f"; {normal.witness}"
     agreement = Finding("curvature identity is equivalent to normality",
-                        holds.ok == report.normal_mcp, detail)
+                        holds.ok == normal.ok, detail)
     return [holds, agreement]
 
 
@@ -615,10 +605,8 @@ def hermitian_data(mcp: MetricContactPair) -> List[Finding]:
     d_fundamental = exterior_derivative(fundamental)
 
     findings.append(certify("second form pulls back to the first under J", (
-        (f"residual on e_{a}",
-         sum((pair.alpha2.get((c,)) * j_fields[a].components[c]
-              for c in range(n)), presentation.zero), pair.alpha1.get((a,)))
-        for a in range(n))))
+        (f"residual on e_{a}", eval_form(pair.alpha2, j_fields[a]),
+         pair.alpha1.get((a,))) for a in range(n))))
 
     # P_i J, whose columns are the projections of J e_a, and J P_i
     pi_j = [p.compose(j) for p in mcp.pi]

@@ -3,7 +3,9 @@
 A scenario stores everything as expression text in the scalar-algebra
 grammar: forms in coordinate components, the endomorphism, metric and
 submanifold spans in frame components.  Construction of the exact
-geometric objects is deferred to the accessor methods.
+geometric objects is deferred to the accessor methods.  ``_cells`` walks
+the expression cells of a scenario dict, for the schema check and for
+``Scenario.canonical_equal``.
 """
 
 from __future__ import annotations
@@ -11,12 +13,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import zip_longest
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .frames import (EndoField, FramePresentation, MetricField, PForm,
-                     VectorField, one_form)
+from .frames import EndoField, FramePresentation, MetricField, PForm, one_form
+from .linalg import dot
 from .scalars import ParseError, parse_expr
-from .submanifolds import Subframe, build_subframe
+from .submanifolds import Subframe
 
 CORPUS_NAMES = ("darboux", "heis6", "heis6-leaf3", "heis6-n4",
                 "darboux-J-noninvariant")
@@ -53,15 +56,12 @@ class Scenario:
         return self._cache["presentation"]
 
     def _coordinate_form(self, components: Sequence[str]) -> PForm:
+        """The pullback to the frame: alpha(e_a) = sum_i alpha_i frame[i][a],
+        with the frame entries the presentation has parsed."""
         pres = self.presentation()
-        comps = []
-        for a in range(pres.dim):
-            acc = pres.zero
-            for i in range(pres.dim):
-                acc = acc + pres.scalar(components[i]) \
-                    * pres.scalar(self.frame[i][a])
-            comps.append(acc)
-        return one_form(pres, comps)
+        alpha = [pres.scalar(text) for text in components]
+        return one_form(pres, [dot(alpha, column, pres.zero)
+                               for column in zip(*pres.frame)])
 
     def forms(self) -> Tuple[PForm, PForm]:
         if "forms" not in self._cache:
@@ -87,10 +87,9 @@ class Scenario:
         key = ("sub", name)
         if key not in self._cache:
             pres = self.presentation()
-            fields = [VectorField(pres, tuple(pres.scalar(c) for c in vec))
-                      for vec in self.submanifolds[name]]
-            self._cache[key] = build_subframe(pres, fields,
-                                              self.metric_field(), name)
+            fields = [pres.vector(vec) for vec in self.submanifolds[name]]
+            self._cache[key] = Subframe(pres, fields, self.metric_field(),
+                                        name)
         return self._cache[key]
 
     def canonical_equal(self, other: "Scenario") -> bool:
@@ -100,31 +99,17 @@ class Scenario:
                 (other.name, other.pair_type, other.coordinates,
                  sorted(other.submanifolds), other.expectations):
             return False
-        pres = self.presentation()
-
-        def canon(text):
-            return parse_expr(str(text), tuple(self.coordinates))
-
-        for mine, theirs in ((self.frame, other.frame),
-                             (self.phi, other.phi),
-                             (self.metric, other.metric)):
-            if any(canon(a) != canon(b) for ra, rb in zip(mine, theirs)
-                   for a, b in zip(ra, rb)):
-                return False
-        for mine, theirs in ((self.alpha1, other.alpha1),
-                             (self.alpha2, other.alpha2)):
-            if any(canon(a) != canon(b) for a, b in zip(mine, theirs)):
-                return False
         if {k: Fraction(v) for k, v in self.base_point.items()} != \
                 {k: Fraction(v) for k, v in other.base_point.items()}:
             return False
-        for name in self.submanifolds:
-            for va, vb in zip(self.submanifolds[name],
-                              other.submanifolds[name]):
-                if any(canon(a) != canon(b) for a, b in zip(va, vb)):
-                    return False
-        del pres
-        return True
+        variables = tuple(self.coordinates)
+        # a path missing on one side pairs with None, so shapes must match
+        return all(
+            mine[0] == theirs[0] and parse_expr(str(mine[1]), variables)
+            == parse_expr(str(theirs[1]), variables)
+            for mine, theirs in zip_longest(
+                _cells(scenario_to_dict(self)),
+                _cells(scenario_to_dict(other)), fillvalue=(None, None)))
 
 
 # -- built-in scenarios ----------------------------------------------------
@@ -295,9 +280,23 @@ def _check_matrix(value, path: str, rows: int, cols: int) -> None:
     for i, row in enumerate(value):
         _require(isinstance(row, list) and len(row) == cols,
                  f"{path}[{i}]", f"expected {cols} entries")
-        for j, entry in enumerate(row):
-            _require(isinstance(entry, str), f"{path}[{i}][{j}]",
-                     "expected an expression string")
+
+
+def _cells(data: dict) -> Iterator[Tuple[str, object]]:
+    """(path, text) for each expression cell of a scenario dict of checked
+    shape: frame, phi, metric, the forms and the spans by name."""
+    for key in ("frame", "phi", "metric"):
+        for i, row in enumerate(data[key]):
+            for j, text in enumerate(row):
+                yield f"{key}[{i}][{j}]", text
+    for key in ("alpha1", "alpha2"):
+        for i, text in enumerate(data[key]):
+            yield f"{key}[{i}]", text
+    subs = data.get("submanifolds", {})
+    for name in sorted(subs):
+        for i, vector in enumerate(subs[name]):
+            for j, text in enumerate(vector):
+                yield f"submanifolds.{name}[{i}][{j}]", text
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -359,9 +358,6 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         for i, vec in enumerate(vectors):
             _require(isinstance(vec, list) and len(vec) == n,
                      f"{path}[{i}]", f"expected {n} frame components")
-            for j, entry in enumerate(vec):
-                _require(isinstance(entry, str), f"{path}[{i}][{j}]",
-                         "expected an expression string")
     expectations = data.get("expectations", {})
     _require(isinstance(expectations, dict), "expectations",
              "expected an object")
@@ -382,29 +378,12 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         expectations={key: str(value)
                       for key, value in expectations.items()})
     # parse every expression eagerly so errors carry their location
-    variables = tuple(coords)
-    for path, texts in (("frame", data["frame"]), ("phi", data["phi"]),
-                        ("metric", data["metric"])):
-        for i, row in enumerate(texts):
-            for j, text in enumerate(row):
-                try:
-                    parse_expr(text, variables)
-                except ParseError as exc:
-                    raise ScenarioError(f"{path}[{i}][{j}]: {exc}")
-    for path in ("alpha1", "alpha2"):
-        for i, text in enumerate(data[path]):
-            try:
-                parse_expr(text, variables)
-            except ParseError as exc:
-                raise ScenarioError(f"{path}[{i}]: {exc}")
-    for sub_name, vectors in subs.items():
-        for i, vec in enumerate(vectors):
-            for j, text in enumerate(vec):
-                try:
-                    parse_expr(text, variables)
-                except ParseError as exc:
-                    raise ScenarioError(
-                        f"submanifolds.{sub_name}[{i}][{j}]: {exc}")
+    for path, text in _cells(data):
+        _require(isinstance(text, str), path, "expected an expression string")
+        try:
+            parse_expr(text, tuple(coords))
+        except ParseError as exc:
+            raise ScenarioError(f"{path}: {exc}")
     return scenario
 
 

@@ -765,10 +765,6 @@ class LeviCivita:
         return out
 
 
-def levi_civita(metric: MetricField) -> LeviCivita:
-    return LeviCivita(metric)
-
-
 def lie_derivative_endo(z: VectorField, endo: EndoField) -> EndoField:
     """(L_Z phi)(X) = [Z, phi X] - phi [Z, X], assembled on the frame basis."""
     frame = z.frame
@@ -780,18 +776,16 @@ def lie_derivative_endo(z: VectorField, endo: EndoField) -> EndoField:
     return EndoField.from_columns(frame, columns)
 
 
-def is_killing(z: VectorField, connection: LeviCivita) -> bool:
-    """Killing test: g(nabla_X Z, Y) + g(X, nabla_Y Z) vanishes on frame pairs."""
-    frame = z.frame
-    g = connection.metric
-    nz = [connection.nabla(frame.frame_field(a), z) for a in range(frame.dim)]
-    for a in range(frame.dim):
-        for b in range(a, frame.dim):
-            value = g.pair(nz[a], frame.frame_field(b)) \
-                + g.pair(frame.frame_field(a), nz[b])
-            if not value.is_zero():
-                return False
-    return True
+def is_killing(nabla: EndoField, metric: MetricField) -> bool:
+    """Killing test of a field Z from nabla Z, whose column a is
+    nabla_{e_a} Z: g(nabla_X Z, Y) + g(X, nabla_Y Z) vanishes on frame
+    pairs."""
+    n, zero = metric.frame.dim, metric.frame.zero
+    # lowered[a][b] = g(nabla_{e_a} Z, e_b); g is symmetric
+    lowered = [[dot(column, metric.gram[b], zero) for b in range(n)]
+               for column in zip(*nabla.matrix)]
+    return all((lowered[a][b] + lowered[b][a]).is_zero()
+               for a in range(n) for b in range(a, n))
 
 
 def nijenhuis(endo: EndoField) -> Dict[Tuple[int, int], VectorField]:

@@ -17,11 +17,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .contact import Finding, MetricContactPair, certify
-from .frames import (EndoField, MetricField, PForm, VectorField, bracket,
-                     cartan_class, eval_form, exterior_derivative,
-                     form_power, levi_civita, nonvanishing_certificate,
-                     orthogonal_projector, wedge)
+from .contact import (Finding, MetricContactPair, certify,
+                      pair_type_findings)
+from .frames import (EndoField, LeviCivita, MetricField, PForm, VectorField,
+                     bracket, cartan_class, eval_form, exterior_derivative,
+                     nonvanishing_certificate, orthogonal_projector)
 from .scalars import ScalarError, ScalarExpr
 
 
@@ -116,9 +116,6 @@ class Subframe:
         comps[a] = self.one
         return VectorField(self, tuple(comps))
 
-    def vector(self, components: Sequence) -> VectorField:
-        return VectorField(self, tuple(self.scalar(c) for c in components))
-
     # -- tangential geometry ----------------------------------------------
 
     def membership(self, v: VectorField) -> Optional[List[ScalarExpr]]:
@@ -144,19 +141,11 @@ class Subframe:
         return out
 
     def restrict_one_form(self, alpha: PForm) -> PForm:
-        comps = []
-        for f in self.fields:
-            comps.append(sum((alpha.get((a,)) * f.components[a]
-                              for a in range(self.ambient.dim)), self.zero))
-        return PForm(self, 1, {(a,): c for a, c in enumerate(comps)})
+        return PForm(self, 1, {(a,): eval_form(alpha, f)
+                               for a, f in enumerate(self.fields)})
 
     def __repr__(self):
         return f"Subframe({self.name}, dim={self.dim})"
-
-
-def build_subframe(ambient, fields: Sequence[VectorField],
-                   metric: MetricField, name: str = "subframe") -> Subframe:
-    return Subframe(ambient, fields, metric, name)
 
 
 REEB_POSITIONS = ("tangent-both", "tangent-Z1-orthogonal-Z2",
@@ -188,8 +177,7 @@ def _endo_invariant(sub: Subframe, endo: EndoField) -> bool:
 def classify(sub: Subframe, mcp: MetricContactPair) -> InvarianceProfile:
     pair = mcp.pair
     g = mcp.metric
-    probes = [dict(p) for p in mcp.probes]
-    points = [sub.ambient.base_point, *probes]
+    points = [sub.ambient.base_point, *mcp.probes]
     findings: List[Finding] = []
 
     phi_inv = _endo_invariant(sub, mcp.structure.phi)
@@ -199,7 +187,8 @@ def classify(sub: Subframe, mcp: MetricContactPair) -> InvarianceProfile:
 
     z1t = sub.tangent(pair.z1)
     z2t = sub.tangent(pair.z2)
-    tangent = [(pair.z1 - z1t).is_zero(), (pair.z2 - z2t).is_zero()]
+    z1_perp, z2_perp = pair.z1 - z1t, pair.z2 - z2t
+    tangent = [z1_perp.is_zero(), z2_perp.is_zero()]
     orthogonal = [z1t.is_zero(), z2t.is_zero()]
 
     if tangent[0] and tangent[1]:
@@ -209,19 +198,15 @@ def classify(sub: Subframe, mcp: MetricContactPair) -> InvarianceProfile:
     elif tangent[1] and orthogonal[0]:
         position = "tangent-Z2-orthogonal-Z1"
     elif not any(tangent) and not any(orthogonal):
-        nowhere = True
-        for label, v in (("tangential part of Z1", z1t),
-                         ("tangential part of Z2", z2t),
-                         ("normal part of Z1", pair.z1 - z1t),
-                         ("normal part of Z2", pair.z2 - z2t)):
+        def nonvanishing(label: str, v: VectorField) -> bool:
             norm = g.norm_squared(v)
-            if norm.is_zero():
-                nowhere = False
-                break
-            if not norm.is_constant() and not nonvanishing_certificate(
-                    f"{label} of {sub.name}", [norm], points):
-                nowhere = False
-                break
+            return not norm.is_zero() and (
+                norm.is_constant() or nonvanishing_certificate(
+                    f"{label} of {sub.name}", [norm], points))
+
+        nowhere = all(nonvanishing(label, v) for label, v in (
+            ("tangential part of Z1", z1t), ("tangential part of Z2", z2t),
+            ("normal part of Z1", z1_perp), ("normal part of Z2", z2_perp)))
         position = ("nowhere-tangent-nowhere-orthogonal" if nowhere
                     else "mixed/unknown")
     else:
@@ -287,10 +272,6 @@ def shape_data(sub: Subframe, connection) -> ShapeData:
     return data
 
 
-def mean_curvature(sub: Subframe, connection) -> VectorField:
-    return shape_data(sub, connection).mean_curvature
-
-
 def angle_constancy(sub: Subframe, mcp: MetricContactPair,
                     profile: Optional[InvarianceProfile] = None) -> bool:
     """Constancy of the Reeb angle along the vertical tangent direction,
@@ -318,16 +299,22 @@ def _induced_pair_verdict(sub: Subframe, alpha1: PForm, alpha2: PForm,
     d2 = exterior_derivative(alpha2)
     for h in range((r - 2) // 2 + 1):
         k = (r - 2) // 2 - h
-        volume = wedge(wedge(wedge(alpha1, form_power(d1, h)), alpha2),
-                       form_power(d2, k))
-        degenerate = all(
-            2 * (p + 1) > r or form_power(form, p + 1).is_zero()
-            for form, p in ((d1, h), (d2, k)))
-        if degenerate and not volume.is_zero():
+        findings, _ = pair_type_findings(alpha1, alpha2, d1, d2, h, k)
+        if all(f.ok for f in findings):
             return Finding("induced pair is a contact pair", True,
                            f"type ({h},{k}); classes {classes}")
     return Finding("induced pair is a contact pair", False,
                    f"no admissible type; classes {classes}")
+
+
+def _tangent_reeb(profile: InvarianceProfile) -> Optional[int]:
+    """For a phi-invariant span tangent to one Reeb field and orthogonal to
+    the other, the index (0 or 1) of the tangent one, which also selects
+    its form and the other index's foliation projection; None otherwise."""
+    if not profile.phi_invariant:
+        return None
+    return {"tangent-Z1-orthogonal-Z2": 0,
+            "tangent-Z2-orthogonal-Z1": 1}.get(profile.reeb_position)
 
 
 def restrict_structure(sub: Subframe, mcp: MetricContactPair,
@@ -338,31 +325,24 @@ def restrict_structure(sub: Subframe, mcp: MetricContactPair,
     pair = mcp.pair
     if profile is None:
         profile = classify(sub, mcp)
-    points = [sub.base_point] + [dict(p) for p in mcp.probes]
+    points = [sub.base_point, *mcp.probes]
     findings: List[Finding] = []
 
-    alpha1 = sub.restrict_one_form(pair.alpha1)
-    alpha2 = sub.restrict_one_form(pair.alpha2)
-    findings.append(_induced_pair_verdict(sub, alpha1, alpha2, points))
+    alphas = [sub.restrict_one_form(alpha) for alpha in pair.alphas()]
+    findings.append(_induced_pair_verdict(sub, *alphas, points))
 
-    semi = profile.phi_invariant and profile.reeb_position in (
-        "tangent-Z1-orthogonal-Z2", "tangent-Z2-orthogonal-Z1")
-    if not semi:
+    i = _tangent_reeb(profile)
+    if i is None:
         return findings
 
-    if profile.reeb_position == "tangent-Z1-orthogonal-Z2":
-        alpha, z_amb = alpha1, pair.z1
-    else:
-        alpha, z_amb = alpha2, pair.z2
-    z_coeffs = sub.membership(z_amb)
-    reeb = VectorField(sub, tuple(z_coeffs))
+    alpha = alphas[i]
+    reeb = VectorField(sub, tuple(sub.membership((pair.z1, pair.z2)[i])))
     phi_tilde = EndoField.from_columns(
         sub, [sub.membership(mcp.structure.phi.apply(f)) for f in sub.fields])
     g_tilde = MetricField(sub, sub.gram)
     d_alpha = exterior_derivative(alpha)
 
-    value = sum((alpha.get((a,)) * reeb.components[a]
-                 for a in range(sub.dim)), sub.zero)
+    value = eval_form(alpha, reeb)
     findings.append(Finding("induced form evaluates to one on the induced "
                             "Reeb field", value == sub.one, str(value)))
 
@@ -382,8 +362,8 @@ def restrict_structure(sub: Subframe, mcp: MetricContactPair,
              eval_form(d_alpha, sub_frame_fields[a], sub_frame_fields[b]))
             for a in r for b in r)))
 
-    if mcp.normality.normal_mcp:
-        conn = levi_civita(g_tilde)
+    if mcp.normality.normal.ok:
+        conn = LeviCivita(g_tilde)
 
         def sasakian_entries():
             for a in r:
@@ -440,21 +420,18 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
         profile = classify(sub, mcp)
     findings: List[Finding] = list(profile.findings)
     shape = shape_data(sub, conn)
+    zs = (pair.z1, pair.z2)
+    z_tangential = (profile.z1_tangential, profile.z2_tangential)
+    z1_perp, z2_perp = (z - zt for z, zt in zip(zs, z_tangential))
 
     def b_of(x: VectorField, y: VectorField) -> VectorField:
         return sub.normal(conn.nabla(x, y))
 
-    semi = profile.phi_invariant and profile.reeb_position in (
-        "tangent-Z1-orthogonal-Z2", "tangent-Z2-orthogonal-Z1")
-    if semi:
-        if profile.reeb_position == "tangent-Z1-orthogonal-Z2":
-            z_tan, z_orth = pair.z1, pair.z2
-            foliation = mcp.foliation[1]
-        else:
-            z_tan, z_orth = pair.z2, pair.z1
-            foliation = mcp.foliation[0]
+    semi = _tangent_reeb(profile)
+    if semi is not None:
+        z_tan, z_orth = zs[semi], zs[1 - semi]
         horizontals = _orthogonal_complement_in_span(sub, z_tan, g)
-        folded = [foliation.apply(x) for x in horizontals]
+        folded = [mcp.foliation[1 - semi].apply(x) for x in horizontals]
         difference = z_orth - z_tan
         findings.append(_pairing_identity(
             "shape operator pairing identity on horizontal span fields",
@@ -481,8 +458,6 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
             f"minimal={shape.minimal}, constant={constant}"))
 
         horizontals = _orthogonal_complement_in_span(sub, z1t, g)
-        z1_perp = sub.normal(pair.z1)
-        z2_perp = sub.normal(pair.z2)
         # (F_1 x, F_2 x) for each horizontal x
         folded = [[f.apply(x) for f in mcp.foliation] for x in horizontals]
         findings.append(_pairing_identity(
@@ -521,17 +496,12 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
         for a in range(sub.dim):
             for b in range(a + 1, sub.dim):
                 probes_fields.append(sub.fields[a] + sub.fields[b])
-        z1_perp = sub.normal(pair.z1)
-        z2_perp = sub.normal(pair.z2)
         two = ScalarExpr.constant(2, sub.vars)
 
         def complex_shape_entries():
             for x in probes_fields:
                 jx = j.apply(x)
-                a1x = sum((pair.alpha1.get((c,)) * x.components[c]
-                           for c in range(sub.ambient.dim)), sub.zero)
-                a2x = sum((pair.alpha2.get((c,)) * x.components[c]
-                           for c in range(sub.ambient.dim)), sub.zero)
+                a1x, a2x = (eval_form(alpha, x) for alpha in pair.alphas())
                 pi1x, pi2x = (p.apply(x) for p in mcp.pi)
                 pi1jx, pi2jx = (p.apply(jx) for p in mcp.pi)
                 bracket_term = (pi1jx.scale(-a1x) + pi2jx.scale(-a2x)
@@ -555,8 +525,7 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
         tau1, tau2 = (sum((linalg.dot(row, column, sub.zero) for row, column
                            in zip(sub.projector.matrix, zip(*p.matrix))),
                           sub.zero) for p in (p1, p2))
-        mixed = (p2.apply(profile.z1_tangential)
-                 - p1.apply(profile.z2_tangential))
+        mixed = p2.apply(z_tangential[0]) - p1.apply(z_tangential[1])
         rhs = (z1_perp.scale(-tau2) + z2_perp.scale(tau1)
                + sub.normal(mixed).scale(two))
         findings.append(certify(
@@ -565,9 +534,8 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
                     ScalarExpr.constant(Fraction(1, sub.dim), sub.vars)))]))
 
     if profile.phi_invariant:
-        for i, z in ((1, pair.z1), (2, pair.z2)):
-            zt = profile.z1_tangential if i == 1 else profile.z2_tangential
-            zperp = z - zt
+        for i, (zt, zperp) in enumerate(
+                zip(z_tangential, (z1_perp, z2_perp)), start=1):
             findings.append(Finding(
                 f"endomorphism kills the tangential part of Z{i}",
                 phi.apply(zt).is_zero()))

@@ -11,7 +11,7 @@ import warnings
 
 from contact_pair_lab import (cartan_class, check_connection_identities,
                               check_curvature_identity, classify,
-                              corpus_build, mean_curvature, normality,
+                              corpus_build, normality,
                               numeric_oracle, restrict_structure, run_checks,
                               shape_data, validate_metric,
                               validate_structure, verify_theorems)
@@ -36,7 +36,7 @@ def test_criterion_01_darboux_family_is_normal():
         assert mcp.associated.ok and mcp.compatible.ok, (h, k)
         assert mcp.structure.decomposable.ok, (h, k)
         report = normality(mcp)
-        assert report.n1_zero and report.nj_zero and report.nt_zero, (h, k)
+        assert report.n1.ok and report.nj.ok and report.nt.ok, (h, k)
     _report(1, "darboux (1,0)/(0,1)/(1,1)/(2,1): classes, associated "
                "metric, decomposability and normality certified exactly")
 
@@ -45,7 +45,7 @@ def test_criterion_02_heis6_full_suite(heis6_mcp):
     assert heis6_mcp.compatible.ok and heis6_mcp.associated.ok
     assert heis6_mcp.orthogonal_splitting.ok
     report = normality(heis6_mcp)
-    assert report.normal_mcp
+    assert report.normal.ok
     connection = {f.condition: f.ok
                   for f in check_connection_identities(heis6_mcp)}
     for name in ("covariant phi pairing identity",
@@ -70,8 +70,8 @@ def test_criterion_03_negative_control(heis6_scenario, heis6_mcp):
                                    metric=heis6_scenario.metric_field())
     mcp = validate_metric(structure, heis6_scenario.metric_field())
     report = normality(mcp)
-    assert not report.normal_mcp and report.witnesses
-    assert "(-1)" in report.witnesses[0]
+    assert not report.normal.ok and report.normal.witness
+    assert "(-1)" in report.normal.witness
 
     connection = {f.condition: f
                   for f in check_connection_identities(mcp)}
@@ -93,7 +93,7 @@ def test_criterion_03_negative_control(heis6_scenario, heis6_mcp):
     holds2, agreement2 = check_curvature_identity(mcp2)
     assert not holds2.ok and "residual" in holds2.witness
     assert agreement2.ok
-    assert not normality(mcp2).normal_mcp
+    assert not normality(mcp2).normal.ok
     _report(3, "negative controls: sign flip fails normality, the "
                "covariant projection identity and the curvature "
                "equivalence with nonzero witnesses; a scaled metric "
@@ -161,7 +161,7 @@ def test_criterion_07_noninvariant_graph():
         profile = classify(sub, mcp)
     assert profile.j_invariant and not profile.phi_invariant
     assert profile.reeb_position == "nowhere-tangent-nowhere-orthogonal"
-    h = mean_curvature(sub, mcp.connection)
+    h = shape_data(sub, mcp.connection).mean_curvature
     assert not h.is_zero()
     residual = numeric_oracle(
         scenario, "submanifold.darboux-J-noninvariant.minimal",

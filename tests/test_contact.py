@@ -155,8 +155,8 @@ def test_phi_has_rank_n_minus_2_wherever_the_axioms_pass(label):
 def test_normality_on_the_flat_bundles(heis6_mcp, darboux_mcp):
     for mcp in (heis6_mcp, darboux_mcp):
         report = normality(mcp)
-        assert report.n1_zero and report.nj_zero and report.nt_zero
-        assert report.normal_mcp
+        assert report.n1.ok and report.nj.ok and report.nt.ok
+        assert report.normal.ok
 
 
 def test_vertical_twist_breaks_normality(heis6_scenario, heis6_mcp):
@@ -165,11 +165,11 @@ def test_vertical_twist_breaks_normality(heis6_scenario, heis6_mcp):
                                    metric=heis6_scenario.metric_field())
     mcp = validate_metric(structure, heis6_scenario.metric_field())
     report = normality(mcp)
-    assert not report.n1_zero
-    assert not report.nj_zero
-    assert not report.nt_zero
-    assert not report.normal_mcp
-    assert report.witnesses
+    assert not report.n1.ok
+    assert not report.nj.ok
+    assert not report.nt.ok
+    assert not report.normal.ok
+    assert report.normal.witness
 
 
 def test_normality_tensor_iff_both_integrable(heis6_scenario, heis6_mcp,
@@ -183,7 +183,7 @@ def test_normality_tensor_iff_both_integrable(heis6_scenario, heis6_mcp,
     reports.append(normality(
         validate_metric(structure, heis6_scenario.metric_field())))
     for report in reports:
-        assert report.n1_zero == (report.nj_zero and report.nt_zero)
+        assert report.n1.ok == (report.nj.ok and report.nt.ok)
 
 
 # -- connection and curvature characterizations -------------------------
@@ -228,7 +228,7 @@ def test_sign_flip_breaks_association_and_projection(heis6_scenario,
     assert mcp.compatible.ok
     assert not mcp.associated.ok and mcp.associated.witness
     report = normality(mcp)
-    assert report.n1_zero and not report.normal_mcp
+    assert report.n1.ok and not report.normal.ok
 
     by_name = {f.condition: f for f in check_connection_identities(mcp)}
     assert not by_name["covariant phi projection identity"].ok

@@ -432,3 +432,22 @@ def test_cli_submanifold_exit_codes(tmp_path):
     code, _, err = _run_cli(["submanifold", "--input", str(invalid),
                              "--name", "factor"])
     assert code == 2 and err
+
+
+@pytest.mark.parametrize("field, i, j, text, message", [
+    ("metric", 0, 0, "-1/2", "not positive definite at the base point"),
+    ("metric", 0, 0, "0", "singular over the scalar field"),
+    ("metric", 0, 1, "1/8", "must be symmetric"),
+    ("frame", 0, 0, "x", "singular at the base point"),
+])
+def test_cli_bad_metric_or_frame_is_an_input_error(tmp_path, field, i, j,
+                                                    text, message):
+    scenario = corpus_build("heis6")
+    getattr(scenario, field)[i][j] = text
+    path = tmp_path / "bad.json"
+    save_scenario(scenario, str(path))
+    for argv in (["verify", "--input", str(path)],
+                 ["submanifold", "--input", str(path), "--name", "factor"]):
+        code, out, err = _run_cli(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err

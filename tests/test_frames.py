@@ -9,11 +9,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contact_pair_lab import CORPUS_NAMES, corpus_build, linalg
-from contact_pair_lab.frames import (ChartDomainWarning, FrameError,
-                                     FramePresentation, MetricField,
-                                     cartan_class, eval_form,
-                                     exterior_derivative, form_power,
-                                     is_killing, levi_civita,
+from contact_pair_lab.frames import (ChartDomainWarning, EndoField,
+                                     FrameError, FramePresentation,
+                                     LeviCivita, MetricField, cartan_class,
+                                     eval_form, exterior_derivative,
+                                     form_power, is_killing,
                                      nonvanishing_certificate, one_form,
                                      seeded_probe_points, wedge)
 from contact_pair_lab.frames import bracket
@@ -188,7 +188,7 @@ def test_cartan_class_and_degeneracy(heis6):
 
 def test_connection_is_torsion_free(heis6):
     presentation, _, _, metric = heis6
-    conn = levi_civita(metric)
+    conn = LeviCivita(metric)
     for a in range(presentation.dim):
         for b in range(a + 1, presentation.dim):
             x = presentation.frame_field(a)
@@ -199,7 +199,7 @@ def test_connection_is_torsion_free(heis6):
 
 def test_connection_is_metric(heis6):
     presentation, _, _, metric = heis6
-    conn = levi_civita(metric)
+    conn = LeviCivita(metric)
     for a in range(presentation.dim):
         x = presentation.frame_field(a)
         for b in range(presentation.dim):
@@ -214,7 +214,7 @@ def test_connection_is_metric(heis6):
 
 def test_first_bianchi_identity(heis6):
     presentation, _, _, metric = heis6
-    conn = levi_civita(metric)
+    conn = LeviCivita(metric)
     fields = [presentation.frame_field(a) for a in (0, 1, 2, 4)]
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
@@ -227,7 +227,7 @@ def test_first_bianchi_identity(heis6):
 
 def test_curvature_is_tensorial(heis6):
     presentation, _, _, metric = heis6
-    conn = levi_civita(metric)
+    conn = LeviCivita(metric)
     f = presentation.scalar("x^2 + 3")
     x = presentation.frame_field(0)
     y = presentation.frame_field(1)
@@ -240,7 +240,7 @@ def test_curvature_is_tensorial(heis6):
 
 def test_curvature_antisymmetry(heis6):
     presentation, _, _, metric = heis6
-    conn = levi_civita(metric)
+    conn = LeviCivita(metric)
     x = presentation.frame_field(0)
     y = presentation.frame_field(2)
     w = presentation.frame_field(3)
@@ -249,9 +249,15 @@ def test_curvature_antisymmetry(heis6):
 
 def test_reeb_field_is_killing(heis6):
     presentation, _, _, metric = heis6
-    conn = levi_civita(metric)
-    assert is_killing(presentation.frame_field(2), conn)
-    assert not is_killing(presentation.frame_field(0), conn)
+    conn = LeviCivita(metric)
+
+    def nabla(z):
+        return EndoField.from_columns(presentation, [
+            conn.nabla(presentation.frame_field(a), z).components
+            for a in range(presentation.dim)])
+
+    assert is_killing(nabla(presentation.frame_field(2)), metric)
+    assert not is_killing(nabla(presentation.frame_field(0)), metric)
 
 
 # -- presentation guards and probes ------------------------------------

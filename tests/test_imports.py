@@ -64,3 +64,22 @@ def test_an_unread_import_is_found():
                      "    return os.sep\n")
     read = _read(tree)
     assert {n for n in _imported(tree) if n not in read} == {"L"}
+
+
+def test_the_names_the_benchmark_wraps_exist(monkeypatch):
+    """``bench/child.py`` imports library names and wraps callables in
+    traced runs; a rename or deletion of any of them fails here."""
+    monkeypatch.syspath_prepend(os.path.join(SRC, "..", "..", "bench"))
+    import child
+    import tracing
+
+    tracer = tracing.Tracer()
+    try:
+        child.install_wraps(tracer)
+        wrapped = list(tracer._saved)
+        assert wrapped and all(getattr(target, name) is not original
+                               for target, name, original in wrapped)
+    finally:
+        tracer.restore()
+    assert all(getattr(target, name) is original
+               for target, name, original in wrapped)

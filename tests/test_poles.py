@@ -34,3 +34,18 @@ def test_a_pole_of_a_span_at_the_base_point_fails_its_analysis_row():
     assert any(row.id.startswith("submanifold.heis6-n4.")
                and row.verdict == "pass" for row in report.rows)
     assert report.overall == "fail"
+
+
+def test_a_chart_domain_warning_reaches_its_row_and_its_expectation():
+    scenario = corpus_build("heis6")
+    # the volume form gains the factor x + 5/9, which vanishes at the first
+    # probe point at seed 1
+    scenario.alpha1 = [text if text == "0" else f"({text})*(x + 5/9)"
+                       for text in scenario.alpha1]
+    rows = {row.id: row for row in run_checks(scenario, seed=1).rows}
+    assert (rows["pair.valid"].verdict, rows["pair.valid"].witness) \
+        == ("warn", "")
+    scenario.expectations["pair.valid"] = "warn"
+    rows = {row.id: row for row in run_checks(scenario, seed=1).rows}
+    assert (rows["pair.valid"].verdict, rows["pair.valid"].witness) \
+        == ("pass", "")

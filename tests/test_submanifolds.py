@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from contact_pair_lab import (MetricField, SubframeError, angle_constancy,
-                              build_subframe, classify, corpus_build,
-                              mean_curvature, restrict_structure,
-                              second_fundamental_form, shape_data,
-                              verify_theorems)
+from contact_pair_lab import (MetricField, Subframe, SubframeError,
+                              angle_constancy, classify, corpus_build,
+                              restrict_structure, second_fundamental_form,
+                              shape_data, verify_theorems)
 from contact_pair_lab.frames import ChartDomainWarning
 from conftest import build_mcp
 
@@ -77,7 +76,7 @@ def test_shape_operator_rejects_non_tangent_arguments(heis6_mcp,
 def test_ambient_manifold_is_totally_geodesic_in_itself(heis6_mcp):
     presentation = heis6_mcp.presentation
     fields = [presentation.frame_field(a) for a in range(presentation.dim)]
-    sub = build_subframe(presentation, fields, heis6_mcp.metric, "ambient")
+    sub = Subframe(presentation, fields, heis6_mcp.metric, "ambient")
     shape = shape_data(sub, heis6_mcp.connection)
     assert all(value.is_zero() for value in shape.table.values())
     assert shape.minimal
@@ -88,16 +87,15 @@ def test_ambient_manifold_is_totally_geodesic_in_itself(heis6_mcp):
 def test_mean_curvature_is_span_intrinsic(noninvariant):
     scenario, mcp, sub, _ = noninvariant
     presentation = mcp.presentation
-    h_original = mean_curvature(sub, mcp.connection)
+    h_original = shape_data(sub, mcp.connection).mean_curvature
     assert not h_original.is_zero()
     two = presentation.scalar("2")
     y1, jy1 = sub.fields
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ChartDomainWarning)
-        recombined = build_subframe(presentation,
-                                    [y1.scale(two), jy1 + y1],
-                                    mcp.metric, "recombined")
-    h_recombined = mean_curvature(recombined, mcp.connection)
+        recombined = Subframe(presentation, [y1.scale(two), jy1 + y1],
+                              mcp.metric, "recombined")
+    h_recombined = shape_data(recombined, mcp.connection).mean_curvature
     assert (h_original - h_recombined).is_zero()
 
 
@@ -105,8 +103,8 @@ def test_characteristic_foliation_leaves_are_minimal(heis6_mcp):
     presentation = heis6_mcp.presentation
     splitting = heis6_mcp.pair.splitting
     for name in ("TF1", "TF2", "TG1", "TG2"):
-        sub = build_subframe(presentation, list(splitting[name]),
-                             heis6_mcp.metric, name)
+        sub = Subframe(presentation, list(splitting[name]),
+                       heis6_mcp.metric, name)
         assert shape_data(sub, heis6_mcp.connection).minimal, name
 
 
@@ -173,10 +171,10 @@ def test_angle_constancy_guards_its_precondition(heis6_mcp,
 def test_angle_constancy_is_scale_invariant(heis6_mcp, heis6_subframes):
     presentation = heis6_mcp.presentation
     sub = heis6_subframes["heis6-leaf3"]
-    scaled = build_subframe(presentation,
-                            [f.scale(presentation.scalar("2"))
-                             for f in sub.fields],
-                            heis6_mcp.metric, "scaled-leaf")
+    scaled = Subframe(presentation,
+                      [f.scale(presentation.scalar("2"))
+                       for f in sub.fields],
+                      heis6_mcp.metric, "scaled-leaf")
     assert angle_constancy(scaled, heis6_mcp) \
         == angle_constancy(sub, heis6_mcp)
 
@@ -203,8 +201,8 @@ def test_induced_identities_name_their_first_nonzero_residuals(
         gram[a][a] = Fraction(value)
     fields = [presentation.vector(v)
               for v in heis6_scenario.submanifolds["factor"]]
-    sub = build_subframe(presentation, fields,
-                         MetricField(presentation, gram), "factor")
+    sub = Subframe(presentation, fields,
+                   MetricField(presentation, gram), "factor")
     by_name = {f.condition: f for f in restrict_structure(sub, heis6_mcp)}
     associated = by_name["induced metric is associated to the induced "
                          "contact form"]
@@ -224,12 +222,12 @@ def test_involutivity_is_required():
     # [X1, X2] = -X3 falls outside span{X1, X2}
     fields = [presentation.frame_field(0), presentation.frame_field(1)]
     with pytest.raises(SubframeError):
-        build_subframe(presentation, fields, metric, "open-span")
+        Subframe(presentation, fields, metric, "open-span")
 
 
 def test_shape_data_is_computed_once_per_subframe(monkeypatch):
     import contact_pair_lab.submanifolds as submanifolds
-    from contact_pair_lab import levi_civita, run_checks
+    from contact_pair_lab import LeviCivita, run_checks
     from conftest import scaled_metric
 
     built = []
@@ -249,7 +247,7 @@ def test_shape_data_is_computed_once_per_subframe(monkeypatch):
     connection = build_mcp(scenario).connection
     first = shape_data(sub, connection)
     assert shape_data(sub, connection) is first and len(built) == 4
-    other = shape_data(sub, levi_civita(scaled_metric(scenario)))
+    other = shape_data(sub, LeviCivita(scaled_metric(scenario)))
     assert other is not first and len(built) == 5
 
 

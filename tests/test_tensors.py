@@ -5,8 +5,8 @@ written here."""
 
 import pytest
 
-from contact_pair_lab import (CORPUS_NAMES, build_subframe, corpus_build,
-                              linalg, validate_metric, validate_structure)
+from contact_pair_lab import (CORPUS_NAMES, Subframe, corpus_build, linalg,
+                              validate_metric, validate_structure)
 from contact_pair_lab.frames import VectorField, orthogonal_projector
 
 from conftest import (build_mcp, gauged_heis6, sample_fields, scaled_metric,
@@ -89,7 +89,7 @@ def test_subframe_tangent_matches_the_gram_loop(heis6_scenario):
         for span in ([pres.vector(["0", "0", "1 + x^2", "0", "0", "y"])],
                      [pres.frame_field(0), pres.frame_field(1),
                       pres.frame_field(2)]):
-            sub = build_subframe(pres, span, metric)
+            sub = Subframe(pres, span, metric)
             for v in _sample_fields(metric.frame):
                 assert sub.tangent(v) == gram_loop_projection(metric, span, v)
     for name in sorted(heis6_scenario.submanifolds):
