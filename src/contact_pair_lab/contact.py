@@ -80,7 +80,7 @@ class ContactPair:
 
 
 def _reeb_rows(n: int, alpha1: PForm, alpha2: PForm, d_alpha1: PForm,
-               d_alpha2: PForm) -> Tuple[List[ScalarExpr], ...]:
+               d_alpha2: PForm) -> tuple:
     """alpha_1 and alpha_2 as rows, then the n rows of i_X d(alpha_1) and
     of i_X d(alpha_2), as linear conditions on X."""
     return ([alpha1.get((a,)) for a in range(n)],
