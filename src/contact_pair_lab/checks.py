@@ -50,7 +50,7 @@ _STAGES: Dict[str, Tuple[Optional[str], Optional[Callable]]] = {
     "pair": (None, lambda sc, probes, _: validate_contact_pair(
         sc.presentation(), *sc.forms(), *sc.pair_type, probes=probes)),
     "structure": ("pair", lambda sc, probes, pair: validate_structure(
-        pair, sc.phi_endo(), probes=probes, metric=sc.metric_field())),
+        pair, sc.phi_endo(), probes=probes)),
     "metric": ("structure", lambda sc, probes, structure: validate_metric(
         structure, sc.metric_field(), probes=probes)),
     "normality": ("metric", lambda sc, probes, mcp: normality(mcp)),

@@ -17,7 +17,6 @@ from itertools import zip_longest
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .frames import EndoField, FramePresentation, MetricField, PForm, one_form
-from .linalg import dot
 from .scalars import ParseError, parse_expr
 from .submanifolds import Subframe
 
@@ -56,12 +55,10 @@ class Scenario:
         return self._cache["presentation"]
 
     def _coordinate_form(self, components: Sequence[str]) -> PForm:
-        """The pullback to the frame: alpha(e_a) = sum_i alpha_i frame[i][a],
-        with the frame entries the presentation has parsed."""
+        """The pullback to the frame of the coordinate form on the chart."""
         pres = self.presentation()
-        alpha = [pres.scalar(text) for text in components]
-        return one_form(pres, [dot(alpha, column, pres.zero)
-                               for column in zip(*pres.frame)])
+        return pres.pullback(one_form(pres.ambient, [pres.scalar(text)
+                                                     for text in components]))
 
     def forms(self) -> Tuple[PForm, PForm]:
         if "forms" not in self._cache:

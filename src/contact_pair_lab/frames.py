@@ -8,6 +8,13 @@ equality of scalars.  The frame is regular at the points where one
 polynomial, kept from its determinant and the entries' denominators,
 does not vanish; probe points are drawn there.
 
+Frames nest: the coordinate chart is the root context, whose fields d/dx_i
+commute; a ``FramePresentation`` is a ``FrameContext`` over the chart, and
+an involutive ``Subframe`` (in ``submanifolds``) is one over the
+presentation.  There is one Lie bracket, ``bracket``, taken in the
+components of any context from its table C.  Each context builds its own
+C once, from the bracket of its fields in the parent's components.
+
 Convention ledger (fixed once, asserted by tests):
   * wedge products multiply coefficients with the determinant convention
     on strictly increasing index tuples (no 1/p!q! factor);
@@ -61,46 +68,16 @@ def _perm_sign(indices: Sequence[int]) -> int:
     return sign
 
 
-class FramePresentation:
-    """Chart coordinates plus an invertible matrix of frame vector fields.
+class _Chart:
+    """The coordinate chart, the root frame context.  Its fields d/dx_i
+    commute, so every bracket coefficient is zero."""
 
-    ``frame[i][a]`` is the coefficient of d/dx_i in the frame field e_a.
-    The dual coframe and the bracket coefficients C^c_ab with
-    [e_a, e_b] = sum_c C^c_ab e_c are computed once, at construction time,
-    from exact coordinate brackets of the frame fields, so C satisfies the
-    Jacobi identity by construction.  Every later bracket is taken in frame
-    components from C.
-    """
-
-    def __init__(self, coordinates: Sequence[str], frame: Sequence[Sequence],
-                 base_point: Mapping[str, object]):
+    def __init__(self, coordinates: Sequence[str]):
         self.coordinates = tuple(coordinates)
-        self.vars = self.coordinates
-        self._zero = ScalarExpr.constant(0, self.coordinates)
-        self._one = ScalarExpr.constant(1, self.coordinates)
-        n = len(self.coordinates)
-        if len(frame) != n or any(len(row) != n for row in frame):
-            raise FrameError("frame matrix must be square of the chart dimension")
-        self.frame = [[self.scalar(entry) for entry in row] for row in frame]
-        self.base_point = {name: Fraction(value)
-                           for name, value in base_point.items()}
-        missing = set(self.coordinates) - set(self.base_point)
-        if missing:
-            raise FrameError(f"base point does not assign {sorted(missing)}")
-        det = linalg.determinant(self.frame)
-        if det.is_zero():
-            raise FrameError("frame matrix is singular over the scalar field")
-        # det's denominator divides a power of the entries' denominators, so
-        # this product vanishes exactly where an entry has a pole or the
-        # frame matrix is singular
-        self._regularity = _polynomial(det.num, self.coordinates) \
-            * pole_polynomial(self.frame)
-        if not self.is_regular_at(self.base_point):
-            raise FrameError("frame matrix is singular at the base point")
-        self.coframe = linalg.invert(self.frame)
-        self._structure = self._compute_structure()
-
-    # -- scalar helpers ---------------------------------------------------
+        self.dim = len(self.coordinates)
+        self.zero = ScalarExpr.constant(0, self.coordinates)
+        self.one = ScalarExpr.constant(1, self.coordinates)
+        self._commuting = (self.zero,) * self.dim
 
     def scalar(self, value) -> ScalarExpr:
         if isinstance(value, ScalarExpr):
@@ -111,71 +88,103 @@ class FramePresentation:
             return parse_expr(value, self.coordinates)
         return ScalarExpr.constant(value, self.coordinates)
 
-    @property
-    def dim(self) -> int:
-        return len(self.coordinates)
-
-    @property
-    def zero(self) -> ScalarExpr:
-        return self._zero
-
-    @property
-    def one(self) -> ScalarExpr:
-        return self._one
-
-    # -- brackets ----------------------------------------------------------
-
-    def _coordinate_bracket(self, x: Sequence[ScalarExpr],
-                            y: Sequence[ScalarExpr]) -> List[ScalarExpr]:
-        n = self.dim
-        out = []
-        for i in range(n):
-            acc = self.zero
-            for j in range(n):
-                if not x[j].is_zero():
-                    acc = acc + x[j] * y[i].differentiate(self.coordinates[j])
-                if not y[j].is_zero():
-                    acc = acc - y[j] * x[i].differentiate(self.coordinates[j])
-            out.append(acc)
-        return out
-
-    def _compute_structure(self) -> Dict[Tuple[int, int], Tuple[ScalarExpr, ...]]:
-        """C^c_ab for every ordered pair (a, b), from coordinate brackets."""
-        n = self.dim
-        structure: Dict[Tuple[int, int], Tuple[ScalarExpr, ...]] = {}
-        columns = [[self.frame[i][a] for i in range(n)] for a in range(n)]
-        for a in range(n):
-            structure[(a, a)] = (self.zero,) * n
-            for b in range(a + 1, n):
-                coords = self._coordinate_bracket(columns[a], columns[b])
-                comps = tuple(dot(self.coframe[c], coords, self.zero)
-                              for c in range(n))
-                structure[(a, b)] = comps
-                structure[(b, a)] = tuple(-c for c in comps)
-        return structure
-
-    def bracket_coeffs(self, a: int, b: int) -> Tuple[ScalarExpr, ...]:
-        return self._structure[(a, b)]
-
-    # -- directional derivative --------------------------------------------
-
-    def direction(self, a: int, f: ScalarExpr) -> ScalarExpr:
+    def direction(self, i: int, f: ScalarExpr) -> ScalarExpr:
         if f.is_constant():
             return self.zero
-        acc = self.zero
-        for i, coord in enumerate(self.coordinates):
-            if not self.frame[i][a].is_zero():
-                acc = acc + self.frame[i][a] * f.differentiate(coord)
-        return acc
+        return f.differentiate(self.coordinates[i])
 
-    # -- fields ------------------------------------------------------------
+    def bracket_coeffs(self, a: int, b: int) -> Tuple[ScalarExpr, ...]:
+        return self._commuting
+
+
+class FrameContext:
+    """A frame of vector fields e_a over a parent context, ``ambient``.
+
+    ``fields[a]`` is e_a in the parent's components, and its derivation is
+    e_a(f).  The bracket coefficients C^c_ab with
+    [e_a, e_b] = sum_c C^c_ab e_c are built once, at construction time: the
+    one bracket takes [e_a, e_b] in the parent's components, and the
+    subclass's ``_coefficients(v, a, b)`` reads that bracket v back in this
+    frame.  So C agrees with the derivations whenever the parent's table
+    does, and every later bracket is taken in frame components from C.
+    """
+
+    def __init__(self, ambient, fields: Sequence["VectorField"]):
+        self.ambient = ambient
+        self.fields = list(fields)
+        self.coordinates = ambient.coordinates
+        self.dim = len(self.fields)
+        self.zero = ambient.zero
+        self.one = ambient.one
+        r = self.dim
+        self._structure: Dict[Tuple[int, int], Tuple[ScalarExpr, ...]] = {}
+        for a in range(r):
+            self._structure[(a, a)] = (self.zero,) * r
+            for b in range(a + 1, r):
+                comps = tuple(self._coefficients(
+                    bracket(self.fields[a], self.fields[b]), a, b))
+                self._structure[(a, b)] = comps
+                self._structure[(b, a)] = tuple(-c for c in comps)
+
+    def scalar(self, value) -> ScalarExpr:
+        return self.ambient.scalar(value)
+
+    def vector(self, components: Sequence) -> "VectorField":
+        return VectorField(self, tuple(self.scalar(c) for c in components))
 
     def frame_field(self, a: int) -> "VectorField":
         comps = tuple(self.one if b == a else self.zero for b in range(self.dim))
         return VectorField(self, comps)
 
-    def vector(self, components: Sequence) -> "VectorField":
-        return VectorField(self, tuple(self.scalar(c) for c in components))
+    def direction(self, a: int, f: ScalarExpr) -> ScalarExpr:
+        return self.fields[a].apply(f)
+
+    def bracket_coeffs(self, a: int, b: int) -> Tuple[ScalarExpr, ...]:
+        return self._structure[(a, b)]
+
+    def pullback(self, alpha: "PForm") -> "PForm":
+        """The 1-form alpha of the parent on this frame: alpha(e_a)."""
+        return one_form(self, [eval_form(alpha, f) for f in self.fields])
+
+
+class FramePresentation(FrameContext):
+    """A frame over the coordinate chart: an invertible matrix of vector
+    fields with rational-function coefficients.
+
+    ``frame[i][a]`` is the coefficient of d/dx_i in the frame field e_a, so
+    the fields are the columns of ``frame``.  C is read back from the
+    coordinate bracket with the dual coframe.
+    """
+
+    def __init__(self, coordinates: Sequence[str], frame: Sequence[Sequence],
+                 base_point: Mapping[str, object]):
+        chart = _Chart(coordinates)
+        n = chart.dim
+        if len(frame) != n or any(len(row) != n for row in frame):
+            raise FrameError("frame matrix must be square of the chart dimension")
+        self.frame = [[chart.scalar(entry) for entry in row] for row in frame]
+        self.base_point = {name: Fraction(value)
+                           for name, value in base_point.items()}
+        missing = set(chart.coordinates) - set(self.base_point)
+        if missing:
+            raise FrameError(f"base point does not assign {sorted(missing)}")
+        det = linalg.determinant(self.frame)
+        if det.is_zero():
+            raise FrameError("frame matrix is singular over the scalar field")
+        # det's denominator divides a power of the entries' denominators, so
+        # this product vanishes exactly where an entry has a pole or the
+        # frame matrix is singular
+        self._regularity = _polynomial(det.num, chart.coordinates) \
+            * pole_polynomial(self.frame)
+        if not self.is_regular_at(self.base_point):
+            raise FrameError("frame matrix is singular at the base point")
+        self.coframe = linalg.invert(self.frame)
+        super().__init__(chart, [VectorField(chart, column)
+                                 for column in zip(*self.frame)])
+
+    def _coefficients(self, v: "VectorField", a: int, b: int
+                      ) -> Sequence[ScalarExpr]:
+        return [dot(row, v.components, self.zero) for row in self.coframe]
 
     def is_regular_at(self, point: Point) -> bool:
         """Whether every frame entry is defined at ``point`` and the frame
@@ -335,7 +344,7 @@ class PForm:
                      {k: self.get(k) + other.get(k) for k in keys})
 
     def __sub__(self, other: "PForm") -> "PForm":
-        return self + other.scale(ScalarExpr.constant(-1, self.context.vars))
+        return self + other.scale(self.context.scalar(-1))
 
     def scale(self, factor: ScalarExpr) -> "PForm":
         return PForm(self.context, self.degree,
@@ -380,7 +389,7 @@ def wedge(a: PForm, b: PForm) -> PForm:
 
 def form_power(a: PForm, n: int) -> PForm:
     if n == 0:
-        return PForm(a.context, 0, {(): ScalarExpr.constant(1, a.context.vars)})
+        return PForm(a.context, 0, {(): a.context.one})
     result = a
     for _ in range(n - 1):
         result = wedge(result, a)
@@ -425,7 +434,7 @@ def eval_form(form: PForm, *fields) -> ScalarExpr:
     p_factorial = 1
     for i in range(2, form.degree + 1):
         p_factorial *= i
-    return acc * ScalarExpr.constant(Fraction(1, p_factorial), form.context.vars)
+    return acc * form.context.scalar(Fraction(1, p_factorial))
 
 
 def exterior_derivative(form: PForm) -> PForm:
@@ -434,7 +443,7 @@ def exterior_derivative(form: PForm) -> PForm:
     n = context.dim
     if form.degree >= n:
         raise FrameError("cannot take d of a top-degree form")
-    zero = ScalarExpr.constant(0, context.vars)
+    zero = context.zero
     coeffs: Dict[Tuple[int, ...], ScalarExpr] = {}
     for key in combinations(range(n), form.degree + 1):
         acc = zero
@@ -523,7 +532,7 @@ def cartan_class(alpha: PForm, probe_points: Optional[Sequence[Point]] = None,
     context = alpha.context
     n = context.dim
     d_alpha = exterior_derivative(alpha)
-    power = PForm(context, 0, {(): ScalarExpr.constant(1, context.vars)})
+    power = PForm(context, 0, {(): context.one})
     r = 0
     while 2 * (r + 1) <= n:
         candidate = wedge(power, d_alpha)
@@ -565,10 +574,6 @@ class EndoField:
     def identity(cls, frame: FramePresentation) -> "EndoField":
         return cls(frame, [[frame.one if i == j else frame.zero
                             for j in range(frame.dim)] for i in range(frame.dim)])
-
-    @classmethod
-    def zero(cls, frame: FramePresentation) -> "EndoField":
-        return cls(frame, [[frame.zero] * frame.dim for _ in range(frame.dim)])
 
     @classmethod
     def from_columns(cls, frame, columns: Sequence[Sequence[ScalarExpr]]

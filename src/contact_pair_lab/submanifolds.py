@@ -3,6 +3,9 @@ mean curvature, induced structures, and the minimality certifications.
 
 A submanifold is modeled as an involutive subframe of the ambient frame:
 a spanning set of vector fields whose pairwise brackets stay in the span.
+The subframe is a ``frames.FrameContext`` over the presentation, so the
+induced forms are pullbacks and the induced structure is certified with
+the same bracket, exterior derivative and connection as the ambient one.
 All identities are certified exactly, over rational functions, as ambient
 identities along the distribution; nothing here evaluates in floating
 point.  Each subframe builds its tangent projector once; the theorem checks
@@ -19,8 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .contact import (Finding, MetricContactPair, certify,
                       pair_type_findings)
-from .frames import (EndoField, LeviCivita, MetricField, PForm, VectorField,
-                     bracket, cartan_class, eval_form, exterior_derivative,
+from .frames import (EndoField, FrameContext, LeviCivita, MetricField, PForm,
+                     VectorField, cartan_class, eval_form, exterior_derivative,
                      nonvanishing_certificate, orthogonal_projector)
 from .scalars import ScalarError, ScalarExpr
 
@@ -29,30 +32,27 @@ class SubframeError(Exception):
     pass
 
 
-class Subframe:
+class Subframe(FrameContext):
     """A span of ambient vector fields, closed under the Lie bracket.
 
-    The subframe doubles as a frame context of its own: forms, exterior
-    derivatives and Cartan classes of induced objects are computed against
-    the span basis with the certified bracket coefficients.
+    The subframe is a frame context over the presentation, as the
+    presentation is over the chart: forms, exterior derivatives and Cartan
+    classes of induced objects are computed against the span basis, whose
+    bracket coefficients are the span coefficients of the ambient brackets.
     """
 
     def __init__(self, ambient, fields: Sequence[VectorField],
                  metric: MetricField, name: str = "subframe"):
         if not fields:
             raise SubframeError("empty span")
-        self.ambient = ambient
-        self.fields = list(fields)
         self.metric = metric
         self.name = name
-        self.coordinates = ambient.coordinates
-        self.vars = ambient.vars
         self.base_point = ambient.base_point
-        r = len(self.fields)
+        r = len(fields)
 
         try:
             point_matrix = [[f.components[a].evaluate(ambient.base_point)
-                             for f in self.fields]
+                             for f in fields]
                             for a in range(ambient.dim)]
         except ScalarError as exc:
             raise SubframeError(
@@ -61,21 +61,9 @@ class Subframe:
             raise SubframeError(
                 f"{name}: span is linearly dependent at the base point")
 
-        self._span_columns = [[f.components[a] for f in self.fields]
+        self._span_columns = [[f.components[a] for f in fields]
                               for a in range(ambient.dim)]
-        self._structure: Dict[Tuple[int, int], Tuple[ScalarExpr, ...]] = {}
-        for a in range(r):
-            self._structure[(a, a)] = (self.zero,) * r
-            for b in range(a + 1, r):
-                lie = bracket(self.fields[a], self.fields[b])
-                coeffs = linalg.solve_in_span(self._span_columns,
-                                              list(lie.components))
-                if coeffs is None:
-                    raise SubframeError(
-                        f"{name}: bracket of span fields {a} and {b} "
-                        f"leaves the span ({lie})")
-                self._structure[(a, b)] = tuple(coeffs)
-                self._structure[(b, a)] = tuple(-c for c in coeffs)
+        super().__init__(ambient, fields)
 
         self.gram = [[metric.pair(x, y) for y in self.fields]
                      for x in self.fields]
@@ -88,33 +76,14 @@ class Subframe:
         # (connection, ShapeData) of the last shape_data call
         self._shape: Optional[Tuple[object, "ShapeData"]] = None
 
-    # -- frame-context protocol -------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return len(self.fields)
-
-    @property
-    def zero(self) -> ScalarExpr:
-        return self.ambient.zero
-
-    @property
-    def one(self) -> ScalarExpr:
-        return self.ambient.one
-
-    def scalar(self, value) -> ScalarExpr:
-        return self.ambient.scalar(value)
-
-    def direction(self, a: int, f: ScalarExpr) -> ScalarExpr:
-        return self.fields[a].apply(f)
-
-    def bracket_coeffs(self, a: int, b: int) -> Tuple[ScalarExpr, ...]:
-        return self._structure[(a, b)]
-
-    def frame_field(self, a: int) -> VectorField:
-        comps = [self.zero] * self.dim
-        comps[a] = self.one
-        return VectorField(self, tuple(comps))
+    def _coefficients(self, v: VectorField, a: int, b: int
+                      ) -> List[ScalarExpr]:
+        coeffs = self.membership(v)
+        if coeffs is None:
+            raise SubframeError(
+                f"{self.name}: bracket of span fields {a} and {b} "
+                f"leaves the span ({v})")
+        return coeffs
 
     # -- tangential geometry ----------------------------------------------
 
@@ -140,17 +109,8 @@ class Subframe:
             out = term if out is None else out + term
         return out
 
-    def restrict_one_form(self, alpha: PForm) -> PForm:
-        return PForm(self, 1, {(a,): eval_form(alpha, f)
-                               for a, f in enumerate(self.fields)})
-
     def __repr__(self):
         return f"Subframe({self.name}, dim={self.dim})"
-
-
-REEB_POSITIONS = ("tangent-both", "tangent-Z1-orthogonal-Z2",
-                  "tangent-Z2-orthogonal-Z1",
-                  "nowhere-tangent-nowhere-orthogonal", "mixed/unknown")
 
 
 @dataclass
@@ -266,7 +226,7 @@ def shape_data(sub: Subframe, connection) -> ShapeData:
             entry = table[(a, b) if a <= b else (b, a)]
             term = entry.scale(sub.gram_inverse[a][b])
             h = term if h is None else h + term
-    h = h.scale(ScalarExpr.constant(Fraction(1, sub.dim), sub.vars))
+    h = h.scale(sub.scalar(Fraction(1, sub.dim)))
     data = ShapeData(table, h, h.is_zero())
     sub._shape = (connection, data)
     return data
@@ -328,7 +288,7 @@ def restrict_structure(sub: Subframe, mcp: MetricContactPair,
     points = [sub.base_point, *mcp.probes]
     findings: List[Finding] = []
 
-    alphas = [sub.restrict_one_form(alpha) for alpha in pair.alphas()]
+    alphas = [sub.pullback(alpha) for alpha in pair.alphas()]
     findings.append(_induced_pair_verdict(sub, *alphas, points))
 
     i = _tangent_reeb(profile)
@@ -466,8 +426,7 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
             lambda fx, fy: (z1_perp.scale(g.pair(fx[0], fy[0]))
                             + z2_perp.scale(g.pair(fx[1], fy[1])))))
 
-        trace = shape.mean_curvature.scale(
-            ScalarExpr.constant(sub.dim, sub.vars))
+        trace = shape.mean_curvature.scale(sub.scalar(sub.dim))
         concentrated = trace - b_of(z1t, z1t).scale(sub.one / norm)
         findings.append(Finding(
             "shape trace concentrates on the vertical tangent direction",
@@ -496,7 +455,7 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
         for a in range(sub.dim):
             for b in range(a + 1, sub.dim):
                 probes_fields.append(sub.fields[a] + sub.fields[b])
-        two = ScalarExpr.constant(2, sub.vars)
+        two = sub.scalar(2)
 
         def complex_shape_entries():
             for x in probes_fields:
@@ -531,7 +490,7 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
         findings.append(certify(
             "normalized mean curvature probe residual below tolerance", [
                 ("residual", shape.mean_curvature, rhs.scale(
-                    ScalarExpr.constant(Fraction(1, sub.dim), sub.vars)))]))
+                    sub.scalar(Fraction(1, sub.dim))))]))
 
     if profile.phi_invariant:
         for i, (zt, zperp) in enumerate(

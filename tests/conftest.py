@@ -20,26 +20,27 @@ def build_mcp(scenario):
     return validate_metric(structure, scenario.metric_field())
 
 
-def certify_jacobi(presentation):
+def certify_jacobi(context):
     """Certify sum_cyc [e_x, [e_y, e_z]] = 0 on the structure table.
 
     In frame components the d-th component of [e_x, [e_y, e_z]] is
     e_x(C^d_yz) + sum_e C^e_yz C^d_xe, so this holds exactly when the
     table C agrees with the derivations e_a that every stage uses together
-    with it.  C comes from exact coordinate brackets, so only a fault in
-    that arithmetic makes this fail.
+    with it.  Any frame context will do: C comes from the one bracket of
+    its fields, taken in the parent's components, so only a fault in that
+    arithmetic makes this fail.
     """
-    n = presentation.dim
+    n = context.dim
     for a, b, c in combinations(range(n), 3):
-        total = [presentation.zero] * n
+        total = [context.zero] * n
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            inner = presentation.bracket_coeffs(y, z)
+            inner = context.bracket_coeffs(y, z)
             for d in range(n):
-                total[d] = total[d] + presentation.direction(x, inner[d])
+                total[d] = total[d] + context.direction(x, inner[d])
             for e, coeff in enumerate(inner):
                 if coeff.is_zero():
                     continue
-                outer = presentation.bracket_coeffs(x, e)
+                outer = context.bracket_coeffs(x, e)
                 for d in range(n):
                     total[d] = total[d] + coeff * outer[d]
         if any(not t.is_zero() for t in total):

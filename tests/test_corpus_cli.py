@@ -451,3 +451,23 @@ def test_cli_bad_metric_or_frame_is_an_input_error(tmp_path, field, i, j,
         code, out, err = _run_cli(argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
+
+
+def test_the_structure_stage_does_not_read_the_metric(tmp_path):
+    # no structure row reads the metric, so an asymmetric Gram matrix stays
+    # an input error only for the selections that reach the metric stage
+    scenario = corpus_build("heis6")
+    scenario.metric[0][1] = "1/8"
+    path = tmp_path / "asymmetric.json"
+    save_scenario(scenario, str(path))
+    argv = ["verify", "--input", str(path), "--format", "json"]
+    code, out, err = _run_cli(argv + ["--checks", "structure"])
+    assert code == 0 and err == ""
+    verdicts = {row["id"]: row["verdict"]
+                for row in json.loads(out)["checks"]}
+    assert verdicts and set(verdicts.values()) == {"pass"}
+    assert {i.split(".")[0] for i in verdicts} == {"pair", "structure"}
+    for selection in (["--checks", "metric"], []):
+        code, out, err = _run_cli(argv + selection)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "must be symmetric" in err

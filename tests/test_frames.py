@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from contact_pair_lab import CORPUS_NAMES, corpus_build, linalg
+from contact_pair_lab import CORPUS_NAMES, Subframe, corpus_build, linalg
 from contact_pair_lab.frames import (ChartDomainWarning, EndoField,
                                      FrameError, FramePresentation,
                                      LeviCivita, MetricField, cartan_class,
@@ -115,6 +115,30 @@ def presentations(heis6_scenario):
 @pytest.mark.parametrize("name", PRESENTATIONS)
 def test_the_bracket_table_satisfies_jacobi(presentations, name):
     certify_jacobi(presentations[name])
+
+
+WHOLE_FRAME = {
+    "heis6": lambda heis6: heis6,
+    "heis6-gauged4": lambda heis6: gauged_heis6(heis6, FOUR_FIELD_GAUGE),
+    "darboux-2-1": lambda heis6: corpus_build("darboux", (2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", WHOLE_FRAME)
+def test_a_subframe_of_every_frame_field_shares_the_table(heis6_scenario,
+                                                          name):
+    # the presentation's C is read back from chart brackets with the
+    # coframe, the subframe's from presentation brackets by span
+    # membership; both must give one table
+    scenario = WHOLE_FRAME[name](heis6_scenario)
+    presentation = scenario.presentation()
+    n = presentation.dim
+    sub = Subframe(presentation,
+                   [presentation.frame_field(a) for a in range(n)],
+                   scenario.metric_field(), "whole frame")
+    assert all(sub.bracket_coeffs(a, b) == presentation.bracket_coeffs(a, b)
+               for a in range(n) for b in range(n))
+    certify_jacobi(sub)
 
 
 def test_sparse_endomorphism_apply_matches_the_dense_product(

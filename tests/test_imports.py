@@ -1,7 +1,9 @@
-"""Every name a library module imports is read in that module.
+"""Every name a library module imports is read in that module, and every
+name it defines at module level is exported or read somewhere.
 
-No linter is installed, so this AST scan stands in for an unused-import
-check.  ``__init__.py`` is skipped: its imports are the package's exports.
+No linter is installed, so these AST scans stand in for unused-import and
+dead-code checks.  ``__init__.py`` is skipped: its imports are the
+package's exports.
 """
 
 import ast
@@ -9,8 +11,11 @@ import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "contact_pair_lab")
+import contact_pair_lab
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "contact_pair_lab")
+BENCH = os.path.join(ROOT, "bench")
 MODULES = sorted(name for name in os.listdir(SRC)
                  if name.endswith(".py") and name != "__init__.py")
 
@@ -66,6 +71,77 @@ def test_an_unread_import_is_found():
     assert {n for n in _imported(tree) if n not in read} == {"L"}
 
 
+def _defined(tree):
+    """{name: line} for every module-level function, class and assignment."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                defined.update((n.id, node.lineno) for n in ast.walk(target)
+                               if isinstance(n, ast.Name))
+    return defined
+
+
+def _mentioned(tree):
+    """Loaded names, attribute names and string constants: a name read
+    directly, through a module or an object, or by ``getattr``."""
+    mentioned = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            mentioned.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            mentioned.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            mentioned.add(node.value)
+    return mentioned
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def test_every_module_level_name_is_exported_or_read():
+    mentioned = set()
+    for folder in (SRC, os.path.join(ROOT, "tests"), BENCH):
+        for name in sorted(os.listdir(folder)):
+            if name.endswith(".py"):
+                mentioned |= _mentioned(_parse(os.path.join(folder, name)))
+    unread = sorted(
+        f"{module}: {name} (line {line})" for module in MODULES
+        for name, line in _defined(_parse(os.path.join(SRC, module))).items()
+        if name not in contact_pair_lab.__all__ and name not in mentioned)
+    assert not unread, f"defined but never read: {unread}"
+
+
+def test_an_unread_module_level_name_is_found():
+    tree = ast.parse("import os\n"
+                     "LIMIT: int = 3\n"
+                     "SPARE, (_low, _high) = 1, (2, 3)\n"
+                     "def helper():\n"
+                     "    return LIMIT + _low\n"
+                     "class Box:\n"
+                     "    size = helper()\n"
+                     "def by_attribute():\n"
+                     "    pass\n"
+                     "def by_string():\n"
+                     "    pass\n"
+                     "def unused(box=Box):\n"
+                     "    return os.path.by_attribute, getattr(os, "
+                     "'by_string')\n")
+    mentioned = _mentioned(tree)
+    assert set(_defined(tree)) == {"LIMIT", "SPARE", "_low", "_high",
+                                   "helper", "Box", "by_attribute",
+                                   "by_string", "unused"}
+    assert {n for n in _defined(tree) if n not in mentioned} == {
+        "SPARE", "_high", "unused"}
+
+
 def test_the_names_the_benchmark_wraps_exist(monkeypatch):
     """``bench/child.py`` imports library names and wraps callables in
     traced runs; a rename or deletion of any of them fails here."""
@@ -83,3 +159,25 @@ def test_the_names_the_benchmark_wraps_exist(monkeypatch):
         tracer.restore()
     assert all(getattr(target, name) is original
                for target, name, original in wrapped)
+
+
+def test_the_benchmark_replay_runs_every_stage(monkeypatch):
+    """``child.replay`` calls the public stage functions in the benchmark's
+    own call forms; each stage's span must fire on a scenario with
+    submanifolds and on one whose span is not J-invariant."""
+    monkeypatch.syspath_prepend(BENCH)
+    import child
+    import tracing
+    import workloads
+
+    base = workloads.load_base()
+    tracer = tracing.Tracer()
+    for name in ("heis6", "darboux-J-noninvariant"):
+        child.replay(tracer, name, base[name], 1)
+    stages = ("contact.pair_ms", "contact.structure_ms", "contact.metric_ms",
+              "contact.normality_ms", "contact.connection_ms",
+              "contact.curvature_ms", "contact.hermitian_ms",
+              "submanifolds.subframe_ms", "submanifolds.classify_ms",
+              "submanifolds.shape_ms", "submanifolds.restrict_ms",
+              "submanifolds.theorems_ms")
+    assert [s for s in stages if s not in tracer.spans] == []
