@@ -30,6 +30,7 @@ import random
 import warnings
 from fractions import Fraction
 from itertools import combinations
+from operator import add, sub
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
@@ -45,17 +46,6 @@ class FrameError(Exception):
 
 class ChartDomainWarning(UserWarning):
     """A symbolically nonzero quantity vanished at a probe point."""
-
-
-# A zero operand returns the other one itself, so sums over sparse tensors
-# build no new scalars for their zero components.
-
-def _plus(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
-    return a if b.is_zero() else b if a.is_zero() else a + b
-
-
-def _minus(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
-    return a if b.is_zero() else a - b
 
 
 def _perm_sign(indices: Sequence[int]) -> int:
@@ -228,20 +218,20 @@ class VectorField:
 
     def __add__(self, other: "VectorField") -> "VectorField":
         self._check(other)
-        return VectorField(self.frame, tuple(map(_plus, self.components,
+        return VectorField(self.frame, tuple(map(add, self.components,
                                                  other.components)))
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         self._check(other)
-        return VectorField(self.frame, tuple(map(_minus, self.components,
+        return VectorField(self.frame, tuple(map(sub, self.components,
                                                  other.components)))
 
     def __neg__(self) -> "VectorField":
         return VectorField(self.frame, tuple(-a for a in self.components))
 
     def scale(self, factor: ScalarExpr) -> "VectorField":
-        return VectorField(self.frame, tuple(
-            a if a.is_zero() else factor * a for a in self.components))
+        return VectorField(self.frame, tuple(factor * a
+                                             for a in self.components))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
@@ -281,7 +271,7 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
     """
     x._check(y)
     context = x.frame
-    comps = [_minus(x.apply(yc), y.apply(xc))
+    comps = [x.apply(yc) - y.apply(xc)
              for xc, yc in zip(x.components, y.components)]
     ys = [(b, yb) for b, yb in enumerate(y.components) if not yb.is_zero()]
     for a, xa in enumerate(x.components):
@@ -409,7 +399,7 @@ def _det(matrix: List[List[ScalarExpr]], zero: ScalarExpr) -> ScalarExpr:
         if minor.is_zero():
             continue
         term = matrix[0][j] * minor
-        acc = _plus(acc, term) if j % 2 == 0 else acc - term
+        acc = acc + term if j % 2 == 0 else acc - term
     return acc
 
 
@@ -428,7 +418,7 @@ def eval_form(form: PForm, *fields) -> ScalarExpr:
                   for i in range(form.degree)]
         det = _det(matrix, zero)
         if not det.is_zero():
-            acc = _plus(acc, coeff * det)
+            acc = acc + coeff * det
     if acc.is_zero():
         return acc
     p_factorial = 1
@@ -589,9 +579,21 @@ class EndoField:
                             for a in range(frame.dim)] for c in range(frame.dim)])
 
     def apply(self, x: VectorField) -> VectorField:
-        """Matrix times components, skipping zero entries of both."""
-        return VectorField(self.frame, tuple(
-            dot(row, x.components, self.frame.zero) for row in self.matrix))
+        """Matrix times components, over the nonzero components of x only;
+        the image of a frame field is its column."""
+        nonzero = [(a, xa) for a, xa in enumerate(x.components)
+                   if not xa.is_zero()]
+        if len(nonzero) == 1 and nonzero[0][1].is_one():
+            return self.column(nonzero[0][0])
+        zero = self.frame.zero
+        comps = []
+        for row in self.matrix:
+            acc = zero
+            for a, xa in nonzero:
+                if not row[a].is_zero():
+                    acc = acc + row[a] * xa
+            comps.append(acc)
+        return VectorField(self.frame, tuple(comps))
 
     def column(self, a: int) -> VectorField:
         """The image of the frame field e_a."""
@@ -601,11 +603,11 @@ class EndoField:
         return EndoField(self.frame, linalg.matmul(self.matrix, other.matrix))
 
     def __add__(self, other: "EndoField") -> "EndoField":
-        return EndoField(self.frame, [list(map(_plus, ra, rb))
+        return EndoField(self.frame, [list(map(add, ra, rb))
                                       for ra, rb in zip(self.matrix, other.matrix)])
 
     def __sub__(self, other: "EndoField") -> "EndoField":
-        return EndoField(self.frame, [list(map(_minus, ra, rb))
+        return EndoField(self.frame, [list(map(sub, ra, rb))
                                       for ra, rb in zip(self.matrix, other.matrix)])
 
     def __neg__(self) -> "EndoField":
@@ -714,12 +716,12 @@ class LeviCivita:
                     for value in (self.frame.direction(a, gram[b][c]),
                                   self.frame.direction(b, gram[a][c]),
                                   g_bracket(a, b, c)):
-                        term = _plus(term, value)
+                        term = term + value
                     for value in (self.frame.direction(c, gram[a][b]),
                                   g_bracket(a, c, b),
                                   g_bracket(b, c, a)):
-                        term = _minus(term, value)
-                    koszul[a][b][c] = term if term.is_zero() else half * term
+                        term = term - value
+                    koszul[a][b][c] = half * term
         inv = metric.inverse
         inv_columns = [[inv[c][d] for c in range(n)] for d in range(n)]
         self.gamma = [[tuple(

@@ -36,6 +36,12 @@ numerator and denominator (Henrici's cancellation, Knuth TAOCP vol. 2,
   multiplies by d/c; either way the signs are then fixed so that the
   denominator leads positively.
 
+Scalars are immutable: nothing writes ``num`` or ``den`` after
+construction.  So an operator whose other operand is zero, or the unit 1
+as a factor or divisor, returns an existing operand instead of building a
+scalar; ``0 - b`` returns ``-b``.  The operands' coordinate tuples are
+checked first.
+
 ``_terms_gcd`` settles most of the gcds that remain by shortcuts: it
 splits off the monomial content and the integer content; two primitive
 cofactors in disjoint variables are coprime, and when trial division of
@@ -309,9 +315,11 @@ class ScalarExpr:
     """Canonical rational function in a fixed tuple of coordinate names.
 
     ``num`` and ``den`` are integer-coefficient Terms; the constructor
-    brings any such pair with a nonzero ``den`` to canonical form."""
+    brings any such pair with a nonzero ``den`` to canonical form.  They
+    are never written after construction, so the hash and constancy are
+    cached."""
 
-    __slots__ = ("vars", "num", "den", "_hash")
+    __slots__ = ("vars", "num", "den", "_hash", "_constant")
 
     def __init__(self, vars: Tuple[str, ...], num: Terms, den: Terms,
                  _canonical: bool = False):
@@ -322,6 +330,7 @@ class ScalarExpr:
         else:
             self.num, self.den = self._normalize(num, den, len(vars))
         self._hash = None
+        self._constant = None
 
     @staticmethod
     def _normalize(num: Terms, den: Terms, nvars: int) -> Tuple[Terms, Terms]:
@@ -358,8 +367,15 @@ class ScalarExpr:
     def is_zero(self) -> bool:
         return not self.num
 
+    def is_one(self) -> bool:
+        # num and den are coprime and den leads positively, so num/den is
+        # 1 exactly when they are equal
+        return self.num == self.den
+
     def is_constant(self) -> bool:
-        return _is_constant(self.num) and _is_constant(self.den)
+        if self._constant is None:
+            self._constant = _is_constant(self.num) and _is_constant(self.den)
+        return self._constant
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -401,31 +417,48 @@ class ScalarExpr:
         return ScalarExpr(self.vars, num, den, _canonical=True)
 
     def _product(self, c: Terms, d: Terms) -> "ScalarExpr":
-        """self * c/d, where c and d are coprime and d is nonzero."""
+        """self * c/d, where self and c/d are nonzero and c and d are
+        coprime."""
         a, b = self.num, self.den
-        if not a or not c:
-            return ScalarExpr.constant(0, self.vars)
         a, d = _cancel(a, d)
         c, b = _cancel(c, b)
         num, den = _sign_fix(_terms_mul(a, c), _terms_mul(b, d))
         return ScalarExpr(self.vars, num, den, _canonical=True)
 
+    # A zero operand, or a unit factor or divisor, returns the other
+    # operand itself, so sums and products over sparse tensors build no
+    # scalar for their trivial terms.
+
     def __add__(self, other: "ScalarExpr") -> "ScalarExpr":
         self._check(other)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         return self._sum(other.num, other.den)
 
     def __sub__(self, other: "ScalarExpr") -> "ScalarExpr":
         self._check(other)
+        if not other.num:
+            return self
+        if not self.num:
+            return -other
         return self._sum(_terms_neg(other.num), other.den)
 
     def __mul__(self, other: "ScalarExpr") -> "ScalarExpr":
         self._check(other)
+        if not self.num or other.is_one():
+            return self
+        if not other.num or self.is_one():
+            return other
         return self._product(other.num, other.den)
 
     def __truediv__(self, other: "ScalarExpr") -> "ScalarExpr":
         self._check(other)
-        if other.is_zero():
+        if not other.num:
             raise DivisionByZero("division by the zero expression")
+        if not self.num or other.is_one():
+            return self
         return self._product(other.den, other.num)
 
     def __neg__(self) -> "ScalarExpr":

@@ -149,8 +149,12 @@ def test_sparse_endomorphism_apply_matches_the_dense_product(
     fields = list(sample_fields(presentation)) + [
         presentation.vector(["0"] * n),
         presentation.vector(["x", "1", "z^2", "-2", "v", "y*w"])]
+    # a frame field's image is its column; a single non-unit component
+    # goes through the product
+    frame_fields = [presentation.frame_field(a) for a in range(n)] + [
+        presentation.frame_field(0).scale(presentation.scalar("2*x"))]
     for endo in (twisted, heis6_scenario.phi_endo()):
-        for x in fields:
+        for x in fields + frame_fields:
             dense = tuple(sum((endo.matrix[c][a] * x.components[a]
                                for a in range(n)), presentation.zero)
                           for c in range(n))

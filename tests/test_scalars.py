@@ -113,6 +113,24 @@ _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv}
 
 
+# The operands that the operators return without arithmetic: zero on
+# either side, and the unit 1 as a factor or divisor.
+_TRIVIAL = ("0", "1")
+_NONTRIVIAL = "-(x + 1)/(2 + 2*y^2)"
+
+
+def _with_trivial_operands(test):
+    """``test`` with an @example of every operator between a zero or unit
+    operand and a nontrivial one, on each side."""
+    for op in sorted(_OPERATORS):
+        for trivial in _TRIVIAL:
+            for a, b in ((trivial, _NONTRIVIAL), (_NONTRIVIAL, trivial)):
+                if op != "/" or b != "0":
+                    test = example(sx(a), sx(b), op)(test)
+    return test
+
+
+@_with_trivial_operands
 @settings(max_examples=60, deadline=None)
 @given(rationals, rationals, st.sampled_from(sorted(_OPERATORS)))
 def test_arithmetic_matches_general_reduction(a, b, op):
@@ -122,6 +140,24 @@ def test_arithmetic_matches_general_reduction(a, b, op):
     assert result == reference
     assert hash(result) == hash(reference)
     assert str(result) == str(reference)
+
+
+def test_trivial_operands_return_the_other_operand_itself():
+    a, zero, one = sx(_NONTRIVIAL), sx("0"), sx("1")
+    assert a + zero is a and zero + a is a and a - zero is a
+    assert a * one is a and one * a is a and a / one is a
+    assert a * zero is zero and zero * a is zero and zero / a is zero
+    assert zero - a == -a
+
+
+@pytest.mark.parametrize("op", sorted(_OPERATORS))
+@pytest.mark.parametrize("left, right", [(t, _NONTRIVIAL) for t in _TRIVIAL]
+                         + [(_NONTRIVIAL, t) for t in _TRIVIAL],
+                         ids=["0-left", "1-left", "0-right", "1-right"])
+def test_mixed_coordinates_raise_also_with_trivial_operands(op, left, right):
+    a, b = sx(left), parse_expr(right, VARS + ("z",))
+    with pytest.raises(ScalarError, match="mixed coordinate systems"):
+        _OPERATORS[op](a, b)
 
 
 def test_division_by_zero_raises():
