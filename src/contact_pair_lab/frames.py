@@ -579,12 +579,9 @@ class EndoField:
                             for a in range(frame.dim)] for c in range(frame.dim)])
 
     def apply(self, x: VectorField) -> VectorField:
-        """Matrix times components, over the nonzero components of x only;
-        the image of a frame field is its column."""
+        """Matrix times components, over the nonzero components of x only."""
         nonzero = [(a, xa) for a, xa in enumerate(x.components)
                    if not xa.is_zero()]
-        if len(nonzero) == 1 and nonzero[0][1].is_one():
-            return self.column(nonzero[0][0])
         zero = self.frame.zero
         comps = []
         for row in self.matrix:

@@ -315,11 +315,9 @@ class ScalarExpr:
     """Canonical rational function in a fixed tuple of coordinate names.
 
     ``num`` and ``den`` are integer-coefficient Terms; the constructor
-    brings any such pair with a nonzero ``den`` to canonical form.  They
-    are never written after construction, so the hash and constancy are
-    cached."""
+    brings any such pair with a nonzero ``den`` to canonical form."""
 
-    __slots__ = ("vars", "num", "den", "_hash", "_constant")
+    __slots__ = ("vars", "num", "den", "_hash")
 
     def __init__(self, vars: Tuple[str, ...], num: Terms, den: Terms,
                  _canonical: bool = False):
@@ -330,7 +328,6 @@ class ScalarExpr:
         else:
             self.num, self.den = self._normalize(num, den, len(vars))
         self._hash = None
-        self._constant = None
 
     @staticmethod
     def _normalize(num: Terms, den: Terms, nvars: int) -> Tuple[Terms, Terms]:
@@ -373,9 +370,7 @@ class ScalarExpr:
         return self.num == self.den
 
     def is_constant(self) -> bool:
-        if self._constant is None:
-            self._constant = _is_constant(self.num) and _is_constant(self.den)
-        return self._constant
+        return _is_constant(self.num) and _is_constant(self.den)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():

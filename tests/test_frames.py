@@ -149,8 +149,8 @@ def test_sparse_endomorphism_apply_matches_the_dense_product(
     fields = list(sample_fields(presentation)) + [
         presentation.vector(["0"] * n),
         presentation.vector(["x", "1", "z^2", "-2", "v", "y*w"])]
-    # a frame field's image is its column; a single non-unit component
-    # goes through the product
+    # a frame field's products are unit shortcuts; a single non-unit
+    # component goes through the general product
     frame_fields = [presentation.frame_field(a) for a in range(n)] + [
         presentation.frame_field(0).scale(presentation.scalar("2*x"))]
     for endo in (twisted, heis6_scenario.phi_endo()):
