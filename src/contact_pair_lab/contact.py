@@ -181,12 +181,10 @@ def validate_contact_pair(presentation: FramePresentation, alpha1: PForm,
         raise ValidationError("not a contact pair", findings)
 
     z1, z2 = solve_reeb(presentation, alpha1, alpha2, d1, d2)
-    commutator = bracket(z1, z2)
-    if not commutator.is_zero():
-        findings.append(Finding("Reeb fields commute", False,
-                                f"[Z1,Z2] = {commutator}"))
+    findings.append(certify("Reeb fields commute", [
+        ("[Z1,Z2]", bracket(z1, z2), VectorField.zero(presentation))]))
+    if not findings[-1].ok:
         raise ValidationError("not a contact pair", findings)
-    findings.append(Finding("Reeb fields commute", True))
 
     split = _splitting(presentation, alpha1, alpha2, d1, d2, z1, z2)
     expected_dims = {"H1": 2 * k, "H2": 2 * h, "V": 2,
@@ -428,7 +426,7 @@ def validate_metric(structure: ContactPairStructure, metric: MetricField,
     findings: List[Finding] = []
 
     frame_fields = [presentation.frame_field(a) for a in range(n)]
-    phi_fields = [phi.apply(e) for e in frame_fields]
+    phi_fields = [phi.column(a) for a in range(n)]
     a1 = [pair.alpha1.get((a,)) for a in range(n)]
     a2 = [pair.alpha2.get((a,)) for a in range(n)]
 
@@ -495,7 +493,7 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
     g = mcp.metric
     findings: List[Finding] = []
     frame_fields = [presentation.frame_field(a) for a in range(n)]
-    phi_fields = [phi.apply(e) for e in frame_fields]
+    phi_fields = [phi.column(a) for a in range(n)]
     a_rows = ([pair.alpha1.get((a,)) for a in range(n)],
               [pair.alpha2.get((a,)) for a in range(n)])
     d_forms = (pair.d_alpha1, pair.d_alpha2)
@@ -548,8 +546,8 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
                                   mcp.nabla_reeb + phi + phi.compose(h_endo)))
 
     if mcp.normality.normal.ok:
-        findings.append(Finding("h-tensor vanishes on the normal bundle",
-                                h_endo.is_zero()))
+        findings.append(_endo_finding("h-tensor vanishes on the normal bundle",
+                                      h_endo))
         findings.append(Finding("Reeb sum is Killing",
                                 is_killing(mcp.nabla_reeb, g)))
     return findings
@@ -597,7 +595,7 @@ def hermitian_data(mcp: MetricContactPair) -> List[Finding]:
     j = mcp.structure.j
     findings: List[Finding] = []
     frame_fields = [presentation.frame_field(a) for a in range(n)]
-    j_fields = [j.apply(e) for e in frame_fields]
+    j_fields = [j.column(a) for a in range(n)]
 
     fundamental = (pair.d_alpha1 + pair.d_alpha2
                    - wedge(pair.alpha1, pair.alpha2).scale(

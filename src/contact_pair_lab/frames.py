@@ -490,8 +490,12 @@ def nonvanishing_certificate(label: str, values: Sequence[ScalarExpr],
     """Probe a symbolically nonzero family; warn when a probe kills it.
 
     Returns True when the family is nonzero at every probe point where it
-    is defined and at least one probe point was evaluated.
+    is defined and at least one probe point was evaluated.  A family with a
+    nonzero constant member vanishes nowhere, so it returns True without
+    probing, even when another member has a pole at every probe point.
     """
+    if any(v.is_constant() and not v.is_zero() for v in values):
+        return True
     ok = True
     checked = False
     for point in points:
@@ -759,14 +763,10 @@ class LeviCivita:
 
     def nabla_endo(self, a: int, endo: EndoField) -> List[VectorField]:
         """(nabla_{e_a} phi) e_b for every frame index b."""
-        out = []
-        for b in range(self.frame.dim):
-            eb = self.frame.frame_field(b)
-            phi_eb = endo.apply(eb)
-            value = (self.nabla(self.frame.frame_field(a), phi_eb)
-                     - endo.apply(self.nabla_frame(a, b)))
-            out.append(value)
-        return out
+        ea = self.frame.frame_field(a)
+        return [self.nabla(ea, endo.column(b))
+                - endo.apply(self.nabla_frame(a, b))
+                for b in range(self.frame.dim)]
 
 
 def lie_derivative_endo(z: VectorField, endo: EndoField) -> EndoField:
@@ -774,8 +774,8 @@ def lie_derivative_endo(z: VectorField, endo: EndoField) -> EndoField:
     frame = z.frame
     columns = []
     for a in range(frame.dim):
-        ea = frame.frame_field(a)
-        value = bracket(z, endo.apply(ea)) - endo.apply(bracket(z, ea))
+        value = (bracket(z, endo.column(a))
+                 - endo.apply(bracket(z, frame.frame_field(a))))
         columns.append(value.components)
     return EndoField.from_columns(frame, columns)
 
@@ -799,13 +799,15 @@ def nijenhuis(endo: EndoField) -> Dict[Tuple[int, int], VectorField]:
     """
     frame = endo.frame
     fields = [frame.frame_field(a) for a in range(frame.dim)]
-    images = [endo.apply(e) for e in fields]
+    images = [endo.column(a) for a in range(frame.dim)]
     out = {}
     for a in range(frame.dim):
         for b in range(a + 1, frame.dim):
             ea, eb = fields[a], fields[b]
             a_ea, a_eb = images[a], images[b]
-            value = (endo.apply(endo.apply(bracket(ea, eb)))
+            # [e_a, e_b] read off the bracket coefficients
+            e_ab = VectorField(frame, frame.bracket_coeffs(a, b))
+            value = (endo.apply(endo.apply(e_ab))
                      - endo.apply(bracket(a_ea, eb))
                      - endo.apply(bracket(ea, a_eb))
                      + bracket(a_ea, a_eb))

@@ -317,7 +317,7 @@ class ScalarExpr:
     ``num`` and ``den`` are integer-coefficient Terms; the constructor
     brings any such pair with a nonzero ``den`` to canonical form."""
 
-    __slots__ = ("vars", "num", "den", "_hash")
+    __slots__ = ("vars", "num", "den")
 
     def __init__(self, vars: Tuple[str, ...], num: Terms, den: Terms,
                  _canonical: bool = False):
@@ -327,7 +327,6 @@ class ScalarExpr:
             self.den = den
         else:
             self.num, self.den = self._normalize(num, den, len(vars))
-        self._hash = None
 
     @staticmethod
     def _normalize(num: Terms, den: Terms, nvars: int) -> Tuple[Terms, Terms]:
@@ -477,10 +476,8 @@ class ScalarExpr:
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.vars, frozenset(self.num.items()),
-                               frozenset(self.den.items())))
-        return self._hash
+        return hash((self.vars, frozenset(self.num.items()),
+                     frozenset(self.den.items())))
 
     # -- calculus --------------------------------------------------------
 

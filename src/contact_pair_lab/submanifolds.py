@@ -10,12 +10,16 @@ All identities are certified exactly, over rational functions, as ambient
 identities along the distribution; nothing here evaluates in floating
 point.  Each subframe builds its tangent projector once; the theorem checks
 read the ambient projections ``mcp.pi`` and ``mcp.foliation`` cached on the
-metric contact pair.
+metric contact pair.  ``classify`` returns only the invariance profile, and
+``restrict_structure``, ``verify_theorems`` and ``angle_constancy`` take it
+from the caller.  Their identities are certified by ``contact.certify``,
+except the Reeb angle constancy, a boolean, and the induced form's value on
+the induced Reeb field, which is witnessed as that value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -123,7 +127,6 @@ class InvarianceProfile:
     reeb_position: str
     z1_tangential: VectorField
     z2_tangential: VectorField
-    findings: List[Finding] = field(default_factory=list)
 
     @property
     def tangent_both(self) -> bool:
@@ -138,7 +141,6 @@ def classify(sub: Subframe, mcp: MetricContactPair) -> InvarianceProfile:
     pair = mcp.pair
     g = mcp.metric
     points = [sub.ambient.base_point, *mcp.probes]
-    findings: List[Finding] = []
 
     phi_inv = _endo_invariant(sub, mcp.structure.phi)
     j_inv = _endo_invariant(sub, mcp.structure.j)
@@ -160,9 +162,8 @@ def classify(sub: Subframe, mcp: MetricContactPair) -> InvarianceProfile:
     elif not any(tangent) and not any(orthogonal):
         def nonvanishing(label: str, v: VectorField) -> bool:
             norm = g.norm_squared(v)
-            return not norm.is_zero() and (
-                norm.is_constant() or nonvanishing_certificate(
-                    f"{label} of {sub.name}", [norm], points))
+            return not norm.is_zero() and nonvanishing_certificate(
+                f"{label} of {sub.name}", [norm], points)
 
         nowhere = all(nonvanishing(label, v) for label, v in (
             ("tangential part of Z1", z1t), ("tangential part of Z2", z2t),
@@ -172,23 +173,8 @@ def classify(sub: Subframe, mcp: MetricContactPair) -> InvarianceProfile:
     else:
         position = "mixed/unknown"
 
-    if phi_inv:
-        if position == "tangent-both":
-            findings.append(Finding(
-                "even dimension for a phi-invariant span tangent to both "
-                "Reeb fields", sub.dim % 2 == 0, f"dim {sub.dim}"))
-        elif position in ("tangent-Z1-orthogonal-Z2",
-                          "tangent-Z2-orthogonal-Z1",
-                          "nowhere-tangent-nowhere-orthogonal"):
-            findings.append(Finding(
-                "odd dimension for a phi-invariant span transverse to one "
-                "Reeb direction", sub.dim % 2 == 1, f"dim {sub.dim}"))
-        findings.append(Finding(
-            "phi-invariant span is not orthogonal to both Reeb fields",
-            not (orthogonal[0] and orthogonal[1])))
-
     return InvarianceProfile(sub.dim, phi_inv, j_inv, t_inv, rho_inv,
-                             position, z1t, z2t, findings)
+                             position, z1t, z2t)
 
 
 @dataclass
@@ -233,11 +219,9 @@ def shape_data(sub: Subframe, connection) -> ShapeData:
 
 
 def angle_constancy(sub: Subframe, mcp: MetricContactPair,
-                    profile: Optional[InvarianceProfile] = None) -> bool:
+                    profile: InvarianceProfile) -> bool:
     """Constancy of the Reeb angle along the vertical tangent direction,
     certified radical-free as Z1T applied to its own squared norm."""
-    if profile is None:
-        profile = classify(sub, mcp)
     if profile.reeb_position != "nowhere-tangent-nowhere-orthogonal" \
             or not profile.phi_invariant:
         raise SubframeError(
@@ -278,13 +262,11 @@ def _tangent_reeb(profile: InvarianceProfile) -> Optional[int]:
 
 
 def restrict_structure(sub: Subframe, mcp: MetricContactPair,
-                       profile: Optional[InvarianceProfile] = None
-                       ) -> List[Finding]:
+                       profile: InvarianceProfile) -> List[Finding]:
     """Induced forms, metric and endomorphism on the span, with the
-    contact-metric and Sasakian certifications when they apply."""
+    contact-metric and Sasakian certifications when they apply; ``profile``
+    is ``classify(sub, mcp)``."""
     pair = mcp.pair
-    if profile is None:
-        profile = classify(sub, mcp)
     points = [sub.base_point, *mcp.probes]
     findings: List[Finding] = []
 
@@ -306,15 +288,16 @@ def restrict_structure(sub: Subframe, mcp: MetricContactPair,
     findings.append(Finding("induced form evaluates to one on the induced "
                             "Reeb field", value == sub.one, str(value)))
 
+    r = range(sub.dim)
+    square = phi_tilde.compose(phi_tilde)
     expected = (EndoField.identity(sub).scale(-sub.one)
                 + EndoField.outer(alpha, reeb))
-    delta = phi_tilde.compose(phi_tilde) - expected
-    findings.append(Finding("induced endomorphism squares correctly",
-                            delta.is_zero()))
+    findings.append(certify("induced endomorphism squares correctly", (
+        (f"residual along e_{a}", square.column(a), expected.column(a))
+        for a in r)))
 
-    r = range(sub.dim)
     sub_frame_fields = [sub.frame_field(a) for a in r]
-    phi_fields = [phi_tilde.apply(e) for e in sub_frame_fields]
+    phi_fields = [phi_tilde.column(a) for a in r]
     findings.append(certify(
         "induced metric is associated to the induced contact form", (
             (f"residual at ({a},{b})",
@@ -363,10 +346,12 @@ def _orthogonal_complement_in_span(sub: Subframe, direction: VectorField,
 
 
 def verify_theorems(sub: Subframe, mcp: MetricContactPair,
-                    profile: Optional[InvarianceProfile] = None
-                    ) -> List[Finding]:
-    """Dispatch the minimality certifications on the invariance profile.
+                    profile: InvarianceProfile) -> List[Finding]:
+    """Dispatch the minimality certifications on the invariance profile
+    ``profile = classify(sub, mcp)``.
 
+    A phi-invariant span first gets the dimension parity its Reeb position
+    forces and the check that it is not orthogonal to both Reeb fields.
     A J-invariant span also gets the orthonormal-basis mean curvature
     formula, certified exactly in its trace form; its condition text still
     reads "probe residual below tolerance" because it names the report row.
@@ -376,13 +361,28 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
     conn = mcp.connection
     phi = mcp.structure.phi
     j = mcp.structure.j
-    if profile is None:
-        profile = classify(sub, mcp)
-    findings: List[Finding] = list(profile.findings)
-    shape = shape_data(sub, conn)
+    findings: List[Finding] = []
     zs = (pair.z1, pair.z2)
     z_tangential = (profile.z1_tangential, profile.z2_tangential)
     z1_perp, z2_perp = (z - zt for z, zt in zip(zs, z_tangential))
+    zero = VectorField.zero(mcp.presentation)
+
+    if profile.phi_invariant:
+        if profile.tangent_both:
+            findings.append(Finding(
+                "even dimension for a phi-invariant span tangent to both "
+                "Reeb fields", sub.dim % 2 == 0, f"dim {sub.dim}"))
+        elif profile.reeb_position in ("tangent-Z1-orthogonal-Z2",
+                                       "tangent-Z2-orthogonal-Z1",
+                                       "nowhere-tangent-nowhere-orthogonal"):
+            findings.append(Finding(
+                "odd dimension for a phi-invariant span transverse to one "
+                "Reeb direction", sub.dim % 2 == 1, f"dim {sub.dim}"))
+        findings.append(Finding(
+            "phi-invariant span is not orthogonal to both Reeb fields",
+            not all(zt.is_zero() for zt in z_tangential)))
+
+    shape = shape_data(sub, conn)
 
     def b_of(x: VectorField, y: VectorField) -> VectorField:
         return sub.normal(conn.nabla(x, y))
@@ -397,12 +397,11 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
             "shape operator pairing identity on horizontal span fields",
             b_of, phi, horizontals, folded,
             lambda xi, yi: difference.scale(g.pair(xi, yi))))
-        findings.append(Finding(
-            "shape operator annihilates the tangent Reeb field",
-            b_of(z_tan, z_tan).is_zero()))
-        findings.append(Finding("mean curvature vanishes", shape.minimal,
-                                "" if shape.minimal
-                                else f"H = {shape.mean_curvature}"))
+        findings.append(certify(
+            "shape operator annihilates the tangent Reeb field", [
+                (f"b(Z{semi + 1},Z{semi + 1})", b_of(z_tan, z_tan), zero)]))
+        findings.append(certify("mean curvature vanishes", [
+            ("H", shape.mean_curvature, zero)]))
 
     nowhere = profile.phi_invariant and profile.reeb_position == \
         "nowhere-tangent-nowhere-orthogonal"
@@ -426,29 +425,27 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
             lambda fx, fy: (z1_perp.scale(g.pair(fx[0], fy[0]))
                             + z2_perp.scale(g.pair(fx[1], fy[1])))))
 
-        trace = shape.mean_curvature.scale(sub.scalar(sub.dim))
-        concentrated = trace - b_of(z1t, z1t).scale(sub.one / norm)
-        findings.append(Finding(
-            "shape trace concentrates on the vertical tangent direction",
-            concentrated.is_zero(), "" if concentrated.is_zero()
-            else str(concentrated)))
+        findings.append(certify(
+            "shape trace concentrates on the vertical tangent direction", [
+                ("shape trace",
+                 shape.mean_curvature.scale(sub.scalar(sub.dim)),
+                 b_of(z1t, z1t).scale(sub.one / norm))]))
 
         derivative = conn.nabla(z1t, z1t)
         tangential = sub.tangent(derivative)
-        findings.append(Finding(
-            "vertical direction derivative has no tangential part",
-            tangential.is_zero(), "" if tangential.is_zero()
-            else str(tangential)))
-        target = sub.normal(j.apply(z1t))
+        findings.append(certify(
+            "vertical direction derivative has no tangential part", [
+                ("tangential part", tangential, zero)]))
         normal = (derivative - tangential).components
-        along = target.components
+        along = sub.normal(j.apply(z1t)).components
         n_amb = sub.ambient.dim
-        proportional = all(
-            (normal[a] * along[b] - normal[b] * along[a]).is_zero()
-            for a in range(n_amb) for b in range(a + 1, n_amb))
-        findings.append(Finding(
+        # the 2x2 minors of (normal part, rotated direction) vanish
+        findings.append(certify(
             "vertical direction derivative is normal along the rotated "
-            "vertical direction", proportional))
+            "vertical direction", (
+                (f"minor ({a},{b})", normal[a] * along[b],
+                 normal[b] * along[a])
+                for a in range(n_amb) for b in range(a + 1, n_amb))))
 
     if profile.j_invariant:
         probes_fields = list(sub.fields)
@@ -495,12 +492,12 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
     if profile.phi_invariant:
         for i, (zt, zperp) in enumerate(
                 zip(z_tangential, (z1_perp, z2_perp)), start=1):
-            findings.append(Finding(
-                f"endomorphism kills the tangential part of Z{i}",
-                phi.apply(zt).is_zero()))
-            findings.append(Finding(
-                f"endomorphism kills the normal part of Z{i}",
-                phi.apply(zperp).is_zero()))
+            findings.append(certify(
+                f"endomorphism kills the tangential part of Z{i}", [
+                    (f"phi(Z{i}T)", phi.apply(zt), zero)]))
+            findings.append(certify(
+                f"endomorphism kills the normal part of Z{i}", [
+                    (f"phi(Z{i}perp)", phi.apply(zperp), zero)]))
             vertical = linalg.solve_in_span(
                 [[pair.z1.components[a], pair.z2.components[a]]
                  for a in range(sub.ambient.dim)],

@@ -17,7 +17,7 @@ from contact_pair_lab.frames import (ChartDomainWarning, EndoField,
                                      nonvanishing_certificate, one_form,
                                      seeded_probe_points, wedge)
 from contact_pair_lab.frames import bracket
-from contact_pair_lab.scalars import ScalarError, parse_expr
+from contact_pair_lab.scalars import ScalarError, ScalarExpr, parse_expr
 from conftest import (FOUR_FIELD_GAUGE, certify_jacobi, gauged_heis6,
                       sample_fields, twisted_phi_structure)
 
@@ -448,6 +448,20 @@ def test_nonvanishing_certificate(heis6):
         assert not nonvanishing_certificate("killed", [killed], points)
 
 
+def test_a_nonzero_constant_member_certifies_without_probing(heis6,
+                                                            monkeypatch):
+    presentation, _, _, _ = heis6
+    points = seeded_probe_points(presentation)
+    family = [presentation.scalar("x"), presentation.scalar("2")]
+
+    def unreachable(self, point):
+        raise AssertionError("a family with a nonzero constant was probed")
+
+    monkeypatch.setattr(ScalarExpr, "evaluate", unreachable)
+    assert nonvanishing_certificate("constant member", family, points)
+    assert nonvanishing_certificate("constant member", family[::-1], points)
+
+
 def test_poles_are_irregular_and_other_errors_propagate():
     presentation = FramePresentation(["x", "y"], [["1/(x - 1)", "0"],
                                                   ["0", "1"]],
@@ -465,6 +479,12 @@ def test_poles_are_irregular_and_other_errors_propagate():
                                             [{"x": 1, "y": 0}])
         assert nonvanishing_certificate("pole", values,
                                         [{"x": 1, "y": 0}, {"x": 2, "y": 0}])
+        # a nonzero constant member certifies the family in either order,
+        # also where every other member has a pole
+        with_constant = [values[1], presentation.scalar("3")]
+        for family in (with_constant, with_constant[::-1]):
+            assert nonvanishing_certificate("pole", family,
+                                            [{"x": 1, "y": 0}])
     with pytest.raises(ValueError):
         nonvanishing_certificate("malformed", values,
                                  [{"x": "not a number", "y": 0}])

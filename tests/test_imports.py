@@ -107,8 +107,10 @@ def _parse(path):
 
 
 def test_every_module_level_name_is_exported_or_read():
+    """A module-level name of the library is in ``__all__`` or read in
+    ``src/`` or ``bench/``; a read in the tests alone does not count."""
     mentioned = set()
-    for folder in (SRC, os.path.join(ROOT, "tests"), BENCH):
+    for folder in (SRC, BENCH):
         for name in sorted(os.listdir(folder)):
             if name.endswith(".py"):
                 mentioned |= _mentioned(_parse(os.path.join(folder, name)))

@@ -164,8 +164,9 @@ def test_angle_constancy_on_the_diagonal_leaf(heis6_mcp, heis6_subframes):
 
 def test_angle_constancy_guards_its_precondition(heis6_mcp,
                                                  heis6_subframes):
+    sub = heis6_subframes["heis6-n4"]
     with pytest.raises(SubframeError):
-        angle_constancy(heis6_subframes["heis6-n4"], heis6_mcp)
+        angle_constancy(sub, heis6_mcp, classify(sub, heis6_mcp))
 
 
 def test_angle_constancy_is_scale_invariant(heis6_mcp, heis6_subframes):
@@ -175,8 +176,8 @@ def test_angle_constancy_is_scale_invariant(heis6_mcp, heis6_subframes):
                       [f.scale(presentation.scalar("2"))
                        for f in sub.fields],
                       heis6_mcp.metric, "scaled-leaf")
-    assert angle_constancy(scaled, heis6_mcp) \
-        == angle_constancy(sub, heis6_mcp)
+    assert angle_constancy(scaled, heis6_mcp, classify(scaled, heis6_mcp)) \
+        == angle_constancy(sub, heis6_mcp, classify(sub, heis6_mcp))
 
 
 # -- theorem dispatch -------------------------------------------------------
@@ -203,7 +204,8 @@ def test_induced_identities_name_their_first_nonzero_residuals(
               for v in heis6_scenario.submanifolds["factor"]]
     sub = Subframe(presentation, fields,
                    MetricField(presentation, gram), "factor")
-    by_name = {f.condition: f for f in restrict_structure(sub, heis6_mcp)}
+    by_name = {f.condition: f for f in restrict_structure(
+        sub, heis6_mcp, classify(sub, heis6_mcp))}
     associated = by_name["induced metric is associated to the induced "
                          "contact form"]
     assert not associated.ok
@@ -261,6 +263,47 @@ def test_the_mean_curvature_identity_fails_with_the_reeb_fields_swapped(
     row = next(f for f in verify_theorems(sub, mcp, profile)
                if f.condition == condition)
     assert row.ok and row.witness == ""
-    row = next(f for f in verify_theorems(sub, swapped)
+    row = next(f for f in verify_theorems(sub, swapped,
+                                          classify(sub, swapped))
                if f.condition == condition)
     assert not row.ok and row.witness.startswith("residual = ")
+
+
+# each finding below compares two exact quantities through ``certify``, so
+# its failing witness names the compared quantity
+_CERTIFIED_LABELS = {
+    "induced endomorphism squares correctly": "residual along e_",
+    "shape operator annihilates the tangent Reeb field": "b(Z",
+    "mean curvature vanishes": "H = ",
+    "shape trace concentrates on the vertical tangent direction":
+        "shape trace = ",
+    "vertical direction derivative has no tangential part":
+        "tangential part = ",
+    "vertical direction derivative is normal along the rotated vertical "
+    "direction": "minor (",
+    "endomorphism kills the tangential part of Z1": "phi(Z1T) = ",
+    "endomorphism kills the tangential part of Z2": "phi(Z2T) = ",
+    "endomorphism kills the normal part of Z1": "phi(Z1perp) = ",
+    "endomorphism kills the normal part of Z2": "phi(Z2perp) = ",
+}
+
+
+@pytest.mark.parametrize("name", ["factor", "heis6-leaf3"])
+def test_the_certified_submanifold_identities_witness_their_label(
+        heis6_mcp, heis6_subframes, name):
+    """A tangential part of Z1 moved off the span by e_0 breaks the
+    identities that read it; each failing one names what it compared."""
+    sub = heis6_subframes[name]
+    profile = classify(sub, heis6_mcp)
+    moved = dataclasses.replace(
+        profile, z1_tangential=profile.z1_tangential
+        + heis6_mcp.presentation.frame_field(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ChartDomainWarning)
+        findings = (restrict_structure(sub, heis6_mcp, moved)
+                    + verify_theorems(sub, heis6_mcp, moved))
+    failed = [f for f in findings
+              if f.condition in _CERTIFIED_LABELS and not f.ok]
+    assert failed
+    for f in failed:
+        assert f.witness.startswith(_CERTIFIED_LABELS[f.condition]), f
