@@ -437,16 +437,16 @@ def validate_metric(structure: ContactPairStructure, metric: MetricField,
         for a in range(n) for b in range(a, n)))
 
     d_sum = pair.d_alpha1 + pair.d_alpha2
+    # phi_lowered[b][a] = g(phi e_b, e_a)
+    phi_lowered = [metric.lower(f) for f in phi_fields]
     associated = certify("metric is associated", chain((
-        (f"g(e_{a}, phi e_{b}) - d-sum(e_{a}, e_{b})",
-         metric.pair(frame_fields[a], phi_fields[b]),
+        (f"g(e_{a}, phi e_{b}) - d-sum(e_{a}, e_{b})", phi_lowered[b][a],
          eval_form(d_sum, frame_fields[a], frame_fields[b]))
         for a in range(n) for b in range(n)), (
-        (f"g(e_{a}, Z{i}) - alpha{i}(e_{a})",
-         metric.pair(frame_fields[a], z), alpha[a])
+        (f"g(e_{a}, Z{i}) - alpha{i}(e_{a})", g_az, alpha[a])
         for i, (z, alpha) in enumerate(((pair.z1, a1), (pair.z2, a2)),
                                        start=1)
-        for a in range(n))))
+        for a, g_az in enumerate(metric.lower(z)))))
     implied = compatible.ok or not associated.ok
     findings.append(Finding("associated implies compatible", implied,
                             "" if implied else compatible.witness))
@@ -515,9 +515,9 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
         return rhs
 
     findings.append(certify("covariant phi pairing identity", (
-        (f"pairing residual at ({a},{b},{c})",
-         g.pair(nabla_phi[a][b], frame_fields[c]), pairing_rhs(a, b, c))
-        for a in range(n) for b in range(n) for c in range(n))))
+        (f"pairing residual at ({a},{b},{c})", lhs, pairing_rhs(a, b, c))
+        for a in range(n) for b in range(n)
+        for c, lhs in enumerate(g.lower(nabla_phi[a][b])))))
 
     z = pair.reeb_sum
     findings.append(_endo_finding("Reeb sum derivative identity",
@@ -628,9 +628,8 @@ def hermitian_data(mcp: MetricContactPair) -> List[Finding]:
                 df_jb = [sum((v * d_fundamental.get((a, q, r))
                               for q, v in j_support[b]), presentation.zero)
                          for r in range(n)]
-                for c in range(n):
-                    yield (f"residual at ({a},{b},{c})",
-                           four * g.pair(nabla_j[a][b], frame_fields[c]),
+                for c, lhs in enumerate(g.lower(nabla_j[a][b])):
+                    yield (f"residual at ({a},{b},{c})", four * lhs,
                            sum((w * df_jb[r] for r, w in j_support[c]),
                                presentation.zero)
                            - d_fundamental.get((a, b, c)))

@@ -15,6 +15,11 @@ presentation.  There is one Lie bracket, ``bracket``, taken in the
 components of any context from its table C.  Each context builds its own
 C once, from the bracket of its fields in the parent's components.
 
+There is one index lowering, ``MetricField.lower``: the pairing, the
+orthogonal projector, the Killing test and the Levi-Civita connection all
+contract with the Gram matrix through it.  The connection reads the Koszul
+formula from two tables built once, e_a(g_bc) and g([e_a, e_b], e_c).
+
 Convention ledger (fixed once, asserted by tests):
   * wedge products multiply coefficients with the determinant convention
     on strictly increasing index tuples (no 1/p!q! factor);
@@ -627,7 +632,8 @@ class EndoField:
 
 
 class MetricField:
-    """Riemannian metric as a symmetric Gram matrix on the frame."""
+    """Riemannian metric as a symmetric Gram matrix on the frame; ``lower``
+    is the one contraction of a vector with it, and ``pair`` builds on it."""
 
     def __init__(self, frame: FramePresentation, gram: Sequence[Sequence]):
         n = frame.dim
@@ -656,16 +662,13 @@ class MetricField:
                     m[i] = [a - f * b for a, b in zip(m[i], m[c])]
         self.inverse = linalg.invert(self.gram)
 
+    def lower(self, x: VectorField) -> List[ScalarExpr]:
+        """g(x, e_c) for every frame index c: x with its index lowered.
+        g is symmetric, so row c of the Gram matrix is its column c."""
+        return [dot(x.components, row, self.frame.zero) for row in self.gram]
+
     def pair(self, x: VectorField, y: VectorField) -> ScalarExpr:
-        n = self.frame.dim
-        acc = self.frame.zero
-        for a in range(n):
-            if x.components[a].is_zero():
-                continue
-            for b in range(n):
-                if not y.components[b].is_zero():
-                    acc = acc + x.components[a] * self.gram[a][b] * y.components[b]
-        return acc
+        return dot(self.lower(x), y.components, self.frame.zero)
 
     def norm_squared(self, x: VectorField) -> ScalarExpr:
         return self.pair(x, x)
@@ -677,16 +680,15 @@ def orthogonal_projector(metric: MetricField, span: Sequence[VectorField],
     """g-orthogonal projection onto a span, P = S G^-1 S^T g.
 
     S has the span fields as columns and ``gram_inverse`` is the inverse of
-    their Gram matrix G = S^T g S.  Column a of P is the projection of e_a;
-    P is zero for an empty span.
+    their Gram matrix G = S^T g S; S^T g is ``metric.lower`` of each field.
+    Column a of P is the projection of e_a; P is zero for an empty span.
     """
     frame = metric.frame
     n, zero = frame.dim, frame.zero
-    # g is symmetric, so row a of g is its column a:
-    # pairings[a][i] = g(e_a, s_i)
-    pairings = [[dot(s.components, metric.gram[a], zero) for s in span]
-                for a in range(n)]
-    # G^-1 is symmetric too: coeffs[a][b] is the coefficient of s_b in P e_a
+    lowered = [metric.lower(s) for s in span]
+    # pairings[a][i] = g(s_i, e_a)
+    pairings = [[s_low[a] for s_low in lowered] for a in range(n)]
+    # G^-1 is symmetric: coeffs[a][b] is the coefficient of s_b in P e_a
     coeffs = [[dot(row, pairings[a], zero) for row in gram_inverse]
               for a in range(n)]
     span_rows = [[s.components[c] for s in span] for c in range(n)]
@@ -695,39 +697,35 @@ def orthogonal_projector(metric: MetricField, span: Sequence[VectorField],
 
 
 class LeviCivita:
-    """Levi-Civita connection solved from the Koszul formula on the frame."""
+    """Levi-Civita connection solved from the Koszul formula on the frame:
+
+    2 g(nabla_{e_a} e_b, e_c) = e_a(g_bc) + e_b(g_ac) - e_c(g_ab)
+        + g([e_a, e_b], e_c) - g([e_a, e_c], e_b) - g([e_b, e_c], e_a).
+
+    Each e_a(g_bc) and each g([e_a, e_b], e_c) is computed once, in a
+    table, and the sum reads it three times."""
 
     def __init__(self, metric: MetricField):
         self.metric = metric
-        self.frame = metric.frame
-        n = self.frame.dim
-        gram = metric.gram
-        half = ScalarExpr.constant(Fraction(1, 2), self.frame.coordinates)
-
-        def g_bracket(a: int, b: int, c: int) -> ScalarExpr:
-            return dot(self.frame.bracket_coeffs(a, b), gram[c],
-                        self.frame.zero)
-
+        self.frame = frame = metric.frame
+        n, zero = frame.dim, frame.zero
+        half = ScalarExpr.constant(Fraction(1, 2), frame.coordinates)
+        # derivative[a][b][c] = e_a(g_bc)
+        derivative = [[[frame.direction(a, g_bc) for g_bc in row]
+                       for row in metric.gram] for a in range(n)]
+        # lowered[a][b][c] = g([e_a, e_b], e_c)
+        lowered = [[metric.lower(VectorField(frame,
+                                             frame.bracket_coeffs(a, b)))
+                    for b in range(n)] for a in range(n)]
         # koszul[a][b][c] = g(nabla_{e_a} e_b, e_c)
-        koszul = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    term = self.frame.zero
-                    for value in (self.frame.direction(a, gram[b][c]),
-                                  self.frame.direction(b, gram[a][c]),
-                                  g_bracket(a, b, c)):
-                        term = term + value
-                    for value in (self.frame.direction(c, gram[a][b]),
-                                  g_bracket(a, c, b),
-                                  g_bracket(b, c, a)):
-                        term = term - value
-                    koszul[a][b][c] = half * term
-        inv = metric.inverse
-        inv_columns = [[inv[c][d] for c in range(n)] for d in range(n)]
-        self.gamma = [[tuple(
-            dot(koszul[a][b], inv_columns[d], self.frame.zero)
-            for d in range(n)) for b in range(n)] for a in range(n)]
+        koszul = [[[half * (derivative[a][b][c] + derivative[b][a][c]
+                            - derivative[c][a][b] + lowered[a][b][c]
+                            - lowered[a][c][b] - lowered[b][c][a])
+                    for c in range(n)] for b in range(n)] for a in range(n)]
+        # g^-1 is symmetric, so row d of it is its column d
+        self.gamma = [[tuple(dot(koszul[a][b], row, zero)
+                             for row in metric.inverse)
+                       for b in range(n)] for a in range(n)]
 
     def nabla_frame(self, a: int, b: int) -> VectorField:
         return VectorField(self.frame, self.gamma[a][b])
@@ -783,11 +781,10 @@ def lie_derivative_endo(z: VectorField, endo: EndoField) -> EndoField:
 def is_killing(nabla: EndoField, metric: MetricField) -> bool:
     """Killing test of a field Z from nabla Z, whose column a is
     nabla_{e_a} Z: g(nabla_X Z, Y) + g(X, nabla_Y Z) vanishes on frame
-    pairs."""
-    n, zero = metric.frame.dim, metric.frame.zero
-    # lowered[a][b] = g(nabla_{e_a} Z, e_b); g is symmetric
-    lowered = [[dot(column, metric.gram[b], zero) for b in range(n)]
-               for column in zip(*nabla.matrix)]
+    pairs.  Each column is lowered once."""
+    n = metric.frame.dim
+    # lowered[a][b] = g(nabla_{e_a} Z, e_b)
+    lowered = [metric.lower(nabla.column(a)) for a in range(n)]
     return all((lowered[a][b] + lowered[b][a]).is_zero()
                for a in range(n) for b in range(a, n))
 

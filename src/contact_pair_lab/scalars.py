@@ -510,7 +510,9 @@ class ScalarExpr:
         for v in self.vars:
             if v not in point:
                 raise ScalarError(f"point does not assign coordinate {v!r}")
-            values.append(Fraction(point[v]))
+            # a Fraction is read as given; Fraction() rejects a non-number
+            val = point[v]
+            values.append(val if type(val) is Fraction else Fraction(val))
 
         def ev(terms: Terms) -> Fraction:
             total = Fraction(0)

@@ -297,11 +297,11 @@ def restrict_structure(sub: Subframe, mcp: MetricContactPair,
         for a in r)))
 
     sub_frame_fields = [sub.frame_field(a) for a in r]
-    phi_fields = [phi_tilde.column(a) for a in r]
+    # phi_lowered[b][a] = g(phi e_b, e_a)
+    phi_lowered = [g_tilde.lower(phi_tilde.column(b)) for b in r]
     findings.append(certify(
         "induced metric is associated to the induced contact form", (
-            (f"residual at ({a},{b})",
-             g_tilde.pair(sub_frame_fields[a], phi_fields[b]),
+            (f"residual at ({a},{b})", phi_lowered[b][a],
              eval_form(d_alpha, sub_frame_fields[a], sub_frame_fields[b]))
             for a in r for b in r)))
 

@@ -214,8 +214,19 @@ def test_cartan_class_and_degeneracy(heis6):
 
 # -- Levi-Civita connection --------------------------------------------
 
-def test_connection_is_torsion_free(heis6):
-    presentation, _, _, metric = heis6
+@pytest.fixture(params=["heis6", "gauged"])
+def connection_metric(request, heis6_scenario):
+    """heis6's metric, and the default-gauged one, whose Gram matrix is not
+    constant: there the derivative terms e_a(g_bc) of the Koszul formula do
+    not vanish."""
+    if request.param == "gauged":
+        return gauged_heis6(heis6_scenario).metric_field()
+    return heis6_scenario.metric_field()
+
+
+def test_connection_is_torsion_free(connection_metric):
+    metric = connection_metric
+    presentation = metric.frame
     conn = LeviCivita(metric)
     for a in range(presentation.dim):
         for b in range(a + 1, presentation.dim):
@@ -225,8 +236,9 @@ def test_connection_is_torsion_free(heis6):
             assert torsion.is_zero()
 
 
-def test_connection_is_metric(heis6):
-    presentation, _, _, metric = heis6
+def test_connection_is_metric(connection_metric):
+    metric = connection_metric
+    presentation = metric.frame
     conn = LeviCivita(metric)
     for a in range(presentation.dim):
         x = presentation.frame_field(a)

@@ -1,5 +1,6 @@
-"""Every name a library module imports is read in that module, and every
-name it defines at module level is exported or read somewhere.
+"""Every name a library module imports is read in that module, every
+name it defines at module level is exported or read somewhere, and every
+method of its classes is read somewhere.
 
 No linter is installed, so these AST scans stand in for unused-import and
 dead-code checks.  ``__init__.py`` is skipped: its imports are the
@@ -106,14 +107,19 @@ def _parse(path):
         return ast.parse(fh.read(), filename=path)
 
 
-def test_every_module_level_name_is_exported_or_read():
-    """A module-level name of the library is in ``__all__`` or read in
-    ``src/`` or ``bench/``; a read in the tests alone does not count."""
+def _mentioned_in_src_and_bench():
     mentioned = set()
     for folder in (SRC, BENCH):
         for name in sorted(os.listdir(folder)):
             if name.endswith(".py"):
                 mentioned |= _mentioned(_parse(os.path.join(folder, name)))
+    return mentioned
+
+
+def test_every_module_level_name_is_exported_or_read():
+    """A module-level name of the library is in ``__all__`` or read in
+    ``src/`` or ``bench/``; a read in the tests alone does not count."""
+    mentioned = _mentioned_in_src_and_bench()
     unread = sorted(
         f"{module}: {name} (line {line})" for module in MODULES
         for name, line in _defined(_parse(os.path.join(SRC, module))).items()
@@ -142,6 +148,79 @@ def test_an_unread_module_level_name_is_found():
                                    "by_string", "unused"}
     assert {n for n in _defined(tree) if n not in mentioned} == {
         "SPARE", "_high", "unused"}
+
+
+def _methods(tree):
+    """{"Class.method": line} for every non-dunder method of every class."""
+    methods = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    methods[f"{node.name}.{item.name}"] = item.lineno
+    return methods
+
+
+# Methods that only the tests read, each with a test that reads it.  A scan
+# by name cannot tell two methods of one name apart, so a method is unread
+# only when no attribute or string in ``src/`` or ``bench/`` has its name.
+METHODS_READ_IN_TESTS = {
+    "Scenario.canonical_equal":
+        "test_corpus_cli.py::test_save_load_roundtrip",
+    "ScalarExpr.constant_value":
+        "test_scalars.py::test_constant_value_is_a_fraction",
+    "ScalarExpr.evaluate_float":
+        "test_oracle.py::test_float_grid_matches_evaluate_float",
+    "Subframe.ambient_field":
+        "test_frames.py::test_bracket_on_a_subframe_context",
+}
+
+
+def test_every_method_is_read():
+    """A method of a library class is read as an attribute, or named in a
+    string, in ``src/`` or ``bench/``; the exceptions are listed above, and
+    each of them must still be unread there."""
+    mentioned = _mentioned_in_src_and_bench()
+    unread = sorted(
+        name for module in MODULES
+        for name in _methods(_parse(os.path.join(SRC, module)))
+        if name.split(".")[1] not in mentioned)
+    assert unread == sorted(METHODS_READ_IN_TESTS)
+
+
+@pytest.mark.parametrize("method", sorted(METHODS_READ_IN_TESTS))
+def test_each_method_read_in_tests_has_its_test(method):
+    path, test = METHODS_READ_IN_TESTS[method].split("::")
+    tree = _parse(os.path.join(ROOT, "tests", path))
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == test)
+    assert method.split(".")[1] in _mentioned(body)
+
+
+def test_an_unread_method_is_found():
+    tree = ast.parse("class Box:\n"
+                     "    def __init__(self):\n"
+                     "        self.size = self.measure()\n"
+                     "    def measure(self):\n"
+                     "        return getattr(self, 'by_string')()\n"
+                     "    def by_string(self):\n"
+                     "        return 1\n"
+                     "    @property\n"
+                     "    def spare(self):\n"
+                     "        return 2\n"
+                     "    class Inner:\n"
+                     "        def unused(self):\n"
+                     "            pass\n"
+                     "def measure():\n"
+                     "    pass\n")
+    mentioned = _mentioned(tree)
+    assert set(_methods(tree)) == {"Box.measure", "Box.by_string",
+                                   "Box.spare", "Inner.unused"}
+    assert {m for m in _methods(tree)
+            if m.split(".")[1] not in mentioned} == {"Box.spare",
+                                                      "Inner.unused"}
 
 
 def test_the_names_the_benchmark_wraps_exist(monkeypatch):

@@ -174,6 +174,20 @@ def test_evaluate_is_a_homomorphism(a, b, point):
     assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
 
 
+def test_evaluate_reads_int_coordinates_as_fractions():
+    expr = sx("(x^2 - 3*y)/(2*x + 1)")
+    value = expr.evaluate({"x": 2, "y": 1})
+    assert type(value) is Fraction
+    assert value == expr.evaluate({"x": Fraction(2), "y": Fraction(1)}) \
+        == Fraction(1, 5)
+    assert type(sx("3").evaluate({"x": 2, "y": 1})) is Fraction
+
+
+def test_evaluate_needs_every_coordinate():
+    with pytest.raises(ScalarError, match="does not assign coordinate 'y'"):
+        sx("x + y").evaluate({"x": Fraction(1)})
+
+
 def test_evaluate_at_pole_raises():
     expr = sx("1/x")
     with pytest.raises(PoleError):

@@ -1,7 +1,7 @@
 """The tensors a metric contact pair builds once and every check reads:
-the orthogonal projector, the projections P_i and F_i, and the Reeb-sum
-curvature R(e_a, e_b) Z.  Each is compared with a direct reference
-written here."""
+the lowered index g(x, e_c), the orthogonal projector, the projections
+P_i and F_i, and the Reeb-sum curvature R(e_a, e_b) Z.  Each is compared
+with a direct reference written here."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from contact_pair_lab import (CORPUS_NAMES, Subframe, corpus_build, linalg,
 from contact_pair_lab.frames import VectorField, orthogonal_projector
 
 from conftest import (build_mcp, gauged_heis6, sample_fields, scaled_metric,
-                      twisted_phi_structure)
+                      skew_metric, twisted_phi_structure)
 
 
 def gram_loop_projection(metric, span, v):
@@ -68,6 +68,25 @@ def test_orthogonal_projector_matches_the_gram_loop(heis6_scenario):
                     metric, span, metric.frame.frame_field(a))
             for v in _sample_fields(metric.frame):
                 assert p.apply(v) == gram_loop_projection(metric, span, v)
+
+
+def test_lower_and_pair_match_the_index_sums(heis6_scenario):
+    """lower(x)[c] = sum_a x^a g_ac and pair(x, y) = sum_ab x^a g_ab y^b,
+    on an off-diagonal Gram matrix and on a non-constant one."""
+    for metric in (skew_metric(heis6_scenario),
+                   gauged_heis6(heis6_scenario).metric_field()):
+        frame, g = metric.frame, metric.gram
+        n = frame.dim
+        fields = list(sample_fields(frame)) + [frame.frame_field(a)
+                                               for a in range(n)]
+        for x in fields:
+            assert metric.lower(x) == [
+                sum((x.components[a] * g[a][c] for a in range(n)), frame.zero)
+                for c in range(n)]
+            for y in fields:
+                assert metric.pair(x, y) == sum(
+                    (x.components[a] * g[a][b] * y.components[b]
+                     for a in range(n) for b in range(n)), frame.zero)
 
 
 def test_orthogonal_projector_is_idempotent_and_self_adjoint(heis6_scenario):
