@@ -29,7 +29,7 @@ from .frames import (EndoField, FramePresentation, LeviCivita, MetricField,
                      lie_derivative_endo, nijenhuis,
                      nonvanishing_certificate, orthogonal_projector,
                      pole_polynomial, seeded_probe_points, wedge)
-from .scalars import ScalarExpr
+from .scalars import ScalarError, ScalarExpr
 
 
 @dataclass
@@ -195,11 +195,14 @@ def validate_contact_pair(presentation: FramePresentation, alpha1: PForm,
         findings.append(Finding(f"splitting dimension of {name}", ok,
                                 f"dim {len(fields)}, expected {expected_dims[name]}"))
     columns = split["H1"] + split["H2"] + split["V"]
-    point_matrix = [[f.components[a].evaluate(presentation.base_point)
-                     for f in columns] for a in range(n)]
-    rank = linalg.rational_rank(point_matrix)
+    try:
+        rank = linalg.rational_rank([[f.components[a].evaluate(
+            presentation.base_point) for f in columns] for a in range(n)])
+        spans, witness = rank == n, f"rank {rank} at the base point"
+    except ScalarError as exc:
+        spans, witness = False, f"splitting has a pole at the base point ({exc})"
     findings.append(Finding("pointwise splitting spans the tangent space",
-                            rank == n, f"rank {rank} at the base point"))
+                            spans, witness))
     if any(not f.ok for f in findings):
         raise ValidationError("splitting failure", findings)
     return ContactPair(presentation, alpha1, alpha2, h, k, z1, z2, d1, d2,
@@ -273,10 +276,11 @@ def validate_structure(pair: ContactPair, phi: EndoField,
     witnesses = []
     for name in ("TF1", "TF2"):
         span = pair.splitting[name]
-        columns = [[f.components[a] for f in span] for a in range(n)]
+        left = linalg.left_inverse([[f.components[a] for f in span]
+                                    for a in range(n)])
         for idx, f in enumerate(span):
             image = phi.apply(f)
-            if linalg.solve_in_span(columns, list(image.components)) is None:
+            if linalg.solve_in_span(left, image.components) is None:
                 witnesses.append(f"phi invariance of {name}: image of "
                                  f"spanning field {idx} leaves the "
                                  "distribution")

@@ -339,7 +339,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
                  field_name, f"expected {n} expression strings")
     pair_type = data["type"]
     _require(isinstance(pair_type, list) and len(pair_type) == 2
-             and all(isinstance(x, int) for x in pair_type),
+             and all(type(x) is int for x in pair_type),
              "type", "expected [h, k]")
     h, k = pair_type
     _require(2 * h + 2 * k + 2 == n, "type",

@@ -645,22 +645,19 @@ class MetricField:
             for j in range(i + 1, n):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise FrameError("Gram matrix must be symmetric")
-        det = linalg.determinant(self.gram)
-        if det.is_zero():
+        try:
+            self.inverse = linalg.invert(self.gram)
+        except linalg.LinearAlgebraError:
             raise FrameError("Gram matrix is singular over the scalar field")
         # Sylvester's criterion: the k-th pivot of elimination without row
         # swaps is D_k / D_{k-1}, so all leading minors D_k are positive
-        # exactly when every pivot is
-        m = [[entry.evaluate(frame.base_point) for entry in row]
-             for row in self.gram]
-        for c in range(n):
-            if m[c][c] <= 0:
-                raise FrameError("metric is not positive definite at the base point")
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] / m[c][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        self.inverse = linalg.invert(self.gram)
+        # exactly when no row is swapped, the pivots sit on the diagonal and
+        # every pivot is positive
+        _, pivots, values, swaps = linalg.row_reduce(
+            [[entry.evaluate(frame.base_point) for entry in row]
+             for row in self.gram], n)
+        if swaps or pivots != list(range(n)) or any(v <= 0 for v in values):
+            raise FrameError("metric is not positive definite at the base point")
 
     def lower(self, x: VectorField) -> List[ScalarExpr]:
         """g(x, e_c) for every frame index c: x with its index lowered.

@@ -1,57 +1,77 @@
 """Deterministic exact linear algebra over the rational-function field.
 
-Matrices are lists of rows of ScalarExpr.  Pivoting always selects the
-first row with a canonically nonzero entry in the leftmost open column,
-so every result is reproducible for a fixed input.
+Matrices are lists of rows of ScalarExpr, or of Fraction for the pointwise
+checks; both are false exactly when zero.  ``row_reduce`` is the one row
+reduction, Gauss-Jordan elimination over the leading columns.  Its pivot is
+always the first row with a nonzero entry in the leftmost open column, so
+every result is reproducible for a fixed input.  It records each pivot's
+column and value and the number of row swaps; every function here but the
+products reads it, and so does the metric's Sylvester test.
+
+A span S of r independent columns is reduced once into a left inverse L
+with L S = [I; 0]: v lies in the span exactly when the last n - r rows of
+L v vanish, and the first r rows give its coefficients.  ``solve_in_span``
+is that product; ``invert`` is the square case.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .scalars import ScalarExpr
 
 Matrix = List[List[ScalarExpr]]
+# (the first r rows of L, the other n - r rows) for a span of r columns
+LeftInverse = Tuple[Matrix, Matrix]
 
 
 class LinearAlgebraError(Exception):
     pass
 
 
-def _zero_like(m: Matrix) -> ScalarExpr:
-    return ScalarExpr.constant(0, m[0][0].vars)
+def _constant(value: int, m: Matrix) -> ScalarExpr:
+    return ScalarExpr.constant(value, m[0][0].vars)
 
 
-def _one_like(m: Matrix) -> ScalarExpr:
-    return ScalarExpr.constant(1, m[0][0].vars)
+def row_reduce(matrix, width: int) -> Tuple[list, List[int], list, int]:
+    """Gauss-Jordan elimination of ``matrix`` over its first ``width``
+    columns, which may be followed by columns carried along: the reduced
+    rows, the pivot columns, the pivot values and the number of swaps."""
+    m = [list(row) for row in matrix]
+    rows = len(m)
+    pivots: List[int] = []
+    values = []
+    swaps = 0
+    for c in range(width):
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            swaps += 1
+        value = m[r][c]
+        m[r] = [entry / value for entry in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                factor = m[i][c]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        values.append(value)
+    return m, pivots, values, swaps
 
 
 def rref(matrix: Matrix) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form and pivot column list."""
-    m = [list(row) for row in matrix]
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if not m[i][c].is_zero()),
-                         None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c]
-        m[r] = [entry / inv for entry in m[r]]
-        for i in range(rows):
-            if i != r and not m[i][c].is_zero():
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    if not matrix:
+        return [], []
+    reduced, pivots, _, _ = row_reduce(matrix, len(matrix[0]))
+    return reduced, pivots
 
 
 def kernel_basis(matrix: Matrix) -> List[List[ScalarExpr]]:
@@ -60,7 +80,7 @@ def kernel_basis(matrix: Matrix) -> List[List[ScalarExpr]]:
         return []
     cols = len(matrix[0])
     reduced, pivots = rref(matrix)
-    zero, one = _zero_like(matrix), _one_like(matrix)
+    zero, one = _constant(0, matrix), _constant(1, matrix)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
@@ -81,59 +101,46 @@ def solve_unique(matrix: Matrix, rhs: Sequence[ScalarExpr]) -> List[ScalarExpr]:
         raise LinearAlgebraError("inconsistent linear system")
     if len(pivots) < cols:
         raise LinearAlgebraError("underdetermined linear system")
-    solution = [_zero_like(matrix)] * cols
-    for r, p in enumerate(pivots):
-        solution[p] = reduced[r][cols]
-    return solution
+    return [row[cols] for row in reduced[:cols]]
 
 
-def solve_in_span(span_columns: Matrix,
-                  vector: Sequence[ScalarExpr]) -> Optional[List[ScalarExpr]]:
-    """Coefficients expressing ``vector`` in the span columns, or None."""
-    cols = len(span_columns[0])
-    augmented = [list(row) + [v] for row, v in zip(span_columns, vector)]
-    reduced, pivots = rref(augmented)
-    if cols in pivots:
+def left_inverse(span_columns: Matrix) -> LeftInverse:
+    """L with L S = [I; 0] for S with independent columns, from one
+    reduction of [S | I]; split after its first r rows."""
+    n, r = len(span_columns), len(span_columns[0])
+    zero, one = _constant(0, span_columns), _constant(1, span_columns)
+    augmented = [list(row) + [one if i == j else zero for j in range(n)]
+                 for i, row in enumerate(span_columns)]
+    reduced, pivots, _, _ = row_reduce(augmented, r)
+    if len(pivots) < r:
+        raise LinearAlgebraError("matrix is singular over the scalar field")
+    inverse = [row[r:] for row in reduced]
+    return inverse[:r], inverse[r:]
+
+
+def solve_in_span(left: LeftInverse, vector: Sequence[ScalarExpr]
+                  ) -> Optional[List[ScalarExpr]]:
+    """Coefficients expressing ``vector`` in the span whose left inverse is
+    ``left``, or None when it lies outside."""
+    coefficient_rows, annihilator = left
+    zero = ScalarExpr.constant(0, vector[0].vars)
+    if any(dot(row, vector, zero) for row in annihilator):
         return None
-    zero = _zero_like(span_columns)
-    coeffs = [zero] * cols
-    for r, p in enumerate(pivots):
-        coeffs[p] = reduced[r][cols]
-    return coeffs
+    return [dot(row, vector, zero) for row in coefficient_rows]
 
 
 def invert(matrix: Matrix) -> Matrix:
-    n = len(matrix)
-    zero, one = _zero_like(matrix), _one_like(matrix)
-    augmented = [list(row) + [one if i == j else zero for j in range(n)]
-                 for i, row in enumerate(matrix)]
-    reduced, pivots = rref(augmented)
-    if pivots != list(range(n)):
-        raise LinearAlgebraError("matrix is singular over the scalar field")
-    return [row[n:] for row in reduced]
+    return left_inverse(matrix)[0]
 
 
 def determinant(matrix: Matrix) -> ScalarExpr:
-    n = len(matrix)
-    m = [list(row) for row in matrix]
-    det = _one_like(matrix)
-    sign = 1
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if not m[i][c].is_zero()), None)
-        if pivot_row is None:
-            return _zero_like(matrix)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            sign = -sign
-        det = det * m[c][c]
-        inv = m[c][c]
-        for i in range(c + 1, n):
-            if not m[i][c].is_zero():
-                factor = m[i][c] / inv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[c])]
-    if sign < 0:
-        det = -det
-    return det
+    """The product of the pivot values, negated for an odd number of row
+    swaps; zero without a full set of pivots."""
+    _, pivots, values, swaps = row_reduce(matrix, len(matrix))
+    if len(pivots) < len(matrix):
+        return _constant(0, matrix)
+    det = reduce(mul, values)
+    return -det if swaps % 2 else det
 
 
 def dot(xs: Sequence[ScalarExpr], ys: Sequence[ScalarExpr],
@@ -147,30 +154,14 @@ def dot(xs: Sequence[ScalarExpr], ys: Sequence[ScalarExpr],
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    zero = _zero_like(a)
+    zero = _constant(0, a)
     columns = list(zip(*b))
     return [[dot(row, column, zero) for column in columns] for row in a]
 
 
 def rational_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
     """Rank of a matrix of Fractions (pointwise checks)."""
-    m = [list(map(Fraction, row)) for row in matrix]
-    if not m:
+    if not matrix:
         return 0
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(rank, rows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = m[rank][c]
-        m[rank] = [x / inv for x in m[rank]]
-        for i in range(rows):
-            if i != rank and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return len(row_reduce([list(map(Fraction, row)) for row in matrix],
+                          len(matrix[0]))[1])

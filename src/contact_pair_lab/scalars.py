@@ -4,7 +4,8 @@ ScalarExpr is the coefficient field for the whole library: every tensor
 component is a canonical fraction of multivariate polynomials with
 integer coefficients.  Equality of canonical forms is the only notion of
 identity used by the symbolic certifiers; "equals zero" literally means
-"normalizes to the unique zero representation".
+"normalizes to the unique zero representation", and ``bool(x)`` is false
+exactly then, as for ``Fraction`` and ``int``.
 
 Canonical form: numerator and denominator lie in Z[x] over the declared
 coordinate tuple and are coprime there, so both their polynomial gcd and
@@ -362,6 +363,9 @@ class ScalarExpr:
 
     def is_zero(self) -> bool:
         return not self.num
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def is_one(self) -> bool:
         # num and den are coprime and den leads positively, so num/den is

@@ -8,7 +8,8 @@ induced forms are pullbacks and the induced structure is certified with
 the same bracket, exterior derivative and connection as the ambient one.
 All identities are certified exactly, over rational functions, as ambient
 identities along the distribution; nothing here evaluates in floating
-point.  Each subframe builds its tangent projector once; the theorem checks
+point.  Each subframe builds its tangent projector and the left inverse of
+its span once, so a membership test is one product; the theorem checks
 read the ambient projections ``mcp.pi`` and ``mcp.foliation`` cached on the
 metric contact pair.  ``classify`` returns only the invariance profile, and
 ``restrict_structure``, ``verify_theorems`` and ``angle_constancy`` take it
@@ -65,8 +66,9 @@ class Subframe(FrameContext):
             raise SubframeError(
                 f"{name}: span is linearly dependent at the base point")
 
-        self._span_columns = [[f.components[a] for f in fields]
-                              for a in range(ambient.dim)]
+        # independent at the base point, hence over the scalar field
+        self._left_inverse = linalg.left_inverse(
+            [[f.components[a] for f in fields] for a in range(ambient.dim)])
         super().__init__(ambient, fields)
 
         self.gram = [[metric.pair(x, y) for y in self.fields]
@@ -93,7 +95,7 @@ class Subframe(FrameContext):
 
     def membership(self, v: VectorField) -> Optional[List[ScalarExpr]]:
         """Span coefficients of an ambient field, or None when outside."""
-        return linalg.solve_in_span(self._span_columns, list(v.components))
+        return linalg.solve_in_span(self._left_inverse, v.components)
 
     def contains(self, v: VectorField) -> bool:
         return self.membership(v) is not None
@@ -490,6 +492,9 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
                     sub.scalar(Fraction(1, sub.dim))))]))
 
     if profile.phi_invariant:
+        reeb_span = linalg.left_inverse([[pair.z1.components[a],
+                                          pair.z2.components[a]]
+                                         for a in range(sub.ambient.dim)])
         for i, (zt, zperp) in enumerate(
                 zip(z_tangential, (z1_perp, z2_perp)), start=1):
             findings.append(certify(
@@ -498,12 +503,9 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
             findings.append(certify(
                 f"endomorphism kills the normal part of Z{i}", [
                     (f"phi(Z{i}perp)", phi.apply(zperp), zero)]))
-            vertical = linalg.solve_in_span(
-                [[pair.z1.components[a], pair.z2.components[a]]
-                 for a in range(sub.ambient.dim)],
-                list(zt.components)) is not None
             findings.append(Finding(
-                f"tangential part of Z{i} is vertical", vertical))
+                f"tangential part of Z{i} is vertical",
+                linalg.solve_in_span(reeb_span, zt.components) is not None))
 
     flags = (profile.phi_invariant, profile.j_invariant,
              profile.t_invariant, profile.tangent_both)

@@ -97,6 +97,12 @@ def test_schema_errors_are_path_addressed():
     with pytest.raises(ScenarioError, match="type"):
         scenario_from_dict(data)
 
+    # JSON booleans are not integers, though 2*True + 2*True + 2 == 6
+    data = copy.deepcopy(good)
+    data["type"] = [True, True]
+    with pytest.raises(ScenarioError, match=r"type: expected \[h, k\]"):
+        scenario_from_dict(data)
+
     data = copy.deepcopy(good)
     data["expectations"] = {"pair.valid": "maybe"}
     with pytest.raises(ScenarioError, match="expectations.pair.valid"):

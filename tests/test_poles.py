@@ -1,8 +1,11 @@
-"""A pole of the structure's endomorphism at a probe point, or of a
-submanifold's span at the base point, is a failing row, not an error that
-loses the report."""
+"""A pole of the structure's endomorphism at a probe point, or of the
+splitting or a submanifold's span at the base point, is a failing row, not
+an error that loses the report."""
 
-from contact_pair_lab import corpus_build, run_checks
+import io
+
+from contact_pair_lab import corpus_build, run_checks, save_scenario
+from contact_pair_lab.cli import main as cli_main
 
 
 def test_a_pole_of_phi_fails_the_structure_rows():
@@ -34,6 +37,27 @@ def test_a_pole_of_a_span_at_the_base_point_fails_its_analysis_row():
     assert any(row.id.startswith("submanifold.heis6-n4.")
                and row.verdict == "pass" for row in report.rows)
     assert report.overall == "fail"
+
+
+def test_a_pole_of_the_splitting_at_the_base_point_fails_the_pair_row(
+        tmp_path):
+    scenario = corpus_build("heis6")
+    # alpha1 gains the factor x + 1, so Z1 has a pole at x = -1
+    scenario.alpha1 = [text if text == "0" else f"({text})*(x + 1)"
+                       for text in scenario.alpha1]
+    scenario.base_point = dict(scenario.base_point, x="-1")
+    report = run_checks(scenario, seed=1)
+    pair = report.rows[0]
+    assert (pair.id, pair.verdict) == ("pair.valid", "fail")
+    assert ("pointwise splitting spans the tangent space: splitting has a "
+            "pole at the base point (pole at {'x': Fraction(-1, 1)"
+            in pair.witness)
+    assert all(row.verdict == "skipped" for row in report.rows[1:])
+    path = tmp_path / "pole.json"
+    save_scenario(scenario, str(path))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli_main(["verify", "--input", str(path)], out=out, err=err) == 1
+    assert err.getvalue() == ""
 
 
 def test_a_chart_domain_warning_reaches_its_row_and_its_expectation():
