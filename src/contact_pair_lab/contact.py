@@ -19,14 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, permutations
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .frames import (EndoField, FramePresentation, LeviCivita, MetricField,
-                     PForm, VectorField, bracket, cartan_class,
-                     eval_form, exterior_derivative, form_power, is_killing,
-                     lie_derivative_endo, nijenhuis,
+                     PForm, VectorField, add_term, bracket, cartan_class,
+                     eval_form, exterior_derivative, form_power, interior,
+                     is_killing, lie_derivative_endo, nijenhuis,
                      nonvanishing_certificate, orthogonal_projector,
                      pole_polynomial, seeded_probe_points, wedge)
 from .scalars import ScalarError, ScalarExpr
@@ -243,10 +243,11 @@ def validate_structure(pair: ContactPair, phi: EndoField,
     expected = (EndoField.identity(presentation).scale(
         ScalarExpr.constant(-1, presentation.coordinates))
         + EndoField.outer(pair.alpha1, pair.z1)
-        + EndoField.outer(pair.alpha2, pair.z2)).matrix
-    square = phi.compose(phi).matrix
+        + EndoField.outer(pair.alpha2, pair.z2)).columns
+    square = phi.compose(phi).columns
     findings.append(certify("phi squared identity", (
-        (f"component ({c},{a})", square[c][a], expected[c][a])
+        (f"component ({c},{a})", square[a].components[c],
+         expected[a].components[c])
         for c in range(n) for a in range(n))))
 
     for name, z in (("Z1", pair.z1), ("Z2", pair.z2)):
@@ -368,8 +369,8 @@ class MetricContactPair:
         nabla_{e_a} Z."""
         frame = self.presentation
         z = self.pair.reeb_sum
-        return EndoField.from_columns(frame, [
-            self.connection.nabla(frame.frame_field(a), z).components
+        return EndoField.from_fields(frame, [
+            self.connection.nabla(frame.frame_field(a), z)
             for a in range(frame.dim)])
 
     @cached_property
@@ -387,9 +388,8 @@ class MetricContactPair:
             for b in range(a + 1, n):
                 value = (conn.nabla(frame.frame_field(a), dz[b])
                          - conn.nabla(frame.frame_field(b), dz[a]))
-                for c, cab in enumerate(frame.bracket_coeffs(a, b)):
-                    if not cab.is_zero():
-                        value = value - dz[c].scale(cab)
+                for c, cab in frame.frame_bracket(a, b).support:
+                    value = value - dz[c].scale(cab)
                 table[a][b], table[b][a] = value, -value
         return table
 
@@ -434,18 +434,29 @@ def validate_metric(structure: ContactPairStructure, metric: MetricField,
     a1 = [pair.alpha1.get((a,)) for a in range(n)]
     a2 = [pair.alpha2.get((a,)) for a in range(n)]
 
+    # reduction[(a, b)] = g_ab - sum_i alpha_i(e_a) alpha_i(e_b), from the
+    # Gram rows and the supports of the alpha_i; an absent key is zero
+    reduction = {(a, b): g_ab for a, row in enumerate(metric.rows)
+                 for b, g_ab in row.items()}
+    for alpha in pair.alphas():
+        for (a,), alpha_a in alpha.coeffs.items():
+            for (b,), alpha_b in alpha.coeffs.items():
+                add_term(reduction, (a, b), alpha_a * alpha_b, negate=True)
     compatible = certify("metric is compatible", (
         (f"g(phi e_{a}, phi e_{b}) - reduction",
          metric.pair(phi_fields[a], phi_fields[b]),
-         metric.gram[a][b] - a1[a] * a1[b] - a2[a] * a2[b])
+         reduction.get((a, b), presentation.zero))
         for a in range(n) for b in range(a, n)))
 
+    # d_sum_rows[a] = i_{e_a} d-sum, so d-sum(e_a, e_b) is its coefficient
+    # on b
     d_sum = pair.d_alpha1 + pair.d_alpha2
+    d_sum_rows = [interior(d_sum, f) for f in frame_fields]
     # phi_lowered[b][a] = g(phi e_b, e_a)
     phi_lowered = [metric.lower(f) for f in phi_fields]
     associated = certify("metric is associated", chain((
         (f"g(e_{a}, phi e_{b}) - d-sum(e_{a}, e_{b})", phi_lowered[b][a],
-         eval_form(d_sum, frame_fields[a], frame_fields[b]))
+         d_sum_rows[a].get((b,)))
         for a in range(n) for b in range(n)), (
         (f"g(e_{a}, Z{i}) - alpha{i}(e_{a})", g_az, alpha[a])
         for i, (z, alpha) in enumerate(((pair.z1, a1), (pair.z2, a2)),
@@ -496,7 +507,6 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
     phi = mcp.structure.phi
     g = mcp.metric
     findings: List[Finding] = []
-    frame_fields = [presentation.frame_field(a) for a in range(n)]
     phi_fields = [phi.column(a) for a in range(n)]
     a_rows = ([pair.alpha1.get((a,)) for a in range(n)],
               [pair.alpha2.get((a,)) for a in range(n)])
@@ -505,21 +515,26 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
     zero = VectorField.zero(presentation)
 
     nabla_phi = mcp.nabla_phi
-    # d alpha_i(phi e_b, e_a), indexed [i][b][a]
-    d_phi = [[[eval_form(d_forms[i], phi_fields[b], frame_fields[a])
-               for a in range(n)] for b in range(n)] for i in (0, 1)]
+    # d alpha_i(phi e_b, e_a) by a, nonzero entries only, indexed [i][b]
+    d_phi = [[{a: value for (a,), value in interior(form, f).coeffs.items()}
+              for f in phi_fields] for form in d_forms]
 
-    def pairing_rhs(a: int, b: int, c: int) -> ScalarExpr:
-        rhs = presentation.zero
-        for i in (0, 1):
-            if not a_rows[i][c].is_zero():
-                rhs = rhs + d_phi[i][b][a] * a_rows[i][c]
-            if not a_rows[i][b].is_zero():
-                rhs = rhs - d_phi[i][c][a] * a_rows[i][b]
-        return rhs
+    # pairing_rhs[(a, b, c)] = sum_i d alpha_i(phi e_b, e_a) alpha_i(e_c)
+    #     - d alpha_i(phi e_c, e_a) alpha_i(e_b), from the supports of the
+    # alpha_i; an absent key is zero, and each key takes its terms in the
+    # order of the sum
+    pairing_rhs: Dict[Tuple[int, int, int], ScalarExpr] = {}
+    for i, alpha in enumerate(pair.alphas()):
+        for negate in (False, True):
+            for (e,), value in alpha.coeffs.items():
+                for f, row in enumerate(d_phi[i]):
+                    for a, d in row.items():
+                        add_term(pairing_rhs, (a, e, f) if negate
+                                 else (a, f, e), d * value, negate)
 
     findings.append(certify("covariant phi pairing identity", (
-        (f"pairing residual at ({a},{b},{c})", lhs, pairing_rhs(a, b, c))
+        (f"pairing residual at ({a},{b},{c})", lhs,
+         pairing_rhs.get((a, b, c), presentation.zero))
         for a in range(n) for b in range(n)
         for c, lhs in enumerate(g.lower(nabla_phi[a][b])))))
 
@@ -539,9 +554,9 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
     h_endo = lie_derivative_endo(z, phi).scale(half)
     # Q e_a = R(Z, e_a) Z = sum_c Z^c R(e_c, e_a) Z
     curvature = mcp.reeb_curvature
-    q = EndoField.from_columns(presentation, [
-        sum((curvature[c][a].scale(zc) for c, zc in enumerate(z.components)
-             if not zc.is_zero()), zero).components for a in range(n)])
+    q = EndoField.from_fields(presentation, [
+        sum((curvature[c][a].scale(zc) for c, zc in z.support), zero)
+        for a in range(n)])
     findings.append(_endo_finding(
         "curvature h-tensor identity",
         (q - phi.compose(q).compose(phi)).scale(half)
@@ -621,34 +636,40 @@ def hermitian_data(mcp: MetricContactPair) -> List[Finding]:
     nabla_j = mcp.nabla_j
     # 6 dF(X, Y, W) = sum_pqr X^p Y^q W^r dF_pqr, so the right-hand side
     # 6 dF(e_a, J e_b, J e_c) - 6 dF(e_a, e_b, e_c) is read off the
-    # coefficients of dF, contracted with the nonzero entries of J.
-    j_support = [[(q, v) for q, v in enumerate(jf.components)
-                  if not v.is_zero()] for jf in j_fields]
+    # coefficients of dF, contracted with the supports of the columns of J.
+    # slices[a][q][r] = dF_aqr, over the nonzero coefficients of dF
+    slices: List[Dict[int, Dict[int, ScalarExpr]]] = [{} for _ in range(n)]
+    for key in d_fundamental.coeffs:
+        for a, q, r in permutations(key):
+            slices[a].setdefault(q, {})[r] = d_fundamental.get((a, q, r))
 
     def covariant_entries():
         for a in range(n):
             for b in range(n):
-                # sum_q J^q_b dF_aqr, indexed by r
-                df_jb = [sum((v * d_fundamental.get((a, q, r))
-                              for q, v in j_support[b]), presentation.zero)
-                         for r in range(n)]
+                # sum_q J^q_b dF_aqr, by r; an absent r is zero
+                df_jb: Dict[int, ScalarExpr] = {}
+                for q, v in j_fields[b].support:
+                    for r, df in slices[a].get(q, {}).items():
+                        add_term(df_jb, r, v * df)
                 for c, lhs in enumerate(g.lower(nabla_j[a][b])):
                     yield (f"residual at ({a},{b},{c})", four * lhs,
-                           sum((w * df_jb[r] for r, w in j_support[c]),
-                               presentation.zero)
-                           - d_fundamental.get((a, b, c)))
+                           sum((w * df_jb[r] for r, w in j_fields[c].support
+                                if r in df_jb), presentation.zero)
+                           - slices[a].get(b, {}).get(c, presentation.zero))
 
     findings.append(certify("Hermitian covariant identity",
                             covariant_entries()))
 
+    # d1_rows[a], d2_rows[a] = i_{e_a} d(alpha_1), i_{e_a} d(alpha_2)
+    d1_rows, d2_rows = ([interior(form, f) for f in frame_fields]
+                        for form in (pair.d_alpha1, pair.d_alpha2))
+
     def closed_form(a: int, b: int) -> VectorField:
-        x, y = frame_fields[a], frame_fields[b]
         jy = j_fields[b]
-        d1, d2 = pair.d_alpha1, pair.d_alpha2
         alpha1_y = pair.alpha1.get((b,))
         alpha2_y = pair.alpha2.get((b,))
-        coeff_z1 = -eval_form(d2, x, y) - eval_form(d1, x, jy)
-        coeff_z2 = eval_form(d1, x, y) - eval_form(d2, x, jy)
+        coeff_z1 = -d2_rows[a].get((b,)) - eval_form(d1_rows[a], jy)
+        coeff_z2 = d1_rows[a].get((b,)) - eval_form(d2_rows[a], jy)
         return (pair.z1.scale(coeff_z1) + pair.z2.scale(coeff_z2)
                 + pi_j[0].column(a).scale(alpha2_y)
                 - pi_j[1].column(a).scale(alpha1_y)

@@ -4,8 +4,7 @@ A scenario stores everything as expression text in the scalar-algebra
 grammar: forms in coordinate components, the endomorphism, metric and
 submanifold spans in frame components.  Construction of the exact
 geometric objects is deferred to the accessor methods.  ``_cells`` walks
-the expression cells of a scenario dict, for the schema check and for
-``Scenario.canonical_equal``.
+the expression cells of a scenario dict, for the schema check.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .frames import EndoField, FramePresentation, MetricField, PForm, one_form
@@ -88,25 +86,6 @@ class Scenario:
             self._cache[key] = Subframe(pres, fields, self.metric_field(),
                                         name)
         return self._cache[key]
-
-    def canonical_equal(self, other: "Scenario") -> bool:
-        """Equality up to canonical form of every expression."""
-        if (self.name, self.pair_type, self.coordinates,
-                sorted(self.submanifolds), self.expectations) != \
-                (other.name, other.pair_type, other.coordinates,
-                 sorted(other.submanifolds), other.expectations):
-            return False
-        if {k: Fraction(v) for k, v in self.base_point.items()} != \
-                {k: Fraction(v) for k, v in other.base_point.items()}:
-            return False
-        variables = tuple(self.coordinates)
-        # a path missing on one side pairs with None, so shapes must match
-        return all(
-            mine[0] == theirs[0] and parse_expr(str(mine[1]), variables)
-            == parse_expr(str(theirs[1]), variables)
-            for mine, theirs in zip_longest(
-                _cells(scenario_to_dict(self)),
-                _cells(scenario_to_dict(other)), fillvalue=(None, None)))
 
 
 # -- built-in scenarios ----------------------------------------------------

@@ -15,10 +15,24 @@ presentation.  There is one Lie bracket, ``bracket``, taken in the
 components of any context from its table C.  Each context builds its own
 C once, from the bracket of its fields in the parent's components.
 
-There is one index lowering, ``MetricField.lower``: the pairing, the
-orthogonal projector, the Killing test and the Levi-Civita connection all
-contract with the Gram matrix through it.  The connection reads the Koszul
-formula from two tables built once, e_a(g_bc) and g([e_a, e_b], e_c).
+There is one index lowering, ``MetricField.lower``: the orthogonal
+projector, the Killing test and the Levi-Civita connection all contract
+with the Gram matrix through it, and ``pair`` reads the same Gram rows.
+The connection reads the Koszul formula from two tables built once,
+e_a(g_bc) and g([e_a, e_b], e_c).
+
+Every frame tensor carries its support, computed once: the nonzero
+entries of a vector field, of each column of an endomorphism field, of
+each Gram row and of each bracket [e_a, e_b] = sum_c C^c_ab e_c, as
+ascending (index, scalar) pairs (Gram rows as maps in the same order).
+An index absent from a support is exactly zero, so every contraction --
+the pairing, the lowering, the bracket, the connection, the action and
+composition of endomorphisms, the interior product behind form
+evaluation and the exterior derivative -- loops over supports only and
+skips no nonzero term; the Koszul sum and dF are taken only at the keys
+that some nonzero entry reaches.  Supports ascend, so sums accumulate in
+the same index order as a loop over all indices would (Gustavson, "Two
+fast algorithms for sparse matrices", ACM TOMS 1978).
 
 Convention ledger (fixed once, asserted by tests):
   * wedge products multiply coefficients with the determinant convention
@@ -34,12 +48,9 @@ from __future__ import annotations
 import random
 import warnings
 from fractions import Fraction
-from itertools import combinations
-from operator import add, sub
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
-from .linalg import dot
 from .scalars import ScalarError, ScalarExpr, parse_expr
 
 Point = Mapping[str, Fraction]
@@ -72,7 +83,7 @@ class _Chart:
         self.dim = len(self.coordinates)
         self.zero = ScalarExpr.constant(0, self.coordinates)
         self.one = ScalarExpr.constant(1, self.coordinates)
-        self._commuting = (self.zero,) * self.dim
+        self._commuting = VectorField.zero(self)
 
     def scalar(self, value) -> ScalarExpr:
         if isinstance(value, ScalarExpr):
@@ -88,7 +99,7 @@ class _Chart:
             return self.zero
         return f.differentiate(self.coordinates[i])
 
-    def bracket_coeffs(self, a: int, b: int) -> Tuple[ScalarExpr, ...]:
+    def frame_bracket(self, a: int, b: int) -> "VectorField":
         return self._commuting
 
 
@@ -96,8 +107,8 @@ class FrameContext:
     """A frame of vector fields e_a over a parent context, ``ambient``.
 
     ``fields[a]`` is e_a in the parent's components, and its derivation is
-    e_a(f).  The bracket coefficients C^c_ab with
-    [e_a, e_b] = sum_c C^c_ab e_c are built once, at construction time: the
+    e_a(f).  The brackets [e_a, e_b] = sum_c C^c_ab e_c are built once, at
+    construction time, as fields of this frame with their supports: the
     one bracket takes [e_a, e_b] in the parent's components, and the
     subclass's ``_coefficients(v, a, b)`` reads that bracket v back in this
     frame.  So C agrees with the derivations whenever the parent's table
@@ -112,14 +123,14 @@ class FrameContext:
         self.zero = ambient.zero
         self.one = ambient.one
         r = self.dim
-        self._structure: Dict[Tuple[int, int], Tuple[ScalarExpr, ...]] = {}
+        self._structure: Dict[Tuple[int, int], VectorField] = {}
         for a in range(r):
-            self._structure[(a, a)] = (self.zero,) * r
+            self._structure[(a, a)] = VectorField.zero(self)
             for b in range(a + 1, r):
-                comps = tuple(self._coefficients(
-                    bracket(self.fields[a], self.fields[b]), a, b))
-                self._structure[(a, b)] = comps
-                self._structure[(b, a)] = tuple(-c for c in comps)
+                field = self._coefficients(
+                    bracket(self.fields[a], self.fields[b]), a, b)
+                self._structure[(a, b)] = field
+                self._structure[(b, a)] = -field
 
     def scalar(self, value) -> ScalarExpr:
         return self.ambient.scalar(value)
@@ -128,13 +139,13 @@ class FrameContext:
         return VectorField(self, tuple(self.scalar(c) for c in components))
 
     def frame_field(self, a: int) -> "VectorField":
-        comps = tuple(self.one if b == a else self.zero for b in range(self.dim))
-        return VectorField(self, comps)
+        return VectorField.from_support(self, ((a, self.one),))
 
     def direction(self, a: int, f: ScalarExpr) -> ScalarExpr:
         return self.fields[a].apply(f)
 
-    def bracket_coeffs(self, a: int, b: int) -> Tuple[ScalarExpr, ...]:
+    def frame_bracket(self, a: int, b: int) -> "VectorField":
+        """[e_a, e_b], whose components are C^c_ab."""
         return self._structure[(a, b)]
 
     def pullback(self, alpha: "PForm") -> "PForm":
@@ -148,7 +159,9 @@ class FramePresentation(FrameContext):
 
     ``frame[i][a]`` is the coefficient of d/dx_i in the frame field e_a, so
     the fields are the columns of ``frame``.  C is read back from the
-    coordinate bracket with the dual coframe.
+    coordinate bracket with the dual coframe.  One reduction of
+    [frame | I] gives both the coframe and, from its pivots, the
+    determinant that the regularity polynomial keeps.
     """
 
     def __init__(self, coordinates: Sequence[str], frame: Sequence[Sequence],
@@ -163,8 +176,9 @@ class FramePresentation(FrameContext):
         missing = set(chart.coordinates) - set(self.base_point)
         if missing:
             raise FrameError(f"base point does not assign {sorted(missing)}")
-        det = linalg.determinant(self.frame)
-        if det.is_zero():
+        try:
+            self.coframe, det = linalg.inverse_and_determinant(self.frame)
+        except linalg.LinearAlgebraError:
             raise FrameError("frame matrix is singular over the scalar field")
         # det's denominator divides a power of the entries' denominators, so
         # this product vanishes exactly where an entry has a pole or the
@@ -173,13 +187,18 @@ class FramePresentation(FrameContext):
             * pole_polynomial(self.frame)
         if not self.is_regular_at(self.base_point):
             raise FrameError("frame matrix is singular at the base point")
-        self.coframe = linalg.invert(self.frame)
+        # the support of column i of the coframe: d/dx_i in the frame
+        self._coframe_columns = [_nonzeros(column)
+                                 for column in zip(*self.coframe)]
         super().__init__(chart, [VectorField(chart, column)
                                  for column in zip(*self.frame)])
 
     def _coefficients(self, v: "VectorField", a: int, b: int
-                      ) -> Sequence[ScalarExpr]:
-        return [dot(row, v.components, self.zero) for row in self.coframe]
+                      ) -> "VectorField":
+        sums: Dict[int, ScalarExpr] = {}
+        for i, vi in v.support:
+            _accumulate(sums, vi, self._coframe_columns[i])
+        return VectorField.from_sums(self, sums)
 
     def is_regular_at(self, point: Point) -> bool:
         """Whether every frame entry is defined at ``point`` and the frame
@@ -208,38 +227,100 @@ def pole_polynomial(matrix: Sequence[Sequence[ScalarExpr]]) -> ScalarExpr:
     return product
 
 
+def _nonzeros(entries: Sequence[ScalarExpr]
+              ) -> Tuple[Tuple[int, ScalarExpr], ...]:
+    """The support of ``entries``: its nonzero (index, entry) pairs."""
+    return tuple((a, entry) for a, entry in enumerate(entries) if entry)
+
+
+def add_term(sums: dict, key, value: ScalarExpr,
+             negate: bool = False) -> None:
+    """sums[key] += value, or -= value when ``negate``; an absent key is
+    zero."""
+    if key in sums:
+        sums[key] = sums[key] - value if negate else sums[key] + value
+    else:
+        sums[key] = -value if negate else value
+
+
+def _accumulate(sums: Dict[int, ScalarExpr], factor: ScalarExpr,
+                support) -> None:
+    """sums[c] += factor * v for every pair (c, v) of ``support``."""
+    for c, v in support:
+        add_term(sums, c, factor * v)
+
+
 class VectorField:
-    __slots__ = ("frame", "components")
+    """A vector field in frame components; ``support`` holds the nonzero
+    components as ascending (index, scalar) pairs."""
+
+    __slots__ = ("frame", "components", "support")
 
     def __init__(self, frame: FramePresentation, components: Tuple[ScalarExpr, ...]):
         if len(components) != frame.dim:
             raise FrameError("component count must equal the frame dimension")
         self.frame = frame
         self.components = tuple(components)
+        self.support = _nonzeros(self.components)
+
+    @classmethod
+    def from_support(cls, frame, support) -> "VectorField":
+        """The field whose nonzero components are the ascending pairs of
+        ``support``."""
+        field = object.__new__(cls)
+        components = [frame.zero] * frame.dim
+        for a, value in support:
+            components[a] = value
+        field.frame = frame
+        field.components = tuple(components)
+        field.support = tuple(support)
+        return field
+
+    @classmethod
+    def from_sums(cls, frame, sums: Mapping[int, ScalarExpr]
+                  ) -> "VectorField":
+        """The field with components ``sums``, by index; an absent index
+        and a sum that cancelled are zero."""
+        return cls.from_support(frame, [(a, sums[a]) for a in sorted(sums)
+                                        if sums[a]])
 
     @classmethod
     def zero(cls, frame) -> "VectorField":
-        return cls(frame, (frame.zero,) * frame.dim)
+        return cls.from_support(frame, ())
 
     def __add__(self, other: "VectorField") -> "VectorField":
         self._check(other)
-        return VectorField(self.frame, tuple(map(add, self.components,
-                                                 other.components)))
+        if not other.support:
+            return self
+        if not self.support:
+            return other
+        sums = dict(self.support)
+        for a, value in other.support:
+            add_term(sums, a, value)
+        return VectorField.from_sums(self.frame, sums)
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         self._check(other)
-        return VectorField(self.frame, tuple(map(sub, self.components,
-                                                 other.components)))
+        if not other.support:
+            return self
+        sums = dict(self.support)
+        for a, value in other.support:
+            add_term(sums, a, value, negate=True)
+        return VectorField.from_sums(self.frame, sums)
 
     def __neg__(self) -> "VectorField":
-        return VectorField(self.frame, tuple(-a for a in self.components))
+        return VectorField.from_support(
+            self.frame, [(a, -value) for a, value in self.support])
 
     def scale(self, factor: ScalarExpr) -> "VectorField":
-        return VectorField(self.frame, tuple(factor * a
-                                             for a in self.components))
+        # a product of nonzero rational functions is nonzero
+        if not factor:
+            return VectorField.zero(self.frame)
+        return VectorField.from_support(
+            self.frame, [(a, factor * value) for a, value in self.support])
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
+        return not self.support
 
     def _check(self, other: "VectorField") -> None:
         if self.frame is not other.frame:
@@ -247,22 +328,22 @@ class VectorField:
 
     def apply(self, f: ScalarExpr) -> ScalarExpr:
         """Directional derivative of a scalar along this field."""
-        acc = self.frame.zero
         if f.is_constant():
-            return acc
-        for a, comp in enumerate(self.components):
-            if not comp.is_zero():
-                derivative = self.frame.direction(a, f)
-                if not derivative.is_zero():
-                    acc = acc + comp * derivative
-        return acc
+            return self.frame.zero
+        acc = None
+        for a, comp in self.support:
+            derivative = self.frame.direction(a, f)
+            if derivative:
+                term = comp * derivative
+                acc = term if acc is None else acc + term
+        return self.frame.zero if acc is None else acc
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, VectorField) and self.frame is other.frame
-                and self.components == other.components)
+                and self.support == other.support)
 
     def __hash__(self):
-        return hash(self.components)
+        return hash(self.support)
 
     def __repr__(self):
         return f"VectorField({[str(c) for c in self.components]})"
@@ -272,27 +353,28 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
     """Exact Lie bracket in frame components.
 
     [X, Y]^c = X(Y^c) - Y(X^c) + sum_ab X^a Y^b C^c_ab, with C the bracket
-    coefficients of the context, so this works on any frame context.
+    coefficients of the context, so this works on any frame context.  A
+    constant component has no derivative, and only the supports of X, Y
+    and [e_a, e_b] enter the sum.
     """
     x._check(y)
     context = x.frame
-    comps = [x.apply(yc) - y.apply(xc)
-             for xc, yc in zip(x.components, y.components)]
-    ys = [(b, yb) for b, yb in enumerate(y.components) if not yb.is_zero()]
-    for a, xa in enumerate(x.components):
-        if xa.is_zero():
-            continue
-        for b, yb in ys:
-            if a == b:
-                continue
-            coeff = None
-            for c, cab in enumerate(context.bracket_coeffs(a, b)):
-                if cab.is_zero():
-                    continue
-                if coeff is None:
-                    coeff = xa * yb
-                comps[c] = comps[c] + coeff * cab
-    return VectorField(context, tuple(comps))
+    sums: Dict[int, ScalarExpr] = {}
+    for c, yc in y.support:
+        derivative = x.apply(yc)
+        if derivative:
+            sums[c] = derivative
+    for c, xc in x.support:
+        derivative = y.apply(xc)
+        if derivative:
+            add_term(sums, c, derivative, negate=True)
+    for a, xa in x.support:
+        for b, yb in y.support:
+            if a != b:
+                structure = context.frame_bracket(a, b).support
+                if structure:
+                    _accumulate(sums, xa * yb, structure)
+    return VectorField.from_sums(context, sums)
 
 
 class PForm:
@@ -391,71 +473,74 @@ def form_power(a: PForm, n: int) -> PForm:
     return result
 
 
-def _det(matrix: List[List[ScalarExpr]], zero: ScalarExpr) -> ScalarExpr:
-    """Cofactor expansion along the first row, skipping zero entries."""
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    acc = zero
-    for j in range(n):
-        if matrix[0][j].is_zero():
-            continue
-        minor = _det([row[:j] + row[j + 1:] for row in matrix[1:]], zero)
-        if minor.is_zero():
-            continue
-        term = matrix[0][j] * minor
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
 def eval_form(form: PForm, *fields) -> ScalarExpr:
-    """Contract a p-form with p vector fields (1/p! convention)."""
+    """Contract a p-form with p vector fields (1/p! convention), one
+    interior product per field: F(X, Y, ...) = (i_X F)(Y, ...)."""
     if len(fields) != form.degree:
         raise FrameError("wrong number of arguments for the form degree")
-    zero = form.context.zero
+    for field in fields:
+        form = interior(form, field)
+    return form.coeffs.get((), form.context.zero)
+
+
+def interior(form: PForm, x: VectorField) -> PForm:
+    """The (p-1)-form i_X F with (i_X F)(Y, ...) = F(X, Y, ...): under the
+    1/p! evaluation its coefficient on L is (1/p) sum_k X^k F_kL, taken
+    over the nonzero coefficients of F and the support of x."""
     if form.degree == 0:
-        return form.coeffs.get((), zero)
-    comps = [f.components if isinstance(f, VectorField) else tuple(f)
-             for f in fields]
-    acc = zero
-    for key, coeff in form.coeffs.items():
-        matrix = [[comps[j][key[i]] for j in range(form.degree)]
-                  for i in range(form.degree)]
-        det = _det(matrix, zero)
-        if not det.is_zero():
-            acc = acc + coeff * det
-    if acc.is_zero():
-        return acc
-    p_factorial = 1
-    for i in range(2, form.degree + 1):
-        p_factorial *= i
-    return acc * form.context.scalar(Fraction(1, p_factorial))
+        raise FrameError("interior product of a 0-form")
+    sums: Dict[Tuple[int, ...], ScalarExpr] = {}
+    components = x.components
+    for key, value in form.coeffs.items():
+        for i, k in enumerate(key):
+            if components[k]:
+                add_term(sums, key[:i] + key[i + 1:], components[k] * value,
+                         negate=i % 2 == 1)
+    if form.degree > 1:
+        factor = form.context.scalar(Fraction(1, form.degree))
+        sums = {key: factor * value for key, value in sums.items()}
+    return PForm(form.context, form.degree - 1, sums)
 
 
 def exterior_derivative(form: PForm) -> PForm:
-    """Frame-formula exterior derivative, matched to the 1/p! evaluation."""
+    """Frame-formula exterior derivative, matched to the 1/p! evaluation:
+
+    dF(e_k0, ..., e_kp) = sum_i (-1)^i e_ki(F(..., ^k_i, ...))
+        + sum_{i<j} (-1)^(i+j) sum_c C^c_kikj F(e_c, ..., ^k_i, ^k_j, ...),
+
+    summed in that order at the keys where some term is nonzero: those
+    that the nonzero non-constant coefficients of F and the supports of
+    the brackets [e_p, e_q] reach."""
     context = form.context
     n = context.dim
     if form.degree >= n:
         raise FrameError("cannot take d of a top-degree form")
+    # the keys where some term is nonzero
+    keys = set()
+    for rest, f in form.coeffs.items():
+        if not f.is_constant():
+            keys.update(tuple(sorted(rest + (a,)))
+                        for a in range(n) if a not in rest)
+    for p in range(n):
+        for q in range(p + 1, n):
+            for c, _ in context.frame_bracket(p, q).support:
+                for key in form.coeffs:
+                    rest = tuple(k for k in key if k != c)
+                    if c in key and p not in rest and q not in rest:
+                        keys.add(tuple(sorted(rest + (p, q))))
     zero = context.zero
     coeffs: Dict[Tuple[int, ...], ScalarExpr] = {}
-    for key in combinations(range(n), form.degree + 1):
+    for key in sorted(keys):
         acc = zero
         for i, a in enumerate(key):
-            rest = key[:i] + key[i + 1:]
-            term = context.direction(a, form.get(rest))
+            term = context.direction(a, form.get(key[:i] + key[i + 1:]))
             acc = acc + term if i % 2 == 0 else acc - term
         for i in range(len(key)):
             for j in range(i + 1, len(key)):
                 rest = tuple(k for t, k in enumerate(key) if t not in (i, j))
-                cs = context.bracket_coeffs(key[i], key[j])
                 inner = zero
-                for c in range(n):
-                    if not cs[c].is_zero():
-                        coeff = form.get((c,) + rest)
-                        if not coeff.is_zero():
-                            inner = inner + cs[c] * coeff
+                for c, cij in context.frame_bracket(key[i], key[j]).support:
+                    inner = inner + cij * form.get((c,) + rest)
                 acc = acc - inner if (i + j) % 2 == 1 else acc + inner
         coeffs[key] = acc
     return PForm(context, form.degree + 1, coeffs)
@@ -558,82 +643,92 @@ def cartan_class(alpha: PForm, probe_points: Optional[Sequence[Point]] = None,
 
 
 class EndoField:
-    """Endomorphism field as a frame-basis matrix; column a is phi(e_a)."""
+    """Endomorphism field on the frame basis, stored by columns: column a is
+    phi(e_a), a field with its support."""
 
-    __slots__ = ("frame", "matrix")
+    __slots__ = ("frame", "columns")
 
     def __init__(self, frame: FramePresentation, matrix: Sequence[Sequence[ScalarExpr]]):
         n = frame.dim
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise FrameError("endomorphism matrix must be n x n")
         self.frame = frame
-        self.matrix = [list(row) for row in matrix]
+        self.columns = tuple(VectorField(frame, column)
+                             for column in zip(*matrix))
+
+    @classmethod
+    def from_fields(cls, frame, fields: Sequence[VectorField]) -> "EndoField":
+        """The endomorphism with image ``fields[a]`` of e_a."""
+        endo = object.__new__(cls)
+        endo.frame = frame
+        endo.columns = tuple(fields)
+        return endo
 
     @classmethod
     def identity(cls, frame: FramePresentation) -> "EndoField":
-        return cls(frame, [[frame.one if i == j else frame.zero
-                            for j in range(frame.dim)] for i in range(frame.dim)])
-
-    @classmethod
-    def from_columns(cls, frame, columns: Sequence[Sequence[ScalarExpr]]
-                     ) -> "EndoField":
-        """The endomorphism with image ``columns[a]`` of e_a."""
-        return cls(frame, [list(row) for row in zip(*columns)])
+        return cls.from_fields(frame, [frame.frame_field(a)
+                                       for a in range(frame.dim)])
 
     @classmethod
     def outer(cls, alpha: PForm, z: VectorField) -> "EndoField":
         """Tensor product alpha (x) Z as an endomorphism field."""
         frame = z.frame
-        return cls(frame, [[alpha.get((a,)) * z.components[c]
-                            for a in range(frame.dim)] for c in range(frame.dim)])
+        return cls.from_fields(frame, [z.scale(alpha.get((a,)))
+                                       for a in range(frame.dim)])
+
+    @property
+    def matrix(self) -> List[List[ScalarExpr]]:
+        """The frame-basis matrix, row c holding the e_c components."""
+        return [list(row) for row in
+                zip(*(column.components for column in self.columns))]
+
+    def _image(self, support) -> VectorField:
+        """sum_a x^a phi(e_a) over the pairs (a, x^a) of ``support`` and
+        the supports of the columns."""
+        sums: Dict[int, ScalarExpr] = {}
+        for a, xa in support:
+            _accumulate(sums, xa, self.columns[a].support)
+        return VectorField.from_sums(self.frame, sums)
 
     def apply(self, x: VectorField) -> VectorField:
-        """Matrix times components, over the nonzero components of x only."""
-        nonzero = [(a, xa) for a, xa in enumerate(x.components)
-                   if not xa.is_zero()]
-        zero = self.frame.zero
-        comps = []
-        for row in self.matrix:
-            acc = zero
-            for a, xa in nonzero:
-                if not row[a].is_zero():
-                    acc = acc + row[a] * xa
-            comps.append(acc)
-        return VectorField(self.frame, tuple(comps))
+        return self._image(x.support)
 
     def column(self, a: int) -> VectorField:
         """The image of the frame field e_a."""
-        return VectorField(self.frame, tuple(row[a] for row in self.matrix))
+        return self.columns[a]
 
     def compose(self, other: "EndoField") -> "EndoField":
-        return EndoField(self.frame, linalg.matmul(self.matrix, other.matrix))
+        return EndoField.from_fields(self.frame, [
+            self._image(column.support) for column in other.columns])
 
     def __add__(self, other: "EndoField") -> "EndoField":
-        return EndoField(self.frame, [list(map(add, ra, rb))
-                                      for ra, rb in zip(self.matrix, other.matrix)])
+        return EndoField.from_fields(self.frame, [
+            a + b for a, b in zip(self.columns, other.columns)])
 
     def __sub__(self, other: "EndoField") -> "EndoField":
-        return EndoField(self.frame, [list(map(sub, ra, rb))
-                                      for ra, rb in zip(self.matrix, other.matrix)])
+        return EndoField.from_fields(self.frame, [
+            a - b for a, b in zip(self.columns, other.columns)])
 
     def __neg__(self) -> "EndoField":
-        return EndoField(self.frame, [[-a for a in row] for row in self.matrix])
+        return EndoField.from_fields(self.frame, [-a for a in self.columns])
 
     def scale(self, factor: ScalarExpr) -> "EndoField":
-        return EndoField(self.frame, [[factor * a for a in row]
-                                      for row in self.matrix])
+        return EndoField.from_fields(self.frame, [a.scale(factor)
+                                                  for a in self.columns])
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.matrix for a in row)
+        return all(a.is_zero() for a in self.columns)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, EndoField) and self.frame is other.frame
-                and self.matrix == other.matrix)
+                and self.columns == other.columns)
 
 
 class MetricField:
     """Riemannian metric as a symmetric Gram matrix on the frame; ``lower``
-    is the one contraction of a vector with it, and ``pair`` builds on it."""
+    is the one contraction of a vector with it, and ``pair`` reads the
+    same rows.  Each Gram row is kept as a map from index to nonzero
+    entry, ascending."""
 
     def __init__(self, frame: FramePresentation, gram: Sequence[Sequence]):
         n = frame.dim
@@ -649,23 +744,50 @@ class MetricField:
             self.inverse = linalg.invert(self.gram)
         except linalg.LinearAlgebraError:
             raise FrameError("Gram matrix is singular over the scalar field")
+        try:
+            at_base = [[entry.evaluate(frame.base_point) for entry in row]
+                       for row in self.gram]
+        except ScalarError as exc:
+            raise FrameError(f"metric has a pole at the base point ({exc})")
         # Sylvester's criterion: the k-th pivot of elimination without row
         # swaps is D_k / D_{k-1}, so all leading minors D_k are positive
         # exactly when no row is swapped, the pivots sit on the diagonal and
         # every pivot is positive
-        _, pivots, values, swaps = linalg.row_reduce(
-            [[entry.evaluate(frame.base_point) for entry in row]
-             for row in self.gram], n)
+        _, pivots, values, swaps = linalg.row_reduce(at_base, n)
         if swaps or pivots != list(range(n)) or any(v <= 0 for v in values):
             raise FrameError("metric is not positive definite at the base point")
+        self.rows = [dict(_nonzeros(row)) for row in self.gram]
+
+    def lowered(self, x: VectorField) -> Dict[int, ScalarExpr]:
+        """g(x, e_c) by index c, over the Gram rows of the support of x;
+        an absent index is zero.  g is symmetric, so row a of the Gram
+        matrix is its column a."""
+        sums: Dict[int, ScalarExpr] = {}
+        for a, xa in x.support:
+            _accumulate(sums, xa, self.rows[a].items())
+        return sums
 
     def lower(self, x: VectorField) -> List[ScalarExpr]:
-        """g(x, e_c) for every frame index c: x with its index lowered.
-        g is symmetric, so row c of the Gram matrix is its column c."""
-        return [dot(x.components, row, self.frame.zero) for row in self.gram]
+        """g(x, e_c) for every frame index c: x with its index lowered."""
+        sums = self.lowered(x)
+        zero = self.frame.zero
+        return [sums.get(c, zero) for c in range(self.frame.dim)]
 
     def pair(self, x: VectorField, y: VectorField) -> ScalarExpr:
-        return dot(self.lower(x), y.components, self.frame.zero)
+        """sum_b (sum_a x^a g_ab) y^b over the supports of x and y."""
+        acc = None
+        for b, yb in y.support:
+            row = self.rows[b]
+            inner = None
+            for a, xa in x.support:
+                g_ab = row.get(a)
+                if g_ab is not None:
+                    term = xa * g_ab
+                    inner = term if inner is None else inner + term
+            if inner is not None:
+                term = inner * yb
+                acc = term if acc is None else acc + term
+        return self.frame.zero if acc is None else acc
 
     def norm_squared(self, x: VectorField) -> ScalarExpr:
         return self.pair(x, x)
@@ -676,21 +798,27 @@ def orthogonal_projector(metric: MetricField, span: Sequence[VectorField],
                          ) -> EndoField:
     """g-orthogonal projection onto a span, P = S G^-1 S^T g.
 
-    S has the span fields as columns and ``gram_inverse`` is the inverse of
-    their Gram matrix G = S^T g S; S^T g is ``metric.lower`` of each field.
-    Column a of P is the projection of e_a; P is zero for an empty span.
+    S has the span fields s_i as columns and ``gram_inverse`` is the inverse
+    of their Gram matrix G = S^T g S; S^T g is ``metric.lowered`` of each
+    field.  Column a of P, the projection of e_a, is sum_j k_j s_j with
+    k_j = sum_i (G^-1)_ji g(s_i, e_a); P is zero for an empty span.
     """
     frame = metric.frame
-    n, zero = frame.dim, frame.zero
-    lowered = [metric.lower(s) for s in span]
-    # pairings[a][i] = g(s_i, e_a)
-    pairings = [[s_low[a] for s_low in lowered] for a in range(n)]
-    # G^-1 is symmetric: coeffs[a][b] is the coefficient of s_b in P e_a
-    coeffs = [[dot(row, pairings[a], zero) for row in gram_inverse]
-              for a in range(n)]
-    span_rows = [[s.components[c] for s in span] for c in range(n)]
-    return EndoField(frame, [[dot(span_rows[c], coeffs[a], zero)
-                              for a in range(n)] for c in range(n)])
+    lowered = [metric.lowered(s) for s in span]
+    # G^-1 is symmetric, so row i of it is its column i
+    inverse_rows = [_nonzeros(row) for row in gram_inverse]
+    columns = []
+    for a in range(frame.dim):
+        coefficients: Dict[int, ScalarExpr] = {}
+        for i, low in enumerate(lowered):
+            if a in low:
+                _accumulate(coefficients, low[a], inverse_rows[i])
+        sums: Dict[int, ScalarExpr] = {}
+        for j, k in sorted(coefficients.items()):
+            if k:
+                _accumulate(sums, k, span[j].support)
+        columns.append(VectorField.from_sums(frame, sums))
+    return EndoField.from_fields(frame, columns)
 
 
 class LeviCivita:
@@ -699,62 +827,75 @@ class LeviCivita:
     2 g(nabla_{e_a} e_b, e_c) = e_a(g_bc) + e_b(g_ac) - e_c(g_ab)
         + g([e_a, e_b], e_c) - g([e_a, e_c], e_b) - g([e_b, e_c], e_a).
 
-    Each e_a(g_bc) and each g([e_a, e_b], e_c) is computed once, in a
-    table, and the sum reads it three times."""
+    Each nonzero e_a(g_bc) and g([e_a, e_b], e_c) is computed once, in a
+    table, and the sum reads it three times, at the keys where some term is
+    nonzero; a constant Gram entry has no derivative."""
 
     def __init__(self, metric: MetricField):
         self.metric = metric
         self.frame = frame = metric.frame
-        n, zero = frame.dim, frame.zero
+        n = frame.dim
         half = ScalarExpr.constant(Fraction(1, 2), frame.coordinates)
-        # derivative[a][b][c] = e_a(g_bc)
-        derivative = [[[frame.direction(a, g_bc) for g_bc in row]
-                       for row in metric.gram] for a in range(n)]
-        # lowered[a][b][c] = g([e_a, e_b], e_c)
-        lowered = [[metric.lower(VectorField(frame,
-                                             frame.bracket_coeffs(a, b)))
-                    for b in range(n)] for a in range(n)]
-        # koszul[a][b][c] = g(nabla_{e_a} e_b, e_c)
-        koszul = [[[half * (derivative[a][b][c] + derivative[b][a][c]
-                            - derivative[c][a][b] + lowered[a][b][c]
-                            - lowered[a][c][b] - lowered[b][c][a])
-                    for c in range(n)] for b in range(n)] for a in range(n)]
-        # g^-1 is symmetric, so row d of it is its column d
-        self.gamma = [[tuple(dot(koszul[a][b], row, zero)
-                             for row in metric.inverse)
+        # derivative[(a, b, c)] = e_a(g_bc), nonzero entries only
+        derivative: Dict[Tuple[int, int, int], ScalarExpr] = {}
+        for b, row in enumerate(metric.rows):
+            for c, g_bc in row.items():
+                if not g_bc.is_constant():
+                    for a in range(n):
+                        value = frame.direction(a, g_bc)
+                        if value:
+                            derivative[(a, b, c)] = value
+        # lowered[(a, b, c)] = g([e_a, e_b], e_c), nonzero entries only
+        lowered: Dict[Tuple[int, int, int], ScalarExpr] = {
+            (a, b, c): value for a in range(n) for b in range(n)
+            for c, value in metric.lowered(frame.frame_bracket(a, b)).items()
+            if value}
+        # the keys (a, b, c) where some Koszul term is nonzero
+        keys = set(derivative) | set(lowered)
+        keys |= {(q, p, r) for p, q, r in derivative}
+        keys |= {(q, r, p) for p, q, r in derivative}
+        keys |= {(p, r, q) for p, q, r in lowered}
+        keys |= {(r, p, q) for p, q, r in lowered}
+        zero = frame.zero
+
+        def e(a: int, b: int, c: int) -> ScalarExpr:
+            return derivative.get((a, b, c), zero)
+
+        def g(a: int, b: int, c: int) -> ScalarExpr:
+            return lowered.get((a, b, c), zero)
+
+        # g^-1 is symmetric, so row c of it is its column c
+        inverse_rows = [_nonzeros(row) for row in metric.inverse]
+        sums: Dict[Tuple[int, int], Dict[int, ScalarExpr]] = {}
+        for a, b, c in sorted(keys):
+            koszul = half * (e(a, b, c) + e(b, a, c) - e(c, a, b)
+                             + g(a, b, c) - g(a, c, b) - g(b, c, a))
+            if koszul:
+                _accumulate(sums.setdefault((a, b), {}), koszul,
+                            inverse_rows[c])
+        # gamma[a][b] = nabla_{e_a} e_b
+        self.gamma = [[VectorField.from_sums(frame, sums.get((a, b), {}))
                        for b in range(n)] for a in range(n)]
 
     def nabla_frame(self, a: int, b: int) -> VectorField:
-        return VectorField(self.frame, self.gamma[a][b])
+        return self.gamma[a][b]
 
     def nabla(self, x: VectorField, y: VectorField) -> VectorField:
-        """Covariant derivative, function-linear in x and Leibniz in y."""
-        n = self.frame.dim
-        comps = [self.frame.zero] * n
-        for a in range(n):
-            xa = x.components[a]
-            if xa.is_zero():
-                continue
-            for c in range(n):
-                derivative = self.frame.direction(a, y.components[c])
-                if not derivative.is_zero():
-                    comps[c] = comps[c] + xa * derivative
-            for b in range(n):
-                yb = y.components[b]
-                if yb.is_zero():
-                    continue
-                coeff = xa * yb
-                for c in range(n):
-                    if not self.gamma[a][b][c].is_zero():
-                        comps[c] = comps[c] + coeff * self.gamma[a][b][c]
-        return VectorField(self.frame, tuple(comps))
-
-    def curvature(self, x: VectorField, y: VectorField,
-                  w: VectorField) -> VectorField:
-        """R_{XY}W = nabla_X nabla_Y W - nabla_Y nabla_X W - nabla_[X,Y] W."""
-        return (self.nabla(x, self.nabla(y, w))
-                - self.nabla(y, self.nabla(x, w))
-                - self.nabla(bracket(x, y), w))
+        """Covariant derivative, function-linear in x and Leibniz in y:
+        (nabla_X Y)^c = X(Y^c) + sum_ab X^a Y^b Gamma^c_ab."""
+        frame = self.frame
+        sums: Dict[int, ScalarExpr] = {}
+        for a, xa in x.support:
+            for c, yc in y.support:
+                derivative = frame.direction(a, yc)
+                if derivative:
+                    add_term(sums, c, xa * derivative)
+            gamma = self.gamma[a]
+            for b, yb in y.support:
+                christoffel = gamma[b].support
+                if christoffel:
+                    _accumulate(sums, xa * yb, christoffel)
+        return VectorField.from_sums(frame, sums)
 
     def nabla_endo(self, a: int, endo: EndoField) -> List[VectorField]:
         """(nabla_{e_a} phi) e_b for every frame index b."""
@@ -767,23 +908,22 @@ class LeviCivita:
 def lie_derivative_endo(z: VectorField, endo: EndoField) -> EndoField:
     """(L_Z phi)(X) = [Z, phi X] - phi [Z, X], assembled on the frame basis."""
     frame = z.frame
-    columns = []
-    for a in range(frame.dim):
-        value = (bracket(z, endo.column(a))
-                 - endo.apply(bracket(z, frame.frame_field(a))))
-        columns.append(value.components)
-    return EndoField.from_columns(frame, columns)
+    return EndoField.from_fields(frame, [
+        bracket(z, endo.column(a))
+        - endo.apply(bracket(z, frame.frame_field(a)))
+        for a in range(frame.dim)])
 
 
 def is_killing(nabla: EndoField, metric: MetricField) -> bool:
     """Killing test of a field Z from nabla Z, whose column a is
     nabla_{e_a} Z: g(nabla_X Z, Y) + g(X, nabla_Y Z) vanishes on frame
-    pairs.  Each column is lowered once."""
-    n = metric.frame.dim
+    pairs.  Each column is lowered once, and a pair that is zero on both
+    sides has no entry."""
+    zero = metric.frame.zero
     # lowered[a][b] = g(nabla_{e_a} Z, e_b)
-    lowered = [metric.lower(nabla.column(a)) for a in range(n)]
-    return all((lowered[a][b] + lowered[b][a]).is_zero()
-               for a in range(n) for b in range(a, n))
+    lowered = [metric.lowered(column) for column in nabla.columns]
+    return all(not value + lowered[b].get(a, zero)
+               for a, row in enumerate(lowered) for b, value in row.items())
 
 
 def nijenhuis(endo: EndoField) -> Dict[Tuple[int, int], VectorField]:
@@ -799,8 +939,7 @@ def nijenhuis(endo: EndoField) -> Dict[Tuple[int, int], VectorField]:
         for b in range(a + 1, frame.dim):
             ea, eb = fields[a], fields[b]
             a_ea, a_eb = images[a], images[b]
-            # [e_a, e_b] read off the bracket coefficients
-            e_ab = VectorField(frame, frame.bracket_coeffs(a, b))
+            e_ab = frame.frame_bracket(a, b)
             value = (endo.apply(endo.apply(e_ab))
                      - endo.apply(bracket(a_ea, eb))
                      - endo.apply(bracket(ea, a_eb))

@@ -11,7 +11,9 @@ products reads it, and so does the metric's Sylvester test.
 A span S of r independent columns is reduced once into a left inverse L
 with L S = [I; 0]: v lies in the span exactly when the last n - r rows of
 L v vanish, and the first r rows give its coefficients.  ``solve_in_span``
-is that product; ``invert`` is the square case.
+is that product; ``invert`` is the square case.  The pivots of [M | I]
+depend only on M, so ``inverse_and_determinant`` reads the determinant
+off the same reduction that gives the inverse.
 """
 
 from __future__ import annotations
@@ -104,17 +106,30 @@ def solve_unique(matrix: Matrix, rhs: Sequence[ScalarExpr]) -> List[ScalarExpr]:
     return [row[cols] for row in reduced[:cols]]
 
 
+def _reduce_beside_identity(columns: Matrix) -> Tuple[Matrix, list, int]:
+    """One reduction of [S | I] over the r columns of S: the carried
+    identity block, the pivot values and the number of swaps; raises
+    ``LinearAlgebraError`` when the columns are dependent."""
+    n, r = len(columns), len(columns[0])
+    zero, one = _constant(0, columns), _constant(1, columns)
+    augmented = [list(row) + [one if i == j else zero for j in range(n)]
+                 for i, row in enumerate(columns)]
+    reduced, pivots, values, swaps = row_reduce(augmented, r)
+    if len(pivots) < r:
+        raise LinearAlgebraError("matrix is singular over the scalar field")
+    return [row[r:] for row in reduced], values, swaps
+
+
+def _signed_product(values: list, swaps: int) -> ScalarExpr:
+    det = reduce(mul, values)
+    return -det if swaps % 2 else det
+
+
 def left_inverse(span_columns: Matrix) -> LeftInverse:
     """L with L S = [I; 0] for S with independent columns, from one
     reduction of [S | I]; split after its first r rows."""
-    n, r = len(span_columns), len(span_columns[0])
-    zero, one = _constant(0, span_columns), _constant(1, span_columns)
-    augmented = [list(row) + [one if i == j else zero for j in range(n)]
-                 for i, row in enumerate(span_columns)]
-    reduced, pivots, _, _ = row_reduce(augmented, r)
-    if len(pivots) < r:
-        raise LinearAlgebraError("matrix is singular over the scalar field")
-    inverse = [row[r:] for row in reduced]
+    r = len(span_columns[0])
+    inverse, _, _ = _reduce_beside_identity(span_columns)
     return inverse[:r], inverse[r:]
 
 
@@ -133,14 +148,20 @@ def invert(matrix: Matrix) -> Matrix:
     return left_inverse(matrix)[0]
 
 
+def inverse_and_determinant(matrix: Matrix) -> Tuple[Matrix, ScalarExpr]:
+    """The inverse of a square matrix and its determinant, the signed
+    product of the pivot values, from one reduction of [M | I]."""
+    inverse, values, swaps = _reduce_beside_identity(matrix)
+    return inverse, _signed_product(values, swaps)
+
+
 def determinant(matrix: Matrix) -> ScalarExpr:
     """The product of the pivot values, negated for an odd number of row
     swaps; zero without a full set of pivots."""
     _, pivots, values, swaps = row_reduce(matrix, len(matrix))
     if len(pivots) < len(matrix):
         return _constant(0, matrix)
-    det = reduce(mul, values)
-    return -det if swaps % 2 else det
+    return _signed_product(values, swaps)
 
 
 def dot(xs: Sequence[ScalarExpr], ys: Sequence[ScalarExpr],

@@ -375,14 +375,6 @@ class ScalarExpr:
     def is_constant(self) -> bool:
         return _is_constant(self.num) and _is_constant(self.den)
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ScalarError("not a constant expression")
-        if not self.num:
-            return Fraction(0)
-        zero = (0,) * len(self.vars)
-        return Fraction(self.num[zero], self.den[zero])
-
     # -- arithmetic ------------------------------------------------------
 
     def _check(self, other: "ScalarExpr") -> None:
@@ -530,24 +522,6 @@ class ScalarExpr:
 
         den = ev(self.den)
         if den == 0:
-            raise PoleError(f"pole at {dict(point)}")
-        return ev(self.num) / den
-
-    def evaluate_float(self, point: Mapping[str, float]) -> float:
-        values = [float(point[v]) for v in self.vars]
-
-        def ev(terms: Terms) -> float:
-            total = 0.0
-            for exp, coeff in terms.items():
-                term = float(coeff)
-                for val, e in zip(values, exp):
-                    if e:
-                        term *= val ** e
-                total += term
-            return total
-
-        den = ev(self.den)
-        if den == 0.0:
             raise PoleError(f"pole at {dict(point)}")
         return ev(self.num) / den
 

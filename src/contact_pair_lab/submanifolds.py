@@ -83,13 +83,13 @@ class Subframe(FrameContext):
         self._shape: Optional[Tuple[object, "ShapeData"]] = None
 
     def _coefficients(self, v: VectorField, a: int, b: int
-                      ) -> List[ScalarExpr]:
+                      ) -> VectorField:
         coeffs = self.membership(v)
         if coeffs is None:
             raise SubframeError(
                 f"{self.name}: bracket of span fields {a} and {b} "
                 f"leaves the span ({v})")
-        return coeffs
+        return VectorField(self, tuple(coeffs))
 
     # -- tangential geometry ----------------------------------------------
 
@@ -106,14 +106,6 @@ class Subframe(FrameContext):
 
     def normal(self, v: VectorField) -> VectorField:
         return v - self.tangent(v)
-
-    def ambient_field(self, v: VectorField) -> VectorField:
-        """Ambient components of a field given in span components."""
-        out = None
-        for a, fa in enumerate(self.fields):
-            term = fa.scale(v.components[a])
-            out = term if out is None else out + term
-        return out
 
     def __repr__(self):
         return f"Subframe({self.name}, dim={self.dim})"
@@ -281,8 +273,9 @@ def restrict_structure(sub: Subframe, mcp: MetricContactPair,
 
     alpha = alphas[i]
     reeb = VectorField(sub, tuple(sub.membership((pair.z1, pair.z2)[i])))
-    phi_tilde = EndoField.from_columns(
-        sub, [sub.membership(mcp.structure.phi.apply(f)) for f in sub.fields])
+    phi_tilde = EndoField.from_fields(sub, [
+        VectorField(sub, tuple(sub.membership(mcp.structure.phi.apply(f))))
+        for f in sub.fields])
     g_tilde = MetricField(sub, sub.gram)
     d_alpha = exterior_derivative(alpha)
 
@@ -477,12 +470,15 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
             f"minimal={shape.minimal}, tangent-both={profile.tangent_both}"))
         # the orthonormal-basis formula sums |P_i e|^2 over a J-adapted half
         # basis; J is an isometry commuting with P_i, so that sum is half
-        # of tau_i = tr(Pi P_i), Pi the tangent projector, and
+        # of tau_i = tr(Pi P_i) = sum_ac Pi^a_c P_i^c_a, Pi the tangent
+        # projector, and
         # dim H = -tau_2 Z1perp + tau_1 Z2perp + 2 (P_2 Z1T - P_1 Z2T)perp
         p1, p2 = mcp.pi
-        tau1, tau2 = (sum((linalg.dot(row, column, sub.zero) for row, column
-                           in zip(sub.projector.matrix, zip(*p.matrix))),
-                          sub.zero) for p in (p1, p2))
+        tangent_columns = sub.projector.columns
+        tau1, tau2 = (sum((sum((tangent_columns[c].components[a] * value
+                                for c, value in column.support), sub.zero)
+                           for a, column in enumerate(p.columns)), sub.zero)
+                      for p in (p1, p2))
         mixed = p2.apply(z_tangential[0]) - p1.apply(z_tangential[1])
         rhs = (z1_perp.scale(-tau2) + z2_perp.scale(tau1)
                + sub.normal(mixed).scale(two))

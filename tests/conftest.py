@@ -1,13 +1,85 @@
 import dataclasses
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 import pytest
 
 from contact_pair_lab import (EndoField, MetricField, corpus_build,
-                              validate_contact_pair, validate_metric,
-                              validate_structure)
-from contact_pair_lab.frames import FrameError
+                              scenario_to_dict, validate_contact_pair,
+                              validate_metric, validate_structure)
+from contact_pair_lab.corpus import _cells
+from contact_pair_lab.frames import FrameError, bracket
+from contact_pair_lab.scalars import PoleError, ScalarError, parse_expr
+
+
+# -- helpers that only the tests read ----------------------------------
+
+def evaluate_float(expr, point):
+    """The value of a ScalarExpr at a point of floats, in floating point."""
+    values = [float(point[v]) for v in expr.vars]
+
+    def ev(terms):
+        total = 0.0
+        for exp, coeff in terms.items():
+            term = float(coeff)
+            for val, e in zip(values, exp):
+                if e:
+                    term *= val ** e
+            total += term
+        return total
+
+    den = ev(expr.den)
+    if den == 0.0:
+        raise PoleError(f"pole at {dict(point)}")
+    return ev(expr.num) / den
+
+
+def constant_value(expr):
+    """The Fraction a constant ScalarExpr stands for."""
+    if not expr.is_constant():
+        raise ScalarError("not a constant expression")
+    if not expr.num:
+        return Fraction(0)
+    zero = (0,) * len(expr.vars)
+    return Fraction(expr.num[zero], expr.den[zero])
+
+
+def canonical_equal(scenario, other):
+    """Equality of two scenarios up to canonical form of every
+    expression."""
+    if (scenario.name, scenario.pair_type, scenario.coordinates,
+            sorted(scenario.submanifolds), scenario.expectations) != \
+            (other.name, other.pair_type, other.coordinates,
+             sorted(other.submanifolds), other.expectations):
+        return False
+    if {k: Fraction(v) for k, v in scenario.base_point.items()} != \
+            {k: Fraction(v) for k, v in other.base_point.items()}:
+        return False
+    variables = tuple(scenario.coordinates)
+    # a path missing on one side pairs with None, so shapes must match
+    return all(
+        mine[0] == theirs[0] and parse_expr(str(mine[1]), variables)
+        == parse_expr(str(theirs[1]), variables)
+        for mine, theirs in zip_longest(
+            _cells(scenario_to_dict(scenario)),
+            _cells(scenario_to_dict(other)), fillvalue=(None, None)))
+
+
+def ambient_field(sub, v):
+    """Ambient components of a field given in the components of the
+    subframe ``sub``."""
+    out = None
+    for a, fa in enumerate(sub.fields):
+        term = fa.scale(v.components[a])
+        out = term if out is None else out + term
+    return out
+
+
+def curvature(conn, x, y, w):
+    """R_{XY}W = nabla_X nabla_Y W - nabla_Y nabla_X W - nabla_[X,Y] W."""
+    return (conn.nabla(x, conn.nabla(y, w))
+            - conn.nabla(y, conn.nabla(x, w))
+            - conn.nabla(bracket(x, y), w))
 
 
 def build_mcp(scenario):
@@ -34,13 +106,13 @@ def certify_jacobi(context):
     for a, b, c in combinations(range(n), 3):
         total = [context.zero] * n
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            inner = context.bracket_coeffs(y, z)
+            inner = context.frame_bracket(y, z).components
             for d in range(n):
                 total[d] = total[d] + context.direction(x, inner[d])
             for e, coeff in enumerate(inner):
                 if coeff.is_zero():
                     continue
-                outer = context.bracket_coeffs(x, e)
+                outer = context.frame_bracket(x, e).components
                 for d in range(n):
                     total[d] = total[d] + coeff * outer[d]
         if any(not t.is_zero() for t in total):

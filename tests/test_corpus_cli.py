@@ -10,8 +10,8 @@ from contact_pair_lab import (CHECK_IDS, CORPUS_NAMES, Finding,
                               scalars, scenario_from_dict, scenario_to_dict)
 from contact_pair_lab.checks import CHECKS, STAGES
 from contact_pair_lab.cli import main as cli_main
-from conftest import (FOUR_FIELD_GAUGE, gauged_heis6, scaled_metric,
-                      twisted_phi_structure)
+from conftest import (FOUR_FIELD_GAUGE, canonical_equal, gauged_heis6,
+                      scaled_metric, twisted_phi_structure)
 
 
 # -- scenario construction ----------------------------------------------
@@ -59,7 +59,7 @@ def test_save_load_roundtrip(tmp_path):
         save_scenario(scenario, str(path))
         loaded = load_scenario(str(path))
         assert loaded.name == name
-        assert scenario.canonical_equal(loaded)
+        assert canonical_equal(scenario, loaded)
 
 
 def test_hand_written_file_matches_builder(tmp_path):
@@ -70,7 +70,7 @@ def test_hand_written_file_matches_builder(tmp_path):
     data["metric"][0][0] = "2/4"
     data["phi"][1][0] = "0 - 1"
     rebuilt = scenario_from_dict(data, "heis6")
-    assert scenario.canonical_equal(rebuilt)
+    assert canonical_equal(scenario, rebuilt)
 
 
 def test_schema_errors_are_path_addressed():

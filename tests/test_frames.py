@@ -11,15 +11,17 @@ from hypothesis import strategies as st
 from contact_pair_lab import CORPUS_NAMES, Subframe, corpus_build, linalg
 from contact_pair_lab.frames import (ChartDomainWarning, EndoField,
                                      FrameError, FramePresentation,
-                                     LeviCivita, MetricField, cartan_class,
-                                     eval_form, exterior_derivative,
-                                     form_power, is_killing,
-                                     nonvanishing_certificate, one_form,
+                                     LeviCivita, MetricField, _polynomial,
+                                     cartan_class, eval_form,
+                                     exterior_derivative, form_power,
+                                     is_killing, nonvanishing_certificate,
+                                     one_form, pole_polynomial,
                                      seeded_probe_points, wedge)
 from contact_pair_lab.frames import bracket
 from contact_pair_lab.scalars import ScalarError, ScalarExpr, parse_expr
-from conftest import (FOUR_FIELD_GAUGE, certify_jacobi, gauged_heis6,
-                      sample_fields, twisted_phi_structure)
+from conftest import (FOUR_FIELD_GAUGE, ambient_field, certify_jacobi,
+                      curvature, gauged_heis6, sample_fields,
+                      twisted_phi_structure)
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +77,42 @@ def test_bracket_on_a_subframe_context(heis6_scenario):
     x = sub.frame_field(0).scale(sub.scalar("1 + x^2")) + sub.frame_field(2)
     y = sub.frame_field(2) + sub.frame_field(3).scale(sub.scalar("y"))
     assert not bracket(x, y).is_zero()
-    assert sub.ambient_field(bracket(x, y)) == \
-        bracket(sub.ambient_field(x), sub.ambient_field(y))
+    assert ambient_field(sub, bracket(x, y)) == \
+        bracket(ambient_field(sub, x), ambient_field(sub, y))
+
+
+def _presentation_scenarios(heis6_scenario):
+    return [corpus_build(name) for name in CORPUS_NAMES] + [
+        gauged_heis6(heis6_scenario)]
+
+
+def test_a_presentation_reduces_its_frame_once(heis6_scenario, monkeypatch):
+    widths = []
+    reduce_rows = linalg.row_reduce
+
+    def counted(matrix, width):
+        widths.append(width)
+        return reduce_rows(matrix, width)
+
+    monkeypatch.setattr(linalg, "row_reduce", counted)
+    for scenario in _presentation_scenarios(heis6_scenario):
+        widths.clear()
+        presentation = scenario.presentation()
+        assert widths == [presentation.dim], scenario.name
+
+
+def test_the_regularity_polynomial_is_the_determinant_times_the_poles(
+        heis6_scenario):
+    # the determinant of the frame reduced alone: the pivots of
+    # [frame | I] depend only on the frame
+    for scenario in _presentation_scenarios(heis6_scenario):
+        presentation = scenario.presentation()
+        frame = presentation.frame
+        expected = _polynomial(linalg.determinant(frame).num,
+                               presentation.coordinates) \
+            * pole_polynomial(frame)
+        assert presentation._regularity == expected, scenario.name
+        assert presentation.coframe == linalg.invert(frame), scenario.name
 
 
 def test_jacobi_certificate_rejects_a_corrupted_table():
@@ -88,11 +124,11 @@ def test_jacobi_certificate_rejects_a_corrupted_table():
         coords, [["1", "0", "0", "0"], ["0", "1", "0", "0"],
                  ["0", "0", "1", "0"], ["0", "0", "x*y", "x"]],
         {"x": 1, "y": 0, "z": 0, "w": 0})
-    comps = list(presentation.bracket_coeffs(1, 2))
+    comps = list(presentation.frame_bracket(1, 2).components)
     assert comps[3] == presentation.one
     comps[3] = presentation.scalar("2")
-    presentation._structure[(1, 2)] = tuple(comps)
-    presentation._structure[(2, 1)] = tuple(-c for c in comps)
+    presentation._structure[(1, 2)] = presentation.vector(comps)
+    presentation._structure[(2, 1)] = -presentation.vector(comps)
     with pytest.raises(FrameError, match="Jacobi"):
         certify_jacobi(presentation)
 
@@ -136,7 +172,8 @@ def test_a_subframe_of_every_frame_field_shares_the_table(heis6_scenario,
     sub = Subframe(presentation,
                    [presentation.frame_field(a) for a in range(n)],
                    scenario.metric_field(), "whole frame")
-    assert all(sub.bracket_coeffs(a, b) == presentation.bracket_coeffs(a, b)
+    assert all(sub.frame_bracket(a, b).components
+               == presentation.frame_bracket(a, b).components
                for a in range(n) for b in range(n))
     certify_jacobi(sub)
 
@@ -260,8 +297,8 @@ def test_first_bianchi_identity(heis6):
         for j in range(i + 1, len(fields)):
             for k in range(j + 1, len(fields)):
                 x, y, w = fields[i], fields[j], fields[k]
-                total = (conn.curvature(x, y, w) + conn.curvature(y, w, x)
-                         + conn.curvature(w, x, y))
+                total = (curvature(conn, x, y, w) + curvature(conn, y, w, x)
+                         + curvature(conn, w, x, y))
                 assert total.is_zero()
 
 
@@ -272,10 +309,10 @@ def test_curvature_is_tensorial(heis6):
     x = presentation.frame_field(0)
     y = presentation.frame_field(1)
     w = presentation.frame_field(4)
-    assert conn.curvature(x.scale(f), y, w) \
-        == conn.curvature(x, y, w).scale(f)
-    assert conn.curvature(x, y, w.scale(f)) \
-        == conn.curvature(x, y, w).scale(f)
+    assert curvature(conn, x.scale(f), y, w) \
+        == curvature(conn, x, y, w).scale(f)
+    assert curvature(conn, x, y, w.scale(f)) \
+        == curvature(conn, x, y, w).scale(f)
 
 
 def test_curvature_antisymmetry(heis6):
@@ -284,7 +321,7 @@ def test_curvature_antisymmetry(heis6):
     x = presentation.frame_field(0)
     y = presentation.frame_field(2)
     w = presentation.frame_field(3)
-    assert (conn.curvature(x, y, w) + conn.curvature(y, x, w)).is_zero()
+    assert (curvature(conn, x, y, w) + curvature(conn, y, x, w)).is_zero()
 
 
 def test_reeb_field_is_killing(heis6):
@@ -292,8 +329,8 @@ def test_reeb_field_is_killing(heis6):
     conn = LeviCivita(metric)
 
     def nabla(z):
-        return EndoField.from_columns(presentation, [
-            conn.nabla(presentation.frame_field(a), z).components
+        return EndoField.from_fields(presentation, [
+            conn.nabla(presentation.frame_field(a), z)
             for a in range(presentation.dim)])
 
     assert is_killing(nabla(presentation.frame_field(2)), metric)

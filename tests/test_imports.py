@@ -163,40 +163,18 @@ def _methods(tree):
     return methods
 
 
-# Methods that only the tests read, each with a test that reads it.  A scan
-# by name cannot tell two methods of one name apart, so a method is unread
-# only when no attribute or string in ``src/`` or ``bench/`` has its name.
-METHODS_READ_IN_TESTS = {
-    "Scenario.canonical_equal":
-        "test_corpus_cli.py::test_save_load_roundtrip",
-    "ScalarExpr.constant_value":
-        "test_scalars.py::test_constant_value_is_a_fraction",
-    "ScalarExpr.evaluate_float":
-        "test_oracle.py::test_float_grid_matches_evaluate_float",
-    "Subframe.ambient_field":
-        "test_frames.py::test_bracket_on_a_subframe_context",
-}
-
-
 def test_every_method_is_read():
     """A method of a library class is read as an attribute, or named in a
-    string, in ``src/`` or ``bench/``; the exceptions are listed above, and
-    each of them must still be unread there."""
+    string, in ``src/`` or ``bench/``.  A helper that only the tests read
+    lives in ``tests/conftest.py``.  A scan by name cannot tell two methods
+    of one name apart, so a method is unread only when no attribute or
+    string in ``src/`` or ``bench/`` has its name."""
     mentioned = _mentioned_in_src_and_bench()
     unread = sorted(
         name for module in MODULES
         for name in _methods(_parse(os.path.join(SRC, module)))
         if name.split(".")[1] not in mentioned)
-    assert unread == sorted(METHODS_READ_IN_TESTS)
-
-
-@pytest.mark.parametrize("method", sorted(METHODS_READ_IN_TESTS))
-def test_each_method_read_in_tests_has_its_test(method):
-    path, test = METHODS_READ_IN_TESTS[method].split("::")
-    tree = _parse(os.path.join(ROOT, "tests", path))
-    body = next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == test)
-    assert method.split(".")[1] in _mentioned(body)
+    assert unread == []
 
 
 def test_an_unread_method_is_found():

@@ -73,3 +73,17 @@ def test_a_chart_domain_warning_reaches_its_row_and_its_expectation():
     rows = {row.id: row for row in run_checks(scenario, seed=1).rows}
     assert (rows["pair.valid"].verdict, rows["pair.valid"].witness) \
         == ("pass", "")
+
+
+def test_a_metric_with_a_pole_at_the_base_point_is_named(tmp_path):
+    scenario = corpus_build("heis6")
+    # x = 0 at the base point
+    scenario.metric[0][0] = "1 + 1/x"
+    path = tmp_path / "metric-pole.json"
+    save_scenario(scenario, str(path))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli_main(["verify", "--input", str(path)], out=out, err=err) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith(
+        "error: metric has a pole at the base point (pole at {")
+    assert "'x': Fraction(0, 1)" in err.getvalue()

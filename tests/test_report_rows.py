@@ -10,6 +10,7 @@ row is compared byte for byte.
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -65,10 +66,14 @@ def test_report_rows_match_the_golden_file(golden, label, seed):
 
 
 def test_the_certified_pipeline_evaluates_no_float(golden, monkeypatch):
-    def refuse(self, point):
-        raise AssertionError("evaluate_float called by run_checks")
+    # the float evaluator of a ScalarExpr is a test helper in conftest; a
+    # float evaluation at a base or probe point, whose coordinates are
+    # Fractions, would go through Fraction.__float__
+    def refuse(self):
+        raise AssertionError("float of an exact value in run_checks")
 
-    monkeypatch.setattr(ScalarExpr, "evaluate_float", refuse)
+    assert not hasattr(ScalarExpr, "evaluate_float")
+    monkeypatch.setattr(Fraction, "__float__", refuse)
     for label in CORPUS_NAMES:
         assert rows(label, 1) == golden[label]["1"], label
 
