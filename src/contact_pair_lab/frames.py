@@ -122,6 +122,7 @@ class FrameContext:
         self.dim = len(self.fields)
         self.zero = ambient.zero
         self.one = ambient.one
+        self._directions: Dict[Tuple[int, ScalarExpr], ScalarExpr] = {}
         r = self.dim
         self._structure: Dict[Tuple[int, int], VectorField] = {}
         for a in range(r):
@@ -142,7 +143,14 @@ class FrameContext:
         return VectorField.from_support(self, ((a, self.one),))
 
     def direction(self, a: int, f: ScalarExpr) -> ScalarExpr:
-        return self.fields[a].apply(f)
+        """e_a(f), computed once per non-constant f and kept with the
+        frame."""
+        if f.is_constant():
+            return self.zero
+        key = (a, f)
+        if key not in self._directions:
+            self._directions[key] = self.fields[a].apply(f)
+        return self._directions[key]
 
     def frame_bracket(self, a: int, b: int) -> "VectorField":
         """[e_a, e_b], whose components are C^c_ab."""

@@ -22,16 +22,27 @@ and inverses, d(F^-1) = -F^-1 (dF) F^-1 and its second-order form
 (forward-mode Taylor propagation; Griewank and Walther, Evaluating
 Derivatives, 2nd ed., ch. 13).  No step size enters anywhere.
 
-- Order 2: the metric chain g = F^-T G F^-1, then Gamma and its gradient,
-  then R, for `curvature.reeb_identity`; and alpha_1, alpha_2, whose
-  Hessians give d(d alpha) and the derivative of the Reeb fields through
-  the differentiated Reeb system M dZ = -(dM) Z.  An order-2 evaluation
-  takes one probe point at a time, which keeps peak memory that of one
-  point's n^4 Hessian of g.
-- Order 1: g and Gamma, phi and its gradient, the span tangents, each
-  batched over the probe points.
-- Order 0: the exact Reeb components and the regularity test of probe
-  sampling.
+Every stage below order 2 runs once on the whole probe stack [p, ...]:
+
+- Order 0: probe sampling and the exact Reeb components.  Candidates are
+  drawn in blocks and tested with one stacked regularity mask (poles,
+  |det F| < 1e-8, non-finite metric, phi or forms); a pole drops its
+  candidate before any division, so it neither raises nor warns for the
+  rest of the block.
+- Order 1: g, Gamma, phi and its gradient from one evaluation and
+  inversion of the frame F; the mean curvature of a submanifold, over
+  [p, a, b, k] at once; the split of the tangent space into the two
+  foliations and the split formula of `curvature.reeb_identity`.
+- Order 2 stays one probe point at a time, which keeps peak memory that
+  of one point's n^4 Hessian of g: the metric chain g = F^-T G F^-1, then
+  Gamma and its gradient, then R, contracted with Z_1 + Z_2 at that point
+  before the next one; and alpha_1, alpha_2, whose Hessians give
+  d(d alpha) and the derivative of the Reeb fields through the
+  differentiated Reeb system M dZ = -(dM) Z.
+
+Constant polynomials skip the powers: an exponent matrix that holds only
+the zero monomial (the Gram matrix, most denominators) has the jet 1, 0,
+0.
 
 Each scenario has one float view (`_View`) per probe count and seed, kept
 in its `_cache` next to the exact objects: the compiled grids, the probe
@@ -73,6 +84,10 @@ class _Jet:
     def __init__(self, value: np.ndarray, grad: Optional[np.ndarray] = None,
                  hess: Optional[np.ndarray] = None):
         self.value, self.grad, self.hess = value, grad, hess
+
+    @property
+    def order(self) -> int:
+        return 0 if self.grad is None else 1 if self.hess is None else 2
 
     @property
     def T(self) -> "_Jet":
@@ -137,16 +152,26 @@ class _FloatGrid:
     def __call__(self, xs: Points) -> np.ndarray:
         return self.jet(xs, 0).value
 
+    def _denominator(self, xs: Points, order: int
+                     ) -> Tuple[List[np.ndarray], np.ndarray]:
+        """The denominators' jet parts to the order, and which points zero
+        some denominator, [p]."""
+        den = [part @ self.den[1]
+               for part in _monomial_jet(xs, self.den[0], order)]
+        return den, (den[0] == 0.0).any(axis=1)
+
+    def poles(self, xs: Points) -> np.ndarray:
+        """Which points zero some denominator, [p]."""
+        return self._denominator(xs, 0)[1]
+
     def jet(self, xs: Points, order: int) -> _Jet:
         """The entries' jet of the given order (0, 1 or 2) at each point:
         value [p, *shape], grad [p, a, *shape], hess [p, a, b, *shape]."""
         num = [part @ self.num[1] for part in _monomial_jet(xs, self.num[0],
                                                             order)]
-        den = [part @ self.den[1] for part in _monomial_jet(xs, self.den[0],
-                                                            order)]
-        if not den[0].all():
-            point = xs[np.nonzero(den[0] == 0.0)[0][0]]
-            raise PoleError(f"pole at {point.tolist()}")
+        den, poles = self._denominator(xs, order)
+        if poles.any():
+            raise PoleError(f"pole at {xs[np.argmax(poles)].tolist()}")
         # quotient rule for f = N / D, from N = f D differentiated
         value = num[0] / den[0]
         parts = [value]
@@ -167,6 +192,12 @@ def _monomial_jet(xs: Points, exps: np.ndarray, order: int
     """The monomials x^e at each point, [p, t], with their first partials
     [p, c, t] and second partials [p, a, b, t] up to the order: a partial
     replaces the factor x_c^e_c by its derivative, exactly."""
+    if not exps.any():
+        # constant entries: the zero monomial is 1 and its partials vanish
+        k, n = xs.shape
+        return [np.ones((k, len(exps)))] + [
+            np.zeros((k,) + (n,) * rank + (len(exps),))
+            for rank in range(1, order + 1)]
     powers = xs[:, None, :] ** exps  # [p, t, c]
     parts = [powers.prod(-1)]
     if order < 1:
@@ -211,42 +242,65 @@ class _Numeric:
 
     # -- jets on stacks of points ---------------------------------------
 
-    def metric(self, xs: Points, order: int) -> _Jet:
-        """g = F^-T G F^-1 in coordinates, F the frame matrix (column b is
-        the field e_b) and G the Gram matrix."""
-        inverse = self.frame_at.jet(xs, order).inverse()
-        return inverse.T @ self.gram_at.jet(xs, order) @ inverse
+    def metric(self, xs: Points, inverse: _Jet) -> _Jet:
+        """g = F^-T G F^-1 in coordinates, from the jet of F^-1 at the
+        points: F is the frame matrix (column b is the field e_b) and G the
+        Gram matrix, evaluated to the order of that jet."""
+        return inverse.T @ self.gram_at.jet(xs, inverse.order) @ inverse
 
-    def phi(self, xs: Points, order: int) -> _Jet:
-        frame = self.frame_at.jet(xs, order)
-        return frame @ self.phi_grid.jet(xs, order) @ frame.inverse()
+    def phi(self, xs: Points, frame: _Jet, inverse: _Jet) -> _Jet:
+        """phi = F P F^-1 in coordinates, from the jets of F and F^-1; P is
+        phi's matrix in the frame."""
+        return frame @ self.phi_grid.jet(xs, frame.order) @ inverse
 
     # -- probe sampling -------------------------------------------------
 
     def probe_points(self, count: int, seed: int) -> Points:
+        """The first ``count`` regular candidates base + U[-0.5, 0.5]^n of
+        random.Random(seed), drawn in blocks of ``count`` and tested with
+        one stacked mask per block; ValueError after _MAX_RESAMPLE
+        consecutive rejections."""
         rng = random.Random(seed)
-        points = []
+        points, rejected = [], 0
         while len(points) < count:
-            for _ in range(_MAX_RESAMPLE):
-                x = self.base + np.array([rng.uniform(-0.5, 0.5)
-                                          for _ in self.coords])
-                if self._regular(x):
+            block = self.base + np.array(
+                [[rng.uniform(-0.5, 0.5) for _ in self.coords]
+                 for _ in range(count)]).reshape(count, self.n)
+            for x, ok in zip(block, self._regular(block)):
+                if ok:
                     points.append(x)
-                    break
-            else:
-                raise ValueError("could not sample a regular probe point")
+                    rejected = 0
+                    if len(points) == count:
+                        break
+                else:
+                    rejected += 1
+                    if rejected == _MAX_RESAMPLE:
+                        raise ValueError(
+                            "could not sample a regular probe point")
         return np.array(points).reshape(count, self.n)
 
-    def _regular(self, x: np.ndarray) -> bool:
-        xs = x[None, :]
-        try:
-            if abs(np.linalg.det(self.frame_at(xs)[0])) < 1e-8:
-                return False
-            values = (self.metric(xs, 0).value, self.phi(xs, 0).value,
-                      self.alpha[0](xs), self.alpha[1](xs))
-        except (PoleError, np.linalg.LinAlgError):
-            return False
-        return all(np.isfinite(value).all() for value in values)
+    def _regular(self, xs: Points) -> np.ndarray:
+        """Which points of the stack are regular, [p]; one point [n] is a
+        stack of one.  A point is regular when no entry has a pole there,
+        |det F| >= 1e-8, and the metric, phi and the forms are finite.  A
+        point with a pole is dropped before any entry is divided, so it
+        neither raises nor warns for the rest."""
+        xs = np.atleast_2d(xs)
+        grids = (self.frame_at, self.gram_at, self.phi_grid) + self.alpha
+        ok = ~np.any([grid.poles(xs) for grid in grids], axis=0)
+        frames = self.frame_at(xs[ok])
+        invertible = (~(np.abs(np.linalg.det(frames)) < 1e-8)
+                      & np.isfinite(frames).all(axis=(1, 2)))
+        ok[ok] = invertible
+        x, frame = xs[ok], _Jet(frames[invertible])
+        inverse = frame.inverse()
+        values = (self.metric(x, inverse).value,
+                  self.phi(x, frame, inverse).value,
+                  self.alpha[0](x), self.alpha[1](x))
+        ok[ok] = np.logical_and.reduce([
+            np.isfinite(value).all(axis=tuple(range(1, value.ndim)))
+            for value in values])
+        return ok
 
 
 class _View:
@@ -322,40 +376,72 @@ class _View:
         return total
 
     @cached_property
-    def _metric_jet(self) -> _Jet:
-        return self.num.metric(self.xs, 1)
+    def _metric_and_phi(self) -> Tuple[_Jet, _Jet]:
+        """The order-1 jets of g and phi, from one evaluation and inversion
+        of the frame matrix, which is not kept."""
+        frame = self.num.frame_at.jet(self.xs, 1)
+        inverse = frame.inverse()
+        return (self.num.metric(self.xs, inverse),
+                self.num.phi(self.xs, frame, inverse))
 
     @cached_property
     def metric(self) -> np.ndarray:
-        return self._metric_jet.value
+        return self._metric_and_phi[0].value
 
     @cached_property
     def christoffel(self) -> np.ndarray:
-        return _christoffel(self._metric_jet).value
+        return _christoffel(self._metric_and_phi[0]).value
 
-    def curvature(self, p: int) -> np.ndarray:
-        """R[l, k, a, b] at probe point p, from the order-2 metric chain
-        evaluated at that point alone."""
-        return _riemann(_christoffel(self.num.metric(self.xs[p:p + 1], 2)))[0]
+    def reeb_curvature(self) -> np.ndarray:
+        """R(e_a, e_b)(Z_1 + Z_2) at [p, a, b, l].  Each point's R comes
+        from the order-2 metric chain at that point alone and is contracted
+        with Z there, so no array holds more than one point's n^4
+        entries."""
+        z = self.reeb[0] + self.reeb[1]
+        values = []
+        for x, zp in zip(self.xs, z):
+            x = x[None]
+            g = self.num.metric(x, self.num.frame_at.jet(x, 2).inverse())
+            values.append(np.einsum("lkab,k->abl",
+                                    _riemann(_christoffel(g))[0], zp))
+        return np.stack(values)
 
-    @cached_property
+    @property
     def phi_jet(self) -> _Jet:
-        return self.num.phi(self.xs, 1)
+        return self._metric_and_phi[1]
 
     @cached_property
     def phi(self) -> np.ndarray:
         return self.phi_jet.value
 
-    def foliation_split(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Bases of the two integrable factors at each point: factor i is
-        the joint kernel of the other contact form and its differential."""
-        kernels = []
+    def foliation_split(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The projections [p, k, m] onto the two integrable factors, each
+        along the other: factor i is the joint kernel of the other contact
+        form and its differential.  None when at some point the two
+        kernels do not span the tangent space or overlap."""
+        n = self.num.n
+        bases, kernel = [], []
         for j in (1, 0):
             rows = np.concatenate([self.alpha[j][:, None, :],
                                    self.d_alpha[j].transpose(0, 2, 1)],
                                   axis=1)
-            kernels.append([_nullspace(matrix) for matrix in rows])
-        return list(zip(*kernels))
+            _, sigma, vt = np.linalg.svd(rows)
+            rank = (sigma > 1e-8 * np.maximum(1.0, sigma[:, :1])).sum(axis=1)
+            bases.append(vt)
+            kernel.append(np.arange(n) >= rank[:, None])  # rows of vt
+        dims = kernel[0].sum(axis=1)
+        if not (dims + kernel[1].sum(axis=1) == n).all():
+            return None
+        # columns: factor 1's kernel vectors, then factor 2's
+        basis = np.concatenate(bases, axis=1)[
+            np.concatenate(kernel, axis=1)].reshape(-1, n, n).swapaxes(1, 2)
+        try:
+            coefficients = np.linalg.inv(basis)
+        except np.linalg.LinAlgError:  # the two factors overlap
+            return None
+        first = (np.arange(n) < dims[:, None])[..., None]  # [p, m, 1]
+        return (basis @ (first * coefficients),
+                basis @ (~first * coefficients))
 
 
 def _view(scenario, probe_count: int, seed: int) -> _View:
@@ -394,14 +480,21 @@ def _christoffel(g: _Jet) -> _Jet:
         return (dg + np.einsum("...jil->...ijl", dg)
                 - np.einsum("...lij->...ijl", dg))
 
+    def raised(inverse, lowered):
+        # sum_l inverse[..., k, l] lowered[..., i, j, l] at [..., k, i, j],
+        # one matmul over the flattened (i, j)
+        n = lowered.shape[-1]
+        flat = lowered.reshape(lowered.shape[:-3] + (n * n, n))
+        out = inverse @ flat.swapaxes(-1, -2)
+        return out.reshape(out.shape[:-1] + (n, n))
+
     inverse = _Jet(g.value, None if g.hess is None else g.grad).inverse()
     lowered = first_kind(g.grad)
-    value = 0.5 * np.einsum("pkl,pijl->pkij", inverse.value, lowered)
+    value = 0.5 * raised(inverse.value, lowered)
     if g.hess is None:
         return _Jet(value)
-    grad = 0.5 * (np.einsum("pakl,pijl->pakij", inverse.grad, lowered)
-                  + np.einsum("pkl,paijl->pakij", inverse.value,
-                              first_kind(g.hess)))
+    grad = 0.5 * (raised(inverse.grad, lowered[:, None])
+                  + raised(inverse.value[:, None], first_kind(g.hess)))
     return _Jet(value, grad)
 
 
@@ -411,12 +504,6 @@ def _riemann(gamma: _Jet) -> np.ndarray:
     prod = np.einsum("plam,pmbk->plkab", gamma.value, gamma.value)
     return (derivative - derivative.swapaxes(3, 4)
             + prod - prod.swapaxes(3, 4))
-
-
-def _nullspace(matrix: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    _, sigma, vt = np.linalg.svd(matrix)
-    rank = int(np.sum(sigma > tol * max(1.0, sigma[0] if len(sigma) else 1.0)))
-    return vt[rank:].T
 
 
 # -- identity residuals ------------------------------------------------
@@ -490,27 +577,20 @@ def _residual_reeb_derivative(view: _View) -> np.ndarray:
 def _residual_curvature(view: _View) -> np.ndarray:
     """R(X, Y)Z against the split formula, for every pair of coordinate
     fields at once; both sides are antisymmetric in (X, Y)."""
-    n = view.num.n
-    z = view.reeb[0] + view.reeb[1]
-    values = []
-    for p, (b1, b2) in enumerate(view.foliation_split()):
-        basis = np.hstack([b1, b2])
-        if basis.shape[1] != n:
-            return np.array([np.inf])
-        try:
-            coefficients = np.linalg.solve(basis, np.eye(n))
-        except np.linalg.LinAlgError:  # the two factors overlap
-            return np.array([np.inf])
-        split = (b1 @ coefficients[:b1.shape[1]],
-                 b2 @ coefficients[b1.shape[1]:])
-        lhs = np.einsum("lkab,k->abl", view.curvature(p), z[p])
-        rhs = np.zeros((n, n, n))
-        for i in (0, 1):
-            forms = view.alpha[i][p] @ split[i]  # alpha_i of split columns
-            rhs += (forms[None, :, None] * split[i].T[:, None, :]
-                    - forms[:, None, None] * split[i].T[None, :, :])
-        values.append(lhs - rhs)
-    return np.stack(values)
+    split = view.foliation_split()
+    if split is None:
+        return np.array([np.inf])
+    # the left side first: its per-point order-2 chain is the peak of
+    # memory, and no array of the right side is alive during it
+    lhs = view.reeb_curvature()
+    rhs = 0.0
+    for alpha, part in zip(view.alpha, split):
+        forms = np.einsum("pk,pkm->pm", alpha, part)  # alpha_i of columns
+        columns = part.swapaxes(1, 2)  # [p, m, l]
+        rhs = rhs + (forms[:, None, :, None] * columns[:, :, None, :]
+                     - forms[:, :, None, None] * columns[:, None, :, :])
+    lhs -= rhs
+    return lhs
 
 
 def _residual_minimal(view: _View, span_texts) -> np.ndarray:
@@ -519,28 +599,21 @@ def _residual_minimal(view: _View, span_texts) -> np.ndarray:
     The span fields, Christoffel symbols and tangential projections are
     all recomputed in floating point, so a small value independently
     certifies minimality and a large value certifies its failure."""
-    num = view.num
-    span = num.grid(span_texts)  # row b: field b
-    rank = span.shape[0]
+    span = view.num.grid(span_texts)  # row b: field b
     # column b: field b in coordinates; grad[p, i, k, b] = d_i of its
     # component k
-    tangents = num.frame_at.jet(view.xs, 1) @ span.jet(view.xs, 1).T
-    means = []
-    for gamma, g, tangent, dv in zip(view.christoffel, view.metric,
-                                     tangents.value, tangents.grad):
-        gram = tangent.T @ g @ tangent
-        gram_inv = np.linalg.inv(gram)
-        mean = np.zeros(num.n)
-        for a in range(rank):
-            u = tangent[:, a]
-            for b in range(rank):
-                nabla = u @ dv[:, :, b] + np.einsum("kij,i,j->k", gamma, u,
-                                                   tangent[:, b])
-                coeff = np.linalg.solve(gram, tangent.T @ g @ nabla)
-                normal = nabla - tangent @ coeff
-                mean += gram_inv[a, b] * normal
-        means.append(mean / rank)
-    return np.array(means)
+    tangents = view.num.frame_at.jet(view.xs, 1) @ span.jet(view.xs, 1).T
+    t = tangents.value
+    lowered = t.swapaxes(1, 2) @ view.metric  # [p, b, k]: g(T_b, .)
+    gram = lowered @ t
+    # nabla_{T_a} T_b = T_a^i (d_i T_b^k + Gamma^k_ij T_b^j), [p, a, b, k]
+    covariant = tangents.grad + (view.christoffel @ t[:, None]).swapaxes(1, 2)
+    nabla = np.einsum("pia,pikb->pabk", t, covariant)
+    coeff = np.linalg.solve(gram[:, None, None],
+                            lowered[:, None, None] @ nabla[..., None])
+    normal = nabla - (t[:, None, None] @ coeff)[..., 0]
+    return (np.einsum("pab,pabk->pk", np.linalg.inv(gram), normal)
+            / span.shape[0])
 
 
 _RESIDUALS = {

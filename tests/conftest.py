@@ -168,6 +168,15 @@ def twisted_phi_structure(scenario):
     return EndoField(presentation, rows)
 
 
+def twisted_heis6():
+    """heis6 with the twisted phi of ``twisted_phi_structure``, as texts."""
+    scenario = corpus_build("heis6")
+    phi = twisted_phi_structure(scenario)
+    scenario.phi = [[str(entry) for entry in row] for row in phi.matrix]
+    scenario._cache.clear()
+    return scenario
+
+
 def scaled_metric(scenario):
     """heis6 Gram matrix with the first horizontal block scaled by 2;
     the result is a Riemannian metric that is not associated."""

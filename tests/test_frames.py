@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from contact_pair_lab import CORPUS_NAMES, Subframe, corpus_build, linalg
+from contact_pair_lab import (CORPUS_NAMES, Subframe, corpus_build, linalg,
+                              run_checks)
+from contact_pair_lab import frames
 from contact_pair_lab.frames import (ChartDomainWarning, EndoField,
                                      FrameError, FramePresentation,
                                      LeviCivita, MetricField, _polynomial,
@@ -21,7 +23,7 @@ from contact_pair_lab.frames import bracket
 from contact_pair_lab.scalars import ScalarError, ScalarExpr, parse_expr
 from conftest import (FOUR_FIELD_GAUGE, ambient_field, certify_jacobi,
                       curvature, gauged_heis6, sample_fields,
-                      twisted_phi_structure)
+                      twisted_heis6, twisted_phi_structure)
 
 
 @pytest.fixture(scope="module")
@@ -537,3 +539,31 @@ def test_poles_are_irregular_and_other_errors_propagate():
     with pytest.raises(ValueError):
         nonvanishing_certificate("malformed", values,
                                  [{"x": "not a number", "y": 0}])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gauged_heis6(corpus_build("heis6"), FOUR_FIELD_GAUGE),
+    twisted_heis6], ids=["heis6-gauged4", "heis6-twisted"])
+def test_each_direction_is_differentiated_once(monkeypatch, make):
+    """A verify pass asks for the same e_a(f) again and again (about 4.4
+    times each on the nonconstant workload); each frame keeps what it
+    computed, so the chart differentiates at most once per distinct
+    (context, a, f) that some context was asked for."""
+    run_checks(make(), seed=1)
+    asked, differentiated = set(), []
+    for cls in (frames.FrameContext, frames._Chart):
+        def spy(self, a, f, _direction=cls.direction):
+            if not f.is_constant():
+                asked.add((id(self), a, f))
+            return _direction(self, a, f)
+        monkeypatch.setattr(cls, "direction", spy)
+    differentiate = ScalarExpr.differentiate
+
+    def counted(self, coord):
+        differentiated.append((self, coord))
+        return differentiate(self, coord)
+
+    monkeypatch.setattr(ScalarExpr, "differentiate", counted)
+    run_checks(make(), seed=1)
+    assert asked and len(differentiated) <= len(asked), \
+        (len(differentiated), len(asked))

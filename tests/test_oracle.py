@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import types
 
 import numpy as np
@@ -12,7 +13,7 @@ from contact_pair_lab import (CORPUS_NAMES, ORACLE_IDS, ValidationError,
 from contact_pair_lab import oracle
 from contact_pair_lab.scalars import PoleError, parse_expr
 from conftest import (FOUR_FIELD_GAUGE, evaluate_float, gauged_heis6,
-                      twisted_phi_structure)
+                      twisted_heis6)
 from test_scalars import VARS, exprs, points
 
 ALGEBRAIC_TOL = 1e-9
@@ -237,6 +238,11 @@ _DENSE_CHART = types.SimpleNamespace(
     phi=[["0"] * 3] * 3, alpha1=["0", "0", "1"], alpha2=["1", "0", "0"])
 
 
+def _metric(numeric, xs, order):
+    """The coordinate metric's jet of the given order at the points."""
+    return numeric.metric(xs, numeric.frame_at.jet(xs, order).inverse())
+
+
 @pytest.mark.parametrize("scenario", [
     gauged_heis6(corpus_build("heis6"), FOUR_FIELD_GAUGE), _DENSE_CHART],
     ids=["heis6-gauged4", "dense-chart"])
@@ -244,18 +250,18 @@ def test_metric_chain_matches_central_differences(scenario):
     numeric = oracle._Numeric(scenario)
     for x in numeric.probe_points(3, seed=2):
         x = x[None]
-        g = numeric.metric(x, 2)
-        np.testing.assert_array_equal(g.value, numeric.metric(x, 0).value)
+        g = _metric(numeric, x, 2)
+        np.testing.assert_array_equal(g.value, _metric(numeric, x, 0).value)
         _assert_matches_differences(g.grad[0],
-                                    lambda y: numeric.metric(y, 0).value[0],
+                                    lambda y: _metric(numeric, y, 0).value[0],
                                     x, 1.0)
         _assert_matches_differences(g.hess[0],
-                                    lambda y: numeric.metric(y, 1).grad[0],
+                                    lambda y: _metric(numeric, y, 1).grad[0],
                                     x, 1.0)
         gamma = oracle._christoffel(g)
         _assert_matches_differences(
             gamma.grad[0],
-            lambda y: oracle._christoffel(numeric.metric(y, 1)).value[0],
+            lambda y: oracle._christoffel(_metric(numeric, y, 1)).value[0],
             x, 1.0)
 
 
@@ -321,16 +327,10 @@ def test_residuals_match_the_pointwise_reference(name, identity_id):
 
 # -- one float view per scenario -----------------------------------------
 
-def _twisted_heis6():
-    scenario = corpus_build("heis6")
-    phi = twisted_phi_structure(scenario)
-    scenario.phi = [[str(entry) for entry in row] for row in phi.matrix]
-    scenario._cache.clear()
-    return scenario
-
-
 def _scenario(name):
-    return _twisted_heis6() if name == "heis6-twisted" else corpus_build(name)
+    if name == "heis6-gauged":
+        return gauged_heis6(corpus_build("heis6"), FOUR_FIELD_GAUGE)
+    return twisted_heis6() if name == "heis6-twisted" else corpus_build(name)
 
 
 def _all_ids(scenario):
@@ -419,3 +419,193 @@ def test_a_replaced_scenario_gets_a_view_of_its_own():
     broken = dataclasses.replace(scenario, metric=metric)
     assert numeric_oracle(broken, "metric.associated",
                           probe_count=4) > NONZERO_FLOOR
+
+
+# -- stacked stages against their per-point loops ---------------------------
+
+def _nullspace(matrix, tol=1e-8):
+    _, sigma, vt = np.linalg.svd(matrix)
+    rank = int(np.sum(sigma > tol * max(1.0, sigma[0])))
+    return vt[rank:].T
+
+
+def _curvature_by_point(view):
+    """curvature.reeb_identity's residual, one probe point at a time."""
+    n = view.num.n
+    z = view.reeb[0] + view.reeb[1]
+    values = []
+    for p, x in enumerate(view.xs):
+        b1, b2 = (_nullspace(np.vstack([view.alpha[j][p], view.d_alpha[j][p].T]))
+                  for j in (1, 0))
+        basis = np.hstack([b1, b2])
+        if basis.shape[1] != n:
+            return np.array([np.inf])
+        try:
+            coefficients = np.linalg.solve(basis, np.eye(n))
+        except np.linalg.LinAlgError:
+            return np.array([np.inf])
+        split = (b1 @ coefficients[:b1.shape[1]],
+                 b2 @ coefficients[b1.shape[1]:])
+        riemann = oracle._riemann(oracle._christoffel(
+            _metric(view.num, x[None], 2)))[0]
+        lhs = np.einsum("lkab,k->abl", riemann, z[p])
+        rhs = np.zeros((n, n, n))
+        for i in (0, 1):
+            forms = view.alpha[i][p] @ split[i]
+            rhs += (forms[None, :, None] * split[i].T[:, None, :]
+                    - forms[:, None, None] * split[i].T[None, :, :])
+        values.append(lhs - rhs)
+    return np.stack(values)
+
+
+def _minimal_by_point(view, span_texts):
+    """A submanifold's mean curvature vector, one probe point and one pair
+    (a, b) of span fields at a time."""
+    num = view.num
+    span = num.grid(span_texts)
+    rank = span.shape[0]
+    tangents = num.frame_at.jet(view.xs, 1) @ span.jet(view.xs, 1).T
+    means = []
+    for gamma, g, tangent, dv in zip(view.christoffel, view.metric,
+                                     tangents.value, tangents.grad):
+        gram = tangent.T @ g @ tangent
+        gram_inv = np.linalg.inv(gram)
+        mean = np.zeros(num.n)
+        for a in range(rank):
+            u = tangent[:, a]
+            for b in range(rank):
+                nabla = u @ dv[:, :, b] + np.einsum("kij,i,j->k", gamma, u,
+                                                   tangent[:, b])
+                coeff = np.linalg.solve(gram, tangent.T @ g @ nabla)
+                mean += gram_inv[a, b] * (nabla - tangent @ coeff)
+        means.append(mean / rank)
+    return np.array(means)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ("heis6-gauged",
+                                                 "heis6-twisted"))
+def test_stacked_residuals_match_the_pointwise_loops(name):
+    scenario = _scenario(name)
+    view = oracle._view(scenario, 8, 1)
+    np.testing.assert_allclose(oracle._residual_curvature(view),
+                               _curvature_by_point(view), rtol=0, atol=1e-12)
+    for span in scenario.submanifolds.values():
+        np.testing.assert_allclose(oracle._residual_minimal(view, span),
+                                   _minimal_by_point(view, span),
+                                   rtol=0, atol=1e-12)
+
+
+def _regular_by_point(numeric, x):
+    """The regularity rules for one candidate alone: no pole, |det F| at
+    least 1e-8, an invertible frame, and finite metric, phi and forms."""
+    xs = x[None]
+    try:
+        frame = numeric.frame_at.jet(xs, 0)
+        if abs(np.linalg.det(frame.value[0])) < 1e-8:
+            return False
+        inverse = frame.inverse()
+        values = (numeric.metric(xs, inverse).value,
+                  numeric.phi(xs, frame, inverse).value,
+                  numeric.alpha[0](xs), numeric.alpha[1](xs))
+    except (PoleError, np.linalg.LinAlgError):
+        return False
+    return all(np.isfinite(value).all() for value in values)
+
+
+def _probes_by_point(numeric, count, seed):
+    """Each probe point is the first regular candidate of at most
+    _MAX_RESAMPLE drawn after the previous one."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        for _ in range(oracle._MAX_RESAMPLE):
+            x = numeric.base + np.array([rng.uniform(-0.5, 0.5)
+                                         for _ in numeric.coords])
+            if _regular_by_point(numeric, x):
+                points.append(x)
+                break
+        else:
+            raise ValueError("could not sample a regular probe point")
+    return np.array(points).reshape(count, numeric.n)
+
+
+def _pole_in_the_box():
+    """heis6 with u based at 2^52, where a ±0.5 step rounds to 2^52 itself
+    about three times in four, and a frame entry with its pole there."""
+    scenario = corpus_build("heis6")
+    scenario.base_point = dict(scenario.base_point, u=str(2 ** 52))
+    scenario.frame[0][1] = f"1/(u - {2 ** 52})"
+    return scenario
+
+
+def _outcome(sample, *args):
+    try:
+        return sample(*args).tolist()
+    except ValueError:
+        return "ValueError"
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ("pole-in-the-box",))
+@pytest.mark.parametrize("max_resample", [oracle._MAX_RESAMPLE, 8])
+def test_stacked_sampling_draws_the_pointwise_probes(monkeypatch, name,
+                                                     max_resample):
+    # with at most 8 rejections in a row, the pole scenario gives up on
+    # some seeds and not on others: both samplers must agree on each
+    monkeypatch.setattr(oracle, "_MAX_RESAMPLE", max_resample)
+    scenario = _pole_in_the_box() if name == "pole-in-the-box" \
+        else corpus_build(name)
+    numeric = oracle._Numeric(scenario)
+    outcomes = []
+    for seed in range(1, 6):
+        outcomes.append(_outcome(numeric.probe_points, 8, seed))
+        assert outcomes[-1] == _outcome(_probes_by_point, numeric, 8, seed)
+    if name == "pole-in-the-box":
+        given_up = outcomes.count("ValueError")
+        assert 0 < given_up < 5 if max_resample == 8 else given_up == 0
+
+
+def test_a_pole_in_one_candidate_masks_that_candidate_alone():
+    numeric = oracle._Numeric(_pole_in_the_box())
+    block = numeric.base + np.array([[0.0] * 6, [0.0, 0.0, 0.0, -0.5, 0, 0]])
+    np.testing.assert_array_equal(numeric._regular(block), [False, True])
+
+
+def test_a_frame_singular_everywhere_gives_up_after_max_resample(
+        monkeypatch):
+    scenario = corpus_build("heis6")
+    scenario.frame[0][0] = "0"
+    numeric = oracle._Numeric(scenario)
+    tested = []
+    regular = oracle._Numeric._regular
+
+    def spy(self, xs):
+        tested.extend(xs)
+        return regular(self, xs)
+
+    monkeypatch.setattr(oracle._Numeric, "_regular", spy)
+    with pytest.raises(ValueError):
+        numeric.probe_points(8, seed=1)
+    assert oracle._MAX_RESAMPLE <= len(tested) < oracle._MAX_RESAMPLE + 8
+
+
+def test_a_heis6_sweep_evaluates_each_grid_once_below_order_2(monkeypatch):
+    """Below order 2 each grid is evaluated on the whole probe stack: the
+    pointwise sampler took 58 order-0 evaluations (seven per candidate,
+    and two for pair.reeb) and 10 order-1 ones (the frame once for g and
+    once for phi)."""
+    scenario = corpus_build("heis6")
+    calls = {0: 0, 1: 0, 2: 0}
+    jet = oracle._FloatGrid.jet
+
+    def spy(self, xs, order):
+        calls[order] += 1
+        return jet(self, xs, order)
+
+    monkeypatch.setattr(oracle._FloatGrid, "jet", spy)
+    for identity_id in _all_ids(scenario):
+        numeric_oracle(scenario, identity_id, probe_count=8)
+    # order 0: the sampler's frame, Gram matrix, phi and two forms, and the
+    # frame and exact Reeb fields of pair.reeb; order 1: one frame, Gram
+    # matrix and phi for g and phi, and the frame and span of each of the
+    # three submanifolds
+    assert (calls[0], calls[1]) == (7, 9)
