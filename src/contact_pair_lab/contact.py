@@ -12,6 +12,11 @@ nabla phi, nabla J and the normality report, its four findings.  A check
 reads columns of these endomorphisms, and an identity between
 endomorphisms is witnessed by its first differing column.  One test,
 ``pair_type_findings``, decides the type (h, k) of every pair of forms.
+
+A contact pair certifies its type, [Z1, Z2] = 0 and the rank of its
+splitting at the base point; the rest follows from the type (see
+``validate_contact_pair``).  ``ContactPair.splitting`` holds H1 and H2,
+one kernel each, and TF1 = H1 + [Z2], TF2 = H2 + [Z1].
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .frames import (EndoField, FramePresentation, LeviCivita, MetricField,
-                     PForm, VectorField, add_term, bracket, cartan_class,
-                     eval_form, exterior_derivative, form_power, interior,
-                     is_killing, lie_derivative_endo, nijenhuis,
+                     PForm, VectorField, add_term, bracket, eval_form,
+                     exterior_derivative, form_power, interior, is_killing,
+                     lie_derivative_endo, nijenhuis,
                      nonvanishing_certificate, orthogonal_projector,
                      pole_polynomial, seeded_probe_points, wedge)
 from .scalars import ScalarError, ScalarExpr
@@ -107,26 +112,16 @@ def solve_reeb(presentation: FramePresentation, alpha1: PForm, alpha2: PForm,
     return solutions[0], solutions[1]
 
 
-def _kernel_fields(presentation: FramePresentation,
-                   rows: List[List[ScalarExpr]]) -> List[VectorField]:
-    return [VectorField(presentation, tuple(vec))
-            for vec in linalg.kernel_basis(rows)]
-
-
 def _splitting(presentation: FramePresentation, alpha1: PForm, alpha2: PForm,
                d_alpha1: PForm, d_alpha2: PForm, z1: VectorField,
                z2: VectorField) -> Dict[str, List[VectorField]]:
     a1_row, a2_row, d1_rows, d2_rows = _reeb_rows(
         presentation.dim, alpha1, alpha2, d_alpha1, d_alpha2)
-    return {
-        "H1": _kernel_fields(presentation, d1_rows + [a1_row, a2_row]),
-        "H2": _kernel_fields(presentation, d2_rows + [a1_row, a2_row]),
-        "V": [z1, z2],
-        "TF1": _kernel_fields(presentation, d1_rows + [a1_row]),
-        "TF2": _kernel_fields(presentation, d2_rows + [a2_row]),
-        "TG1": _kernel_fields(presentation, d1_rows),
-        "TG2": _kernel_fields(presentation, d2_rows),
-    }
+    # H_i = ker d(alpha_i) cap ker alpha_1 cap ker alpha_2
+    h1, h2 = ([VectorField(presentation, tuple(vec))
+               for vec in linalg.kernel_basis(rows + [a1_row, a2_row])]
+              for rows in (d1_rows, d2_rows))
+    return {"H1": h1, "H2": h2, "TF1": h1 + [z2], "TF2": h2 + [z1]}
 
 
 def pair_type_findings(alpha1: PForm, alpha2: PForm, d1: PForm, d2: PForm,
@@ -156,7 +151,18 @@ def pair_type_findings(alpha1: PForm, alpha2: PForm, d1: PForm, d2: PForm,
 def validate_contact_pair(presentation: FramePresentation, alpha1: PForm,
                           alpha2: PForm, h: int, k: int,
                           probes: Optional[Sequence] = None) -> ContactPair:
-    """Certify the contact pair conditions and produce the splitting."""
+    """Certify the contact pair conditions and produce the splitting.
+
+    Only the type (``pair_type_findings``), [Z1, Z2] = 0 and the
+    splitting's rank at the base point are certified; the rest follows.
+    (d alpha_1)^h divides the nonzero volume form and (d alpha_1)^(h+1)
+    = 0, so d(alpha_1) has rank 2h and a kernel of dimension 2k + 2.  That
+    kernel holds Z1 and Z2, with alpha_i(Z_j) = delta_ij: H1 has dimension
+    2k and TF1 = H1 + [Z2] 2k + 1.  alpha_1 ^ (d alpha_1)^h divides the
+    volume form too, so alpha_1 has Cartan class 2h + 1; where that
+    witness vanishes at a probe point, so does the volume form, whose
+    probe warns.  Likewise for alpha_2, with h and k swapped.
+    """
     n = presentation.dim
     if n != 2 * h + 2 * k + 2:
         raise ValidationError(
@@ -169,14 +175,6 @@ def validate_contact_pair(presentation: FramePresentation, alpha1: PForm,
     findings, top = pair_type_findings(alpha1, alpha2, d1, d2, h, k)
     if top is not None:
         nonvanishing_certificate("volume form", [top], points)
-
-    for name, form, expected in (("first", alpha1, 2 * h + 1),
-                                 ("second", alpha2, 2 * k + 1)):
-        cls = cartan_class(form, points, label=f"{name} 1-form")
-        findings.append(Finding(f"Cartan class of the {name} form",
-                                cls == expected,
-                                f"class {cls}, expected {expected}"))
-
     if any(not f.ok for f in findings):
         raise ValidationError("not a contact pair", findings)
 
@@ -187,14 +185,7 @@ def validate_contact_pair(presentation: FramePresentation, alpha1: PForm,
         raise ValidationError("not a contact pair", findings)
 
     split = _splitting(presentation, alpha1, alpha2, d1, d2, z1, z2)
-    expected_dims = {"H1": 2 * k, "H2": 2 * h, "V": 2,
-                     "TF1": 2 * k + 1, "TF2": 2 * h + 1,
-                     "TG1": 2 * k + 2, "TG2": 2 * h + 2}
-    for name, fields in split.items():
-        ok = len(fields) == expected_dims[name]
-        findings.append(Finding(f"splitting dimension of {name}", ok,
-                                f"dim {len(fields)}, expected {expected_dims[name]}"))
-    columns = split["H1"] + split["H2"] + split["V"]
+    columns = split["H1"] + split["H2"] + [z1, z2]
     try:
         rank = linalg.rational_rank([[f.components[a].evaluate(
             presentation.base_point) for f in columns] for a in range(n)])
@@ -203,7 +194,7 @@ def validate_contact_pair(presentation: FramePresentation, alpha1: PForm,
         spans, witness = False, f"splitting has a pole at the base point ({exc})"
     findings.append(Finding("pointwise splitting spans the tangent space",
                             spans, witness))
-    if any(not f.ok for f in findings):
+    if not spans:
         raise ValidationError("splitting failure", findings)
     return ContactPair(presentation, alpha1, alpha2, h, k, z1, z2, d1, d2,
                        split)
@@ -310,7 +301,9 @@ class MetricContactPair:
     reads, each built once on first use: the connection, nabla phi,
     nabla J, the projections ``pi`` and ``foliation``, the Reeb-sum
     tensors ``nabla_reeb`` and ``reeb_curvature`` and the ``normality``
-    report, its four findings."""
+    report, its four findings.  An associated metric is compatible, so
+    that implication is not certified: g(phi X, phi Y) = -g(Y, phi^2 X)
+    = g(X, Y) - sum_i alpha_i(X) alpha_i(Y)."""
 
     structure: ContactPairStructure
     metric: MetricField
@@ -318,7 +311,6 @@ class MetricContactPair:
     associated: Finding
     orthogonal_splitting: Finding
     probes: List[Dict[str, Fraction]]
-    findings: List[Finding]
 
     @property
     def pair(self) -> ContactPair:
@@ -427,7 +419,6 @@ def validate_metric(structure: ContactPairStructure, metric: MetricField,
     if probes is None:
         probes = seeded_probe_points(presentation)
     phi = structure.phi
-    findings: List[Finding] = []
 
     frame_fields = [presentation.frame_field(a) for a in range(n)]
     phi_fields = [phi.column(a) for a in range(n)]
@@ -462,9 +453,6 @@ def validate_metric(structure: ContactPairStructure, metric: MetricField,
         for i, (z, alpha) in enumerate(((pair.z1, a1), (pair.z2, a2)),
                                        start=1)
         for a, g_az in enumerate(metric.lower(z)))))
-    implied = compatible.ok or not associated.ok
-    findings.append(Finding("associated implies compatible", implied,
-                            "" if implied else compatible.witness))
 
     split = pair.splitting
     blocks = [("H1", split["H1"]), ("H2", split["H2"]),
@@ -478,7 +466,7 @@ def validate_metric(structure: ContactPairStructure, metric: MetricField,
         Finding("splitting is orthogonal", True))
 
     return MetricContactPair(structure, metric, compatible, associated,
-                             orthogonal, list(probes), findings)
+                             orthogonal, list(probes))
 
 
 @dataclass

@@ -637,9 +637,13 @@ def numeric_oracle(scenario, identity_id: str, probe_count: int = 8,
         raise ValueError("the oracle needs at least one probe point")
     if identity_id.startswith("submanifold.") \
             and identity_id.endswith(".minimal"):
-        span = scenario.submanifolds[
-            identity_id[len("submanifold."):-len(".minimal")]]
-        values = _residual_minimal(_view(scenario, probe_count, seed), span)
+        name = identity_id[len("submanifold."):-len(".minimal")]
+        if name not in scenario.submanifolds:
+            raise ValueError(f"scenario {scenario.name!r} has no submanifold "
+                             f"{name!r}; choose from "
+                             f"{', '.join(scenario.submanifolds) or 'none'}")
+        values = _residual_minimal(_view(scenario, probe_count, seed),
+                                   scenario.submanifolds[name])
     elif identity_id == "pair.reeb":
         values = _residual_reeb(_view(scenario, probe_count, seed), scenario)
     elif identity_id in _RESIDUALS:

@@ -3,13 +3,17 @@ import dataclasses
 import pytest
 
 from contact_pair_lab import (CHECK_IDS, CORPUS_NAMES, EndoField,
-                              ValidationError, check_connection_identities,
-                              check_curvature_identity, corpus_build,
-                              eval_form, hermitian_data, linalg, normality,
+                              ValidationError, cartan_class,
+                              check_connection_identities,
+                              check_curvature_identity, contact,
+                              corpus_build, eval_form, frames,
+                              hermitian_data, linalg, normality,
                               run_checks, seeded_probe_points,
                               validate_contact_pair, validate_metric,
                               validate_structure)
-from conftest import (build_mcp, perturbed_phi_structure, scaled_metric,
+from contact_pair_lab.frames import interior
+from conftest import (FOUR_FIELD_GAUGE, build_mcp, gauged_heis6,
+                      perturbed_phi_structure, scaled_metric,
                       twisted_phi_structure)
 
 
@@ -50,6 +54,70 @@ def test_reeb_fields_are_orthonormal(heis6_mcp):
     assert g.pair(pair.z1, pair.z1) == presentation.one
     assert g.pair(pair.z2, pair.z2) == presentation.one
     assert g.pair(pair.z1, pair.z2).is_zero()
+
+
+# -- the splitting ---------------------------------------------------------
+
+SPLIT_CASES = {
+    **{name: lambda name=name: corpus_build(name) for name in CORPUS_NAMES},
+    **{f"darboux-{h}-{k}": lambda h=h, k=k: corpus_build("darboux", (h, k))
+       for h in range(3) for k in range(3) if h + k >= 1},
+    "heis6-gauged4": lambda: gauged_heis6(corpus_build("heis6"),
+                                          FOUR_FIELD_GAUGE),
+}
+
+
+@pytest.mark.parametrize("label", SPLIT_CASES)
+def test_the_splitting_has_the_dimensions_and_classes_of_its_type(label):
+    """What ``validate_contact_pair`` no longer certifies: H_i and TF_i are
+    the kernels they stand for, with the dimensions of type (h, k), and
+    alpha_1, alpha_2 have Cartan classes 2h + 1, 2k + 1."""
+    scenario = SPLIT_CASES[label]()
+    pair = validate_contact_pair(scenario.presentation(), *scenario.forms(),
+                                 *scenario.pair_type)
+    n, h, k = pair.presentation.dim, pair.h, pair.k
+    for name, d_alpha, alphas, dim in (
+            ("H1", pair.d_alpha1, pair.alphas(), 2 * k),
+            ("H2", pair.d_alpha2, pair.alphas(), 2 * h),
+            ("TF1", pair.d_alpha1, (pair.alpha1,), 2 * k + 1),
+            ("TF2", pair.d_alpha2, (pair.alpha2,), 2 * h + 1)):
+        fields = pair.splitting[name]
+        assert len(fields) == dim, name
+        for f in fields:
+            assert interior(d_alpha, f).is_zero(), name
+            assert all(eval_form(alpha, f).is_zero() for alpha in alphas)
+        # independent, and the whole kernel of the rows that cut it out
+        if fields:
+            assert len(linalg.rref([[f.components[a] for f in fields]
+                                    for a in range(n)])[1]) == dim, name
+        rows = [[d_alpha.get((a, b)) for a in range(n)] for b in range(n)]
+        rows += [[alpha.get((a,)) for a in range(n)] for alpha in alphas]
+        assert len(linalg.kernel_basis(rows)) == dim, name
+    assert cartan_class(pair.alpha1) == 2 * h + 1
+    assert cartan_class(pair.alpha2) == 2 * k + 1
+
+
+def test_a_contact_pair_reduces_two_kernels_and_no_cartan_class(
+        monkeypatch):
+    scenario = corpus_build("heis6")
+    presentation, forms = scenario.presentation(), scenario.forms()
+    calls = []
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "kernel_basis",
+                        counted("kernel_basis", linalg.kernel_basis))
+    for module in (frames, contact):
+        monkeypatch.setattr(module, "cartan_class",
+                            counted("cartan_class", frames.cartan_class),
+                            raising=False)
+    pair = validate_contact_pair(presentation, *forms, *scenario.pair_type)
+    assert calls == ["kernel_basis", "kernel_basis"]
+    assert set(pair.splitting) == {"H1", "H2", "TF1", "TF2"}
 
 
 # -- the two almost complex structures ----------------------------------

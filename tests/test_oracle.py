@@ -111,6 +111,11 @@ def test_oracle_is_deterministic_for_a_seed():
 def test_unknown_identity_rejected():
     with pytest.raises(ValueError):
         numeric_oracle(corpus_build("heis6"), "no-such-identity")
+    scenario = corpus_build("heis6")
+    with pytest.raises(ValueError, match="no submanifold 'nope'") as info:
+        numeric_oracle(scenario, "submanifold.nope.minimal")
+    for name in scenario.submanifolds:
+        assert name in str(info.value)
 
 
 @pytest.mark.parametrize("identity_id", ["d_squared",

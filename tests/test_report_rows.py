@@ -1,8 +1,9 @@
 """Golden report rows: (id, verdict, witness) of ``run_checks`` at probe
-seeds 1 and 7, on every corpus scenario and on heis6 with the five
-negative controls of ``conftest``.  The controls give failing witnesses
-for most derived identities, so a rewrite of a check that changes a
-witness shows here.
+seeds 1 and 7, on every corpus scenario, on heis6 with the five
+negative controls of ``conftest`` and on darboux of types (2,0), (0,2)
+and (2,2).  The controls give failing witnesses for most derived
+identities, so a rewrite of a check that changes a witness shows here;
+the darboux types cover an empty H1 or H2 and the largest type.
 
 The file ``data/report_rows.json`` is written by ``golden_rows()``; every
 row is compared byte for byte.
@@ -30,7 +31,9 @@ CONTROLS = {
     "heis6-mixed-phi": ("phi", mixed_phi_structure),
     "heis6-skew-metric": ("metric", skew_metric),
 }
-LABELS = CORPUS_NAMES + tuple(CONTROLS)
+DARBOUX_TYPES = {"darboux-2-0": (2, 0), "darboux-0-2": (0, 2),
+                 "darboux-2-2": (2, 2)}
+LABELS = CORPUS_NAMES + tuple(CONTROLS) + tuple(DARBOUX_TYPES)
 
 
 def build(label):
@@ -39,6 +42,8 @@ def build(label):
         scenario = corpus_build("heis6")
         scenario._cache[key] = make(scenario)
         return scenario
+    if label in DARBOUX_TYPES:
+        return corpus_build("darboux", DARBOUX_TYPES[label])
     return corpus_build(label)
 
 

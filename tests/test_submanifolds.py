@@ -101,10 +101,13 @@ def test_mean_curvature_is_span_intrinsic(noninvariant):
 
 def test_characteristic_foliation_leaves_are_minimal(heis6_mcp):
     presentation = heis6_mcp.presentation
-    splitting = heis6_mcp.pair.splitting
-    for name in ("TF1", "TF2", "TG1", "TG2"):
-        sub = Subframe(presentation, list(splitting[name]),
-                       heis6_mcp.metric, name)
+    split = heis6_mcp.pair.splitting
+    vertical = [heis6_mcp.pair.z1, heis6_mcp.pair.z2]
+    # TG_i = ker d(alpha_i) = H_i + [Z1, Z2]
+    spans = {"TF1": split["TF1"], "TF2": split["TF2"],
+             "TG1": split["H1"] + vertical, "TG2": split["H2"] + vertical}
+    for name, span in spans.items():
+        sub = Subframe(presentation, list(span), heis6_mcp.metric, name)
         assert shape_data(sub, heis6_mcp.connection).minimal, name
 
 

@@ -168,12 +168,13 @@ def test_reeb_curvature_matches_the_connection(heis6_scenario):
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_unreported_findings_hold_on_the_corpus(name):
-    """The structure and metric findings have no report row; they must
-    hold on every corpus scenario."""
+    """The structure findings have no report row; they must hold on every
+    corpus scenario, and so must the implication "associated implies
+    compatible", which is not certified."""
     mcp = build_mcp(corpus_build(name))
-    findings = mcp.structure.findings + mcp.findings
+    findings = mcp.structure.findings
     conditions = {f.condition for f in findings}
     assert "decomposability matches orthogonality of the characteristic " \
         "foliations" in conditions
-    assert "associated implies compatible" in conditions
     assert [f for f in findings if not f.ok] == []
+    assert mcp.compatible.ok or not mcp.associated.ok
