@@ -5,6 +5,13 @@ grammar: forms in coordinate components, the endomorphism, metric and
 submanifold spans in frame components.  Construction of the exact
 geometric objects is deferred to the accessor methods.  ``_cells`` walks
 the expression cells of a scenario dict, for the schema check.
+
+Each scenario parses each distinct cell text once: its parse table, kept
+in ``_cache`` with the exact objects, is filled by the eager check of
+``scenario_from_dict`` (or on first use), and the accessors and the float
+oracle read their expressions from it.  Clearing ``_cache`` clears the
+table too, and a ``dataclasses.replace`` copy starts with a table of its
+own.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .frames import EndoField, FramePresentation, MetricField, PForm, one_form
-from .scalars import ParseError, parse_expr
+from .scalars import ParseError, ParseTable, ScalarExpr
 from .submanifolds import Subframe
 
 CORPUS_NAMES = ("darboux", "heis6", "heis6-leaf3", "heis6-n4",
@@ -44,19 +51,30 @@ class Scenario:
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
+    def parse_table(self) -> ParseTable:
+        """The scenario's expressions by cell text, each parsed once."""
+        if "parsed" not in self._cache:
+            self._cache["parsed"] = ParseTable(self.coordinates)
+        return self._cache["parsed"]
+
+    def _parsed(self, texts: Sequence[str]) -> List[ScalarExpr]:
+        table = self.parse_table()
+        return [table[text] for text in texts]
+
     def presentation(self) -> FramePresentation:
         if "presentation" not in self._cache:
             base = {name: Fraction(text)
                     for name, text in self.base_point.items()}
             self._cache["presentation"] = FramePresentation(
-                self.coordinates, self.frame, base)
+                self.coordinates, [self._parsed(row) for row in self.frame],
+                base)
         return self._cache["presentation"]
 
     def _coordinate_form(self, components: Sequence[str]) -> PForm:
         """The pullback to the frame of the coordinate form on the chart."""
         pres = self.presentation()
-        return pres.pullback(one_form(pres.ambient, [pres.scalar(text)
-                                                     for text in components]))
+        return pres.pullback(one_form(pres.ambient,
+                                      self._parsed(components)))
 
     def forms(self) -> Tuple[PForm, PForm]:
         if "forms" not in self._cache:
@@ -66,23 +84,22 @@ class Scenario:
 
     def phi_endo(self) -> EndoField:
         if "phi" not in self._cache:
-            pres = self.presentation()
             self._cache["phi"] = EndoField(
-                pres, [[pres.scalar(entry) for entry in row]
-                       for row in self.phi])
+                self.presentation(), [self._parsed(row) for row in self.phi])
         return self._cache["phi"]
 
     def metric_field(self) -> MetricField:
         if "metric" not in self._cache:
-            self._cache["metric"] = MetricField(self.presentation(),
-                                                self.metric)
+            gram = [self._parsed(row) for row in self.metric]
+            self._cache["metric"] = MetricField(self.presentation(), gram)
         return self._cache["metric"]
 
     def subframe(self, name: str) -> Subframe:
         key = ("sub", name)
         if key not in self._cache:
             pres = self.presentation()
-            fields = [pres.vector(vec) for vec in self.submanifolds[name]]
+            fields = [pres.vector(self._parsed(vec))
+                      for vec in self.submanifolds[name]]
             self._cache[key] = Subframe(pres, fields, self.metric_field(),
                                         name)
         return self._cache[key]
@@ -353,11 +370,13 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
                       for sub_name, vectors in subs.items()},
         expectations={key: str(value)
                       for key, value in expectations.items()})
-    # parse every expression eagerly so errors carry their location
+    # parse every expression eagerly, so that errors carry their location,
+    # into the parse table the exact objects and the oracle read
+    table = scenario.parse_table()
     for path, text in _cells(data):
         _require(isinstance(text, str), path, "expected an expression string")
         try:
-            parse_expr(text, tuple(coords))
+            table[text]
         except ParseError as exc:
             raise ScenarioError(f"{path}: {exc}")
     return scenario

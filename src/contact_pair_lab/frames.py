@@ -166,10 +166,12 @@ class FramePresentation(FrameContext):
     fields with rational-function coefficients.
 
     ``frame[i][a]`` is the coefficient of d/dx_i in the frame field e_a, so
-    the fields are the columns of ``frame``.  C is read back from the
-    coordinate bracket with the dual coframe.  One reduction of
-    [frame | I] gives both the coframe and, from its pivots, the
-    determinant that the regularity polynomial keeps.
+    the fields are the columns of ``frame``.  An entry is a `ScalarExpr`
+    over the coordinates, as a scenario passes from its parse table, or
+    a text parsed here; so is each Gram entry of `MetricField`.  C is
+    read back from the coordinate bracket with the dual coframe.  One
+    reduction of [frame | I] gives both the coframe and, from its pivots,
+    the determinant that the regularity polynomial keeps.
     """
 
     def __init__(self, coordinates: Sequence[str], frame: Sequence[Sequence],

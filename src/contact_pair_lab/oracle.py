@@ -12,15 +12,19 @@ The one exception is `pair.reeb`, whose exact side is the pair of fields
 derivatives; it is compared against the float solve, not reused by it.
 
 Jets: each grid of parsed entries (frame, Gram matrix, phi, the forms, a
-span, the exact Reeb components) is compiled once into a `_FloatGrid`, an
-exponent matrix and a coefficient matrix for its numerators and for its
-denominators.  The monomials are differentiated exactly,
-d_c x^e = e_c x^(e - e_c), so one evaluation at a stack of points gives
-every entry's value, gradient and, at order 2, Hessian, by the quotient
-rule.  `_Jet` carries these truncated Taylor expansions through products
-and inverses, d(F^-1) = -F^-1 (dF) F^-1 and its second-order form
-(forward-mode Taylor propagation; Griewank and Walther, Evaluating
-Derivatives, 2nd ed., ch. 13).  No step size enters anywhere.
+span, the exact Reeb components) is compiled once into a `_FloatGrid`, a
+table of monomials and a coefficient matrix for its numerators and for
+its denominators.  The monomials are differentiated exactly,
+d_c x^e = e_c x^(e - e_c): a table (`_Monomials`) lists every distinct
+nonzero partial up to the order asked for once, as exponents and integer
+scales, so one evaluation of the table at a stack of points gives every
+entry's value, gradient and, at order 2, Hessian, by the quotient rule.
+Constant denominators (those of the frame, the Gram matrix and the forms
+of every built-in scenario) are read off their coefficients.  `_Jet`
+carries these truncated Taylor expansions through products and inverses,
+d(F^-1) = -F^-1 (dF) F^-1 and its second-order form (forward-mode Taylor
+propagation; Griewank and Walther, Evaluating Derivatives, 2nd ed.,
+ch. 13).  No step size enters anywhere.
 
 Every stage below order 2 runs once on the whole probe stack [p, ...]:
 
@@ -33,22 +37,26 @@ Every stage below order 2 runs once on the whole probe stack [p, ...]:
   inversion of the frame F; the mean curvature of a submanifold, over
   [p, a, b, k] at once; the split of the tangent space into the two
   foliations and the split formula of `curvature.reeb_identity`.
-- Order 2 stays one probe point at a time, which keeps peak memory that
-  of one point's n^4 Hessian of g: the metric chain g = F^-T G F^-1, then
-  Gamma and its gradient, then R, contracted with Z_1 + Z_2 at that point
-  before the next one; and alpha_1, alpha_2, whose Hessians give
-  d(d alpha) and the derivative of the Reeb fields through the
-  differentiated Reeb system M dZ = -(dM) Z.
 
-Constant polynomials skip the powers: an exponent matrix that holds only
-the zero monomial (the Gram matrix, most denominators) has the jet 1, 0,
-0.
+Order 2 runs on chunks of floor(_ORDER_2_ENTRIES / n^4) probe points, at
+least one, so that its n^4 arrays keep a bounded size: all eight default
+probes at n = 4, two at n = 6, one from n = 8 on.  On each chunk it forms
+the metric chain g = F^-T G F^-1, then Gamma and its gradient, then R,
+contracted with Z_1 + Z_2 before the next chunk; and alpha_1, alpha_2,
+whose Hessians give d(d alpha) and the derivative of the Reeb fields
+through the differentiated Reeb system M dZ = -(dM) Z.  The Hessians of
+the chain are summed in place, and every summed product is formed
+contiguously, since numpy buffers a transposed operand in an array of its
+own: about five n^4 arrays of a chunk are alive at once.
 
 Each scenario has one float view (`_View`) per probe count and seed, kept
 in its `_cache` next to the exact objects: the compiled grids, the probe
 stack and, computed on first use, the jets at the probe points.  Every
 identity reads these, so a sweep over all identities compiles the grids,
-samples the probes and solves the Reeb system at them once.  A residual
+samples the probes and solves the Reeb system at them once.  The grids
+read their expressions from the scenario's parse table, also in
+`_cache`, so no cell text is parsed again for the oracle; `ScalarExpr`
+is immutable, and the oracle reads only its terms.  A residual
 that is not finite at some probe point is reported as inf, never as a
 pass.
 """
@@ -62,9 +70,16 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .scalars import PoleError, ScalarExpr, Terms, parse_expr
+from .scalars import PoleError, ScalarExpr, Terms
 
 _MAX_RESAMPLE = 100
+# Order 2 runs on chunks of floor(_ORDER_2_ENTRIES / n^4) probe points, at
+# least one: no array of the Hessian chain holds much more than this many
+# entries of an n^4 tensor.  Sized from measured memory: at n = 6 the
+# chain of a two-point chunk peaks at about 120 KiB of arrays, no higher
+# than the other identities of a pass go, and of a four-point chunk at
+# about 210 KiB, which raised the nonconstant benchmark's peak RSS.
+_ORDER_2_ENTRIES = 2592
 
 ORACLE_IDS = ("d_squared", "pair.reeb", "metric.associated",
               "normality.N1", "connection.reeb_derivative",
@@ -102,9 +117,14 @@ class _Jet:
         grad = x.grad @ y.value[:, None] + x.value[:, None] @ y.grad
         if x.hess is None or y.hess is None:
             return _Jet(value, grad)
-        cross = x.grad[:, :, None] @ y.grad[:, None]  # [p, a, b]: dx_a dy_b
-        hess = (x.hess @ y.value[:, None, None] + cross
-                + cross.swapaxes(1, 2) + x.value[:, None, None] @ y.hess)
+        # the Hessian's terms are added in place, each formed contiguously
+        # in one reused array, so one n^4 temporary is alive beside it: a
+        # transposed operand would cost numpy a buffer of its own
+        hess = x.hess @ y.value[:, None, None]
+        term = x.grad[:, :, None] @ y.grad[:, None]  # [p, a, b]: dx_a dy_b
+        hess += term
+        hess += np.matmul(x.grad[:, None], y.grad[:, :, None], out=term)
+        hess += np.matmul(x.value[:, None, None], y.hess, out=term)
         return _Jet(value, grad, hess)
 
     def inverse(self) -> "_Jet":
@@ -118,17 +138,18 @@ class _Jet:
         #                  + F^-1 dF_a d_b F^-1); the outer two terms are
         # [a, b] and [b, a] of one array
         outer = grad[:, None] @ self.grad[:, :, None] @ inv[:, None, None]
-        hess = -(outer + outer.swapaxes(1, 2)
-                 + inv[:, None, None] @ self.hess @ inv[:, None, None])
-        return _Jet(inv, grad, hess)
+        hess = outer + outer.swapaxes(1, 2)
+        del outer
+        hess += inv[:, None, None] @ self.hess @ inv[:, None, None]
+        return _Jet(inv, grad, np.negative(hess, out=hess))
 
 
 class _FloatGrid:
     """A vector or matrix of rational functions compiled for floats.
 
-    Numerators and denominators are each a float exponent matrix
-    (terms x n) and a coefficient matrix (terms x entries), so a stack of
-    points is evaluated in one pass; values have shape (k, *shape)."""
+    Numerators and denominators are each a `_Monomials` table and a
+    coefficient matrix (terms x entries), so a stack of points is
+    evaluated in one pass; values have shape (k, *shape)."""
 
     def __init__(self, exprs: Sequence[ScalarExpr], shape: Tuple[int, ...],
                  coords: Tuple[str, ...]):
@@ -140,14 +161,14 @@ class _FloatGrid:
 
     @staticmethod
     def _compile(polys: Sequence[Terms], n: int
-                 ) -> Tuple[np.ndarray, np.ndarray]:
+                 ) -> Tuple["_Monomials", np.ndarray]:
         monomials = sorted({exp for terms in polys for exp in terms})
         row = {exp: index for index, exp in enumerate(monomials)}
         coeffs = np.zeros((len(monomials), len(polys)))
         for col, terms in enumerate(polys):
             for exp, coeff in terms.items():
                 coeffs[row[exp], col] = float(coeff)
-        return np.array(monomials, dtype=float).reshape(-1, n), coeffs
+        return _Monomials(monomials, n), coeffs
 
     def __call__(self, xs: Points) -> np.ndarray:
         return self.jet(xs, 0).value
@@ -155,9 +176,14 @@ class _FloatGrid:
     def _denominator(self, xs: Points, order: int
                      ) -> Tuple[List[np.ndarray], np.ndarray]:
         """The denominators' jet parts to the order, and which points zero
-        some denominator, [p]."""
-        den = [part @ self.den[1]
-               for part in _monomial_jet(xs, self.den[0], order)]
+        some denominator, [p].  Constant denominators are their
+        coefficients, with no partials."""
+        monomials, coeffs = self.den
+        if monomials.constant:
+            den = [np.broadcast_to(coeffs.sum(axis=0),
+                                   (len(xs), coeffs.shape[1]))]
+        else:
+            den = [part @ coeffs for part in monomials.jet(xs, order)]
         return den, (den[0] == 0.0).any(axis=1)
 
     def poles(self, xs: Points) -> np.ndarray:
@@ -167,55 +193,84 @@ class _FloatGrid:
     def jet(self, xs: Points, order: int) -> _Jet:
         """The entries' jet of the given order (0, 1 or 2) at each point:
         value [p, *shape], grad [p, a, *shape], hess [p, a, b, *shape]."""
-        num = [part @ self.num[1] for part in _monomial_jet(xs, self.num[0],
-                                                            order)]
+        monomials, coeffs = self.num
+        num = [part @ coeffs for part in monomials.jet(xs, order)]
         den, poles = self._denominator(xs, order)
         if poles.any():
             raise PoleError(f"pole at {xs[np.argmax(poles)].tolist()}")
-        # quotient rule for f = N / D, from N = f D differentiated
+        # quotient rule for f = N / D, from N = f D differentiated; the
+        # partials are formed in place in N's, so that an order-2 jet has
+        # at most one n^4 temporary beside its Hessian
         value = num[0] / den[0]
         parts = [value]
         if order >= 1:
-            grad = (num[1] - value[:, None] * den[1]) / den[0][:, None]
+            grad = num[1]
+            if len(den) > 1:
+                grad -= value[:, None] * den[1]
+            grad /= den[0][:, None]
             parts.append(grad)
         if order >= 2:
-            cross = grad[:, :, None] * den[1][:, None]  # [p, a, b]: f_a D_b
-            parts.append((num[2] - (cross + cross.swapaxes(1, 2))
-                          - value[:, None, None] * den[2])
-                         / den[0][:, None, None])
+            hess = num[2]
+            if len(den) > 1:
+                # [p, a, b]: f_a D_b
+                cross = grad[:, :, None] * den[1][:, None]
+                hess -= cross + cross.swapaxes(1, 2)
+                del cross
+                hess -= value[:, None, None] * den[2]
+            hess /= den[0][:, None, None]
+            parts.append(hess)
         return _Jet(*(part.reshape(part.shape[:1 + rank] + self.shape)
                       for rank, part in enumerate(parts)))
 
 
-def _monomial_jet(xs: Points, exps: np.ndarray, order: int
-                  ) -> List[np.ndarray]:
-    """The monomials x^e at each point, [p, t], with their first partials
-    [p, c, t] and second partials [p, a, b, t] up to the order: a partial
-    replaces the factor x_c^e_c by its derivative, exactly."""
-    if not exps.any():
-        # constant entries: the zero monomial is 1 and its partials vanish
-        k, n = xs.shape
-        return [np.ones((k, len(exps)))] + [
-            np.zeros((k,) + (n,) * rank + (len(exps),))
-            for rank in range(1, order + 1)]
-    powers = xs[:, None, :] ** exps  # [p, t, c]
-    parts = [powers.prod(-1)]
-    if order < 1:
-        return parts
-    eye = np.eye(xs.shape[1], dtype=bool)
-    first = exps * xs[:, None, :] ** np.maximum(exps - 1, 0)
-    # factor c of d_a x^e: the derivative where c = a, the power elsewhere
-    factors = np.where(eye, first[:, :, None, :], powers[:, :, None, :])
-    parts.append(np.moveaxis(factors.prod(-1), 1, -1))
-    if order < 2:
-        return parts
-    second = exps * (exps - 1) * xs[:, None, :] ** np.maximum(exps - 2, 0)
-    at_a, at_b = eye[:, None, :], eye[None, :, :]  # [a, b, c]: c = a, c = b
-    factors = np.where(at_a & at_b, second[:, :, None, None, :],
-                       np.where(at_a | at_b, first[:, :, None, None, :],
-                                powers[:, :, None, None, :]))
-    parts.append(np.moveaxis(factors.prod(-1), 1, -1))
-    return parts
+class _Monomials:
+    """The monomials x^e of a grid and their partials, compiled to an order.
+
+    A partial of x^e along the coordinates (c, ...) is a product of one
+    factor per coordinate: each c in turn multiplies its scale by its
+    exponent and lowers the exponent by one, so d_a d_a x^e has the factor
+    e_a (e_a - 1) x_a^(e_a - 2).  The table lists each distinct nonzero
+    partial up to the highest order asked for so far once, as a row of
+    exponents and a row of scales, [u, 2, n]; index[k][a, ..., t] is the
+    row of the k-th partial of x^(e_t), or -1, the column of zeros after
+    the table's values, where it vanishes.  A lower order reads the same
+    table."""
+
+    def __init__(self, monomials: Sequence[Tuple[int, ...]], n: int):
+        self.monomials = monomials
+        self.n = n
+        self.constant = not any(map(any, monomials))
+        self.order = -1
+
+    def _compile(self, order: int) -> None:
+        rows = {}
+        self.index = [np.full((self.n,) * k + (len(self.monomials),), -1)
+                      for k in range(order + 1)]
+        for t, exp in enumerate(self.monomials):
+            support = [c for c, e in enumerate(exp) if e]
+            partials = [()]
+            for axes in partials:  # the list grows as it is read
+                if len(axes) < order:
+                    partials += [(c,) + axes for c in support]
+                exps, scales = list(exp), [1] * self.n
+                for c in axes:
+                    scales[c] *= exps[c]
+                    exps[c] -= 1
+                if all(scales):
+                    self.index[len(axes)][axes + (t,)] = rows.setdefault(
+                        (tuple(exps), tuple(scales)), len(rows))
+        self.table = np.array(list(rows), dtype=float).reshape(-1, 2, self.n)
+        self.order = order
+
+    def jet(self, xs: Points, order: int) -> List[np.ndarray]:
+        """The monomials at each point, [p, t], with their first partials
+        [p, c, t] and second partials [p, a, b, t] up to the order."""
+        if self.order < order:
+            self._compile(order)
+        values = np.zeros((len(xs), len(self.table) + 1))
+        np.prod(self.table[:, 1] * xs[:, None, :] ** self.table[:, 0],
+                axis=-1, out=values[:, :-1])
+        return [values[:, rows] for rows in self.index[:order + 1]]
 
 
 class _Numeric:
@@ -226,6 +281,7 @@ class _Numeric:
     def __init__(self, scenario):
         self.coords: List[str] = list(scenario.coordinates)
         self.n = len(self.coords)
+        self.parsed = scenario.parse_table()
         self.alpha = (self.grid(scenario.alpha1), self.grid(scenario.alpha2))
         self.frame_at = self.grid(scenario.frame)
         self.gram_at = self.grid(scenario.metric)
@@ -234,11 +290,11 @@ class _Numeric:
                               for coord in self.coords])
 
     def grid(self, texts) -> _FloatGrid:
-        """Compile a vector or matrix of expression texts."""
-        var = tuple(self.coords)
+        """Compile a vector or matrix of expression texts, read from the
+        scenario's parse table."""
         cells = np.asarray(texts, dtype=object)
-        return _FloatGrid([parse_expr(str(text), var) for text in cells.flat],
-                          cells.shape, var)
+        return _FloatGrid([self.parsed[text] for text in cells.flat],
+                          cells.shape, tuple(self.coords))
 
     # -- jets on stacks of points ---------------------------------------
 
@@ -315,14 +371,19 @@ class _View:
         self.num = num
         self.xs = xs
 
+    def chunks(self) -> List[slice]:
+        """The probe stack in chunks of the order-2 stage."""
+        size = max(1, _ORDER_2_ENTRIES // self.num.n ** 4)
+        return [slice(start, start + size)
+                for start in range(0, len(self.xs), size)]
+
     @cached_property
     def alpha_jets(self) -> Tuple[_Jet, _Jet]:
         """Order-2 jets of alpha_1 and alpha_2, value [p, k], grad
-        [p, a, k] and hess [p, a, b, k], evaluated one probe point at a
-        time."""
+        [p, a, k] and hess [p, a, b, k], evaluated chunk by chunk."""
         forms = []
         for grid in self.num.alpha:
-            jets = [grid.jet(x[None], 2) for x in self.xs]
+            jets = [grid.jet(self.xs[chunk], 2) for chunk in self.chunks()]
             forms.append(_Jet(np.concatenate([jet.value for jet in jets]),
                               np.concatenate([jet.grad for jet in jets]),
                               np.concatenate([jet.hess for jet in jets])))
@@ -393,18 +454,20 @@ class _View:
         return _christoffel(self._metric_and_phi[0]).value
 
     def reeb_curvature(self) -> np.ndarray:
-        """R(e_a, e_b)(Z_1 + Z_2) at [p, a, b, l].  Each point's R comes
-        from the order-2 metric chain at that point alone and is contracted
-        with Z there, so no array holds more than one point's n^4
-        entries."""
+        """R(e_a, e_b)(Z_1 + Z_2) at [p, a, b, l].  Each chunk's R comes
+        from the order-2 metric chain on that chunk alone and is contracted
+        with Z there, so no n^4 array outlives its chunk."""
         z = self.reeb[0] + self.reeb[1]
         values = []
-        for x, zp in zip(self.xs, z):
-            x = x[None]
-            g = self.num.metric(x, self.num.frame_at.jet(x, 2).inverse())
-            values.append(np.einsum("lkab,k->abl",
-                                    _riemann(_christoffel(g))[0], zp))
-        return np.stack(values)
+        for chunk in self.chunks():
+            x = self.xs[chunk]
+            # each jet of the chain is a temporary, dropped once the next
+            # is formed
+            riemann = _riemann(_christoffel(
+                self.num.metric(x, self.num.frame_at.jet(x, 2).inverse())))
+            values.append(np.einsum("plkab,pk->pabl", riemann, z[chunk]))
+            del riemann
+        return np.concatenate(values)
 
     @property
     def phi_jet(self) -> _Jet:
@@ -477,8 +540,9 @@ def _christoffel(g: _Jet) -> _Jet:
 
     def first_kind(dg):  # dg[..., c, i, j] = d_c g_ij
         # 2 Gamma_ijl = d_i g_jl + d_j g_il - d_l g_ij, at [..., i, j, l]
-        return (dg + np.einsum("...jil->...ijl", dg)
-                - np.einsum("...lij->...ijl", dg))
+        out = dg + np.einsum("...jil->...ijl", dg)
+        out -= np.einsum("...lij->...ijl", dg)
+        return out
 
     def raised(inverse, lowered):
         # sum_l inverse[..., k, l] lowered[..., i, j, l] at [..., k, i, j],
@@ -493,17 +557,23 @@ def _christoffel(g: _Jet) -> _Jet:
     value = 0.5 * raised(inverse.value, lowered)
     if g.hess is None:
         return _Jet(value)
-    grad = 0.5 * (raised(inverse.grad, lowered[:, None])
-                  + raised(inverse.value[:, None], first_kind(g.hess)))
+    # the term of g's Hessian first, so that its first-kind symbols are
+    # dropped before the other term is formed; a sum does not depend on
+    # the order of its two terms
+    grad = raised(inverse.value[:, None], first_kind(g.hess))
+    grad += raised(inverse.grad, lowered[:, None])
+    grad *= 0.5
     return _Jet(value, grad)
 
 
 def _riemann(gamma: _Jet) -> np.ndarray:
     """R[p, l, k, a, b] with R(e_a, e_b) e_k = R^l_{k a b} e_l."""
     derivative = np.einsum("palbk->plkab", gamma.grad)  # d_a Gamma^l_bk
+    riemann = derivative - derivative.swapaxes(3, 4)
     prod = np.einsum("plam,pmbk->plkab", gamma.value, gamma.value)
-    return (derivative - derivative.swapaxes(3, 4)
-            + prod - prod.swapaxes(3, 4))
+    riemann += prod
+    riemann -= prod.swapaxes(3, 4)
+    return riemann
 
 
 # -- identity residuals ------------------------------------------------
@@ -632,7 +702,9 @@ def numeric_oracle(scenario, identity_id: str, probe_count: int = 8,
 
     Calls on one scenario with the same probe count and seed share one
     float view, kept in the scenario's cache: clear `scenario._cache`
-    after mutating the scenario, as for its exact objects."""
+    after mutating the scenario, as for its exact objects.  Clearing it
+    also clears the scenario's parse table, so the mutated texts are
+    parsed afresh."""
     if probe_count < 1:
         raise ValueError("the oracle needs at least one probe point")
     if identity_id.startswith("submanifold.") \

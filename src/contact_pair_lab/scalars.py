@@ -678,3 +678,17 @@ class _Parser:
 def parse_expr(text: str, vars: Iterable[str]) -> ScalarExpr:
     """Parse expression text over the declared coordinate names."""
     return _Parser(text, tuple(vars)).parse()
+
+
+class ParseTable(dict):
+    """Expressions by text over one coordinate tuple: a lookup parses a
+    text the first time it is asked for and keeps the result, which is
+    immutable, for every later lookup."""
+
+    def __init__(self, coordinates: Iterable[str]):
+        super().__init__()
+        self.coordinates = tuple(coordinates)
+
+    def __missing__(self, text: str) -> ScalarExpr:
+        expr = self[text] = parse_expr(text, self.coordinates)
+        return expr

@@ -1,16 +1,19 @@
 import dataclasses
 import math
 import random
-import types
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contact_pair_lab import (CORPUS_NAMES, ORACLE_IDS, ValidationError,
-                              corpus_build, numeric_oracle)
-from contact_pair_lab import oracle
+from contact_pair_lab import (CORPUS_NAMES, ORACLE_IDS, Scenario,
+                              ValidationError, corpus_build, numeric_oracle,
+                              run_checks, scenario_from_dict,
+                              scenario_to_dict)
+from contact_pair_lab import contact, frames, oracle, scalars
 from contact_pair_lab.scalars import PoleError, parse_expr
 from conftest import (FOUR_FIELD_GAUGE, evaluate_float, gauged_heis6,
                       twisted_heis6)
@@ -233,9 +236,11 @@ def test_jets_match_central_differences_of_the_values(entries, point):
 
 
 # a chart whose frame and Gram matrix both depend on every coordinate, so
-# that no product in the metric chain has a vanishing cross term
-_DENSE_CHART = types.SimpleNamespace(
-    coordinates=["x", "y", "z"], base_point={"x": "0", "y": "0", "z": "0"},
+# that no product in the metric chain has a vanishing cross term; only its
+# float view is built, so the odd dimension is never validated
+_DENSE_CHART = Scenario(
+    name="dense-chart", pair_type=(0, 0), coordinates=["x", "y", "z"],
+    base_point={"x": "0", "y": "0", "z": "0"},
     frame=[["1 + x*y/4", "y/3", "0"], ["z/5", "1 + x^2/8", "x*z/6"],
            ["y^2/7", "0", "1/(1 + z^2)"]],
     metric=[["2 + x^2", "x*y/3", "z/4"], ["x*y/3", "3 + y*z/5", "0"],
@@ -286,20 +291,40 @@ def test_reeb_gradient_matches_central_differences():
             1.0)
 
 
-def test_no_order_2_evaluation_stacks_more_than_one_probe_point(monkeypatch):
-    scenario = corpus_build("heis6")
-    sizes = {0: [], 1: [], 2: []}
+# The tracemalloc peak of curvature.reeb_identity on darboux (2, 2), after
+# connection.reeb_derivative has built the view, when order 2 ran one
+# probe point at a time: 761,889 bytes (764,014 on the first call in an
+# interpreter), on Python 3.11.7 and numpy 2.4.6.
+_POINTWISE_ORDER_2_PEAK = 761_889
+
+
+def test_order_2_runs_on_chunks_of_the_entry_budget(monkeypatch):
+    scenario = corpus_build("darboux", (2, 2))
+    numeric_oracle(scenario, "connection.reeb_derivative")
+    tracemalloc.start()
+    try:
+        numeric_oracle(scenario, "curvature.reeb_identity")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _POINTWISE_ORDER_2_PEAK
+
     jet = oracle._FloatGrid.jet
+    for scenario, chunk in ((corpus_build("heis6"), 2),
+                            (corpus_build("darboux", (2, 2)), 1)):
+        n = len(scenario.coordinates)
+        assert chunk == max(1, oracle._ORDER_2_ENTRIES // n ** 4)
+        sizes = {0: [], 1: [], 2: []}
 
-    def spy(self, xs, order):
-        sizes[order].append(len(xs))
-        return jet(self, xs, order)
+        def spy(self, xs, order):
+            sizes[order].append(len(xs))
+            return jet(self, xs, order)
 
-    monkeypatch.setattr(oracle._FloatGrid, "jet", spy)
-    for identity_id in _all_ids(scenario):
-        numeric_oracle(scenario, identity_id, probe_count=8)
-    assert set(sizes[2]) == {1}
-    assert set(sizes[1]) == {8}
+        monkeypatch.setattr(oracle._FloatGrid, "jet", spy)
+        for identity_id in _all_ids(scenario):
+            numeric_oracle(scenario, identity_id, probe_count=8)
+        assert set(sizes[2]) == {chunk}, n
+        assert set(sizes[1]) == {8}
 
 
 # Residuals at seed 1 of the jet oracle.  Each is at most the residual of
@@ -335,6 +360,8 @@ def test_residuals_match_the_pointwise_reference(name, identity_id):
 def _scenario(name):
     if name == "heis6-gauged":
         return gauged_heis6(corpus_build("heis6"), FOUR_FIELD_GAUGE)
+    if name == "darboux-2-2":
+        return corpus_build("darboux", (2, 2))
     return twisted_heis6() if name == "heis6-twisted" else corpus_build(name)
 
 
@@ -500,6 +527,46 @@ def test_stacked_residuals_match_the_pointwise_loops(name):
                                    rtol=0, atol=1e-12)
 
 
+def _alpha_jets_by_point(view):
+    """The order-2 jets of the forms, one probe point at a time."""
+    forms = []
+    for grid in view.num.alpha:
+        jets = [grid.jet(x[None], 2) for x in view.xs]
+        forms.append(oracle._Jet(np.concatenate([jet.value for jet in jets]),
+                                 np.concatenate([jet.grad for jet in jets]),
+                                 np.concatenate([jet.hess for jet in jets])))
+    return forms
+
+
+def _reeb_curvature_by_point(view):
+    """R(e_a, e_b)(Z_1 + Z_2) at [p, a, b, l], one probe point at a time,
+    with the size of its summed terms, sum_k |R^l_kab| |Z^k|."""
+    z = view.reeb[0] + view.reeb[1]
+    values, sizes = [], []
+    for x, zp in zip(view.xs, z):
+        riemann = oracle._riemann(oracle._christoffel(
+            _metric(view.num, x[None], 2)))[0]
+        values.append(np.einsum("lkab,k->abl", riemann, zp))
+        sizes.append(np.einsum("lkab,k->abl", np.abs(riemann), np.abs(zp)))
+    return np.stack(values), np.stack(sizes)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ("heis6-twisted",
+                                                 "heis6-gauged",
+                                                 "darboux-2-2"))
+def test_chunked_order_2_matches_the_pointwise_loops(name):
+    view = oracle._view(_scenario(name), 8, 1)
+    for got, want in zip(view.alpha_jets, _alpha_jets_by_point(view)):
+        for part, reference in ((got.value, want.value),
+                                (got.grad, want.grad),
+                                (got.hess, want.hess)):
+            np.testing.assert_allclose(
+                part, reference, rtol=0,
+                atol=1e-12 * max(1.0, np.abs(reference).max()))
+    curvature, size = _reeb_curvature_by_point(view)
+    assert (np.abs(view.reeb_curvature() - curvature) <= 1e-12 * size).all()
+
+
 def _regular_by_point(numeric, x):
     """The regularity rules for one candidate alone: no pole, |det F| at
     least 1e-8, an invertible frame, and finite metric, phi and forms."""
@@ -614,3 +681,75 @@ def test_a_heis6_sweep_evaluates_each_grid_once_below_order_2(monkeypatch):
     # matrix and phi for g and phi, and the frame and span of each of the
     # three submanifolds
     assert (calls[0], calls[1]) == (7, 9)
+
+
+# -- one parse per scenario, and an oracle independent of the exact side -----
+
+def _spy_on_parse_expr(monkeypatch):
+    """Every text the package parses from now on, in call order."""
+    parsed = []
+    parse = scalars.parse_expr
+
+    def spy(text, coordinates):
+        parsed.append(text)
+        return parse(text, coordinates)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("contact_pair_lab") \
+                and getattr(module, "parse_expr", None) is parse:
+            monkeypatch.setattr(module, "parse_expr", spy)
+    return parsed
+
+
+@pytest.mark.parametrize("name", ["heis6-gauged", "darboux-J-noninvariant"])
+def test_a_scenario_parses_each_distinct_text_once(monkeypatch, name):
+    data = scenario_to_dict(_scenario(name))
+    parsed = _spy_on_parse_expr(monkeypatch)
+    scenario = scenario_from_dict(data, name)
+    cells = len(parsed)
+    run_checks(scenario, seed=1)
+    for identity_id in _all_ids(scenario):
+        numeric_oracle(scenario, identity_id)
+    assert len(parsed) == cells == len(set(parsed)) > 0
+
+
+def test_a_replaced_or_cleared_scenario_parses_again(monkeypatch):
+    scenario = corpus_build("heis6")
+    for identity_id in _all_ids(scenario):
+        numeric_oracle(scenario, identity_id)
+    parsed = _spy_on_parse_expr(monkeypatch)
+    numeric_oracle(scenario, "pair.reeb", seed=2)
+    assert parsed == []
+    numeric_oracle(dataclasses.replace(scenario), "pair.reeb")
+    texts = sorted(parsed)
+    assert texts and len(texts) == len(set(texts))
+    scenario._cache.clear()
+    numeric_oracle(scenario, "pair.reeb")
+    assert sorted(parsed[len(texts):]) == texts
+
+
+def _exact_side_reached(*args, **kwargs):
+    raise AssertionError("the float oracle reached the exact pipeline")
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ("heis6-gauged",
+                                                 "heis6-twisted"))
+def test_only_the_reeb_oracle_reads_the_exact_pipeline(monkeypatch, name):
+    scenario = _scenario(name)
+    ids = [identity_id for identity_id in _all_ids(scenario)
+           if identity_id != "pair.reeb"]
+    expected = [numeric_oracle(scenario, identity_id) for identity_id in ids]
+    fresh = _scenario(name)
+    fresh._cache.clear()
+    for owner, attribute in (
+            (frames._Chart, "__init__"), (frames.FrameContext, "__init__"),
+            (frames.VectorField, "__init__"), (frames.PForm, "__init__"),
+            (frames.EndoField, "__init__"), (frames.MetricField, "__init__"),
+            (frames.LeviCivita, "__init__"), (frames, "bracket"),
+            (frames, "exterior_derivative"), (contact, "solve_reeb"),
+            (scalars.ScalarExpr, "differentiate")):
+        monkeypatch.setattr(owner, attribute, _exact_side_reached)
+    assert [numeric_oracle(fresh, identity_id)
+            for identity_id in ids] == expected
+    with pytest.raises(AssertionError, match="exact pipeline"):
+        numeric_oracle(fresh, "pair.reeb")
