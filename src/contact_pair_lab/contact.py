@@ -30,8 +30,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from . import linalg
 from .frames import (EndoField, FramePresentation, LeviCivita, MetricField,
                      PForm, VectorField, add_term, bracket, eval_form,
-                     exterior_derivative, form_power, interior, is_killing,
-                     lie_derivative_endo, nijenhuis,
+                     exterior_derivative, form_power, form_rows, interior,
+                     is_killing, lie_derivative_endo, nijenhuis,
                      nonvanishing_certificate, orthogonal_projector,
                      pole_polynomial, seeded_probe_points, wedge)
 from .scalars import ScalarError, ScalarExpr
@@ -84,43 +84,34 @@ class ContactPair:
         return (self.alpha1, self.alpha2)
 
 
-def _reeb_rows(n: int, alpha1: PForm, alpha2: PForm, d_alpha1: PForm,
-               d_alpha2: PForm) -> tuple:
-    """alpha_1 and alpha_2 as rows, then the n rows of i_X d(alpha_1) and
-    of i_X d(alpha_2), as linear conditions on X."""
-    return ([alpha1.get((a,)) for a in range(n)],
-            [alpha2.get((a,)) for a in range(n)],
-            *([[form.get((a, b)) for a in range(n)] for b in range(n)]
-              for form in (d_alpha1, d_alpha2)))
-
-
 def solve_reeb(presentation: FramePresentation, alpha1: PForm, alpha2: PForm,
                d_alpha1: PForm, d_alpha2: PForm) -> Tuple[VectorField, VectorField]:
-    """Unique fields with alpha_i(Z_j) = delta_ij and i_{Z_j} d(alpha_i) = 0."""
-    a1_row, a2_row, d1_rows, d2_rows = _reeb_rows(
-        presentation.dim, alpha1, alpha2, d_alpha1, d_alpha2)
-    rows = [a1_row, a2_row, *d1_rows, *d2_rows]
-    solutions = []
-    for j in (0, 1):
-        rhs = [presentation.one if i == j else presentation.zero
-               for i in range(len(rows))]
-        try:
-            comps = linalg.solve_unique(rows, rhs)
-        except linalg.LinearAlgebraError as exc:
-            raise ValidationError(f"Reeb system for Z{j + 1}: {exc}")
-        solutions.append(VectorField(presentation, tuple(comps)))
-    return solutions[0], solutions[1]
+    """Unique fields with alpha_i(Z_j) = delta_ij and i_{Z_j} d(alpha_i) = 0,
+    from one reduction of the rows beside both right-hand sides."""
+    n, zero, one = presentation.dim, presentation.zero, presentation.one
+    # the d(alpha_i) rows first: the forms' entries have the higher degree,
+    # and a pivot taken among them would divide every later row
+    rows = [*form_rows(d_alpha1), *form_rows(d_alpha2), *form_rows(alpha1),
+            *form_rows(alpha2)]
+    reduced, _, values, _ = linalg.row_reduce(
+        [row + [one if i == 2 * n else zero, one if i == 2 * n + 1 else zero]
+         for i, row in enumerate(rows)], n)
+    # a right-hand side left in a row without a pivot has no solution
+    if len(values) < n or any(row[n] or row[n + 1] for row in reduced[n:]):
+        raise ValidationError("Reeb system has no unique solution")
+    z1, z2 = (VectorField(presentation, tuple(row[n + j] for row in reduced[:n]))
+              for j in (0, 1))
+    return z1, z2
 
 
 def _splitting(presentation: FramePresentation, alpha1: PForm, alpha2: PForm,
                d_alpha1: PForm, d_alpha2: PForm, z1: VectorField,
                z2: VectorField) -> Dict[str, List[VectorField]]:
-    a1_row, a2_row, d1_rows, d2_rows = _reeb_rows(
-        presentation.dim, alpha1, alpha2, d_alpha1, d_alpha2)
     # H_i = ker d(alpha_i) cap ker alpha_1 cap ker alpha_2
-    h1, h2 = ([VectorField(presentation, tuple(vec))
-               for vec in linalg.kernel_basis(rows + [a1_row, a2_row])]
-              for rows in (d1_rows, d2_rows))
+    alpha_rows = form_rows(alpha1) + form_rows(alpha2)
+    h1, h2 = ([VectorField(presentation, tuple(vec)) for vec in
+               linalg.kernel_basis(form_rows(form) + alpha_rows)]
+              for form in (d_alpha1, d_alpha2))
     return {"H1": h1, "H2": h2, "TF1": h1 + [z2], "TF2": h2 + [z1]}
 
 
@@ -130,7 +121,8 @@ def pair_type_findings(alpha1: PForm, alpha2: PForm, d1: PForm, d2: PForm,
     """Type (h, k) of forms with exterior derivatives d1, d2: the volume
     form alpha1 ^ d1^h ^ alpha2 ^ d2^k is nonzero and d1^(h+1), d2^(k+1)
     vanish where their degree fits.  Also returns the volume form's first
-    nonzero coefficient, or None."""
+    nonzero coefficient, or None.  Not read off the Reeb reduction: on a
+    dense pair of the wrong type its gcds grow for minutes."""
     n = alpha1.context.dim
     volume = wedge(wedge(wedge(alpha1, form_power(d1, h)), alpha2),
                    form_power(d2, k))
@@ -422,8 +414,7 @@ def validate_metric(structure: ContactPairStructure, metric: MetricField,
 
     frame_fields = [presentation.frame_field(a) for a in range(n)]
     phi_fields = [phi.column(a) for a in range(n)]
-    a1 = [pair.alpha1.get((a,)) for a in range(n)]
-    a2 = [pair.alpha2.get((a,)) for a in range(n)]
+    (a1,), (a2,) = form_rows(pair.alpha1), form_rows(pair.alpha2)
 
     # reduction[(a, b)] = g_ab - sum_i alpha_i(e_a) alpha_i(e_b), from the
     # Gram rows and the supports of the alpha_i; an absent key is zero
@@ -496,8 +487,7 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
     g = mcp.metric
     findings: List[Finding] = []
     phi_fields = [phi.column(a) for a in range(n)]
-    a_rows = ([pair.alpha1.get((a,)) for a in range(n)],
-              [pair.alpha2.get((a,)) for a in range(n)])
+    a_rows = form_rows(pair.alpha1) + form_rows(pair.alpha2)
     d_forms = (pair.d_alpha1, pair.d_alpha2)
     zs = (pair.z1, pair.z2)
     zero = VectorField.zero(presentation)

@@ -406,10 +406,6 @@ class PForm:
             if not value.is_zero():
                 self.coeffs[tuple(key)] = value
 
-    @classmethod
-    def zero_form(cls, context, degree: int) -> "PForm":
-        return cls(context, degree, {})
-
     def get(self, key: Sequence[int]) -> ScalarExpr:
         """Coefficient on an arbitrary tuple, resolved by sign-sorting."""
         if len(set(key)) != len(key):
@@ -510,6 +506,19 @@ def interior(form: PForm, x: VectorField) -> PForm:
         factor = form.context.scalar(Fraction(1, form.degree))
         sums = {key: factor * value for key, value in sums.items()}
     return PForm(form.context, form.degree - 1, sums)
+
+
+def form_rows(form: PForm) -> List[List[ScalarExpr]]:
+    """The linear conditions F(X) = 0 of a 1-form, one row, or i_X F = 0
+    of a 2-form, the rows [F(e_a, e_b)]_a for each b, from the nonzero
+    coefficients."""
+    n, zero = form.context.dim, form.context.zero
+    if form.degree == 1:
+        return [[form.coeffs.get((a,), zero) for a in range(n)]]
+    rows = [[zero] * n for _ in range(n)]
+    for (a, b), value in form.coeffs.items():
+        rows[b][a], rows[a][b] = value, -value
+    return rows
 
 
 def exterior_derivative(form: PForm) -> PForm:
@@ -619,13 +628,21 @@ def cartan_class(alpha: PForm, probe_points: Optional[Sequence[Point]] = None,
     The class is 2p+1 when alpha ^ (d alpha)^p is nonzero and (d alpha)^{p+1}
     vanishes identically, and 2p+2 when (d alpha)^{p+1} is nonzero while
     alpha ^ (d alpha)^{p+1} vanishes.  Nonvanishing means a nonzero canonical
-    coefficient; probe points only feed constancy warnings.
+    coefficient; probe points only feed constancy warnings.  Wedge powers,
+    not a rank over the scalar field: on dense nonconstant forms the gcds
+    of a row reduction grow far beyond them.
     """
     if alpha.degree != 1:
         raise FrameError("Cartan class is defined for 1-forms")
+    return _cartan_class(alpha, exterior_derivative(alpha), probe_points,
+                         label)
+
+
+def _cartan_class(alpha: PForm, d_alpha: PForm,
+                  probe_points: Optional[Sequence[Point]], label: str) -> int:
+    """``cartan_class`` of alpha with exterior derivative d_alpha."""
     context = alpha.context
     n = context.dim
-    d_alpha = exterior_derivative(alpha)
     power = PForm(context, 0, {(): context.one})
     r = 0
     while 2 * (r + 1) <= n:
@@ -635,7 +652,7 @@ def cartan_class(alpha: PForm, probe_points: Optional[Sequence[Point]] = None,
         power = candidate
         r += 1
     if 2 * r + 1 > n:
-        top = PForm.zero_form(context, 0)
+        top = PForm(context, 0, {})
     elif r == 0:
         top = alpha
     else:

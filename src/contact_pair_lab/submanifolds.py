@@ -28,8 +28,9 @@ from . import linalg
 from .contact import (Finding, MetricContactPair, certify,
                       pair_type_findings)
 from .frames import (EndoField, FrameContext, LeviCivita, MetricField, PForm,
-                     VectorField, cartan_class, eval_form, exterior_derivative,
-                     nonvanishing_certificate, orthogonal_projector)
+                     VectorField, _cartan_class, eval_form,
+                     exterior_derivative, nonvanishing_certificate,
+                     orthogonal_projector)
 from .scalars import ScalarError, ScalarExpr
 
 
@@ -228,13 +229,12 @@ def angle_constancy(sub: Subframe, mcp: MetricContactPair,
 def _induced_pair_verdict(sub: Subframe, alpha1: PForm, alpha2: PForm,
                           points) -> Finding:
     r = sub.dim
-    classes = (cartan_class(alpha1, points, "first induced form"),
-               cartan_class(alpha2, points, "second induced form"))
+    d1, d2 = exterior_derivative(alpha1), exterior_derivative(alpha2)
+    classes = (_cartan_class(alpha1, d1, points, "first induced form"),
+               _cartan_class(alpha2, d2, points, "second induced form"))
     if r % 2 == 1 or r < 2:
         return Finding("induced pair is a contact pair", False,
                        f"dimension {r} is odd; classes {classes}")
-    d1 = exterior_derivative(alpha1)
-    d2 = exterior_derivative(alpha2)
     for h in range((r - 2) // 2 + 1):
         k = (r - 2) // 2 - h
         findings, _ = pair_type_findings(alpha1, alpha2, d1, d2, h, k)

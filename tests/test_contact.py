@@ -1,17 +1,21 @@
 import dataclasses
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contact_pair_lab import (CHECK_IDS, CORPUS_NAMES, EndoField,
-                              ValidationError, cartan_class,
+                              ScalarExpr, ValidationError, cartan_class,
                               check_connection_identities,
                               check_curvature_identity, contact,
-                              corpus_build, eval_form, frames,
-                              hermitian_data, linalg, normality,
-                              run_checks, seeded_probe_points,
+                              corpus_build, eval_form, exterior_derivative,
+                              frames, hermitian_data, linalg, normality,
+                              one_form, run_checks, seeded_probe_points,
+                              solve_reeb, submanifolds,
                               validate_contact_pair, validate_metric,
                               validate_structure)
-from contact_pair_lab.frames import interior
+from contact_pair_lab.frames import FramePresentation, interior
 from conftest import (FOUR_FIELD_GAUGE, build_mcp, gauged_heis6,
                       perturbed_phi_structure, scaled_metric,
                       twisted_phi_structure)
@@ -118,6 +122,164 @@ def test_a_contact_pair_reduces_two_kernels_and_no_cartan_class(
     pair = validate_contact_pair(presentation, *forms, *scenario.pair_type)
     assert calls == ["kernel_basis", "kernel_basis"]
     assert set(pair.splitting) == {"H1", "H2", "TF1", "TF2"}
+
+
+def test_the_reeb_fields_come_from_one_reduction(monkeypatch):
+    """``solve_reeb`` reduces the 2n + 2 Reeb rows once, beside both
+    right-hand sides, and ``validate_contact_pair`` reduces nothing else
+    over the scalar field but the two kernels of the splitting."""
+    scenario = corpus_build("heis6")
+    presentation, forms = scenario.presentation(), scenario.forms()
+    row_reduce, reduced = linalg.row_reduce, []
+
+    def counted(matrix, width):
+        if isinstance(matrix[0][0], ScalarExpr):
+            reduced.append(len(matrix))
+        return row_reduce(matrix, width)
+
+    monkeypatch.setattr(linalg, "row_reduce", counted)
+    solve_reeb(presentation, *forms, *map(exterior_derivative, forms))
+    assert reduced == [14]
+    reduced.clear()
+    validate_contact_pair(presentation, *forms, *scenario.pair_type)
+    assert reduced == [14, 8, 8]
+
+
+@pytest.mark.parametrize("texts", [
+    # the Reeb rows have rank n, and no field has alpha_1(Z_1) = 1
+    (["x2", "x3", "0", "0"], ["x1", "0", "0", "0"]),
+    # closed forms: the rows have rank 2, and every right-hand side is
+    # met by a plane of fields
+    (["1", "0", "0", "0"], ["0", "1", "0", "0"]),
+])
+def test_a_reeb_system_without_one_solution_is_rejected(texts):
+    presentation, alpha1, alpha2 = coordinate_forms(4, *texts)
+    with pytest.raises(ValidationError, match="no unique solution"):
+        solve_reeb(presentation, alpha1, alpha2,
+                   exterior_derivative(alpha1), exterior_derivative(alpha2))
+
+
+# -- the Reeb reduction and the splitting, against the type -----------------
+
+# a dense 1-form on R^5 whose class takes milliseconds by wedge powers and
+# did not finish in 100 s as a rank over the scalar field; with one more
+# coordinate and DENSE_PARTNER, a pair on R^6 of no type whose Reeb
+# reduction did not finish in 120 s
+DENSE_R5 = ["x1*x2 - 2*x3", "-x2 - x1*x0 + 2*x1", "2*x1*x2 - x3*x0 + x4*x3",
+            "x1*x0 - x0 - 2*x1*x4", "-2*x4*x3 - 2*x1*x2"]
+DENSE_PARTNER = ["x0", "x1*x3", "1", "x2*x2", "x4 - x5", "x0*x1"]
+
+
+@st.composite
+def form_pairs(draw):
+    """Two 1-forms on the coordinate frame of R^n, 2 <= n <= 6, as their
+    coefficient texts: integer polynomials of degree at most 2, sparse or
+    dense.  Half the draws put the forms on complementary blocks of
+    coordinates, as on a product of two contact manifolds, so that
+    contact pairs of every type occur."""
+    n = draw(st.integers(2, 6))
+    split = draw(st.integers(1, n - 1)) if draw(st.booleans()) else None
+    dense = draw(st.booleans())
+
+    def coefficient(block):
+        terms = draw(st.lists(
+            st.tuples(st.sampled_from([-2, -1, 1, 2]),
+                      st.lists(st.sampled_from(list(block)), max_size=2)),
+            min_size=int(dense), max_size=3))
+        return " + ".join(f"({c})" + "".join(f"*x{i}" for i in factors)
+                          for c, factors in terms) or "0"
+
+    blocks = ((range(n), range(n)) if split is None
+              else (range(split), range(split, n)))
+    return n, *([coefficient(block) if a in block else "0"
+                 for a in range(n)] for block in blocks)
+
+
+def coordinate_forms(n, texts1, texts2):
+    names = [f"x{i}" for i in range(n)]
+    presentation = FramePresentation(
+        names, [["1" if i == j else "0" for j in range(n)]
+                for i in range(n)], {name: 0 for name in names})
+    return presentation, *(one_form(presentation, [presentation.scalar(t)
+                                                   for t in texts])
+                           for texts in (texts1, texts2))
+
+
+@pytest.mark.filterwarnings("ignore::contact_pair_lab.frames.ChartDomainWarning")
+@settings(max_examples=60, deadline=None)
+@given(form_pairs())
+# types (1,1) and (2,0); no volume form; Reeb fields, but H1 = H2 = 0;
+# dim H1 = 0 and dim H2 = 2 as for type (1,0), but no Reeb fields; the
+# dense forms
+@example((6, ["-x1", "0", "1", "0", "0", "0"],
+          ["0", "0", "0", "-x4", "0", "1"]))
+@example((6, ["-x1", "0", "-x3", "0", "1", "0"],
+          ["0", "0", "0", "0", "0", "1"]))
+@example((4, ["-x1", "0", "1", "x0*x3"], ["-x1", "0", "1", "x0*x3"]))
+@example((4, ["-x1", "0", "1", "0"], ["-x1", "0", "0", "1"]))
+@example((4, ["x2", "x3", "0", "0"], ["x1", "0", "0", "0"]))
+@example((5, DENSE_R5, DENSE_R5[::-1]))
+@example((6, DENSE_R5 + ["x5*x0 - x2"], DENSE_PARTNER))
+def test_the_reeb_fields_and_kernels_have_the_shape_of_the_type(drawn):
+    """For each type (h, k) that the wedge powers accept, the one Reeb
+    reduction gives fields with alpha_i(Z_j) = delta_ij and i_{Z_j}
+    d(alpha_i) = 0, H1 and H2 have dimensions 2k and 2h, the classes are
+    2h + 1 and 2k + 1, and the induced-pair verdict on the whole frame
+    finds that type; when none is accepted, the verdict fails and
+    ``validate_contact_pair`` rejects every type.  Each draw, the dense
+    forms among them, finishes within seconds."""
+    start = time.perf_counter()
+    presentation, alpha1, alpha2 = coordinate_forms(*drawn)
+    n, zero, one = presentation.dim, presentation.zero, presentation.one
+    d1, d2 = exterior_derivative(alpha1), exterior_derivative(alpha2)
+    classes = (cartan_class(alpha1), cartan_class(alpha2))
+    verdict = submanifolds._induced_pair_verdict(presentation, alpha1,
+                                                 alpha2, [])
+    accepted = []
+    for h in range(n // 2) if n % 2 == 0 else ():
+        k = n // 2 - 1 - h
+        findings, _ = contact.pair_type_findings(alpha1, alpha2, d1, d2,
+                                                 h, k)
+        if not all(f.ok for f in findings):
+            with pytest.raises(ValidationError, match="not a contact pair"):
+                validate_contact_pair(presentation, alpha1, alpha2, h, k,
+                                      probes=[])
+            continue
+        accepted.append((h, k))
+        z1, z2 = solve_reeb(presentation, alpha1, alpha2, d1, d2)
+        for alpha, d_alpha in ((alpha1, d1), (alpha2, d2)):
+            for z in (z1, z2):
+                assert eval_form(alpha, z) == (
+                    one if (alpha, z) in ((alpha1, z1), (alpha2, z2))
+                    else zero)
+                assert interior(d_alpha, z).is_zero()
+        split = contact._splitting(presentation, alpha1, alpha2, d1, d2,
+                                   z1, z2)
+        assert (len(split["H1"]), len(split["H2"])) == (2 * k, 2 * h)
+        assert classes == (2 * h + 1, 2 * k + 1)
+        assert verdict.witness == f"type ({h},{k}); classes {classes}"
+    assert len(accepted) <= 1
+    assert verdict.ok == bool(accepted)
+    assert time.perf_counter() - start < 10
+
+
+def test_a_warm_verify_pass_evaluates_no_more_than_it_did(monkeypatch):
+    """One warm seed-1 ``run_checks`` on the gauged heis6 makes 99
+    ``ScalarExpr.evaluate`` calls, as it did before the Reeb system was
+    reduced once; a change that evaluates more shows here."""
+    def make():
+        return gauged_heis6(corpus_build("heis6"), FOUR_FIELD_GAUGE)
+
+    run_checks(make(), seed=1)
+    scenario, evaluate, calls = make(), ScalarExpr.evaluate, []
+
+    def counted(self, point):
+        calls.append(None)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(ScalarExpr, "evaluate", counted)
+    run_checks(scenario, seed=1)
+    assert 0 < len(calls) <= 99
 
 
 # -- the two almost complex structures ----------------------------------

@@ -251,6 +251,44 @@ def test_cartan_class_and_degeneracy(heis6):
     assert form_power(exterior_derivative(alpha1), 2).is_zero()
 
 
+def test_a_cartan_class_warns_exactly_where_its_witness_vanishes():
+    """The class is probed through the coefficients of its witness form,
+    alpha ^ (d alpha)^p or (d alpha)^p, and warns only at a probe point
+    where all of them vanish."""
+    names = ["x", "y", "z"]
+    presentation = FramePresentation(
+        names, [["1" if i == j else "0" for j in range(3)]
+                for i in range(3)], {name: 0 for name in names})
+
+    def form(*texts):
+        return one_form(presentation, [presentation.scalar(t)
+                                       for t in texts])
+
+    def point(x, y, z):
+        return {"x": Fraction(x), "y": Fraction(y), "z": Fraction(z)}
+
+    # (x + 5/9)(dz - y dx) ^ d of it = (x + 5/9)^2 dx ^ dy ^ dz
+    alpha = form("-(x + 5/9)*y", "0", "x + 5/9")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ChartDomainWarning)
+        assert cartan_class(alpha, [point(Fraction(-5, 9), 1, 0),
+                                    point(1, 0, 0), point(2, 3, -1)],
+                            "alpha") == 3
+    assert [str(w.message) for w in caught] == [
+        "Cartan-class witness of alpha vanishes at probe {'x': "
+        "Fraction(-5, 9), 'y': Fraction(1, 1), 'z': Fraction(0, 1)}; "
+        "verdict holds only off this locus"]
+    # beta = d(xy) is closed, of class 1 with witness beta itself: at
+    # y = 0 its first coefficient vanishes but not the second
+    beta = form("y", "x", "0")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ChartDomainWarning)
+        assert cartan_class(beta, [point(1, 0, 1), point(2, 1, 1)],
+                            "beta") == 1
+    with pytest.warns(ChartDomainWarning, match="witness of beta vanishes"):
+        assert cartan_class(beta, [point(0, 0, 5)], "beta") == 1
+
+
 # -- Levi-Civita connection --------------------------------------------
 
 @pytest.fixture(params=["heis6", "gauged"])

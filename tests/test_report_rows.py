@@ -1,9 +1,12 @@
 """Golden report rows: (id, verdict, witness) of ``run_checks`` at probe
 seeds 1 and 7, on every corpus scenario, on heis6 with the five
-negative controls of ``conftest`` and on darboux of types (2,0), (0,2)
-and (2,2).  The controls give failing witnesses for most derived
-identities, so a rewrite of a check that changes a witness shows here;
-the darboux types cover an empty H1 or H2 and the largest type.
+negative controls of ``conftest``, on darboux of types (2,0), (0,2)
+and (2,2) and on two pairs that fail.  The controls give failing
+witnesses for most derived identities, so a rewrite of a check that
+changes a witness shows here; the darboux types cover an empty H1 or H2
+and the largest type.  The failing pairs are heis6 with alpha_2 =
+alpha_1, whose volume form vanishes, and heis6 declared of type (2,0),
+whose second form fails its degeneracy.
 
 The file ``data/report_rows.json`` is written by ``golden_rows()``; every
 row is compared byte for byte.
@@ -33,7 +36,9 @@ CONTROLS = {
 }
 DARBOUX_TYPES = {"darboux-2-0": (2, 0), "darboux-0-2": (0, 2),
                  "darboux-2-2": (2, 2)}
-LABELS = CORPUS_NAMES + tuple(CONTROLS) + tuple(DARBOUX_TYPES)
+FAILING_PAIRS = ("heis6-alpha2-is-alpha1", "heis6-type-2-0")
+LABELS = (CORPUS_NAMES + tuple(CONTROLS) + tuple(DARBOUX_TYPES)
+          + FAILING_PAIRS)
 
 
 def build(label):
@@ -41,6 +46,14 @@ def build(label):
         key, make = CONTROLS[label]
         scenario = corpus_build("heis6")
         scenario._cache[key] = make(scenario)
+        return scenario
+    if label == "heis6-alpha2-is-alpha1":
+        scenario = corpus_build("heis6")
+        scenario.alpha2 = list(scenario.alpha1)
+        return scenario
+    if label == "heis6-type-2-0":
+        scenario = corpus_build("heis6")
+        scenario.pair_type = (2, 0)
         return scenario
     if label in DARBOUX_TYPES:
         return corpus_build("darboux", DARBOUX_TYPES[label])
@@ -109,3 +122,7 @@ def test_the_golden_file_covers_failing_witnesses_of_rewritten_checks(golden):
                for r in failing)
     assert any("induced-metric-is-associated" in r for r in failing)
     assert any("complex-shape-identity" in r for r in failing)
+    pair_witnesses = [seed[0][2] for label in FAILING_PAIRS
+                      for seed in golden[label].values()]
+    assert [w for w in pair_witnesses if "volume form: " in w]
+    assert [w for w in pair_witnesses if "degeneracy of the " in w]
