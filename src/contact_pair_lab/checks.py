@@ -40,6 +40,7 @@ from .contact import (Finding, ValidationError, check_connection_identities,
                       validate_structure)
 from .corpus import Scenario
 from .frames import ChartDomainWarning, seeded_probe_points
+from .scalars import cancellation_table
 from .submanifolds import (InvarianceProfile, ShapeData, SubframeError,
                            classify, restrict_structure, shape_data,
                            verify_theorems)
@@ -158,9 +159,14 @@ class CheckRow:
 
 @dataclass
 class CheckReport:
+    """A scenario's rows.  ``counters`` holds the run's kernel counters
+    (``scalars.COUNTERS``); they describe the work, not the result, so
+    ``to_dict`` leaves them out."""
+
     scenario: str
     rows: List[CheckRow] = field(default_factory=list)
     seed: int = 1
+    counters: Dict[str, int] = field(default_factory=dict)
 
     @property
     def overall(self) -> str:
@@ -248,24 +254,29 @@ class _Runner:
 
 def run_checks(scenario: Scenario, selection: Optional[Sequence[str]] = None,
                seed: int = 1) -> CheckReport:
+    """The report of one run.  The run holds one cancellation table open
+    (``scalars.cancellation_table``), whose counters become the report's
+    ``counters``; the table is dropped on return or on error."""
     runner = _Runner(scenario, seed)
-    probes = seeded_probe_points(scenario.presentation(), seed=seed)
-    results: Dict[str, Any] = {}
-    for stage in _resolve_selection(selection):
-        needed, compute = _STAGES[stage]
-        prior = results.get(needed)
-        if stage == "submanifolds":
-            _run_submanifolds(runner, scenario, prior)
-            continue
-        checks = [c for c in CHECKS if c.stage == stage]
-        if needed and prior is None:
-            runner.emit(checks, None)
-            continue
-        result, ms, warned = _timed(
-            lambda: compute(scenario, probes, prior), ValidationError)
-        if not isinstance(result, ValidationError):
-            results[stage] = result
-        runner.emit(checks, result, ms, warned)
+    with cancellation_table() as table:
+        probes = seeded_probe_points(scenario.presentation(), seed=seed)
+        results: Dict[str, Any] = {}
+        for stage in _resolve_selection(selection):
+            needed, compute = _STAGES[stage]
+            prior = results.get(needed)
+            if stage == "submanifolds":
+                _run_submanifolds(runner, scenario, prior)
+                continue
+            checks = [c for c in CHECKS if c.stage == stage]
+            if needed and prior is None:
+                runner.emit(checks, None)
+                continue
+            result, ms, warned = _timed(
+                lambda: compute(scenario, probes, prior), ValidationError)
+            if not isinstance(result, ValidationError):
+                results[stage] = result
+            runner.emit(checks, result, ms, warned)
+    runner.report.counters = table.counters
     return runner.report
 
 

@@ -61,6 +61,9 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--checks", default="all", metavar="LIST",
                         help="comma-separated subset of: "
                              + ", ".join(STAGES) + ", all")
+    parser.add_argument("--stats", action="store_true",
+                        help="print each run's kernel counters after the"
+                             " rows (to stderr with --format json)")
 
 
 def _parse_checks(text: str) -> List[str]:
@@ -96,17 +99,23 @@ def _emit(report: CheckReport, fmt: str, out,
 
 
 def _run_scenarios(scenarios: Sequence[Scenario], selection: List[str],
-                   seed: int, fmt: str, out) -> int:
-    code = 0
-    reports = [run_checks(scenario, selection, seed=seed)
+                   args, out, err) -> int:
+    reports = [run_checks(scenario, selection, seed=args.seed)
                for scenario in scenarios]
-    if fmt == "json" and len(reports) > 1:
+    if args.format == "json" and len(reports) > 1:
         json.dump([r.to_dict() for r in reports], out, indent=2,
                   sort_keys=True)
         out.write("\n")
-        return 1 if any(r.overall != "pass" for r in reports) else 0
-    for report in reports:
-        code = max(code, _emit(report, fmt, out))
+        code = 1 if any(r.overall != "pass" for r in reports) else 0
+    else:
+        code = max(_emit(report, args.format, out) for report in reports)
+    if args.stats:
+        # after every row; a JSON document on stdout stays one document
+        stream = err if args.format == "json" else out
+        for report in reports:
+            stream.write(f"stats: {report.scenario}\n")
+            for name, value in report.counters.items():
+                stream.write(f"  {name} {value}\n")
     return code
 
 
@@ -154,13 +163,11 @@ def main(argv: Optional[Sequence[str]] = None,
                 scenarios = [corpus_build(name) for name in CORPUS_NAMES]
             else:
                 scenarios = [corpus_build(args.name, params)]
-            return _run_scenarios(scenarios, selection, seed,
-                                  args.format, out)
+            return _run_scenarios(scenarios, selection, args, out, err)
         if args.command == "verify":
             selection = _parse_checks(args.checks)
             scenario = load_scenario(args.input)
-            return _run_scenarios([scenario], selection, seed,
-                                  args.format, out)
+            return _run_scenarios([scenario], selection, args, out, err)
         if args.command == "submanifold":
             return _cmd_submanifold(args, seed, out)
     except (ScenarioError, ParseError, ScalarError, OSError, FrameError,

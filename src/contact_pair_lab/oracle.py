@@ -144,6 +144,18 @@ class _Jet:
         return _Jet(inv, grad, np.negative(hess, out=hess))
 
 
+def _combine(part: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """part @ coeffs, the entries' parts from the monomials' parts, as the
+    same BLAS product at every point.  The values [p, t] are multiplied as
+    p products [1, t] @ [t, e]: one [p, t] @ [t, e] product takes another
+    routine for one row than for several, so a point's values would depend
+    on how many points share its stack.  Partials [p, ..., t] already are
+    a product per point."""
+    if part.ndim == 2:
+        return (part[:, None] @ coeffs)[:, 0]
+    return part @ coeffs
+
+
 class _FloatGrid:
     """A vector or matrix of rational functions compiled for floats.
 
@@ -183,7 +195,8 @@ class _FloatGrid:
             den = [np.broadcast_to(coeffs.sum(axis=0),
                                    (len(xs), coeffs.shape[1]))]
         else:
-            den = [part @ coeffs for part in monomials.jet(xs, order)]
+            den = [_combine(part, coeffs)
+                   for part in monomials.jet(xs, order)]
         return den, (den[0] == 0.0).any(axis=1)
 
     def poles(self, xs: Points) -> np.ndarray:
@@ -194,7 +207,7 @@ class _FloatGrid:
         """The entries' jet of the given order (0, 1 or 2) at each point:
         value [p, *shape], grad [p, a, *shape], hess [p, a, b, *shape]."""
         monomials, coeffs = self.num
-        num = [part @ coeffs for part in monomials.jet(xs, order)]
+        num = [_combine(part, coeffs) for part in monomials.jet(xs, order)]
         den, poles = self._denominator(xs, order)
         if poles.any():
             raise PoleError(f"pole at {xs[np.argmax(poles)].tolist()}")
@@ -456,7 +469,11 @@ class _View:
     def reeb_curvature(self) -> np.ndarray:
         """R(e_a, e_b)(Z_1 + Z_2) at [p, a, b, l].  Each chunk's R comes
         from the order-2 metric chain on that chunk alone and is contracted
-        with Z there, so no n^4 array outlives its chunk."""
+        with Z there, so no n^4 array outlives its chunk.  The contraction
+        is one BLAS product [1, k] @ [k, a b] per point and l, on R's
+        contiguous reshape, so an entry is the same float whatever the
+        chunk's size (an einsum may sum in another order for another
+        layout)."""
         z = self.reeb[0] + self.reeb[1]
         values = []
         for chunk in self.chunks():
@@ -465,7 +482,9 @@ class _View:
             # is formed
             riemann = _riemann(_christoffel(
                 self.num.metric(x, self.num.frame_at.jet(x, 2).inverse())))
-            values.append(np.einsum("plkab,pk->pabl", riemann, z[chunk]))
+            p, n = riemann.shape[:2]
+            rz = z[chunk, None, None] @ riemann.reshape(p, n, n, n * n)
+            values.append(rz.reshape(p, n, n, n).transpose(0, 2, 3, 1))
             del riemann
         return np.concatenate(values)
 

@@ -38,7 +38,9 @@ numerator and denominator (Henrici's cancellation, Knuth TAOCP vol. 2,
   denominator leads positively.
 
 Scalars are immutable: nothing writes ``num`` or ``den`` after
-construction.  So an operator whose other operand is zero, or the unit 1
+construction, nor a Terms dict that a helper returns, since that may be an
+operand returned unchanged or a result shared through the run's table
+(below).  So an operator whose other operand is zero, or the unit 1
 as a factor or divisor, returns an existing operand instead of building a
 scalar; ``0 - b`` returns ``-b``.  The operands' coordinate tuples are
 checked first.
@@ -56,15 +58,55 @@ common to both, as polynomials over Z[other variables], the gcd is the
 gcd of the contents times the last nonzero primitive pseudo-remainder,
 and the contents are gcds of fewer variables taken by ``_terms_gcd``
 again.  Every gcd is then certified: ``_cancel`` divides by it with
-``_exact_div``, which raises unless the quotient is exact.
+``_exact_div``, which raises unless the quotient is exact.  Two primitive
+cofactors equal up to sign (associates, such as -u^2 - 4 and u^2 + 4) are
+each other's gcd without a division, and an operand equal to the gcd, or
+to its negative, has the unit cofactor 1 or -1, so no polynomial is
+divided by itself.  ``_exact_div`` keeps the remainder's terms in a heap on
+the graded-lexicographic order, so each step pops the leading term
+instead of scanning the whole remainder (the heap of Monagan and Pearce,
+"Sparse polynomial division using a heap", 2011, here over the remainder's
+terms only).
+
+A verification run asks for the same cancellation many times: the same
+denominators meet in every component of a tensor.  ``cancellation_table()``
+opens a table for the duration of a ``with`` block, and ``checks.run_checks``
+holds one open for exactly one run.  While it is open, ``_cancel`` of two
+nonconstant polynomials looks the pair up by value (its frozen terms) and
+computes each distinct pair once, in either order; so does every gcd of
+two nonconstant polynomials, the PRS's inner ones included.  The table
+also counts the cancellations asked and answered, and the gcds by the
+path that settled them (``COUNTERS``).  The table lives in a
+``contextvars.ContextVar``, so two threads, or two runs, never share one,
+and it is dropped when the block ends, normally or by an exception.  It is
+deliberately not process-wide: a memo that outlived one run would grow
+without bound and would make the second run of a scenario a different,
+cheaper program than the first.  Outside such a block, for instance in a
+direct call of a validation stage, nothing is looked up or counted, and
+every result is computed as it is inside one.  Results returned from the
+table are shared between the scalars that receive them.
+
+Constants take a path of their own: the sum, difference, product or
+quotient of two constants p/q and r/s is integer arithmetic on the four
+coefficients followed by one ``math.gcd``, and a product with a constant
+one-term factor builds no exponent tuples.  ``evaluate`` clears the
+point's denominators: with each coordinate p_i/q_i and D_i the largest
+degree of x_i in the numerator or the denominator, both are evaluated
+times prod q_i^D_i, on integers, and one ``Fraction`` is built from the
+two values at the end.  The common factor cancels, so the value, and
+where a pole is reported, are those of evaluating with fractions.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
-from math import gcd
-from operator import add, sub
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from heapq import heapify, heappop, heappush
+from math import gcd, prod
+from operator import add, neg, sub
+from typing import (Dict, Iterable, Iterator, Mapping, Optional, Sequence,
+                    Tuple)
 
 Exponents = Tuple[int, ...]
 Terms = Dict[Exponents, int]
@@ -121,6 +163,8 @@ def _terms_mul(a: Terms, b: Terms) -> Terms:
     if len(b) == 1:
         # one term: monomial products are distinct and nothing cancels
         (eb, cb), = b.items()
+        if not any(eb):
+            return a if cb == 1 else {ea: ca * cb for ea, ca in a.items()}
         return {tuple(map(add, ea, eb)): ca * cb for ea, ca in a.items()}
     out: Terms = {}
     for ea, ca in a.items():
@@ -173,15 +217,30 @@ def _primitive(a: Terms) -> Terms:
     return a if content == 1 else _terms_divide(a, content)
 
 
+def _heap_key(exponents: Exponents) -> Tuple[int, Exponents, Exponents]:
+    """A heap entry that pops the graded-lexicographically largest
+    exponents first."""
+    return -sum(exponents), tuple(map(neg, exponents)), exponents
+
+
 def _exact_div(a: Terms, b: Terms) -> Terms:
     """The quotient a / b in Z[x]; raises ScalarError unless b divides a
-    with an integer quotient."""
+    with an integer quotient.
+
+    The remainder's exponents wait in a heap; an entry whose term has
+    since cancelled is skipped when it is popped.  Every term that
+    division adds lies below the current leading term, so each exponent
+    leads at most once."""
     lead_b, lc_b = _leading(b)
     tail = [(exp, coeff) for exp, coeff in b.items() if exp != lead_b]
     quotient: Terms = {}
     rem = dict(a)
-    while rem:
-        lead_r = max(rem, key=_grlex_key)
+    heap = [_heap_key(exp) for exp in rem]
+    heapify(heap)
+    while heap:
+        lead_r = heappop(heap)[2]
+        if lead_r not in rem:
+            continue
         exp = tuple(map(sub, lead_r, lead_b))
         coeff, inexact = divmod(rem.pop(lead_r), lc_b)
         if inexact or any(e < 0 for e in exp):
@@ -189,8 +248,12 @@ def _exact_div(a: Terms, b: Terms) -> Terms:
         quotient[exp] = coeff
         for eb, cb in tail:
             key = tuple(map(add, exp, eb))
-            new = rem.get(key, 0) - coeff * cb
-            if new:
+            old = rem.get(key, 0)
+            new = old - coeff * cb
+            if not old:
+                rem[key] = new
+                heappush(heap, _heap_key(key))
+            elif new:
                 rem[key] = new
             else:
                 del rem[key]
@@ -211,6 +274,10 @@ def _degree_in(a: Terms, v: int) -> int:
     return max(exp[v] for exp in a)
 
 
+def _is_negation(a: Terms, b: Terms) -> bool:
+    return len(a) == len(b) and all(b.get(exp) == -c for exp, c in a.items())
+
+
 def _terms_gcd(a: Terms, b: Terms) -> Terms:
     """Gcd in Z[x] of two nonzero polynomials: content gcd times
     primitive gcd times monomial gcd, with a positive leading
@@ -219,22 +286,32 @@ def _terms_gcd(a: Terms, b: Terms) -> Terms:
     shift_b = _monomial_content(b)
     shift = tuple(min(x, y) for x, y in zip(shift_a, shift_b))
     mono = {shift: gcd(*a.values(), *b.values())}
-    a = _terms_shift(a, shift_a)
-    b = _terms_shift(b, shift_b)
+    if any(shift_a):
+        a = _terms_shift(a, shift_a)
+    if any(shift_b):
+        b = _terms_shift(b, shift_b)
     if _is_constant(a) or _is_constant(b):
+        _count("gcd.content")
         return mono
     if not _support(a) & _support(b):
         # a divisor of a involves only a's variables
+        _count("gcd.disjoint")
         return mono
     a, b = _primitive(a), _primitive(b)
-    big, small = (a, b) if _degree(a) >= _degree(b) else (b, a)
-    try:
-        _exact_div(big, small)
-        g = small
-    except ScalarError:
-        g = _prs_gcd(a, b)
-        if _is_constant(g):
-            return mono
+    if a == b or _is_negation(a, b):
+        _count("gcd.associates")
+        g = a
+    else:
+        big, small = (a, b) if _degree(a) >= _degree(b) else (b, a)
+        try:
+            _exact_div(big, small)
+            _count("gcd.divisor")
+            g = small
+        except ScalarError:
+            _count("gcd.prs")
+            g = _prs_gcd(a, b)
+            if _is_constant(g):
+                return mono
     g = _terms_mul(g, mono)
     _, lc = _leading(g)
     return g if lc > 0 else _terms_neg(g)
@@ -249,7 +326,7 @@ def _split(a: Terms, v: int) -> Tuple[Terms, Terms]:
     it = iter(coeffs.values())
     content = next(it)
     for coeff in it:
-        content = _terms_gcd(content, coeff)
+        content = _gcd(content, coeff)
     return content, _exact_div(a, content)
 
 
@@ -260,7 +337,7 @@ def _prs_gcd(a: Terms, b: Terms) -> Terms:
     v = min(_support(a) & _support(b))
     content_a, a = _split(a, v)
     content_b, b = _split(b, v)
-    content = _terms_gcd(content_a, content_b)
+    content = _gcd(content_a, content_b)
     if _degree_in(a, v) < _degree_in(b, v):
         a, b = b, a
     while True:
@@ -289,19 +366,107 @@ def _pseudo_remainder(a: Terms, b: Terms, v: int) -> Terms:
     return a
 
 
+# The counters of a run's cancellation table, in report order: the
+# cancellations of two nonconstant polynomials asked for, those answered
+# from the table, and the gcds by the path that settled them.
+COUNTERS = ("cancel.asked", "cancel.from_table", "gcd.content",
+            "gcd.disjoint", "gcd.associates", "gcd.divisor", "gcd.prs")
+
+
+class CancellationTable:
+    """The gcds and cancellations of nonconstant polynomials in one
+    verification run, by the values of the two operands, and the run's
+    kernel counters."""
+
+    __slots__ = ("gcds", "quotients", "counters")
+
+    def __init__(self) -> None:
+        self.gcds: Dict[Tuple[frozenset, frozenset], Terms] = {}
+        self.quotients: Dict[Tuple[frozenset, frozenset],
+                             Tuple[Terms, Terms]] = {}
+        self.counters: Dict[str, int] = dict.fromkeys(COUNTERS, 0)
+
+
+_TABLE: ContextVar[Optional[CancellationTable]] = ContextVar(
+    "cancellation_table", default=None)
+
+
+@contextmanager
+def cancellation_table() -> Iterator[CancellationTable]:
+    """Open a cancellation table for the duration of the block, in the
+    current context only; it is dropped when the block ends."""
+    table = CancellationTable()
+    token = _TABLE.set(table)
+    try:
+        yield table
+    finally:
+        _TABLE.reset(token)
+
+
+def _count(name: str) -> None:
+    table = _TABLE.get()
+    if table is not None:
+        table.counters[name] += 1
+
+
+def _gcd(a: Terms, b: Terms) -> Terms:
+    """_terms_gcd(a, b), taken once per run for two nonconstant operands
+    while a table is open: a gcd inside the PRS can repeat one that a
+    cancellation took, and the other way round.  With a constant operand
+    it is the gcd of the integer contents."""
+    if _is_constant(a) or _is_constant(b):
+        return {(0,) * len(next(iter(a))): gcd(*a.values(), *b.values())}
+    table = _TABLE.get()
+    if table is None:
+        return _terms_gcd(a, b)
+    key = (frozenset(a.items()), frozenset(b.items()))
+    g = table.gcds.get(key)
+    if g is None:
+        # the gcd is symmetric, so the swapped pair is settled too
+        g = table.gcds[key] = table.gcds[key[::-1]] = _terms_gcd(a, b)
+    return g
+
+
 def _cancel(a: Terms, b: Terms) -> Tuple[Terms, Terms]:
     """a and b divided by their gcd."""
     if _is_constant(a) or _is_constant(b):
         # _terms_gcd would return the content gcd too, after shifting both
         content = gcd(*a.values(), *b.values())
+        if content == 1:
+            return a, b
+        return _terms_divide(a, content), _terms_divide(b, content)
+    table = _TABLE.get()
+    if table is None:
+        return _cancel_polynomials(a, b)
+    table.counters["cancel.asked"] += 1
+    key = (frozenset(a.items()), frozenset(b.items()))
+    found = table.quotients.get(key)
+    if found is None:
+        found = table.quotients[key] = _cancel_polynomials(a, b)
+        table.quotients[key[::-1]] = found[::-1]
     else:
-        g = _terms_gcd(a, b)
-        if not _is_constant(g):
-            return _exact_div(a, g), _exact_div(b, g)
+        table.counters["cancel.from_table"] += 1
+    return found
+
+
+def _cancel_polynomials(a: Terms, b: Terms) -> Tuple[Terms, Terms]:
+    """a and b, both nonconstant, divided by their gcd."""
+    g = _gcd(a, b)
+    if _is_constant(g):
         (content,) = g.values()
-    if content == 1:
-        return a, b
-    return _terms_divide(a, content), _terms_divide(b, content)
+        if content == 1:
+            return a, b
+        return _terms_divide(a, content), _terms_divide(b, content)
+    return _cofactor(a, g), _cofactor(b, g)
+
+
+def _cofactor(a: Terms, g: Terms) -> Terms:
+    """a / g for a divisor g of a: the unit 1 or -1 when a is g or -g."""
+    if a == g:
+        return {(0,) * len(next(iter(g))): 1}
+    if _is_negation(a, g):
+        return {(0,) * len(next(iter(g))): -1}
+    return _exact_div(a, g)
 
 
 def _sign_fix(num: Terms, den: Terms) -> Tuple[Terms, Terms]:
@@ -310,6 +475,28 @@ def _sign_fix(num: Terms, den: Terms) -> Tuple[Terms, Terms]:
     if lc > 0:
         return num, den
     return _terms_neg(num), _terms_neg(den)
+
+
+def _constant_parts(x: "ScalarExpr") -> Optional[Tuple[int, int]]:
+    """(p, q) when the nonzero scalar x is the constant p/q, else None."""
+    num, den = x.num, x.den
+    if len(num) == 1 and len(den) == 1:
+        (e, p), = num.items()
+        (f, q), = den.items()
+        if not any(e) and not any(f):
+            return p, q
+    return None
+
+
+def _constant(like: "ScalarExpr", p: int, q: int) -> "ScalarExpr":
+    """The constant p/q, q nonzero, over the coordinates of the constant
+    ``like``, whose exponent tuple it reuses."""
+    g = gcd(p, q)
+    if q < 0:
+        g = -g
+    zero = next(iter(like.den))
+    return ScalarExpr(like.vars, {zero: p // g} if p else {},
+                      {zero: q // g}, _canonical=True)
 
 
 class ScalarExpr:
@@ -419,12 +606,17 @@ class ScalarExpr:
     # operand itself, so sums and products over sparse tensors build no
     # scalar for their trivial terms.
 
+    # Two nonzero constants p/q and r/s combine on their coefficients.
+
     def __add__(self, other: "ScalarExpr") -> "ScalarExpr":
         self._check(other)
         if not other.num:
             return self
         if not self.num:
             return other
+        x, y = _constant_parts(self), _constant_parts(other)
+        if x and y:
+            return _constant(self, x[0] * y[1] + y[0] * x[1], x[1] * y[1])
         return self._sum(other.num, other.den)
 
     def __sub__(self, other: "ScalarExpr") -> "ScalarExpr":
@@ -433,6 +625,9 @@ class ScalarExpr:
             return self
         if not self.num:
             return -other
+        x, y = _constant_parts(self), _constant_parts(other)
+        if x and y:
+            return _constant(self, x[0] * y[1] - y[0] * x[1], x[1] * y[1])
         return self._sum(_terms_neg(other.num), other.den)
 
     def __mul__(self, other: "ScalarExpr") -> "ScalarExpr":
@@ -441,6 +636,9 @@ class ScalarExpr:
             return self
         if not other.num or self.is_one():
             return other
+        x, y = _constant_parts(self), _constant_parts(other)
+        if x and y:
+            return _constant(self, x[0] * y[0], x[1] * y[1])
         return self._product(other.num, other.den)
 
     def __truediv__(self, other: "ScalarExpr") -> "ScalarExpr":
@@ -449,6 +647,9 @@ class ScalarExpr:
             raise DivisionByZero("division by the zero expression")
         if not self.num or other.is_one():
             return self
+        x, y = _constant_parts(self), _constant_parts(other)
+        if x and y:
+            return _constant(self, x[0] * y[1], x[1] * y[0])
         return self._product(other.den, other.num)
 
     def __neg__(self) -> "ScalarExpr":
@@ -502,28 +703,31 @@ class ScalarExpr:
         return ScalarExpr(self.vars, num, _terms_mul(self.den, self.den))
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        values = []
+        numerators, denominators = [], []
         for v in self.vars:
             if v not in point:
                 raise ScalarError(f"point does not assign coordinate {v!r}")
-            # a Fraction is read as given; Fraction() rejects a non-number
+            # a Fraction or an int is read as given; Fraction() rejects a
+            # non-number
             val = point[v]
-            values.append(val if type(val) is Fraction else Fraction(val))
+            if type(val) is not Fraction and type(val) is not int:
+                val = Fraction(val)
+            numerators.append(val.numerator)
+            denominators.append(val.denominator)
+        # x_i = p_i/q_i: a monomial times prod q_i^D_i is the integer
+        # prod p_i^e_i q_i^(D_i - e_i), D_i the largest degree of x_i
+        tops = map(max, zip(*self.num, *self.den))
+        powers = [[p ** e * q ** (top - e) for e in range(top + 1)]
+                  for p, q, top in zip(numerators, denominators, tops)]
 
-        def ev(terms: Terms) -> Fraction:
-            total = Fraction(0)
-            for exp, coeff in terms.items():
-                term = coeff
-                for val, e in zip(values, exp):
-                    if e:
-                        term *= val ** e
-                total += term
-            return total
+        def ev(terms: Terms) -> int:
+            return sum(coeff * prod(map(list.__getitem__, powers, exp))
+                       for exp, coeff in terms.items())
 
         den = ev(self.den)
         if den == 0:
             raise PoleError(f"pole at {dict(point)}")
-        return ev(self.num) / den
+        return Fraction(ev(self.num), den)
 
     # -- printing --------------------------------------------------------
 

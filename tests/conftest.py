@@ -9,7 +9,8 @@ from contact_pair_lab import (EndoField, MetricField, corpus_build,
                               validate_metric, validate_structure)
 from contact_pair_lab.corpus import _cells
 from contact_pair_lab.frames import FrameError, bracket
-from contact_pair_lab.scalars import PoleError, ScalarError, parse_expr
+from contact_pair_lab.scalars import (PoleError, ScalarError, _grlex_key,
+                                      parse_expr)
 
 
 # -- helpers that only the tests read ----------------------------------
@@ -32,6 +33,32 @@ def evaluate_float(expr, point):
     if den == 0.0:
         raise PoleError(f"pole at {dict(point)}")
     return ev(expr.num) / den
+
+
+def exact_div_reference(a, b):
+    """The quotient a / b in Z[x] by the plain division loop, which finds
+    the remainder's leading term by a scan at every step; raises
+    ScalarError unless b divides a with an integer quotient."""
+    lead_b = max(b, key=_grlex_key)
+    lc_b = b[lead_b]
+    tail = [(exp, coeff) for exp, coeff in b.items() if exp != lead_b]
+    quotient = {}
+    rem = dict(a)
+    while rem:
+        lead_r = max(rem, key=_grlex_key)
+        exp = tuple(e - f for e, f in zip(lead_r, lead_b))
+        coeff, inexact = divmod(rem.pop(lead_r), lc_b)
+        if inexact or any(e < 0 for e in exp):
+            raise ScalarError("inexact polynomial division")
+        quotient[exp] = coeff
+        for eb, cb in tail:
+            key = tuple(e + f for e, f in zip(exp, eb))
+            new = rem.get(key, 0) - coeff * cb
+            if new:
+                rem[key] = new
+            else:
+                del rem[key]
+    return quotient
 
 
 def constant_value(expr):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import random
 import sys
 import tracemalloc
@@ -565,6 +566,28 @@ def test_chunked_order_2_matches_the_pointwise_loops(name):
                 atol=1e-12 * max(1.0, np.abs(reference).max()))
     curvature, size = _reeb_curvature_by_point(view)
     assert (np.abs(view.reeb_curvature() - curvature) <= 1e-12 * size).all()
+
+
+@pytest.mark.parametrize("seed", (2, 3))
+def test_a_chunk_gives_a_lone_point_s_curvature_bit_for_bit(seed,
+                                                           monkeypatch):
+    # the benchmark's heis6-gauged, where a two-point chunk's R(Z) once
+    # differed from one point's in the last bit
+    monkeypatch.syspath_prepend(os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "bench"))
+    import workloads
+
+    heis6 = workloads.load_base()["heis6"]
+    data = workloads.gauge(heis6, workloads.gauge_draw(heis6, seed))
+    chunked = oracle._view(scenario_from_dict(data), 8, seed)
+    assert len(chunked.chunks()) < 8
+    curvature = chunked.reeb_curvature()
+    monkeypatch.setattr(oracle, "_ORDER_2_ENTRIES", 1)
+    alone = oracle._view(scenario_from_dict(data), 8, seed)
+    assert len(alone.chunks()) == 8
+    assert np.array_equal(chunked.xs, alone.xs)
+    assert np.array_equal(curvature, alone.reeb_curvature())
 
 
 def _regular_by_point(numeric, x):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from contact_pair_lab import scalars
 from contact_pair_lab.scalars import (DivisionByZero, ParseError, PoleError,
                                       ScalarError, ScalarExpr, parse_expr)
-from conftest import constant_value, evaluate_float
+from conftest import constant_value, evaluate_float, exact_div_reference
 
 VARS = ("x", "y")
 
@@ -136,11 +136,16 @@ def _with_trivial_operands(test):
 @given(rationals, rationals, st.sampled_from(sorted(_OPERATORS)))
 def test_arithmetic_matches_general_reduction(a, b, op):
     assume(op != "/" or not b.is_zero())
-    result = _OPERATORS[op](a, b)
+    results = [_OPERATORS[op](a, b)]
+    # with a run's table open; the second time, each cancellation of two
+    # nonconstant polynomials is answered by the table
+    with scalars.cancellation_table():
+        results += [_OPERATORS[op](a, b), _OPERATORS[op](a, b)]
     reference = ScalarExpr(VARS, *_raw(a, b, op))
-    assert result == reference
-    assert hash(result) == hash(reference)
-    assert str(result) == str(reference)
+    for result in results:
+        assert result == reference
+        assert hash(result) == hash(reference)
+        assert str(result) == str(reference)
 
 
 def test_trivial_operands_return_the_other_operand_itself():
@@ -417,3 +422,145 @@ def test_content_and_factor_cancel_without_sympy(monkeypatch):
 def test_constant_value_is_a_fraction():
     for text in ("3/4", "2", "0"):
         assert type(constant_value(sx(text))) is Fraction
+
+
+# -- constants ---------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(_fractions, _fractions, st.sampled_from(sorted(_OPERATORS)))
+@example(Fraction(2, 4), Fraction(6, 9), "*")
+@example(Fraction(-3, 5), Fraction(3, 5), "+")
+@example(Fraction(-1, 2), Fraction(-1, 3), "/")
+@example(Fraction(3, 4), Fraction(-9, 8), "/")
+def test_constant_results_are_the_general_reduction(p, q, op):
+    assume(op != "/" or q)
+    a, b = ScalarExpr.constant(p, VARS), ScalarExpr.constant(q, VARS)
+    result = _OPERATORS[op](a, b)
+    num, den = ScalarExpr._normalize(*_raw(a, b, op), len(VARS))
+    assert (result.num, result.den) == (num, den)
+    assert result == ScalarExpr.constant(_OPERATORS[op](p, q), VARS)
+    assert all(type(c) is int
+               for c in (*result.num.values(), *result.den.values()))
+
+
+def test_a_constant_one_term_factor_keeps_the_exponents():
+    a = sx("x^2*y - 3*y + 1").num
+    assert scalars._terms_mul(a, {(0, 0): 1}) is a
+    assert scalars._terms_mul({(0, 0): -2}, a) == scalars._terms_scale(a, -2)
+
+
+# -- evaluation on integers --------------------------------------------
+
+def _evaluate_reference(expr, point):
+    """The value at a point, term by term in Fractions."""
+    def ev(terms):
+        total = Fraction(0)
+        for exp, coeff in terms.items():
+            term = Fraction(coeff)
+            for name, e in zip(expr.vars, exp):
+                term *= Fraction(point[name]) ** e
+            total += term
+        return total
+
+    den = ev(expr.den)
+    if den == 0:
+        raise PoleError(f"pole at {dict(point)}")
+    return ev(expr.num) / den
+
+
+_points_16 = st.fixed_dictionaries(
+    {name: st.fractions(min_value=-4, max_value=4, max_denominator=16)
+     for name in VARS})
+_int_points = st.fixed_dictionaries(
+    {name: st.integers(-5, 5) for name in VARS})
+
+
+@settings(max_examples=100, deadline=None)
+@given(rationals, st.one_of(_points_16, _int_points))
+@example(sx("(x^2 + y)/(4*x^2 - 1)"), {"x": Fraction(1, 2), "y": 3})
+@example(sx("(x*y - 1)/(3*y + 1)"), {"x": Fraction(7, 16),
+                                     "y": Fraction(-1, 3)})
+@example(sx("(x + y)/((2*x - 1)*(y^2 + 1))"), {"x": Fraction(1, 2),
+                                              "y": Fraction(5, 16)})
+@example(sx("(x + y)/((2*x - 1)*(y^2 + 1))"), {"x": Fraction(1, 4), "y": 0})
+def test_integer_evaluation_matches_fractions(a, point):
+    try:
+        expected = _evaluate_reference(a, point)
+    except PoleError:
+        with pytest.raises(PoleError):
+            a.evaluate(point)
+        return
+    value = a.evaluate(point)
+    assert type(value) is Fraction and value == expected
+
+
+# -- exact division ----------------------------------------------------
+
+_divisions = st.integers(2, 3).flatmap(
+    lambda n: st.tuples(*[_polys(n)] * 3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_divisions)
+# x^3 - y^3 by x - y: the dividend's y^3 cancels only at the last step
+@example(({(2, 0): 1, (1, 1): 1, (0, 2): 1}, {(1, 0): 1, (0, 1): -1},
+          {(0, 0): 1}))
+# a divisor led by a term whose multiples cancel against later products
+@example(({(1, 1, 0): 1, (0, 0, 2): -1}, {(1, 0, 1): 2, (0, 1, 0): 1,
+                                          (0, 0, 0): -3},
+          {(0, 1, 1): 1}))
+def test_heap_division_matches_the_reference(case):
+    q, b, r = case
+    a = scalars._terms_mul(q, b)
+    quotient = scalars._exact_div(a, b)
+    assert list(quotient.items()) == list(exact_div_reference(a, b).items())
+    assert quotient == q
+    # a plus a remainder term: divisible exactly when the reference says so
+    inexact = scalars._terms_add(a, r)
+    try:
+        expected = exact_div_reference(inexact, b)
+    except ScalarError:
+        with pytest.raises(ScalarError):
+            scalars._exact_div(inexact, b)
+    else:
+        assert scalars._exact_div(inexact, b) == expected
+
+
+# -- associates, unit cofactors and the run's table ---------------------
+
+def _refuse_division(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("a polynomial was divided")
+
+    monkeypatch.setattr(scalars, "_exact_div", refuse)
+
+
+def test_associates_and_unit_cofactors_divide_nothing(monkeypatch):
+    p = sx("y^2 + 4").num
+    minus_p = scalars._terms_neg(p)
+    unit = {(0, 0): 1}
+    _refuse_division(monkeypatch)
+    with scalars.cancellation_table() as table:
+        assert scalars._terms_gcd(minus_p, p) == p
+        assert scalars._cancel(p, p) == (unit, unit)
+        assert scalars._cancel(minus_p, p) == ({(0, 0): -1}, unit)
+    assert table.counters["gcd.associates"] == 3
+    assert sx("(-y^2 - 4)/(y^2 + 4)") == sx("-1")
+
+
+def test_the_table_answers_a_repeated_cancellation(monkeypatch):
+    a, b = sx("x/(1 + y^2)"), sx("(1 + y^2)^2/(x + 1)")
+    with scalars.cancellation_table() as table:
+        first = a * b
+        calls = []
+        gcd = scalars._terms_gcd
+        monkeypatch.setattr(scalars, "_terms_gcd",
+                            lambda p, q: calls.append(1) or gcd(p, q))
+        assert a * b == first and calls == []
+    asked, answered = (table.counters["cancel.asked"],
+                       table.counters["cancel.from_table"])
+    assert asked and answered == asked / 2
+    assert scalars._TABLE.get() is None
+    # without a table nothing is looked up or counted
+    assert a * b == first and len(calls) > 0
+    assert table.counters["cancel.asked"] == asked
