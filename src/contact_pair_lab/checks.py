@@ -10,9 +10,10 @@ table order.  A row is "skipped" when its stage did not run because a
 prerequisite failed, or when the stage did not produce its finding (the
 two normal-bundle connection identities on a bundle that is not normal).
 A stage that rejects its input (pair, structure) fails its first row
-with the error and skips the others.  A chart-domain warning raised while
-a stage, or one submanifold's analysis, runs turns its first row's pass
-into "warn".
+with the error and skips the others.  A row's verdict comes from its own
+finding: "fail" when it fails, else "warn" when it names a probe point
+where a quantity it needs nonzero vanishes (``Finding.probe``), else
+"pass"; the probe text follows the witness, if any, after "; ".
 
 Submanifold ids are registered with ``{}`` for the submanifold name.
 After those rows each submanifold gets one row per finding of its induced
@@ -29,7 +30,6 @@ known-negative facts still report an overall pass.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -39,7 +39,7 @@ from .contact import (Finding, ValidationError, check_connection_identities,
                       validate_contact_pair, validate_metric,
                       validate_structure)
 from .corpus import Scenario
-from .frames import ChartDomainWarning, seeded_probe_points
+from .frames import seeded_probe_points
 from .scalars import cancellation_table
 from .submanifolds import (InvarianceProfile, ShapeData, SubframeError,
                            classify, restrict_structure, shape_data,
@@ -77,18 +77,14 @@ class _Analysis(NamedTuple):
     shape: ShapeData
 
 
-def _holds(_result) -> Finding:
-    return Finding("", True)
-
-
 def _condition(text: str) -> Callable[[List[Finding]], Optional[Finding]]:
     return lambda findings: next(
         (f for f in findings if f.condition == text), None)
 
 
 CHECKS = (
-    Check("pair.valid", "pair", _holds),
-    Check("structure.axioms", "structure", _holds),
+    Check("pair.valid", "pair", lambda pair: pair.valid),
+    Check("structure.axioms", "structure", lambda _: Finding("", True)),
     Check("structure.decomposable", "structure", lambda s: s.decomposable),
     Check("metric.compatible", "metric", lambda m: m.compatible),
     Check("metric.associated", "metric", lambda m: m.associated),
@@ -136,7 +132,8 @@ CHECKS = (
           lambda a: Finding("", a.profile.rho_invariant)),
     Check("submanifold.{}.reeb-position", "submanifolds",
           lambda a: Finding("", a.profile.reeb_position != "mixed/unknown",
-                            a.profile.reeb_position)),
+                            a.profile.reeb_position,
+                            a.profile.position_probe)),
     Check("submanifold.{}.minimal", "submanifolds",
           lambda a: Finding("", a.shape.minimal, "" if a.shape.minimal
                             else f"H = {a.shape.mean_curvature}")),
@@ -209,8 +206,8 @@ class _Runner:
         self.report = CheckReport(scenario.name, seed=seed)
         self.ids: set = set()
 
-    def add(self, check_id: str, finding: Optional[Finding], ms: float,
-            warned: bool = False) -> None:
+    def add(self, check_id: str, finding: Optional[Finding],
+            ms: float) -> None:
         """Reconcile one row with the scenario's expectation; a missing
         finding is a skipped row."""
         if check_id in self.ids:
@@ -219,9 +216,9 @@ class _Runner:
         if finding is None:
             self.report.rows.append(CheckRow(check_id, "skipped", "", 0.0))
             return
-        witness = finding.witness
+        witness = "; ".join(t for t in (finding.witness, finding.probe) if t)
         expected = self.scenario.expectations.get(check_id, "pass")
-        raw = "fail" if not finding.ok else ("warn" if warned else "pass")
+        raw = ("warn" if finding.probe else "pass") if finding.ok else "fail"
         if expected == "fail":
             if raw == "fail":
                 verdict = "pass"
@@ -238,7 +235,7 @@ class _Runner:
                                          round(ms, 3)))
 
     def emit(self, checks: Sequence[Check], result, ms: float = 0.0,
-             warned: bool = False, name: str = "") -> None:
+             name: str = "") -> None:
         """One row per check, read from ``result``.  All are skipped when
         ``result`` is None; when it is the error the stage raised, the
         first row fails with it and the others are skipped."""
@@ -249,7 +246,7 @@ class _Runner:
                 finding = Finding("", False, str(result)) if i == 0 else None
             else:
                 finding = check.read(result)
-            self.add(check.id.format(name), finding, ms, warned and i == 0)
+            self.add(check.id.format(name), finding, ms)
 
 
 def run_checks(scenario: Scenario, selection: Optional[Sequence[str]] = None,
@@ -271,11 +268,11 @@ def run_checks(scenario: Scenario, selection: Optional[Sequence[str]] = None,
             if needed and prior is None:
                 runner.emit(checks, None)
                 continue
-            result, ms, warned = _timed(
+            result, ms = _timed(
                 lambda: compute(scenario, probes, prior), ValidationError)
             if not isinstance(result, ValidationError):
                 results[stage] = result
-            runner.emit(checks, result, ms, warned)
+            runner.emit(checks, result, ms)
     runner.report.counters = table.counters
     return runner.report
 
@@ -286,14 +283,14 @@ def _run_submanifolds(runner: _Runner, scenario: Scenario, mcp) -> None:
         if mcp is None:
             runner.add(f"submanifold.{name}.analysis", None, 0.0)
             continue
-        result, ms, warned = _timed(
+        result, ms = _timed(
             lambda: _analyse(scenario.subframe(name), mcp), SubframeError)
         if isinstance(result, SubframeError):
             runner.add(f"submanifold.{name}.analysis",
                        Finding("", False, str(result)), ms)
             continue
         analysis, findings = result
-        runner.emit(checks, analysis, ms, warned, name)
+        runner.emit(checks, analysis, ms, name)
         for finding in findings:
             runner.add(f"submanifold.{name}.{slugify(finding.condition)}",
                        finding, ms)
@@ -307,16 +304,12 @@ def _analyse(sub, mcp) -> Tuple[_Analysis, List[Finding]]:
     return _Analysis(profile, shape), findings
 
 
-def _timed(compute: Callable[[], Any], rejected: type
-           ) -> Tuple[Any, float, bool]:
-    """``compute()``'s result or the ``rejected`` error it raised, its time
-    in ms, and whether it raised a chart-domain warning."""
+def _timed(compute: Callable[[], Any], rejected: type) -> Tuple[Any, float]:
+    """``compute()``'s result or the ``rejected`` error it raised, and its
+    time in ms."""
     t0 = time.perf_counter()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ChartDomainWarning)
-        try:
-            result = compute()
-        except rejected as exc:
-            result = exc
-    warned = any(issubclass(w.category, ChartDomainWarning) for w in caught)
-    return result, (time.perf_counter() - t0) * 1000.0, warned
+    try:
+        result = compute()
+    except rejected as exc:
+        result = exc
+    return result, (time.perf_counter() - t0) * 1000.0

@@ -39,9 +39,13 @@ from .scalars import ScalarError, ScalarExpr
 
 @dataclass
 class Finding:
+    """A certified condition; ``probe`` names a probe point where a
+    quantity it needs nonzero vanishes (``nonvanishing_certificate``)."""
+
     condition: str
     ok: bool
     witness: str = ""
+    probe: str = ""
 
 
 def certify(condition: str, entries: Iterable[Tuple[str, Any, Any]]
@@ -75,6 +79,7 @@ class ContactPair:
     d_alpha1: PForm
     d_alpha2: PForm
     splitting: Dict[str, List[VectorField]]
+    valid: Finding
 
     @property
     def reeb_sum(self) -> VectorField:
@@ -153,7 +158,7 @@ def validate_contact_pair(presentation: FramePresentation, alpha1: PForm,
     2k and TF1 = H1 + [Z2] 2k + 1.  alpha_1 ^ (d alpha_1)^h divides the
     volume form too, so alpha_1 has Cartan class 2h + 1; where that
     witness vanishes at a probe point, so does the volume form, whose
-    probe warns.  Likewise for alpha_2, with h and k swapped.
+    probe ``valid`` reports.  Likewise for alpha_2, with h and k swapped.
     """
     n = presentation.dim
     if n != 2 * h + 2 * k + 2:
@@ -165,10 +170,10 @@ def validate_contact_pair(presentation: FramePresentation, alpha1: PForm,
     d2 = exterior_derivative(alpha2)
     points = [presentation.base_point, *probes]
     findings, top = pair_type_findings(alpha1, alpha2, d1, d2, h, k)
-    if top is not None:
-        nonvanishing_certificate("volume form", [top], points)
     if any(not f.ok for f in findings):
         raise ValidationError("not a contact pair", findings)
+    # the volume form holds, so top is its first nonzero coefficient
+    probe = nonvanishing_certificate("volume form", [top], points)[1]
 
     z1, z2 = solve_reeb(presentation, alpha1, alpha2, d1, d2)
     findings.append(certify("Reeb fields commute", [
@@ -189,7 +194,7 @@ def validate_contact_pair(presentation: FramePresentation, alpha1: PForm,
     if not spans:
         raise ValidationError("splitting failure", findings)
     return ContactPair(presentation, alpha1, alpha2, h, k, z1, z2, d1, d2,
-                       split)
+                       split, Finding("contact pair", True, probe=probe))
 
 
 @dataclass

@@ -46,7 +46,6 @@ Convention ledger (fixed once, asserted by tests):
 from __future__ import annotations
 
 import random
-import warnings
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -61,7 +60,9 @@ class FrameError(Exception):
 
 
 class ChartDomainWarning(UserWarning):
-    """A symbolically nonzero quantity vanished at a probe point."""
+    """A symbolically nonzero quantity vanished at a probe point.  Nothing
+    raises it: probes report in ``Finding.probe``.  It stays exported only
+    because the benchmark's child process (``bench/child.py``) imports it."""
 
 
 def _perm_sign(indices: Sequence[int]) -> int:
@@ -595,52 +596,49 @@ def seeded_probe_points(presentation, seed: int = 1
 
 
 def nonvanishing_certificate(label: str, values: Sequence[ScalarExpr],
-                             points: Sequence[Point]) -> bool:
-    """Probe a symbolically nonzero family; warn when a probe kills it.
+                             points: Sequence[Point]) -> Tuple[bool, str]:
+    """Probe a symbolically nonzero family: whether it is certified, and
+    the text naming the first probe point that kills it, or "".
 
-    Returns True when the family is nonzero at every probe point where it
-    is defined and at least one probe point was evaluated.  A family with a
-    nonzero constant member vanishes nowhere, so it returns True without
-    probing, even when another member has a pole at every probe point.
+    It is certified when it is nonzero at every probe point where it is
+    defined (a pole skips the point) and at least one was evaluated.  A
+    family with a nonzero constant member vanishes nowhere, so it is
+    certified without probing, even when the others have poles there.
     """
     if any(v.is_constant() and not v.is_zero() for v in values):
-        return True
-    ok = True
+        return True, ""
     checked = False
     for point in points:
         try:
             vanishes = all(v.evaluate(point) == 0 for v in values)
         except ScalarError:
             continue
-        checked = True
         if vanishes:
-            warnings.warn(
-                f"{label} vanishes at probe {dict(point)}; "
-                "verdict holds only off this locus", ChartDomainWarning)
-            ok = False
-    return ok and checked
+            return False, (f"{label} vanishes at probe {dict(point)}; "
+                           "verdict holds only off this locus")
+        checked = True
+    return checked, ""
 
 
-def cartan_class(alpha: PForm, probe_points: Optional[Sequence[Point]] = None,
-                 label: str = "1-form") -> int:
+def cartan_class(alpha: PForm) -> int:
     """Elie Cartan class of a 1-form on its context.
 
     The class is 2p+1 when alpha ^ (d alpha)^p is nonzero and (d alpha)^{p+1}
     vanishes identically, and 2p+2 when (d alpha)^{p+1} is nonzero while
     alpha ^ (d alpha)^{p+1} vanishes.  Nonvanishing means a nonzero canonical
-    coefficient; probe points only feed constancy warnings.  Wedge powers,
-    not a rank over the scalar field: on dense nonconstant forms the gcds
-    of a row reduction grow far beyond them.
+    coefficient; no point is probed.  Wedge powers, not a rank over the
+    scalar field: on dense nonconstant forms the gcds of a row reduction
+    grow far beyond them.
     """
     if alpha.degree != 1:
         raise FrameError("Cartan class is defined for 1-forms")
-    return _cartan_class(alpha, exterior_derivative(alpha), probe_points,
-                         label)
+    return _cartan_class(alpha, exterior_derivative(alpha), (), "")[0]
 
 
-def _cartan_class(alpha: PForm, d_alpha: PForm,
-                  probe_points: Optional[Sequence[Point]], label: str) -> int:
-    """``cartan_class`` of alpha with exterior derivative d_alpha."""
+def _cartan_class(alpha: PForm, d_alpha: PForm, probe_points: Sequence[Point],
+                  label: str) -> Tuple[int, str]:
+    """``cartan_class`` of alpha with exterior derivative d_alpha, and the
+    probe text of the class's witness form (``nonvanishing_certificate``)."""
     context = alpha.context
     n = context.dim
     power = PForm(context, 0, {(): context.one})
@@ -663,10 +661,9 @@ def _cartan_class(alpha: PForm, d_alpha: PForm,
     else:
         cls = 2 * r
         witness = power
-    if probe_points:
-        nonvanishing_certificate(f"Cartan-class witness of {label}",
-                                 list(witness.coeffs.values()), probe_points)
-    return cls
+    return cls, nonvanishing_certificate(
+        f"Cartan-class witness of {label}", list(witness.coeffs.values()),
+        probe_points)[1]
 
 
 class EndoField:

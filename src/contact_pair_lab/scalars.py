@@ -409,17 +409,17 @@ def _count(name: str) -> None:
         table.counters[name] += 1
 
 
-def _gcd(a: Terms, b: Terms) -> Terms:
+def _gcd(a: Terms, b: Terms, key=None) -> Terms:
     """_terms_gcd(a, b), taken once per run for two nonconstant operands
-    while a table is open: a gcd inside the PRS can repeat one that a
-    cancellation took, and the other way round.  With a constant operand
-    it is the gcd of the integer contents."""
+    while a table is open, under ``key`` if the caller froze the pair: a
+    gcd inside the PRS can repeat one that a cancellation took, and the
+    other way round.  With a constant operand it is the content gcd."""
     if _is_constant(a) or _is_constant(b):
         return {(0,) * len(next(iter(a))): gcd(*a.values(), *b.values())}
     table = _TABLE.get()
     if table is None:
         return _terms_gcd(a, b)
-    key = (frozenset(a.items()), frozenset(b.items()))
+    key = key or (frozenset(a.items()), frozenset(b.items()))
     g = table.gcds.get(key)
     if g is None:
         # the gcd is symmetric, so the swapped pair is settled too
@@ -442,16 +442,16 @@ def _cancel(a: Terms, b: Terms) -> Tuple[Terms, Terms]:
     key = (frozenset(a.items()), frozenset(b.items()))
     found = table.quotients.get(key)
     if found is None:
-        found = table.quotients[key] = _cancel_polynomials(a, b)
+        found = table.quotients[key] = _cancel_polynomials(a, b, key)
         table.quotients[key[::-1]] = found[::-1]
     else:
         table.counters["cancel.from_table"] += 1
     return found
 
 
-def _cancel_polynomials(a: Terms, b: Terms) -> Tuple[Terms, Terms]:
-    """a and b, both nonconstant, divided by their gcd."""
-    g = _gcd(a, b)
+def _cancel_polynomials(a: Terms, b: Terms, key=None) -> Tuple[Terms, Terms]:
+    """a and b, both nonconstant, divided by their gcd (``_gcd``'s key)."""
+    g = _gcd(a, b, key)
     if _is_constant(g):
         (content,) = g.values()
         if content == 1:

@@ -122,6 +122,8 @@ class InvarianceProfile:
     reeb_position: str
     z1_tangential: VectorField
     z2_tangential: VectorField
+    # the first norm probe that left the position mixed/unknown, or ""
+    position_probe: str = ""
 
     @property
     def tangent_both(self) -> bool:
@@ -148,6 +150,7 @@ def classify(sub: Subframe, mcp: MetricContactPair) -> InvarianceProfile:
     tangent = [z1_perp.is_zero(), z2_perp.is_zero()]
     orthogonal = [z1t.is_zero(), z2t.is_zero()]
 
+    probe = ""
     if tangent[0] and tangent[1]:
         position = "tangent-both"
     elif tangent[0] and orthogonal[1]:
@@ -155,21 +158,20 @@ def classify(sub: Subframe, mcp: MetricContactPair) -> InvarianceProfile:
     elif tangent[1] and orthogonal[0]:
         position = "tangent-Z2-orthogonal-Z1"
     elif not any(tangent) and not any(orthogonal):
-        def nonvanishing(label: str, v: VectorField) -> bool:
-            norm = g.norm_squared(v)
-            return not norm.is_zero() and nonvanishing_certificate(
-                f"{label} of {sub.name}", [norm], points)
-
-        nowhere = all(nonvanishing(label, v) for label, v in (
-            ("tangential part of Z1", z1t), ("tangential part of Z2", z2t),
-            ("normal part of Z1", z1_perp), ("normal part of Z2", z2_perp)))
-        position = ("nowhere-tangent-nowhere-orthogonal" if nowhere
-                    else "mixed/unknown")
+        position = "nowhere-tangent-nowhere-orthogonal"
+        for label, v in (
+                ("tangential part of Z1", z1t), ("tangential part of Z2", z2t),
+                ("normal part of Z1", z1_perp), ("normal part of Z2", z2_perp)):
+            ok, probe = nonvanishing_certificate(
+                f"{label} of {sub.name}", [g.norm_squared(v)], points)
+            if not ok:
+                position = "mixed/unknown"
+                break
     else:
         position = "mixed/unknown"
 
     return InvarianceProfile(sub.dim, phi_inv, j_inv, t_inv, rho_inv,
-                             position, z1t, z2t)
+                             position, z1t, z2t, probe)
 
 
 @dataclass
@@ -230,19 +232,21 @@ def _induced_pair_verdict(sub: Subframe, alpha1: PForm, alpha2: PForm,
                           points) -> Finding:
     r = sub.dim
     d1, d2 = exterior_derivative(alpha1), exterior_derivative(alpha2)
-    classes = (_cartan_class(alpha1, d1, points, "first induced form"),
-               _cartan_class(alpha2, d2, points, "second induced form"))
+    (c1, probe1), (c2, probe2) = (
+        _cartan_class(alpha1, d1, points, "first induced form"),
+        _cartan_class(alpha2, d2, points, "second induced form"))
+    classes, probe = (c1, c2), "; ".join(t for t in (probe1, probe2) if t)
     if r % 2 == 1 or r < 2:
         return Finding("induced pair is a contact pair", False,
-                       f"dimension {r} is odd; classes {classes}")
+                       f"dimension {r} is odd; classes {classes}", probe)
     for h in range((r - 2) // 2 + 1):
         k = (r - 2) // 2 - h
         findings, _ = pair_type_findings(alpha1, alpha2, d1, d2, h, k)
         if all(f.ok for f in findings):
             return Finding("induced pair is a contact pair", True,
-                           f"type ({h},{k}); classes {classes}")
+                           f"type ({h},{k}); classes {classes}", probe)
     return Finding("induced pair is a contact pair", False,
-                   f"no admissible type; classes {classes}")
+                   f"no admissible type; classes {classes}", probe)
 
 
 def _tangent_reeb(profile: InvarianceProfile) -> Optional[int]:

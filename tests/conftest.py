@@ -204,6 +204,15 @@ def twisted_heis6():
     return scenario
 
 
+def volume_probe_heis6():
+    """heis6 with alpha_1 scaled by x + 5/9: the volume form vanishes at
+    the first probe point at seed 1, where the pair is not a contact pair."""
+    scenario = corpus_build("heis6")
+    scenario.alpha1 = [text if text == "0" else f"({text})*(x + 5/9)"
+                       for text in scenario.alpha1]
+    return scenario
+
+
 def scaled_metric(scenario):
     """heis6 Gram matrix with the first horizontal block scaled by 2;
     the result is a Riemannian metric that is not associated."""

@@ -7,7 +7,6 @@ lines; each test also prints an ``ACCEPTANCE`` line when it passes.
 import copy
 import io
 import json
-import warnings
 
 from contact_pair_lab import (cartan_class, check_connection_identities,
                               check_curvature_identity, classify,
@@ -16,7 +15,7 @@ from contact_pair_lab import (cartan_class, check_connection_identities,
                               shape_data, validate_metric,
                               validate_structure, verify_theorems)
 from contact_pair_lab.cli import main as cli_main
-from contact_pair_lab.frames import ChartDomainWarning, bracket
+from contact_pair_lab.frames import bracket
 from contact_pair_lab.frames import exterior_derivative
 from conftest import (build_mcp, perturbed_phi_structure, scaled_metric,
                       twisted_phi_structure)
@@ -155,10 +154,8 @@ def test_criterion_06_four_dimensional_leaf(heis6_scenario, heis6_mcp):
 def test_criterion_07_noninvariant_graph():
     scenario = corpus_build("darboux-J-noninvariant")
     mcp = build_mcp(scenario)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ChartDomainWarning)
-        sub = scenario.subframe("darboux-J-noninvariant")
-        profile = classify(sub, mcp)
+    sub = scenario.subframe("darboux-J-noninvariant")
+    profile = classify(sub, mcp)
     assert profile.j_invariant and not profile.phi_invariant
     assert profile.reeb_position == "nowhere-tangent-nowhere-orthogonal"
     h = shape_data(sub, mcp.connection).mean_curvature
@@ -178,10 +175,8 @@ def test_criterion_08_complex_shape_identity(heis6_scenario, heis6_mcp):
     cases.append((sub, heis6_mcp, classify(sub, heis6_mcp)))
     scenario = corpus_build("darboux-J-noninvariant")
     mcp = build_mcp(scenario)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ChartDomainWarning)
-        sub = scenario.subframe("darboux-J-noninvariant")
-        cases.append((sub, mcp, classify(sub, mcp)))
+    sub = scenario.subframe("darboux-J-noninvariant")
+    cases.append((sub, mcp, classify(sub, mcp)))
     for sub, case_mcp, profile in cases:
         findings = {f.condition: f
                     for f in verify_theorems(sub, case_mcp, profile)}

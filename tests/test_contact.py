@@ -205,7 +205,6 @@ def coordinate_forms(n, texts1, texts2):
                            for texts in (texts1, texts2))
 
 
-@pytest.mark.filterwarnings("ignore::contact_pair_lab.frames.ChartDomainWarning")
 @settings(max_examples=60, deadline=None)
 @given(form_pairs())
 # types (1,1) and (2,0); no volume form; Reeb fields, but H1 = H2 = 0;

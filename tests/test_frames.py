@@ -1,6 +1,5 @@
 import json
 import os
-import warnings
 from fractions import Fraction
 from itertools import permutations
 
@@ -11,9 +10,9 @@ from hypothesis import strategies as st
 from contact_pair_lab import (CORPUS_NAMES, Subframe, corpus_build, linalg,
                               run_checks)
 from contact_pair_lab import frames
-from contact_pair_lab.frames import (ChartDomainWarning, EndoField,
-                                     FrameError, FramePresentation,
-                                     LeviCivita, MetricField, _polynomial,
+from contact_pair_lab.frames import (EndoField, FrameError,
+                                     FramePresentation, LeviCivita,
+                                     MetricField, _cartan_class, _polynomial,
                                      cartan_class, eval_form,
                                      exterior_derivative, form_power,
                                      is_killing, nonvanishing_certificate,
@@ -253,8 +252,8 @@ def test_cartan_class_and_degeneracy(heis6):
 
 def test_a_cartan_class_warns_exactly_where_its_witness_vanishes():
     """The class is probed through the coefficients of its witness form,
-    alpha ^ (d alpha)^p or (d alpha)^p, and warns only at a probe point
-    where all of them vanish."""
+    alpha ^ (d alpha)^p or (d alpha)^p, and names a probe point, which
+    makes a row "warn", only where all of them vanish."""
     names = ["x", "y", "z"]
     presentation = FramePresentation(
         names, [["1" if i == j else "0" for j in range(3)]
@@ -269,24 +268,23 @@ def test_a_cartan_class_warns_exactly_where_its_witness_vanishes():
 
     # (x + 5/9)(dz - y dx) ^ d of it = (x + 5/9)^2 dx ^ dy ^ dz
     alpha = form("-(x + 5/9)*y", "0", "x + 5/9")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ChartDomainWarning)
-        assert cartan_class(alpha, [point(Fraction(-5, 9), 1, 0),
-                                    point(1, 0, 0), point(2, 3, -1)],
-                            "alpha") == 3
-    assert [str(w.message) for w in caught] == [
-        "Cartan-class witness of alpha vanishes at probe {'x': "
+    assert cartan_class(alpha) == 3
+    assert _cartan_class(alpha, exterior_derivative(alpha),
+                         [point(Fraction(-5, 9), 1, 0), point(1, 0, 0),
+                          point(2, 3, -1)], "alpha") == (
+        3, "Cartan-class witness of alpha vanishes at probe {'x': "
         "Fraction(-5, 9), 'y': Fraction(1, 1), 'z': Fraction(0, 1)}; "
-        "verdict holds only off this locus"]
+        "verdict holds only off this locus")
     # beta = d(xy) is closed, of class 1 with witness beta itself: at
     # y = 0 its first coefficient vanishes but not the second
     beta = form("y", "x", "0")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ChartDomainWarning)
-        assert cartan_class(beta, [point(1, 0, 1), point(2, 1, 1)],
-                            "beta") == 1
-    with pytest.warns(ChartDomainWarning, match="witness of beta vanishes"):
-        assert cartan_class(beta, [point(0, 0, 5)], "beta") == 1
+    d_beta = exterior_derivative(beta)
+    assert _cartan_class(beta, d_beta, [point(1, 0, 1), point(2, 1, 1)],
+                         "beta") == (1, "")
+    assert _cartan_class(beta, d_beta, [point(0, 0, 5)], "beta") == (
+        1, "Cartan-class witness of beta vanishes at probe {'x': "
+        "Fraction(0, 1), 'y': Fraction(0, 1), 'z': Fraction(5, 1)}; "
+        "verdict holds only off this locus")
 
 
 # -- Levi-Civita connection --------------------------------------------
@@ -526,15 +524,15 @@ def test_nonvanishing_certificate(heis6):
     points = seeded_probe_points(presentation)
     constant = presentation.scalar("2")
     positive = presentation.scalar("x^2 + 1")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert nonvanishing_certificate("const", [constant], points)
-        assert nonvanishing_certificate("positive", [positive], points)
+    assert nonvanishing_certificate("const", [constant], points) == (True, "")
+    assert nonvanishing_certificate("positive", [positive], points) \
+        == (True, "")
     # a value engineered to vanish at the first probe point
     x0 = points[0]["x"]
     killed = presentation.scalar("x") - presentation.scalar(x0)
-    with pytest.warns(ChartDomainWarning):
-        assert not nonvanishing_certificate("killed", [killed], points)
+    assert nonvanishing_certificate("killed", [killed], points) == (
+        False, f"killed vanishes at probe {dict(points[0])}; verdict holds "
+        "only off this locus")
 
 
 def test_a_nonzero_constant_member_certifies_without_probing(heis6,
@@ -547,8 +545,10 @@ def test_a_nonzero_constant_member_certifies_without_probing(heis6,
         raise AssertionError("a family with a nonzero constant was probed")
 
     monkeypatch.setattr(ScalarExpr, "evaluate", unreachable)
-    assert nonvanishing_certificate("constant member", family, points)
-    assert nonvanishing_certificate("constant member", family[::-1], points)
+    assert nonvanishing_certificate("constant member", family, points) \
+        == (True, "")
+    assert nonvanishing_certificate("constant member", family[::-1],
+                                    points) == (True, "")
 
 
 def test_poles_are_irregular_and_other_errors_propagate():
@@ -560,20 +560,18 @@ def test_poles_are_irregular_and_other_errors_propagate():
     with pytest.raises(ValueError):
         presentation.is_regular_at({"x": "not a number", "y": 0})
     values = [presentation.scalar("x - 1"), presentation.scalar("1/(x - 1)")]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        # a pole skips the probe: neither a vanishing nor an error, and a
-        # family checked at no probe point is not certified nonzero
-        assert not nonvanishing_certificate("pole", values,
-                                            [{"x": 1, "y": 0}])
-        assert nonvanishing_certificate("pole", values,
-                                        [{"x": 1, "y": 0}, {"x": 2, "y": 0}])
-        # a nonzero constant member certifies the family in either order,
-        # also where every other member has a pole
-        with_constant = [values[1], presentation.scalar("3")]
-        for family in (with_constant, with_constant[::-1]):
-            assert nonvanishing_certificate("pole", family,
-                                            [{"x": 1, "y": 0}])
+    # a pole skips the probe: neither a vanishing nor an error, and a
+    # family checked at no probe point is not certified nonzero
+    assert nonvanishing_certificate("pole", values, [{"x": 1, "y": 0}]) \
+        == (False, "")
+    assert nonvanishing_certificate(
+        "pole", values, [{"x": 1, "y": 0}, {"x": 2, "y": 0}]) == (True, "")
+    # a nonzero constant member certifies the family in either order,
+    # also where every other member has a pole
+    with_constant = [values[1], presentation.scalar("3")]
+    for family in (with_constant, with_constant[::-1]):
+        assert nonvanishing_certificate("pole", family,
+                                        [{"x": 1, "y": 0}]) == (True, "")
     with pytest.raises(ValueError):
         nonvanishing_certificate("malformed", values,
                                  [{"x": "not a number", "y": 0}])

@@ -201,6 +201,34 @@ def test_an_unread_method_is_found():
                                                       "Inner.unused"}
 
 
+def _warning_calls(tree):
+    """Sorted lines that reach ``warnings.warn`` or
+    ``warnings.catch_warnings``, through the module or a ``from`` import."""
+    names = {"warn", "catch_warnings"}
+    lines = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "warnings"):
+            lines.add(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "warnings"
+              and any(alias.name in names for alias in node.names)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_reports_through_the_warnings_state():
+    """A probe result reaches its row as data on the row's finding: the
+    warnings state is process-global, and a run would read another
+    thread's warning."""
+    found = {name: _warning_calls(_parse(os.path.join(SRC, name)))
+             for name in sorted(os.listdir(SRC)) if name.endswith(".py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _warning_calls(ast.parse(
+        "import warnings\nfrom warnings import catch_warnings\n"
+        "warnings.warn('x')\nwarnings.simplefilter('ignore')\n")) == [2, 3]
+
+
 def test_the_names_the_benchmark_wraps_exist(monkeypatch):
     """``bench/child.py`` imports library names and wraps callables in
     traced runs; a rename or deletion of any of them fails here.  Some,

@@ -15,7 +15,7 @@ from contact_pair_lab import (checks, corpus_build, run_checks, scalars,
                               scenario_from_dict)
 from contact_pair_lab.cli import main as cli_main
 from conftest import (FOUR_FIELD_GAUGE, gauged_heis6,
-                      twisted_phi_structure)
+                      twisted_phi_structure, volume_probe_heis6)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "data", "report_rows.json")
@@ -102,6 +102,26 @@ def test_gcd_counts_of_the_benchmark_inputs(workloads, monkeypatch):
             assert gcds == 0 and counters["cancel.asked"] == 0, name
 
 
+def test_a_cancellation_freezes_its_operands_once(monkeypatch):
+    """On a table miss the cancellation's key is also its gcd's key, so
+    each operand is frozen once; a hit freezes them once to look up."""
+    frozen = []
+
+    def counted(items):
+        frozen.append(items)
+        return frozenset(items)
+
+    monkeypatch.setattr(scalars, "frozenset", counted, raising=False)
+    a, b = (scalars.parse_expr(text, ["x"]).num
+            for text in ("x^2 - 1", "x - 1"))
+    with scalars.cancellation_table() as table:
+        for expected in (2, 4):
+            assert scalars._cancel(a, b) == ({(1,): 1, (0,): 1}, {(0,): 1})
+            assert len(frozen) == expected
+    assert table.counters["cancel.asked"] == 2
+    assert table.counters["cancel.from_table"] == 1
+
+
 def test_no_table_outlives_a_run(monkeypatch):
     assert scalars._TABLE.get() is None
     run_checks(corpus_build("darboux-J-noninvariant"))
@@ -135,9 +155,11 @@ def _rows(report):
 
 def test_concurrent_runs_keep_their_own_tables():
     alone = {"gauged": run_checks(_gauged()),
-             "twisted": run_checks(_twisted())}
+             "twisted": run_checks(_twisted()),
+             "volume-probe": run_checks(volume_probe_heis6())}
     scenarios = {"gauged": _gauged(), "twisted": _twisted(),
-                 "gauged-again": _gauged()}
+                 "gauged-again": _gauged(),
+                 "volume-probe": volume_probe_heis6()}
     start = threading.Barrier(len(scenarios))
     reports, errors = {}, []
 
@@ -172,6 +194,12 @@ def test_concurrent_runs_keep_their_own_tables():
         assert _rows(reports[label]) == _rows(alone["gauged"])
         assert reports[label].counters == alone["gauged"].counters
     assert reports["twisted"].counters == alone["twisted"].counters
+    # the volume form's probe stays on its own run's pair row
+    assert alone["volume-probe"].rows[0].verdict == "warn"
+    assert _rows(reports["volume-probe"]) == _rows(alone["volume-probe"])
+    assert not any(row.verdict == "warn" for label in ("gauged", "twisted",
+                                                       "gauged-again")
+                   for row in reports[label].rows)
 
 
 def test_stats_follow_the_rows():

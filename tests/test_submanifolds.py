@@ -1,5 +1,4 @@
 import dataclasses
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,6 @@ from contact_pair_lab import (MetricField, Subframe, SubframeError,
                               angle_constancy, classify, corpus_build,
                               restrict_structure, second_fundamental_form,
                               shape_data, verify_theorems)
-from contact_pair_lab.frames import ChartDomainWarning
 from conftest import build_mcp
 
 
@@ -22,10 +20,8 @@ def heis6_subframes(heis6_scenario):
 def noninvariant():
     scenario = corpus_build("darboux-J-noninvariant")
     mcp = build_mcp(scenario)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ChartDomainWarning)
-        sub = scenario.subframe("darboux-J-noninvariant")
-        profile = classify(sub, mcp)
+    sub = scenario.subframe("darboux-J-noninvariant")
+    profile = classify(sub, mcp)
     return scenario, mcp, sub, profile
 
 
@@ -91,10 +87,8 @@ def test_mean_curvature_is_span_intrinsic(noninvariant):
     assert not h_original.is_zero()
     two = presentation.scalar("2")
     y1, jy1 = sub.fields
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ChartDomainWarning)
-        recombined = Subframe(presentation, [y1.scale(two), jy1 + y1],
-                              mcp.metric, "recombined")
+    recombined = Subframe(presentation, [y1.scale(two), jy1 + y1],
+                          mcp.metric, "recombined")
     h_recombined = shape_data(recombined, mcp.connection).mean_curvature
     assert (h_original - h_recombined).is_zero()
 
@@ -301,10 +295,8 @@ def test_the_certified_submanifold_identities_witness_their_label(
     moved = dataclasses.replace(
         profile, z1_tangential=profile.z1_tangential
         + heis6_mcp.presentation.frame_field(0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ChartDomainWarning)
-        findings = (restrict_structure(sub, heis6_mcp, moved)
-                    + verify_theorems(sub, heis6_mcp, moved))
+    findings = (restrict_structure(sub, heis6_mcp, moved)
+                + verify_theorems(sub, heis6_mcp, moved))
     failed = [f for f in findings
               if f.condition in _CERTIFIED_LABELS and not f.ok]
     assert failed
