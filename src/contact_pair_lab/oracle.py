@@ -21,12 +21,13 @@ scales, so one evaluation of the table at a stack of points gives every
 entry's value, gradient and, at order 2, Hessian, by the quotient rule.
 Constant denominators (those of the frame, the Gram matrix and the forms
 of every built-in scenario) are read off their coefficients.  `_Jet`
-carries these truncated Taylor expansions through products and inverses,
-d(F^-1) = -F^-1 (dF) F^-1 and its second-order form (forward-mode Taylor
-propagation; Griewank and Walther, Evaluating Derivatives, 2nd ed.,
-ch. 13).  No step size enters anywhere.
+carries values and gradients through products and inverses,
+d(F^-1) = -F^-1 (dF) F^-1 (forward-mode Taylor propagation; Griewank and
+Walther, Evaluating Derivatives, 2nd ed., ch. 13).  No step size enters
+anywhere.
 
-Every stage below order 2 runs once on the whole probe stack [p, ...]:
+Every stage runs once on the whole probe stack [p, ...], each product in
+it one per point, so that a point's values do not depend on its stack:
 
 - Order 0: probe sampling and the exact Reeb components.  Candidates are
   drawn in blocks and tested with one stacked regularity mask (poles,
@@ -37,17 +38,12 @@ Every stage below order 2 runs once on the whole probe stack [p, ...]:
   inversion of the frame F; the mean curvature of a submanifold, over
   [p, a, b, k] at once; the split of the tangent space into the two
   foliations and the split formula of `curvature.reeb_identity`.
-
-Order 2 runs on chunks of floor(_ORDER_2_ENTRIES / n^4) probe points, at
-least one, so that its n^4 arrays keep a bounded size: all eight default
-probes at n = 4, two at n = 6, one from n = 8 on.  On each chunk it forms
-the metric chain g = F^-T G F^-1, then Gamma and its gradient, then R,
-contracted with Z_1 + Z_2 before the next chunk; and alpha_1, alpha_2,
-whose Hessians give d(d alpha) and the derivative of the Reeb fields
-through the differentiated Reeb system M dZ = -(dM) Z.  The Hessians of
-the chain are summed in place, and every summed product is formed
-contiguously, since numpy buffers a transposed operand in an array of its
-own: about five n^4 arrays of a chunk are alive at once.
+- Order 2: the Hessians of alpha_1 and alpha_2, for d(d alpha) and for
+  the derivative of the Reeb fields from the differentiated Reeb system
+  M dZ = -(dM) Z; and R(., .)(Z_1 + Z_2) from d_a d_b (g z) and
+  d_a (d_z g), z frozen, in which the frame's and the Gram matrix's
+  Hessians enter only as Hessian-vector products (`_Hessian`; Pearlmutter,
+  Neural Computation 6, 1994), so no n^4 array (R, g's Hessian) is formed.
 
 Each scenario has one float view (`_View`) per probe count and seed, kept
 in its `_cache` next to the exact objects: the compiled grids, the probe
@@ -56,9 +52,8 @@ identity reads these, so a sweep over all identities compiles the grids,
 samples the probes and solves the Reeb system at them once.  The grids
 read their expressions from the scenario's parse table, also in
 `_cache`, so no cell text is parsed again for the oracle; `ScalarExpr`
-is immutable, and the oracle reads only its terms.  A residual
-that is not finite at some probe point is reported as inf, never as a
-pass.
+is immutable, and the oracle reads only its terms.  A residual that is
+not finite at some probe point is reported as inf, never as a pass.
 """
 
 from __future__ import annotations
@@ -66,20 +61,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .scalars import PoleError, ScalarExpr, Terms
 
 _MAX_RESAMPLE = 100
-# Order 2 runs on chunks of floor(_ORDER_2_ENTRIES / n^4) probe points, at
-# least one: no array of the Hessian chain holds much more than this many
-# entries of an n^4 tensor.  Sized from measured memory: at n = 6 the
-# chain of a two-point chunk peaks at about 120 KiB of arrays, no higher
-# than the other identities of a pass go, and of a four-point chunk at
-# about 210 KiB, which raised the nonconstant benchmark's peak RSS.
-_ORDER_2_ENTRIES = 2592
 
 ORACLE_IDS = ("d_squared", "pair.reeb", "metric.associated",
               "normality.N1", "connection.reeb_derivative",
@@ -92,12 +80,12 @@ class _Jet:
     """Truncated Taylor jet of a matrix field at a stack of points.
 
     value[p, i, j] is the field at point p, grad[p, a, i, j] its first
-    partial d_a (order >= 1) and hess[p, a, b, i, j] its second partial
-    d_a d_b (order 2); the parts an order leaves out are None.  Products
-    and inverses keep the lower order of their operands."""
+    partial d_a (order >= 1) and hess its second partials (order 2); the
+    parts an order leaves out are None.  Products and inverses carry
+    values and gradients, to the lower order of their operands."""
 
     def __init__(self, value: np.ndarray, grad: Optional[np.ndarray] = None,
-                 hess: Optional[np.ndarray] = None):
+                 hess=None):
         self.value, self.grad, self.hess = value, grad, hess
 
     @property
@@ -107,50 +95,27 @@ class _Jet:
     @property
     def T(self) -> "_Jet":
         return _Jet(*(None if part is None else part.swapaxes(-1, -2)
-                      for part in (self.value, self.grad, self.hess)))
+                      for part in (self.value, self.grad)))
 
     def __matmul__(self, other: "_Jet") -> "_Jet":
-        x, y = self, other
-        value = x.value @ y.value
-        if x.grad is None or y.grad is None:
+        value = self.value @ other.value
+        if self.grad is None or other.grad is None:
             return _Jet(value)
-        grad = x.grad @ y.value[:, None] + x.value[:, None] @ y.grad
-        if x.hess is None or y.hess is None:
-            return _Jet(value, grad)
-        # the Hessian's terms are added in place, each formed contiguously
-        # in one reused array, so one n^4 temporary is alive beside it: a
-        # transposed operand would cost numpy a buffer of its own
-        hess = x.hess @ y.value[:, None, None]
-        term = x.grad[:, :, None] @ y.grad[:, None]  # [p, a, b]: dx_a dy_b
-        hess += term
-        hess += np.matmul(x.grad[:, None], y.grad[:, :, None], out=term)
-        hess += np.matmul(x.value[:, None, None], y.hess, out=term)
-        return _Jet(value, grad, hess)
+        return _Jet(value, self.grad @ other.value[:, None]
+                    + self.value[:, None] @ other.grad)
 
     def inverse(self) -> "_Jet":
         inv = np.linalg.inv(self.value)
         if self.grad is None:
             return _Jet(inv)
-        grad = -inv[:, None] @ self.grad @ inv[:, None]
-        if self.hess is None:
-            return _Jet(inv, grad)
-        # d_a d_b F^-1 = -(d_b F^-1 dF_a F^-1 + F^-1 dF_ab F^-1
-        #                  + F^-1 dF_a d_b F^-1); the outer two terms are
-        # [a, b] and [b, a] of one array
-        outer = grad[:, None] @ self.grad[:, :, None] @ inv[:, None, None]
-        hess = outer + outer.swapaxes(1, 2)
-        del outer
-        hess += inv[:, None, None] @ self.hess @ inv[:, None, None]
-        return _Jet(inv, grad, np.negative(hess, out=hess))
+        return _Jet(inv, -inv[:, None] @ self.grad @ inv[:, None])
 
 
 def _combine(part: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """part @ coeffs, the entries' parts from the monomials' parts, as the
-    same BLAS product at every point.  The values [p, t] are multiplied as
-    p products [1, t] @ [t, e]: one [p, t] @ [t, e] product takes another
-    routine for one row than for several, so a point's values would depend
-    on how many points share its stack.  Partials [p, ..., t] already are
-    a product per point."""
+    """part @ coeffs, the entries' parts from the monomials' parts, one
+    product per point: one [p, t] @ [t, e] product of the values takes
+    another BLAS routine for one row than for several, so they are
+    multiplied as p products [1, t] @ [t, e]."""
     if part.ndim == 2:
         return (part[:, None] @ coeffs)[:, 0]
     return part @ coeffs
@@ -185,35 +150,32 @@ class _FloatGrid:
     def __call__(self, xs: Points) -> np.ndarray:
         return self.jet(xs, 0).value
 
-    def _denominator(self, xs: Points, order: int
-                     ) -> Tuple[List[np.ndarray], np.ndarray]:
-        """The denominators' jet parts to the order, and which points zero
-        some denominator, [p].  Constant denominators are their
-        coefficients, with no partials."""
-        monomials, coeffs = self.den
-        if monomials.constant:
-            den = [np.broadcast_to(coeffs.sum(axis=0),
-                                   (len(xs), coeffs.shape[1]))]
-        else:
-            den = [_combine(part, coeffs)
-                   for part in monomials.jet(xs, order)]
-        return den, (den[0] == 0.0).any(axis=1)
+    def _parts(self, compiled: Tuple["_Monomials", np.ndarray], xs: Points,
+               order: int) -> list:
+        """The entries' parts to order 1, [p, e] and [p, a, e], and at order
+        2 the monomials' second partials and the coefficients, for
+        `_Hessian`; constant denominators are their coefficients alone."""
+        monomials, coeffs = compiled
+        if compiled is self.den and monomials.constant:
+            return [np.broadcast_to(coeffs.sum(axis=0),
+                                    (len(xs),) + coeffs.shape[1:])]
+        parts = monomials.jet(xs, order)
+        out = [_combine(part, coeffs) for part in parts[:2]]
+        return out + [(parts[2], coeffs)] if order == 2 else out
 
     def poles(self, xs: Points) -> np.ndarray:
         """Which points zero some denominator, [p]."""
-        return self._denominator(xs, 0)[1]
+        return (self._parts(self.den, xs, 0)[0] == 0.0).any(axis=1)
 
     def jet(self, xs: Points, order: int) -> _Jet:
         """The entries' jet of the given order (0, 1 or 2) at each point:
-        value [p, *shape], grad [p, a, *shape], hess [p, a, b, *shape]."""
-        monomials, coeffs = self.num
-        num = [_combine(part, coeffs) for part in monomials.jet(xs, order)]
-        den, poles = self._denominator(xs, order)
+        value [p, *shape], grad [p, a, *shape] and the `_Hessian`."""
+        num, den = (self._parts(part, xs, order)
+                    for part in (self.num, self.den))
+        poles = (den[0] == 0.0).any(axis=1)
         if poles.any():
             raise PoleError(f"pole at {xs[np.argmax(poles)].tolist()}")
-        # quotient rule for f = N / D, from N = f D differentiated; the
-        # partials are formed in place in N's, so that an order-2 jet has
-        # at most one n^4 temporary beside its Hessian
+        # quotient rule for f = N / D, from N = f D differentiated
         value = num[0] / den[0]
         parts = [value]
         if order >= 1:
@@ -222,18 +184,65 @@ class _FloatGrid:
                 grad -= value[:, None] * den[1]
             grad /= den[0][:, None]
             parts.append(grad)
-        if order >= 2:
-            hess = num[2]
-            if len(den) > 1:
-                # [p, a, b]: f_a D_b
-                cross = grad[:, :, None] * den[1][:, None]
-                hess -= cross + cross.swapaxes(1, 2)
-                del cross
-                hess -= value[:, None, None] * den[2]
-            hess /= den[0][:, None, None]
-            parts.append(hess)
         return _Jet(*(part.reshape(part.shape[:1 + rank] + self.shape)
-                      for rank, part in enumerate(parts)))
+                      for rank, part in enumerate(parts)),
+                    hess=_Hessian(self.shape, num[2], value, grad, den)
+                    if order == 2 else None)
+
+
+class _Hessian(NamedTuple):
+    """The second partials d_a d_b f of a grid's entries, formed only
+    contracted, from the monomials' second partials [p, a, b, t] with the
+    coefficients contracted first.  A nonconstant denominator adds the
+    quotient rule's D f_ab = N_ab - f_a D_b - f_b D_a - f D_ab.  value
+    [p, e] and grad [p, a, e] are flat over the entries e."""
+
+    shape: Tuple[int, ...]
+    num: Tuple[np.ndarray, np.ndarray]
+    value: np.ndarray
+    grad: np.ndarray
+    den: list
+
+    def along(self, directions: np.ndarray) -> np.ndarray:
+        """sum_b d_a d_b f dir[(p,) b, r] at [p, a, r, *shape]: along z for
+        the directions z[:, :, None], the whole Hessian for the identity."""
+        rows = directions.swapaxes(-1, -2)  # [(p,) r, b]
+
+        def term(second, coeffs):
+            return rows[..., None, :, :] @ second @ coeffs  # [p, a, r, e]
+
+        out = term(*self.num)
+        if len(self.den) > 1:
+            out -= (self.grad[:, :, None] * (rows @ self.den[1])[:, None]
+                    + (rows @ self.grad)[:, None] * self.den[1][:, :, None]
+                    + self.value[:, None, None] * term(*self.den[2]))
+        out /= self.den[0][:, None, None]
+        return out.reshape(out.shape[:3] + self.shape)
+
+    def apply(self, vector: np.ndarray, left: bool = False) -> np.ndarray:
+        """sum_j d_a d_b f_ij w_j at [p, a, b, i] of a matrix field, or
+        with left the row vector, sum_i w_i d_a d_b f_ij at [p, a, b, j]."""
+        p, n = self.grad.shape[:2]
+
+        def entries(part):  # [..., e] as [..., i, j], transposed for left
+            part = part.reshape(part.shape[:-1] + self.shape)
+            return part.swapaxes(-1, -2) if left else part
+
+        def term(second, coeffs, weights):  # second [p, a b, t] @ [p, t, i]
+            contracted = entries(coeffs).swapaxes(0, 1) @ weights[..., None]
+            return second.reshape(p, n * n, -1) \
+                @ contracted[..., 0].swapaxes(1, 2)
+
+        weights = vector[:, None] / entries(self.den[0])  # w_j / D_ij
+        out = term(*self.num, weights)  # [p, a b, i]
+        if len(self.den) > 1:
+            # [p, i, a, b]: sum_j f_a,ij D_b,ij w_j / D_ij
+            cross = (entries(self.grad) * weights[:, None]).swapaxes(1, 2) \
+                @ entries(self.den[1]).transpose(0, 2, 3, 1)
+            cross += cross.swapaxes(2, 3)
+            out -= cross.reshape(p, -1, n * n).swapaxes(1, 2)
+            out -= term(*self.den[2], entries(self.value) * weights)
+        return out.reshape(p, n, n, -1)
 
 
 class _Monomials:
@@ -277,13 +286,15 @@ class _Monomials:
 
     def jet(self, xs: Points, order: int) -> List[np.ndarray]:
         """The monomials at each point, [p, t], with their first partials
-        [p, c, t] and second partials [p, a, b, t] up to the order."""
+        [p, c, t] and second partials [p, a, b, t] up to the order, with p
+        outermost in memory (values[:, rows] would put it innermost)."""
         if self.order < order:
             self._compile(order)
         values = np.zeros((len(xs), len(self.table) + 1))
         np.prod(self.table[:, 1] * xs[:, None, :] ** self.table[:, 0],
                 axis=-1, out=values[:, :-1])
-        return [values[:, rows] for rows in self.index[:order + 1]]
+        return [np.take(values, rows, axis=1)
+                for rows in self.index[:order + 1]]
 
 
 class _Numeric:
@@ -321,6 +332,49 @@ class _Numeric:
         """phi = F P F^-1 in coordinates, from the jets of F and F^-1; P is
         phi's matrix in the frame."""
         return frame @ self.phi_grid.jet(xs, frame.order) @ inverse
+
+    def metric_along(self, xs: Points, z: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """d_a d_b (g z) at [p, a, b, m] and d_a (d_z g) at [p, a, i, j], for
+        z [p, n] frozen at each point and G symmetric.  v = g z solves
+        F^T v = G w with F w = z, each differentiated twice.  With P = F^-1
+        and A = P dF, d_a (P^T X P) = P^T (d_a X - A_a^T X - X A_a) P, on
+        X = G and then on the X of d_z g, where d_a A_z = P F_az - A_a A_z."""
+        frame, gram = self.frame_at.jet(xs, 2), self.gram_at.jet(xs, 2)
+        inv = np.linalg.inv(frame.value)
+        inv_t, d_frame = inv.swapaxes(1, 2), frame.grad
+        metric, d_metric = gram.value, gram.grad
+        p, n = z.shape
+
+        def pair(rows, dx):  # m_a dx_b + m_b dx_a, rows[p, a, j, i] = m_a,ij
+            half = dx[:, None] @ rows
+            return half + half.swapaxes(1, 2)
+
+        def along(m):  # sum_c z_c d_c m, for d_c m at [p, c, i, j]
+            return (z[:, None] @ m.reshape(p, n, n * n)).reshape(p, n, n)
+
+        # vectors are rows: w [p, n], its partials dw [p, a, n]
+        w = (z[:, None] @ inv_t)[:, 0]
+        v = (w[:, None] @ metric @ inv)[:, 0]
+        dw = -(w[:, None, None] @ d_frame.swapaxes(2, 3))[:, :, 0] @ inv_t
+        dv = ((w[:, None, None] @ d_metric - v[:, None, None] @ d_frame)
+              [:, :, 0] + dw @ metric) @ inv
+        second = (gram.hess.apply(w) + pair(d_metric, dw)
+                  - (frame.hess.apply(w) + pair(d_frame.swapaxes(2, 3), dw))
+                  @ (inv_t @ metric)[:, None] - frame.hess.apply(v, left=True)
+                  - pair(d_frame, dv)) @ inv[:, None]
+        a_z, a = inv @ along(d_frame), inv[:, None] @ d_frame
+        k = metric @ a_z
+        k = along(d_metric) - k - k.swapaxes(1, 2)
+        # G d_a A_z + d_a G A_z + K A_a, and its transpose
+        sym = metric[:, None] @ (
+            inv[:, None] @ frame.hess.along(z[..., None])[:, :, 0]
+            - a @ a_z[:, None])
+        sym += d_metric @ a_z[:, None]
+        sym += k[:, None] @ a
+        del a
+        e = gram.hess.along(z[..., None])[:, :, 0] - sym - sym.swapaxes(2, 3)
+        return second, inv_t[:, None] @ e @ inv[:, None]
 
     # -- probe sampling -------------------------------------------------
 
@@ -384,23 +438,13 @@ class _View:
         self.num = num
         self.xs = xs
 
-    def chunks(self) -> List[slice]:
-        """The probe stack in chunks of the order-2 stage."""
-        size = max(1, _ORDER_2_ENTRIES // self.num.n ** 4)
-        return [slice(start, start + size)
-                for start in range(0, len(self.xs), size)]
-
     @cached_property
     def alpha_jets(self) -> Tuple[_Jet, _Jet]:
-        """Order-2 jets of alpha_1 and alpha_2, value [p, k], grad
-        [p, a, k] and hess [p, a, b, k], evaluated chunk by chunk."""
-        forms = []
-        for grid in self.num.alpha:
-            jets = [grid.jet(self.xs[chunk], 2) for chunk in self.chunks()]
-            forms.append(_Jet(np.concatenate([jet.value for jet in jets]),
-                              np.concatenate([jet.grad for jet in jets]),
-                              np.concatenate([jet.hess for jet in jets])))
-        return tuple(forms)
+        """Order-2 jets of alpha_1 and alpha_2 on the whole stack, value
+        [p, k], grad [p, a, k] and the whole Hessian [p, a, b, k]."""
+        jets = [grid.jet(self.xs, 2) for grid in self.num.alpha]
+        return tuple(_Jet(jet.value, jet.grad,
+                          jet.hess.along(np.eye(self.num.n))) for jet in jets)
 
     @cached_property
     def alpha(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -446,8 +490,8 @@ class _View:
         total = 0.0
         for i, (solver, z) in enumerate(zip(self.reeb_solvers, self.reeb)):
             d_rows = _reeb_rows(alpha_grad, d_alpha_grad, i)  # [p, a, r, k]
-            total = total - np.einsum("pkr,parj,pj->pak", solver, d_rows, z)
-        return total
+            total = total - solver[:, None] @ (d_rows @ z[:, None, :, None])
+        return total[..., 0]
 
     @cached_property
     def _metric_and_phi(self) -> Tuple[_Jet, _Jet]:
@@ -464,29 +508,30 @@ class _View:
 
     @cached_property
     def christoffel(self) -> np.ndarray:
-        return _christoffel(self._metric_and_phi[0]).value
+        """Gamma[p, k, i, j] = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2 in
+        coordinates, by one matmul over the flattened (i, j)."""
+        g = self._metric_and_phi[0]
+        lowered = g.grad + np.einsum("pjil->pijl", g.grad)  # [p, i, j, l]
+        lowered -= np.einsum("plij->pijl", g.grad)
+        p, n = self.xs.shape
+        lowered = lowered.reshape(p, n * n, n).swapaxes(1, 2)
+        return 0.5 * (np.linalg.inv(g.value) @ lowered).reshape(p, n, n, n)
 
     def reeb_curvature(self) -> np.ndarray:
-        """R(e_a, e_b)(Z_1 + Z_2) at [p, a, b, l].  Each chunk's R comes
-        from the order-2 metric chain on that chunk alone and is contracted
-        with Z there, so no n^4 array outlives its chunk.  The contraction
-        is one BLAS product [1, k] @ [k, a b] per point and l, on R's
-        contiguous reshape, so an entry is the same float whatever the
-        chunk's size (an einsum may sum in another order for another
-        layout)."""
+        """R(e_a, e_b)(Z_1 + Z_2) at [p, a, b, l] by directional jets: with z
+        frozen, u_b = Gamma_b z and v = g z, R(e_a, e_b) z = d_a u_b - d_b u_a
+        + Gamma_a u_b - Gamma_b u_a, where 2 g u_b = S_b with S_bm = d_b v_m
+        - d_m v_b + (d_z g)_bm; so d_a u_b = g^-1 (d_a S_b / 2 - (d_a g) u_b),
+        whose part d_a d_b v is symmetric in (a, b) and drops out."""
         z = self.reeb[0] + self.reeb[1]
-        values = []
-        for chunk in self.chunks():
-            x = self.xs[chunk]
-            # each jet of the chain is a temporary, dropped once the next
-            # is formed
-            riemann = _riemann(_christoffel(
-                self.num.metric(x, self.num.frame_at.jet(x, 2).inverse())))
-            p, n = riemann.shape[:2]
-            rz = z[chunk, None, None] @ riemann.reshape(p, n, n, n * n)
-            values.append(rz.reshape(p, n, n, n).transpose(0, 2, 3, 1))
-            del riemann
-        return np.concatenate(values)
+        second, half = self.num.metric_along(self.xs, z)
+        g, gamma = self._metric_and_phi[0], self.christoffel
+        u = (gamma.transpose(0, 2, 1, 3) @ z[:, None, :, None])[..., 0]
+        # u[p, b, l] = Gamma^l_bk z^k; half[p, a, b, m], d_a g symmetric
+        half = 0.5 * (half - second.swapaxes(2, 3)) - u[:, None] @ g.grad
+        half = half @ np.linalg.inv(g.value)[:, None] \
+            + u[:, None] @ gamma.transpose(0, 2, 3, 1)
+        return half - half.swapaxes(1, 2)
 
     @property
     def phi_jet(self) -> _Jet:
@@ -551,48 +596,6 @@ def _reeb_rows(alphas: Sequence[np.ndarray], d_alphas: Sequence[np.ndarray],
     return np.concatenate([alphas[i][..., None, :], alphas[j][..., None, :],
                            d_alphas[i].swapaxes(-1, -2),
                            d_alphas[j].swapaxes(-1, -2)], axis=-2)
-
-
-def _christoffel(g: _Jet) -> _Jet:
-    """Gamma[p, k, i, j] of the Levi-Civita connection in coordinates,
-    with its gradient [p, a, k, i, j] when g carries its Hessian."""
-
-    def first_kind(dg):  # dg[..., c, i, j] = d_c g_ij
-        # 2 Gamma_ijl = d_i g_jl + d_j g_il - d_l g_ij, at [..., i, j, l]
-        out = dg + np.einsum("...jil->...ijl", dg)
-        out -= np.einsum("...lij->...ijl", dg)
-        return out
-
-    def raised(inverse, lowered):
-        # sum_l inverse[..., k, l] lowered[..., i, j, l] at [..., k, i, j],
-        # one matmul over the flattened (i, j)
-        n = lowered.shape[-1]
-        flat = lowered.reshape(lowered.shape[:-3] + (n * n, n))
-        out = inverse @ flat.swapaxes(-1, -2)
-        return out.reshape(out.shape[:-1] + (n, n))
-
-    inverse = _Jet(g.value, None if g.hess is None else g.grad).inverse()
-    lowered = first_kind(g.grad)
-    value = 0.5 * raised(inverse.value, lowered)
-    if g.hess is None:
-        return _Jet(value)
-    # the term of g's Hessian first, so that its first-kind symbols are
-    # dropped before the other term is formed; a sum does not depend on
-    # the order of its two terms
-    grad = raised(inverse.value[:, None], first_kind(g.hess))
-    grad += raised(inverse.grad, lowered[:, None])
-    grad *= 0.5
-    return _Jet(value, grad)
-
-
-def _riemann(gamma: _Jet) -> np.ndarray:
-    """R[p, l, k, a, b] with R(e_a, e_b) e_k = R^l_{k a b} e_l."""
-    derivative = np.einsum("palbk->plkab", gamma.grad)  # d_a Gamma^l_bk
-    riemann = derivative - derivative.swapaxes(3, 4)
-    prod = np.einsum("plam,pmbk->plkab", gamma.value, gamma.value)
-    riemann += prod
-    riemann -= prod.swapaxes(3, 4)
-    return riemann
 
 
 # -- identity residuals ------------------------------------------------
@@ -669,8 +672,6 @@ def _residual_curvature(view: _View) -> np.ndarray:
     split = view.foliation_split()
     if split is None:
         return np.array([np.inf])
-    # the left side first: its per-point order-2 chain is the peak of
-    # memory, and no array of the right side is alive during it
     lhs = view.reeb_curvature()
     rhs = 0.0
     for alpha, part in zip(view.alpha, split):
@@ -678,8 +679,7 @@ def _residual_curvature(view: _View) -> np.ndarray:
         columns = part.swapaxes(1, 2)  # [p, m, l]
         rhs = rhs + (forms[:, None, :, None] * columns[:, :, None, :]
                      - forms[:, :, None, None] * columns[:, None, :, :])
-    lhs -= rhs
-    return lhs
+    return lhs - rhs
 
 
 def _residual_minimal(view: _View, span_texts) -> np.ndarray:

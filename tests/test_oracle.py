@@ -231,7 +231,7 @@ def test_jets_match_central_differences_of_the_values(entries, point):
     _assert_matches_differences(jet.grad[0], lambda y: grid(y)[0], x, scale)
     # the Hessian against differences of the gradient, so that one
     # difference, not two nested ones, sets the tolerance
-    _assert_matches_differences(jet.hess[0],
+    _assert_matches_differences(_whole_hessian(jet, x)[0],
                                 lambda y: grid.jet(y, 1).grad[0], x,
                                 scale * 100)
 
@@ -249,30 +249,164 @@ _DENSE_CHART = Scenario(
     phi=[["0"] * 3] * 3, alpha1=["0", "0", "1"], alpha2=["1", "0", "0"])
 
 
+# the charts whose frame or Gram matrix varies to second order, the dense
+# one with nonconstant denominators
+_ON_CHARTS = pytest.mark.parametrize("scenario", [
+    gauged_heis6(corpus_build("heis6"), FOUR_FIELD_GAUGE), _DENSE_CHART],
+    ids=["heis6-gauged4", "dense-chart"])
+
+
 def _metric(numeric, xs, order):
-    """The coordinate metric's jet of the given order at the points."""
+    """The coordinate metric's jet of order 0 or 1 at the points."""
     return numeric.metric(xs, numeric.frame_at.jet(xs, order).inverse())
 
 
-@pytest.mark.parametrize("scenario", [
-    gauged_heis6(corpus_build("heis6"), FOUR_FIELD_GAUGE), _DENSE_CHART],
-    ids=["heis6-gauged4", "dense-chart"])
+# -- the full-R reference ---------------------------------------------------
+#
+# The order-2 metric chain written out whole: the Hessian of
+# g = F^-T G F^-1, the gradient of Gamma and R, n^4 numbers per point.  An
+# order-2 jet here is a tuple (value, grad, hess).
+
+def _whole_hessian(jet, xs):
+    """The whole Hessian [p, a, b, *shape] of a grid's order-2 jet."""
+    return jet.hess.along(np.eye(xs.shape[1]))
+
+
+def _product(x, y):
+    """x @ y of two order-2 jets, by the product rule."""
+    value = x[0] @ y[0]
+    grad = x[1] @ y[0][:, None] + x[0][:, None] @ y[1]
+    hess = (x[2] @ y[0][:, None, None] + x[1][:, :, None] @ y[1][:, None]
+            + x[1][:, None] @ y[1][:, :, None] + x[0][:, None, None] @ y[2])
+    return value, grad, hess
+
+
+def _inverse(x):
+    """The inverse of an order-2 jet: d_a d_b F^-1 = -(d_b F^-1 dF_a F^-1
+    + F^-1 dF_ab F^-1 + F^-1 dF_a d_b F^-1)."""
+    inv = np.linalg.inv(x[0])
+    grad = -inv[:, None] @ x[1] @ inv[:, None]
+    outer = grad[:, None] @ x[1][:, :, None] @ inv[:, None, None]
+    return inv, grad, -(outer + outer.swapaxes(1, 2)
+                        + inv[:, None, None] @ x[2] @ inv[:, None, None])
+
+
+def _metric_2(numeric, xs):
+    """The coordinate metric's order-2 jet, its Hessian [p, a, b, i, j]."""
+    frame, gram = (grid.jet(xs, 2) for grid in (numeric.frame_at,
+                                                numeric.gram_at))
+    inverse = _inverse((frame.value, frame.grad, _whole_hessian(frame, xs)))
+    transposed = tuple(part.swapaxes(-1, -2) for part in inverse)
+    return _product(_product(transposed, (gram.value, gram.grad,
+                                          _whole_hessian(gram, xs))),
+                    inverse)
+
+
+def _christoffel_2(g):
+    """Gamma[p, k, i, j] and its gradient [p, a, k, i, j] from g's order-2
+    jet."""
+
+    def first_kind(dg):  # 2 Gamma_ijl at [..., i, j, l]
+        return (dg + np.einsum("...jil->...ijl", dg)
+                - np.einsum("...lij->...ijl", dg))
+
+    def raised(inverse, lowered):  # sum_l inverse[k, l] lowered[i, j, l]
+        return np.einsum("...kl,...ijl->...kij", inverse, lowered)
+
+    inverse = _inverse(g)
+    lowered = first_kind(g[1])
+    return (0.5 * raised(inverse[0], lowered),
+            0.5 * (raised(inverse[0][:, None], first_kind(g[2]))
+                   + raised(inverse[1], lowered[:, None])))
+
+
+def _riemann(gamma):
+    """R[p, l, k, a, b] with R(e_a, e_b) e_k = R^l_{k a b} e_l."""
+    value, grad = gamma
+    derivative = np.einsum("palbk->plkab", grad)  # d_a Gamma^l_bk
+    prod = np.einsum("plam,pmbk->plkab", value, value)
+    return (derivative - derivative.swapaxes(3, 4)
+            + prod - prod.swapaxes(3, 4))
+
+
+def _reeb_curvature_by_point(view):
+    """R(e_a, e_b)(Z_1 + Z_2) at [p, a, b, l] from the full-R reference, one
+    probe point at a time."""
+    z = view.reeb[0] + view.reeb[1]
+    return np.stack([
+        np.einsum("lkab,k->abl",
+                  _riemann(_christoffel_2(_metric_2(view.num, x[None])))[0],
+                  zp)
+        for x, zp in zip(view.xs, z)])
+
+
+@_ON_CHARTS
 def test_metric_chain_matches_central_differences(scenario):
     numeric = oracle._Numeric(scenario)
     for x in numeric.probe_points(3, seed=2):
         x = x[None]
-        g = _metric(numeric, x, 2)
-        np.testing.assert_array_equal(g.value, _metric(numeric, x, 0).value)
-        _assert_matches_differences(g.grad[0],
+        g = _metric_2(numeric, x)
+        np.testing.assert_array_equal(g[0], _metric(numeric, x, 0).value)
+        _assert_matches_differences(g[1][0],
                                     lambda y: _metric(numeric, y, 0).value[0],
                                     x, 1.0)
-        _assert_matches_differences(g.hess[0],
+        _assert_matches_differences(g[2][0],
                                     lambda y: _metric(numeric, y, 1).grad[0],
                                     x, 1.0)
-        gamma = oracle._christoffel(g)
+        gamma = _christoffel_2(g)
         _assert_matches_differences(
-            gamma.grad[0],
-            lambda y: oracle._christoffel(_metric(numeric, y, 1)).value[0],
+            gamma[1][0],
+            lambda y: oracle._View(numeric, y).christoffel[0],
+            x, 1.0)
+
+
+@_ON_CHARTS
+def test_a_hessian_is_contracted_as_the_whole_one(scenario):
+    numeric = oracle._Numeric(scenario)
+    xs = numeric.probe_points(3, seed=2)
+    w = np.random.default_rng(4).normal(size=xs.shape)
+    for grid in (numeric.frame_at, numeric.gram_at):
+        jet = grid.jet(xs, 2)
+        hess, whole = jet.hess, _whole_hessian(jet, xs)
+        for got, want in (
+                (hess.apply(w), np.einsum("pabij,pj->pabi", whole, w)),
+                (hess.apply(w, left=True),
+                 np.einsum("pi,pabij->pabj", w, whole)),
+                (hess.along(w[..., None])[:, :, 0],
+                 np.einsum("pabij,pb->paij", whole, w))):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12
+                                       * max(1.0, np.abs(want).max()))
+
+
+@_ON_CHARTS
+def test_directional_jets_match_the_full_r_reference_and_differences(
+        scenario, monkeypatch):
+    # two fields that are not Reeb fields, so that no term of R(., .)z
+    # vanishes, as some do for the corpus's constant Reeb fields
+    numeric = oracle._Numeric(scenario)
+    xs = numeric.probe_points(3, seed=2)
+    fields = tuple(np.random.default_rng(5).normal(size=(2,) + xs.shape))
+    monkeypatch.setattr(oracle._View, "reeb", property(lambda view: fields))
+    view = oracle._View(numeric, xs)
+    reference = _reeb_curvature_by_point(view)
+    np.testing.assert_allclose(view.reeb_curvature(), reference, rtol=0,
+                               atol=1e-12 * max(1.0, np.abs(reference).max()))
+    z = fields[0] + fields[1]
+    second, along = numeric.metric_along(xs, z)
+    hess = _metric_2(numeric, xs)[2]  # [p, a, b, i, j]
+    for got, want in ((second, np.einsum("pabij,pj->pabi", hess, z)),
+                      (along, np.einsum("pabij,pb->paij", hess, z))):
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(want).max()))
+    for p, x in enumerate(xs):
+        x = x[None]
+        # d_c of d_a (g z)_m, and of sum_b z_b d_b g_ij
+        _assert_matches_differences(
+            second[p], lambda y: _metric(numeric, y, 1).grad[0] @ z[p], x,
+            1.0)
+        _assert_matches_differences(
+            along[p], lambda y: np.einsum("b,bij->ij", z[p],
+                                          _metric(numeric, y, 1).grad[0]),
             x, 1.0)
 
 
@@ -299,7 +433,8 @@ def test_reeb_gradient_matches_central_differences():
 _POINTWISE_ORDER_2_PEAK = 761_889
 
 
-def test_order_2_runs_on_chunks_of_the_entry_budget(monkeypatch):
+def test_a_sweep_evaluates_each_grid_at_order_2_once_on_the_stack(
+        monkeypatch):
     scenario = corpus_build("darboux", (2, 2))
     numeric_oracle(scenario, "connection.reeb_derivative")
     tracemalloc.start()
@@ -310,22 +445,24 @@ def test_order_2_runs_on_chunks_of_the_entry_budget(monkeypatch):
         tracemalloc.stop()
     assert peak <= _POINTWISE_ORDER_2_PEAK
 
-    jet = oracle._FloatGrid.jet
-    for scenario, chunk in ((corpus_build("heis6"), 2),
-                            (corpus_build("darboux", (2, 2)), 1)):
-        n = len(scenario.coordinates)
-        assert chunk == max(1, oracle._ORDER_2_ENTRIES // n ** 4)
-        sizes = {0: [], 1: [], 2: []}
+    jet = oracle._Monomials.jet
+    for scenario in (corpus_build("heis6"), corpus_build("darboux", (2, 2))):
+        evaluated = []
 
         def spy(self, xs, order):
-            sizes[order].append(len(xs))
+            evaluated.append((self, order, len(xs)))
             return jet(self, xs, order)
 
-        monkeypatch.setattr(oracle._FloatGrid, "jet", spy)
+        monkeypatch.setattr(oracle._Monomials, "jet", spy)
         for identity_id in _all_ids(scenario):
             numeric_oracle(scenario, identity_id, probe_count=8)
-        assert set(sizes[2]) == {chunk}, n
-        assert set(sizes[1]) == {8}
+        num = oracle._view(scenario, 8, 1).num
+        for grid in (num.frame_at, num.gram_at) + num.alpha:
+            sizes = [[size for table, order, size in evaluated
+                      if table is part[0] and order == 2]
+                     for part in (grid.num, grid.den)]
+            # constant denominators are read off their coefficients
+            assert sizes[0] == [8] and sizes[1] in ([], [8]), sizes
 
 
 # Residuals at seed 1 of the jet oracle.  Each is at most the residual of
@@ -479,8 +616,7 @@ def _curvature_by_point(view):
             return np.array([np.inf])
         split = (b1 @ coefficients[:b1.shape[1]],
                  b2 @ coefficients[b1.shape[1]:])
-        riemann = oracle._riemann(oracle._christoffel(
-            _metric(view.num, x[None], 2)))[0]
+        riemann = _riemann(_christoffel_2(_metric_2(view.num, x[None])))[0]
         lhs = np.einsum("lkab,k->abl", riemann, z[p])
         rhs = np.zeros((n, n, n))
         for i in (0, 1):
@@ -533,29 +669,20 @@ def _alpha_jets_by_point(view):
     forms = []
     for grid in view.num.alpha:
         jets = [grid.jet(x[None], 2) for x in view.xs]
-        forms.append(oracle._Jet(np.concatenate([jet.value for jet in jets]),
-                                 np.concatenate([jet.grad for jet in jets]),
-                                 np.concatenate([jet.hess for jet in jets])))
+        forms.append(oracle._Jet(
+            np.concatenate([jet.value for jet in jets]),
+            np.concatenate([jet.grad for jet in jets]),
+            np.concatenate([_whole_hessian(jet, x[None])
+                            for jet, x in zip(jets, view.xs)])))
     return forms
-
-
-def _reeb_curvature_by_point(view):
-    """R(e_a, e_b)(Z_1 + Z_2) at [p, a, b, l], one probe point at a time,
-    with the size of its summed terms, sum_k |R^l_kab| |Z^k|."""
-    z = view.reeb[0] + view.reeb[1]
-    values, sizes = [], []
-    for x, zp in zip(view.xs, z):
-        riemann = oracle._riemann(oracle._christoffel(
-            _metric(view.num, x[None], 2)))[0]
-        values.append(np.einsum("lkab,k->abl", riemann, zp))
-        sizes.append(np.einsum("lkab,k->abl", np.abs(riemann), np.abs(zp)))
-    return np.stack(values), np.stack(sizes)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES + ("heis6-twisted",
                                                  "heis6-gauged",
                                                  "darboux-2-2"))
 def test_chunked_order_2_matches_the_pointwise_loops(name):
+    # order 2 on the whole stack against one point at a time, and the
+    # directional R(., .)Z against the full-R reference
     view = oracle._view(_scenario(name), 8, 1)
     for got, want in zip(view.alpha_jets, _alpha_jets_by_point(view)):
         for part, reference in ((got.value, want.value),
@@ -564,30 +691,31 @@ def test_chunked_order_2_matches_the_pointwise_loops(name):
             np.testing.assert_allclose(
                 part, reference, rtol=0,
                 atol=1e-12 * max(1.0, np.abs(reference).max()))
-    curvature, size = _reeb_curvature_by_point(view)
-    assert (np.abs(view.reeb_curvature() - curvature) <= 1e-12 * size).all()
+    reference = _reeb_curvature_by_point(view)
+    np.testing.assert_allclose(view.reeb_curvature(), reference, rtol=0,
+                               atol=1e-12 * max(1.0, np.abs(reference).max()))
 
 
-@pytest.mark.parametrize("seed", (2, 3))
-def test_a_chunk_gives_a_lone_point_s_curvature_bit_for_bit(seed,
-                                                           monkeypatch):
-    # the benchmark's heis6-gauged, where a two-point chunk's R(Z) once
+@pytest.mark.parametrize("name,seed", [("heis6-gauged", 2),
+                                       ("heis6-gauged", 3),
+                                       ("darboux-2-2", 1)])
+def test_a_point_s_curvature_does_not_depend_on_its_stack(name, seed,
+                                                          monkeypatch):
+    # the benchmark's inputs; on heis6-gauged a two-point stack's R(Z) once
     # differed from one point's in the last bit
     monkeypatch.syspath_prepend(os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         "bench"))
     import workloads
 
-    heis6 = workloads.load_base()["heis6"]
-    data = workloads.gauge(heis6, workloads.gauge_draw(heis6, seed))
-    chunked = oracle._view(scenario_from_dict(data), 8, seed)
-    assert len(chunked.chunks()) < 8
-    curvature = chunked.reeb_curvature()
-    monkeypatch.setattr(oracle, "_ORDER_2_ENTRIES", 1)
-    alone = oracle._view(scenario_from_dict(data), 8, seed)
-    assert len(alone.chunks()) == 8
-    assert np.array_equal(chunked.xs, alone.xs)
-    assert np.array_equal(curvature, alone.reeb_curvature())
+    data = dict(workloads.workload_inputs(
+        "nonconstant" if name == "heis6-gauged" else "darboux-scaling",
+        seed))[name]
+    stacked = oracle._view(scenario_from_dict(data), 8, seed)
+    curvature = stacked.reeb_curvature()
+    for x, value in zip(stacked.xs, curvature):
+        alone = oracle._View(stacked.num, x[None])
+        assert np.array_equal(value[None], alone.reeb_curvature())
 
 
 def _regular_by_point(numeric, x):
