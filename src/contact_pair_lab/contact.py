@@ -3,7 +3,9 @@
 All verdicts are produced by canonical-form identity checks on frame
 components.  Every exact identity goes through ``certify``, the one
 witness rule: it compares lhs and rhs entry by entry, stops at the first
-entry where they differ and names it, ``"<label> = <lhs - rhs>"``.
+entry where they differ and names it, ``"<label> = <lhs - rhs>"``.  The
+two identities with n^3 entries (a, b, c) stream, for each (a, b), only
+the c that a side holds a term at (``_key_union``).
 
 The tensors the checks read are built once per ``MetricContactPair`` and
 cached there: the projections P_i and F_i (``pi``, ``foliation``), nabla Z
@@ -53,7 +55,7 @@ def certify(condition: str, entries: Iterable[Tuple[str, Any, Any]]
     """The identity lhs = rhs on every ``(label, lhs, rhs)`` entry.  The
     search stops at the first entry where the two sides differ, which
     witnesses the failure as ``"<label> = <lhs - rhs>"``; ``entries`` may be
-    a lazy stream, and a passing entry costs one comparison."""
+    a lazy stream, and may leave out entries whose sides are both zero."""
     for label, lhs, rhs in entries:
         if lhs != rhs:
             return Finding(condition, False, f"{label} = {lhs - rhs}")
@@ -502,24 +504,26 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
     d_phi = [[{a: value for (a,), value in interior(form, f).coeffs.items()}
               for f in phi_fields] for form in d_forms]
 
-    # pairing_rhs[(a, b, c)] = sum_i d alpha_i(phi e_b, e_a) alpha_i(e_c)
+    # pairing_rhs[(a, b)][c] = sum_i d alpha_i(phi e_b, e_a) alpha_i(e_c)
     #     - d alpha_i(phi e_c, e_a) alpha_i(e_b), from the supports of the
     # alpha_i; an absent key is zero, and each key takes its terms in the
     # order of the sum
-    pairing_rhs: Dict[Tuple[int, int, int], ScalarExpr] = {}
+    pairing_rhs: Dict[Tuple[int, int], Dict[int, ScalarExpr]] = {}
     for i, alpha in enumerate(pair.alphas()):
         for negate in (False, True):
             for (e,), value in alpha.coeffs.items():
                 for f, row in enumerate(d_phi[i]):
                     for a, d in row.items():
-                        add_term(pairing_rhs, (a, e, f) if negate
-                                 else (a, f, e), d * value, negate)
+                        key, c = ((a, e), f) if negate else ((a, f), e)
+                        add_term(pairing_rhs.setdefault(key, {}), c,
+                                 d * value, negate)
 
     findings.append(certify("covariant phi pairing identity", (
-        (f"pairing residual at ({a},{b},{c})", lhs,
-         pairing_rhs.get((a, b, c), presentation.zero))
+        (f"pairing residual at ({a},{b},{c})", lhs, rhs)
         for a in range(n) for b in range(n)
-        for c, lhs in enumerate(g.lower(nabla_phi[a][b])))))
+        for c, lhs, rhs in _key_union(g.lowered(nabla_phi[a][b]),
+                                      pairing_rhs.get((a, b), {}),
+                                      presentation.zero))))
 
     z = pair.reeb_sum
     findings.append(_endo_finding("Reeb sum derivative identity",
@@ -553,6 +557,15 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
         findings.append(Finding("Reeb sum is Killing",
                                 is_killing(mcp.nabla_reeb, g)))
     return findings
+
+
+def _key_union(lhs: Dict[int, ScalarExpr], rhs: Dict[int, ScalarExpr],
+               zero: ScalarExpr) -> Iterable[Tuple[int, Any, Any]]:
+    """(c, lhs[c], rhs[c]) over the ascending union of the keys of two
+    maps, an absent key being zero.  Both sides are zero at every other c,
+    so the first c where they differ is that of a loop over every c."""
+    for c in sorted(lhs.keys() | rhs.keys()):
+        yield c, lhs.get(c, zero), rhs.get(c, zero)
 
 
 def _endo_finding(condition: str, residual: EndoField) -> Finding:
@@ -625,6 +638,8 @@ def hermitian_data(mcp: MetricContactPair) -> List[Finding]:
     for key in d_fundamental.coeffs:
         for a, q, r in permutations(key):
             slices[a].setdefault(q, {})[r] = d_fundamental.get((a, q, r))
+    # j_rows[r] = the nonzero pairs (c, J^r_c) of row r of J
+    j_rows = [[(c, w) for c, w in enumerate(row) if w] for row in j.matrix]
 
     def covariant_entries():
         for a in range(n):
@@ -634,11 +649,16 @@ def hermitian_data(mcp: MetricContactPair) -> List[Finding]:
                 for q, v in j_fields[b].support:
                     for r, df in slices[a].get(q, {}).items():
                         add_term(df_jb, r, v * df)
-                for c, lhs in enumerate(g.lower(nabla_j[a][b])):
-                    yield (f"residual at ({a},{b},{c})", four * lhs,
-                           sum((w * df_jb[r] for r, w in j_fields[c].support
-                                if r in df_jb), presentation.zero)
-                           - slices[a].get(b, {}).get(c, presentation.zero))
+                # sum_r J^r_c (df_jb)_r - dF_abc by c, r ascending
+                rhs: Dict[int, ScalarExpr] = {}
+                for r in sorted(df_jb):
+                    for c, w in j_rows[r]:
+                        add_term(rhs, c, w * df_jb[r])
+                for c, df in slices[a].get(b, {}).items():
+                    add_term(rhs, c, df, negate=True)
+                for c, lhs, value in _key_union(
+                        g.lowered(nabla_j[a][b]), rhs, presentation.zero):
+                    yield f"residual at ({a},{b},{c})", four * lhs, value
 
     findings.append(certify("Hermitian covariant identity",
                             covariant_entries()))

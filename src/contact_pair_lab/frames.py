@@ -84,7 +84,7 @@ class _Chart:
         self.dim = len(self.coordinates)
         self.zero = ScalarExpr.constant(0, self.coordinates)
         self.one = ScalarExpr.constant(1, self.coordinates)
-        self._commuting = VectorField.zero(self)
+        self.zero_field = VectorField.from_support(self, ())
 
     def scalar(self, value) -> ScalarExpr:
         if isinstance(value, ScalarExpr):
@@ -101,7 +101,7 @@ class _Chart:
         return f.differentiate(self.coordinates[i])
 
     def frame_bracket(self, a: int, b: int) -> "VectorField":
-        return self._commuting
+        return self.zero_field
 
 
 class FrameContext:
@@ -123,11 +123,12 @@ class FrameContext:
         self.dim = len(self.fields)
         self.zero = ambient.zero
         self.one = ambient.one
+        self.zero_field = VectorField.from_support(self, ())
         self._directions: Dict[Tuple[int, ScalarExpr], ScalarExpr] = {}
         r = self.dim
         self._structure: Dict[Tuple[int, int], VectorField] = {}
         for a in range(r):
-            self._structure[(a, a)] = VectorField.zero(self)
+            self._structure[(a, a)] = self.zero_field
             for b in range(a + 1, r):
                 field = self._coefficients(
                     bracket(self.fields[a], self.fields[b]), a, b)
@@ -297,7 +298,8 @@ class VectorField:
 
     @classmethod
     def zero(cls, frame) -> "VectorField":
-        return cls.from_support(frame, ())
+        """The zero field of ``frame``, one shared per context."""
+        return frame.zero_field
 
     def __add__(self, other: "VectorField") -> "VectorField":
         self._check(other)

@@ -86,15 +86,17 @@ direct call of a validation stage, nothing is looked up or counted, and
 every result is computed as it is inside one.  Results returned from the
 table are shared between the scalars that receive them.
 
-Constants take a path of their own: the sum, difference, product or
-quotient of two constants p/q and r/s is integer arithmetic on the four
-coefficients followed by one ``math.gcd``, and a product with a constant
-one-term factor builds no exponent tuples.  ``evaluate`` clears the
-point's denominators: with each coordinate p_i/q_i and D_i the largest
-degree of x_i in the numerator or the denominator, both are evaluated
-times prod q_i^D_i, on integers, and one ``Fraction`` is built from the
-two values at the end.  The common factor cancels, so the value, and
-where a pole is reported, are those of evaluating with fractions.
+Constants take a path of their own: a scalar carries its value p/q as
+``const = (p, q)``, set once when it is built, so no predicate reads the
+Terms.  Two constants combine by integer arithmetic on their four
+coefficients and one ``math.gcd``; a product with a constant one-term
+factor builds no exponent tuples.  ``evaluate`` returns a constant's
+value; any other scalar is evaluated with the point's denominators
+cleared: with each coordinate p_i/q_i and D_i the largest degree of x_i in
+the numerator or the denominator, both are evaluated times prod q_i^D_i,
+on integers, and one ``Fraction`` is built from the two values at the
+end.  The common factor cancels, so the value, and where a pole is
+reported, are those of evaluating with fractions.
 """
 
 from __future__ import annotations
@@ -477,12 +479,11 @@ def _sign_fix(num: Terms, den: Terms) -> Tuple[Terms, Terms]:
     return _terms_neg(num), _terms_neg(den)
 
 
-def _constant_parts(x: "ScalarExpr") -> Optional[Tuple[int, int]]:
-    """(p, q) when the nonzero scalar x is the constant p/q, else None."""
-    num, den = x.num, x.den
-    if len(num) == 1 and len(den) == 1:
-        (e, p), = num.items()
+def _constant_value(num: Terms, den: Terms) -> Optional[Tuple[int, int]]:
+    """(p, q) when the canonical num/den is the constant p/q, else None."""
+    if len(den) == 1 and len(num) <= 1:
         (f, q), = den.items()
+        (e, p), = num.items() if num else ((f, 0),)
         if not any(e) and not any(f):
             return p, q
     return None
@@ -494,27 +495,29 @@ def _constant(like: "ScalarExpr", p: int, q: int) -> "ScalarExpr":
     g = gcd(p, q)
     if q < 0:
         g = -g
+    p, q = p // g, q // g
     zero = next(iter(like.den))
-    return ScalarExpr(like.vars, {zero: p // g} if p else {},
-                      {zero: q // g}, _canonical=True)
+    return ScalarExpr(like.vars, {zero: p} if p else {}, {zero: q},
+                      _canonical=True, _const=(p, q))
 
 
 class ScalarExpr:
     """Canonical rational function in a fixed tuple of coordinate names.
 
     ``num`` and ``den`` are integer-coefficient Terms; the constructor
-    brings any such pair with a nonzero ``den`` to canonical form."""
+    brings any such pair with a nonzero ``den`` to canonical form.  ``const``
+    is (p, q) for the constant p/q in lowest terms, q > 0, else None."""
 
-    __slots__ = ("vars", "num", "den")
+    __slots__ = ("vars", "num", "den", "const")
 
     def __init__(self, vars: Tuple[str, ...], num: Terms, den: Terms,
-                 _canonical: bool = False):
+                 _canonical: bool = False,
+                 _const: Optional[Tuple[int, int]] = None):
         self.vars = vars
-        if _canonical:
-            self.num = num
-            self.den = den
-        else:
-            self.num, self.den = self._normalize(num, den, len(vars))
+        if not _canonical:
+            num, den = self._normalize(num, den, len(vars))
+        self.num, self.den = num, den
+        self.const = _const or _constant_value(num, den)
 
     @staticmethod
     def _normalize(num: Terms, den: Terms, nvars: int) -> Tuple[Terms, Terms]:
@@ -535,7 +538,8 @@ class ScalarExpr:
             numerator, denominator = q.numerator, q.denominator
         zero = (0,) * len(vars)
         num = {zero: numerator} if numerator else {}
-        return cls(tuple(vars), num, {zero: denominator}, _canonical=True)
+        return cls(tuple(vars), num, {zero: denominator}, _canonical=True,
+                   _const=(numerator, denominator))
 
     @classmethod
     def variable(cls, name: str, vars: Sequence[str]) -> "ScalarExpr":
@@ -555,17 +559,15 @@ class ScalarExpr:
         return bool(self.num)
 
     def is_one(self) -> bool:
-        # num and den are coprime and den leads positively, so num/den is
-        # 1 exactly when they are equal
-        return self.num == self.den
+        return self.const == (1, 1)
 
     def is_constant(self) -> bool:
-        return _is_constant(self.num) and _is_constant(self.den)
+        return self.const is not None
 
     # -- arithmetic ------------------------------------------------------
 
     def _check(self, other: "ScalarExpr") -> None:
-        if self.vars != other.vars:
+        if self.vars is not other.vars and self.vars != other.vars:
             raise ScalarError("mixed coordinate systems")
 
     def _sum(self, c: Terms, d: Terms) -> "ScalarExpr":
@@ -614,7 +616,7 @@ class ScalarExpr:
             return self
         if not self.num:
             return other
-        x, y = _constant_parts(self), _constant_parts(other)
+        x, y = self.const, other.const
         if x and y:
             return _constant(self, x[0] * y[1] + y[0] * x[1], x[1] * y[1])
         return self._sum(other.num, other.den)
@@ -625,7 +627,7 @@ class ScalarExpr:
             return self
         if not self.num:
             return -other
-        x, y = _constant_parts(self), _constant_parts(other)
+        x, y = self.const, other.const
         if x and y:
             return _constant(self, x[0] * y[1] - y[0] * x[1], x[1] * y[1])
         return self._sum(_terms_neg(other.num), other.den)
@@ -636,7 +638,7 @@ class ScalarExpr:
             return self
         if not other.num or self.is_one():
             return other
-        x, y = _constant_parts(self), _constant_parts(other)
+        x, y = self.const, other.const
         if x and y:
             return _constant(self, x[0] * y[0], x[1] * y[1])
         return self._product(other.num, other.den)
@@ -647,14 +649,15 @@ class ScalarExpr:
             raise DivisionByZero("division by the zero expression")
         if not self.num or other.is_one():
             return self
-        x, y = _constant_parts(self), _constant_parts(other)
+        x, y = self.const, other.const
         if x and y:
             return _constant(self, x[0] * y[1], x[1] * y[0])
         return self._product(other.den, other.num)
 
     def __neg__(self) -> "ScalarExpr":
+        c = self.const
         return ScalarExpr(self.vars, _terms_neg(self.num), self.den,
-                          _canonical=True)
+                          _canonical=True, _const=c and (-c[0], c[1]))
 
     def __pow__(self, n: int) -> "ScalarExpr":
         if n < 0:
@@ -714,6 +717,8 @@ class ScalarExpr:
                 val = Fraction(val)
             numerators.append(val.numerator)
             denominators.append(val.denominator)
+        if self.const is not None:
+            return Fraction(*self.const)
         # x_i = p_i/q_i: a monomial times prod q_i^D_i is the integer
         # prod p_i^e_i q_i^(D_i - e_i), D_i the largest degree of x_i
         tops = map(max, zip(*self.num, *self.den))

@@ -250,6 +250,40 @@ def skew_metric(scenario):
     return MetricField(scenario.presentation(), gram)
 
 
+def darboux_perturbed_phi(scenario):
+    """darboux (2,2) with the sign of phi flipped on the block of e_0 and
+    e_2, as ``perturbed_phi_structure`` does on heis6: still a contact pair
+    structure, but the metric is no longer associated."""
+    presentation = scenario.presentation()
+    rows = [[presentation.scalar(text) for text in row]
+            for row in scenario.phi]
+    rows[2][0] = -rows[2][0]
+    rows[0][2] = -rows[0][2]
+    return EndoField(presentation, rows)
+
+
+def darboux_mixed_phi(scenario):
+    """darboux (2,2) with a phi that pairs each horizontal field of one
+    factor with one of the other, as ``mixed_phi_structure`` does on
+    heis6."""
+    presentation = scenario.presentation()
+    rows = [[presentation.zero] * 10 for _ in range(10)]
+    for a, b in ((7, 0), (8, 1), (5, 2), (6, 3)):
+        rows[a][b] = presentation.one
+        rows[b][a] = -presentation.one
+    return EndoField(presentation, rows)
+
+
+def darboux_skew_metric(scenario):
+    """darboux (2,2) with g(e_0, e_5) = 1/8 across the factors; still
+    Riemannian, but H1 and H2 are no longer orthogonal."""
+    gram = [[Fraction(0)] * 10 for _ in range(10)]
+    for a in range(10):
+        gram[a][a] = Fraction(1) if a in (4, 9) else Fraction(1, 4)
+    gram[0][5] = gram[5][0] = Fraction(1, 8)
+    return MetricField(scenario.presentation(), gram)
+
+
 # the four horizontal heis6 fields rescaled by 1 + c t^2, each in its own
 # coordinate; unlike e_1 alone, this frame has gcds that no trial division
 # settles

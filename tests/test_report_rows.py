@@ -1,12 +1,17 @@
 """Golden report rows: (id, verdict, witness) of ``run_checks`` at probe
 seeds 1 and 7, on every corpus scenario, on heis6 with the five
 negative controls of ``conftest``, on darboux of types (2,0), (0,2)
-and (2,2) and on two pairs that fail.  The controls give failing
-witnesses for most derived identities, so a rewrite of a check that
-changes a witness shows here; the darboux types cover an empty H1 or H2
-and the largest type.  The failing pairs are heis6 with alpha_2 =
-alpha_1, whose volume form vanishes, and heis6 declared of type (2,0),
-whose second form fails its degeneracy.
+and (2,2), on three controls of darboux (2,2) and on two pairs that
+fail.  The controls give failing witnesses for most derived identities,
+so a rewrite of a check that changes a witness shows here; the darboux
+types cover an empty H1 or H2 and the largest type.  The darboux (2,2)
+controls reach the connection and Hermitian stages at n = 10: one phi
+block sign-flipped, which breaks the association but passes both
+covariant identities, and a cross-factor phi and a skew metric, which
+fail both, so the first failing (a, b, c) of those n^3 streams is
+pinned.  The failing pairs are heis6 with alpha_2 = alpha_1, whose volume
+form vanishes, and heis6 declared of type (2,0), whose second form fails
+its degeneracy.
 
 The file ``data/report_rows.json`` is written by ``golden_rows()``; every
 row is compared byte for byte.
@@ -21,8 +26,10 @@ import pytest
 from contact_pair_lab import (CORPUS_NAMES, ScalarExpr, corpus_build,
                               run_checks)
 
-from conftest import (mixed_phi_structure, perturbed_phi_structure,
-                      scaled_metric, skew_metric, twisted_phi_structure)
+from conftest import (darboux_mixed_phi, darboux_perturbed_phi,
+                      darboux_skew_metric, mixed_phi_structure,
+                      perturbed_phi_structure, scaled_metric, skew_metric,
+                      twisted_phi_structure)
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                     "report_rows.json")
@@ -34,17 +41,27 @@ CONTROLS = {
     "heis6-mixed-phi": ("phi", mixed_phi_structure),
     "heis6-skew-metric": ("metric", skew_metric),
 }
+DARBOUX_CONTROLS = {
+    "darboux-2-2-perturbed-phi": ("phi", darboux_perturbed_phi),
+    "darboux-2-2-mixed-phi": ("phi", darboux_mixed_phi),
+    "darboux-2-2-skew-metric": ("metric", darboux_skew_metric),
+}
 DARBOUX_TYPES = {"darboux-2-0": (2, 0), "darboux-0-2": (0, 2),
                  "darboux-2-2": (2, 2)}
 FAILING_PAIRS = ("heis6-alpha2-is-alpha1", "heis6-type-2-0")
 LABELS = (CORPUS_NAMES + tuple(CONTROLS) + tuple(DARBOUX_TYPES)
-          + FAILING_PAIRS)
+          + FAILING_PAIRS + tuple(DARBOUX_CONTROLS))
 
 
 def build(label):
     if label in CONTROLS:
         key, make = CONTROLS[label]
         scenario = corpus_build("heis6")
+        scenario._cache[key] = make(scenario)
+        return scenario
+    if label in DARBOUX_CONTROLS:
+        key, make = DARBOUX_CONTROLS[label]
+        scenario = corpus_build("darboux", (2, 2))
         scenario._cache[key] = make(scenario)
         return scenario
     if label == "heis6-alpha2-is-alpha1":
@@ -122,6 +139,11 @@ def test_the_golden_file_covers_failing_witnesses_of_rewritten_checks(golden):
                for r in failing)
     assert any("induced-metric-is-associated" in r for r in failing)
     assert any("complex-shape-identity" in r for r in failing)
+    for label in ("darboux-2-2-mixed-phi", "darboux-2-2-skew-metric"):
+        for seed in golden[label].values():
+            verdicts = {row[0]: row[1] for row in seed}
+            assert verdicts["connection.covariant_phi_pairing"] == "fail"
+            assert verdicts["hermitian.covariant_identity"] == "fail"
     pair_witnesses = [seed[0][2] for label in FAILING_PAIRS
                       for seed in golden[label].values()]
     assert [w for w in pair_witnesses if "volume form: " in w]

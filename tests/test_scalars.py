@@ -443,6 +443,60 @@ def test_constant_results_are_the_general_reduction(p, q, op):
                for c in (*result.num.values(), *result.den.values()))
 
 
+def _constant_reference(x):
+    """(p, q) when x is the constant p/q, read off its Terms; else None.
+    Zero is (0)/(1) in canonical form."""
+    num, den = x.num, x.den
+    if not num:
+        assert den == {(0,) * len(x.vars): 1}
+        return 0, 1
+    if len(num) == 1 and len(den) == 1:
+        (e, p), = num.items()
+        (f, q), = den.items()
+        if not any(e) and not any(f):
+            return p, q
+    return None
+
+
+def _assert_constant_slot(x):
+    reference = _constant_reference(x)
+    assert x.const == reference
+    assert x.is_constant() == (reference is not None)
+    assert x.is_one() == (reference == (1, 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rationals, rationals, st.integers(0, 3))
+@example(sx("0"), sx("0"), 0)
+@example(sx("3/4"), sx("-2"), 2)
+@example(sx("-1/3"), sx("x/(1 + y^2)"), 3)
+@example(sx("1"), sx("-1"), 1)
+def test_every_result_carries_its_constant_value(a, b, k):
+    results = [a, b, a + b, a - b, a * b, -a, -b, a ** k,
+               a.differentiate("x"), parse_expr(str(a), VARS)]
+    if b:
+        results.append(a / b)
+    for result in results:
+        _assert_constant_slot(result)
+
+
+_constants = st.recursive(
+    _fractions.map(lambda q: ScalarExpr.constant(q, VARS)), _combine,
+    max_leaves=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_constants, points)
+@example(sx("0"), {"x": Fraction(1), "y": Fraction(2)})
+@example(sx("-5/3"), {"x": Fraction(1), "y": Fraction(2)})
+def test_evaluate_of_a_constant_is_its_value(a, point):
+    reference = _constant_reference(a)
+    value = a.evaluate(point)
+    assert type(value) is Fraction and value == Fraction(*reference)
+    with pytest.raises(ScalarError, match="does not assign coordinate 'y'"):
+        a.evaluate({"x": Fraction(1)})
+
+
 def test_a_constant_one_term_factor_keeps_the_exponents():
     a = sx("x^2*y - 3*y + 1").num
     assert scalars._terms_mul(a, {(0, 0): 1}) is a
