@@ -5,12 +5,14 @@ components.  Every exact identity goes through ``certify``, the one
 witness rule: it compares lhs and rhs entry by entry, stops at the first
 entry where they differ and names it, ``"<label> = <lhs - rhs>"``.  The
 two identities with n^3 entries (a, b, c) stream, for each (a, b), only
-the c that a side holds a term at (``_key_union``).
+the c that a side holds a term at (``_key_union``); the n^2 right-hand
+sides are sums over supports (``frames.combination``).
 
 The tensors the checks read are built once per ``MetricContactPair`` and
 cached there: the projections P_i and F_i (``pi``, ``foliation``), nabla Z
-and R(., .)Z for the Reeb sum Z (``nabla_reeb``, ``reeb_curvature``),
-nabla phi, nabla J and the normality report, its four findings.  A check
+and R(., .)Z for the Reeb sum Z (``nabla_reeb``, ``reeb_curvature``, from
+nabla of nabla Z), nabla phi, nabla J and the normality report, whose
+Nijenhuis tensors are read off nabla phi and nabla J.  A check
 reads columns of these endomorphisms, and an identity between
 endomorphisms is witnessed by its first differing column.  One test,
 ``pair_type_findings``, decides the type (h, k) of every pair of forms.
@@ -31,11 +33,12 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .frames import (EndoField, FramePresentation, LeviCivita, MetricField,
-                     PForm, VectorField, add_term, bracket, eval_form,
-                     exterior_derivative, form_power, form_rows, interior,
-                     is_killing, lie_derivative_endo, nijenhuis,
-                     nonvanishing_certificate, orthogonal_projector,
-                     pole_polynomial, seeded_probe_points, wedge)
+                     PForm, VectorField, _accumulate, add_term, bracket,
+                     combination, eval_form, exterior_derivative, form_power,
+                     form_rows, interior, is_killing, lie_derivative_endo,
+                     nijenhuis, nonvanishing_certificate,
+                     orthogonal_projector, pole_polynomial,
+                     seeded_probe_points, wedge)
 from .scalars import ScalarError, ScalarExpr
 
 
@@ -366,43 +369,37 @@ class MetricContactPair:
 
     @cached_property
     def reeb_curvature(self) -> List[List[VectorField]]:
-        """R(e_a, e_b) Z for the Reeb sum Z, indexed [a][b]:
-        nabla_a(nabla_b Z) - nabla_b(nabla_a Z) - sum_c C^c_ab nabla_c Z,
-        computed for a < b and filled in by antisymmetry."""
-        frame = self.presentation
-        n = frame.dim
-        conn = self.connection
-        dz = [self.nabla_reeb.column(a) for a in range(n)]
-        zero = VectorField.zero(frame)
-        table = [[zero] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a + 1, n):
-                value = (conn.nabla(frame.frame_field(a), dz[b])
-                         - conn.nabla(frame.frame_field(b), dz[a]))
-                for c, cab in frame.frame_bracket(a, b).support:
-                    value = value - dz[c].scale(cab)
-                table[a][b], table[b][a] = value, -value
-        return table
+        """R(e_a, e_b) Z for the Reeb sum Z, indexed [a][b]: with A = nabla Z
+        and a torsion-free connection, (nabla_a A) e_b - (nabla_b A) e_a."""
+        n = self.presentation.dim
+        nabla = [self.connection.nabla_endo(a, self.nabla_reeb)
+                 for a in range(n)]
+        return [[nabla[a][b] - nabla[b][a] for b in range(n)]
+                for a in range(n)]
 
     @cached_property
     def normality(self) -> "NormalityReport":
         """The normality tensor, the two almost complex structures and
         the normal metric contact pair, which also asks for an associated
-        metric."""
+        metric.  N_phi, N_J and N_T come from nabla phi, nabla J and, as
+        T = 2 phi - J, nabla T = 2 nabla phi - nabla J."""
         pair = self.pair
-        frame = self.presentation
-        zero = VectorField.zero(frame)
+        structure = self.structure
+        zero = VectorField.zero(self.presentation)
+        nabla_t = [[p + (p - q) for p, q in zip(row_phi, row_j)]
+                   for row_phi, row_j in zip(self.nabla_phi, self.nabla_j)]
         # 2 d(alpha_i)(e_a, e_b) is the coefficient on (a, b)
         n1 = certify("normality tensor vanishes", (
             (f"N1(e_{a}, e_{b})",
              value + (pair.z1.scale(pair.d_alpha1.get((a, b)))
                       + pair.z2.scale(pair.d_alpha2.get((a, b)))), zero)
-            for (a, b), value in nijenhuis(self.structure.phi).items()))
+            for (a, b), value in nijenhuis(structure.phi,
+                                           self.nabla_phi).items()))
         nj, nt = [certify(f"{label} integrable", (
             (f"N_{label}(e_{a}, e_{b})", value, zero)
-            for (a, b), value in nijenhuis(endo).items()))
-            for label, endo in (("J", self.structure.j),
-                                ("T", self.structure.t))]
+            for (a, b), value in nijenhuis(endo, nabla).items()))
+            for label, endo, nabla in (("J", structure.j, self.nabla_j),
+                                       ("T", structure.t, nabla_t))]
         witness = next((f.witness for f in (n1, nj, nt, self.associated)
                         if not f.ok), "")
         return NormalityReport(n1, nj, nt, Finding(
@@ -419,7 +416,6 @@ def validate_metric(structure: ContactPairStructure, metric: MetricField,
         probes = seeded_probe_points(presentation)
     phi = structure.phi
 
-    frame_fields = [presentation.frame_field(a) for a in range(n)]
     phi_fields = [phi.column(a) for a in range(n)]
     (a1,), (a2,) = form_rows(pair.alpha1), form_rows(pair.alpha2)
 
@@ -437,16 +433,19 @@ def validate_metric(structure: ContactPairStructure, metric: MetricField,
          reduction.get((a, b), presentation.zero))
         for a in range(n) for b in range(a, n)))
 
-    # d_sum_rows[a] = i_{e_a} d-sum, so d-sum(e_a, e_b) is its coefficient
-    # on b
-    d_sum = pair.d_alpha1 + pair.d_alpha2
-    d_sum_rows = [interior(d_sum, f) for f in frame_fields]
-    # phi_lowered[b][a] = g(phi e_b, e_a)
-    phi_lowered = [metric.lower(f) for f in phi_fields]
+    # g(e_a, phi e_b) and d-sum(e_a, e_b), by (a, b), nonzero entries only;
+    # d-sum(e_a, e_b) is half the coefficient of d-sum on (a, b)
+    phi_lowered = {(a, b): value for b, f in enumerate(phi_fields)
+                   for a, value in metric.lowered(f).items()}
+    half = ScalarExpr.constant(Fraction(1, 2), presentation.coordinates)
+    d_sum: Dict[Tuple[int, int], ScalarExpr] = {}
+    for (a, b), value in (pair.d_alpha1 + pair.d_alpha2).coeffs.items():
+        d_sum[(a, b)] = half * value
+        d_sum[(b, a)] = -d_sum[(a, b)]
     associated = certify("metric is associated", chain((
-        (f"g(e_{a}, phi e_{b}) - d-sum(e_{a}, e_{b})", phi_lowered[b][a],
-         d_sum_rows[a].get((b,)))
-        for a in range(n) for b in range(n)), (
+        (f"g(e_{a}, phi e_{b}) - d-sum(e_{a}, e_{b})", lhs, rhs)
+        for (a, b), lhs, rhs in _key_union(phi_lowered, d_sum,
+                                           presentation.zero)), (
         (f"g(e_{a}, Z{i}) - alpha{i}(e_{a})", g_az, alpha[a])
         for i, (z, alpha) in enumerate(((pair.z1, a1), (pair.z2, a2)),
                                        start=1)
@@ -494,7 +493,6 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
     g = mcp.metric
     findings: List[Finding] = []
     phi_fields = [phi.column(a) for a in range(n)]
-    a_rows = form_rows(pair.alpha1) + form_rows(pair.alpha2)
     d_forms = (pair.d_alpha1, pair.d_alpha2)
     zs = (pair.z1, pair.z2)
     zero = VectorField.zero(presentation)
@@ -529,12 +527,21 @@ def check_connection_identities(mcp: MetricContactPair) -> List[Finding]:
     findings.append(_endo_finding("Reeb sum derivative identity",
                                   mcp.nabla_reeb + phi))
 
-    # F_i e_a, indexed [i][a]; alpha_i(F_i e_b) = alpha_i(e_b)
+    # F_i e_a, indexed [i][a], and g(F_i e_a, .) by index, lowered once
     proj = [[f.column(a) for a in range(n)] for f in mcp.foliation]
+    proj_lowered = [[g.lowered(f) for f in row] for row in proj]
+
+    def projection_terms(a: int, b: int):
+        # sum_i g(F_i e_a, F_i e_b) Z_i - alpha_i(e_b) F_i e_a
+        for i, alpha in enumerate(pair.alphas()):
+            low = proj_lowered[i][a]
+            yield (sum((low[c] * value for c, value in proj[i][b].support
+                        if c in low), presentation.zero), zs[i], False)
+            yield alpha.coeffs.get((b,)), proj[i][a], True
+
     findings.append(certify("covariant phi projection identity", (
         (f"residual at ({a},{b})", nabla_phi[a][b],
-         sum((zs[i].scale(g.pair(proj[i][a], proj[i][b]))
-              - proj[i][a].scale(a_rows[i][b]) for i in (0, 1)), zero))
+         combination(presentation, projection_terms(a, b)))
         for a in range(n) for b in range(n))))
 
     half = ScalarExpr.constant(Fraction(1, 2), presentation.coordinates)
@@ -582,15 +589,14 @@ def check_curvature_identity(mcp: MetricContactPair) -> List[Finding]:
     pair = mcp.pair
     frame = mcp.presentation
     n = frame.dim
-    alphas = pair.alphas()
-    zero = VectorField.zero(frame)
-    # F_i e_a, indexed [i][a]; alpha_i(F_i e_b) = alpha_i(e_b)
+    # F_i e_a, indexed [i][a]; the rhs is
+    # sum_i alpha_i(e_b) F_i e_a - alpha_i(e_a) F_i e_b
     proj = [[f.column(a) for a in range(n)] for f in mcp.foliation]
     holds = certify("Reeb curvature identity", (
         (f"residual at ({a},{b})", mcp.reeb_curvature[a][b],
-         sum((proj[i][a].scale(alphas[i].get((b,)))
-              - proj[i][b].scale(alphas[i].get((a,))) for i in (0, 1)),
-             zero))
+         combination(frame, ((alpha.coeffs.get((y,)), proj[i][x], x == b)
+                             for i, alpha in enumerate(pair.alphas())
+                             for x, y in ((a, b), (b, a)))))
         for a in range(n) for b in range(a + 1, n)))
     normal = mcp.normality.normal
     detail = f"identity={holds.ok}, normal={normal.ok}"
@@ -647,13 +653,11 @@ def hermitian_data(mcp: MetricContactPair) -> List[Finding]:
                 # sum_q J^q_b dF_aqr, by r; an absent r is zero
                 df_jb: Dict[int, ScalarExpr] = {}
                 for q, v in j_fields[b].support:
-                    for r, df in slices[a].get(q, {}).items():
-                        add_term(df_jb, r, v * df)
+                    _accumulate(df_jb, v, slices[a].get(q, {}).items())
                 # sum_r J^r_c (df_jb)_r - dF_abc by c, r ascending
                 rhs: Dict[int, ScalarExpr] = {}
                 for r in sorted(df_jb):
-                    for c, w in j_rows[r]:
-                        add_term(rhs, c, w * df_jb[r])
+                    _accumulate(rhs, df_jb[r], j_rows[r])
                 for c, df in slices[a].get(b, {}).items():
                     add_term(rhs, c, df, negate=True)
                 for c, lhs, value in _key_union(
@@ -663,24 +667,32 @@ def hermitian_data(mcp: MetricContactPair) -> List[Finding]:
     findings.append(certify("Hermitian covariant identity",
                             covariant_entries()))
 
-    # d1_rows[a], d2_rows[a] = i_{e_a} d(alpha_1), i_{e_a} d(alpha_2)
-    d1_rows, d2_rows = ([interior(form, f) for f in frame_fields]
-                        for form in (pair.d_alpha1, pair.d_alpha2))
+    # The closed form is c1 Z1 + c2 Z2 + alpha_2(e_b) U_a - alpha_1(e_b) V_a
+    # with U_a = P_1 J e_a - P_2 e_a, V_a = P_2 J e_a + P_1 e_a,
+    # c1 = -d alpha_2(e_a, e_b) - d alpha_1(e_a, J e_b) and
+    # c2 = d alpha_1(e_a, e_b) - d alpha_2(e_a, J e_b)
+    alpha1, alpha2 = ({b: value for (b,), value in alpha.coeffs.items()}
+                      for alpha in pair.alphas())
 
-    def closed_form(a: int, b: int) -> VectorField:
-        jy = j_fields[b]
-        alpha1_y = pair.alpha1.get((b,))
-        alpha2_y = pair.alpha2.get((b,))
-        coeff_z1 = -d2_rows[a].get((b,)) - eval_form(d1_rows[a], jy)
-        coeff_z2 = d1_rows[a].get((b,)) - eval_form(d2_rows[a], jy)
-        return (pair.z1.scale(coeff_z1) + pair.z2.scale(coeff_z2)
-                + pi_j[0].column(a).scale(alpha2_y)
-                - pi_j[1].column(a).scale(alpha1_y)
-                - mcp.pi[0].column(a).scale(alpha1_y)
-                - mcp.pi[1].column(a).scale(alpha2_y))
+    def closed_form_terms(a: int):
+        # (coefficient by b, field, negated) of the four terms at a; the
+        # row i_{e_a} d alpha_i, contracted with the rows of J for J e_b
+        d1, d2 = ({b: value for (b,), value
+                   in interior(form, frame_fields[a]).coeffs.items()}
+                  for form in (pair.d_alpha1, pair.d_alpha2))
+        minus_c1, c2 = dict(d2), dict(d1)
+        for out, row, negate in ((minus_c1, d1, False), (c2, d2, True)):
+            for q, value in row.items():
+                _accumulate(out, value, j_rows[q], negate)
+        return ((minus_c1, pair.z1, True), (c2, pair.z2, False),
+                (alpha2, pi_j[0].column(a) - mcp.pi[1].column(a), False),
+                (alpha1, pi_j[1].column(a) + mcp.pi[0].column(a), True))
 
+    terms = [closed_form_terms(a) for a in range(n)]
     findings.append(certify("closed form of the covariant derivative of J", (
-        (f"residual at ({a},{b})", nabla_j[a][b], closed_form(a, b))
+        (f"residual at ({a},{b})", nabla_j[a][b], combination(
+            presentation, ((coefficients.get(b), field, negate)
+                           for coefficients, field, negate in terms[a])))
         for a in range(n) for b in range(n))))
 
     witness_entry = d_fundamental.nonzero_witness()

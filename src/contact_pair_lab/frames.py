@@ -19,7 +19,10 @@ There is one index lowering, ``MetricField.lower``: the orthogonal
 projector, the Killing test and the Levi-Civita connection all contract
 with the Gram matrix through it, and ``pair`` reads the same Gram rows.
 The connection reads the Koszul formula from two tables built once,
-e_a(g_bc) and g([e_a, e_b], e_c).
+e_a(g_bc) and g([e_a, e_b], e_c).  nabla_{e_a} A of an endomorphism field
+is the commutator e_a(A) + Gamma_a A - A Gamma_a with the row Gamma_a of
+connection matrices, and, the connection being torsion-free, the
+Nijenhuis tensor of A is read off those nabla tables, bracket-free.
 
 Every frame tensor carries its support, computed once: the nonzero
 entries of a vector field, of each column of an endomorphism field, of
@@ -124,6 +127,9 @@ class FrameContext:
         self.zero = ambient.zero
         self.one = ambient.one
         self.zero_field = VectorField.from_support(self, ())
+        self._frame_fields = tuple(
+            VectorField.from_support(self, ((a, self.one),))
+            for a in range(self.dim))
         self._directions: Dict[Tuple[int, ScalarExpr], ScalarExpr] = {}
         r = self.dim
         self._structure: Dict[Tuple[int, int], VectorField] = {}
@@ -142,7 +148,8 @@ class FrameContext:
         return VectorField(self, tuple(self.scalar(c) for c in components))
 
     def frame_field(self, a: int) -> "VectorField":
-        return VectorField.from_support(self, ((a, self.one),))
+        """e_a, one shared field per index."""
+        return self._frame_fields[a]
 
     def direction(self, a: int, f: ScalarExpr) -> ScalarExpr:
         """e_a(f), computed once per non-constant f and kept with the
@@ -230,6 +237,8 @@ def pole_polynomial(matrix: Sequence[Sequence[ScalarExpr]]) -> ScalarExpr:
     poles: List[ScalarExpr] = []
     for row in matrix:
         for entry in row:
+            if entry.const:
+                continue
             pole = _polynomial(entry.den, coordinates)
             if not pole.is_constant() and pole not in poles:
                 poles.append(pole)
@@ -256,10 +265,11 @@ def add_term(sums: dict, key, value: ScalarExpr,
 
 
 def _accumulate(sums: Dict[int, ScalarExpr], factor: ScalarExpr,
-                support) -> None:
-    """sums[c] += factor * v for every pair (c, v) of ``support``."""
+                support, negate: bool = False) -> None:
+    """sums[c] += factor * v for every pair (c, v) of ``support``, or -=
+    when ``negate``."""
     for c, v in support:
-        add_term(sums, c, factor * v)
+        add_term(sums, c, factor * v, negate)
 
 
 class VectorField:
@@ -292,9 +302,11 @@ class VectorField:
     def from_sums(cls, frame, sums: Mapping[int, ScalarExpr]
                   ) -> "VectorField":
         """The field with components ``sums``, by index; an absent index
-        and a sum that cancelled are zero."""
-        return cls.from_support(frame, [(a, sums[a]) for a in sorted(sums)
-                                        if sums[a]])
+        and a sum that cancelled are zero, and a field with no nonzero
+        component is the context's shared zero field."""
+        support = [(a, sums[a]) for a in sorted(sums) if sums[a]]
+        return cls.from_support(frame, support) if support \
+            else frame.zero_field
 
     @classmethod
     def zero(cls, frame) -> "VectorField":
@@ -360,6 +372,16 @@ class VectorField:
 
     def __repr__(self):
         return f"VectorField({[str(c) for c in self.components]})"
+
+
+def combination(frame, terms) -> VectorField:
+    """sum c X over the (c, X, negated) of ``terms``, -c X where negated,
+    over the supports of the X; a zero or None c adds nothing."""
+    sums: Dict[int, ScalarExpr] = {}
+    for factor, field, negate in terms:
+        if factor:
+            _accumulate(sums, factor, field.support, negate)
+    return VectorField.from_sums(frame, sums)
 
 
 def bracket(x: VectorField, y: VectorField) -> VectorField:
@@ -903,9 +925,6 @@ class LeviCivita:
         self.gamma = [[VectorField.from_sums(frame, sums.get((a, b), {}))
                        for b in range(n)] for a in range(n)]
 
-    def nabla_frame(self, a: int, b: int) -> VectorField:
-        return self.gamma[a][b]
-
     def nabla(self, x: VectorField, y: VectorField) -> VectorField:
         """Covariant derivative, function-linear in x and Leibniz in y:
         (nabla_X Y)^c = X(Y^c) + sum_ab X^a Y^b Gamma^c_ab."""
@@ -924,11 +943,20 @@ class LeviCivita:
         return VectorField.from_sums(frame, sums)
 
     def nabla_endo(self, a: int, endo: EndoField) -> List[VectorField]:
-        """(nabla_{e_a} phi) e_b for every frame index b."""
-        ea = self.frame.frame_field(a)
-        return [self.nabla(ea, endo.column(b))
-                - endo.apply(self.nabla_frame(a, b))
-                for b in range(self.frame.dim)]
+        """(nabla_{e_a} A) e_b for every b: e_a(A) + Gamma_a A - A Gamma_a,
+        Gamma_a being e_b -> nabla_{e_a} e_b, the row ``gamma[a]``."""
+        frame, gamma, columns = self.frame, self.gamma[a], endo.columns
+        out = []
+        for b, column in enumerate(columns):
+            # e_a(A e_b); a zero derivative adds nothing to the field
+            sums = {c: frame.direction(a, value)
+                    for c, value in column.support}
+            for c, value in column.support:
+                _accumulate(sums, value, gamma[c].support)
+            for c, value in gamma[b].support:
+                _accumulate(sums, value, columns[c].support, negate=True)
+            out.append(VectorField.from_sums(frame, sums))
+        return out
 
 
 def lie_derivative_endo(z: VectorField, endo: EndoField) -> EndoField:
@@ -952,23 +980,35 @@ def is_killing(nabla: EndoField, metric: MetricField) -> bool:
                for a, row in enumerate(lowered) for b, value in row.items())
 
 
-def nijenhuis(endo: EndoField) -> Dict[Tuple[int, int], VectorField]:
-    """Nijenhuis tensor of an endomorphism field, on frame pairs.
+def nijenhuis(endo: EndoField, nabla: Sequence[Sequence[VectorField]]
+              ) -> Dict[Tuple[int, int], VectorField]:
+    """Nijenhuis tensor of an endomorphism field A on frame pairs a < b,
+    from nabla[c][b] = (nabla_{e_c} A) e_b of a torsion-free connection
+    (Kobayashi and Nomizu, Foundations of Differential Geometry II, ch. IX):
 
-    [A, A](X, Y) = A^2 [X, Y] - A [AX, Y] - A [X, AY] + [AX, AY].
-    """
-    frame = endo.frame
-    fields = [frame.frame_field(a) for a in range(frame.dim)]
-    images = [endo.column(a) for a in range(frame.dim)]
+    [A, A](X, Y) = A^2 [X, Y] - A [AX, Y] - A [X, AY] + [AX, AY]
+                 = (nabla_{AX} A) Y - (nabla_{AY} A) X
+                   - A((nabla_X A) Y - (nabla_Y A) X).
+
+    nabla_{AX} is function-linear in AX, so a pair sums over the supports
+    of A e_a, A e_b and two table entries, and is the shared zero field
+    when all four are zero."""
+    frame, columns = endo.frame, endo.columns
     out = {}
     for a in range(frame.dim):
         for b in range(a + 1, frame.dim):
-            ea, eb = fields[a], fields[b]
-            a_ea, a_eb = images[a], images[b]
-            e_ab = frame.frame_bracket(a, b)
-            value = (endo.apply(endo.apply(e_ab))
-                     - endo.apply(bracket(a_ea, eb))
-                     - endo.apply(bracket(ea, a_eb))
-                     + bracket(a_ea, a_eb))
-            out[(a, b)] = value
+            ab, ba = nabla[a][b].support, nabla[b][a].support
+            if not (columns[a].support or columns[b].support or ab or ba):
+                out[(a, b)] = frame.zero_field
+                continue
+            sums: Dict[int, ScalarExpr] = {}
+            for c, value in columns[a].support:
+                _accumulate(sums, value, nabla[c][b].support)
+            for c, value in columns[b].support:
+                _accumulate(sums, value, nabla[c][a].support, negate=True)
+            for c, value in ab:
+                _accumulate(sums, value, columns[c].support, negate=True)
+            for c, value in ba:
+                _accumulate(sums, value, columns[c].support)
+            out[(a, b)] = VectorField.from_sums(frame, sums)
     return out

@@ -41,8 +41,13 @@ def _constant(value: int, m: Matrix) -> ScalarExpr:
 def row_reduce(matrix, width: int) -> Tuple[list, List[int], list, int]:
     """Gauss-Jordan elimination of ``matrix`` over its first ``width``
     columns, which may be followed by columns carried along: the reduced
-    rows, the pivot columns, the pivot values and the number of swaps."""
-    m = [list(row) for row in matrix]
+    rows, the pivot columns, the pivot values and the number of swaps.
+
+    Each row is kept as a map from column to nonzero entry, so the
+    elimination touches the nonzero entries only; the rows are dense
+    lists again at return."""
+    m = [{k: entry for k, entry in enumerate(row) if entry}
+         for row in matrix]
     rows = len(m)
     pivots: List[int] = []
     values = []
@@ -51,21 +56,30 @@ def row_reduce(matrix, width: int) -> Tuple[list, List[int], list, int]:
         r = len(pivots)
         if r == rows:
             break
-        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        pivot_row = next((i for i in range(r, rows) if c in m[i]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
             m[r], m[pivot_row] = m[pivot_row], m[r]
             swaps += 1
         value = m[r][c]
-        m[r] = [entry / value for entry in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivot = m[r] = {k: entry / value for k, entry in m[r].items()}
+        for row in m:
+            if row is pivot or c not in row:
+                continue
+            factor = row[c]
+            for k, entry in pivot.items():
+                difference = (row[k] - factor * entry if k in row
+                              else -(factor * entry))
+                if difference:
+                    row[k] = difference
+                else:
+                    del row[k]
         pivots.append(c)
         values.append(value)
-    return m, pivots, values, swaps
+    zero = matrix[0][0] - matrix[0][0] if m and matrix[0] else None
+    return ([[row.get(k, zero) for k in range(len(matrix[0]))] for row in m],
+            pivots, values, swaps)
 
 
 def rref(matrix: Matrix) -> Tuple[Matrix, List[int]]:

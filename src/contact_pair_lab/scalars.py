@@ -89,14 +89,15 @@ table are shared between the scalars that receive them.
 Constants take a path of their own: a scalar carries its value p/q as
 ``const = (p, q)``, set once when it is built, so no predicate reads the
 Terms.  Two constants combine by integer arithmetic on their four
-coefficients and one ``math.gcd``; a product with a constant one-term
-factor builds no exponent tuples.  ``evaluate`` returns a constant's
-value; any other scalar is evaluated with the point's denominators
-cleared: with each coordinate p_i/q_i and D_i the largest degree of x_i in
-the numerator or the denominator, both are evaluated times prod q_i^D_i,
-on integers, and one ``Fraction`` is built from the two values at the
-end.  The common factor cancels, so the value, and where a pole is
-reported, are those of evaluating with fractions.
+coefficients and one ``math.gcd``, into the one scalar that an open table
+holds for the value, as a constant's negation does; a product with a
+constant one-term factor builds no exponent tuples.  ``evaluate`` returns
+a constant's value; any other scalar is evaluated with the point's
+denominators cleared: with each coordinate p_i/q_i and D_i the largest
+degree of x_i in the numerator or the denominator, both are evaluated
+times prod q_i^D_i, on integers, and one ``Fraction`` is built from the
+two values at the end.  The common factor cancels, so the value, and
+where a pole is reported, are those of evaluating with fractions.
 """
 
 from __future__ import annotations
@@ -377,15 +378,17 @@ COUNTERS = ("cancel.asked", "cancel.from_table", "gcd.content",
 
 class CancellationTable:
     """The gcds and cancellations of nonconstant polynomials in one
-    verification run, by the values of the two operands, and the run's
-    kernel counters."""
+    verification run, by the values of the two operands, the one scalar
+    of each constant built by arithmetic, by (p, q, coordinates), and the
+    run's kernel counters."""
 
-    __slots__ = ("gcds", "quotients", "counters")
+    __slots__ = ("gcds", "quotients", "constants", "counters")
 
     def __init__(self) -> None:
         self.gcds: Dict[Tuple[frozenset, frozenset], Terms] = {}
         self.quotients: Dict[Tuple[frozenset, frozenset],
                              Tuple[Terms, Terms]] = {}
+        self.constants: Dict[tuple, "ScalarExpr"] = {}
         self.counters: Dict[str, int] = dict.fromkeys(COUNTERS, 0)
 
 
@@ -491,14 +494,22 @@ def _constant_value(num: Terms, den: Terms) -> Optional[Tuple[int, int]]:
 
 def _constant(like: "ScalarExpr", p: int, q: int) -> "ScalarExpr":
     """The constant p/q, q nonzero, over the coordinates of the constant
-    ``like``, whose exponent tuple it reuses."""
+    ``like``, whose exponent tuple it reuses.  While a run's table is open
+    it is the one scalar the table holds for that value."""
     g = gcd(p, q)
     if q < 0:
         g = -g
     p, q = p // g, q // g
+    table, key = _TABLE.get(), (p, q, like.vars)
+    found = None if table is None else table.constants.get(key)
+    if found is not None:
+        return found
     zero = next(iter(like.den))
-    return ScalarExpr(like.vars, {zero: p} if p else {}, {zero: q},
-                      _canonical=True, _const=(p, q))
+    value = ScalarExpr(like.vars, {zero: p} if p else {}, {zero: q},
+                       _canonical=True, _const=(p, q))
+    if table is not None:
+        table.constants[key] = value
+    return value
 
 
 class ScalarExpr:
@@ -656,8 +667,10 @@ class ScalarExpr:
 
     def __neg__(self) -> "ScalarExpr":
         c = self.const
+        if c:
+            return _constant(self, -c[0], c[1])
         return ScalarExpr(self.vars, _terms_neg(self.num), self.den,
-                          _canonical=True, _const=c and (-c[0], c[1]))
+                          _canonical=True)
 
     def __pow__(self, n: int) -> "ScalarExpr":
         if n < 0:

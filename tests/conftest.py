@@ -109,6 +109,62 @@ def curvature(conn, x, y, w):
             - conn.nabla(bracket(x, y), w))
 
 
+def nabla_endo_reference(conn, a, endo):
+    """(nabla_{e_a} A) e_b for every b, as nabla_{e_a}(A e_b) - A(nabla_{e_a}
+    e_b): one covariant derivative and one application per b."""
+    ea = conn.frame.frame_field(a)
+    return [conn.nabla(ea, endo.column(b)) - endo.apply(conn.gamma[a][b])
+            for b in range(conn.frame.dim)]
+
+
+def nijenhuis_reference(endo):
+    """Nijenhuis tensor of an endomorphism field on frame pairs a < b, by
+    its brackets: [A, A](X, Y) = A^2 [X, Y] - A [AX, Y] - A [X, AY]
+    + [AX, AY]."""
+    frame = endo.frame
+    fields = [frame.frame_field(a) for a in range(frame.dim)]
+    images = [endo.column(a) for a in range(frame.dim)]
+    out = {}
+    for a in range(frame.dim):
+        for b in range(a + 1, frame.dim):
+            ea, eb = fields[a], fields[b]
+            a_ea, a_eb = images[a], images[b]
+            e_ab = frame.frame_bracket(a, b)
+            out[(a, b)] = (endo.apply(endo.apply(e_ab))
+                           - endo.apply(bracket(a_ea, eb))
+                           - endo.apply(bracket(ea, a_eb))
+                           + bracket(a_ea, a_eb))
+    return out
+
+
+def row_reduce_reference(matrix, width):
+    """Gauss-Jordan elimination over the first ``width`` columns on dense
+    rows, with the pivot rule of ``linalg.row_reduce``: the reduced rows,
+    the pivot columns, the pivot values and the number of swaps."""
+    m = [list(row) for row in matrix]
+    rows = len(m)
+    pivots, values, swaps = [], [], 0
+    for c in range(width):
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            swaps += 1
+        value = m[r][c]
+        m[r] = [entry / value for entry in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                factor = m[i][c]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        values.append(value)
+    return m, pivots, values, swaps
+
+
 def build_mcp(scenario):
     presentation = scenario.presentation()
     alpha1, alpha2 = scenario.forms()

@@ -1,6 +1,8 @@
 """The exact linear algebra against sympy as a reference: reduced row
 echelon form and pivots, determinant, inverse, rank, kernel and span
-membership, over Q and Q(x)."""
+membership, over Q and Q(x).  ``row_reduce``, which keeps its rows as maps
+of nonzero entries, is also compared with the dense elimination of
+``conftest``."""
 
 import pytest
 import sympy
@@ -10,6 +12,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from contact_pair_lab import linalg
 from contact_pair_lab.scalars import ScalarExpr, parse_expr
+
+from conftest import row_reduce_reference
 
 VARS = ("x",)
 X = sympy.Symbol("x")
@@ -109,3 +113,13 @@ def test_span_membership_returns_the_coefficients(columns, data):
                 for a in range(len(columns))]
         if reference.hstack(_reference([[e] for e in unit])).rank() > rank:
             assert linalg.solve_in_span(left, unit) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(matrices(_scalars), matrices(_FRACTIONS)), st.data())
+def test_row_reduce_matches_the_dense_elimination(m, data):
+    """Rows, pivot columns, pivot values and swaps are those of the dense
+    loop, also when only the leading columns are reduced and the others
+    are carried along."""
+    width = data.draw(st.integers(1, len(m[0])))
+    assert linalg.row_reduce(m, width) == row_reduce_reference(m, width)

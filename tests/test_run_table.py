@@ -1,6 +1,6 @@
 """The cancellation table of one verification run: ``run_checks`` opens
-it for the run alone, its counters reach the report, and concurrent runs
-never share one."""
+it for the run alone, its counters reach the report, it holds one scalar
+per constant, and concurrent runs never share one."""
 
 import collections
 import io
@@ -8,6 +8,7 @@ import json
 import os
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -153,24 +154,20 @@ def _rows(report):
     return [[r.id, r.verdict, r.witness] for r in report.rows]
 
 
-def test_concurrent_runs_keep_their_own_tables():
-    alone = {"gauged": run_checks(_gauged()),
-             "twisted": run_checks(_twisted()),
-             "volume-probe": run_checks(volume_probe_heis6())}
-    scenarios = {"gauged": _gauged(), "twisted": _twisted(),
-                 "gauged-again": _gauged(),
-                 "volume-probe": volume_probe_heis6()}
+def _interleaved(scenarios, run):
+    """run(label) for every label in its own thread, all started together
+    and switched finely; returns the errors raised."""
     start = threading.Barrier(len(scenarios))
-    reports, errors = {}, []
+    errors = []
 
-    def run(label):
+    def target(label):
         try:
             start.wait()
-            reports[label] = run_checks(scenarios[label])
-        except Exception as exc:  # reported by the assert below
+            run(label)
+        except Exception as exc:  # reported by the caller's assert
             errors.append(exc)
 
-    threads = [threading.Thread(target=run, args=(label,))
+    threads = [threading.Thread(target=target, args=(label,), name=label)
                for label in scenarios]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # the runs interleave finely
@@ -182,7 +179,22 @@ def test_concurrent_runs_keep_their_own_tables():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
+    return errors
+
+
+def test_concurrent_runs_keep_their_own_tables():
+    alone = {"gauged": run_checks(_gauged()),
+             "twisted": run_checks(_twisted()),
+             "volume-probe": run_checks(volume_probe_heis6())}
+    scenarios = {"gauged": _gauged(), "twisted": _twisted(),
+                 "gauged-again": _gauged(),
+                 "volume-probe": volume_probe_heis6()}
+    reports = {}
+
+    def run(label):
+        reports[label] = run_checks(scenarios[label])
+
+    assert _interleaved(scenarios, run) == []
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
     assert _rows(reports["twisted"]) == golden["heis6-twisted-phi"]["1"]
@@ -200,6 +212,54 @@ def test_concurrent_runs_keep_their_own_tables():
     assert not any(row.verdict == "warn" for label in ("gauged", "twisted",
                                                        "gauged-again")
                    for row in reports[label].rows)
+
+
+def _ones(vars):
+    """The constant 1 by four paths of constant arithmetic."""
+    half = scalars.ScalarExpr.constant(Fraction(1, 2), vars)
+    two = scalars.ScalarExpr.constant(2, vars)
+    return [half + half, half * two, two / two, -(-(two - half - half))]
+
+
+def test_a_run_holds_one_scalar_per_constant():
+    vars = ("x", "y")
+    with scalars.cancellation_table():
+        ones = _ones(vars)
+        assert all(one is ones[0] for one in ones)
+        assert -ones[0] is -_ones(vars)[1]
+    outside = _ones(vars)
+    assert all(one == ones[0] for one in outside)
+    assert len({id(one) for one in outside + ones[:1]}) == 5
+
+
+def test_interleaved_runs_share_no_constant(monkeypatch):
+    """Two runs of one scenario, interleaved: each holds one scalar per
+    constant value, and no scalar from one reaches the other."""
+    made = collections.defaultdict(list)
+    constant = scalars._constant
+
+    def spy(like, p, q):
+        value = constant(like, p, q)
+        made[threading.current_thread().name].append(value)
+        return value
+
+    monkeypatch.setattr(scalars, "_constant", spy)
+    scenarios = {label: corpus_build("darboux", (2, 2))
+                 for label in ("first", "second")}
+    reports = {}
+
+    def run(label):
+        reports[label] = run_checks(scenarios[label])
+
+    assert _interleaved(scenarios, run) == []
+    assert _rows(reports["first"]) == _rows(reports["second"])
+    for label in scenarios:
+        one = {}
+        assert made[label]
+        assert all(one.setdefault(value.const, value) is value
+                   for value in made[label])
+    assert not {id(v) for v in made["first"]} & \
+        {id(v) for v in made["second"]}
 
 
 def test_stats_follow_the_rows():

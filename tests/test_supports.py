@@ -7,10 +7,16 @@ The two n^3 identity streams of ``contact``, the covariant phi pairing
 identity and the Hermitian covariant identity, compare their entries
 (a, b, c) over the keys of two sparse maps; here they are checked against
 the loops over every c that they replaced, also on residuals that only
-one of the two maps holds.
+one of the two maps holds.  The n^2 streams whose right-hand sides are
+now summed over supports, the covariant phi projection identity, the
+closed form of nabla J, the Reeb curvature identity and the association
+of the metric, are checked against the field arithmetic they replaced,
+also on a residual at an (a, b) where every coefficient of the
+right-hand side vanishes.
 
-The last test counts the scalar sums and products of one verify pass, so
-a dense loop that comes back shows without a clock."""
+The last tests count the scalar sums and products, and the vector fields
+built, of one verify pass, so a dense loop that comes back shows without
+a clock."""
 
 from collections import Counter
 from fractions import Fraction
@@ -23,10 +29,12 @@ from hypothesis import strategies as st
 
 from contact_pair_lab import corpus_build, run_checks
 from contact_pair_lab.contact import (certify, check_connection_identities,
+                                      check_curvature_identity,
                                       hermitian_data)
 from contact_pair_lab.frames import (EndoField, LeviCivita, PForm,
                                      VectorField, add_term, bracket,
-                                     exterior_derivative, interior, wedge)
+                                     eval_form, exterior_derivative,
+                                     form_rows, interior, wedge)
 from contact_pair_lab.scalars import ScalarExpr
 
 from conftest import (build_mcp, darboux_mixed_phi, darboux_skew_metric,
@@ -222,7 +230,7 @@ def test_contractions_over_supports_match_dense_loops(case):
         for b in range(n):
             brk = frame.frame_bracket(a, b)
             assert_support(brk.support, brk.components)
-            gamma = connection.nabla_frame(a, b)
+            gamma = connection.gamma[a][b]
             assert_support(gamma.support, gamma.components)
 
     assert metric.lower(x) == dense_lower(metric, x)
@@ -231,7 +239,7 @@ def test_contractions_over_supports_match_dense_loops(case):
     assert bracket(x, y) == dense_bracket(x, y)
     assert connection.nabla(x, y) == dense_nabla(name, x, y)
     gamma = dense_christoffel(name)
-    assert all(connection.nabla_frame(a, b).components == tuple(gamma[a][b])
+    assert all(connection.gamma[a][b].components == tuple(gamma[a][b])
                for a in range(n) for b in range(n))
     for matrix in (endo, phi):
         assert matrix.apply(x) == dense_endo_apply(matrix, x)
@@ -394,13 +402,153 @@ def test_a_residual_on_the_lhs_alone_gives_the_dense_witness(condition):
     assert finding == dense_finding(mcp, condition)
 
 
+# -- the n^2 streams with right-hand sides over supports --------------
+
+def dense_projection_entries(mcp):
+    """The covariant phi projection identity by field arithmetic:
+    nabla_a phi e_b = sum_i g(F_i e_a, F_i e_b) Z_i - alpha_i(e_b) F_i e_a."""
+    pair, g, n = mcp.pair, mcp.metric, mcp.presentation.dim
+    zero = VectorField.zero(mcp.presentation)
+    zs = (pair.z1, pair.z2)
+    a_rows = form_rows(pair.alpha1) + form_rows(pair.alpha2)
+    proj = [[f.column(a) for a in range(n)] for f in mcp.foliation]
+    for a in range(n):
+        for b in range(n):
+            yield (f"residual at ({a},{b})", mcp.nabla_phi[a][b],
+                   sum((zs[i].scale(g.pair(proj[i][a], proj[i][b]))
+                        - proj[i][a].scale(a_rows[i][b]) for i in (0, 1)),
+                       zero))
+
+
+def closed_form_coefficients(mcp, a, b):
+    """c1, c2, alpha_1(e_b) and alpha_2(e_b) of the closed form of
+    (nabla_a J) e_b, by evaluating the forms."""
+    pair, frame = mcp.pair, mcp.presentation
+    ea, eb = frame.frame_field(a), frame.frame_field(b)
+    jb = mcp.structure.j.column(b)
+    d1, d2 = pair.d_alpha1, pair.d_alpha2
+    return (-eval_form(d2, ea, eb) - eval_form(d1, ea, jb),
+            eval_form(d1, ea, eb) - eval_form(d2, ea, jb),
+            pair.alpha1.get((b,)), pair.alpha2.get((b,)))
+
+
+def dense_closed_form_entries(mcp):
+    """The closed form of nabla J by field arithmetic: (nabla_a J) e_b =
+    c1 Z1 + c2 Z2 + alpha_2(e_b) P_1 J e_a - alpha_1(e_b) P_2 J e_a
+    - alpha_1(e_b) P_1 e_a - alpha_2(e_b) P_2 e_a."""
+    pair, n = mcp.pair, mcp.presentation.dim
+    j = mcp.structure.j
+    pi_j = [p.compose(j) for p in mcp.pi]
+    for a in range(n):
+        for b in range(n):
+            c1, c2, alpha1_b, alpha2_b = closed_form_coefficients(mcp, a, b)
+            yield (f"residual at ({a},{b})", mcp.nabla_j[a][b],
+                   pair.z1.scale(c1) + pair.z2.scale(c2)
+                   + pi_j[0].column(a).scale(alpha2_b)
+                   - pi_j[1].column(a).scale(alpha1_b)
+                   - mcp.pi[0].column(a).scale(alpha1_b)
+                   - mcp.pi[1].column(a).scale(alpha2_b))
+
+
+def dense_curvature_entries(mcp):
+    """The Reeb curvature identity by field arithmetic: R(e_a, e_b) Z =
+    sum_i alpha_i(e_b) F_i e_a - alpha_i(e_a) F_i e_b, for a < b."""
+    alphas, n = mcp.pair.alphas(), mcp.presentation.dim
+    zero = VectorField.zero(mcp.presentation)
+    proj = [[f.column(a) for a in range(n)] for f in mcp.foliation]
+    for a in range(n):
+        for b in range(a + 1, n):
+            yield (f"residual at ({a},{b})", mcp.reeb_curvature[a][b],
+                   sum((proj[i][a].scale(alphas[i].get((b,)))
+                        - proj[i][b].scale(alphas[i].get((a,)))
+                        for i in (0, 1)), zero))
+
+
+FIELD_STREAMS = {
+    "covariant phi projection identity": (
+        check_connection_identities, "nabla_phi", dense_projection_entries),
+    "closed form of the covariant derivative of J": (
+        hermitian_data, "nabla_j", dense_closed_form_entries),
+    "Reeb curvature identity": (
+        check_curvature_identity, "reeb_curvature", dense_curvature_entries),
+}
+
+
+def field_stream_finding(mcp, condition):
+    check = FIELD_STREAMS[condition][0]
+    return next(f for f in check(mcp) if f.condition == condition)
+
+
+def dense_associated_finding(mcp):
+    """The association of the metric by a loop over every (a, b) and every
+    a: g(e_a, phi e_b) = d-sum(e_a, e_b) and g(e_a, Z_i) = alpha_i(e_a)."""
+    pair, g, frame = mcp.pair, mcp.metric, mcp.presentation
+    n = frame.dim
+    phi = mcp.structure.phi
+    d_sum = pair.d_alpha1 + pair.d_alpha2
+    d_sum_rows = [interior(d_sum, frame.frame_field(a)) for a in range(n)]
+    phi_lowered = [g.lower(phi.column(b)) for b in range(n)]
+    entries = [(f"g(e_{a}, phi e_{b}) - d-sum(e_{a}, e_{b})",
+                phi_lowered[b][a], d_sum_rows[a].get((b,)))
+               for a in range(n) for b in range(n)]
+    entries += [(f"g(e_{a}, Z{i}) - alpha{i}(e_{a})", g_az, alpha.get((a,)))
+                for i, (z, alpha) in enumerate(((pair.z1, pair.alpha1),
+                                                (pair.z2, pair.alpha2)),
+                                               start=1)
+                for a, g_az in enumerate(g.lower(z))]
+    return certify("metric is associated", entries)
+
+
+@pytest.mark.parametrize("condition", FIELD_STREAMS)
+@pytest.mark.parametrize("name", STREAM_CASES)
+def test_the_field_streams_match_the_dense_loops(name, condition):
+    mcp = stream_mcp(name)
+    finding = field_stream_finding(mcp, condition)
+    assert finding == certify(condition, FIELD_STREAMS[condition][2](mcp))
+
+
+@pytest.mark.parametrize("name", STREAM_CASES)
+def test_the_association_matches_the_dense_loop(name):
+    mcp = stream_mcp(name)
+    assert mcp.associated == dense_associated_finding(mcp)
+    assert mcp.associated.ok == (name in ("heis6", "heis6-gauged",
+                                          "darboux-2-2"))
+
+
+@pytest.mark.parametrize("condition", (
+    "covariant phi projection identity",
+    "closed form of the covariant derivative of J"))
+def test_a_residual_where_the_rhs_vanishes_gives_the_dense_witness(
+        condition):
+    # at (4, 0), a = Z1 and b horizontal, i_{Z1} d alpha_i = 0 and the
+    # alpha_i kill e_0, so c1, c2, alpha_1(e_0) and alpha_2(e_0) vanish and
+    # the closed form adds nothing; the projection's rhs is zero there too.
+    # e_0 put on the lhs is then the one residual of the stream
+    mcp = stream_mcp("darboux-2-2")
+    assert all(not c for c in closed_form_coefficients(mcp, 4, 0))
+    label, lhs, rhs = next(
+        entry for entry in FIELD_STREAMS[condition][2](mcp)
+        if entry[0] == "residual at (4,0)")
+    assert lhs.is_zero() and rhs.is_zero()
+    attribute = FIELD_STREAMS[condition][1]
+    table = [list(row) for row in getattr(mcp, attribute)]
+    table[4][0] = mcp.presentation.frame_field(0)
+    setattr(mcp, attribute, table)
+    finding = field_stream_finding(mcp, condition)
+    assert not finding.ok
+    assert finding.witness.startswith("residual at (4,0) = ")
+    assert finding == certify(condition, FIELD_STREAMS[condition][2](mcp))
+
+
 def test_one_verify_pass_does_few_scalar_sums_and_products(monkeypatch):
     """One warm seed-1 ``run_checks`` of the Darboux product (2, 2) takes
-    1,390 sums, differences and products with loops over supports.  It took
-    3,366 while the two n^3 identity streams compared every (a, b, c), and
-    54,624 (13,291 + 21,866 + 19,467) with loops over every index.  The
-    bound is twice the first: a dense vector sum alone, back in
-    ``VectorField.__add__``, takes 11,638."""
+    1,165 sums, differences and products with nabla A, the Nijenhuis
+    tensors and the n^2 right-hand sides over supports.  It took 1,390
+    while those were built by field arithmetic, 3,366 while the two n^3
+    identity streams compared every (a, b, c), and 54,624 (13,291 + 21,866
+    + 19,467) with loops over every index.  The bound is twice the first:
+    a dense vector sum alone, back in ``VectorField.__add__``, takes
+    11,638."""
     run_checks(corpus_build("darboux", (2, 2)), seed=1)
     counts = Counter()
     for name in ("__add__", "__sub__", "__mul__"):
@@ -410,4 +558,32 @@ def test_one_verify_pass_does_few_scalar_sums_and_products(monkeypatch):
         monkeypatch.setattr(ScalarExpr, name, counted)
     report = run_checks(corpus_build("darboux", (2, 2)), seed=1)
     assert report.overall == "pass"
-    assert sum(counts.values()) <= 2 * 1390, counts
+    assert sum(counts.values()) <= 2 * 1165, counts
+
+
+def test_one_verify_pass_builds_few_vector_fields(monkeypatch):
+    """The same pass builds 457 vector fields, through the constructor or
+    ``VectorField.from_support``: a field without a nonzero component is
+    the context's shared zero field, and e_a is one shared field per
+    index.  It built 2,399 while nabla A took n covariant derivatives and
+    n applications per index, the Nijenhuis tensors took brackets, and
+    every zero field was a new one.  The bound is twice the count."""
+    run_checks(corpus_build("darboux", (2, 2)), seed=1)
+    built = Counter()
+    init = VectorField.__init__
+    from_support = VectorField.__dict__["from_support"].__func__
+
+    def counted_init(self, *args):
+        built["__init__"] += 1
+        init(self, *args)
+
+    def counted_from_support(cls, *args):
+        built["from_support"] += 1
+        return from_support(cls, *args)
+
+    monkeypatch.setattr(VectorField, "__init__", counted_init)
+    monkeypatch.setattr(VectorField, "from_support",
+                        classmethod(counted_from_support))
+    report = run_checks(corpus_build("darboux", (2, 2)), seed=1)
+    assert report.overall == "pass"
+    assert sum(built.values()) <= 2 * 457, built

@@ -1,16 +1,23 @@
 """The tensors a metric contact pair builds once and every check reads:
 the lowered index g(x, e_c), the orthogonal projector, the projections
-P_i and F_i, and the Reeb-sum curvature R(e_a, e_b) Z.  Each is compared
-with a direct reference written here."""
+P_i and F_i, the Reeb-sum curvature R(e_a, e_b) Z, nabla A as a
+commutator with the connection matrices and the Nijenhuis tensors from
+the nabla tables.  Each is compared with a direct reference written here
+or in ``conftest``."""
 
 import pytest
 
 from contact_pair_lab import (CORPUS_NAMES, Subframe, corpus_build, linalg,
                               validate_metric, validate_structure)
-from contact_pair_lab.frames import VectorField, orthogonal_projector
+from contact_pair_lab.contact import certify
+from contact_pair_lab.frames import (VectorField, nijenhuis,
+                                     orthogonal_projector)
 
-from conftest import (build_mcp, curvature, gauged_heis6, sample_fields,
-                      scaled_metric, skew_metric, twisted_phi_structure)
+from conftest import (build_mcp, curvature, darboux_mixed_phi,
+                      darboux_skew_metric, gauged_heis6, nabla_endo_reference,
+                      nijenhuis_reference, perturbed_phi_structure,
+                      sample_fields, scaled_metric, skew_metric,
+                      twisted_heis6, twisted_phi_structure)
 
 
 def gram_loop_projection(metric, span, v):
@@ -178,3 +185,70 @@ def test_unreported_findings_hold_on_the_corpus(name):
         "foliations" in conditions
     assert [f for f in findings if not f.ok] == []
     assert mcp.compatible.ok or not mcp.associated.ok
+
+
+# the scenarios on which nabla A and N_A are compared with the bracket
+# references: the corpus, both darboux-scaling inputs, heis6 in a gauge
+# (non-constant entries of A, so e_a(A) is not zero), heis6 with a twisted
+# phi, and three controls that fail (N_A nonzero or the metric changed)
+TENSOR_CONTROLS = {
+    "darboux-2-2-mixed-phi": ("phi", darboux_mixed_phi),
+    "darboux-2-2-skew-metric": ("metric", darboux_skew_metric),
+    "heis6-perturbed-phi": ("phi", perturbed_phi_structure),
+}
+TENSOR_CASES = CORPUS_NAMES + (
+    "darboux-2-1", "darboux-2-2", "heis6-gauged", "heis6-twisted",
+    *TENSOR_CONTROLS)
+
+
+def tensor_scenario(label):
+    if label in TENSOR_CONTROLS:
+        key, make = TENSOR_CONTROLS[label]
+        scenario = corpus_build(*(("heis6",) if label.startswith("heis6")
+                                  else ("darboux", (2, 2))))
+        scenario._cache[key] = make(scenario)
+        return scenario
+    if label in ("darboux-2-1", "darboux-2-2"):
+        return corpus_build("darboux", (2, int(label[-1])))
+    if label == "heis6-gauged":
+        return gauged_heis6(corpus_build("heis6"))
+    if label == "heis6-twisted":
+        return twisted_heis6()
+    return corpus_build(label)
+
+
+@pytest.mark.parametrize("label", TENSOR_CASES)
+def test_nabla_and_nijenhuis_match_the_bracket_references(label):
+    mcp = build_mcp(tensor_scenario(label))
+    conn, structure = mcp.connection, mcp.structure
+    n = mcp.presentation.dim
+    tensors = {}
+    for name, endo in (("phi", structure.phi), ("J", structure.j),
+                       ("T", structure.t)):
+        nabla = [conn.nabla_endo(a, endo) for a in range(n)]
+        assert nabla == [nabla_endo_reference(conn, a, endo)
+                         for a in range(n)], name
+        tensors[name] = nijenhuis_reference(endo)
+        assert nijenhuis(endo, nabla) == tensors[name], name
+    assert mcp.nabla_phi == [conn.nabla_endo(a, structure.phi)
+                             for a in range(n)]
+    assert mcp.nabla_j == [conn.nabla_endo(a, structure.j) for a in range(n)]
+
+    # the report reads N_T from nabla T = 2 nabla phi - nabla J
+    pair = mcp.pair
+    zero = VectorField.zero(mcp.presentation)
+    n1 = certify("normality tensor vanishes", (
+        (f"N1(e_{a}, e_{b})",
+         value + (pair.z1.scale(pair.d_alpha1.get((a, b)))
+                  + pair.z2.scale(pair.d_alpha2.get((a, b)))), zero)
+        for (a, b), value in tensors["phi"].items()))
+    nj, nt = (certify(f"{name} integrable", (
+        (f"N_{name}(e_{a}, e_{b})", value, zero)
+        for (a, b), value in tensors[name].items())) for name in ("J", "T"))
+    report = mcp.normality
+    assert (report.n1, report.nj, report.nt) == (n1, nj, nt)
+    # the twisted phi breaks all three, the cross-factor phi N_J and N_T
+    if label == "heis6-twisted":
+        assert not (n1.ok or nj.ok or nt.ok)
+    if label == "darboux-2-2-mixed-phi":
+        assert not (nj.ok or nt.ok)

@@ -1,0 +1,77 @@
+"""Median warm verify and cross-check times of one benchmark workload.
+
+    PYTHONPATH=src python3 tools/warm_passes.py [--workload darboux-scaling]
+        [--seed 1] [--reps 5]
+
+Runs the workload's inputs from ``bench/workloads.py`` in this one
+process: a warm-up verification, then ``--reps`` passes, each a verify
+pass (``run_checks`` on every scenario, rebuilt from its dict) and a
+cross-check pass (``numeric_oracle`` on every identity ``bench/known.py``
+lists for the scenario).  It prints, per scenario, the median wall time
+of each over the passes, in ms, and the ``CheckReport.counters`` of its
+last run.  The benchmark times a darboux-scaling scenario once per run,
+so its metrics are single samples; a median over many warm passes shows a
+change that those samples spread too widely to tell.  Run it on two
+checkouts to compare them.  It only reads the benchmark's files.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import known  # noqa: E402
+import workloads  # noqa: E402
+
+from contact_pair_lab import (numeric_oracle, run_checks,  # noqa: E402
+                              scenario_from_dict)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--workload", default="darboux-scaling",
+                        choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--reps", type=int, default=5)
+    args = parser.parse_args(argv)
+    if args.reps < 1:
+        parser.error("--reps must be at least 1")
+    answers = known.load_known()
+    inputs = workloads.workload_inputs(args.workload, args.seed)
+    warm_up = workloads.WARM_UP[args.workload]
+    run_checks(scenario_from_dict(workloads.load_base()[warm_up], warm_up),
+               seed=args.seed)
+    verify_ms = {name: [] for name, _ in inputs}
+    cross_ms = {name: [] for name, _ in inputs}
+    counters = {}
+    for _ in range(args.reps):
+        for name, data in inputs:
+            t0 = time.perf_counter()
+            report = run_checks(scenario_from_dict(data, name),
+                                seed=args.seed)
+            verify_ms[name].append((time.perf_counter() - t0) * 1e3)
+            counters[name] = report.counters
+        for name, data in inputs:
+            t0 = time.perf_counter()
+            scenario = scenario_from_dict(data, name)
+            for oracle_id in known.answer_for(answers, name)["oracle"]:
+                numeric_oracle(scenario, oracle_id, seed=args.seed)
+            cross_ms[name].append((time.perf_counter() - t0) * 1e3)
+    print(f"{'scenario':<24} {'verify_ms':>10} {'crosscheck_ms':>14}  "
+          f"counters")
+    for name, _ in inputs:
+        text = " ".join(f"{key}={value}"
+                        for key, value in counters[name].items())
+        print(f"{name:<24} {statistics.median(verify_ms[name]):>10.2f} "
+              f"{statistics.median(cross_ms[name]):>14.2f}  {text}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
