@@ -14,8 +14,9 @@ and R(., .)Z for the Reeb sum Z (``nabla_reeb``, ``reeb_curvature``, from
 nabla of nabla Z), nabla phi, nabla J and the normality report, whose
 Nijenhuis tensors are read off nabla phi and nabla J.  A check
 reads columns of these endomorphisms, and an identity between
-endomorphisms is witnessed by its first differing column.  One test,
-``pair_type_findings``, decides the type (h, k) of every pair of forms.
+endomorphisms is witnessed by its first differing column.
+``pair_type_findings`` decides the type (h, k) of a contact pair; an
+induced pair's is read off its Cartan classes (``submanifolds``).
 
 A contact pair certifies its type, [Z1, Z2] = 0 and the rank of its
 splitting at the base point; the rest follows from the type (see
@@ -34,7 +35,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from . import linalg
 from .frames import (EndoField, FramePresentation, LeviCivita, MetricField,
                      PForm, VectorField, _accumulate, add_term, bracket,
-                     combination, eval_form, exterior_derivative, form_power,
+                     combination, eval_form, exterior_derivative, form_powers,
                      form_rows, interior, is_killing, lie_derivative_endo,
                      nijenhuis, nonvanishing_certificate,
                      orthogonal_projector, pole_polynomial,
@@ -130,23 +131,30 @@ def pair_type_findings(alpha1: PForm, alpha2: PForm, d1: PForm, d2: PForm,
                        ) -> Tuple[List[Finding], Optional[ScalarExpr]]:
     """Type (h, k) of forms with exterior derivatives d1, d2: the volume
     form alpha1 ^ d1^h ^ alpha2 ^ d2^k is nonzero and d1^(h+1), d2^(k+1)
-    vanish where their degree fits.  Also returns the volume form's first
-    nonzero coefficient, or None.  Not read off the Reeb reduction: on a
-    dense pair of the wrong type its gcds grow for minutes."""
+    vanish, each power read off one ladder (``form_powers``).  Also returns
+    the volume form's first nonzero coefficient, or None.  Not read off the
+    Reeb reduction: on a dense pair of the wrong type its gcds grow for
+    minutes."""
     n = alpha1.context.dim
-    volume = wedge(wedge(wedge(alpha1, form_power(d1, h)), alpha2),
-                   form_power(d2, k))
-    top = volume.nonzero_witness()
+    if min(h, k) < 0:
+        raise ValidationError(f"type ({h},{k}) has a negative entry")
+    if n != 2 * h + 2 * k + 2:
+        raise ValidationError(f"dimension {n} does not match type ({h},{k})")
+    # powers p and p + 1 of each ladder; a ladder that ends early ends at 0
+    (power1, next1), (power2, next2) = (
+        [ladder[min(i, len(ladder) - 1)] for i in (p, p + 1)]
+        for ladder, p in ((form_powers(d1, h + 1), h),
+                          (form_powers(d2, k + 1), k)))
+    top = wedge(wedge(wedge(alpha1, power1), alpha2), power2).nonzero_witness()
     findings = [Finding("volume form", top is not None,
                         "top-degree coefficient is identically zero"
                         if top is None else f"coefficient {top[1]}")]
-    for name, form, p in (("first", d1, h), ("second", d2, k)):
-        if 2 * (p + 1) <= n:
-            entry = form_power(form, p + 1).nonzero_witness()
-            findings.append(Finding(
-                f"degeneracy of the {name} form", entry is None,
-                "" if entry is None
-                else f"power {p + 1} has {entry[0]} -> {entry[1]}"))
+    for name, power, p in (("first", next1, h), ("second", next2, k)):
+        entry = power.nonzero_witness()
+        findings.append(Finding(
+            f"degeneracy of the {name} form", entry is None,
+            "" if entry is None
+            else f"power {p + 1} has {entry[0]} -> {entry[1]}"))
     return findings, None if top is None else top[1]
 
 
@@ -164,11 +172,9 @@ def validate_contact_pair(presentation: FramePresentation, alpha1: PForm,
     volume form too, so alpha_1 has Cartan class 2h + 1; where that
     witness vanishes at a probe point, so does the volume form, whose
     probe ``valid`` reports.  Likewise for alpha_2, with h and k swapped.
+    A type with a negative entry or 2h + 2k + 2 != n raises ValidationError.
     """
     n = presentation.dim
-    if n != 2 * h + 2 * k + 2:
-        raise ValidationError(
-            f"dimension {n} does not match type ({h},{k})")
     if probes is None:
         probes = seeded_probe_points(presentation)
     d1 = exterior_derivative(alpha1)

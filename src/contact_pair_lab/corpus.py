@@ -338,6 +338,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
              and all(type(x) is int for x in pair_type),
              "type", "expected [h, k]")
     h, k = pair_type
+    _require(min(h, k) >= 0, "type", f"type ({h},{k}) has a negative entry")
     _require(2 * h + 2 * k + 2 == n, "type",
              f"type ({h},{k}) does not match dimension {n}")
     _check_matrix(data["phi"], "phi", n, n)

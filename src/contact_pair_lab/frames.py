@@ -37,6 +37,9 @@ that some nonzero entry reaches.  Supports ascend, so sums accumulate in
 the same index order as a loop over all indices would (Gustavson, "Two
 fast algorithms for sparse matrices", ACM TOMS 1978).
 
+The type test, the volume form and every Cartan class read their wedge
+powers off one ladder per 2-form, ``form_powers``.
+
 Convention ledger (fixed once, asserted by tests):
   * wedge products multiply coefficients with the determinant convention
     on strictly increasing index tuples (no 1/p!q! factor);
@@ -495,13 +498,16 @@ def wedge(a: PForm, b: PForm) -> PForm:
     return PForm(a.context, degree, coeffs)
 
 
-def form_power(a: PForm, n: int) -> PForm:
-    if n == 0:
-        return PForm(a.context, 0, {(): a.context.one})
-    result = a
-    for _ in range(n - 1):
-        result = wedge(result, a)
-    return result
+def form_powers(form: PForm, top: int) -> List[PForm]:
+    """The wedge powers [1, F, F^2, ...] of a form up to F^top, ending
+    early at the first zero power or at the last whose degree fits the
+    dimension; F^1 is F itself.  The only product of a form with itself."""
+    context = form.context
+    powers = [PForm(context, 0, {(): context.one})]
+    while (len(powers) <= top and not powers[-1].is_zero()
+           and form.degree * len(powers) <= context.dim):
+        powers.append(wedge(powers[-1], form) if len(powers) > 1 else form)
+    return powers
 
 
 def eval_form(form: PForm, *fields) -> ScalarExpr:
@@ -650,9 +656,9 @@ def cartan_class(alpha: PForm) -> int:
     The class is 2p+1 when alpha ^ (d alpha)^p is nonzero and (d alpha)^{p+1}
     vanishes identically, and 2p+2 when (d alpha)^{p+1} is nonzero while
     alpha ^ (d alpha)^{p+1} vanishes.  Nonvanishing means a nonzero canonical
-    coefficient; no point is probed.  Wedge powers, not a rank over the
-    scalar field: on dense nonconstant forms the gcds of a row reduction
-    grow far beyond them.
+    coefficient; no point is probed.  Wedge powers (``form_powers``), not a
+    rank over the scalar field: on dense nonconstant forms the gcds of a row
+    reduction grow far beyond them.
     """
     if alpha.degree != 1:
         raise FrameError("Cartan class is defined for 1-forms")
@@ -660,32 +666,17 @@ def cartan_class(alpha: PForm) -> int:
 
 
 def _cartan_class(alpha: PForm, d_alpha: PForm, probe_points: Sequence[Point],
-                  label: str) -> Tuple[int, str]:
-    """``cartan_class`` of alpha with exterior derivative d_alpha, and the
-    probe text of the class's witness form (``nonvanishing_certificate``)."""
-    context = alpha.context
-    n = context.dim
-    power = PForm(context, 0, {(): context.one})
-    r = 0
-    while 2 * (r + 1) <= n:
-        candidate = wedge(power, d_alpha)
-        if candidate.is_zero():
-            break
-        power = candidate
-        r += 1
-    if 2 * r + 1 > n:
-        top = PForm(context, 0, {})
-    elif r == 0:
-        top = alpha
-    else:
-        top = wedge(alpha, power)
-    if not top.is_zero():
-        cls = 2 * r + 1
-        witness = top
-    else:
-        cls = 2 * r
-        witness = power
-    return cls, nonvanishing_certificate(
+                  label: str) -> Tuple[int, PForm, str]:
+    """``cartan_class`` of alpha with exterior derivative d_alpha, its
+    witness form, alpha ^ (d alpha)^p for class 2p + 1 (alpha itself for
+    p = 0) and (d alpha)^p for class 2p, and the probe text of that
+    witness (``nonvanishing_certificate``)."""
+    powers = form_powers(d_alpha, alpha.context.dim // 2)
+    witness = powers[-2] if powers[-1].is_zero() else powers[-1]
+    if witness.degree < alpha.context.dim:
+        top = alpha if witness.degree == 0 else wedge(alpha, witness)
+        witness = witness if top.is_zero() else top
+    return witness.degree, witness, nonvanishing_certificate(
         f"Cartan-class witness of {label}", list(witness.coeffs.values()),
         probe_points)[1]
 

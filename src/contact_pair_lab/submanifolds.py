@@ -15,7 +15,8 @@ metric contact pair.  ``classify`` returns only the invariance profile, and
 ``restrict_structure``, ``verify_theorems`` and ``angle_constancy`` take it
 from the caller.  Their identities are certified by ``contact.certify``,
 except the Reeb angle constancy, a boolean, and the induced form's value on
-the induced Reeb field, which is witnessed as that value.
+the induced Reeb field, which is witnessed as that value.  A Reeb field's
+tangential part is vertical exactly when phi kills it: ker phi = <Z1, Z2>.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .contact import (Finding, MetricContactPair, certify,
-                      pair_type_findings)
+from .contact import Finding, MetricContactPair, certify
 from .frames import (EndoField, FrameContext, LeviCivita, MetricField, PForm,
                      VectorField, _cartan_class, eval_form,
                      exterior_derivative, nonvanishing_certificate,
-                     orthogonal_projector)
+                     orthogonal_projector, wedge)
 from .scalars import ScalarError, ScalarExpr
 
 
@@ -230,21 +230,24 @@ def angle_constancy(sub: Subframe, mcp: MetricContactPair,
 
 def _induced_pair_verdict(sub: Subframe, alpha1: PForm, alpha2: PForm,
                           points) -> Finding:
+    """Type (h, k) exactly when the Cartan classes are 2h + 1 and 2k + 1,
+    summing to the dimension, and the wedge of the two class witnesses,
+    the volume form alpha1 ^ (d alpha1)^h ^ alpha2 ^ (d alpha2)^k, is
+    nonzero; a class 2h + 1 makes (d alpha1)^(h+1) vanish."""
     r = sub.dim
-    d1, d2 = exterior_derivative(alpha1), exterior_derivative(alpha2)
-    (c1, probe1), (c2, probe2) = (
-        _cartan_class(alpha1, d1, points, "first induced form"),
-        _cartan_class(alpha2, d2, points, "second induced form"))
+    (c1, witness1, probe1), (c2, witness2, probe2) = (
+        _cartan_class(alpha, exterior_derivative(alpha), points, label)
+        for alpha, label in ((alpha1, "first induced form"),
+                             (alpha2, "second induced form")))
     classes, probe = (c1, c2), "; ".join(t for t in (probe1, probe2) if t)
     if r % 2 == 1 or r < 2:
         return Finding("induced pair is a contact pair", False,
                        f"dimension {r} is odd; classes {classes}", probe)
-    for h in range((r - 2) // 2 + 1):
-        k = (r - 2) // 2 - h
-        findings, _ = pair_type_findings(alpha1, alpha2, d1, d2, h, k)
-        if all(f.ok for f in findings):
-            return Finding("induced pair is a contact pair", True,
-                           f"type ({h},{k}); classes {classes}", probe)
+    if (c1 % 2 == 1 and c2 % 2 == 1 and c1 + c2 == r
+            and not wedge(witness1, witness2).is_zero()):
+        return Finding("induced pair is a contact pair", True,
+                       f"type ({c1 // 2},{c2 // 2}); classes {classes}",
+                       probe)
     return Finding("induced pair is a contact pair", False,
                    f"no admissible type; classes {classes}", probe)
 
@@ -492,20 +495,18 @@ def verify_theorems(sub: Subframe, mcp: MetricContactPair,
                     sub.scalar(Fraction(1, sub.dim))))]))
 
     if profile.phi_invariant:
-        reeb_span = linalg.left_inverse([[pair.z1.components[a],
-                                          pair.z2.components[a]]
-                                         for a in range(sub.ambient.dim)])
         for i, (zt, zperp) in enumerate(
                 zip(z_tangential, (z1_perp, z2_perp)), start=1):
-            findings.append(certify(
+            kills = certify(
                 f"endomorphism kills the tangential part of Z{i}", [
-                    (f"phi(Z{i}T)", phi.apply(zt), zero)]))
+                    (f"phi(Z{i}T)", phi.apply(zt), zero)])
+            findings.append(kills)
             findings.append(certify(
                 f"endomorphism kills the normal part of Z{i}", [
                     (f"phi(Z{i}perp)", phi.apply(zperp), zero)]))
+            # the certified phi^2 and phi Z_i = 0 make ker phi = span(Z1, Z2)
             findings.append(Finding(
-                f"tangential part of Z{i} is vertical",
-                linalg.solve_in_span(reeb_span, zt.components) is not None))
+                f"tangential part of Z{i} is vertical", kills.ok))
 
     flags = (profile.phi_invariant, profile.j_invariant,
              profile.t_invariant, profile.tangent_both)

@@ -8,7 +8,9 @@ from contact_pair_lab import (EndoField, MetricField, corpus_build,
                               scenario_to_dict, validate_contact_pair,
                               validate_metric, validate_structure)
 from contact_pair_lab.corpus import _cells
-from contact_pair_lab.frames import FrameError, bracket
+from contact_pair_lab.frames import (FrameError, PForm, bracket,
+                                     exterior_derivative,
+                                     nonvanishing_certificate, wedge)
 from contact_pair_lab.scalars import (PoleError, ScalarError, _grlex_key,
                                       parse_expr)
 
@@ -163,6 +165,62 @@ def row_reduce_reference(matrix, width):
         pivots.append(c)
         values.append(value)
     return m, pivots, values, swaps
+
+
+def form_power_reference(form, p):
+    """F^p by p wedges onto the 0-form 1."""
+    power = PForm(form.context, 0, {(): form.context.one})
+    for _ in range(p):
+        power = wedge(power, form)
+    return power
+
+
+def is_type_reference(alpha1, alpha2, d1, d2, h, k):
+    """Whether forms with exterior derivatives d1, d2 have type (h, k):
+    alpha1 ^ d1^h ^ alpha2 ^ d2^k is nonzero, and d1^(h+1) and d2^(k+1)
+    vanish where their degree fits."""
+    n = alpha1.context.dim
+    volume = wedge(wedge(wedge(alpha1, form_power_reference(d1, h)), alpha2),
+                   form_power_reference(d2, k))
+    return not volume.is_zero() and all(
+        2 * (p + 1) > n or form_power_reference(d, p + 1).is_zero()
+        for d, p in ((d1, h), (d2, k)))
+
+
+def cartan_class_reference(alpha, d_alpha, points, label):
+    """The Cartan class of alpha by climbing the powers of d alpha one
+    wedge at a time, and the probe text of its witness, alpha ^ (d alpha)^r
+    for class 2r + 1 and (d alpha)^r for class 2r."""
+    context = alpha.context
+    n = context.dim
+    power = PForm(context, 0, {(): context.one})
+    r = 0
+    while 2 * (r + 1) <= n and not wedge(power, d_alpha).is_zero():
+        power = wedge(power, d_alpha)
+        r += 1
+    top = wedge(alpha, power) if 2 * r + 1 <= n else PForm(context, 0, {})
+    cls, witness = (2 * r + 1, top) if not top.is_zero() else (2 * r, power)
+    return cls, nonvanishing_certificate(
+        f"Cartan-class witness of {label}", list(witness.coeffs.values()),
+        points)[1]
+
+
+def induced_pair_reference(sub, alpha1, alpha2, points):
+    """(ok, witness, probe) of the induced-pair verdict by trying every
+    type (h, k) of the span's dimension."""
+    r = sub.dim
+    d1, d2 = exterior_derivative(alpha1), exterior_derivative(alpha2)
+    (c1, probe1), (c2, probe2) = (
+        cartan_class_reference(alpha1, d1, points, "first induced form"),
+        cartan_class_reference(alpha2, d2, points, "second induced form"))
+    classes, probe = (c1, c2), "; ".join(t for t in (probe1, probe2) if t)
+    if r % 2 == 1 or r < 2:
+        return False, f"dimension {r} is odd; classes {classes}", probe
+    for h in range((r - 2) // 2 + 1):
+        k = (r - 2) // 2 - h
+        if is_type_reference(alpha1, alpha2, d1, d2, h, k):
+            return True, f"type ({h},{k}); classes {classes}", probe
+    return False, f"no admissible type; classes {classes}", probe
 
 
 def build_mcp(scenario):

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import time
 
 import pytest
@@ -16,7 +17,8 @@ from contact_pair_lab import (CHECK_IDS, CORPUS_NAMES, EndoField,
                               validate_contact_pair, validate_metric,
                               validate_structure)
 from contact_pair_lab.frames import FramePresentation, interior
-from conftest import (FOUR_FIELD_GAUGE, build_mcp, gauged_heis6,
+from conftest import (FOUR_FIELD_GAUGE, build_mcp, cartan_class_reference,
+                      gauged_heis6, induced_pair_reference, is_type_reference,
                       perturbed_phi_structure, scaled_metric,
                       twisted_phi_structure)
 
@@ -145,6 +147,50 @@ def test_the_reeb_fields_come_from_one_reduction(monkeypatch):
     assert reduced == [14, 8, 8]
 
 
+def test_a_negative_type_fails_the_pair_row():
+    """(-1, 3) fits heis6's dimension, 2(-1) + 2*3 + 2 = 6, but is no type:
+    the type test and ``validate_contact_pair`` reject it, and a run fails
+    ``pair.valid`` with it and skips every later row."""
+    scenario = corpus_build("heis6")
+    presentation, forms = scenario.presentation(), scenario.forms()
+    message = r"type \(-1,3\) has a negative entry"
+    with pytest.raises(ValidationError, match=message):
+        contact.pair_type_findings(*forms, *map(exterior_derivative, forms),
+                                   -1, 3)
+    with pytest.raises(ValidationError, match=message):
+        validate_contact_pair(presentation, *forms, -1, 3)
+    scenario.pair_type = (-1, 3)
+    rows = run_checks(scenario, seed=1).rows
+    assert (rows[0].id, rows[0].verdict, rows[0].witness) == (
+        "pair.valid", "fail", "type (-1,3) has a negative entry")
+    assert {row.verdict for row in rows[1:]} == {"skipped"}
+
+
+@pytest.mark.parametrize("name, params, budget", [
+    ("heis6", None, 13), ("heis6-n4", None, 10), ("darboux", (2, 2), 8)])
+def test_one_verify_pass_stays_within_its_wedge_budget(monkeypatch, name,
+                                                       params, budget):
+    """One seed-1 ``run_checks`` builds each wedge power once, on one
+    ladder per 2-form (``frames.form_powers``), and reads an induced
+    pair's type off its two Cartan classes.  heis6, heis6-n4 and darboux
+    (2, 2) take 13, 10 and 8 ``wedge`` calls; they took 27, 20 and 10
+    while the type, each class and each (h, k) tried for an induced pair
+    climbed their own powers."""
+    wedge, calls = frames.wedge, []
+
+    def counted(a, b):
+        calls.append(None)
+        return wedge(a, b)
+
+    for key, module in list(sys.modules.items()):
+        if (key.startswith("contact_pair_lab")
+                and getattr(module, "wedge", None) is wedge):
+            monkeypatch.setattr(module, "wedge", counted)
+    report = run_checks(corpus_build(name, params), seed=1)
+    assert report.overall == "pass"
+    assert 0 < len(calls) <= budget
+
+
 @pytest.mark.parametrize("texts", [
     # the Reeb rows have rank n, and no field has alpha_1(Z_1) = 1
     (["x2", "x3", "0", "0"], ["x1", "0", "0", "0"]),
@@ -260,6 +306,48 @@ def test_the_reeb_fields_and_kernels_have_the_shape_of_the_type(drawn):
     assert len(accepted) <= 1
     assert verdict.ok == bool(accepted)
     assert time.perf_counter() - start < 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(form_pairs())
+@example((6, ["-x1", "0", "1", "0", "0", "0"],
+          ["0", "0", "0", "-x4", "0", "1"]))
+@example((4, ["-x1", "0", "1", "x0*x3"], ["-x1", "0", "1", "x0*x3"]))
+@example((4, ["x2", "x3", "0", "0"], ["x1", "0", "0", "0"]))
+# odd classes summing to n whose witnesses wedge to zero; closed forms of
+# class 1 on R^4; classes 2 and 2 on R^4, whose witnesses wedge to nonzero
+@example((2, ["1", "0"], ["1", "0"]))
+@example((4, ["1", "0", "0", "0"], ["0", "1", "0", "0"]))
+@example((4, ["0", "x0", "0", "0"], ["0", "0", "0", "x2"]))
+@example((5, DENSE_R5, DENSE_R5[::-1]))
+@example((6, DENSE_R5 + ["x5*x0 - x2"], DENSE_PARTNER))
+def test_the_ladders_match_the_climbing_references(drawn):
+    """Each Cartan class (class, probe), the type test for every (h, k)
+    of the dimension and the induced-pair verdict (ok, witness, probe),
+    read off one ladder of powers per 2-form, agree with the references
+    that climb every power by its own wedges and search every (h, k).
+    The origin, the base point, is among the probes, and there many
+    witness coefficients vanish."""
+    presentation, alpha1, alpha2 = coordinate_forms(*drawn)
+    n = presentation.dim
+    points = [presentation.base_point, *seeded_probe_points(presentation)]
+    d1, d2 = exterior_derivative(alpha1), exterior_derivative(alpha2)
+    for alpha, d_alpha in ((alpha1, d1), (alpha2, d2)):
+        cls, witness, probe = frames._cartan_class(alpha, d_alpha, points,
+                                                   "alpha")
+        assert (cls, probe) == cartan_class_reference(alpha, d_alpha,
+                                                      points, "alpha")
+        assert witness.degree == cls and not witness.is_zero()
+    for h in range(n // 2) if n % 2 == 0 else ():
+        k = n // 2 - 1 - h
+        findings, _ = contact.pair_type_findings(alpha1, alpha2, d1, d2,
+                                                 h, k)
+        assert all(f.ok for f in findings) == is_type_reference(
+            alpha1, alpha2, d1, d2, h, k)
+    verdict = submanifolds._induced_pair_verdict(presentation, alpha1,
+                                                 alpha2, points)
+    assert (verdict.ok, verdict.witness, verdict.probe) == \
+        induced_pair_reference(presentation, alpha1, alpha2, points)
 
 
 def test_a_warm_verify_pass_evaluates_no_more_than_it_did(monkeypatch):

@@ -97,6 +97,13 @@ def test_schema_errors_are_path_addressed():
     with pytest.raises(ScenarioError, match="type"):
         scenario_from_dict(data)
 
+    # 2*(-1) + 2*3 + 2 == 6, but a type has no negative entry
+    data = copy.deepcopy(good)
+    data["type"] = [-1, 3]
+    with pytest.raises(ScenarioError,
+                       match=r"^type: type \(-1,3\) has a negative entry$"):
+        scenario_from_dict(data)
+
     # JSON booleans are not integers, though 2*True + 2*True + 2 == 6
     data = copy.deepcopy(good)
     data["type"] = [True, True]

@@ -14,7 +14,7 @@ from contact_pair_lab.frames import (EndoField, FrameError,
                                      FramePresentation, LeviCivita,
                                      MetricField, _cartan_class, _polynomial,
                                      cartan_class, eval_form,
-                                     exterior_derivative, form_power,
+                                     exterior_derivative, form_powers,
                                      is_killing, nonvanishing_certificate,
                                      one_form, pole_polynomial,
                                      seeded_probe_points, wedge)
@@ -247,7 +247,30 @@ def test_cartan_class_and_degeneracy(heis6):
     presentation, alpha1, alpha2, _ = heis6
     assert cartan_class(alpha1) == 3
     assert cartan_class(alpha2) == 3
-    assert form_power(exterior_derivative(alpha1), 2).is_zero()
+    d_alpha1 = exterior_derivative(alpha1)
+    # the ladder ends at its first zero power, the square
+    powers = form_powers(d_alpha1, 3)
+    assert len(powers) == 3 and powers[1] is d_alpha1
+    assert powers[0].degree == 0 and powers[0].coeffs == {
+        (): presentation.one}
+    assert not powers[1].is_zero() and powers[2].is_zero()
+    assert [p.degree for p in form_powers(d_alpha1, 0)] == [0]
+
+
+def test_the_ladder_stops_at_the_last_power_that_fits():
+    """On R^4, dx0 ^ dx1 + dx2 ^ dx3 has a nonzero square, the top power;
+    a ladder asked for the cube ends there, and asked for the first power
+    it ends at F."""
+    names = ["x0", "x1", "x2", "x3"]
+    presentation = FramePresentation(
+        names, [["1" if i == j else "0" for j in range(4)]
+                for i in range(4)], {name: 0 for name in names})
+    one = presentation.one
+    form = frames.PForm(presentation, 2, {(0, 1): one, (2, 3): one})
+    powers = form_powers(form, 3)
+    assert [p.degree for p in powers] == [0, 2, 4]
+    assert powers[2].coeffs == {(0, 1, 2, 3): presentation.scalar(2)}
+    assert [p.degree for p in form_powers(form, 1)] == [0, 2]
 
 
 def test_a_cartan_class_warns_exactly_where_its_witness_vanishes():
@@ -269,20 +292,28 @@ def test_a_cartan_class_warns_exactly_where_its_witness_vanishes():
     # (x + 5/9)(dz - y dx) ^ d of it = (x + 5/9)^2 dx ^ dy ^ dz
     alpha = form("-(x + 5/9)*y", "0", "x + 5/9")
     assert cartan_class(alpha) == 3
-    assert _cartan_class(alpha, exterior_derivative(alpha),
-                         [point(Fraction(-5, 9), 1, 0), point(1, 0, 0),
-                          point(2, 3, -1)], "alpha") == (
+    cls, witness, probe = _cartan_class(
+        alpha, exterior_derivative(alpha),
+        [point(Fraction(-5, 9), 1, 0), point(1, 0, 0), point(2, 3, -1)],
+        "alpha")
+    assert witness.coeffs == wedge(alpha, exterior_derivative(alpha)).coeffs
+    assert (cls, probe) == (
         3, "Cartan-class witness of alpha vanishes at probe {'x': "
         "Fraction(-5, 9), 'y': Fraction(1, 1), 'z': Fraction(0, 1)}; "
         "verdict holds only off this locus")
+    # gamma = x dy has class 2, with witness d gamma itself, the ladder's
+    # first power
+    gamma = form("0", "x", "0")
+    d_gamma = exterior_derivative(gamma)
+    assert _cartan_class(gamma, d_gamma, [], "gamma") == (2, d_gamma, "")
     # beta = d(xy) is closed, of class 1 with witness beta itself: at
     # y = 0 its first coefficient vanishes but not the second
     beta = form("y", "x", "0")
     d_beta = exterior_derivative(beta)
     assert _cartan_class(beta, d_beta, [point(1, 0, 1), point(2, 1, 1)],
-                         "beta") == (1, "")
+                         "beta") == (1, beta, "")
     assert _cartan_class(beta, d_beta, [point(0, 0, 5)], "beta") == (
-        1, "Cartan-class witness of beta vanishes at probe {'x': "
+        1, beta, "Cartan-class witness of beta vanishes at probe {'x': "
         "Fraction(0, 1), 'y': Fraction(0, 1), 'z': Fraction(5, 1)}; "
         "verdict holds only off this locus")
 
