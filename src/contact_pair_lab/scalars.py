@@ -74,9 +74,18 @@ opens a table for the duration of a ``with`` block, and ``checks.run_checks``
 holds one open for exactly one run.  While it is open, ``_cancel`` of two
 nonconstant polynomials looks the pair up by value (its frozen terms) and
 computes each distinct pair once, in either order; so does every gcd of
-two nonconstant polynomials, the PRS's inner ones included.  The table
-also counts the cancellations asked and answered, and the gcds by the
-path that settled them (``COUNTERS``).  The table lives in a
+two nonconstant polynomials, the PRS's inner ones included.  A run also
+repeats whole operations, since the same tensors are rebuilt for every
+probe field: a sum, difference, product or quotient of two nonzero
+operands, one of which has a nonconstant denominator, is looked up by
+(operation, left, right), the operands compared by value, and computed
+once; a sum or product is also recorded with its operands swapped.  A
+scalar hashes its terms once and keeps the hash.  Two constants, or two
+operands whose denominators are both constant, take the arithmetic below
+and neither hash nor look anything up: remembering those cost more than
+it saved.  The table counts the operations and cancellations asked and
+answered, and the gcds by the path that settled them (``COUNTERS``).  It
+keeps every result it holds until the run ends.  The table lives in a
 ``contextvars.ContextVar``, so two threads, or two runs, never share one,
 and it is dropped when the block ends, normally or by an exception.  It is
 deliberately not process-wide: a memo that outlived one run would grow
@@ -86,13 +95,18 @@ direct call of a validation stage, nothing is looked up or counted, and
 every result is computed as it is inside one.  Results returned from the
 table are shared between the scalars that receive them.
 
+A partial derivative of n/d along x_i is n'/d, cancelled once, when d is
+free of x_i, and the zero constant, with no product built, when n is free
+of it too; otherwise it is the quotient rule (n'd - nd')/d^2.
+
 Constants take a path of their own: a scalar carries its value p/q as
 ``const = (p, q)``, set once when it is built, so no predicate reads the
 Terms.  Two constants combine by integer arithmetic on their four
 coefficients and one ``math.gcd``, into the one scalar that an open table
 holds for the value, as a constant's negation does; a product with a
-constant one-term factor builds no exponent tuples.  ``evaluate`` returns
-a constant's value; any other scalar is evaluated with the point's
+constant one-term factor builds no exponent tuples.  ``evaluate`` checks
+that the point assigns every coordinate and returns a constant's value
+without reading them; any other scalar is evaluated with the point's
 denominators cleared: with each coordinate p_i/q_i and D_i the largest
 degree of x_i in the numerator or the denominator, both are evaluated
 times prod q_i^D_i, on integers, and one ``Fraction`` is built from the
@@ -370,24 +384,29 @@ def _pseudo_remainder(a: Terms, b: Terms, v: int) -> Terms:
 
 
 # The counters of a run's cancellation table, in report order: the
-# cancellations of two nonconstant polynomials asked for, those answered
-# from the table, and the gcds by the path that settled them.
-COUNTERS = ("cancel.asked", "cancel.from_table", "gcd.content",
-            "gcd.disjoint", "gcd.associates", "gcd.divisor", "gcd.prs")
+# operations with an operand of nonconstant denominator asked for, those
+# answered from the table, the cancellations of two nonconstant
+# polynomials asked for and answered, and the gcds by the path that
+# settled them.
+COUNTERS = ("result.asked", "result.from_table", "cancel.asked",
+            "cancel.from_table", "gcd.content", "gcd.disjoint",
+            "gcd.associates", "gcd.divisor", "gcd.prs")
 
 
 class CancellationTable:
     """The gcds and cancellations of nonconstant polynomials in one
-    verification run, by the values of the two operands, the one scalar
-    of each constant built by arithmetic, by (p, q, coordinates), and the
-    run's kernel counters."""
+    verification run, by the values of the two operands, the results of
+    the operations with an operand of nonconstant denominator, by
+    (operation, left, right), the one scalar of each constant built by
+    arithmetic, by (p, q, coordinates), and the run's kernel counters."""
 
-    __slots__ = ("gcds", "quotients", "constants", "counters")
+    __slots__ = ("gcds", "quotients", "results", "constants", "counters")
 
     def __init__(self) -> None:
         self.gcds: Dict[Tuple[frozenset, frozenset], Terms] = {}
         self.quotients: Dict[Tuple[frozenset, frozenset],
                              Tuple[Terms, Terms]] = {}
+        self.results: Dict[tuple, "ScalarExpr"] = {}
         self.constants: Dict[tuple, "ScalarExpr"] = {}
         self.counters: Dict[str, int] = dict.fromkeys(COUNTERS, 0)
 
@@ -412,6 +431,27 @@ def _count(name: str) -> None:
     table = _TABLE.get()
     if table is not None:
         table.counters[name] += 1
+
+
+def _result(operation, a: "ScalarExpr", b: "ScalarExpr") -> "ScalarExpr":
+    """``operation(a, b)``; where an operand has a nonconstant
+    denominator, taken once per run by the values of a and b while a
+    table is open."""
+    if _is_constant(a.den) and _is_constant(b.den):
+        return operation(a, b)
+    table = _TABLE.get()
+    if table is None:
+        return operation(a, b)
+    table.counters["result.asked"] += 1
+    key = (operation, a, b)
+    found = table.results.get(key)
+    if found is None:
+        found = table.results[key] = operation(a, b)
+        if operation is ScalarExpr._plus or operation is ScalarExpr._times:
+            table.results[operation, b, a] = found
+    else:
+        table.counters["result.from_table"] += 1
+    return found
 
 
 def _gcd(a: Terms, b: Terms, key=None) -> Terms:
@@ -519,7 +559,7 @@ class ScalarExpr:
     brings any such pair with a nonzero ``den`` to canonical form.  ``const``
     is (p, q) for the constant p/q in lowest terms, q > 0, else None."""
 
-    __slots__ = ("vars", "num", "den", "const")
+    __slots__ = ("vars", "num", "den", "const", "_hash")
 
     def __init__(self, vars: Tuple[str, ...], num: Terms, den: Terms,
                  _canonical: bool = False,
@@ -630,7 +670,7 @@ class ScalarExpr:
         x, y = self.const, other.const
         if x and y:
             return _constant(self, x[0] * y[1] + y[0] * x[1], x[1] * y[1])
-        return self._sum(other.num, other.den)
+        return _result(ScalarExpr._plus, self, other)
 
     def __sub__(self, other: "ScalarExpr") -> "ScalarExpr":
         self._check(other)
@@ -641,7 +681,7 @@ class ScalarExpr:
         x, y = self.const, other.const
         if x and y:
             return _constant(self, x[0] * y[1] - y[0] * x[1], x[1] * y[1])
-        return self._sum(_terms_neg(other.num), other.den)
+        return _result(ScalarExpr._minus, self, other)
 
     def __mul__(self, other: "ScalarExpr") -> "ScalarExpr":
         self._check(other)
@@ -652,7 +692,7 @@ class ScalarExpr:
         x, y = self.const, other.const
         if x and y:
             return _constant(self, x[0] * y[0], x[1] * y[1])
-        return self._product(other.num, other.den)
+        return _result(ScalarExpr._times, self, other)
 
     def __truediv__(self, other: "ScalarExpr") -> "ScalarExpr":
         self._check(other)
@@ -663,6 +703,21 @@ class ScalarExpr:
         x, y = self.const, other.const
         if x and y:
             return _constant(self, x[0] * y[1], x[1] * y[0])
+        return _result(ScalarExpr._over, self, other)
+
+    # The four operations of two nonzero operands that are not both
+    # constant, which ``_result`` computes or takes from the run's table.
+
+    def _plus(self, other: "ScalarExpr") -> "ScalarExpr":
+        return self._sum(other.num, other.den)
+
+    def _minus(self, other: "ScalarExpr") -> "ScalarExpr":
+        return self._sum(_terms_neg(other.num), other.den)
+
+    def _times(self, other: "ScalarExpr") -> "ScalarExpr":
+        return self._product(other.num, other.den)
+
+    def _over(self, other: "ScalarExpr") -> "ScalarExpr":
         return self._product(other.den, other.num)
 
     def __neg__(self) -> "ScalarExpr":
@@ -689,8 +744,12 @@ class ScalarExpr:
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self) -> int:
-        return hash((self.vars, frozenset(self.num.items()),
-                     frozenset(self.den.items())))
+        try:
+            return self._hash
+        except AttributeError:  # the first hash of this scalar
+            self._hash = hash((self.vars, frozenset(self.num.items()),
+                               frozenset(self.den.items())))
+            return self._hash
 
     # -- calculus --------------------------------------------------------
 
@@ -713,16 +772,23 @@ class ScalarExpr:
                         out.pop(key, None)
             return out
 
+        dn, dd = d(self.num), d(self.den)
+        if not dd:
+            # (n/d)' = n'/d, the zero constant when n is free of x_i too
+            return ScalarExpr(self.vars, dn, self.den)
         # quotient rule: (n/d)' = (n'd - nd')/d^2
-        num = _terms_add(_terms_mul(d(self.num), self.den),
-                         _terms_neg(_terms_mul(self.num, d(self.den))))
+        num = _terms_add(_terms_mul(dn, self.den),
+                         _terms_neg(_terms_mul(self.num, dd)))
         return ScalarExpr(self.vars, num, _terms_mul(self.den, self.den))
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        numerators, denominators = [], []
         for v in self.vars:
             if v not in point:
                 raise ScalarError(f"point does not assign coordinate {v!r}")
+        if self.const is not None:
+            return Fraction(*self.const)
+        numerators, denominators = [], []
+        for v in self.vars:
             # a Fraction or an int is read as given; Fraction() rejects a
             # non-number
             val = point[v]
@@ -730,8 +796,6 @@ class ScalarExpr:
                 val = Fraction(val)
             numerators.append(val.numerator)
             denominators.append(val.denominator)
-        if self.const is not None:
-            return Fraction(*self.const)
         # x_i = p_i/q_i: a monomial times prod q_i^D_i is the integer
         # prod p_i^e_i q_i^(D_i - e_i), D_i the largest degree of x_i
         tops = map(max, zip(*self.num, *self.den))

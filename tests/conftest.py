@@ -11,8 +11,9 @@ from contact_pair_lab.corpus import _cells
 from contact_pair_lab.frames import (FrameError, PForm, bracket,
                                      exterior_derivative,
                                      nonvanishing_certificate, wedge)
-from contact_pair_lab.scalars import (PoleError, ScalarError, _grlex_key,
-                                      parse_expr)
+from contact_pair_lab.scalars import (PoleError, ScalarError, ScalarExpr,
+                                      _grlex_key, _terms_add, _terms_mul,
+                                      _terms_neg, parse_expr)
 
 
 # -- helpers that only the tests read ----------------------------------
@@ -61,6 +62,31 @@ def exact_div_reference(a, b):
             else:
                 del rem[key]
     return quotient
+
+
+def differentiate_reference(expr, coord):
+    """The partial derivative by the quotient rule over the squared
+    denominator, (n/d)' = (n'd - nd')/d^2, whichever of n and d contains
+    the coordinate."""
+    i = expr.vars.index(coord)
+
+    def d(terms):
+        out = {}
+        for exp, coeff in terms.items():
+            if exp[i]:
+                new = list(exp)
+                new[i] -= 1
+                key = tuple(new)
+                val = out.get(key, 0) + coeff * exp[i]
+                if val:
+                    out[key] = val
+                else:
+                    out.pop(key, None)
+        return out
+
+    num = _terms_add(_terms_mul(d(expr.num), expr.den),
+                     _terms_neg(_terms_mul(expr.num, d(expr.den))))
+    return ScalarExpr(expr.vars, num, _terms_mul(expr.den, expr.den))
 
 
 def constant_value(expr):

@@ -262,6 +262,70 @@ def test_interleaved_runs_share_no_constant(monkeypatch):
         {id(v) for v in made["second"]}
 
 
+def test_interleaved_runs_share_no_result(monkeypatch):
+    """Two runs of heis6-gauged, interleaved: every result one run takes
+    from its table is an object that run built, never one of the other's."""
+    made = collections.defaultdict(list)
+    result = scalars._result
+
+    def spy(operation, a, b):
+        value = result(operation, a, b)
+        made[threading.current_thread().name].append(value)
+        return value
+
+    monkeypatch.setattr(scalars, "_result", spy)
+    scenarios = {label: _gauged() for label in ("first", "second")}
+    reports = {}
+
+    def run(label):
+        reports[label] = run_checks(scenarios[label])
+
+    assert _interleaved(scenarios, run) == []
+    assert _rows(reports["first"]) == _rows(reports["second"])
+    assert reports["first"].counters == reports["second"].counters
+    assert reports["first"].counters["result.from_table"] > 0
+    assert made["first"] and made["second"]
+    assert not {id(v) for v in made["first"]} & \
+        {id(v) for v in made["second"]}
+
+
+# Calls of the polynomial product and of ScalarExpr._product in one
+# seed-1 run of each benchmark input: the work a change may not exceed.
+# Before the run's table remembered results, heis6-gauged took 2,405 and
+# 839, heis6-twisted 519 and 136, darboux-J-noninvariant 312 and 111.
+WORK_BUDGET = {
+    "heis6-gauged": (821, 324),
+    "heis6-twisted": (411, 136),
+    "darboux-J-noninvariant": (180, 69),
+    "darboux": (12, 4),
+    "heis6": (4, 0),
+    "heis6-leaf3": (4, 0),
+    "heis6-n4": (4, 0),
+    "darboux-2-1": (18, 6),
+    "darboux-2-2": (24, 8),
+}
+
+
+def test_one_run_of_each_benchmark_input_stays_within_its_work_budget(
+        workloads, monkeypatch):
+    calls = _count_calls(monkeypatch, "_terms_mul")
+    product = scalars.ScalarExpr._product
+
+    def spy(*args):
+        calls["_product"] += 1
+        return product(*args)
+
+    monkeypatch.setattr(scalars.ScalarExpr, "_product", spy)
+    inputs = _inputs(workloads)
+    assert sorted(inputs) == sorted(WORK_BUDGET)
+    for name, data in inputs.items():
+        scenario = scenario_from_dict(data)
+        calls.clear()
+        run_checks(scenario)
+        assert calls["_terms_mul"] <= WORK_BUDGET[name][0], name
+        assert calls["_product"] <= WORK_BUDGET[name][1], name
+
+
 def test_stats_follow_the_rows():
     out, err = io.StringIO(), io.StringIO()
     assert cli_main(["corpus", "run", "darboux-J-noninvariant", "--stats"],

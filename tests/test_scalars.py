@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from contact_pair_lab import scalars
 from contact_pair_lab.scalars import (DivisionByZero, ParseError, PoleError,
                                       ScalarError, ScalarExpr, parse_expr)
-from conftest import constant_value, evaluate_float, exact_div_reference
+from conftest import (constant_value, differentiate_reference, evaluate_float,
+                      exact_div_reference)
 
 VARS = ("x", "y")
 
@@ -36,6 +37,12 @@ def _combine(children):
         pairs.map(lambda ab: ab[0] + ab[1]),
         pairs.map(lambda ab: ab[0] - ab[1]),
         pairs.map(lambda ab: ab[0] * ab[1]))
+
+
+def _polys(nvars):
+    return st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars),
+                           st.integers(-3, 3).filter(bool),
+                           min_size=1, max_size=3)
 
 
 exprs = st.recursive(_atoms, _combine, max_leaves=8)
@@ -137,8 +144,8 @@ def _with_trivial_operands(test):
 def test_arithmetic_matches_general_reduction(a, b, op):
     assume(op != "/" or not b.is_zero())
     results = [_OPERATORS[op](a, b)]
-    # with a run's table open; the second time, each cancellation of two
-    # nonconstant polynomials is answered by the table
+    # with a run's table open; the second time, an operation with an
+    # operand of nonconstant denominator is answered by the table
     with scalars.cancellation_table():
         results += [_OPERATORS[op](a, b), _OPERATORS[op](a, b)]
     reference = ScalarExpr(VARS, *_raw(a, b, op))
@@ -230,6 +237,47 @@ def test_quotient_rule():
     assert expr.differentiate("y") == sx("-x/(y^2 + 4*y + 4)")
 
 
+VARS3 = ("x", "y", "z")
+_SYMBOLS = dict(zip(VARS3, sympy.symbols(VARS3)))
+
+
+def _sympy_terms(terms):
+    return sympy.Poly.from_dict(terms, *_SYMBOLS.values(),
+                                domain=sympy.ZZ).as_expr()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_polys(3), _polys(3), st.sampled_from(VARS3))
+# a denominator free of the variable
+@example({(1, 1, 0): 2, (0, 0, 1): -1}, {(0, 2, 1): 1, (0, 0, 0): 3}, "x")
+# a scalar free of the variable
+@example({(0, 1, 0): 1, (0, 0, 2): 1}, {(0, 1, 1): 2, (0, 0, 0): -1}, "x")
+# a constant
+@example({(0, 0, 0): -3}, {(0, 0, 0): 2}, "z")
+def test_derivatives_match_sympy(num, den, var):
+    a = ScalarExpr(VARS3, num, den)
+    result = a.differentiate(var)
+    assert result == differentiate_reference(a, var)
+    expected = sympy.cancel(sympy.diff(
+        _sympy_terms(num) / _sympy_terms(den), _SYMBOLS[var]))
+    value = _sympy_terms(result.num) / _sympy_terms(result.den)
+    assert sympy.cancel(value - expected) == 0
+
+
+def test_a_derivative_free_of_its_variable_multiplies_nothing(monkeypatch):
+    free, denominator_free, expected = (parse_expr(text, VARS3) for text in (
+        "(y^2 + 1)/(z - 2)", "(x*y + 1)/(z^2 + 1)", "y/(z^2 + 1)"))
+    calls = []
+    terms_mul = scalars._terms_mul
+    monkeypatch.setattr(scalars, "_terms_mul",
+                        lambda a, b: calls.append(1) or terms_mul(a, b))
+    zero = free.differentiate("x")
+    assert zero.is_zero() and zero.const == (0, 1)
+    # n'/d: no product, and the denominator is not squared
+    assert denominator_free.differentiate("x") == expected
+    assert calls == []
+
+
 # -- parser ------------------------------------------------------------
 
 def test_parse_error_reports_position():
@@ -316,12 +364,6 @@ def test_gcd_of_a_non_divisor_pair_needs_no_sympy(monkeypatch):
         with pytest.raises(ScalarError):
             scalars._exact_div(b, a)
         assert scalars._terms_gcd(a, b) == scalars._terms_gcd(b, a) == gcd
-
-
-def _polys(nvars):
-    return st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars),
-                           st.integers(-3, 3).filter(bool),
-                           min_size=1, max_size=3)
 
 
 # f1, f2, g, h in 2 or 3 variables; the gcd of f1*f2*g and f1*f2*h is
@@ -497,6 +539,28 @@ def test_evaluate_of_a_constant_is_its_value(a, point):
         a.evaluate({"x": Fraction(1)})
 
 
+class _ReadPoint(dict):
+    """A point that records the coordinates whose values are read."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.reads = []
+
+    def __getitem__(self, name):
+        self.reads.append(name)
+        return super().__getitem__(name)
+
+
+def test_a_constant_reads_no_coordinate_of_the_point():
+    point = _ReadPoint({"x": Fraction(1, 3), "y": 2})
+    assert sx("-5/3").evaluate(point) == Fraction(-5, 3)
+    assert point.reads == []
+    assert sx("x + y").evaluate(point) == Fraction(7, 3)
+    assert point.reads == ["x", "y"]
+    with pytest.raises(ScalarError, match="does not assign coordinate 'y'"):
+        sx("-5/3").evaluate(_ReadPoint({"x": Fraction(1)}))
+
+
 def test_a_constant_one_term_factor_keeps_the_exponents():
     a = sx("x^2*y - 3*y + 1").num
     assert scalars._terms_mul(a, {(0, 0): 1}) is a
@@ -603,18 +667,100 @@ def test_associates_and_unit_cofactors_divide_nothing(monkeypatch):
 
 
 def test_the_table_answers_a_repeated_cancellation(monkeypatch):
+    """a * b and a / (1/b) are two operations, each remembered on its
+    own, that take the same two cancellations."""
     a, b = sx("x/(1 + y^2)"), sx("(1 + y^2)^2/(x + 1)")
+    reciprocal = sx("(x + 1)/(1 + y^2)^2")
     with scalars.cancellation_table() as table:
         first = a * b
         calls = []
         gcd = scalars._terms_gcd
         monkeypatch.setattr(scalars, "_terms_gcd",
                             lambda p, q: calls.append(1) or gcd(p, q))
-        assert a * b == first and calls == []
+        assert a / reciprocal == first and calls == []
     asked, answered = (table.counters["cancel.asked"],
                        table.counters["cancel.from_table"])
     assert asked and answered == asked / 2
+    assert table.counters["result.from_table"] == 0
     assert scalars._TABLE.get() is None
     # without a table nothing is looked up or counted
     assert a * b == first and len(calls) > 0
     assert table.counters["cancel.asked"] == asked
+
+
+# -- the run's results -------------------------------------------------
+
+def _spy(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+@pytest.mark.parametrize("op", sorted(_OPERATORS))
+def test_a_repeated_rational_operation_is_taken_from_the_table(op,
+                                                               monkeypatch):
+    a, b = sx("x/(1 + y^2)"), sx("(y - 1)/(x + 2)")
+    equal_a, equal_b = sx("x/(1 + y^2)"), sx("(y - 1)/(x + 2)")
+    with scalars.cancellation_table() as table:
+        first = _OPERATORS[op](a, b)
+        calls = []
+        for name in ("_sum", "_product"):
+            _spy(monkeypatch, ScalarExpr, name, calls)
+        _spy(monkeypatch, scalars, "_terms_mul", calls)
+        # the same object for the same operation on equal operands
+        assert _OPERATORS[op](a, b) is first
+        assert _OPERATORS[op](equal_a, equal_b) is first
+        assert calls == []
+        if op in "+*":
+            # sums and products are remembered in both orders
+            assert _OPERATORS[op](b, a) is first and calls == []
+    assert table.counters["result.asked"] == (4 if op in "+*" else 3)
+    assert table.counters["result.from_table"] == \
+        table.counters["result.asked"] - 1
+    assert first == ScalarExpr(VARS, *_raw(a, b, op))
+
+
+def test_outside_a_table_nothing_is_remembered(monkeypatch):
+    a, b = sx("x/(1 + y^2)"), sx("(y - 1)/(x + 2)")
+    with scalars.cancellation_table() as table:
+        inside = a * b
+    calls = []
+    _spy(monkeypatch, ScalarExpr, "_product", calls)
+    outside = [a * b, a * b]
+    assert calls == ["_product", "_product"]
+    assert outside[0] == outside[1] == inside
+    assert outside[0] is not outside[1] and outside[0] is not inside
+    assert len(table.results) == 2
+    assert table.counters["result.asked"] == 1
+
+
+def test_constants_and_polynomials_never_enter_the_results(monkeypatch):
+    hashed = []
+    _spy(monkeypatch, ScalarExpr, "__hash__", hashed)
+    polynomials = [sx(text) for text in ("x + y^2", "2*x*y - 1", "3/4",
+                                         "-2", "x/3")]
+    with scalars.cancellation_table() as table:
+        for op in _OPERATORS.values():
+            for a in polynomials:
+                for b in polynomials:
+                    if op is not operator.truediv or b.is_constant():
+                        op(a, b)
+    assert table.results == {} and hashed == []
+    assert table.counters["result.asked"] == 0
+
+
+def test_a_scalar_is_hashed_once(monkeypatch):
+    frozen = []
+
+    def counted(items):
+        frozen.append(items)
+        return frozenset(items)
+
+    monkeypatch.setattr(scalars, "frozenset", counted, raising=False)
+    a = sx("x/(1 + y^2)")
+    assert hash(a) == hash(a) == hash(sx("x/(1 + y^2)"))
+    assert len(frozen) == 4  # num and den of each of the two scalars

@@ -8,10 +8,12 @@ process: a warm-up verification, then ``--reps`` passes, each a verify
 pass (``run_checks`` on every scenario, rebuilt from its dict) and a
 cross-check pass (``numeric_oracle`` on every identity ``bench/known.py``
 lists for the scenario).  It prints, per scenario, the median wall time
-of each over the passes, in ms, and the ``CheckReport.counters`` of its
-last run.  The benchmark times a darboux-scaling scenario once per run,
-so its metrics are single samples; a median over many warm passes shows a
-change that those samples spread too widely to tell.  Run it on two
+and the median ``time.process_time`` of each over the passes, in ms, and
+the ``CheckReport.counters`` of its last run; the process time leaves out
+the time other processes take the core.  The benchmark times a
+darboux-scaling scenario once per run, so its metrics are single
+samples; a median over many warm passes shows a change that those
+samples spread too widely to tell.  Run it on two
 checkouts to compare them.  It only reads the benchmark's files.
 """
 
@@ -47,29 +49,34 @@ def main(argv=None) -> int:
     warm_up = workloads.WARM_UP[args.workload]
     run_checks(scenario_from_dict(workloads.load_base()[warm_up], warm_up),
                seed=args.seed)
+    # (wall ms, process ms) of every pass, by scenario
     verify_ms = {name: [] for name, _ in inputs}
     cross_ms = {name: [] for name, _ in inputs}
     counters = {}
     for _ in range(args.reps):
         for name, data in inputs:
-            t0 = time.perf_counter()
+            t0, p0 = time.perf_counter(), time.process_time()
             report = run_checks(scenario_from_dict(data, name),
                                 seed=args.seed)
-            verify_ms[name].append((time.perf_counter() - t0) * 1e3)
+            verify_ms[name].append(((time.perf_counter() - t0) * 1e3,
+                                    (time.process_time() - p0) * 1e3))
             counters[name] = report.counters
         for name, data in inputs:
-            t0 = time.perf_counter()
+            t0, p0 = time.perf_counter(), time.process_time()
             scenario = scenario_from_dict(data, name)
             for oracle_id in known.answer_for(answers, name)["oracle"]:
                 numeric_oracle(scenario, oracle_id, seed=args.seed)
-            cross_ms[name].append((time.perf_counter() - t0) * 1e3)
-    print(f"{'scenario':<24} {'verify_ms':>10} {'crosscheck_ms':>14}  "
-          f"counters")
+            cross_ms[name].append(((time.perf_counter() - t0) * 1e3,
+                                   (time.process_time() - p0) * 1e3))
+    print(f"{'scenario':<24} {'verify_ms':>10} {'verify_cpu':>10} "
+          f"{'crosscheck_ms':>14} {'crosscheck_cpu':>14}  counters")
     for name, _ in inputs:
+        medians = [statistics.median(sample[i] for sample in times[name])
+                   for times in (verify_ms, cross_ms) for i in (0, 1)]
         text = " ".join(f"{key}={value}"
                         for key, value in counters[name].items())
-        print(f"{name:<24} {statistics.median(verify_ms[name]):>10.2f} "
-              f"{statistics.median(cross_ms[name]):>14.2f}  {text}")
+        print(f"{name:<24} {medians[0]:>10.2f} {medians[1]:>10.2f} "
+              f"{medians[2]:>14.2f} {medians[3]:>14.2f}  {text}")
     return 0
 
 
