@@ -11,33 +11,37 @@ The one exception is `pair.reeb`, whose exact side is the pair of fields
 `contact.solve_reeb` returns for the scenario's forms and their exterior
 derivatives; it is compared against the float solve, not reused by it.
 
-Jets: each grid of parsed entries (frame, Gram matrix, phi, the forms, a
-span, the exact Reeb components) is compiled once into a `_FloatGrid`, a
-table of monomials and a coefficient matrix for its numerators and for
-its denominators.  The monomials are differentiated exactly,
-d_c x^e = e_c x^(e - e_c): a table (`_Monomials`) lists every distinct
-nonzero partial up to the order asked for once, as exponents and integer
-scales, so one evaluation of the table at a stack of points gives every
-entry's value, gradient and, at order 2, Hessian, by the quotient rule.
-Constant denominators (those of the frame, the Gram matrix and the forms
-of every built-in scenario) are read off their coefficients.  `_Jet`
-carries values and gradients through products and inverses,
-d(F^-1) = -F^-1 (dF) F^-1 (forward-mode Taylor propagation; Griewank and
-Walther, Evaluating Derivatives, 2nd ed., ch. 13).  No step size enters
-anywhere.
+Jets: a scenario's cells (the forms, the frame, the Gram matrix, phi and
+every span) are compiled once into one `_FloatGrid`, its table, with one
+column per distinct cell text: a table of monomials and a coefficient
+matrix for the numerators and for the denominators.  The monomials are
+differentiated exactly, d_c x^e = e_c x^(e - e_c): a table (`_Monomials`)
+lists every distinct nonzero partial up to the order asked for once, as
+exponents and integer scales, so one evaluation of the table at a stack
+of points gives every entry's value, gradient and, at order 2, Hessian,
+by the quotient rule, dividing once for all entries.  A block (the frame,
+a span, ...) is cut from the table's jet by its columns.  Constant
+denominators (those of every built-in scenario) are read off their
+coefficients.  `_Jet` carries values and gradients through products and
+inverses, d(F^-1) = -F^-1 (dF) F^-1 (forward-mode Taylor propagation;
+Griewank and Walther, Evaluating Derivatives, 2nd ed., ch. 13).  No step
+size enters anywhere.
 
 Every stage runs once on the whole probe stack [p, ...], each product in
 it one per point, so that a point's values do not depend on its stack:
 
-- Order 0: probe sampling and the exact Reeb components.  Candidates are
-  drawn in blocks and tested with one stacked regularity mask (poles,
-  |det F| < 1e-8, non-finite metric, phi or forms); a pole drops its
-  candidate before any division, so it neither raises nor warns for the
-  rest of the block.
-- Order 1: g, Gamma, phi and its gradient from one evaluation and
-  inversion of the frame F; the mean curvature of a submanifold, over
-  [p, a, b, k] at once; the split of the tangent space into the two
-  foliations and the split formula of `curvature.reeb_identity`.
+- Sampling: candidates are drawn in blocks; each block is evaluated once,
+  to order 2, and tested with one stacked regularity mask (poles of the
+  forms, the frame, the Gram matrix or phi, |det F| < 1e-8, non-finite
+  metric, phi or forms).  A pole drops its candidate before any division,
+  so it neither raises nor warns for the rest of the block.  The spans
+  reject no candidate: a span's entries are nan at its poles, and so is
+  its residual.  The view's one jet of the table is formed from the
+  accepted rows of those evaluations; nothing is evaluated again.
+- Order 1: g, Gamma, phi and its gradient from one inversion of the frame
+  F and one of g; the mean curvature of a submanifold, over [p, a, b, k]
+  at once; the split of the tangent space into the two foliations and the
+  split formula of `curvature.reeb_identity`.
 - Order 2: the Hessians of alpha_1 and alpha_2, for d(d alpha) and for
   the derivative of the Reeb fields from the differentiated Reeb system
   M dZ = -(dM) Z; and R(., .)(Z_1 + Z_2) from d_a d_b (g z) and
@@ -46,11 +50,10 @@ it one per point, so that a point's values do not depend on its stack:
   Neural Computation 6, 1994), so no n^4 array (R, g's Hessian) is formed.
 
 Each scenario has one float view (`_View`) per probe count and seed, kept
-in its `_cache` next to the exact objects: the compiled grids, the probe
-stack and, computed on first use, the jets at the probe points.  Every
-identity reads these, so a sweep over all identities compiles the grids,
-samples the probes and solves the Reeb system at them once.  The grids
-read their expressions from the scenario's parse table, also in
+in its `_cache` next to the exact objects.  Every identity reads it, so a
+sweep over all identities compiles the table, samples and evaluates the
+probes, inverts the frame and g and solves the Reeb system once.  The
+table reads its expressions from the scenario's parse table, also in
 `_cache`, so no cell text is parsed again for the oracle; `ScalarExpr`
 is immutable, and the oracle reads only its terms.  A residual that is
 not finite at some probe point is reported as inf, never as a pass.
@@ -61,7 +64,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,10 +92,6 @@ class _Jet:
         self.value, self.grad, self.hess = value, grad, hess
 
     @property
-    def order(self) -> int:
-        return 0 if self.grad is None else 1 if self.hess is None else 2
-
-    @property
     def T(self) -> "_Jet":
         return _Jet(*(None if part is None else part.swapaxes(-1, -2)
                       for part in (self.value, self.grad)))
@@ -104,11 +103,11 @@ class _Jet:
         return _Jet(value, self.grad @ other.value[:, None]
                     + self.value[:, None] @ other.grad)
 
-    def inverse(self) -> "_Jet":
-        inv = np.linalg.inv(self.value)
-        if self.grad is None:
-            return _Jet(inv)
-        return _Jet(inv, -inv[:, None] @ self.grad @ inv[:, None])
+    def inverse(self, inv: np.ndarray) -> "_Jet":
+        """The jet of the inverse to order 1, from its value inv:
+        d(F^-1) = -F^-1 (dF) F^-1."""
+        return _Jet(inv, None if self.grad is None
+                    else -inv[:, None] @ self.grad @ inv[:, None])
 
 
 def _combine(part: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -148,33 +147,55 @@ class _FloatGrid:
         return _Monomials(monomials, n), coeffs
 
     def __call__(self, xs: Points) -> np.ndarray:
-        return self.jet(xs, 0).value
-
-    def _parts(self, compiled: Tuple["_Monomials", np.ndarray], xs: Points,
-               order: int) -> list:
-        """The entries' parts to order 1, [p, e] and [p, a, e], and at order
-        2 the monomials' second partials and the coefficients, for
-        `_Hessian`; constant denominators are their coefficients alone."""
-        monomials, coeffs = compiled
-        if compiled is self.den and monomials.constant:
-            return [np.broadcast_to(coeffs.sum(axis=0),
-                                    (len(xs),) + coeffs.shape[1:])]
-        parts = monomials.jet(xs, order)
-        out = [_combine(part, coeffs) for part in parts[:2]]
-        return out + [(parts[2], coeffs)] if order == 2 else out
-
-    def poles(self, xs: Points) -> np.ndarray:
-        """Which points zero some denominator, [p]."""
-        return (self._parts(self.den, xs, 0)[0] == 0.0).any(axis=1)
-
-    def jet(self, xs: Points, order: int) -> _Jet:
-        """The entries' jet of the given order (0, 1 or 2) at each point:
-        value [p, *shape], grad [p, a, *shape] and the `_Hessian`."""
-        num, den = (self._parts(part, xs, order)
-                    for part in (self.num, self.den))
-        poles = (den[0] == 0.0).any(axis=1)
+        """The entries at the points, [p, *shape]; PoleError at a pole."""
+        values = self.evaluate(xs, 0)
+        poles = self.poles(xs, values)
         if poles.any():
             raise PoleError(f"pole at {xs[np.argmax(poles)].tolist()}")
+        return self.jet(xs, 0, values).value
+
+    def evaluate(self, xs: Points, order: int) -> tuple:
+        """The numerators' monomials and their partials up to the order at
+        the points, and the denominators' unless they are constant (None):
+        one evaluation, which every jet up to that order reads."""
+        return (self.num[0].evaluate(xs, order), None if self.den[0].constant
+                else self.den[0].evaluate(xs, order))
+
+    @staticmethod
+    def _parts(compiled: Tuple["_Monomials", np.ndarray],
+               values: Optional[np.ndarray], order: int, count: int) -> list:
+        """The entries' parts to order 1, [p, e] and [p, a, e], and at order
+        2 the rows of the monomials' second partials, their values and the
+        coefficients, for `_Hessian`; constant denominators are their
+        coefficients alone."""
+        monomials, coeffs = compiled
+        if values is None:
+            return [np.broadcast_to(coeffs.sum(axis=0),
+                                    (count,) + coeffs.shape[1:])]
+        out = [_combine(part, coeffs)
+               for part in monomials.partials(values, min(order, 1))]
+        return out + [(monomials.index[2], values, coeffs)] \
+            if order == 2 else out
+
+    def poles(self, xs: Points, values: tuple,
+              columns: slice = slice(None)) -> np.ndarray:
+        """Which points zero the denominator of an entry in the columns,
+        [p], from the values `evaluate` gave there."""
+        den = self._parts(self.den, values[1], 0, len(xs))[0]
+        return (den[:, columns] == 0.0).any(axis=1)
+
+    def jet(self, xs: Points, order: int, values: tuple = None) -> _Jet:
+        """The entries' jet of the given order (0, 1 or 2) at each point:
+        value [p, *shape], grad [p, a, *shape] and the `_Hessian`, read off
+        the values `evaluate` gave there to at least that order, or off a
+        new evaluation.  An entry is nan at its poles, without a warning."""
+        if values is None:
+            values = self.evaluate(xs, order)
+        num, den = (self._parts(compiled, part, order, len(xs))
+                    for compiled, part in zip((self.num, self.den), values))
+        poles = den[0] == 0.0
+        if poles.any():  # x / nan is nan, and warns nothing
+            den[0] = np.where(poles, np.nan, den[0])
         # quotient rule for f = N / D, from N = f D differentiated
         value = num[0] / den[0]
         parts = [value]
@@ -193,23 +214,40 @@ class _FloatGrid:
 class _Hessian(NamedTuple):
     """The second partials d_a d_b f of a grid's entries, formed only
     contracted, from the monomials' second partials [p, a, b, t] with the
-    coefficients contracted first.  A nonconstant denominator adds the
-    quotient rule's D f_ab = N_ab - f_a D_b - f_b D_a - f D_ab.  value
-    [p, e] and grad [p, a, e] are flat over the entries e."""
+    coefficients contracted first.  num and den[2] are (rows, values,
+    coefficients): each contraction takes the second partials off the
+    monomials' values (`_Monomials.evaluate`) by their rows
+    (`_Monomials.index`) and drops them after, so a kept jet keeps no
+    order-2 array.  A nonconstant denominator adds the quotient rule's
+    D f_ab = N_ab - f_a D_b - f_b D_a - f D_ab.  value [p, e] and grad
+    [p, a, e] are flat over the entries e."""
 
     shape: Tuple[int, ...]
-    num: Tuple[np.ndarray, np.ndarray]
+    num: Tuple[np.ndarray, np.ndarray, np.ndarray]
     value: np.ndarray
     grad: np.ndarray
     den: list
+
+    def cut(self, index: np.ndarray) -> _Jet:
+        """The order-2 jet of the entries at the columns ``index``, a grid of
+        its shape."""
+        columns = index.ravel()
+        den = [part[..., columns] for part in self.den[:2]]
+        if len(self.den) > 2:
+            den.append(self.den[2][:2] + (self.den[2][2][:, columns],))
+        hess = _Hessian(index.shape, self.num[:2] + (self.num[2][:, columns],),
+                        self.value[:, columns], self.grad[..., columns], den)
+        return _Jet(hess.value.reshape(hess.value.shape[:1] + index.shape),
+                    hess.grad.reshape(hess.grad.shape[:2] + index.shape), hess)
 
     def along(self, directions: np.ndarray) -> np.ndarray:
         """sum_b d_a d_b f dir[(p,) b, r] at [p, a, r, *shape]: along z for
         the directions z[:, :, None], the whole Hessian for the identity."""
         rows = directions.swapaxes(-1, -2)  # [(p,) r, b]
 
-        def term(second, coeffs):
-            return rows[..., None, :, :] @ second @ coeffs  # [p, a, r, e]
+        def term(index, values, coeffs):  # [p, a, r, e]
+            second = np.take(values, index, axis=1)  # [p, a, b, t]
+            return rows[..., None, :, :] @ second @ coeffs
 
         out = term(*self.num)
         if len(self.den) > 1:
@@ -228,9 +266,9 @@ class _Hessian(NamedTuple):
             part = part.reshape(part.shape[:-1] + self.shape)
             return part.swapaxes(-1, -2) if left else part
 
-        def term(second, coeffs, weights):  # second [p, a b, t] @ [p, t, i]
+        def term(index, values, coeffs, weights):  # [p, a b, i]
             contracted = entries(coeffs).swapaxes(0, 1) @ weights[..., None]
-            return second.reshape(p, n * n, -1) \
+            return np.take(values, index, axis=1).reshape(p, n * n, -1) \
                 @ contracted[..., 0].swapaxes(1, 2)
 
         weights = vector[:, None] / entries(self.den[0])  # w_j / D_ij
@@ -284,165 +322,165 @@ class _Monomials:
         self.table = np.array(list(rows), dtype=float).reshape(-1, 2, self.n)
         self.order = order
 
-    def jet(self, xs: Points, order: int) -> List[np.ndarray]:
-        """The monomials at each point, [p, t], with their first partials
-        [p, c, t] and second partials [p, a, b, t] up to the order, with p
-        outermost in memory (values[:, rows] would put it innermost)."""
+    def evaluate(self, xs: Points, order: int) -> np.ndarray:
+        """The table's rows at each point, [p, u + 1], with the table
+        compiled to at least the order."""
         if self.order < order:
             self._compile(order)
         values = np.zeros((len(xs), len(self.table) + 1))
         np.prod(self.table[:, 1] * xs[:, None, :] ** self.table[:, 0],
                 axis=-1, out=values[:, :-1])
+        return values
+
+    def partials(self, values: np.ndarray, order: int) -> List[np.ndarray]:
+        """The monomials at each point, [p, t], with their first partials
+        [p, c, t] and second partials [p, a, b, t] up to the order, read off
+        the `evaluate` values, with p outermost in memory (values[:, rows]
+        would put it innermost)."""
         return [np.take(values, rows, axis=1)
                 for rows in self.index[:order + 1]]
 
 
-class _Numeric:
-    """Coordinate-level numeric view of a scenario: its compiled grids.
+# the regularity columns of a scenario's table, in table order
+_REGULAR = ("alpha1", "alpha2", "frame", "gram", "phi")
 
-    It keeps no reference to the scenario."""
+
+class _Numeric:
+    """Coordinate-level numeric view of a scenario: one table of its cells,
+    a column per distinct text, first the regularity columns (the forms, the
+    frame, the Gram matrix, phi), then the spans'.  `cells` maps a block (by
+    name, or ("span", name)) to the columns of its cells, an index array of
+    its shape.  It keeps no reference to the scenario."""
 
     def __init__(self, scenario):
         self.coords: List[str] = list(scenario.coordinates)
         self.n = len(self.coords)
-        self.parsed = scenario.parse_table()
-        self.alpha = (self.grid(scenario.alpha1), self.grid(scenario.alpha2))
-        self.frame_at = self.grid(scenario.frame)
-        self.gram_at = self.grid(scenario.metric)
-        self.phi_grid = self.grid(scenario.phi)
+        blocks = list(zip(_REGULAR, (scenario.alpha1, scenario.alpha2,
+                                     scenario.frame, scenario.metric,
+                                     scenario.phi)))
+        blocks += [(("span", name), texts)
+                   for name, texts in scenario.submanifolds.items()]
+        columns, self.cells = {}, {}  # cell text: table column
+        for key, texts in blocks:
+            texts = np.asarray(texts, dtype=object)
+            self.cells[key] = np.array(
+                [columns.setdefault(text, len(columns))
+                 for text in texts.flat]).reshape(texts.shape)
+            if key == _REGULAR[-1]:
+                self.regular = slice(0, len(columns))
+        parsed = scenario.parse_table()
+        self.table = _FloatGrid([parsed[text] for text in columns],
+                                (len(columns),), tuple(self.coords))
         self.base = np.array([float(Fraction(scenario.base_point[coord]))
                               for coord in self.coords])
 
-    def grid(self, texts) -> _FloatGrid:
-        """Compile a vector or matrix of expression texts, read from the
-        scenario's parse table."""
-        cells = np.asarray(texts, dtype=object)
-        return _FloatGrid([self.parsed[text] for text in cells.flat],
-                          cells.shape, tuple(self.coords))
-
-    # -- jets on stacks of points ---------------------------------------
-
-    def metric(self, xs: Points, inverse: _Jet) -> _Jet:
-        """g = F^-T G F^-1 in coordinates, from the jet of F^-1 at the
-        points: F is the frame matrix (column b is the field e_b) and G the
-        Gram matrix, evaluated to the order of that jet."""
-        return inverse.T @ self.gram_at.jet(xs, inverse.order) @ inverse
-
-    def phi(self, xs: Points, frame: _Jet, inverse: _Jet) -> _Jet:
-        """phi = F P F^-1 in coordinates, from the jets of F and F^-1; P is
-        phi's matrix in the frame."""
-        return frame @ self.phi_grid.jet(xs, frame.order) @ inverse
-
-    def metric_along(self, xs: Points, z: np.ndarray
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-        """d_a d_b (g z) at [p, a, b, m] and d_a (d_z g) at [p, a, i, j], for
-        z [p, n] frozen at each point and G symmetric.  v = g z solves
-        F^T v = G w with F w = z, each differentiated twice.  With P = F^-1
-        and A = P dF, d_a (P^T X P) = P^T (d_a X - A_a^T X - X A_a) P, on
-        X = G and then on the X of d_z g, where d_a A_z = P F_az - A_a A_z."""
-        frame, gram = self.frame_at.jet(xs, 2), self.gram_at.jet(xs, 2)
-        inv = np.linalg.inv(frame.value)
-        inv_t, d_frame = inv.swapaxes(1, 2), frame.grad
-        metric, d_metric = gram.value, gram.grad
-        p, n = z.shape
-
-        def pair(rows, dx):  # m_a dx_b + m_b dx_a, rows[p, a, j, i] = m_a,ij
-            half = dx[:, None] @ rows
-            return half + half.swapaxes(1, 2)
-
-        def along(m):  # sum_c z_c d_c m, for d_c m at [p, c, i, j]
-            return (z[:, None] @ m.reshape(p, n, n * n)).reshape(p, n, n)
-
-        # vectors are rows: w [p, n], its partials dw [p, a, n]
-        w = (z[:, None] @ inv_t)[:, 0]
-        v = (w[:, None] @ metric @ inv)[:, 0]
-        dw = -(w[:, None, None] @ d_frame.swapaxes(2, 3))[:, :, 0] @ inv_t
-        dv = ((w[:, None, None] @ d_metric - v[:, None, None] @ d_frame)
-              [:, :, 0] + dw @ metric) @ inv
-        second = (gram.hess.apply(w) + pair(d_metric, dw)
-                  - (frame.hess.apply(w) + pair(d_frame.swapaxes(2, 3), dw))
-                  @ (inv_t @ metric)[:, None] - frame.hess.apply(v, left=True)
-                  - pair(d_frame, dv)) @ inv[:, None]
-        a_z, a = inv @ along(d_frame), inv[:, None] @ d_frame
-        k = metric @ a_z
-        k = along(d_metric) - k - k.swapaxes(1, 2)
-        # G d_a A_z + d_a G A_z + K A_a, and its transpose
-        sym = metric[:, None] @ (
-            inv[:, None] @ frame.hess.along(z[..., None])[:, :, 0]
-            - a @ a_z[:, None])
-        sym += d_metric @ a_z[:, None]
-        sym += k[:, None] @ a
-        del a
-        e = gram.hess.along(z[..., None])[:, :, 0] - sym - sym.swapaxes(2, 3)
-        return second, inv_t[:, None] @ e @ inv[:, None]
+    def cut(self, jet: _Jet, key, order: int) -> _Jet:
+        """One block's jet (the frame, a span, ...) to the order, gathered
+        from the table's jet."""
+        index = self.cells[key]
+        if order == 2:
+            return jet.hess.cut(index)
+        return _Jet(*(part[..., index]
+                      for part in (jet.value, jet.grad)[:order + 1]))
 
     # -- probe sampling -------------------------------------------------
 
-    def probe_points(self, count: int, seed: int) -> Points:
-        """The first ``count`` regular candidates base + U[-0.5, 0.5]^n of
-        random.Random(seed), drawn in blocks of ``count`` and tested with
-        one stacked mask per block; ValueError after _MAX_RESAMPLE
-        consecutive rejections."""
+    def sample(self, count: int, seed: int) -> "_View":
+        """The view at the first ``count`` regular candidates base +
+        U[-0.5, 0.5]^n of random.Random(seed), drawn in blocks of ``count``,
+        each evaluated once and tested with one stacked mask; ValueError
+        after _MAX_RESAMPLE consecutive rejections."""
         rng = random.Random(seed)
-        points, rejected = [], 0
-        while len(points) < count:
+        taken, found, rejected = [], 0, 0
+        while found < count:
             block = self.base + np.array(
                 [[rng.uniform(-0.5, 0.5) for _ in self.coords]
                  for _ in range(count)]).reshape(count, self.n)
-            for x, ok in zip(block, self._regular(block)):
-                if ok:
-                    points.append(x)
-                    rejected = 0
-                    if len(points) == count:
-                        break
-                else:
-                    rejected += 1
-                    if rejected == _MAX_RESAMPLE:
-                        raise ValueError(
-                            "could not sample a regular probe point")
-        return np.array(points).reshape(count, self.n)
+            ok, values, inverse = self._regular(block)
+            take = np.zeros(count, dtype=bool)  # the candidates kept
+            for index, regular in enumerate(ok):
+                rejected = 0 if regular else rejected + 1
+                if rejected == _MAX_RESAMPLE:
+                    raise ValueError("could not sample a regular probe point")
+                take[index], found = regular, found + regular
+                if found == count:
+                    break
+            taken.append((block[take], inverse[take[ok]])
+                         + _rows(values, take))
+        xs, inverse, *values = (None if parts[0] is None
+                                else np.concatenate(parts)
+                                for parts in zip(*taken))
+        return _View(self, xs, tuple(values), inverse)
 
-    def _regular(self, xs: Points) -> np.ndarray:
-        """Which points of the stack are regular, [p]; one point [n] is a
-        stack of one.  A point is regular when no entry has a pole there,
-        |det F| >= 1e-8, and the metric, phi and the forms are finite.  A
-        point with a pole is dropped before any entry is divided, so it
-        neither raises nor warns for the rest."""
+    def probe_points(self, count: int, seed: int) -> Points:
+        """The probe points of `sample`."""
+        return self.sample(count, seed).xs
+
+    def _regular(self, xs: Points) -> Tuple[np.ndarray, tuple, np.ndarray]:
+        """Which points of the stack are regular, [p], with the table's
+        values there (`_FloatGrid.evaluate`, to order 2) and the frame's
+        inverse at the regular ones; one point [n] is a stack of one.
+        Regular means: no pole in a regularity column, |det F| >= 1e-8, and
+        finite metric, phi and forms; a pole's point is dropped before any
+        division, so it neither raises nor warns for the rest."""
         xs = np.atleast_2d(xs)
-        grids = (self.frame_at, self.gram_at, self.phi_grid) + self.alpha
-        ok = ~np.any([grid.poles(xs) for grid in grids], axis=0)
-        frames = self.frame_at(xs[ok])
+        values = self.table.evaluate(xs, 2)
+        ok = ~self.table.poles(xs, values, self.regular)
+        jet = self.table.jet(xs[ok], 0, _rows(values, ok))
+        frames = self.cut(jet, "frame", 0).value
         invertible = (~(np.abs(np.linalg.det(frames)) < 1e-8)
                       & np.isfinite(frames).all(axis=(1, 2)))
         ok[ok] = invertible
-        x, frame = xs[ok], _Jet(frames[invertible])
-        inverse = frame.inverse()
-        values = (self.metric(x, inverse).value,
-                  self.phi(x, frame, inverse).value,
-                  self.alpha[0](x), self.alpha[1](x))
-        ok[ok] = np.logical_and.reduce([
-            np.isfinite(value).all(axis=tuple(range(1, value.ndim)))
-            for value in values])
-        return ok
+        inverse = np.linalg.inv(frames[invertible])
+
+        def block(key):  # its values at the invertible points
+            return _Jet(self.cut(jet, key, 0).value[invertible])
+
+        finite = np.logical_and.reduce([
+            np.isfinite(part.value).all(axis=tuple(range(1, part.value.ndim)))
+            for part in _coordinate(block("frame"), _Jet(inverse), block)
+            + (block("alpha1"), block("alpha2"))])
+        ok[ok] = finite
+        return ok, values, inverse[finite]
+
+
+def _rows(values: tuple, rows: np.ndarray) -> tuple:
+    """The rows of a table's values (`_FloatGrid.evaluate`)."""
+    return tuple(None if part is None else part[rows] for part in values)
+
+
+def _coordinate(frame: _Jet, inverse: _Jet, block: Callable[[str], _Jet]
+                ) -> Tuple[_Jet, _Jet]:
+    """g = F^-T G F^-1 and phi = F P F^-1 in coordinates, to the lower order
+    of the jets: F is the frame matrix (column b is the field e_b), and G
+    and P are the Gram and phi matrices, each cut by block(name) in turn."""
+    metric = inverse.T @ block("gram") @ inverse
+    return metric, frame @ block("phi") @ inverse
 
 
 class _View:
-    """One scenario's float view at one probe stack.
+    """One scenario's float view at one probe stack: the probe points (`xs`),
+    the table's one jet there, the frame and its one inverse, and, on first
+    use, what the identities read, cut from that jet (one inverse of g among
+    it).  Like `_Numeric` it keeps no reference to the scenario, so no
+    reference cycle runs through the scenario's cache."""
 
-    It holds the compiled grids (`num`), the probe points (`xs`) and the
-    jets there, each computed on first use and read by every identity.
-    Like `_Numeric` it keeps no reference to the scenario, so no reference
-    cycle runs through the scenario's cache."""
-
-    def __init__(self, num: _Numeric, xs: Points):
+    def __init__(self, num: _Numeric, xs: Points, values: tuple = None,
+                 inverse: np.ndarray = None):
+        """``values`` (`_FloatGrid.evaluate`) and ``inverse`` as sampling
+        found them at the points, or found here."""
         self.num = num
         self.xs = xs
+        self.jet = num.table.jet(xs, 2, values)
+        self.frame = num.cut(self.jet, "frame", 0).value
+        self.frame_inverse = (np.linalg.inv(self.frame) if inverse is None
+                              else inverse)
 
     @cached_property
     def alpha_jets(self) -> Tuple[_Jet, _Jet]:
         """Order-2 jets of alpha_1 and alpha_2 on the whole stack, value
         [p, k], grad [p, a, k] and the whole Hessian [p, a, b, k]."""
-        jets = [grid.jet(self.xs, 2) for grid in self.num.alpha]
+        jets = [self.num.cut(self.jet, key, 2) for key in ("alpha1", "alpha2")]
         return tuple(_Jet(jet.value, jet.grad,
                           jet.hess.along(np.eye(self.num.n))) for jet in jets)
 
@@ -495,27 +533,72 @@ class _View:
 
     @cached_property
     def _metric_and_phi(self) -> Tuple[_Jet, _Jet]:
-        """The order-1 jets of g and phi, from one evaluation and inversion
-        of the frame matrix, which is not kept."""
-        frame = self.num.frame_at.jet(self.xs, 1)
-        inverse = frame.inverse()
-        return (self.num.metric(self.xs, inverse),
-                self.num.phi(self.xs, frame, inverse))
+        """The order-1 jets of g and phi."""
+        frame = self.num.cut(self.jet, "frame", 1)
+        return _coordinate(frame, frame.inverse(self.frame_inverse),
+                           lambda key: self.num.cut(self.jet, key, 1))
 
-    @cached_property
+    @property
     def metric(self) -> np.ndarray:
         return self._metric_and_phi[0].value
+
+    @cached_property
+    def metric_inverse(self) -> np.ndarray:
+        return np.linalg.inv(self.metric)
 
     @cached_property
     def christoffel(self) -> np.ndarray:
         """Gamma[p, k, i, j] = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2 in
         coordinates, by one matmul over the flattened (i, j)."""
-        g = self._metric_and_phi[0]
-        lowered = g.grad + np.einsum("pjil->pijl", g.grad)  # [p, i, j, l]
-        lowered -= np.einsum("plij->pijl", g.grad)
+        grad = self._metric_and_phi[0].grad
+        lowered = grad + np.einsum("pjil->pijl", grad)  # [p, i, j, l]
+        lowered -= np.einsum("plij->pijl", grad)
         p, n = self.xs.shape
         lowered = lowered.reshape(p, n * n, n).swapaxes(1, 2)
-        return 0.5 * (np.linalg.inv(g.value) @ lowered).reshape(p, n, n, n)
+        return 0.5 * (self.metric_inverse @ lowered).reshape(p, n, n, n)
+
+    def metric_along(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """d_a d_b (g z) at [p, a, b, m] and d_a (d_z g) at [p, a, i, j], for
+        z [p, n] frozen at each point and G symmetric.  v = g z solves
+        F^T v = G w with F w = z, each differentiated twice.  With P = F^-1
+        and A = P dF, d_a (P^T X P) = P^T (d_a X - A_a^T X - X A_a) P, on
+        X = G and then on the X of d_z g, where d_a A_z = P F_az - A_a A_z."""
+        frame, gram = (self.num.cut(self.jet, key, 2)
+                       for key in ("frame", "gram"))
+        inv = self.frame_inverse
+        inv_t, d_frame = inv.swapaxes(1, 2), frame.grad
+        metric, d_metric = gram.value, gram.grad
+        p, n = z.shape
+
+        def pair(rows, dx):  # m_a dx_b + m_b dx_a, rows[p, a, j, i] = m_a,ij
+            half = dx[:, None] @ rows
+            return half + half.swapaxes(1, 2)
+
+        def along(m):  # sum_c z_c d_c m, for d_c m at [p, c, i, j]
+            return (z[:, None] @ m.reshape(p, n, n * n)).reshape(p, n, n)
+
+        # vectors are rows: w [p, n], its partials dw [p, a, n]
+        w = (z[:, None] @ inv_t)[:, 0]
+        v = (w[:, None] @ metric @ inv)[:, 0]
+        dw = -(w[:, None, None] @ d_frame.swapaxes(2, 3))[:, :, 0] @ inv_t
+        dv = ((w[:, None, None] @ d_metric - v[:, None, None] @ d_frame)
+              [:, :, 0] + dw @ metric) @ inv
+        second = (gram.hess.apply(w) + pair(d_metric, dw)
+                  - (frame.hess.apply(w) + pair(d_frame.swapaxes(2, 3), dw))
+                  @ (inv_t @ metric)[:, None] - frame.hess.apply(v, left=True)
+                  - pair(d_frame, dv)) @ inv[:, None]
+        a_z, a = inv @ along(d_frame), inv[:, None] @ d_frame
+        k = metric @ a_z
+        k = along(d_metric) - k - k.swapaxes(1, 2)
+        # G d_a A_z + d_a G A_z + K A_a, and its transpose
+        sym = metric[:, None] @ (
+            inv[:, None] @ frame.hess.along(z[..., None])[:, :, 0]
+            - a @ a_z[:, None])
+        sym += d_metric @ a_z[:, None]
+        sym += k[:, None] @ a
+        del a
+        e = gram.hess.along(z[..., None])[:, :, 0] - sym - sym.swapaxes(2, 3)
+        return second, inv_t[:, None] @ e @ inv[:, None]
 
     def reeb_curvature(self) -> np.ndarray:
         """R(e_a, e_b)(Z_1 + Z_2) at [p, a, b, l] by directional jets: with z
@@ -524,12 +607,13 @@ class _View:
         - d_m v_b + (d_z g)_bm; so d_a u_b = g^-1 (d_a S_b / 2 - (d_a g) u_b),
         whose part d_a d_b v is symmetric in (a, b) and drops out."""
         z = self.reeb[0] + self.reeb[1]
-        second, half = self.num.metric_along(self.xs, z)
-        g, gamma = self._metric_and_phi[0], self.christoffel
+        second, half = self.metric_along(z)
+        gamma = self.christoffel
         u = (gamma.transpose(0, 2, 1, 3) @ z[:, None, :, None])[..., 0]
         # u[p, b, l] = Gamma^l_bk z^k; half[p, a, b, m], d_a g symmetric
-        half = 0.5 * (half - second.swapaxes(2, 3)) - u[:, None] @ g.grad
-        half = half @ np.linalg.inv(g.value)[:, None] \
+        half = 0.5 * (half - second.swapaxes(2, 3)) \
+            - u[:, None] @ self._metric_and_phi[0].grad
+        half = half @ self.metric_inverse[:, None] \
             + u[:, None] @ gamma.transpose(0, 2, 3, 1)
         return half - half.swapaxes(1, 2)
 
@@ -537,7 +621,7 @@ class _View:
     def phi_jet(self) -> _Jet:
         return self._metric_and_phi[1]
 
-    @cached_property
+    @property
     def phi(self) -> np.ndarray:
         return self.phi_jet.value
 
@@ -576,8 +660,7 @@ def _view(scenario, probe_count: int, seed: int) -> _View:
     first use and kept in the scenario's cache."""
     key = ("oracle", probe_count, seed)
     if key not in scenario._cache:
-        num = _Numeric(scenario)
-        scenario._cache[key] = _View(num, num.probe_points(probe_count, seed))
+        scenario._cache[key] = _Numeric(scenario).sample(probe_count, seed)
     return scenario._cache[key]
 
 
@@ -627,7 +710,7 @@ def _residual_reeb(view: _View, scenario) -> np.ndarray:
     num = view.num
     exact = _FloatGrid([comp for z in fields for comp in z.components],
                        (2, num.n), tuple(num.coords))(view.xs)
-    sym = np.einsum("pkj,pij->ipk", num.frame_at(view.xs), exact)
+    sym = np.einsum("pkj,pij->ipk", view.frame, exact)
     return sym - np.stack(view.reeb)
 
 
@@ -682,16 +765,16 @@ def _residual_curvature(view: _View) -> np.ndarray:
     return lhs - rhs
 
 
-def _residual_minimal(view: _View, span_texts) -> np.ndarray:
+def _residual_minimal(view: _View, name: str) -> np.ndarray:
     """The numerically computed mean curvature vector at each point.
 
     The span fields, Christoffel symbols and tangential projections are
     all recomputed in floating point, so a small value independently
     certifies minimality and a large value certifies its failure."""
-    span = view.num.grid(span_texts)  # row b: field b
     # column b: field b in coordinates; grad[p, i, k, b] = d_i of its
     # component k
-    tangents = view.num.frame_at.jet(view.xs, 1) @ span.jet(view.xs, 1).T
+    tangents = view.num.cut(view.jet, "frame", 1) \
+        @ view.num.cut(view.jet, ("span", name), 1).T
     t = tangents.value
     lowered = t.swapaxes(1, 2) @ view.metric  # [p, b, k]: g(T_b, .)
     gram = lowered @ t
@@ -702,7 +785,7 @@ def _residual_minimal(view: _View, span_texts) -> np.ndarray:
                             lowered[:, None, None] @ nabla[..., None])
     normal = nabla - (t[:, None, None] @ coeff)[..., 0]
     return (np.einsum("pab,pabk->pk", np.linalg.inv(gram), normal)
-            / span.shape[0])
+            / t.shape[2])
 
 
 _RESIDUALS = {
@@ -733,8 +816,7 @@ def numeric_oracle(scenario, identity_id: str, probe_count: int = 8,
             raise ValueError(f"scenario {scenario.name!r} has no submanifold "
                              f"{name!r}; choose from "
                              f"{', '.join(scenario.submanifolds) or 'none'}")
-        values = _residual_minimal(_view(scenario, probe_count, seed),
-                                   scenario.submanifolds[name])
+        values = _residual_minimal(_view(scenario, probe_count, seed), name)
     elif identity_id == "pair.reeb":
         values = _residual_reeb(_view(scenario, probe_count, seed), scenario)
     elif identity_id in _RESIDUALS:

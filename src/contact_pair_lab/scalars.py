@@ -45,19 +45,20 @@ as a factor or divisor, returns an existing operand instead of building a
 scalar; ``0 - b`` returns ``-b``.  The operands' coordinate tuples are
 checked first.
 
-``_terms_gcd`` settles most of the gcds that remain by shortcuts: it
-splits off the monomial content and the integer content; two primitive
-cofactors in disjoint variables are coprime, and when trial division of
-one primitive cofactor by the other leaves no remainder the divisor is
-the gcd.  By Gauss's lemma a primitive polynomial that divides another
-over Q does so over Z, so the trial division runs on integers.  The rest
-go to ``_prs_gcd``, the generalized Euclidean algorithm over a unique
-factorization domain (Knuth, TAOCP vol. 2, 4.6.1, Algorithm E; Geddes,
-Czapor and Labahn, Algorithms for Computer Algebra, ch. 7): in a variable
-common to both, as polynomials over Z[other variables], the gcd is the
-gcd of the contents times the last nonzero primitive pseudo-remainder,
-and the contents are gcds of fewer variables taken by ``_terms_gcd``
-again.  Every gcd is then certified: ``_cancel`` divides by it with
+``_terms_gcd`` settles most of the gcds that remain by shortcuts: two
+operands equal up to sign are their own gcd before anything is taken
+apart; otherwise it splits off the monomial content and the integer
+content; two primitive cofactors in disjoint variables are coprime, and
+when trial division of one primitive cofactor by the other leaves no
+remainder the divisor is the gcd.  By Gauss's lemma a primitive
+polynomial that divides another over Q does so over Z, so the trial
+division runs on integers.  The rest go to ``_prs_gcd``, the generalized
+Euclidean algorithm over a unique factorization domain (Knuth, TAOCP
+vol. 2, 4.6.1, Algorithm E; Geddes, Czapor and Labahn, Algorithms for
+Computer Algebra, ch. 7): in a variable common to both, as polynomials
+over Z[other variables], the gcd is the gcd of the contents times the
+last nonzero primitive pseudo-remainder, and the contents are gcds of
+fewer variables taken by ``_terms_gcd`` again.  Every gcd is then certified: ``_cancel`` divides by it with
 ``_exact_div``, which raises unless the quotient is exact.  Two primitive
 cofactors equal up to sign (associates, such as -u^2 - 4 and u^2 + 4) are
 each other's gcd without a division, and an operand equal to the gcd, or
@@ -299,6 +300,10 @@ def _terms_gcd(a: Terms, b: Terms) -> Terms:
     """Gcd in Z[x] of two nonzero polynomials: content gcd times
     primitive gcd times monomial gcd, with a positive leading
     coefficient."""
+    if a == b or _is_negation(a, b):
+        # associates as given: the gcd is a up to sign, with nothing shifted
+        _count("gcd.associates")
+        return a if _leading(a)[1] > 0 else _terms_neg(a)
     shift_a = _monomial_content(a)
     shift_b = _monomial_content(b)
     shift = tuple(min(x, y) for x, y in zip(shift_a, shift_b))

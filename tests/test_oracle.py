@@ -4,6 +4,7 @@ import os
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -132,13 +133,13 @@ def test_an_oracle_without_probe_points_is_rejected(identity_id):
 
 def test_submanifold_oracle_probes_at_the_given_seed(monkeypatch):
     seeds = []
-    sample = oracle._Numeric.probe_points
+    sample = oracle._Numeric.sample
 
     def spy(self, count, seed):
         seeds.append(seed)
         return sample(self, count, seed)
 
-    monkeypatch.setattr(oracle._Numeric, "probe_points", spy)
+    monkeypatch.setattr(oracle._Numeric, "sample", spy)
     numeric_oracle(corpus_build("heis6"), "submanifold.heis6-n4.minimal",
                    probe_count=2, seed=5)
     assert seeds == [5]
@@ -149,9 +150,9 @@ def test_a_pole_at_a_probe_point_is_irregular():
     scenario.frame[0][0] = "1/x"
     numeric = oracle._Numeric(scenario)
     point = np.array([0.0, 0.25, 0.0, 0.5, 0.0, 0.0])
-    assert not numeric._regular(point)
+    assert not numeric._regular(point)[0]
     point[0] = 0.5
-    assert numeric._regular(point)
+    assert numeric._regular(point)[0]
 
 
 # -- batched evaluation ------------------------------------------------
@@ -256,9 +257,15 @@ _ON_CHARTS = pytest.mark.parametrize("scenario", [
     ids=["heis6-gauged4", "dense-chart"])
 
 
-def _metric(numeric, xs, order):
-    """The coordinate metric's jet of order 0 or 1 at the points."""
-    return numeric.metric(xs, numeric.frame_at.jet(xs, order).inverse())
+def _metric(numeric, xs):
+    """The coordinate metric's jet of order 1 at the points."""
+    return oracle._View(numeric, xs)._metric_and_phi[0]
+
+
+def _cells(numeric, xs, *keys):
+    """The order-2 jets of blocks of the scenario's table at the points."""
+    jet = numeric.table.jet(xs, 2)
+    return [numeric.cut(jet, key, 2) for key in keys]
 
 
 # -- the full-R reference ---------------------------------------------------
@@ -293,8 +300,7 @@ def _inverse(x):
 
 def _metric_2(numeric, xs):
     """The coordinate metric's order-2 jet, its Hessian [p, a, b, i, j]."""
-    frame, gram = (grid.jet(xs, 2) for grid in (numeric.frame_at,
-                                                numeric.gram_at))
+    frame, gram = _cells(numeric, xs, "frame", "gram")
     inverse = _inverse((frame.value, frame.grad, _whole_hessian(frame, xs)))
     transposed = tuple(part.swapaxes(-1, -2) for part in inverse)
     return _product(_product(transposed, (gram.value, gram.grad,
@@ -346,12 +352,12 @@ def test_metric_chain_matches_central_differences(scenario):
     for x in numeric.probe_points(3, seed=2):
         x = x[None]
         g = _metric_2(numeric, x)
-        np.testing.assert_array_equal(g[0], _metric(numeric, x, 0).value)
+        np.testing.assert_array_equal(g[0], _metric(numeric, x).value)
         _assert_matches_differences(g[1][0],
-                                    lambda y: _metric(numeric, y, 0).value[0],
+                                    lambda y: _metric(numeric, y).value[0],
                                     x, 1.0)
         _assert_matches_differences(g[2][0],
-                                    lambda y: _metric(numeric, y, 1).grad[0],
+                                    lambda y: _metric(numeric, y).grad[0],
                                     x, 1.0)
         gamma = _christoffel_2(g)
         _assert_matches_differences(
@@ -365,8 +371,7 @@ def test_a_hessian_is_contracted_as_the_whole_one(scenario):
     numeric = oracle._Numeric(scenario)
     xs = numeric.probe_points(3, seed=2)
     w = np.random.default_rng(4).normal(size=xs.shape)
-    for grid in (numeric.frame_at, numeric.gram_at):
-        jet = grid.jet(xs, 2)
+    for jet in _cells(numeric, xs, "frame", "gram"):
         hess, whole = jet.hess, _whole_hessian(jet, xs)
         for got, want in (
                 (hess.apply(w), np.einsum("pabij,pj->pabi", whole, w)),
@@ -392,7 +397,7 @@ def test_directional_jets_match_the_full_r_reference_and_differences(
     np.testing.assert_allclose(view.reeb_curvature(), reference, rtol=0,
                                atol=1e-12 * max(1.0, np.abs(reference).max()))
     z = fields[0] + fields[1]
-    second, along = numeric.metric_along(xs, z)
+    second, along = view.metric_along(z)
     hess = _metric_2(numeric, xs)[2]  # [p, a, b, i, j]
     for got, want in ((second, np.einsum("pabij,pj->pabi", hess, z)),
                       (along, np.einsum("pabij,pb->paij", hess, z))):
@@ -402,11 +407,11 @@ def test_directional_jets_match_the_full_r_reference_and_differences(
         x = x[None]
         # d_c of d_a (g z)_m, and of sum_b z_b d_b g_ij
         _assert_matches_differences(
-            second[p], lambda y: _metric(numeric, y, 1).grad[0] @ z[p], x,
+            second[p], lambda y: _metric(numeric, y).grad[0] @ z[p], x,
             1.0)
         _assert_matches_differences(
             along[p], lambda y: np.einsum("b,bij->ij", z[p],
-                                          _metric(numeric, y, 1).grad[0]),
+                                          _metric(numeric, y).grad[0]),
             x, 1.0)
 
 
@@ -445,24 +450,40 @@ def test_a_sweep_evaluates_each_grid_at_order_2_once_on_the_stack(
         tracemalloc.stop()
     assert peak <= _POINTWISE_ORDER_2_PEAK
 
-    jet = oracle._Monomials.jet
-    for scenario in (corpus_build("heis6"), corpus_build("darboux", (2, 2))):
-        evaluated = []
+    evaluate, regular = oracle._Monomials.evaluate, oracle._Numeric._regular
+    compile_ = oracle._FloatGrid.__init__
+    for scenario in (corpus_build("heis6"), corpus_build("darboux", (2, 2)),
+                     _scenario("heis6-gauged")):
+        events, compiled = [], []  # each sampled block, each evaluation
 
-        def spy(self, xs, order):
-            evaluated.append((self, order, len(xs)))
-            return jet(self, xs, order)
+        def spy_evaluate(self, xs, order):
+            events.append((self, order, len(xs)))
+            return evaluate(self, xs, order)
 
-        monkeypatch.setattr(oracle._Monomials, "jet", spy)
+        def spy_compile(self, *args):
+            compiled.append(self)
+            compile_(self, *args)
+
+        def spy_regular(self, xs):
+            events.append("block")
+            return regular(self, xs)
+
+        monkeypatch.setattr(oracle._Monomials, "evaluate", spy_evaluate)
+        monkeypatch.setattr(oracle._FloatGrid, "__init__", spy_compile)
+        monkeypatch.setattr(oracle._Numeric, "_regular", spy_regular)
         for identity_id in _all_ids(scenario):
             numeric_oracle(scenario, identity_id, probe_count=8)
-        num = oracle._view(scenario, 8, 1).num
-        for grid in (num.frame_at, num.gram_at) + num.alpha:
-            sizes = [[size for table, order, size in evaluated
-                      if table is part[0] and order == 2]
-                     for part in (grid.num, grid.den)]
-            # constant denominators are read off their coefficients
-            assert sizes[0] == [8] and sizes[1] in ([], [8]), sizes
+        # one table per scenario, and pair.reeb's grid of exact components
+        table, exact = compiled
+        assert table is oracle._view(scenario, 8, 1).num.table
+        # each sampled block evaluated once at order 2 on all its candidates,
+        # a constant denominator never; then only the exact grid, at order 0
+        per_block = [(table.num[0], 2, 8)] + [
+            (table.den[0], 2, 8)][:not table.den[0].constant]
+        after = [(exact.num[0], 0, 8)] + [
+            (exact.den[0], 0, 8)][:not exact.den[0].constant]
+        blocks = events.count("block")
+        assert blocks and events == (["block"] + per_block) * blocks + after
 
 
 # Residuals at seed 1 of the jet oracle.  Each is at most the residual of
@@ -519,7 +540,7 @@ def test_a_shared_view_gives_the_residuals_of_fresh_scenarios(name):
 
 def test_the_view_is_built_once_per_probe_count_and_seed(monkeypatch):
     built, sampled = [], []
-    init, sample = oracle._Numeric.__init__, oracle._Numeric.probe_points
+    init, sample = oracle._Numeric.__init__, oracle._Numeric.sample
 
     def spy_init(self, scenario):
         built.append(scenario.name)
@@ -530,7 +551,7 @@ def test_the_view_is_built_once_per_probe_count_and_seed(monkeypatch):
         return sample(self, count, seed)
 
     monkeypatch.setattr(oracle._Numeric, "__init__", spy_init)
-    monkeypatch.setattr(oracle._Numeric, "probe_points", spy_sample)
+    monkeypatch.setattr(oracle._Numeric, "sample", spy_sample)
     scenario = corpus_build("heis6")
     for identity_id in _all_ids(scenario):
         numeric_oracle(scenario, identity_id, probe_count=2)
@@ -627,13 +648,13 @@ def _curvature_by_point(view):
     return np.stack(values)
 
 
-def _minimal_by_point(view, span_texts):
+def _minimal_by_point(view, name):
     """A submanifold's mean curvature vector, one probe point and one pair
     (a, b) of span fields at a time."""
     num = view.num
-    span = num.grid(span_texts)
-    rank = span.shape[0]
-    tangents = num.frame_at.jet(view.xs, 1) @ span.jet(view.xs, 1).T
+    tangents = num.cut(view.jet, "frame", 1) \
+        @ num.cut(view.jet, ("span", name), 1).T
+    rank = tangents.value.shape[2]
     means = []
     for gamma, g, tangent, dv in zip(view.christoffel, view.metric,
                                      tangents.value, tangents.grad):
@@ -658,17 +679,17 @@ def test_stacked_residuals_match_the_pointwise_loops(name):
     view = oracle._view(scenario, 8, 1)
     np.testing.assert_allclose(oracle._residual_curvature(view),
                                _curvature_by_point(view), rtol=0, atol=1e-12)
-    for span in scenario.submanifolds.values():
-        np.testing.assert_allclose(oracle._residual_minimal(view, span),
-                                   _minimal_by_point(view, span),
+    for name in scenario.submanifolds:
+        np.testing.assert_allclose(oracle._residual_minimal(view, name),
+                                   _minimal_by_point(view, name),
                                    rtol=0, atol=1e-12)
 
 
 def _alpha_jets_by_point(view):
     """The order-2 jets of the forms, one probe point at a time."""
     forms = []
-    for grid in view.num.alpha:
-        jets = [grid.jet(x[None], 2) for x in view.xs]
+    for key in ("alpha1", "alpha2"):
+        jets = [_cells(view.num, x[None], key)[0] for x in view.xs]
         forms.append(oracle._Jet(
             np.concatenate([jet.value for jet in jets]),
             np.concatenate([jet.grad for jet in jets]),
@@ -719,20 +740,25 @@ def test_a_point_s_curvature_does_not_depend_on_its_stack(name, seed,
 
 
 def _regular_by_point(numeric, x):
-    """The regularity rules for one candidate alone: no pole, |det F| at
-    least 1e-8, an invertible frame, and finite metric, phi and forms."""
+    """The regularity rules for one candidate alone: no pole in a
+    regularity column, |det F| at least 1e-8, an invertible frame, and
+    finite metric, phi and forms."""
     xs = x[None]
-    try:
-        frame = numeric.frame_at.jet(xs, 0)
-        if abs(np.linalg.det(frame.value[0])) < 1e-8:
-            return False
-        inverse = frame.inverse()
-        values = (numeric.metric(xs, inverse).value,
-                  numeric.phi(xs, frame, inverse).value,
-                  numeric.alpha[0](xs), numeric.alpha[1](xs))
-    except (PoleError, np.linalg.LinAlgError):
+    values = numeric.table.evaluate(xs, 0)
+    if numeric.table.poles(xs, values, numeric.regular)[0]:
         return False
-    return all(np.isfinite(value).all() for value in values)
+    jet = numeric.table.jet(xs, 0, values)
+    frame = numeric.cut(jet, "frame", 0)
+    if abs(np.linalg.det(frame.value[0])) < 1e-8:
+        return False
+    try:
+        inverse = oracle._Jet(np.linalg.inv(frame.value))
+    except np.linalg.LinAlgError:
+        return False
+    blocks = {key: numeric.cut(jet, key, 0) for key in oracle._REGULAR}
+    metric, phi = oracle._coordinate(frame, inverse, blocks.get)
+    return all(np.isfinite(part.value).all()
+               for part in (metric, phi, blocks["alpha1"], blocks["alpha2"]))
 
 
 def _probes_by_point(numeric, count, seed):
@@ -787,10 +813,23 @@ def test_stacked_sampling_draws_the_pointwise_probes(monkeypatch, name,
         assert 0 < given_up < 5 if max_resample == 8 else given_up == 0
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_view_reads_the_rows_of_the_candidates_it_kept(seed):
+    # about three candidates in four are rejected, so the probes come from
+    # several blocks, each evaluated once; a view evaluated afresh at the
+    # kept points must read the same
+    view = oracle._view(_pole_in_the_box(), 8, seed)
+    fresh = oracle._View(view.num, view.xs)
+    for got, want in ((view.jet.value, fresh.jet.value),
+                      (view.jet.grad, fresh.jet.grad),
+                      (view.frame_inverse, fresh.frame_inverse)):
+        assert np.array_equal(got, want)
+
+
 def test_a_pole_in_one_candidate_masks_that_candidate_alone():
     numeric = oracle._Numeric(_pole_in_the_box())
     block = numeric.base + np.array([[0.0] * 6, [0.0, 0.0, 0.0, -0.5, 0, 0]])
-    np.testing.assert_array_equal(numeric._regular(block), [False, True])
+    np.testing.assert_array_equal(numeric._regular(block)[0], [False, True])
 
 
 def test_a_frame_singular_everywhere_gives_up_after_max_resample(
@@ -812,26 +851,193 @@ def test_a_frame_singular_everywhere_gives_up_after_max_resample(
 
 
 def test_a_heis6_sweep_evaluates_each_grid_once_below_order_2(monkeypatch):
-    """Below order 2 each grid is evaluated on the whole probe stack: the
+    """Below order 2 the table is divided once, for the sampler's mask, and
+    at order 2 once, for the view, both on the sampled values; and the
+    frame and g are inverted once each.  The
     pointwise sampler took 58 order-0 evaluations (seven per candidate,
     and two for pair.reeb) and 10 order-1 ones (the frame once for g and
-    once for phi)."""
+    once for phi); the per-grid sweep took 7 order-0 and 9 order-1 jets of
+    seven grids, each evaluated anew, and inverted the frame three times
+    and g twice."""
     scenario = corpus_build("heis6")
-    calls = {0: 0, 1: 0, 2: 0}
-    jet = oracle._FloatGrid.jet
+    jets, inverted = [], []
+    jet, inv = oracle._FloatGrid.jet, np.linalg.inv
 
-    def spy(self, xs, order):
-        calls[order] += 1
-        return jet(self, xs, order)
+    def spy(self, xs, order, values=None):
+        jets.append((self, order, len(xs), values is not None))
+        return jet(self, xs, order, values)
+
+    def spy_inv(matrices):
+        inverted.append(np.array(matrices))
+        return inv(matrices)
 
     monkeypatch.setattr(oracle._FloatGrid, "jet", spy)
+    monkeypatch.setattr(oracle.np.linalg, "inv", spy_inv)
     for identity_id in _all_ids(scenario):
         numeric_oracle(scenario, identity_id, probe_count=8)
-    # order 0: the sampler's frame, Gram matrix, phi and two forms, and the
-    # frame and exact Reeb fields of pair.reeb; order 1: one frame, Gram
-    # matrix and phi for g and phi, and the frame and span of each of the
-    # three submanifolds
-    assert (calls[0], calls[1]) == (7, 9)
+    view = oracle._view(scenario, 8, 1)
+    num = view.num
+    assert [jet[1:] for jet in jets if jet[0] is num.table] == [
+        (0, 8, True), (2, 8, True)]
+    # and pair.reeb's exact components
+    assert [jet[1:3] for jet in jets if jet[0] is not num.table] == [(0, 8)]
+    for matrices in (view.frame, view.metric):
+        assert sum(np.array_equal(matrices, inverse)
+                   for inverse in inverted) == 1
+
+
+# -- the per-grid reference ------------------------------------------------
+#
+# The oracle path that the one table replaced: each block of cells compiled
+# into a grid of its own and evaluated apart, and the frame inverted where
+# each stage needs it.
+
+class _PerGrid:
+    """A scenario's grids apart: the forms, the frame, the Gram matrix, phi
+    and each span."""
+
+    def __init__(self, scenario):
+        self.coords = list(scenario.coordinates)
+        self.n = len(self.coords)
+        parsed = scenario.parse_table()
+
+        def grid(texts):
+            cells = np.asarray(texts, dtype=object)
+            return oracle._FloatGrid([parsed[text] for text in cells.flat],
+                                     cells.shape, tuple(self.coords))
+
+        self.alpha = (grid(scenario.alpha1), grid(scenario.alpha2))
+        self.frame_at, self.gram_at, self.phi_grid = (
+            grid(scenario.frame), grid(scenario.metric), grid(scenario.phi))
+        self.spans = {name: grid(texts)
+                      for name, texts in scenario.submanifolds.items()}
+        self.base = np.array([float(Fraction(scenario.base_point[coord]))
+                              for coord in self.coords])
+
+    def _regular(self, xs):
+        grids = (self.frame_at, self.gram_at, self.phi_grid) + self.alpha
+        ok = ~np.any([grid.poles(xs, grid.evaluate(xs, 0))
+                      for grid in grids], axis=0)
+        frames = self.frame_at(xs[ok])
+        invertible = (~(np.abs(np.linalg.det(frames)) < 1e-8)
+                      & np.isfinite(frames).all(axis=(1, 2)))
+        ok[ok] = invertible
+        x, frame = xs[ok], oracle._Jet(frames[invertible])
+        inverse = frame.inverse(np.linalg.inv(frame.value))
+        values = (inverse.T @ self.gram_at.jet(x, 0) @ inverse,
+                  frame @ self.phi_grid.jet(x, 0) @ inverse,
+                  self.alpha[0].jet(x, 0), self.alpha[1].jet(x, 0))
+        ok[ok] = np.logical_and.reduce([
+            np.isfinite(value.value).all(
+                axis=tuple(range(1, value.value.ndim)))
+            for value in values])
+        return ok
+
+    def probe_points(self, count, seed):
+        rng = random.Random(seed)
+        points, rejected = [], 0
+        while len(points) < count:
+            block = self.base + np.array(
+                [[rng.uniform(-0.5, 0.5) for _ in self.coords]
+                 for _ in range(count)]).reshape(count, self.n)
+            for x, ok in zip(block, self._regular(block)):
+                if ok:
+                    points.append(x)
+                    rejected = 0
+                    if len(points) == count:
+                        break
+                else:
+                    rejected += 1
+                    if rejected == oracle._MAX_RESAMPLE:
+                        raise ValueError(
+                            "could not sample a regular probe point")
+        return np.array(points).reshape(count, self.n)
+
+    def view(self, xs):
+        """A view whose jets come from the grids apart, each evaluated on
+        its own and the frame inverted afresh."""
+        view = object.__new__(oracle._View)
+        view.num, view.xs = self, xs
+        # what the view cuts from the table's jet: the frame's and the Gram
+        # matrix's order-2 jets and the spans', each evaluated apart
+        view.jet = {"frame": self.frame_at.jet(xs, 2),
+                    "gram": self.gram_at.jet(xs, 2)}
+        view.jet.update((("span", name), span.jet(xs, 2))
+                        for name, span in self.spans.items())
+        view.frame = self.frame_at(xs)
+        view.frame_inverse = np.linalg.inv(view.frame)
+        frame = self.frame_at.jet(xs, 1)
+        inverse = frame.inverse(np.linalg.inv(frame.value))
+        view._metric_and_phi = (
+            inverse.T @ self.gram_at.jet(xs, 1) @ inverse,
+            frame @ self.phi_grid.jet(xs, 1) @ inverse)
+        view.alpha_jets = tuple(
+            oracle._Jet(jet.value, jet.grad, _whole_hessian(jet, xs))
+            for jet in (grid.jet(xs, 2) for grid in self.alpha))
+        return view
+
+    def cut(self, jet, key, order):
+        return jet[key]
+
+
+def _residual(view, scenario, identity_id):
+    """numeric_oracle's value of the identity on the view."""
+    if identity_id == "pair.reeb":
+        values = oracle._residual_reeb(view, scenario)
+    elif identity_id in oracle._RESIDUALS:
+        values = oracle._RESIDUALS[identity_id](view)
+    else:
+        values = oracle._residual_minimal(
+            view, identity_id[len("submanifold."):-len(".minimal")])
+    values = np.abs(values)
+    return float(values.max()) if np.isfinite(values).all() else math.inf
+
+
+def _equivalence_inputs(monkeypatch, seed):
+    """Every benchmark input at the seed, and every corpus scenario."""
+    monkeypatch.syspath_prepend(os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "bench"))
+    import workloads
+
+    inputs = [(name, scenario_from_dict(data, name))
+              for workload in sorted(workloads.WORKLOADS)
+              for name, data in workloads.workload_inputs(workload, seed)]
+    return inputs + [(name, corpus_build(name)) for name in CORPUS_NAMES]
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_the_table_samples_the_per_grid_probes_and_residuals(monkeypatch,
+                                                             seed):
+    for name, scenario in _equivalence_inputs(monkeypatch, seed):
+        reference = _PerGrid(scenario)
+        xs = reference.probe_points(8, seed)
+        view = oracle._view(scenario, 8, seed)
+        assert np.array_equal(view.xs, xs), name
+        assert np.array_equal(oracle._Numeric(scenario).probe_points(8, seed),
+                              xs), name
+        expected = reference.view(xs)
+        for identity_id in _all_ids(scenario):
+            want = _residual(expected, scenario, identity_id)
+            got = numeric_oracle(scenario, identity_id, seed=seed)
+            assert abs(got - want) <= 1e-12, (name, identity_id, got, want)
+
+
+def test_a_span_with_a_pole_at_a_probe_point_rejects_no_point():
+    # the span's pole lies on the hyperplane u = 2^52, where about three
+    # candidates in four land; the frame and the forms have no pole there
+    scenario = corpus_build("heis6")
+    scenario.base_point = dict(scenario.base_point, u=str(2 ** 52))
+    name = "heis6-n4"
+    scenario.submanifolds[name] = [
+        [text if text == "0" else f"({text})/(u - {2 ** 52})"
+         for text in row] for row in scenario.submanifolds[name]]
+    view = oracle._view(scenario, 8, 1)
+    assert np.array_equal(view.xs, _PerGrid(scenario).probe_points(8, 1))
+    assert (view.xs[:, scenario.coordinates.index("u")] == 2 ** 52).any()
+    assert numeric_oracle(scenario, f"submanifold.{name}.minimal") \
+        == math.inf
+    assert numeric_oracle(scenario, "metric.associated") < ALGEBRAIC_TOL
 
 
 # -- one parse per scenario, and an oracle independent of the exact side -----

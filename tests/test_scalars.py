@@ -666,6 +666,23 @@ def test_associates_and_unit_cofactors_divide_nothing(monkeypatch):
     assert sx("(-y^2 - 4)/(y^2 + 4)") == sx("-1")
 
 
+@pytest.mark.parametrize("text", ["x*y", "2*x^2*y - 4*x*y", "-3*y^2 - 6",
+                                  "x^3 - 2*x*y + 5"])
+def test_equal_and_negated_operands_take_nothing_apart(monkeypatch, text):
+    a = sx(text).num
+    positive = a if scalars._leading(a)[1] > 0 else scalars._terms_neg(a)
+    calls = []
+    for name in ("_monomial_content", "_primitive", "_exact_div",
+                 "_prs_gcd"):
+        _spy(monkeypatch, scalars, name, calls)
+    with scalars.cancellation_table() as table:
+        for b in (dict(a), scalars._terms_neg(a)):
+            assert scalars._terms_gcd(a, b) == positive
+            assert scalars._terms_gcd(b, a) == positive
+    assert calls == []
+    assert table.counters["gcd.associates"] == 4
+
+
 def test_the_table_answers_a_repeated_cancellation(monkeypatch):
     """a * b and a / (1/b) are two operations, each remembered on its
     own, that take the same two cancellations."""

@@ -1,7 +1,7 @@
 """Median warm verify and cross-check times of one benchmark workload.
 
     PYTHONPATH=src python3 tools/warm_passes.py [--workload darboux-scaling]
-        [--seed 1] [--reps 5]
+        [--seed 1] [--reps 5] [--by-identity]
 
 Runs the workload's inputs from ``bench/workloads.py`` in this one
 process: a warm-up verification, then ``--reps`` passes, each a verify
@@ -10,11 +10,14 @@ cross-check pass (``numeric_oracle`` on every identity ``bench/known.py``
 lists for the scenario).  It prints, per scenario, the median wall time
 and the median ``time.process_time`` of each over the passes, in ms, and
 the ``CheckReport.counters`` of its last run; the process time leaves out
-the time other processes take the core.  The benchmark times a
-darboux-scaling scenario once per run, so its metrics are single
-samples; a median over many warm passes shows a change that those
-samples spread too widely to tell.  Run it on two
-checkouts to compare them.  It only reads the benchmark's files.
+the time other processes take the core.  With ``--by-identity`` it also
+prints, per scenario, the median process time of each oracle id in the
+order ``bench/known.py`` lists them; the first builds the scenario's
+float view (table, probe points, jet), which the others read.  The
+benchmark times a darboux-scaling scenario once per run, so its metrics
+are single samples; a median over many warm passes shows a change that
+those samples spread too widely to tell.  Run it on two checkouts to
+compare them.  It only reads the benchmark's files.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ def main(argv=None) -> int:
                         choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--reps", type=int, default=5)
+    parser.add_argument("--by-identity", action="store_true",
+                        help="also print the median process ms of each "
+                        "oracle id per scenario")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
@@ -53,6 +59,11 @@ def main(argv=None) -> int:
     verify_ms = {name: [] for name, _ in inputs}
     cross_ms = {name: [] for name, _ in inputs}
     counters = {}
+    oracle_ids = {name: list(known.answer_for(answers, name)["oracle"])
+                  for name, _ in inputs}
+    # process ms of each oracle id, by scenario, with --by-identity
+    by_id = {name: {oracle_id: [] for oracle_id in oracle_ids[name]}
+             for name, _ in inputs}
     for _ in range(args.reps):
         for name, data in inputs:
             t0, p0 = time.perf_counter(), time.process_time()
@@ -64,8 +75,13 @@ def main(argv=None) -> int:
         for name, data in inputs:
             t0, p0 = time.perf_counter(), time.process_time()
             scenario = scenario_from_dict(data, name)
-            for oracle_id in known.answer_for(answers, name)["oracle"]:
+            for oracle_id in oracle_ids[name]:
+                if args.by_identity:
+                    q0 = time.process_time()
                 numeric_oracle(scenario, oracle_id, seed=args.seed)
+                if args.by_identity:
+                    by_id[name][oracle_id].append(
+                        (time.process_time() - q0) * 1e3)
             cross_ms[name].append(((time.perf_counter() - t0) * 1e3,
                                    (time.process_time() - p0) * 1e3))
     print(f"{'scenario':<24} {'verify_ms':>10} {'verify_cpu':>10} "
@@ -77,6 +93,14 @@ def main(argv=None) -> int:
                         for key, value in counters[name].items())
         print(f"{name:<24} {medians[0]:>10.2f} {medians[1]:>10.2f} "
               f"{medians[2]:>14.2f} {medians[3]:>14.2f}  {text}")
+    if args.by_identity:
+        print(f"\n{'scenario':<24} {'oracle id':<46} {'cpu_ms':>8}")
+        for name, _ in inputs:
+            for rank, (oracle_id, times) in enumerate(by_id[name].items()):
+                label = oracle_id + (" (builds the view)" if rank == 0
+                                     else "")
+                print(f"{name:<24} {label:<46} "
+                      f"{statistics.median(times):>8.3f}")
     return 0
 
 
