@@ -1,4 +1,10 @@
-"""Exact symbolic verification toolkit for metric contact pair geometry."""
+"""Exact symbolic verification toolkit for metric contact pair geometry.
+
+The float oracle, ``ORACLE_IDS`` and ``numeric_oracle``, loads on first
+access to either name (PEP 562), and numpy with it: the exact pipeline and
+the CLI never evaluate a float, so they run without numpy, which the
+``oracle`` extra installs.
+"""
 
 from .scalars import ParseError, Rational, ScalarError, ScalarExpr, parse_expr
 from .frames import (ChartDomainWarning, EndoField, FramePresentation,
@@ -20,7 +26,6 @@ from .corpus import (CORPUS_NAMES, Scenario, ScenarioError, corpus_build,
                      load_scenario, save_scenario, scenario_from_dict,
                      scenario_to_dict)
 from .checks import CHECK_IDS, CheckReport, CheckRow, run_checks
-from .oracle import ORACLE_IDS, numeric_oracle
 
 __all__ = [
     "ParseError", "Rational", "ScalarError", "ScalarExpr", "parse_expr",
@@ -43,3 +48,26 @@ __all__ = [
     "CHECK_IDS", "CheckReport", "CheckRow", "run_checks",
     "ORACLE_IDS", "numeric_oracle",
 ]
+
+_ORACLE_NAMES = ("ORACLE_IDS", "numeric_oracle")
+
+
+def __getattr__(name):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    try:
+        from . import oracle
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise ImportError(
+            f"contact_pair_lab.{name} needs numpy: install the oracle extra, "
+            "pip install 'contact-pair-lab[oracle]'") from exc
+    # bound here, later reads are plain attribute lookups
+    for lazy in _ORACLE_NAMES:
+        globals()[lazy] = getattr(oracle, lazy)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_ORACLE_NAMES))

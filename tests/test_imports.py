@@ -5,10 +5,16 @@ method of its classes is read somewhere.
 No linter is installed, so these AST scans stand in for unused-import and
 dead-code checks.  ``__init__.py`` is skipped: its imports are the
 package's exports.
+
+The float oracle alone needs numpy, and the package loads it on first use;
+a scan keeps numpy and the oracle off the import path of the exact
+pipeline and the CLI, and a fresh interpreter with numpy blocked runs them.
 """
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -273,3 +279,161 @@ def test_the_benchmark_replay_runs_every_stage(monkeypatch):
               "submanifolds.shape_ms", "submanifolds.restrict_ms",
               "submanifolds.theorems_ms")
     assert [s for s in stages if s not in tracer.spans] == []
+
+
+# -- numpy and the float oracle load on first use ------------------------
+
+def _imports(tree):
+    """[(dotted names, line, at import time)] for every import statement:
+    ``import a.b`` names "a.b"; ``from .m import x`` names ".m" and ".m.x".
+    At import time means outside every function body; a class body runs
+    at import."""
+    found = []
+
+    def visit(node, deferred):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = {alias.name for alias in child.names}
+            elif isinstance(child, ast.ImportFrom):
+                base = "." * child.level + (child.module or "")
+                sep = "" if base.endswith(".") else "."
+                names = {base + sep + alias.name for alias in child.names}
+                if child.module:
+                    names.add(base)
+            else:
+                visit(child, deferred or isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                            ast.Lambda)))
+                continue
+            found.append((names, child.lineno, not deferred))
+
+    visit(tree, False)
+    return found
+
+
+def _loads_numpy(names):
+    return any(name.split(".")[0] == "numpy" for name in names)
+
+
+def _loads_oracle(names):
+    """The oracle module itself, or one of the package's names that load
+    it, imported relatively or from the package."""
+    lazy = {"oracle"} | set(contact_pair_lab._ORACLE_NAMES)
+    for name in names:
+        head, _, rest = name.lstrip(".").partition(".")
+        if name.startswith(".") and head in lazy:
+            return True
+        if head == "contact_pair_lab" and rest.split(".")[0] in lazy:
+            return True
+    return False
+
+
+def test_only_the_oracle_imports_numpy_and_nothing_imports_it_at_load():
+    """numpy reaches the package through ``oracle.py`` alone, and no
+    module imports the oracle while it loads, so ``import
+    contact_pair_lab.cli`` never loads numpy."""
+    offenders = []
+    for module in sorted(os.listdir(SRC)):
+        if not module.endswith(".py"):
+            continue
+        for names, line, at_load in _imports(_parse(os.path.join(SRC,
+                                                                 module))):
+            if _loads_numpy(names) and module != "oracle.py":
+                offenders.append(f"{module}: numpy (line {line})")
+            if _loads_oracle(names) and at_load:
+                offenders.append(f"{module}: the oracle (line {line})")
+    assert offenders == []
+    # the scan sees the imports it must allow
+    assert any(_loads_numpy(names) for names, _, _ in
+               _imports(_parse(os.path.join(SRC, "oracle.py"))))
+    assert [at_load for names, _, at_load in
+            _imports(_parse(os.path.join(SRC, "__init__.py")))
+            if _loads_oracle(names)] == [False]
+
+
+def test_a_numpy_or_oracle_import_is_found():
+    tree = ast.parse("import numpy.linalg as la\n"
+                     "from . import oracle, scalars\n"
+                     "from .oracle import numeric_oracle as check\n"
+                     "from .oracles import spare\n"
+                     "class Box:\n"
+                     "    from contact_pair_lab import ORACLE_IDS\n"
+                     "import contact_pair_lab.cli\n"
+                     "def later():\n"
+                     "    from numpy import zeros\n"
+                     "    from . import oracle\n"
+                     "    return lambda: zeros\n")
+    found = _imports(tree)
+    assert [line for names, line, _ in found
+            if _loads_numpy(names)] == [1, 9]
+    assert [(line, at_load) for names, line, at_load in found
+            if _loads_oracle(names)] == [(2, True), (3, True), (6, True),
+                                         (10, False)]
+
+
+def test_the_oracle_names_load_on_first_access(monkeypatch):
+    from contact_pair_lab import oracle
+
+    names = vars(contact_pair_lab)
+    for name in contact_pair_lab._ORACLE_NAMES:
+        monkeypatch.delitem(names, name, raising=False)
+    assert "numeric_oracle" not in names
+    # one access binds both names in the package
+    assert contact_pair_lab.ORACLE_IDS is oracle.ORACLE_IDS
+    assert names["numeric_oracle"] is oracle.numeric_oracle
+    assert contact_pair_lab.numeric_oracle is oracle.numeric_oracle
+    from contact_pair_lab import numeric_oracle
+    assert numeric_oracle is oracle.numeric_oracle
+    with pytest.raises(AttributeError, match="no_such_name"):
+        contact_pair_lab.no_such_name
+    assert {"ORACLE_IDS", "numeric_oracle", "run_checks"} <= set(
+        dir(contact_pair_lab))
+
+
+def test_every_exported_name_resolves():
+    assert len(set(contact_pair_lab.__all__)) == len(
+        contact_pair_lab.__all__) == 59
+    assert contact_pair_lab.__all__[-2:] == ["ORACLE_IDS", "numeric_oracle"]
+    star = {}
+    exec("from contact_pair_lab import *", star)
+    assert set(star) - {"__builtins__"} == set(contact_pair_lab.__all__)
+
+
+def test_the_certified_core_runs_without_numpy():
+    """In a fresh interpreter the CLI's import loads neither numpy nor the
+    oracle; with numpy blocked, every corpus scenario gives its golden
+    rows, ``corpus run`` exits 0, and the oracle's names raise an
+    ``ImportError`` that names the extra."""
+    code = (
+        "import io, json, sys\n"
+        "import contact_pair_lab.cli\n"
+        "loaded = {'numpy', 'contact_pair_lab.oracle'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+        # a None entry in sys.modules makes `import numpy` raise
+        "sys.modules['numpy'] = None\n"
+        "import contact_pair_lab as lab\n"
+        "with open(sys.argv[1], encoding='utf-8') as fh:\n"
+        "    golden = json.load(fh)\n"
+        "for name in lab.CORPUS_NAMES:\n"
+        "    rows = [[r.id, r.verdict, r.witness] for r in\n"
+        "            lab.run_checks(lab.corpus_build(name), seed=1).rows]\n"
+        "    assert rows == golden[name]['1'], name\n"
+        "assert contact_pair_lab.cli.main(['corpus', 'run'],\n"
+        "                                 out=io.StringIO()) == 0\n"
+        "for name in ('numeric_oracle', 'ORACLE_IDS'):\n"
+        "    try:\n"
+        "        getattr(lab, name)\n"
+        "    except ImportError as exc:\n"
+        "        assert 'oracle extra' in str(exc), exc\n"
+        "        assert isinstance(exc.__cause__, ModuleNotFoundError)\n"
+        "    else:\n"
+        "        raise AssertionError(name + ' loaded without numpy')\n"
+        "assert 'contact_pair_lab.oracle' not in sys.modules\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    golden = os.path.join(ROOT, "tests", "data", "report_rows.json")
+    done = subprocess.run([sys.executable, "-c", code, golden], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python3 tools/warm_passes.py [--workload darboux-scaling]
         [--seed 1] [--reps 5] [--by-identity]
+    PYTHONPATH=src python3 tools/warm_passes.py --setup 5
 
 Runs the workload's inputs from ``bench/workloads.py`` in this one
 process: a warm-up verification, then ``--reps`` passes, each a verify
@@ -16,8 +17,16 @@ order ``bench/known.py`` lists them; the first builds the scenario's
 float view (table, probe points, jet), which the others read.  The
 benchmark times a darboux-scaling scenario once per run, so its metrics
 are single samples; a median over many warm passes shows a change that
-those samples spread too widely to tell.  Run it on two checkouts to
-compare them.  It only reads the benchmark's files.
+those samples spread too widely to tell.
+
+With ``--setup N`` it times set-up instead: N fresh interpreters, each
+under ``PYTHONDONTWRITEBYTECODE=1`` (so each compiles the package, as the
+benchmark's do), run ``import contact_pair_lab.cli``; it prints the median
+wall and process ms of that import and whether it loaded numpy.  The
+benchmark's ``setup_s`` is a pace-scaled median of five such imports.
+
+Run it on two checkouts to compare them.  It only reads the benchmark's
+files.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from __future__ import annotations
 import argparse
 import os
 import statistics
+import subprocess
 import sys
 import time
 
@@ -38,6 +48,35 @@ from contact_pair_lab import (numeric_oracle, run_checks,  # noqa: E402
                               scenario_from_dict)
 
 
+# one fresh interpreter's set-up: wall and process seconds of the import,
+# and whether it loaded numpy
+_SETUP_CODE = """\
+import sys, time
+t0, p0 = time.perf_counter(), time.process_time()
+import contact_pair_lab.cli
+print(time.perf_counter() - t0, time.process_time() - p0,
+      "numpy" in sys.modules)
+"""
+
+
+def setup_times(count: int) -> None:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    samples = []
+    for _ in range(count):
+        done = subprocess.run([sys.executable, "-c", _SETUP_CODE], env=env,
+                              capture_output=True, text=True, check=True)
+        wall, cpu, numpy = done.stdout.split()
+        samples.append((float(wall), float(cpu), numpy == "True"))
+    loaded = sum(numpy for _, _, numpy in samples)
+    print(f"import contact_pair_lab.cli, {count} fresh interpreters: "
+          f"median {statistics.median(s[0] for s in samples) * 1e3:.1f} ms "
+          f"wall, {statistics.median(s[1] for s in samples) * 1e3:.1f} ms "
+          f"process; numpy loaded in {loaded} of {count}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", default="darboux-scaling",
@@ -47,9 +86,17 @@ def main(argv=None) -> int:
     parser.add_argument("--by-identity", action="store_true",
                         help="also print the median process ms of each "
                         "oracle id per scenario")
+    parser.add_argument("--setup", type=int, metavar="N",
+                        help="instead time `import contact_pair_lab.cli` "
+                        "in N fresh interpreters")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
+    if args.setup is not None:
+        if args.setup < 1:
+            parser.error("--setup must be at least 1")
+        setup_times(args.setup)
+        return 0
     answers = known.load_known()
     inputs = workloads.workload_inputs(args.workload, args.seed)
     warm_up = workloads.WARM_UP[args.workload]
